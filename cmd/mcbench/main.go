@@ -15,172 +15,112 @@
 //	mcbench -exp fig5 -metrics out.json -slo 'p99(access_latency_dram_read_ns) < 400ns over 10ms'
 //	                                   # evaluate latency SLOs + burn-rate alerts
 //	mcbench -exp all -http :6060       # expvar/pprof for wall-clock profiling
+//	mcbench -soak multiclock -quick -snapshot run.mcsnap -snapshot-every 5000
+//	                                   # resumable soak over the paper sequence
 //	mcbench -list                      # show available experiment ids
 //
 // Every simulated machine is an independent single-threaded system, so
 // -parallel N schedules runs across goroutines without changing any
 // result: stdout is byte-identical at every parallelism level; progress
-// and per-run wall-clock timing go to stderr.
+// and per-run wall-clock timing go to stderr. Wall-clock performance of the
+// simulator itself is measured by benchmarks/ (see its README).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"multiclock/internal/bench"
 	"multiclock/internal/cliutil"
-	"multiclock/internal/fault"
 	"multiclock/internal/metrics"
 	"multiclock/internal/runner"
-	"multiclock/internal/sim"
-	"multiclock/internal/slo"
-	"multiclock/internal/traceexport"
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment id (fig1, fig2, table1, table2, fig5..fig10, ablation-*, or 'all')")
-	quick := flag.Bool("quick", false, "compressed runs (~10× fewer ops and shorter daemon intervals)")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	parallel := flag.Int("parallel", 1, "max simulation runs in flight (0 = GOMAXPROCS, 1 = sequential)")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	chaosSpec := flag.String("chaos", "", "deterministic fault injection as seed,rate (e.g. 42,0.01); empty disables")
-	deadline := flag.Duration("deadline", 0, "abort with a non-zero exit if wall-clock runtime exceeds this (0 = no limit)")
-	metricsOut := flag.String("metrics", "", "write a deterministic metrics JSON export for the instrumented experiments (figs. 5, 7-10) to this file")
-	traceEvents := flag.Int("trace-events", 0, "structured trace ring capacity per machine in the metrics export (0 = no event trace)")
-	series := flag.Duration("series", 0, "sample a windowed occupancy time series per instrumented machine on this virtual period (0 = off; requires -metrics)")
-	lifecycleMod := flag.Uint64("lifecycle", 0, "trace per-page lifecycle spans per instrumented machine with this sampling modulus (1 = every page, 0 = off; requires -metrics)")
-	httpAddr := flag.String("http", "", "serve expvar/pprof on this address (e.g. localhost:6060) for wall-clock profiling of long runs")
-	var tf cliutil.TraceFlags
-	tf.Register(flag.CommandLine)
-	benchOut := flag.String("bench-out", "", "run the simulator perf suite and write its JSON report (pages/sec, ns/access per workload) to this file")
-	benchCompare := flag.String("bench-compare", "", "with -bench-out: compare against this baseline BENCH_*.json and exit 1 on regression")
-	benchTolerance := flag.Float64("bench-tolerance", 5, "with -bench-compare: allowed slowdown factor vs the baseline before failing")
-	tiers := flag.String("tiers", "", "explicit tier hierarchy as name:frames pairs, fastest first (e.g. dram:1024,cxl:2048,pm:8192,ssd:*), applied to every machine the experiments build")
-	soak := flag.String("soak", "", "run a resumable soak of this policy over the paper's workload sequence (composes with -snapshot/-restore/-audit/-invariants-every)")
-	soakOps := flag.Int64("soak-ops", 0, "with -soak: ops per workload (0 = the -quick/full scale default)")
-	var snap cliutil.SnapshotFlags
-	snap.Register(flag.CommandLine)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	chaos, err := fault.ParseSpec(*chaosSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mcbench: %v\n", err)
-		os.Exit(2)
+// run is the testable entry point: argv (without the program name) in,
+// exit code out.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mcbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "", "experiment id (fig1, fig2, table1, table2, fig5..fig10, ablation-*, or 'all')")
+	quick := fs.Bool("quick", false, "compressed runs (~10× fewer ops and shorter daemon intervals)")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	deadline := fs.Duration("deadline", 0, "abort with a non-zero exit if wall-clock runtime exceeds this (0 = no limit)")
+	soak := fs.String("soak", "", "run a resumable soak of this policy over the paper's workload sequence (composes with -snapshot/-restore/-audit/-invariants-every)")
+	soakOps := fs.Int64("soak-ops", 0, "with -soak: ops per workload (0 = the -quick/full scale default)")
+	var rf cliutil.RunFlags
+	rf.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return cliutil.ExitUsage
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, format+"\n", a...)
+		return cliutil.ExitUsage
 	}
 	if *deadline < 0 {
-		fmt.Fprintf(os.Stderr, "mcbench: -deadline must be non-negative, got %v\n", *deadline)
-		os.Exit(2)
+		return usage("mcbench: -deadline must be non-negative, got %v", *deadline)
 	}
+	if err := rf.Validate("mcbench", *soak != ""); err != nil {
+		return usage("%v", err)
+	}
+	if *soak == "" && (rf.Stepped() || *soakOps != 0) {
+		return usage("mcbench: -snapshot/-restore/-audit/-invariants-every/-soak-ops need -soak POLICY (experiments are not checkpointable)")
+	}
+	if *soak != "" && *exp != "" {
+		return usage("mcbench: -soak is its own mode; drop -exp")
+	}
+	if *soak == "" && (*list || *exp == "") {
+		fmt.Fprintln(stdout, "experiments:")
+		for _, n := range bench.Names() {
+			fmt.Fprintf(stdout, "  %s\n", n)
+		}
+		fmt.Fprintln(stdout, "  table2 (module inventory / LoC)")
+		fmt.Fprintln(stdout, "  all")
+		if !*list {
+			return cliutil.ExitUsage
+		}
+		return 0
+	}
+
 	if *deadline > 0 {
 		// A runaway experiment (bad flag combination, pathological scale)
 		// must not hang CI forever: kill the whole process once the budget
 		// is spent, loudly and with a distinctive exit code.
 		d := *deadline
-		time.AfterFunc(d, func() {
-			fmt.Fprintf(os.Stderr, "mcbench: wall-clock deadline %v exceeded; aborting\n", d)
+		defer time.AfterFunc(d, func() {
+			fmt.Fprintf(stderr, "mcbench: wall-clock deadline %v exceeded; aborting\n", d)
 			os.Exit(3)
-		})
+		}).Stop()
 	}
+	stopDebug, err := rf.ServeDebug("mcbench", stderr)
+	if err != nil {
+		return usage("%v", err)
+	}
+	defer stopDebug()
 
-	if *tiers != "" {
-		if _, err := cliutil.ParseTierSpec(*tiers); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(cliutil.ExitUsage)
-		}
-	}
-	if err := cliutil.ValidateExportFlags(*series, *lifecycleMod, *metricsOut, tf.SLO, tf.TraceOut); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(cliutil.ExitUsage)
-	}
-	if tf.SLO != "" {
-		if _, err := slo.Parse(tf.SLO); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(cliutil.ExitUsage)
-		}
-	}
-	if err := snap.Validate(*series, *lifecycleMod, tf.SLO, tf.TraceOut); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(cliutil.ExitUsage)
-	}
-	if *soak == "" && (snap.Active() || snap.InvariantsEvery > 0 || *soakOps != 0) {
-		fmt.Fprintln(os.Stderr, "mcbench: -snapshot/-restore/-audit/-invariants-every/-soak-ops need -soak POLICY (experiments are not checkpointable)")
-		os.Exit(cliutil.ExitUsage)
+	opt := bench.Options{
+		Quick: *quick, Seed: rf.Seed, Parallel: rf.Workers(), Chaos: rf.Chaos,
+		Tiers: rf.Tiers, Sinks: bench.FlagSinks(&rf),
 	}
 	if *soak != "" {
-		if *exp != "" || *benchOut != "" {
-			fmt.Fprintln(os.Stderr, "mcbench: -soak is its own mode; drop -exp/-bench-out")
-			os.Exit(cliutil.ExitUsage)
-		}
-		if tf.SLO != "" || tf.TraceOut != "" {
-			fmt.Fprintln(os.Stderr, "mcbench: -slo/-trace-out are experiment-mode flags (soaks are checkpointable; see mcmetrics slo/perfetto for post-hoc analysis)")
-			os.Exit(cliutil.ExitUsage)
-		}
-		os.Exit(runSoak(*soak, bench.Options{Quick: *quick, Seed: *seed, Chaos: chaos, Tiers: *tiers},
-			*soakOps, snap, *metricsOut, *traceEvents))
+		return bench.RunStepped("mcbench", "soak/", bench.SoakConfigFor(*soak, opt, *soakOps), &rf, stdout, stderr)
 	}
-
-	if *benchOut != "" {
-		// Perf-suite mode: measure the simulator itself. Runs are
-		// sequential by construction (wall-clock numbers need the machine
-		// to themselves); -quick selects the small grid.
-		stopDebug := func() {}
-		if *httpAddr != "" {
-			stopDebug = cliutil.ServeDebug("mcbench", *httpAddr)
-		}
-		code := runPerfSuite(bench.Options{Quick: *quick, Seed: *seed},
-			*benchOut, *benchCompare, *benchTolerance)
-		stopDebug()
-		os.Exit(code)
-	}
-	if *benchCompare != "" {
-		fmt.Fprintln(os.Stderr, "mcbench: -bench-compare requires -bench-out")
-		os.Exit(2)
-	}
-
-	if *list || *exp == "" {
-		fmt.Println("experiments:")
-		for _, n := range bench.Names() {
-			fmt.Printf("  %s\n", n)
-		}
-		fmt.Println("  table2 (module inventory / LoC)")
-		fmt.Println("  all")
-		if *exp == "" && !*list {
-			os.Exit(2)
-		}
-		return
-	}
-
-	workers := *parallel
-	if workers <= 0 {
-		workers = -1 // GOMAXPROCS, resolved by the runner
-	}
-	stopDebug := func() {}
-	if *httpAddr != "" {
-		stopDebug = cliutil.ServeDebug("mcbench", *httpAddr)
-	}
-	opt := bench.Options{
-		Quick: *quick, Seed: *seed, Parallel: workers, Chaos: chaos,
-		Series: sim.Duration(series.Nanoseconds()), Lifecycle: *lifecycleMod,
-		Tiers: *tiers, SLO: tf.SLO, Trace: tf.TraceOut != "",
-	}
-	var pool *metrics.Pool
-	if *metricsOut != "" {
-		ring := *traceEvents
-		if tf.TraceOut != "" && ring == 0 {
-			// A Perfetto export without the structured event ring would carry
-			// no migrations, daemon passes or page faults; default it on.
-			ring = cliutil.DefaultTraceRing
-		}
-		pool = metrics.NewPool(ring)
-		opt.Metrics = pool
+	if rf.Metrics != "" {
+		opt.Metrics = metrics.NewPool(rf.Ring())
 	}
 	names := []string{*exp}
 	if *exp == "all" {
 		names = append(bench.Names(), "table2")
 	}
-
 	tasks := make([]runner.Task[string], 0, len(names))
 	for _, name := range names {
 		name := name
@@ -194,45 +134,27 @@ func main() {
 
 	// Experiments are scheduled across the same worker budget as their
 	// inner cells; output streams to stdout in presentation order as each
-	// head-of-line experiment completes. A failing experiment no longer
-	// aborts the batch: the error prints inline and the rest keep going.
+	// head-of-line experiment completes. A failing experiment does not
+	// abort the batch: the error prints inline and the rest keep going.
 	failed := 0
-	runner.Stream(workers, os.Stderr, tasks, func(_ int, r runner.TaskResult[string]) {
+	runner.Stream(opt.Parallel, stderr, tasks, func(_ int, r runner.TaskResult[string]) {
 		expExperimentsDone.Add(1)
 		if r.Err != nil {
 			failed++
 			expExperimentsFailed.Add(1)
-			fmt.Printf("==== %s ====\nerror: %v\n\n", r.Name, r.Err)
+			fmt.Fprintf(stdout, "==== %s ====\nerror: %v\n\n", r.Name, r.Err)
 			return
 		}
-		fmt.Printf("==== %s ====\n%s\n", r.Name, r.Value)
+		fmt.Fprintf(stdout, "==== %s ====\n%s\n", r.Name, r.Value)
 	})
-	if pool != nil {
-		data, err := pool.ExportJSON()
-		if err == nil {
-			err = os.WriteFile(*metricsOut, data, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mcbench: writing metrics: %v\n", err)
-			stopDebug()
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "metrics: %d run(s) written to %s\n", pool.Len(), *metricsOut)
-		if tf.TraceOut != "" {
-			trace := traceexport.Build(pool.Runs())
-			if err := os.WriteFile(tf.TraceOut, trace, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "mcbench: writing trace: %v\n", err)
-				stopDebug()
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "trace: perfetto timeline written to %s\n", tf.TraceOut)
-		}
+	if opt.Metrics != nil && !rf.WriteExports("mcbench", stderr, opt.Metrics.Runs()) {
+		return 1
 	}
-	stopDebug()
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "mcbench: %d of %d experiments failed\n", failed, len(tasks))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "mcbench: %d of %d experiments failed\n", failed, len(tasks))
+		return 1
 	}
+	return 0
 }
 
 // table2 locates the module root and renders the package inventory.

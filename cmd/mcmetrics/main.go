@@ -17,8 +17,6 @@
 //	mcmetrics series out.json            # time-series windows as CSV
 //	mcmetrics slo out.json               # SLO compliance + burn-rate report
 //	mcmetrics perfetto -o t.json out.json# rebuild the Perfetto timeline
-//	mcmetrics trend .                    # pages/sec trajectory across the
-//	                                     # checked-in BENCH_*.json reports
 //	mcmetrics diverge a.jsonl b.jsonl    # bisect two -audit trails to the
 //	                                     # first diverging checkpoint
 package main
@@ -28,11 +26,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
-	"multiclock/internal/bench"
 	"multiclock/internal/metrics"
 	"multiclock/internal/sim"
 	"multiclock/internal/slo"
@@ -59,8 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return cmdSLO(args[1:], stdout, stderr)
 		case "perfetto":
 			return cmdPerfetto(args[1:], stdout, stderr)
-		case "trend":
-			return cmdTrend(args[1:], stdout, stderr)
 		case "diverge":
 			return cmdDiverge(args[1:], stdout, stderr)
 		}
@@ -358,54 +352,6 @@ func cmdPerfetto(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	fmt.Fprintf(stderr, "trace: perfetto timeline written to %s\n", *out)
-	return 0
-}
-
-// cmdTrend aggregates every BENCH_*.json perf report in a directory into the
-// per-workload pages/sec trajectory, oldest report first. Any file matching
-// the pattern that fails to parse is a hard error — CI runs this over the
-// repo root so a corrupt checked-in baseline can't silently drop out of the
-// perf gate.
-func cmdTrend(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("mcmetrics trend", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	if fs.Parse(args) != nil {
-		return 2
-	}
-	if fs.NArg() > 1 {
-		fmt.Fprintln(stderr, "usage: mcmetrics trend [dir]")
-		return 2
-	}
-	dir := "."
-	if fs.NArg() == 1 {
-		dir = fs.Arg(0)
-	}
-	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil {
-		fmt.Fprintf(stderr, "mcmetrics: %v\n", err)
-		return 1
-	}
-	if len(paths) == 0 {
-		fmt.Fprintf(stderr, "mcmetrics: no BENCH_*.json reports in %s\n", dir)
-		return 1
-	}
-	entries := make([]bench.TrendEntry, 0, len(paths))
-	for _, p := range paths {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			fmt.Fprintf(stderr, "mcmetrics: %v\n", err)
-			return 1
-		}
-		rep, err := bench.ParsePerf(data)
-		if err != nil {
-			fmt.Fprintf(stderr, "mcmetrics: %s: %v\n", p, err)
-			return 1
-		}
-		name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "BENCH_"), ".json")
-		entries = append(entries, bench.TrendEntry{Name: name, Report: rep})
-	}
-	bench.SortTrend(entries)
-	fmt.Fprint(stdout, bench.FormatTrend(entries))
 	return 0
 }
 

@@ -302,88 +302,6 @@ func TestPerfettoRebuild(t *testing.T) {
 	}
 }
 
-// TestTrendTable aggregates synthetic BENCH_*.json reports: baseline first,
-// then prN ascending by number (pr10 after pr2), with deltas vs the previous
-// column and "-" for a workload a report skipped.
-func TestTrendTable(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, workloads string) {
-		body := fmt.Sprintf(`{"schema":"mcbench/perf/v1","quick":true,"seed":1,"go":"go1.24.0","workloads":[%s]}`, workloads)
-		if err := os.WriteFile(filepath.Join(dir, "BENCH_"+name+".json"), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	row := func(wl string, pps float64) string {
-		return fmt.Sprintf(`{"workload":%q,"ops":10,"accesses":10,"wall_ns":10,"virtual_ns":10,"pages_per_sec":%g,"ns_per_access":1}`, wl, pps)
-	}
-	write("baseline", row("ycsb-a", 1000))
-	write("pr2", row("ycsb-a", 2000)+","+row("kvstore", 500))
-	write("pr10", row("ycsb-a", 3000)+","+row("kvstore", 600))
-
-	code, out, _ := exec(t, "trend", dir)
-	if code != 0 {
-		t.Fatalf("exit %d", code)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 { // title + header + 2 workloads
-		t.Fatalf("lines = %d:\n%s", len(lines), out)
-	}
-	header := strings.Fields(lines[1])
-	wantHeader := []string{"workload", "baseline", "pr2", "pr10"}
-	if len(header) != 4 || header[1] != "baseline" || header[2] != "pr2" || header[3] != "pr10" {
-		t.Fatalf("column order = %v, want %v", header, wantHeader)
-	}
-	if !strings.Contains(lines[2], "ycsb-a") ||
-		!strings.Contains(lines[2], "2000 (+100.0%)") || !strings.Contains(lines[2], "3000 (+50.0%)") {
-		t.Fatalf("ycsb-a row wrong:\n%s", out)
-	}
-	// kvstore is absent from the baseline: first column "-", and pr10's
-	// delta compares against pr2 (the previous report that measured it).
-	kv := lines[3]
-	if !strings.Contains(kv, "kvstore") || !strings.Contains(kv, "-") ||
-		!strings.Contains(kv, "600 (+20.0%)") {
-		t.Fatalf("kvstore row wrong:\n%s", out)
-	}
-}
-
-// TestTrendRejectsCorruptReport: one unparseable BENCH_*.json fails the whole
-// aggregation — this is the CI gate against a silently rotten baseline.
-func TestTrendRejectsCorruptReport(t *testing.T) {
-	dir := t.TempDir()
-	good := `{"schema":"mcbench/perf/v1","quick":true,"seed":1,"go":"go1.24.0","workloads":[{"workload":"ycsb-a","ops":10,"accesses":10,"wall_ns":10,"virtual_ns":10,"pages_per_sec":1000,"ns_per_access":1}]}`
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_baseline.json"), []byte(good), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_pr3.json"), []byte(`{"schema":"wrong/v0"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, errb := exec(t, "trend", dir)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1", code)
-	}
-	if !strings.Contains(errb, "BENCH_pr3.json") {
-		t.Fatalf("stderr does not name the corrupt file: %q", errb)
-	}
-
-	if code, _, _ := exec(t, "trend", t.TempDir()); code != 1 {
-		t.Fatal("empty directory should fail (no reports)")
-	}
-}
-
-// TestTrendOnRepoRoot parses every checked-in BENCH_*.json — the same
-// invocation CI runs as the trend gate.
-func TestTrendOnRepoRoot(t *testing.T) {
-	code, out, errb := exec(t, "trend", "../..")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr %q", code, errb)
-	}
-	for _, want := range []string{"baseline", "pr6", "pr9", "ycsb-a", "motivation"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("repo-root trend missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // TestDivergeCLI drives the audit-bisection subcommand on synthetic trails.
 func TestDivergeCLI(t *testing.T) {
 	dir := t.TempDir()

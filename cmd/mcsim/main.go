@@ -28,161 +28,130 @@ import (
 	"strings"
 
 	"multiclock"
+	"multiclock/internal/bench"
 	"multiclock/internal/cliutil"
+	"multiclock/internal/graph"
+	"multiclock/internal/machine"
+	"multiclock/internal/metrics"
 	"multiclock/internal/runner"
+	"multiclock/internal/sim"
 	"multiclock/internal/tracereplay"
+	"multiclock/internal/ycsb"
 )
 
-// config carries the flag values one policy run needs.
-type config struct {
-	policy      string
-	workload    string
-	sequence    bool
-	gapbs       string
-	records     int64
-	ops         int64
-	vertices    int
-	degree      int
-	record      string
-	replay      string
-	replayFast  bool
-	dram        int
-	pm          int
-	tiers       string
-	scan        multiclock.Duration
-	seed        uint64
-	chaos       multiclock.FaultConfig
-	metrics     bool
-	traceEvents int
-	series      multiclock.Duration
-	lifecycle   uint64
-	slo         string
-	trace       bool
-	label       string
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func main() {
-	pol := flag.String("policy", "multiclock", "comma-separated list of static | multiclock | multiclock-gated | nimble | nimble-gated | at-cpm | at-opm | memory-mode | thermostat | amp-{lru,lfu,random} | nomad | s3fifo")
-	workload := flag.String("workload", "A", "YCSB workload (A-F, W)")
-	sequence := flag.Bool("sequence", false, "run the paper's full YCSB sequence (Load,A,B,C,F,W,D)")
-	gapbs := flag.String("gapbs", "", "run a GAPBS kernel instead (BFS, SSSP, PR, CC, BC, TC)")
-	records := flag.Int64("records", 20000, "YCSB record count")
-	ops := flag.Int64("ops", 500000, "YCSB operations")
-	vertices := flag.Int("vertices", 40000, "graph vertices")
-	degree := flag.Int("degree", 8, "graph average degree")
-	record := flag.String("record", "", "write the access trace to this file (single policy only)")
-	replay := flag.String("replay", "", "replay a recorded trace instead of a workload")
-	replayFast := flag.Bool("replay-fast", false, "replay back-to-back instead of original pacing")
-	dram := flag.Int("dram", 1024, "DRAM pages")
-	pm := flag.Int("pm", 8192, "PM pages")
-	tiers := flag.String("tiers", "", "explicit tier hierarchy as name:frames pairs, fastest first (e.g. dram:1024,cxl:2048,pm:8192,ssd:*); overrides -dram/-pm")
-	interval := flag.Duration("interval", 0, "scan interval (virtual; default 100ms)")
-	parallel := flag.Int("parallel", 1, "max policies simulated at once (0 = GOMAXPROCS)")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	chaosSpec := flag.String("chaos", "", "deterministic fault injection as seed,rate (e.g. 42,0.01); empty disables")
-	metricsOut := flag.String("metrics", "", "write a deterministic metrics JSON export to this file")
-	traceEvents := flag.Int("trace-events", 0, "structured trace ring capacity in the metrics export (0 = no event trace)")
-	series := flag.Duration("series", 0, "sample a windowed occupancy time series on this virtual period into the metrics export (0 = off)")
-	lifecycleMod := flag.Uint64("lifecycle", 0, "trace per-page lifecycle spans with this sampling modulus (1 = every page, 0 = off) into the metrics export")
-	httpAddr := flag.String("http", "", "serve expvar/pprof on this address (e.g. localhost:6060) for wall-clock profiling of long runs")
-	var tf cliutil.TraceFlags
-	tf.Register(flag.CommandLine)
-	var snap cliutil.SnapshotFlags
-	snap.Register(flag.CommandLine)
-	flag.Parse()
+// job is what one policy's machine is driven with: the run description plus
+// the mcsim-only drivers that replace its YCSB workloads.
+type job struct {
+	bench.RunConfig
+	sequence   bool
+	gapbs      string
+	vertices   int
+	degree     int
+	record     string
+	replay     string
+	replayFast bool
+}
 
-	chaos, err := multiclock.ParseFaultSpec(*chaosSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mcsim: %v\n", err)
-		os.Exit(2)
-	}
-	if *tiers != "" {
-		if _, err := cliutil.ParseTierSpec(*tiers); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(cliutil.ExitUsage)
+// run is the testable entry point: argv (without the program name) in,
+// exit code out.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mcsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var j job
+	pol := fs.String("policy", "multiclock", "comma-separated list of static | multiclock | multiclock-gated | nimble | nimble-gated | at-cpm | at-opm | memory-mode | thermostat | amp-{lru,lfu,random} | nomad | s3fifo")
+	workload := fs.String("workload", "A", "YCSB workload (A-F, W)")
+	fs.BoolVar(&j.sequence, "sequence", false, "run the paper's full YCSB sequence (Load,A,B,C,F,W,D)")
+	fs.StringVar(&j.gapbs, "gapbs", "", "run a GAPBS kernel instead (BFS, SSSP, PR, CC, BC, TC)")
+	fs.Int64Var(&j.Records, "records", 20000, "YCSB record count")
+	fs.Int64Var(&j.Ops, "ops", 500000, "YCSB operations")
+	fs.IntVar(&j.vertices, "vertices", 40000, "graph vertices")
+	fs.IntVar(&j.degree, "degree", 8, "graph average degree")
+	fs.StringVar(&j.record, "record", "", "write the access trace to this file (single policy only)")
+	fs.StringVar(&j.replay, "replay", "", "replay a recorded trace instead of a workload")
+	fs.BoolVar(&j.replayFast, "replay-fast", false, "replay back-to-back instead of original pacing")
+	fs.IntVar(&j.DRAMPages, "dram", 1024, "DRAM pages")
+	fs.IntVar(&j.PMPages, "pm", 8192, "PM pages")
+	interval := fs.Duration("interval", 0, "scan interval (virtual; default 100ms)")
+	var rf cliutil.RunFlags
+	rf.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
 		}
+		return cliutil.ExitUsage
 	}
-	if err := cliutil.ValidateExportFlags(*series, *lifecycleMod, *metricsOut, tf.SLO, tf.TraceOut); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(cliutil.ExitUsage)
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, format+"\n", a...)
+		return cliutil.ExitUsage
 	}
-	if tf.SLO != "" {
-		if _, err := multiclock.ParseSLOSpec(tf.SLO); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(cliutil.ExitUsage)
-		}
-	}
-	if err := snap.Validate(*series, *lifecycleMod, tf.SLO, tf.TraceOut); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(cliutil.ExitUsage)
-	}
-	ring := *traceEvents
-	if tf.TraceOut != "" && ring == 0 {
-		// A Perfetto export without the structured event ring would carry no
-		// migrations, daemon passes or page faults; default it on.
-		ring = cliutil.DefaultTraceRing
+	if err := rf.Validate("mcsim", false); err != nil {
+		return usage("%v", err)
 	}
 
-	scan := multiclock.Duration(100 * 1e6)
-	if *interval > 0 {
-		scan = multiclock.Duration(interval.Nanoseconds())
-	}
-	policies := make([]string, 0, 4)
+	var policies []string
 	for _, p := range strings.Split(*pol, ",") {
 		if p = strings.TrimSpace(p); p == "" {
 			continue
 		}
 		parsed, err := multiclock.ParsePolicy(p)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mcsim: %v\n", err)
-			os.Exit(2)
+			return usage("mcsim: %v", err)
 		}
 		policies = append(policies, string(parsed))
 	}
 	if len(policies) == 0 {
-		fmt.Fprintln(os.Stderr, "mcsim: -policy needs at least one policy name")
-		os.Exit(2)
+		return usage("mcsim: -policy needs at least one policy name")
 	}
-	if *record != "" && len(policies) > 1 {
-		fmt.Fprintln(os.Stderr, "mcsim: -record needs a single policy (the trace is one machine's access stream)")
-		os.Exit(2)
+	if j.record != "" && len(policies) > 1 {
+		return usage("mcsim: -record needs a single policy (the trace is one machine's access stream)")
 	}
-	if snap.Active() || snap.InvariantsEvery > 0 {
+
+	// One run description for every mode: the same flags build the same
+	// machine whether it runs straight through or is stepped op by op.
+	j.Policy = policies[0]
+	j.Workloads = []string{*workload}
+	if j.sequence {
+		j.Workloads = nil
+		for _, w := range ycsb.PaperSequence {
+			j.Workloads = append(j.Workloads, w.Name)
+		}
+	}
+	j.Interval = 100 * sim.Millisecond
+	if *interval > 0 {
+		j.Interval = sim.Duration(interval.Nanoseconds())
+	}
+	j.Tiers, j.Seed, j.Chaos = rf.Tiers, rf.Seed, rf.Chaos
+	j.Metrics, j.TraceEvents, j.Sinks = rf.Metrics != "", rf.Ring(), bench.FlagSinks(&rf)
+
+	if rf.Stepped() {
 		// Checkpointable runs (and periodic invariant sweeps) are one machine
 		// stepped op by op; the trace and graph paths have no
 		// quiescent-boundary driver.
 		if len(policies) > 1 {
-			fmt.Fprintln(os.Stderr, "mcsim: checkpointing (-snapshot/-restore/-audit) needs a single policy")
-			os.Exit(cliutil.ExitUsage)
+			return usage("mcsim: checkpointing (-snapshot/-restore/-audit) needs a single policy")
 		}
-		if *gapbs != "" || *record != "" || *replay != "" {
-			fmt.Fprintln(os.Stderr, "mcsim: checkpointing supports YCSB workloads only (no -gapbs/-record/-replay)")
-			os.Exit(cliutil.ExitUsage)
+		if j.gapbs != "" || j.record != "" || j.replay != "" {
+			return usage("mcsim: checkpointing supports YCSB workloads only (no -gapbs/-record/-replay)")
 		}
-		if tf.SLO != "" || tf.TraceOut != "" {
-			// snap.Validate catches the checkpointing combinations; this
-			// covers the -invariants-every-only stepping mode.
-			fmt.Fprintln(os.Stderr, "mcsim: -slo/-trace-out are not supported in checkpoint/invariant-stepping mode")
-			os.Exit(cliutil.ExitUsage)
-		}
-		cfg := config{
-			policy: policies[0], workload: *workload, sequence: *sequence,
-			records: *records, ops: *ops, dram: *dram, pm: *pm, tiers: *tiers,
-			scan: scan, seed: *seed, chaos: chaos,
-			metrics: *metricsOut != "", traceEvents: *traceEvents,
-		}
-		os.Exit(runSnapshotMode(cfg, snap, *metricsOut))
+	}
+	stopDebug, err := rf.ServeDebug("mcsim", stderr)
+	if err != nil {
+		return usage("%v", err)
+	}
+	defer stopDebug()
+	if rf.Stepped() {
+		return bench.RunStepped("mcsim", "", j.RunConfig, &rf, stdout, stderr)
 	}
 
-	workers := *parallel
-	if workers <= 0 {
-		workers = -1 // GOMAXPROCS, resolved by the runner
-	}
 	// Each policy's metrics snapshot lands in its own slot, so the export
 	// is identical at every -parallel setting. Labels disambiguate repeated
 	// policy names with the list position.
 	seen := map[string]int{}
-	metricsRuns := make([]*multiclock.MetricsRun, len(policies))
+	slots := make([]*metrics.RunExport, len(policies))
 	tasks := make([]runner.Task[string], 0, len(policies))
 	for i, p := range policies {
 		label := p
@@ -190,20 +159,11 @@ func main() {
 			label = fmt.Sprintf("%s#%d", p, n)
 		}
 		seen[p]++
-		cfg := config{
-			policy: p, workload: *workload, sequence: *sequence, gapbs: *gapbs,
-			records: *records, ops: *ops, vertices: *vertices, degree: *degree,
-			record: *record, replay: *replay, replayFast: *replayFast,
-			dram: *dram, pm: *pm, tiers: *tiers, scan: scan, seed: *seed, chaos: chaos,
-			metrics: *metricsOut != "", traceEvents: ring,
-			series: multiclock.Duration(series.Nanoseconds()), lifecycle: *lifecycleMod,
-			slo: tf.SLO, trace: tf.TraceOut != "",
-			label: label,
-		}
-		slot := &metricsRuns[i]
+		j, slot := j, &slots[i]
+		j.Policy = p
 		tasks = append(tasks, runner.Task[string]{Name: p, Fn: func() (string, error) {
 			var b strings.Builder
-			run, err := runOne(&b, cfg)
+			run, err := runOne(&b, j, label)
 			*slot = run
 			return b.String(), err
 		}})
@@ -211,105 +171,44 @@ func main() {
 
 	var progress io.Writer
 	if len(policies) > 1 {
-		progress = os.Stderr
-	}
-	stopDebug := func() {}
-	if *httpAddr != "" {
-		stopDebug = cliutil.ServeDebug("mcsim", *httpAddr)
+		progress = stderr
 	}
 	failed := 0
-	runner.Stream(workers, progress, tasks, func(_ int, r runner.TaskResult[string]) {
+	runner.Stream(rf.Workers(), progress, tasks, func(_ int, r runner.TaskResult[string]) {
 		if len(tasks) > 1 {
-			fmt.Printf("==== %s ====\n", r.Name)
+			fmt.Fprintf(stdout, "==== %s ====\n", r.Name)
 		}
-		os.Stdout.WriteString(r.Value)
+		io.WriteString(stdout, r.Value)
 		if r.Err != nil {
 			failed++
-			fmt.Fprintf(os.Stderr, "mcsim: %s: %v\n", r.Name, r.Err)
+			fmt.Fprintf(stderr, "mcsim: %s: %v\n", r.Name, r.Err)
 		}
 	})
-	if *metricsOut != "" {
-		runs := make([]multiclock.MetricsRun, 0, len(metricsRuns))
-		for _, r := range metricsRuns {
-			if r != nil {
-				runs = append(runs, *r)
-			}
-		}
-		data, err := multiclock.ExportMetricsJSON(runs...)
-		if err == nil {
-			err = os.WriteFile(*metricsOut, data, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mcsim: writing metrics: %v\n", err)
-			stopDebug()
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "metrics: %d run(s) written to %s\n", len(runs), *metricsOut)
-		if tf.TraceOut != "" {
-			trace := multiclock.ExportPerfettoJSON(runs...)
-			if err := os.WriteFile(tf.TraceOut, trace, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "mcsim: writing trace: %v\n", err)
-				stopDebug()
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "trace: perfetto timeline written to %s\n", tf.TraceOut)
+	var runs []metrics.RunExport
+	for _, r := range slots {
+		if r != nil {
+			runs = append(runs, *r)
 		}
 	}
-	stopDebug()
-	if failed > 0 {
-		os.Exit(1)
+	if !rf.WriteExports("mcsim", stderr, runs) || failed > 0 {
+		return 1
 	}
+	return 0
 }
 
-// runOne builds one system, drives it per the config, writes the
+// runOne builds one machine from the run description, drives it, writes the
 // human-readable outcome to w, and returns the metrics snapshot when
 // collection was requested.
-func runOne(w io.Writer, cfg config) (*multiclock.MetricsRun, error) {
-	syscfg := multiclock.Config{
-		Policy:       multiclock.Policy(cfg.policy),
-		DRAMPages:    cfg.dram,
-		PMPages:      cfg.pm,
-		ScanInterval: cfg.scan,
-		Seed:         cfg.seed,
-		Chaos:        cfg.chaos,
+func runOne(w io.Writer, j job, label string) (*metrics.RunExport, error) {
+	m, err := j.Machine()
+	if err != nil {
+		return nil, err
 	}
-	if cfg.tiers != "" {
-		// Validated at flag-parse time; re-parse for the topology value.
-		top, err := cliutil.ParseTierSpec(cfg.tiers)
-		if err != nil {
-			return nil, err
-		}
-		syscfg.Tiers = &top
-	}
-	sys := multiclock.NewSystem(syscfg)
-	defer sys.Stop()
-
-	var collector *multiclock.Metrics
-	var sampler *multiclock.SeriesSampler
-	var tracer *multiclock.LifecycleTracer
-	var sloEng *multiclock.SLOEngine
-	if cfg.metrics {
-		collector = sys.EnableMetrics(cfg.traceEvents)
-		if cfg.series > 0 {
-			sampler = sys.EnableTimeSeries(cfg.series)
-		}
-		if cfg.lifecycle > 0 {
-			tracer = sys.EnableLifecycle(multiclock.LifecycleConfig{SampleMod: cfg.lifecycle})
-		}
-		if cfg.slo != "" {
-			var err error
-			if sloEng, err = sys.EnableSLO(cfg.slo); err != nil {
-				return nil, err
-			}
-		}
-		if cfg.trace {
-			sys.EnableTraceRecording()
-		}
-	}
+	collector, fill := j.Attach(m)
 
 	var recorder *tracereplay.Recorder
-	if cfg.record != "" {
-		f, err := os.Create(cfg.record)
+	if j.record != "" {
+		f, err := os.Create(j.record)
 		if err != nil {
 			return nil, err
 		}
@@ -318,33 +217,31 @@ func runOne(w io.Writer, cfg config) (*multiclock.MetricsRun, error) {
 		if err != nil {
 			return nil, err
 		}
-		sys.Attach(recorder)
+		m.Attach(recorder)
 	}
 
 	switch {
-	case cfg.replay != "":
-		f, err := os.Open(cfg.replay)
+	case j.replay != "":
+		f, err := os.Open(j.replay)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
 		mode := tracereplay.Timed
-		if cfg.replayFast {
+		if j.replayFast {
 			mode = tracereplay.Fast
 		}
-		res, err := tracereplay.Replay(sys.Machine(), f, mode)
+		res, err := tracereplay.Replay(m, f, mode)
 		if err != nil {
 			return nil, fmt.Errorf("replay: %w", err)
 		}
 		fmt.Fprintf(w, "replayed %d accesses in %v (virtual)\n", res.Records, res.Elapsed)
-	case cfg.gapbs != "":
-		if err := runGAPBS(w, sys, cfg); err != nil {
+	case j.gapbs != "":
+		if err := runGAPBS(w, m, j); err != nil {
 			return nil, err
 		}
-	case cfg.sequence:
-		runSequence(w, sys, cfg.records, cfg.ops)
 	default:
-		if err := runYCSB(w, sys, cfg); err != nil {
+		if err := runYCSB(w, m, j); err != nil {
 			return nil, err
 		}
 	}
@@ -353,76 +250,50 @@ func runOne(w io.Writer, cfg config) (*multiclock.MetricsRun, error) {
 		if err := recorder.Close(); err != nil {
 			return nil, fmt.Errorf("trace: %w", err)
 		}
-		fmt.Fprintf(w, "trace: %d accesses written to %s\n", recorder.Records(), cfg.record)
+		fmt.Fprintf(w, "trace: %d accesses written to %s\n", recorder.Records(), j.record)
 	}
 
-	fmt.Fprintf(w, "\npolicy: %s\nvirtual time: %v\n", sys.PolicyName(), sys.Elapsed())
-	fmt.Fprintln(w, sys.Counters())
-	if fr := sys.FaultReport(); fr != "" {
-		fmt.Fprintln(w, fr)
-		if err := sys.CheckInvariants(); err != nil {
+	fmt.Fprintf(w, "\npolicy: %s\nvirtual time: %v\n", m.Policy.Name(), m.Elapsed())
+	fmt.Fprintln(w, &m.Mem.Counters)
+	if m.Faults != nil {
+		fmt.Fprintln(w, m.Faults.Counters.String())
+		if err := m.CheckInvariants(); err != nil {
 			return nil, fmt.Errorf("invariant check after chaos run: %w", err)
 		}
 	}
-	if collector != nil {
-		run := collector.Run(cfg.label)
-		if sampler != nil {
-			run.Series = sampler.Export()
-		}
-		if tracer != nil {
-			run.Lifecycle = tracer.Export()
-		}
-		if sloEng != nil {
-			run.SLO = sloEng.Export()
-		}
-		if cfg.trace {
-			sys.AttachTraceSections(&run)
-		}
-		return &run, nil
+	if collector == nil {
+		return nil, nil
 	}
-	return nil, nil
+	run := collector.Run(label)
+	fill(&run)
+	return &run, nil
 }
 
-// runSequence executes the prescribed workload order (§V-B) and prints a
-// per-workload summary.
-func runSequence(w io.Writer, sys *multiclock.System, records, ops int64) {
-	store := sys.NewKVStore(int(records))
-	client := sys.NewYCSB(store, records)
-	fmt.Fprintf(w, "loading %d records...\n", records)
-	client.Load()
-	fmt.Fprintf(w, "%-8s %14s %10s %10s %10s\n", "workload", "ops/s", "p50", "p95", "p99")
-	for _, wl := range multiclock.PaperSequence {
-		res := client.Run(wl, ops)
-		fmt.Fprintf(w, "%-8s %14.0f %10v %10v %10v\n", wl.Name, res.Throughput, res.P50, res.P95, res.P99)
+// runYCSB loads the store and runs the description's workloads: a per-
+// workload table for the prescribed sequence (§V-B), the full latency
+// summary for a single workload.
+func runYCSB(w io.Writer, m *machine.Machine, j job) error {
+	var wls []ycsb.Workload
+	for _, name := range j.Workloads {
+		wl, err := ycsb.ByName(name)
+		if err != nil {
+			return err
+		}
+		wls = append(wls, wl)
 	}
-}
-
-func runYCSB(w io.Writer, sys *multiclock.System, cfg config) error {
-	var wl multiclock.Workload
-	switch cfg.workload {
-	case "A":
-		wl = multiclock.WorkloadA
-	case "B":
-		wl = multiclock.WorkloadB
-	case "C":
-		wl = multiclock.WorkloadC
-	case "D":
-		wl = multiclock.WorkloadD
-	case "E":
-		wl = multiclock.WorkloadE
-	case "F":
-		wl = multiclock.WorkloadF
-	case "W":
-		wl = multiclock.WorkloadW
-	default:
-		return fmt.Errorf("unknown workload %q", cfg.workload)
-	}
-	store := sys.NewKVStore(int(cfg.records))
-	client := sys.NewYCSB(store, cfg.records)
-	fmt.Fprintf(w, "loading %d records...\n", cfg.records)
+	_, client := j.NewYCSB(m)
+	fmt.Fprintf(w, "loading %d records...\n", j.Records)
 	client.Load()
-	fmt.Fprintf(w, "running YCSB workload %s for %d ops...\n", cfg.workload, cfg.ops)
-	res := client.Run(wl, cfg.ops)
+	if j.sequence {
+		fmt.Fprintf(w, "%-8s %14s %10s %10s %10s\n", "workload", "ops/s", "p50", "p95", "p99")
+		for _, wl := range wls {
+			res := client.Run(wl, j.Ops)
+			fmt.Fprintf(w, "%-8s %14.0f %10v %10v %10v\n", wl.Name, res.Throughput, res.P50, res.P95, res.P99)
+		}
+		return nil
+	}
+	fmt.Fprintf(w, "running YCSB workload %s for %d ops...\n", wls[0].Name, j.Ops)
+	res := client.Run(wls[0], j.Ops)
 	if res.Unsupported {
 		fmt.Fprintln(w, "workload is non-operational on this back-end (memcached has no SCAN)")
 		return nil
@@ -433,16 +304,16 @@ func runYCSB(w io.Writer, sys *multiclock.System, cfg config) error {
 	return nil
 }
 
-func runGAPBS(w io.Writer, sys *multiclock.System, cfg config) error {
-	g := sys.NewGraph(multiclock.GraphConfig{
-		Vertices:  cfg.vertices,
-		Degree:    cfg.degree,
+func runGAPBS(w io.Writer, m *machine.Machine, j job) error {
+	g := graph.Generate(m, graph.GenConfig{
+		Vertices:  j.vertices,
+		Degree:    j.degree,
 		Kronecker: true,
-		Seed:      cfg.seed,
+		Seed:      j.Seed,
 	})
-	fmt.Fprintf(w, "loaded %v; running %s...\n", g, cfg.gapbs)
-	start := sys.Elapsed()
-	switch cfg.gapbs {
+	fmt.Fprintf(w, "loaded %v; running %s...\n", g, j.gapbs)
+	start := m.Elapsed()
+	switch j.gapbs {
 	case "BFS":
 		g.BFS(0)
 	case "SSSP":
@@ -456,8 +327,8 @@ func runGAPBS(w io.Writer, sys *multiclock.System, cfg config) error {
 	case "TC":
 		fmt.Fprintf(w, "triangles: %d\n", g.TC())
 	default:
-		return fmt.Errorf("unknown kernel %q", cfg.gapbs)
+		return fmt.Errorf("unknown kernel %q", j.gapbs)
 	}
-	fmt.Fprintf(w, "kernel time: %v (virtual)\n", sys.Elapsed()-start)
+	fmt.Fprintf(w, "kernel time: %v (virtual)\n", m.Elapsed()-start)
 	return nil
 }

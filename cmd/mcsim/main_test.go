@@ -1,0 +1,247 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"multiclock/internal/metrics"
+)
+
+// mcsim runs the command in-process and returns exit code, stdout, stderr.
+func mcsim(args ...string) (int, string, string) {
+	var out, errb bytes.Buffer
+	code := run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// small is a YCSB-A configuration that faults, demotes and finishes in
+// milliseconds of host time.
+var small = []string{"-policy", "multiclock", "-workload", "A", "-records", "2000", "-ops", "20000", "-dram", "256", "-pm", "2048"}
+
+func with(base []string, extra ...string) []string {
+	return append(append([]string(nil), base...), extra...)
+}
+
+const (
+	msgNeedMetrics = "-series/-lifecycle/-slo/-trace-out ride the metrics export; set -metrics too\n"
+	msgCombined    = "-series/-lifecycle/-slo/-trace-out cannot be combined with checkpointing: one-shot samplers are not serializable\n"
+	msgCadence     = "-snapshot/-audit need -snapshot-every N to set the checkpoint cadence\n"
+)
+
+// TestUsageRefusals pins every flag combination mcsim refuses before
+// building a machine: exit code 2, nothing on stdout, and the exact stderr
+// line.
+func TestUsageRefusals(t *testing.T) {
+	snap := []string{"-snapshot", "s.mcsnap", "-snapshot-every", "100"}
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"series without metrics", []string{"-series", "10ms"}, msgNeedMetrics},
+		{"lifecycle without metrics", []string{"-lifecycle", "1"}, msgNeedMetrics},
+		{"slo without metrics", []string{"-slo", "p99(x_ns) < 1us over 1ms"}, msgNeedMetrics},
+		{"trace-out without metrics", []string{"-trace-out", "t.json"}, msgNeedMetrics},
+		{"bad slo", []string{"-metrics", "m.json", "-slo", "p99(x < 1us"},
+			"slo: cannot parse objective \"p99(x < 1us\" (want \"pNN(metric) < 400ns over 10ms[, 99.9%]\")\n"},
+		{"bad tiers", []string{"-tiers", "hbm:64"}, "-tiers: unknown tier \"hbm\" (have dram, cxl, pm, ssd)\n"},
+		{"bad chaos", []string{"-chaos", "7"}, "mcsim: fault: spec \"7\" is not seed,rate\n"},
+		{"negative cadence", []string{"-snapshot-every", "-1"}, "-snapshot-every must be non-negative\n"},
+		{"negative invariants", []string{"-invariants-every", "-1"}, "-invariants-every must be non-negative\n"},
+		{"cadence without sink", []string{"-snapshot-every", "100"}, "-snapshot-every needs -snapshot or -audit to do anything\n"},
+		{"snapshot without cadence", []string{"-snapshot", "s.mcsnap"}, msgCadence},
+		{"audit without cadence", []string{"-audit", "a.jsonl"}, msgCadence},
+		{"unknown policy", []string{"-policy", "bogus"},
+			"mcsim: multiclock: unknown policy \"bogus\" (have static, multiclock, nimble, at-cpm, at-opm, memory-mode, thermostat, amp-lfu, amp-lru, amp-random, nomad, s3fifo, multiclock-gated, nimble-gated)\n"},
+		{"empty policy list", []string{"-policy", ", ,"}, "mcsim: -policy needs at least one policy name\n"},
+		{"record with two policies", []string{"-policy", "static,nimble", "-record", "x.mctr"},
+			"mcsim: -record needs a single policy (the trace is one machine's access stream)\n"},
+		{"checkpointing with two policies", with(snap, "-policy", "static,nimble"),
+			"mcsim: checkpointing (-snapshot/-restore/-audit) needs a single policy\n"},
+		{"invariant stepping with two policies", []string{"-invariants-every", "100", "-policy", "static,nimble"},
+			"mcsim: checkpointing (-snapshot/-restore/-audit) needs a single policy\n"},
+		{"checkpointing with gapbs", with(snap, "-gapbs", "PR"),
+			"mcsim: checkpointing supports YCSB workloads only (no -gapbs/-record/-replay)\n"},
+		{"checkpointing with record", with(snap, "-record", "x.mctr"),
+			"mcsim: checkpointing supports YCSB workloads only (no -gapbs/-record/-replay)\n"},
+		{"restore with replay", []string{"-restore", "s.mcsnap", "-replay", "x.mctr"},
+			"mcsim: checkpointing supports YCSB workloads only (no -gapbs/-record/-replay)\n"},
+		// A requested sink is attached or refused, never dropped: every
+		// stepped mode refuses all four the same way.
+		{"checkpointing with series", with(snap, "-metrics", "m.json", "-series", "10ms"), msgCombined},
+		{"restore with trace-out", []string{"-restore", "s.mcsnap", "-metrics", "m.json", "-trace-out", "t.json"}, msgCombined},
+		{"invariant stepping with series", []string{"-invariants-every", "100", "-metrics", "m.json", "-series", "10ms"}, msgCombined},
+		{"invariant stepping with lifecycle", []string{"-invariants-every", "100", "-metrics", "m.json", "-lifecycle", "1"}, msgCombined},
+		{"invariant stepping with slo", []string{"-invariants-every", "100", "-metrics", "m.json", "-slo", "p99(x_ns) < 1us over 1ms"}, msgCombined},
+		{"invariant stepping with trace-out", []string{"-invariants-every", "100", "-metrics", "m.json", "-trace-out", "t.json"}, msgCombined},
+	}
+	for _, c := range cases {
+		code, stdout, stderr := mcsim(c.args...)
+		if code != 2 || stdout != "" || stderr != c.want {
+			t.Errorf("%s: exit=%d stdout=%q stderr=%q\n  want exit=2, empty stdout, stderr=%q", c.name, code, stdout, stderr, c.want)
+		}
+	}
+	if code, _, stderr := mcsim("-no-such-flag"); code != 2 || !strings.Contains(stderr, "flag provided but not defined") {
+		t.Errorf("unknown flag: exit=%d stderr=%q", code, stderr)
+	}
+}
+
+// outcome extracts the machine-state lines of a report: everything from
+// "virtual time:" on (virtual time, access/alloc/migration counters).
+func outcome(t *testing.T, report string) string {
+	t.Helper()
+	i := strings.Index(report, "virtual time:")
+	if i < 0 {
+		t.Fatalf("no virtual time line in:\n%s", report)
+	}
+	return report[i:]
+}
+
+// TestSteppedRunSimulatesTheSameMachine: the check-only and checkpoint
+// flags must not change what is simulated. The same command with and
+// without them prints the same virtual time and the same counters.
+func TestSteppedRunSimulatesTheSameMachine(t *testing.T) {
+	dir := t.TempDir()
+	for _, base := range [][]string{
+		small,
+		with(small, "-chaos", "7,0.01", "-seed", "3"),
+		with(small, "-tiers", "dram:128,cxl:256,pm:2048", "-policy", "nomad"),
+		with(small, "-sequence", "-ops", "4000"),
+	} {
+		code, straight, stderr := mcsim(base...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d\n%s", base, code, stderr)
+		}
+		for _, extra := range [][]string{
+			{"-invariants-every", "5000"},
+			{"-snapshot", filepath.Join(dir, "s.mcsnap"), "-snapshot-every", "7000"},
+		} {
+			code, stepped, stderr := mcsim(with(base, extra...)...)
+			if code != 0 {
+				t.Fatalf("%v %v: exit %d\n%s", base, extra, code, stderr)
+			}
+			if got, want := outcome(t, stepped), outcome(t, straight); got != want {
+				t.Errorf("%v: adding %v changed the simulated machine\nstraight:\n%sstepped:\n%s", base, extra, want, got)
+			}
+		}
+	}
+}
+
+// TestRestoreResumesTheReport: a run checkpointed to completion and a run
+// restored from that checkpoint print the same report.
+func TestRestoreResumesTheReport(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "s.mcsnap")
+	code, first, stderr := mcsim(with(small, "-snapshot", snap, "-snapshot-every", "6000")...)
+	if code != 0 {
+		t.Fatalf("checkpointed run: exit %d\n%s", code, stderr)
+	}
+	code, resumed, stderr := mcsim("-restore", snap)
+	if code != 0 || resumed != first {
+		t.Fatalf("restored run: exit %d\n%s\nfirst:\n%s\nresumed:\n%s", code, stderr, first, resumed)
+	}
+	if code, _, stderr := mcsim("-restore", filepath.Join(t.TempDir(), "missing.mcsnap")); code != 1 || !strings.HasPrefix(stderr, "mcsim: ") {
+		t.Fatalf("missing snapshot: exit %d stderr %q", code, stderr)
+	}
+}
+
+// readExport loads and schema-validates a metrics file.
+func readExport(t *testing.T, path string) *metrics.Export {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := metrics.ReadExport(data)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return ex
+}
+
+// TestExportsCarryEveryRequestedSink: a multi-policy run with the full
+// instrumentation set writes one labeled run per policy, each with every
+// requested section, plus the Perfetto timeline — byte-identical at every
+// parallelism level, and without moving the report.
+func TestExportsCarryEveryRequestedSink(t *testing.T) {
+	dir := t.TempDir()
+	base := with(small, "-policy", "multiclock,nimble,multiclock", "-chaos", "7,0.02")
+	_, plain, _ := mcsim(base...)
+	files := map[string][]byte{}
+	for _, parallel := range []string{"1", "4"} {
+		m, tr := filepath.Join(dir, "m"+parallel+".json"), filepath.Join(dir, "t"+parallel+".json")
+		code, report, stderr := mcsim(with(base, "-parallel", parallel, "-metrics", m, "-trace-out", tr,
+			"-series", "1ms", "-lifecycle", "4", "-slo", "p99(access_latency_pm_read_ns) < 1ns over 1ms")...)
+		if code != 0 {
+			t.Fatalf("exit %d\n%s", code, stderr)
+		}
+		if report != plain {
+			t.Errorf("-parallel %s: instrumentation moved the report", parallel)
+		}
+		if !strings.Contains(stderr, "metrics: 3 run(s) written to "+m) || !strings.Contains(stderr, "trace: perfetto timeline written to "+tr) {
+			t.Errorf("missing export announcements:\n%s", stderr)
+		}
+		ex := readExport(t, m)
+		var labels []string
+		for _, r := range ex.Runs {
+			labels = append(labels, r.Label)
+			if r.Series == nil || r.Lifecycle == nil || r.SLO == nil || r.Topology == nil || r.Faults == nil || r.Trace == nil {
+				t.Errorf("run %s lacks a requested section", r.Label)
+			}
+		}
+		if got := strings.Join(labels, ","); got != "multiclock,multiclock#1,nimble" {
+			t.Errorf("labels = %s", got)
+		}
+		for _, f := range []string{m, tr} {
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prev, ok := files[filepath.Base(f)[:1]]; ok && !bytes.Equal(prev, data) {
+				t.Errorf("%s differs between -parallel 1 and 4", filepath.Base(f))
+			}
+			files[filepath.Base(f)[:1]] = data
+		}
+	}
+	if !strings.HasPrefix(plain, "==== multiclock ====\n") || strings.Count(plain, "==== ") != 3 {
+		t.Errorf("multi-policy report lacks per-policy headers:\n%s", plain)
+	}
+}
+
+// TestSteppedRunExportsMetrics: the stepped path writes the session's
+// registry through the same export writer, labeled by policy.
+func TestSteppedRunExportsMetrics(t *testing.T) {
+	m := filepath.Join(t.TempDir(), "m.json")
+	code, _, stderr := mcsim(with(small, "-invariants-every", "5000", "-metrics", m, "-trace-events", "16")...)
+	if code != 0 || !strings.Contains(stderr, "metrics: 1 run(s) written to "+m) {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	if ex := readExport(t, m); len(ex.Runs) != 1 || ex.Runs[0].Label != "multiclock" || ex.Runs[0].Trace == nil {
+		t.Fatalf("unexpected export: %+v", ex.Runs)
+	}
+}
+
+// TestOtherDrivers smoke-tests the non-YCSB drivers and a failing run.
+func TestOtherDrivers(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "x.mctr")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-policy", "static", "-gapbs", "PR", "-vertices", "2000", "-degree", "4"}, "kernel time:"},
+		{with(small, "-ops", "2000", "-record", trace), "accesses written to " + trace},
+		{[]string{"-policy", "static", "-replay", trace, "-replay-fast"}, "replayed "},
+		{with(small, "-workload", "E"), "workload is non-operational"},
+	} {
+		code, stdout, stderr := mcsim(c.args...)
+		if code != 0 || !strings.Contains(stdout, c.want) || !strings.Contains(stdout, "virtual time:") {
+			t.Errorf("%v: exit %d, stdout lacks %q\n%s%s", c.args, code, c.want, stdout, stderr)
+		}
+	}
+	code, _, stderr := mcsim(with(small, "-workload", "Z")...)
+	if code != 1 || stderr != "mcsim: multiclock: ycsb: unknown workload \"Z\"\n" {
+		t.Errorf("unknown workload: exit %d stderr %q", code, stderr)
+	}
+}

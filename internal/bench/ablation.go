@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"multiclock/internal/core"
-	"multiclock/internal/kvstore"
-	"multiclock/internal/machine"
 	"multiclock/internal/pagetable"
 	"multiclock/internal/runner"
 	"multiclock/internal/sim"
@@ -19,24 +17,10 @@ import (
 
 // runMCWorkloadA runs YCSB-A under a custom MULTI-CLOCK configuration and
 // returns throughput.
-func runMCWorkloadA(sc scale, seed uint64, cfg core.Config, mcfg func(*machine.Config)) float64 {
+func runMCWorkloadA(sc scale, seed uint64, cfg core.Config) float64 {
 	p := core.New(cfg)
-	machineCfg := machine.DefaultConfig()
-	machineCfg.Mem.DRAMNodes = []int{sc.DRAMPages}
-	machineCfg.Mem.PMNodes = []int{sc.PMPages}
-	machineCfg.Seed = seed
-	machineCfg.OpCost = 1 * sim.Microsecond
-	machineCfg.Faults = sc.Chaos
-	if mcfg != nil {
-		mcfg(&machineCfg)
-	}
-	m := machine.New(machineCfg, p)
-	storeCfg := kvstore.DefaultConfig(int(sc.Records))
-	storeCfg.ItemTouches = 8
-	store := kvstore.New(m, storeCfg)
-	clientCfg := ycsb.DefaultClientConfig(sc.Records)
-	clientCfg.Seed = seed ^ 0x9c5b
-	client := ycsb.NewClient(m, store, clientCfg)
+	m := sc.machineWith(seed, p)
+	_, client := sc.run(seed, p.Name(), cfg.ScanInterval).NewYCSB(m)
 	client.Load()
 	res := client.Run(ycsb.WorkloadA, sc.OpsPerWorkload)
 	p.Stop()
@@ -74,7 +58,7 @@ func AblationScanBatch(opt Options) string {
 		cfg := core.DefaultConfig()
 		cfg.ScanInterval = sc.Interval
 		cfg.ScanBatch = batch
-		return runMCWorkloadA(sc, opt.Seed, cfg, nil)
+		return runMCWorkloadA(sc, opt.Seed, cfg)
 	})
 	static := tps[0]
 	tb := stats.NewTable(
@@ -145,20 +129,7 @@ func AblationAMP(opt Options) string {
 		if system == "static" {
 			return ampRes{tp: ycsbOneWorkload(sc, opt.Seed, system, sc.Interval)}
 		}
-		p, err := NewPolicy(system, sc.Interval)
-		if err != nil {
-			panic(err)
-		}
-		m := machineFor(sc, opt.Seed, p)
-		storeCfg := kvstore.DefaultConfig(int(sc.Records))
-		storeCfg.ItemTouches = 8
-		store := kvstore.New(m, storeCfg)
-		clientCfg := ycsb.DefaultClientConfig(sc.Records)
-		clientCfg.Seed = opt.Seed ^ 0xface
-		client := ycsb.NewClient(m, store, clientCfg)
-		client.Load()
-		tp := client.Run(ycsb.WorkloadA, sc.OpsPerWorkload).Throughput
-		stopDaemons(p)
+		tp, _, m := ycsbWorkloadA(sc, opt.Seed, system, sc.Interval, false, false)
 		return ampRes{tp: tp, scanned: m.Mem.Counters.PagesScanned}
 	})
 	static := cells[0].tp
@@ -191,7 +162,7 @@ func AblationWriteAware(opt Options) string {
 		// Ordering only matters when promotion bandwidth is contended.
 		cfg.PromoteMax = 16
 		p := core.New(cfg)
-		m := machineFor(sc, opt.Seed, p)
+		m := sc.machineWith(opt.Seed, p)
 		as := m.NewSpace()
 
 		// Map the hot sets first, then stream a large filler through DRAM
@@ -248,20 +219,7 @@ func AblationGranularity(opt Options) string {
 		if system == "static" {
 			return granRes{tp: ycsbOneWorkload(sc, opt.Seed, system, sc.Interval)}
 		}
-		p, err := NewPolicy(system, sc.Interval)
-		if err != nil {
-			panic(err)
-		}
-		m := machineFor(sc, opt.Seed, p)
-		storeCfg := kvstore.DefaultConfig(int(sc.Records))
-		storeCfg.ItemTouches = 8
-		store := kvstore.New(m, storeCfg)
-		clientCfg := ycsb.DefaultClientConfig(sc.Records)
-		clientCfg.Seed = opt.Seed ^ 0xface
-		client := ycsb.NewClient(m, store, clientCfg)
-		client.Load()
-		tp := client.Run(ycsb.WorkloadA, sc.OpsPerWorkload).Throughput
-		stopDaemons(p)
+		tp, _, m := ycsbWorkloadA(sc, opt.Seed, system, sc.Interval, false, false)
 		return granRes{tp: tp, promos: m.Mem.Counters.Promotions, demos: m.Mem.Counters.Demotions}
 	})
 	static := cells[0].tp
@@ -287,31 +245,13 @@ func AblationGranularity(opt Options) string {
 // systems; MULTI-CLOCK manages all pages).
 func AblationTHP(opt Options) string {
 	sc := opt.scale()
-	run := func(huge bool) (float64, int64, int64) {
-		p, err := NewPolicy("multiclock", sc.Interval)
-		if err != nil {
-			panic(err)
-		}
-		m := machineFor(sc, opt.Seed, p)
-		storeCfg := kvstore.DefaultConfig(int(sc.Records))
-		storeCfg.ItemTouches = 8
-		storeCfg.HugeArena = huge
-		store := kvstore.New(m, storeCfg)
-		clientCfg := ycsb.DefaultClientConfig(sc.Records)
-		clientCfg.Seed = opt.Seed ^ 0xface
-		client := ycsb.NewClient(m, store, clientCfg)
-		client.Load()
-		tp := client.Run(ycsb.WorkloadA, sc.OpsPerWorkload).Throughput
-		stopDaemons(p)
-		return tp, m.Mem.Counters.Promotions, m.Mem.Counters.PagesScanned
-	}
 	type thpRes struct {
 		tp              float64
 		promos, scanned int64
 	}
 	cells := runner.Map(opt.workers(), []bool{false, true}, func(_ int, huge bool) thpRes {
-		tp, promos, scanned := run(huge)
-		return thpRes{tp, promos, scanned}
+		tp, _, m := ycsbWorkloadA(sc, opt.Seed, "multiclock", sc.Interval, false, huge)
+		return thpRes{tp, m.Mem.Counters.Promotions, m.Mem.Counters.PagesScanned}
 	})
 	baseTP, basePromos, baseScan := cells[0].tp, cells[0].promos, cells[0].scanned
 	hugeTP, hugePromos, hugeScan := cells[1].tp, cells[1].promos, cells[1].scanned

@@ -21,16 +21,12 @@ import (
 	"sort"
 	"strings"
 
-	"multiclock/internal/cliutil"
 	"multiclock/internal/core"
 	"multiclock/internal/fault"
-	"multiclock/internal/lifecycle"
 	"multiclock/internal/machine"
 	"multiclock/internal/metrics"
 	"multiclock/internal/policy"
 	"multiclock/internal/sim"
-	"multiclock/internal/slo"
-	"multiclock/internal/timeseries"
 )
 
 // DefaultScanInterval is the promotion-daemon period when none is given:
@@ -60,32 +56,16 @@ type Options struct {
 	// labeled registries for deterministic export. Nil collects nothing
 	// and leaves every simulation untouched.
 	Metrics *metrics.Pool
-	// Series, when positive, additionally samples every instrumented
-	// machine's per-node occupancy and windowed vmstat deltas on this
-	// virtual-time period; the series rides the run's metrics export.
-	// Requires Metrics.
-	Series sim.Duration
-	// Lifecycle, when positive, additionally traces per-page Fig. 4 spans
-	// on every instrumented machine with this deterministic sampling
-	// modulus (1 traces every page); the timelines ride the run's metrics
-	// export. Requires Metrics.
-	Lifecycle uint64
+	// Sinks adds the observability layers it selects to every instrumented
+	// machine; their sections ride the run's metrics export. Requires
+	// Metrics.
+	Sinks
 	// Tiers, when non-empty, replaces the default two-tier machine with the
 	// hierarchy this -tiers spec describes (cliutil.ParseTierSpec syntax,
 	// e.g. "dram:1024,cxl:2048,pm:8192") on every machine the experiments
-	// build. Callers validate the spec up front; machineFor panics on a bad
-	// one.
+	// build. Callers validate the spec up front; building a machine panics
+	// on a bad one.
 	Tiers string
-	// SLO, when non-empty, evaluates the declarative latency objectives it
-	// describes (slo.Parse syntax) on every instrumented machine's virtual
-	// clock; the results ride the run's metrics export. Callers validate the
-	// spec up front; instrument panics on a bad one. Requires Metrics.
-	SLO string
-	// Trace, when set, additionally records what only the Perfetto trace
-	// export consumes: the machine's node→tier topology and the injected
-	// fault-injection window log. Both ride the run's metrics export as
-	// extra sections. Requires Metrics.
-	Trace bool
 }
 
 // workers resolves Parallel for runner.Map.
@@ -194,64 +174,58 @@ type scale struct {
 	// must be set for a cell to instrument itself.
 	Metrics       *metrics.Pool
 	MetricsPrefix string
-	// Series, Lifecycle, SLO and Trace thread the observability knobs
-	// through to each instrumented cell (see Options).
-	Series    sim.Duration
-	Lifecycle uint64
-	SLO       string
-	Trace     bool
-	// Tiers is the Options tier spec, applied by machineFor.
+	// Sinks and Tiers are the Options observability selection and tier
+	// spec, applied to each instrumented cell and each machine.
+	Sinks
 	Tiers string
 }
 
-// instrument claims a collector labeled sc.MetricsPrefix+label, binds it to
-// m and installs it as both observer and telemetry sink. No-op (and no
+// run describes one cell of the experiment: the named system at the
+// scale's sizing, fault campaign and hierarchy.
+func (sc scale) run(seed uint64, system string, interval sim.Duration) RunConfig {
+	return RunConfig{
+		Policy: system, Records: sc.Records, Ops: sc.OpsPerWorkload,
+		DRAMPages: sc.DRAMPages, PMPages: sc.PMPages, Tiers: sc.Tiers,
+		Interval: interval, Seed: seed, Chaos: sc.Chaos,
+	}
+}
+
+// machine builds one cell's machine; experiments name their systems and
+// validate their tier spec up front, so a failure here is a bug.
+func (sc scale) machine(seed uint64, system string, interval sim.Duration) *machine.Machine {
+	m, err := sc.run(seed, system, interval).Machine()
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// machineWith builds one cell's machine around a custom-configured policy.
+func (sc scale) machineWith(seed uint64, p machine.Policy) *machine.Machine {
+	m, err := sc.run(seed, p.Name(), 0).MachineWith(p)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// instrument claims a collector labeled sc.MetricsPrefix+label from the
+// pool and attaches it and the scale's sinks to m. The sinks export at
+// pool-snapshot time, after the cell's machine has quiesced. No-op (and no
 // allocation) when the experiment carries no pool or no prefix.
 func (sc scale) instrument(m *machine.Machine, label string) {
 	if sc.Metrics == nil || sc.MetricsPrefix == "" {
 		return
 	}
 	full := sc.MetricsPrefix + label
-	c := sc.Metrics.Collector(full).Bind(m)
-	m.SetMetrics(c)
-	m.Attach(c)
-	// The observability layers export at pool-snapshot time (after the
-	// cell's machine has quiesced), so they attach as run decorators.
-	if sc.Series > 0 {
-		sp := timeseries.New(m, sc.Series, 0)
-		sc.Metrics.Decorate(full, func(r *metrics.RunExport) { r.Series = sp.Export() })
-	}
-	if sc.Lifecycle > 0 {
-		tr := lifecycle.New(lifecycle.Config{SampleMod: sc.Lifecycle}).Bind(m)
-		sc.Metrics.Decorate(full, func(r *metrics.RunExport) { r.Lifecycle = tr.Export() })
-	}
-	if sc.SLO != "" {
-		sp, err := slo.Parse(sc.SLO)
-		if err != nil {
-			panic("bench: " + err.Error())
-		}
-		eng := slo.New(m.Clock, c.Registry(), sp, 0)
-		sc.Metrics.Decorate(full, func(r *metrics.RunExport) { r.SLO = eng.Export() })
-	}
-	if sc.Trace {
-		// Tier labels and injected-fault windows only matter to the trace
-		// renderer, so they record (and change export bytes) only on request.
-		m.Faults.EnableWindowLog(0)
-		sc.Metrics.Decorate(full, func(r *metrics.RunExport) {
-			r.Topology = metrics.TopologyOf(m)
-			r.Faults = metrics.FaultsOf(m)
-		})
-	}
+	sc.Metrics.Decorate(full, sc.Sinks.Attach(m, sc.Metrics.Collector(full)))
 }
 
 func (o Options) scale() scale {
 	sc := o.sizes()
 	sc.Chaos = o.Chaos
 	sc.Metrics = o.Metrics
-	sc.Series = o.Series
-	sc.Lifecycle = o.Lifecycle
-	sc.SLO = o.SLO
-	sc.Trace = o.Trace
+	sc.Sinks = o.Sinks
 	sc.Tiers = o.Tiers
 	return sc
 }
@@ -291,25 +265,6 @@ func (o Options) sizes() scale {
 		BFSTrials:      3,
 		BCSources:      8,
 	}
-}
-
-// machineFor builds the standard two-node experiment machine, or the
-// explicit hierarchy when the scale carries a tier spec.
-func machineFor(sc scale, seed uint64, p machine.Policy) *machine.Machine {
-	cfg := machine.DefaultConfig()
-	cfg.Mem.DRAMNodes = []int{sc.DRAMPages}
-	cfg.Mem.PMNodes = []int{sc.PMPages}
-	if sc.Tiers != "" {
-		top, err := cliutil.ParseTierSpec(sc.Tiers)
-		if err != nil {
-			panic("bench: " + err.Error())
-		}
-		cfg.Mem.Topology = &top
-	}
-	cfg.Seed = seed
-	cfg.OpCost = 1 * sim.Microsecond
-	cfg.Faults = sc.Chaos
-	return machine.New(cfg, p)
 }
 
 // stopDaemons halts a policy's daemons so abandoned machines cost nothing.

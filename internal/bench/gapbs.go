@@ -63,14 +63,10 @@ func runKernel(m *machine.Machine, g *graph.Graph, kernel string, sc scale, seed
 // gapbsKernelTime builds a fresh system, loads the graph, runs one kernel,
 // and returns its mean trial time in virtual seconds.
 func gapbsKernelTime(sc scale, seed uint64, system, kernel string) float64 {
-	p, err := NewPolicy(system, sc.Interval)
-	if err != nil {
-		panic(err)
-	}
 	gsc := sc
 	gsc.DRAMPages = sc.GraphDRAMPages
 	gsc.PMPages = sc.GraphPMPages
-	m := machineFor(gsc, seed, p)
+	m := gsc.machine(seed, system, sc.Interval)
 	g := graph.Generate(m, graph.GenConfig{
 		Vertices:  sc.GraphVertices,
 		Degree:    sc.GraphDegree,
@@ -78,7 +74,7 @@ func gapbsKernelTime(sc scale, seed uint64, system, kernel string) float64 {
 		Seed:      seed,
 	})
 	t := runKernel(m, g, kernel, sc, seed)
-	stopDaemons(p)
+	stopDaemons(m.Policy)
 	return t.Seconds()
 }
 

@@ -43,8 +43,7 @@ func goldenScale(pool *metrics.Pool) scale {
 		Window:         200 * sim.Millisecond,
 		Metrics:        pool,
 		MetricsPrefix:  "golden/",
-		Series:         20 * sim.Millisecond,
-		Lifecycle:      31,
+		Sinks:          Sinks{Series: 20 * sim.Millisecond, Lifecycle: 31},
 	}
 }
 
@@ -59,7 +58,7 @@ func goldenYCSB(sc scale, system string, huge bool, workloads []ycsb.Workload) s
 	if err != nil {
 		panic(err)
 	}
-	m := machineFor(sc, 1, p)
+	m := sc.machineWith(1, p)
 	sc.instrument(m, label)
 	storeCfg := kvstore.DefaultConfig(int(sc.Records))
 	storeCfg.ItemTouches = 8
@@ -90,7 +89,7 @@ func goldenGAPBS(sc scale, system string) string {
 	gsc := sc
 	gsc.DRAMPages = 256
 	gsc.PMPages = 2048
-	m := machineFor(gsc, 1, p)
+	m := gsc.machineWith(1, p)
 	sc.instrument(m, system+"-pr")
 	g := graph.Generate(m, graph.GenConfig{Vertices: 4000, Degree: 4, Kronecker: true, Seed: 1})
 	m.AbsorbTax()
@@ -114,7 +113,7 @@ func goldenPattern(sc scale, system string) string {
 	gsc := sc
 	gsc.DRAMPages = 256
 	gsc.PMPages = 2048
-	m := machineFor(gsc, 1, p)
+	m := gsc.machineWith(1, p)
 	sc.instrument(m, system+"-pattern")
 	as := m.NewSpace()
 	trace.RunPattern(m, as, trace.PatternRUBiS, 100*sim.Millisecond, 7)

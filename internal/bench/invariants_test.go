@@ -56,7 +56,7 @@ func TestAttachDetachAroundRunningWorkloads(t *testing.T) {
 			return cell{}
 		}
 		defer stopDaemons(p)
-		m := machineFor(sc, seed, p)
+		m := sc.machineWith(seed, p)
 
 		steady := &countingObserver{}
 		m.Attach(steady)
@@ -117,7 +117,7 @@ func TestLRUAccountingAfterChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stopDaemons(p)
-	m := machineFor(sc, 7, p)
+	m := sc.machineWith(7, p)
 
 	storeCfg := kvstore.DefaultConfig(int(sc.Records))
 	storeCfg.HugeArena = true

@@ -31,8 +31,7 @@ func Fig1(opt Options) string {
 	duration := 20 * sc.Interval
 	sections := runner.Map(opt.workers(), trace.Patterns, func(_ int, preset trace.Pattern) string {
 		p := scalePattern(preset, duration)
-		pol, _ := NewPolicy("static", sc.Interval)
-		m := machineFor(sc, opt.Seed, pol)
+		m := sc.machine(opt.Seed, "static", sc.Interval)
 		as := m.NewSpace()
 
 		// Pre-plan the sample rows: the pattern VMA is the first mapping
@@ -68,8 +67,7 @@ func Fig2(opt Options) string {
 	duration := 24 * sc.Interval
 	rows := runner.Map(opt.workers(), trace.Patterns, func(_ int, preset trace.Pattern) []string {
 		p := scalePattern(preset, duration)
-		pol, _ := NewPolicy("static", sc.Interval)
-		m := machineFor(sc, opt.Seed, pol)
+		m := sc.machine(opt.Seed, "static", sc.Interval)
 		as := m.NewSpace()
 		wf := trace.NewWindowFreq(2*sc.Interval, 2*sc.Interval)
 		m.Attach(wf)

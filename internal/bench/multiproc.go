@@ -44,11 +44,7 @@ func AblationMultiProc(opt Options) string {
 // loops; their throughputs are measured over the same virtual span by
 // interleaving operations.
 func multiProcRun(sc scale, seed uint64, system string) (early, late float64) {
-	p, err := NewPolicy(system, sc.Interval)
-	if err != nil {
-		panic(err)
-	}
-	m := machineFor(sc, seed, p)
+	m := sc.machine(seed, system, sc.Interval)
 
 	const wset = 960 // pages per process; the early process alone ≈ DRAM
 	procA := m.NewSpace()
@@ -95,7 +91,7 @@ func multiProcRun(sc scale, seed uint64, system string) (early, late float64) {
 	}
 	run(false) // warmup
 	ta, tbd := run(true)
-	stopDaemons(p)
+	stopDaemons(m.Policy)
 	if ta > 0 {
 		early = float64(ops) / ta.Seconds()
 	}

@@ -8,6 +8,7 @@ import (
 	"multiclock/internal/fault"
 	"multiclock/internal/metrics"
 	"multiclock/internal/sim"
+	"multiclock/internal/slo"
 	"multiclock/internal/traceexport"
 )
 
@@ -18,9 +19,8 @@ func runFig10Observed(t *testing.T, parallel int) (string, []byte) {
 	pool := metrics.NewPool(0)
 	out := Fig10(Options{
 		Quick: true, Seed: 1, Parallel: parallel,
-		Metrics:   pool,
-		Series:    10 * sim.Millisecond,
-		Lifecycle: 64,
+		Metrics: pool,
+		Sinks:   Sinks{Series: 10 * sim.Millisecond, Lifecycle: 64},
 	})
 	data, err := pool.ExportJSON()
 	if err != nil {
@@ -85,16 +85,17 @@ func TestObservabilityDoesNotMoveTheReport(t *testing.T) {
 func runFig10ChaosTraced(t *testing.T, parallel int) ([]byte, []byte) {
 	t.Helper()
 	pool := metrics.NewPool(65536)
+	// Deliberately unmeetable: every PM read exceeds 1ns, so the burn rate
+	// pegs and the multi-window alert must fire.
+	objectives, err := slo.Parse("p99(access_latency_pm_read_ns) < 1ns over 1ms, 99.9%")
+	if err != nil {
+		t.Fatal(err)
+	}
 	Fig10(Options{
 		Quick: true, Seed: 1, Parallel: parallel,
-		Chaos:     fault.UniformRate(42, 0.05),
-		Metrics:   pool,
-		Series:    10 * sim.Millisecond,
-		Lifecycle: 64,
-		// Deliberately unmeetable: every PM read exceeds 1ns, so the
-		// burn rate pegs and the multi-window alert must fire.
-		SLO:   "p99(access_latency_pm_read_ns) < 1ns over 1ms, 99.9%",
-		Trace: true,
+		Chaos:   fault.UniformRate(42, 0.05),
+		Metrics: pool,
+		Sinks:   Sinks{Series: 10 * sim.Millisecond, Lifecycle: 64, SLO: objectives, Trace: true},
 	})
 	data, err := pool.ExportJSON()
 	if err != nil {
@@ -170,7 +171,7 @@ func TestChaosTimelineGolden(t *testing.T) {
 // scale.instrument must not panic or allocate samplers for uninstrumented
 // cells.
 func TestInstrumentRequiresPool(t *testing.T) {
-	out := Fig2(Options{Quick: true, Seed: 1, Series: 10 * sim.Millisecond, Lifecycle: 1})
+	out := Fig2(Options{Quick: true, Seed: 1, Sinks: Sinks{Series: 10 * sim.Millisecond, Lifecycle: 1}})
 	if !strings.Contains(out, "fig2") && len(out) == 0 {
 		t.Fatal("fig2 with orphan observability flags produced nothing")
 	}

@@ -2,12 +2,12 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
 
 	"multiclock/internal/cliutil"
-	"multiclock/internal/fault"
 	"multiclock/internal/kvstore"
 	"multiclock/internal/machine"
 	"multiclock/internal/metrics"
@@ -25,37 +25,6 @@ import (
 // config section, so a restored session reproduces the remaining run — and
 // the final report — byte for byte.
 
-// SoakConfig fully determines a session: rebuilding from an equal config and
-// restoring the snapshot sections yields an identical system.
-type SoakConfig struct {
-	// Policy is a NewPolicy system name; it must support checkpointing.
-	Policy string
-	// Workloads is the run order by YCSB workload name (e.g. ["A"] or the
-	// paper sequence). The load phase always runs first.
-	Workloads []string
-	// Records is the load-phase record count; Ops is per workload.
-	Records int64
-	Ops     int64
-	// DRAMPages and PMPages size the two memory nodes.
-	DRAMPages int
-	PMPages   int
-	// Tiers, when non-empty, replaces the two-node machine with this
-	// -tiers hierarchy spec (cliutil.ParseTierSpec syntax). The spec
-	// travels in the snapshot config section, so a restored session
-	// rebuilds the same hierarchy.
-	Tiers string
-	// Interval is the policy scan interval (0 = DefaultScanInterval).
-	Interval sim.Duration
-	// Seed drives the machine; the YCSB client derives its stream from it.
-	Seed uint64
-	// Chaos enables deterministic fault injection (zero value = off).
-	Chaos fault.Config
-	// Metrics collects a telemetry registry that snapshots with the run;
-	// TraceEvents sizes its event ring.
-	Metrics     bool
-	TraceEvents int
-}
-
 // soakConfigVersion guards the config-section layout inside the container.
 // Version 2 added the tier-hierarchy spec.
 const soakConfigVersion = 2
@@ -65,10 +34,8 @@ type Session struct {
 	Cfg SoakConfig
 
 	M         *machine.Machine
-	Policy    machine.Policy
 	Store     *kvstore.Store
 	Client    *ycsb.Client
-	Reg       *metrics.Registry
 	collector *metrics.Collector
 
 	run     *ycsb.Run
@@ -100,46 +67,26 @@ func newPristine(cfg SoakConfig) (*Session, error) {
 	if cfg.Records <= 0 || cfg.Ops <= 0 {
 		return nil, fmt.Errorf("bench: soak session needs positive records and ops, got %d/%d", cfg.Records, cfg.Ops)
 	}
-	p, err := NewPolicy(cfg.Policy, cfg.Interval)
+	if cfg.Sinks != (Sinks{}) {
+		return nil, fmt.Errorf("bench: a checkpointable session cannot carry series/lifecycle/SLO/trace sinks: their state is not serializable")
+	}
+	m, err := cfg.Machine()
 	if err != nil {
 		return nil, err
 	}
-	mcfg := machine.DefaultConfig()
-	mcfg.Mem.DRAMNodes = []int{cfg.DRAMPages}
-	mcfg.Mem.PMNodes = []int{cfg.PMPages}
-	if cfg.Tiers != "" {
-		top, err := cliutil.ParseTierSpec(cfg.Tiers)
-		if err != nil {
-			return nil, fmt.Errorf("bench: soak tier spec: %w", err)
-		}
-		mcfg.Mem.Topology = &top
-	}
-	mcfg.Seed = cfg.Seed
-	mcfg.OpCost = 1 * sim.Microsecond
-	mcfg.Faults = cfg.Chaos
-	m := machine.New(mcfg, p)
-
-	s := &Session{Cfg: cfg, M: m, Policy: p}
-	if cfg.Metrics {
-		s.Reg = metrics.NewRegistry(cfg.TraceEvents)
-		s.collector = metrics.NewCollector(s.Reg).Bind(m)
-		m.SetMetrics(s.collector)
-		m.Attach(s.collector)
-	}
-
-	storeCfg := kvstore.DefaultConfig(int(cfg.Records))
-	storeCfg.ItemTouches = 8
-	s.Store = kvstore.New(m, storeCfg)
-
-	clientCfg := ycsb.DefaultClientConfig(cfg.Records)
-	clientCfg.Seed = cfg.Seed ^ 0x9c5b
-	s.Client = ycsb.NewClient(m, s.Store, clientCfg)
+	s := &Session{Cfg: cfg, M: m}
+	s.collector, _ = cfg.Attach(m)
+	s.Store, s.Client = cfg.NewYCSB(m)
 	return s, nil
 }
 
 // target bundles the session for the snapshot layer.
 func (s *Session) target() *snapshot.Target {
-	return &snapshot.Target{M: s.M, Store: s.Store, Client: s.Client, Run: s.run, Metrics: s.Reg}
+	t := &snapshot.Target{M: s.M, Store: s.Store, Client: s.Client, Run: s.run}
+	if s.collector != nil {
+		t.Metrics = s.collector.Registry()
+	}
+	return t
 }
 
 // Capture snapshots the session (configuration, progress and full system
@@ -248,7 +195,7 @@ func (s *Session) Run(h SoakHooks) (string, error) {
 			s.finishRun()
 		}
 	}
-	stopDaemons(s.Policy)
+	stopDaemons(s.M.Policy)
 	if h.SnapshotEvery > 0 && h.SnapshotPath != "" {
 		if err := s.Snapshot(h.SnapshotPath); err != nil {
 			return "", err
@@ -364,32 +311,19 @@ func (s *Session) MetricsRun(label string) *metrics.RunExport {
 	return &run
 }
 
-// SoakConfigFor derives a soak recipe from the benchmark scale: the paper's
-// workload sequence at the Options sizing, with an optional per-workload op
-// override for long runs.
-func SoakConfigFor(policy string, opt Options, ops int64, metricsOn bool, traceEvents int) SoakConfig {
-	sc := opt.sizes()
-	if ops <= 0 {
-		ops = sc.OpsPerWorkload
+// SoakConfigFor derives a soak recipe from the benchmark scale: the named
+// policy over the paper's workload sequence at the Options sizing, with an
+// optional per-workload op override for long runs.
+func SoakConfigFor(policy string, opt Options, ops int64) RunConfig {
+	sc := opt.scale()
+	rc := sc.run(opt.Seed, policy, sc.Interval)
+	if ops > 0 {
+		rc.Ops = ops
 	}
-	names := make([]string, 0, len(ycsb.PaperSequence))
 	for _, w := range ycsb.PaperSequence {
-		names = append(names, w.Name)
+		rc.Workloads = append(rc.Workloads, w.Name)
 	}
-	return SoakConfig{
-		Policy:      policy,
-		Workloads:   names,
-		Records:     sc.Records,
-		Ops:         ops,
-		DRAMPages:   sc.DRAMPages,
-		PMPages:     sc.PMPages,
-		Tiers:       opt.Tiers,
-		Interval:    sc.Interval,
-		Seed:        opt.Seed,
-		Chaos:       opt.Chaos,
-		Metrics:     metricsOn,
-		TraceEvents: traceEvents,
-	}
+	return rc
 }
 
 // reconcileAudit rewrites an audit trail so that resuming from this session
@@ -486,6 +420,34 @@ func RunSoakCLI(cfg SoakConfig, restorePath string, hooks SoakHooks, auditPath s
 		}
 	}
 	return report, sess, nil
+}
+
+// RunStepped is the one stepped-run path of both CLIs (mcsim's checkpoint and
+// invariant-sweep mode, mcbench -soak): run cfg — or the -restore snapshot's
+// own recipe — under the checkpoint flags, print the report to stdout and
+// export the session's metrics under labelPrefix+policy. It returns the
+// process exit code.
+func RunStepped(prog, labelPrefix string, cfg RunConfig, f *cliutil.RunFlags, stdout, stderr io.Writer) int {
+	cfg.Metrics, cfg.TraceEvents = f.Metrics != "", f.TraceEvents
+	hooks := SoakHooks{SnapshotPath: f.Snapshot, SnapshotEvery: f.SnapshotEvery, InvariantsEvery: f.InvariantsEvery}
+	report, sess, err := RunSoakCLI(cfg, f.Restore, hooks, f.Audit)
+	if err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", prog, err)
+		return 1
+	}
+	io.WriteString(stdout, report)
+	if f.Metrics == "" {
+		return 0
+	}
+	run := sess.MetricsRun(labelPrefix + sess.Cfg.Policy)
+	if run == nil {
+		fmt.Fprintf(stderr, "%s: snapshot carries no telemetry registry; cannot export metrics\n", prog)
+		return 1
+	}
+	if !f.WriteExports(prog, stderr, []metrics.RunExport{*run}) {
+		return 1
+	}
+	return 0
 }
 
 // encodeSessionState renders the config section: the construction recipe plus

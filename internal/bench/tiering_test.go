@@ -42,7 +42,7 @@ func runTiered(t *testing.T, policy, tiers string) (string, []byte) {
 	if err != nil {
 		t.Fatalf("NewPolicy(%s): %v", policy, err)
 	}
-	m := machineFor(sc, 1, p)
+	m := sc.machineWith(1, p)
 	sc.instrument(m, policy)
 	storeCfg := kvstore.DefaultConfig(int(sc.Records))
 	storeCfg.ItemTouches = 8

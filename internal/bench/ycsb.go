@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"multiclock/internal/kvstore"
 	"multiclock/internal/machine"
 	"multiclock/internal/runner"
 	"multiclock/internal/sim"
@@ -23,23 +22,14 @@ type ycsbRunResult struct {
 }
 
 func ycsbRun(sc scale, seed uint64, system string, interval sim.Duration, track bool) ycsbRunResult {
-	p, err := NewPolicy(system, interval)
-	if err != nil {
-		panic(err)
-	}
-	m := machineFor(sc, seed, p)
+	m := sc.machine(seed, system, interval)
 	sc.instrument(m, system)
 	var tracker *trace.PromotionTracker
 	if track {
 		tracker = trace.NewPromotionTracker(sc.Window).Bind(m)
 		m.Attach(tracker)
 	}
-	storeCfg := kvstore.DefaultConfig(int(sc.Records))
-	storeCfg.ItemTouches = 8
-	store := kvstore.New(m, storeCfg)
-	clientCfg := ycsb.DefaultClientConfig(sc.Records)
-	clientCfg.Seed = seed ^ 0x9c5b
-	client := ycsb.NewClient(m, store, clientCfg)
+	_, client := sc.run(seed, system, interval).NewYCSB(m)
 	client.Load()
 
 	out := ycsbRunResult{Throughput: map[string]float64{}, Machine: m, Tracker: tracker}
@@ -47,7 +37,7 @@ func ycsbRun(sc scale, seed uint64, system string, interval sim.Duration, track 
 		res := client.Run(w, sc.OpsPerWorkload)
 		out.Throughput[w.Name] = res.Throughput
 	}
-	stopDaemons(p)
+	stopDaemons(m.Policy)
 	return out
 }
 
@@ -267,37 +257,30 @@ func Fig10(opt Options) string {
 
 // ycsbOneWorkload loads and runs only workload A, returning throughput.
 func ycsbOneWorkload(sc scale, seed uint64, system string, interval sim.Duration) float64 {
-	tp, _ := ycsbWorkloadA(sc, seed, system, interval, false)
+	tp, _, _ := ycsbWorkloadA(sc, seed, system, interval, false, false)
 	return tp
 }
 
 // ycsbSteadyWorkloadA measures workload A after an unmeasured warmup pass.
 func ycsbSteadyWorkloadA(sc scale, seed uint64, system string, interval sim.Duration) float64 {
-	_, tp := ycsbWorkloadA(sc, seed, system, interval, true)
+	_, tp, _ := ycsbWorkloadA(sc, seed, system, interval, true, false)
 	return tp
 }
 
-func ycsbWorkloadA(sc scale, seed uint64, system string, interval sim.Duration, warm bool) (cold, steady float64) {
-	p, err := NewPolicy(system, interval)
-	if err != nil {
-		panic(err)
-	}
-	m := machineFor(sc, seed, p)
+// ycsbWorkloadA loads a store (huge backs it with transparent huge pages)
+// and runs workload A once cold and, when warm, once more in steady state.
+// The finished machine is returned for its counters.
+func ycsbWorkloadA(sc scale, seed uint64, system string, interval sim.Duration, warm, huge bool) (cold, steady float64, m *machine.Machine) {
+	m = sc.machine(seed, system, interval)
 	sc.instrument(m, system+"@"+interval.String())
-	storeCfg := kvstore.DefaultConfig(int(sc.Records))
-	storeCfg.ItemTouches = 8
-	store := kvstore.New(m, storeCfg)
-	clientCfg := ycsb.DefaultClientConfig(sc.Records)
-	clientCfg.Seed = seed ^ 0xface
-	client := ycsb.NewClient(m, store, clientCfg)
+	_, client := newYCSB(m, sc.Records, seed^0xface, huge)
 	client.Load()
-	res := client.Run(ycsb.WorkloadA, sc.OpsPerWorkload)
-	cold = res.Throughput
+	cold = client.Run(ycsb.WorkloadA, sc.OpsPerWorkload).Throughput
 	if warm {
 		steady = client.Run(ycsb.WorkloadA, sc.OpsPerWorkload).Throughput
 	}
-	stopDaemons(p)
-	return cold, steady
+	stopDaemons(m.Policy)
+	return cold, steady, m
 }
 
 func safeDiv(a, b float64) float64 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux
@@ -55,17 +56,19 @@ func StartDebug(addr string) (net.Addr, func(), error) {
 	return ln.Addr(), stop, nil
 }
 
-// ServeDebug is the CLI entry shared by mcsim and mcbench: failure to bind
-// is fatal — a user who asked for the endpoint should not silently profile
-// nothing. prog prefixes the messages. The returned stop function closes
-// the endpoint cleanly at end-of-run.
-func ServeDebug(prog, addr string) (stop func()) {
-	debugStartUnixNano.Set(time.Now().UnixNano())
-	bound, stop, err := StartDebug(addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: -http %s: %v\n", prog, addr, err)
-		os.Exit(2)
+// ServeDebug starts the -http endpoint when the flag is set; the returned stop
+// function (a no-op otherwise) closes it cleanly at end-of-run. Failure to
+// bind is an error — a user who asked for the endpoint should not silently
+// profile nothing. prog prefixes the messages.
+func (f *RunFlags) ServeDebug(prog string, stderr io.Writer) (stop func(), err error) {
+	if f.HTTP == "" {
+		return func() {}, nil
 	}
-	fmt.Fprintf(os.Stderr, "%s: debug endpoint on http://%s/debug/pprof (expvar at /debug/vars)\n", prog, bound)
-	return stop
+	debugStartUnixNano.Set(time.Now().UnixNano())
+	bound, stop, err := StartDebug(f.HTTP)
+	if err != nil {
+		return nil, fmt.Errorf("%s: -http %s: %v", prog, f.HTTP, err)
+	}
+	fmt.Fprintf(stderr, "%s: debug endpoint on http://%s/debug/pprof (expvar at /debug/vars)\n", prog, bound)
+	return stop, nil
 }

@@ -51,9 +51,11 @@ func TestStartDebugStopsCleanly(t *testing.T) {
 	stop2()
 }
 
-// TestDebugEndpointOnBothBinaries proves -http is wired through both CLIs:
-// each binary runs a tiny job with the endpoint enabled, announces the bound
-// address, and exits cleanly (the listener did not hold the process open).
+// TestDebugEndpointOnBothBinaries proves -http is wired through both CLIs in
+// every mode, including the stepped ones (mcbench -soak, mcsim checkpoint /
+// invariant stepping) — the long runs the endpoint exists for: each binary
+// runs a tiny job with the endpoint enabled, announces the bound address, and
+// exits cleanly (the listener did not hold the process open).
 func TestDebugEndpointOnBothBinaries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds both CLI binaries")
@@ -70,6 +72,10 @@ func TestDebugEndpointOnBothBinaries(t *testing.T) {
 		{"mcsim", mcsim, []string{"-policy", "static", "-workload", "C",
 			"-records", "256", "-ops", "500", "-http", "127.0.0.1:0"}},
 		{"mcbench", mcbench, []string{"-exp", "table1", "-quick", "-http", "127.0.0.1:0"}},
+		{"mcsim stepped", mcsim, []string{"-policy", "static", "-workload", "C",
+			"-records", "256", "-ops", "500", "-invariants-every", "100", "-http", "127.0.0.1:0"}},
+		{"mcbench soak", mcbench, []string{"-soak", "static", "-quick", "-soak-ops", "200",
+			"-http", "127.0.0.1:0"}},
 	}
 	for _, c := range cases {
 		code, stderr := runCLI(t, c.bin, c.args...)

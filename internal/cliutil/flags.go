@@ -1,12 +1,21 @@
-// Package cliutil holds flag-validation rules shared by the command-line
-// front-ends (mcsim, mcbench), so the same bad flag combination fails with
-// the same exit code and the same message no matter which binary saw it.
+// Package cliutil holds the flag set, validation rules and export writing
+// shared by the command-line front-ends (mcsim, mcbench), so the same flag
+// means the same thing — and the same bad combination fails with the same
+// exit code and the same message — no matter which binary saw it.
 package cliutil
 
 import (
 	"errors"
 	"flag"
+	"fmt"
+	"io"
+	"os"
 	"time"
+
+	"multiclock/internal/fault"
+	"multiclock/internal/metrics"
+	"multiclock/internal/slo"
+	"multiclock/internal/traceexport"
 )
 
 // ExitUsage is the exit code every CLI uses for an invalid flag
@@ -24,36 +33,48 @@ const DefaultTraceRing = 65536
 // program-name prefix) so scripts can match one string across binaries.
 var errExportFlags = errors.New("-series/-lifecycle/-slo/-trace-out ride the metrics export; set -metrics too")
 
-// ValidateExportFlags checks the -series/-lifecycle/-slo/-trace-out/-metrics
-// combination. The instrumentation flags only surface through (or render
-// from) the metrics export, so any of them without -metrics is a usage
-// error. The SLO spec itself is validated separately (slo.Parse); here only
-// its presence matters.
-func ValidateExportFlags(series time.Duration, lifecycleMod uint64, metricsOut, sloSpec, traceOut string) error {
-	if (series > 0 || lifecycleMod > 0 || sloSpec != "" || traceOut != "") && metricsOut == "" {
-		return errExportFlags
-	}
-	return nil
+// RunFlags is the flag set mcsim and mcbench share: what seeds and perturbs
+// the simulated machines, which instrumentation rides the metrics export,
+// and the checkpoint/restore cadence. Register it once, Validate it once;
+// the parsed forms (Chaos, SLOSpec) are filled by Validate.
+type RunFlags struct {
+	Seed        uint64
+	Parallel    int
+	Tiers       string
+	Metrics     string
+	TraceEvents int
+	Series      time.Duration
+	Lifecycle   uint64
+	HTTP        string
+	SLO         string
+	TraceOut    string
+	SnapshotFlags
+
+	chaos string
+
+	Chaos   fault.Config
+	SLOSpec *slo.Spec
 }
 
-// TraceFlags holds the SLO/trace-export flag pair shared by mcsim and
-// mcbench: a declarative latency-objective spec evaluated on the virtual
-// clock, and a Perfetto trace file merging every recorded signal onto one
-// virtual-time timeline.
-type TraceFlags struct {
-	SLO      string
-	TraceOut string
-}
-
-// Register installs the shared flag pair on fs under the canonical names.
-func (f *TraceFlags) Register(fs *flag.FlagSet) {
+// Register installs the shared flags on fs under the canonical names.
+func (f *RunFlags) Register(fs *flag.FlagSet) {
+	fs.Uint64Var(&f.Seed, "seed", 1, "simulation seed")
+	fs.IntVar(&f.Parallel, "parallel", 1, "max simulated machines in flight (0 = GOMAXPROCS, 1 = sequential)")
+	fs.StringVar(&f.chaos, "chaos", "", "deterministic fault injection as seed,rate (e.g. 42,0.01); empty disables")
+	fs.StringVar(&f.Tiers, "tiers", "", "explicit tier hierarchy as name:frames pairs, fastest first (e.g. dram:1024,cxl:2048,pm:8192,ssd:*), replacing the default DRAM/PM pair on every machine")
+	fs.StringVar(&f.Metrics, "metrics", "", "write a deterministic metrics JSON export to this file")
+	fs.IntVar(&f.TraceEvents, "trace-events", 0, "structured trace ring capacity per machine in the metrics export (0 = no event trace)")
+	fs.DurationVar(&f.Series, "series", 0, "sample a windowed occupancy time series per machine on this virtual period into the metrics export (0 = off)")
+	fs.Uint64Var(&f.Lifecycle, "lifecycle", 0, "trace per-page lifecycle spans with this sampling modulus (1 = every page, 0 = off) into the metrics export")
+	fs.StringVar(&f.HTTP, "http", "", "serve expvar/pprof on this address (e.g. localhost:6060) for wall-clock profiling of long runs")
 	fs.StringVar(&f.SLO, "slo", "", "evaluate latency objectives on the virtual clock, e.g. 'p99(access_latency_dram_read_ns) < 400ns over 10ms, 99.9%'; results ride the -metrics export (see `mcmetrics slo`)")
 	fs.StringVar(&f.TraceOut, "trace-out", "", "write a Perfetto/Chrome trace of the run's virtual-time timeline to this file (open in ui.perfetto.dev; requires -metrics)")
+	f.SnapshotFlags.Register(fs)
 }
 
-// SnapshotFlags holds the checkpoint/restore flag set shared by mcsim and
-// mcbench: where to write snapshots, how often, what to restore, where the
-// divergence-audit trail goes and how often to sweep the machine invariants.
+// SnapshotFlags holds the checkpoint/restore flags: where to write
+// snapshots, how often, what to restore, where the divergence-audit trail
+// goes and how often to sweep the machine invariants.
 type SnapshotFlags struct {
 	Snapshot        string
 	SnapshotEvery   int64
@@ -62,7 +83,7 @@ type SnapshotFlags struct {
 	InvariantsEvery int64
 }
 
-// Register installs the shared flag set on fs under the canonical names.
+// Register installs the checkpoint flags on fs under the canonical names.
 func (f *SnapshotFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Snapshot, "snapshot", "", "checkpoint the run to this file every -snapshot-every ops (and at completion)")
 	fs.Int64Var(&f.SnapshotEvery, "snapshot-every", 0, "ops between checkpoints/audit fingerprints (requires -snapshot or -audit)")
@@ -77,13 +98,39 @@ func (f *SnapshotFlags) Active() bool {
 	return f.Snapshot != "" || f.SnapshotEvery > 0 || f.Restore != "" || f.Audit != ""
 }
 
-// Validate checks the flag set's internal consistency and its interaction
-// with the unserializable observability layers. Checkpoints capture the
-// virtual clock, and one-shot -series/-lifecycle samplers (and the -slo
-// engine's scheduled window ticks, and the -trace-out window log) schedule
-// or accumulate state that cannot be serialized, so the combinations are
-// refused up front.
-func (f *SnapshotFlags) Validate(series time.Duration, lifecycleMod uint64, sloSpec, traceOut string) error {
+// Stepped reports whether the flags put the run in op-by-op stepping mode:
+// checkpointing, or periodic invariant sweeps.
+func (f *SnapshotFlags) Stepped() bool { return f.Active() || f.InvariantsEvery > 0 }
+
+// Validate checks the shared flags, in one order for every binary: the
+// -chaos and -tiers specs, instrumentation without -metrics, the -slo spec,
+// the checkpoint cadence rules, and instrumentation in a stepped run.
+// stepped marks a run the binary steps for its own reasons (mcbench -soak);
+// the checkpoint flags imply it. A stepped run is checkpointable, and
+// one-shot -series/-lifecycle samplers, the -slo engine's scheduled window
+// ticks and the -trace-out window log hold state that cannot be serialized,
+// so the combination is refused rather than silently dropped. The error
+// text is the complete stderr line; prog prefixes only the messages that
+// always carried it.
+func (f *RunFlags) Validate(prog string, stepped bool) error {
+	var err error
+	if f.Chaos, err = fault.ParseSpec(f.chaos); err != nil {
+		return fmt.Errorf("%s: %v", prog, err)
+	}
+	if f.Tiers != "" {
+		if _, err := ParseTierSpec(f.Tiers); err != nil {
+			return err
+		}
+	}
+	sinks := f.Series > 0 || f.Lifecycle > 0 || f.SLO != "" || f.TraceOut != ""
+	if sinks && f.Metrics == "" {
+		return errExportFlags
+	}
+	if f.SLO != "" {
+		if f.SLOSpec, err = slo.Parse(f.SLO); err != nil {
+			return err
+		}
+	}
 	if f.SnapshotEvery < 0 {
 		return errors.New("-snapshot-every must be non-negative")
 	}
@@ -96,8 +143,52 @@ func (f *SnapshotFlags) Validate(series time.Duration, lifecycleMod uint64, sloS
 	if (f.Snapshot != "" || f.Audit != "") && f.SnapshotEvery <= 0 {
 		return errors.New("-snapshot/-audit need -snapshot-every N to set the checkpoint cadence")
 	}
-	if f.Active() && (series > 0 || lifecycleMod > 0 || sloSpec != "" || traceOut != "") {
+	if sinks && (stepped || f.Stepped()) {
 		return errors.New("-series/-lifecycle/-slo/-trace-out cannot be combined with checkpointing: one-shot samplers are not serializable")
 	}
 	return nil
+}
+
+// Workers resolves -parallel for the runner: non-positive means GOMAXPROCS.
+func (f *RunFlags) Workers() int {
+	if f.Parallel <= 0 {
+		return -1
+	}
+	return f.Parallel
+}
+
+// Ring is the structured-event ring capacity the run's collectors get:
+// -trace-events, or DefaultTraceRing when -trace-out needs one.
+func (f *RunFlags) Ring() int {
+	if f.TraceOut != "" && f.TraceEvents == 0 {
+		return DefaultTraceRing
+	}
+	return f.TraceEvents
+}
+
+// WriteExports writes the files the run's instrumentation flags asked for:
+// the -metrics JSON document over runs and, with -trace-out, the Perfetto
+// timeline rebuilt from the same runs. It reports to stderr and returns
+// false when a file could not be written.
+func (f *RunFlags) WriteExports(prog string, stderr io.Writer, runs []metrics.RunExport) bool {
+	if f.Metrics == "" {
+		return true
+	}
+	data, err := metrics.ExportJSON(runs...)
+	if err == nil {
+		err = os.WriteFile(f.Metrics, data, 0o644)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "%s: writing metrics: %v\n", prog, err)
+		return false
+	}
+	fmt.Fprintf(stderr, "metrics: %d run(s) written to %s\n", len(runs), f.Metrics)
+	if f.TraceOut != "" {
+		if err := os.WriteFile(f.TraceOut, traceexport.Build(runs), 0o644); err != nil {
+			fmt.Fprintf(stderr, "%s: writing trace: %v\n", prog, err)
+			return false
+		}
+		fmt.Fprintf(stderr, "trace: perfetto timeline written to %s\n", f.TraceOut)
+	}
+	return true
 }

@@ -2,74 +2,140 @@ package cliutil
 
 import (
 	"bytes"
+	"flag"
 	"io"
 	"os/exec"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
+// parseFlags registers the shared set on a fresh FlagSet and parses args,
+// the way both binaries do.
+func parseFlags(t *testing.T, args ...string) *RunFlags {
+	t.Helper()
+	var f RunFlags
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	f.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("parse %v: %v", args, err)
+	}
+	return &f
+}
+
+const (
+	msgNeedMetrics = "-series/-lifecycle/-slo/-trace-out ride the metrics export; set -metrics too"
+	msgCombined    = "-series/-lifecycle/-slo/-trace-out cannot be combined with checkpointing: one-shot samplers are not serializable"
+	goodSLO        = "p99(x_ns) < 1us over 1ms"
+)
+
+// TestValidateExportFlags: instrumentation flags ride the metrics export, so
+// any of them without -metrics is refused with the one canonical message.
 func TestValidateExportFlags(t *testing.T) {
 	cases := []struct {
-		name      string
-		series    time.Duration
-		lifecycle uint64
-		metrics   string
-		slo       string
-		traceOut  string
-		wantErr   bool
+		name string
+		args []string
+		want string
 	}{
-		{"nothing", 0, 0, "", "", "", false},
-		{"metrics only", 0, 0, "out.json", "", "", false},
-		{"series with metrics", 10 * time.Millisecond, 0, "out.json", "", "", false},
-		{"lifecycle with metrics", 0, 1, "out.json", "", "", false},
-		{"slo with metrics", 0, 0, "out.json", "p99(x_ns) < 1us over 1ms", "", false},
-		{"trace-out with metrics", 0, 0, "out.json", "", "t.json", false},
-		{"series without metrics", 10 * time.Millisecond, 0, "", "", "", true},
-		{"lifecycle without metrics", 0, 1, "", "", "", true},
-		{"both without metrics", 10 * time.Millisecond, 1, "", "", "", true},
-		{"slo without metrics", 0, 0, "", "p99(x_ns) < 1us over 1ms", "", true},
-		{"trace-out without metrics", 0, 0, "", "", "t.json", true},
+		{"nothing", nil, ""},
+		{"metrics only", []string{"-metrics", "out.json"}, ""},
+		{"series with metrics", []string{"-metrics", "out.json", "-series", "10ms"}, ""},
+		{"lifecycle with metrics", []string{"-metrics", "out.json", "-lifecycle", "1"}, ""},
+		{"slo with metrics", []string{"-metrics", "out.json", "-slo", goodSLO}, ""},
+		{"trace-out with metrics", []string{"-metrics", "out.json", "-trace-out", "t.json"}, ""},
+		{"series without metrics", []string{"-series", "10ms"}, msgNeedMetrics},
+		{"lifecycle without metrics", []string{"-lifecycle", "1"}, msgNeedMetrics},
+		{"both without metrics", []string{"-series", "10ms", "-lifecycle", "1"}, msgNeedMetrics},
+		{"slo without metrics", []string{"-slo", goodSLO}, msgNeedMetrics},
+		{"trace-out without metrics", []string{"-trace-out", "t.json"}, msgNeedMetrics},
+		// The spec itself is only parsed once -metrics is present.
+		{"bad slo without metrics", []string{"-slo", "p99(x < 1us"}, msgNeedMetrics},
+		{"bad slo", []string{"-metrics", "m.json", "-slo", "p99(x < 1us"},
+			`slo: cannot parse objective "p99(x < 1us" (want "pNN(metric) < 400ns over 10ms[, 99.9%]")`},
+		{"bad chaos", []string{"-chaos", "nope"}, `prog: fault: spec "nope" is not seed,rate`},
+		{"bad tiers", []string{"-tiers", "hbm:64"}, `-tiers: unknown tier "hbm" (have dram, cxl, pm, ssd)`},
+		// One order for every binary: -chaos, -tiers, then the export rule.
+		{"chaos before tiers", []string{"-chaos", "nope", "-tiers", "hbm:64"}, `prog: fault: spec "nope" is not seed,rate`},
+		{"tiers before export", []string{"-tiers", "hbm:64", "-series", "10ms"}, `-tiers: unknown tier "hbm" (have dram, cxl, pm, ssd)`},
 	}
 	for _, c := range cases {
-		err := ValidateExportFlags(c.series, c.lifecycle, c.metrics, c.slo, c.traceOut)
-		if (err != nil) != c.wantErr {
-			t.Errorf("%s: got err=%v, want error=%v", c.name, err, c.wantErr)
+		f := parseFlags(t, c.args...)
+		checkErr(t, c.name, f.Validate("prog", false), c.want)
+		if c.want == "" && f.SLO != "" && f.SLOSpec == nil {
+			t.Errorf("%s: Validate left the -slo spec unparsed", c.name)
 		}
 	}
 }
 
+func checkErr(t *testing.T, name string, err error, want string) {
+	t.Helper()
+	got := ""
+	if err != nil {
+		got = err.Error()
+	}
+	if got != want {
+		t.Errorf("%s: Validate() = %q, want %q", name, got, want)
+	}
+}
+
+// TestSnapshotFlagsValidate: the checkpoint cadence rules, and the refusal of
+// every unserializable sink in any stepped run — checkpointing, invariant
+// sweeps alone, or a mode the binary steps itself (mcbench -soak). A
+// requested sink is refused, never silently dropped.
 func TestSnapshotFlagsValidate(t *testing.T) {
+	snap := []string{"-snapshot", "s.mcsnap", "-snapshot-every", "5000"}
+	with := func(base []string, extra ...string) []string {
+		return append(append([]string{"-metrics", "m.json"}, base...), extra...)
+	}
 	cases := []struct {
-		name      string
-		f         SnapshotFlags
-		series    time.Duration
-		lifecycle uint64
-		slo       string
-		traceOut  string
-		wantErr   bool
+		name    string
+		args    []string
+		stepped bool
+		want    string
 	}{
-		{"nothing", SnapshotFlags{}, 0, 0, "", "", false},
-		{"snapshot with cadence", SnapshotFlags{Snapshot: "s.mcsnap", SnapshotEvery: 5000}, 0, 0, "", "", false},
-		{"audit with cadence", SnapshotFlags{Audit: "a.jsonl", SnapshotEvery: 5000}, 0, 0, "", "", false},
-		{"restore alone", SnapshotFlags{Restore: "s.mcsnap"}, 0, 0, "", "", false},
-		{"invariants alone", SnapshotFlags{InvariantsEvery: 1000}, 0, 0, "", "", false},
-		{"invariants with series", SnapshotFlags{InvariantsEvery: 1000}, 10 * time.Millisecond, 0, "", "", false},
-		{"invariants with slo", SnapshotFlags{InvariantsEvery: 1000}, 0, 0, "p99(x_ns) < 1us over 1ms", "", false},
-		{"negative cadence", SnapshotFlags{SnapshotEvery: -1}, 0, 0, "", "", true},
-		{"negative invariants", SnapshotFlags{InvariantsEvery: -1}, 0, 0, "", "", true},
-		{"cadence without sink", SnapshotFlags{SnapshotEvery: 5000}, 0, 0, "", "", true},
-		{"snapshot without cadence", SnapshotFlags{Snapshot: "s.mcsnap"}, 0, 0, "", "", true},
-		{"audit without cadence", SnapshotFlags{Audit: "a.jsonl"}, 0, 0, "", "", true},
-		{"snapshot with series", SnapshotFlags{Snapshot: "s.mcsnap", SnapshotEvery: 5000}, 10 * time.Millisecond, 0, "", "", true},
-		{"restore with lifecycle", SnapshotFlags{Restore: "s.mcsnap"}, 0, 1, "", "", true},
-		{"restore with slo", SnapshotFlags{Restore: "s.mcsnap"}, 0, 0, "p99(x_ns) < 1us over 1ms", "", true},
-		{"snapshot with trace-out", SnapshotFlags{Snapshot: "s.mcsnap", SnapshotEvery: 5000}, 0, 0, "", "t.json", true},
+		{"snapshot with cadence", snap, false, ""},
+		{"audit with cadence", []string{"-audit", "a.jsonl", "-snapshot-every", "5000"}, false, ""},
+		{"restore alone", []string{"-restore", "s.mcsnap"}, false, ""},
+		{"invariants alone", []string{"-invariants-every", "1000"}, false, ""},
+		{"metrics ring in a stepped run", with(snap, "-trace-events", "64"), true, ""},
+		{"negative cadence", []string{"-snapshot-every", "-1"}, false, "-snapshot-every must be non-negative"},
+		{"negative invariants", []string{"-invariants-every", "-1"}, false, "-invariants-every must be non-negative"},
+		{"cadence without sink", []string{"-snapshot-every", "5000"}, false, "-snapshot-every needs -snapshot or -audit to do anything"},
+		{"snapshot without cadence", []string{"-snapshot", "s.mcsnap"}, false, "-snapshot/-audit need -snapshot-every N to set the checkpoint cadence"},
+		{"audit without cadence", []string{"-audit", "a.jsonl"}, false, "-snapshot/-audit need -snapshot-every N to set the checkpoint cadence"},
+		{"snapshot with series", with(snap, "-series", "10ms"), false, msgCombined},
+		{"restore with lifecycle", with([]string{"-restore", "s.mcsnap"}, "-lifecycle", "1"), false, msgCombined},
+		{"restore with slo", with([]string{"-restore", "s.mcsnap"}, "-slo", goodSLO), false, msgCombined},
+		{"snapshot with trace-out", with(snap, "-trace-out", "t.json"), false, msgCombined},
+		{"invariants with series", with([]string{"-invariants-every", "1000"}, "-series", "10ms"), false, msgCombined},
+		{"invariants with lifecycle", with([]string{"-invariants-every", "1000"}, "-lifecycle", "1"), false, msgCombined},
+		{"invariants with slo", with([]string{"-invariants-every", "1000"}, "-slo", goodSLO), false, msgCombined},
+		{"stepped mode with series", with(nil, "-series", "10ms"), true, msgCombined},
+		{"stepped mode with lifecycle", with(nil, "-lifecycle", "1"), true, msgCombined},
+		{"stepped mode with trace-out", with(nil, "-trace-out", "t.json"), true, msgCombined},
+		{"sinks in a straight run", with(nil, "-series", "10ms", "-lifecycle", "1"), false, ""},
 	}
 	for _, c := range cases {
-		err := c.f.Validate(c.series, c.lifecycle, c.slo, c.traceOut)
-		if (err != nil) != c.wantErr {
-			t.Errorf("%s: got err=%v, want error=%v", c.name, err, c.wantErr)
+		checkErr(t, c.name, parseFlags(t, c.args...).Validate("prog", c.stepped), c.want)
+	}
+}
+
+// TestRunFlagsDerived pins the two values both binaries derive from the
+// shared flags instead of re-deriving them by hand.
+func TestRunFlagsDerived(t *testing.T) {
+	cases := []struct {
+		args          []string
+		ring, workers int
+	}{
+		{nil, 0, 1},
+		{[]string{"-trace-events", "128", "-parallel", "4"}, 128, 4},
+		{[]string{"-trace-out", "t.json", "-parallel", "0"}, DefaultTraceRing, -1},
+		{[]string{"-trace-out", "t.json", "-trace-events", "32", "-parallel", "-3"}, 32, -1},
+	}
+	for _, c := range cases {
+		f := parseFlags(t, c.args...)
+		if f.Ring() != c.ring || f.Workers() != c.workers {
+			t.Errorf("%v: Ring()=%d Workers()=%d, want %d %d", c.args, f.Ring(), f.Workers(), c.ring, c.workers)
 		}
 	}
 }
@@ -164,8 +230,8 @@ func TestCLIsFailIdentically(t *testing.T) {
 	}
 
 	// The flag error must win over everything else mcbench might do first
-	// (experiment listing, the perf suite), so the combination fails the
-	// same way regardless of the other flags on the line.
+	// (experiment listing), so the combination fails the same way regardless
+	// of the other flags on the line.
 	code, msg := runCLI(t, mcbench, "-series", "10ms")
 	if code != ExitUsage || msg == "" {
 		t.Errorf("mcbench -series without -exp: exit=%d stderr=%q, want usage failure", code, msg)

@@ -300,12 +300,13 @@ func (f *Injector) AllocDenied(nearWatermark bool) bool {
 	return false
 }
 
-// AccessDelay returns the extra latency one PM access pays: each access
-// outside a slowdown window may open one (counted once per window); every
-// access inside the window costs (factor−1)× its base latency extra. pm
-// gates the draw so DRAM accesses consume no randomness.
-func (f *Injector) AccessDelay(pm bool, base sim.Duration) sim.Duration {
-	if f == nil || !pm || f.cfg.Rates[PMSlowdown] <= 0 {
+// AccessDelay returns the extra latency one slow-media access pays: each
+// access outside a slowdown window may open one (counted once per window);
+// every access inside the window costs (factor−1)× its base latency extra.
+// belowFastest — the access landed on any tier below the fastest — gates
+// the draw, so fastest-tier accesses consume no randomness.
+func (f *Injector) AccessDelay(belowFastest bool, base sim.Duration) sim.Duration {
+	if f == nil || !belowFastest || f.cfg.Rates[PMSlowdown] <= 0 {
 		return 0
 	}
 	if f.clock.Now() >= f.slowUntil {

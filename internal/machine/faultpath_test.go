@@ -11,6 +11,7 @@ import (
 	"multiclock/internal/fault"
 	"multiclock/internal/mem"
 	"multiclock/internal/pagetable"
+	"multiclock/internal/sim"
 )
 
 func testFaultMachine(dram, pm int, fcfg fault.Config) *Machine {
@@ -132,5 +133,63 @@ func TestOOMKillCounterAndConsistency(t *testing.T) {
 	}()
 	for i := 0; i < 64; i++ {
 		m.Access(as, v.Start+pagetable.VPN(i), false)
+	}
+}
+
+// TestSlowdownTargetsEveryTierBelowFastest: on a three-tier hierarchy the
+// media-slowdown fault is tier-relative — an access to any tier below the
+// fastest (the slowest included) may open a window and pays the slowdown
+// factor inside it; fastest-tier accesses never do. With the former
+// tier == TierPM test the fault hit tier 1 (cxl) only and never the slowest.
+func TestSlowdownTargetsEveryTierBelowFastest(t *testing.T) {
+	var tiers []mem.TierSpec
+	for _, n := range []struct {
+		name   string
+		frames int
+	}{{"dram", 16}, {"cxl", 16}, {"pm", 64}} {
+		ts, _ := mem.BuiltinTierSpec(n.name)
+		ts.Nodes = []int{n.frames}
+		tiers = append(tiers, ts)
+	}
+	cfg := DefaultConfig()
+	cfg.Mem.Topology = &mem.Topology{Tiers: tiers}
+	cfg.OpCost = 0
+	cfg.CPUCachePages = 0
+	cfg.Faults = fault.Config{Seed: 1}
+	cfg.Faults.Rates[fault.PMSlowdown] = 1 // every eligible access outside a window opens one
+	m := New(cfg, &nullPolicy{})
+	m.Faults.EnableWindowLog(0)
+
+	// Fault the pages in: births fill dram, then cxl, then pm.
+	as := m.NewSpace()
+	v := as.Mmap(64, false, "x")
+	byTier := map[mem.Tier]pagetable.VPN{}
+	for i := 0; i < 64; i++ {
+		vpn := v.Start + pagetable.VPN(i)
+		byTier[m.Mem.Tier(m.Access(as, vpn, false))] = vpn
+	}
+	if len(byTier) != 3 {
+		t.Fatalf("setup: pages landed on %d tiers, want 3", len(byTier))
+	}
+	window := 5 * sim.Millisecond // the injector's default window
+	access := func(tier mem.Tier) (opened int64, lat sim.Duration) {
+		m.Compute(2 * window) // leave any open window
+		before, start := m.Faults.Counters.Injected[fault.PMSlowdown], m.Clock.Now()
+		m.Access(as, byTier[tier], false)
+		return m.Faults.Counters.Injected[fault.PMSlowdown] - before, sim.Duration(m.Clock.Now() - start)
+	}
+	if opened, lat := access(m.Mem.FastestTier()); opened != 0 || lat != m.Mem.Lat.Read[0] {
+		t.Fatalf("fastest-tier access: opened %d windows, latency %v (base %v)", opened, lat, m.Mem.Lat.Read[0])
+	}
+	for tier := m.Mem.FastestTier() + 1; tier <= m.Mem.SlowestTier(); tier++ {
+		logged := len(m.Faults.Windows())
+		opened, lat := access(tier)
+		if want := 4 * m.Mem.Lat.Read[tier]; opened != 1 || lat != want {
+			t.Errorf("%s access: opened %d windows, latency %v; want 1 window and %v (4× base)",
+				m.Mem.TierName(tier), opened, lat, want)
+		}
+		if w := m.Faults.Windows(); len(w) != logged+1 || w[logged].Kind != fault.PMSlowdown {
+			t.Errorf("%s access: window log grew %d -> %d", m.Mem.TierName(tier), logged, len(w))
+		}
 	}
 }

@@ -277,10 +277,11 @@ func (m *Machine) AccessN(as *pagetable.AddressSpace, vpn pagetable.VPN, write b
 		}
 		dev := sim.Duration(lines) * m.Policy.Access(pg, write)
 		if m.Faults != nil {
-			// Injected PM media-slowdown window: accesses inside it pay a
-			// multiple of the tier's base latency (Optane tail spikes).
+			// Injected media-slowdown window: accesses below the fastest
+			// tier inside it pay a multiple of their tier's base latency
+			// (Optane tail spikes).
 			dev += sim.Duration(lines) * m.Faults.AccessDelay(
-				tier == mem.TierPM, m.Mem.Lat.AccessCost(tier, write))
+				tier != m.Mem.FastestTier(), m.Mem.Lat.AccessCost(tier, write))
 		}
 		lat += dev
 		if m.Metrics != nil {

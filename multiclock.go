@@ -213,30 +213,32 @@ func NewSystem(cfg Config) *System {
 		pol = p
 	}
 
-	mcfg := machine.DefaultConfig()
+	// The facade's own defaults: zero sizing, seed and per-op cost fall
+	// back to machine.DefaultConfig rather than the evaluation recipe.
+	def := machine.DefaultConfig()
+	spec := bench.MachineSpec{
+		DRAMNodes: def.Mem.DRAMNodes, PMNodes: def.Mem.PMNodes, Topology: cfg.Tiers,
+		Seed: def.Seed, OpCost: def.OpCost, Chaos: cfg.Chaos,
+	}
 	if cfg.DRAMPages > 0 {
-		mcfg.Mem.DRAMNodes = []int{cfg.DRAMPages}
+		spec.DRAMNodes = []int{cfg.DRAMPages}
 	}
 	if cfg.PMPages > 0 {
-		mcfg.Mem.PMNodes = []int{cfg.PMPages}
+		spec.PMNodes = []int{cfg.PMPages}
 	}
 	if len(cfg.DRAMNodes) > 0 {
-		mcfg.Mem.DRAMNodes = cfg.DRAMNodes
+		spec.DRAMNodes = cfg.DRAMNodes
 	}
 	if len(cfg.PMNodes) > 0 {
-		mcfg.Mem.PMNodes = cfg.PMNodes
-	}
-	if cfg.Tiers != nil {
-		mcfg.Mem.Topology = cfg.Tiers
+		spec.PMNodes = cfg.PMNodes
 	}
 	if cfg.Seed != 0 {
-		mcfg.Seed = cfg.Seed
+		spec.Seed = cfg.Seed
 	}
 	if cfg.OpCost > 0 {
-		mcfg.OpCost = cfg.OpCost
+		spec.OpCost = cfg.OpCost
 	}
-	mcfg.Faults = cfg.Chaos
-	return &System{m: machine.New(mcfg, pol), pol: pol}
+	return &System{m: spec.New(pol), pol: pol}
 }
 
 // Machine exposes the underlying simulated machine for advanced use
@@ -288,9 +290,7 @@ type KVStore = kvstore.Store
 // NewKVStore creates a store sized for about items records, with the
 // evaluation's item-access cost model.
 func (s *System) NewKVStore(items int) *KVStore {
-	cfg := kvstore.DefaultConfig(items)
-	cfg.ItemTouches = 8
-	return kvstore.New(s.m, cfg)
+	return bench.NewStore(s.m, items, false)
 }
 
 // YCSB workload types (re-exports).
@@ -376,11 +376,8 @@ func (s *System) NewPromotionTracker(window Duration) *PromotionTracker {
 // uninstrumented one. Export with ExportMetricsJSON or the collector's Run
 // snapshot.
 func (s *System) EnableMetrics(traceEvents int) *Metrics {
-	c := metrics.NewCollector(metrics.NewRegistry(traceEvents)).Bind(s.m)
-	s.m.SetMetrics(c)
-	s.Attach(c)
-	s.metrics = c
-	return c
+	s.metrics, _ = bench.RunConfig{Metrics: true, TraceEvents: traceEvents}.Attach(s.m)
+	return s.metrics
 }
 
 // ExportMetricsJSON renders one or more labeled metric snapshots (from
@@ -411,7 +408,7 @@ func ParseSLOSpec(spec string) (*SLOSpec, error) { return slo.Parse(spec) }
 // EnableSLO parses spec and starts an SLO engine over the system's metrics
 // registry; EnableMetrics must have run first (the engine evaluates the
 // collector's histograms). Attach the result to a MetricsRun via
-// run.SLO = engine.Export(); render it with FormatSLOReport.
+// run.SLO = engine.Export(); render it with `mcmetrics slo`.
 func (s *System) EnableSLO(spec string) (*SLOEngine, error) {
 	if s.metrics == nil {
 		return nil, fmt.Errorf("multiclock: EnableSLO needs EnableMetrics first")
@@ -424,10 +421,6 @@ func (s *System) EnableSLO(spec string) (*SLOEngine, error) {
 	s.slos = append(s.slos, eng)
 	return eng, nil
 }
-
-// FormatSLOReport renders one run's SLO section as the human-readable
-// compliance/burn-rate report (the same rendering `mcmetrics slo` prints).
-func FormatSLOReport(label string, res *SLOResult) string { return slo.Format(label, res) }
 
 // EnableTraceRecording turns on the extra recording that only the Perfetto
 // trace export consumes — today the injected-fault window log (topology

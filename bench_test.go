@@ -152,6 +152,49 @@ func BenchmarkScanCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkScanCycleCold is BenchmarkScanCycle with the hand's descriptors
+// out of cache: 65 536 slab-allocated pages (8 MiB of descriptors), their
+// list order shuffled by a seeded round of activations, and a 16 MiB buffer
+// walked before every timed pass. BenchmarkScanCycle's 8 192 descriptors stay
+// cache-resident and cannot show what a miss per scanned page costs, which is
+// the cost the ring lists and the read-ahead exist to hide (DESIGN.md §7.2).
+func BenchmarkScanCycleCold(b *testing.B) {
+	const n = 1 << 16
+	sys := mem.NewSystem(sim.NewClock(), mem.Config{
+		DRAMNodes:  []int{2 * n},
+		PMNodes:    []int{64},
+		Watermarks: mem.DefaultWatermarks(),
+		Latency:    mem.DefaultLatency(),
+	})
+	vec := lru.NewVec(0)
+	pages := make([]*mem.Page, n)
+	for i := range pages {
+		pages[i] = sys.Alloc(sys.BirthOrder())
+		vec.Add(pages[i])
+	}
+	rng := sim.NewRNG(2)
+	for i := 0; i < 4*n; i++ {
+		// Two picks activate a page, four put it on the promote list,
+		// each at the head: list order becomes pick order.
+		vec.MarkAccessed(pages[rng.Intn(n)])
+	}
+	evict := make([]byte, 16<<20)
+	scanned := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := 0; j < 256; j++ {
+			pages[rng.Intn(n)].Accessed = true
+		}
+		for j := 0; j < len(evict); j += 64 {
+			evict[j]++
+		}
+		b.StartTimer()
+		scanned += vec.ScanCycle(1024).Scanned
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(scanned), "ns/page")
+}
+
 // BenchmarkMigration measures a promote+demote round trip.
 func BenchmarkMigration(b *testing.B) {
 	m := microMachine(&noPolicy{})

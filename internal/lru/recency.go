@@ -58,6 +58,7 @@ func (v *Vec) ScanCycleRecency(batch int) ScanStats {
 			if pg == nil {
 				break
 			}
+			v.touchAhead(l)
 			stats.Scanned++
 			v.Scanned++
 			wasInactive := k.IsInactive()

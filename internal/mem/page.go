@@ -104,25 +104,20 @@ func (p PageFlags) Has(f PageFlags) bool { return p&f == f }
 // keeps the descriptor stable across migration and updates its (Node, Frame)
 // placement — external references (page tables, LRU lists, policy state)
 // remain valid, which is exactly what migrate_pages achieves by remapping.
+//
+// The descriptor is two cache lines (128 bytes, 64-byte aligned when it comes
+// from a System), and everything the CLOCK scan and Machine.AccessN touch is
+// in the first: a scan over more descriptors than the host's cache holds pays
+// one miss per page, not two. TestPageLayout pins this (DESIGN.md §7.2).
 type Page struct {
 	Node  NodeID
 	Frame FrameID
 	Flags PageFlags
 
-	// Seq is the descriptor's birth sequence number, stamped once by the
-	// owning System and never reused. Descriptor creation order is
-	// deterministic, so Seq is a stable cross-run page identity — the
-	// checkpoint layer serializes every pointer to a page as its Seq.
-	Seq uint64
-
 	// Order is the compound-page order: 0 for a base page, MaxOrder (9)
 	// for a 2 MiB transparent huge page. The descriptor covers
 	// 2^Order frames starting at Frame, like a compound head page.
 	Order uint8
-
-	// VA and Space back-reference the single virtual mapping (our rmap).
-	VA    uint64
-	Space int32
 
 	// Accessed and HWDirty model the hardware PTE accessed/dirty bits the
 	// CPU sets on load/store. MULTI-CLOCK's scanners read and clear the
@@ -130,15 +125,29 @@ type Page struct {
 	Accessed bool
 	HWDirty  bool
 
-	// BornAt is the virtual time of first allocation (page "birth").
-	BornAt sim.Time
-
 	// Hist is scratch space for policies that keep per-page history
 	// (AutoTiering-OPM's N-bit coldness vector).
 	Hist uint8
-	// LastHint is the virtual time of the last hint page fault taken on
-	// this page (software-fault access tracking baselines).
-	LastHint sim.Time
+
+	// CacheHint is scratch owned by the machine's CPU-cache model: slot
+	// index + 1 of this page's base frame in the cache slab, 0 when not
+	// cached. It lets the access fast path skip a map lookup entirely.
+	CacheHint int32
+
+	// VA and Space back-reference the single virtual mapping (our rmap).
+	VA    uint64
+	Space int32
+
+	// list is the PageList holding the page (nil when on none) and pos its
+	// position in that list's ring.
+	list *PageList
+	pos  int64
+
+	// Seq is the descriptor's birth sequence number, stamped once by the
+	// owning System and never reused. Descriptor creation order is
+	// deterministic, so Seq is a stable cross-run page identity — the
+	// checkpoint layer serializes every pointer to a page as its Seq.
+	Seq uint64
 
 	// Freq and LastUse are emulator-style full profiling scratch: exact
 	// per-page access counts and timestamps. Real kernels cannot afford
@@ -147,14 +156,16 @@ type Page struct {
 	Freq    uint32
 	LastUse sim.Time
 
+	// BornAt is the virtual time of first allocation (page "birth").
+	BornAt sim.Time
+
+	// LastHint is the virtual time of the last hint page fault taken on
+	// this page (software-fault access tracking baselines).
+	LastHint sim.Time
+
 	// PromotedAt is the virtual time of the page's most recent promotion,
 	// or 0 if never promoted; used by re-access telemetry (Fig. 9).
 	PromotedAt sim.Time
-
-	// CacheHint is scratch owned by the machine's CPU-cache model: slot
-	// index + 1 of this page's base frame in the cache slab, 0 when not
-	// cached. It lets the access fast path skip a map lookup entirely.
-	CacheHint int32
 
 	// ShadowNode/ShadowFrame record a retained lower-tier copy of the
 	// page's contents (Nomad-style non-exclusive tiering): after
@@ -166,8 +177,7 @@ type Page struct {
 	ShadowNode  NodeID
 	ShadowFrame FrameID
 
-	prev, next *Page
-	list       *PageList
+	_ [16]byte // pad to two cache lines
 }
 
 // Tier reports the tier of the node currently holding the page. It requires
@@ -184,10 +194,11 @@ func (pg *Page) IsHuge() bool { return pg.Order > 0 }
 func (pg *Page) OnList() bool { return pg.list != nil }
 
 // Next returns the page following pg on its list (toward the tail), or nil.
-func (pg *Page) Next() *Page { return pg.next }
+// It steps over tombstones, so one call is O(1) amortised over a walk.
+func (pg *Page) Next() *Page { return pg.list.seek(pg.pos+1, 1) }
 
 // Prev returns the page preceding pg on its list (toward the head), or nil.
-func (pg *Page) Prev() *Page { return pg.prev }
+func (pg *Page) Prev() *Page { return pg.list.seek(pg.pos-1, -1) }
 
 // List returns the list currently holding the page, or nil.
 func (pg *Page) List() *PageList { return pg.list }
@@ -213,15 +224,27 @@ func (pg *Page) TestAndClearAccessed() bool {
 	return a
 }
 
-// PageList is an intrusive doubly-linked list of pages, the analogue of the
-// kernel's list_head LRU lists. A page can be on at most one list; the list
-// tracks membership so moves are O(1) and double-insertion panics loudly.
+// PageList is an ordered list of pages, the analogue of the kernel's
+// list_head LRU lists. A page can be on at most one list; the page records
+// its list and position so removal and moves are O(1) and double-insertion
+// panics loudly. The zero value is an empty list ready to use.
+//
+// The order lives in a ring buffer of *Page, not in links inside the
+// descriptors: the hand walking in from the tail finds the next pages'
+// addresses in sequential memory, so their cache misses overlap instead of
+// each waiting for the previous descriptor to arrive (DESIGN.md §7.2). Entries
+// occupy positions [front, back), position p in slot p&mask. A removal from
+// the middle leaves a nil tombstone; both ends always rest on pages, and a
+// push that finds the span as long as the ring makes room (see makeRoom).
 type PageList struct {
-	head, tail *Page
-	size       int
+	ring        []*Page // len is zero or a power of two
+	front, back int64
+	size        int
 	// Name identifies the list in diagnostics (e.g. "anon_promote").
 	Name string
 }
+
+func (l *PageList) mask() int64 { return int64(len(l.ring) - 1) }
 
 // Len returns the number of pages on the list.
 func (l *PageList) Len() int { return l.size }
@@ -231,39 +254,57 @@ func (l *PageList) Empty() bool { return l.size == 0 }
 
 // Front returns the page at the head (most recently added by PushFront), or
 // nil if empty.
-func (l *PageList) Front() *Page { return l.head }
+func (l *PageList) Front() *Page { return l.at(l.front) }
 
 // Back returns the page at the tail (the CLOCK hand scans from here), or nil
 // if empty.
-func (l *PageList) Back() *Page { return l.tail }
+func (l *PageList) Back() *Page { return l.at(l.back - 1) }
+
+// FromBack returns the entry n positions before the tail — Back is
+// FromBack(0) — or nil when that position is a tombstone or off the list.
+// Scanners use it to touch descriptors ahead of the hand.
+func (l *PageList) FromBack(n int) *Page { return l.at(l.back - 1 - int64(n)) }
+
+// at returns the entry at position p: nil for a tombstone or off the list.
+func (l *PageList) at(p int64) *Page {
+	if p < l.front || p >= l.back {
+		return nil
+	}
+	return l.ring[p&l.mask()]
+}
+
+// seek returns the first page at position p or beyond it in direction d (±1),
+// or nil off the end of the list. l is nil for a page on no list.
+func (l *PageList) seek(p, d int64) *Page {
+	for ; l != nil && p >= l.front && p < l.back; p += d {
+		if pg := l.ring[p&l.mask()]; pg != nil {
+			return pg
+		}
+	}
+	return nil
+}
 
 // PushFront inserts pg at the head. The page must not be on any list.
 func (l *PageList) PushFront(pg *Page) {
 	l.checkFree(pg)
-	pg.list = l
-	pg.prev = nil
-	pg.next = l.head
-	if l.head != nil {
-		l.head.prev = pg
-	} else {
-		l.tail = pg
+	if int(l.back-l.front) == len(l.ring) {
+		l.makeRoom()
 	}
-	l.head = pg
+	l.front--
+	l.ring[l.front&l.mask()] = pg
+	pg.list, pg.pos = l, l.front
 	l.size++
 }
 
 // PushBack inserts pg at the tail. The page must not be on any list.
 func (l *PageList) PushBack(pg *Page) {
 	l.checkFree(pg)
-	pg.list = l
-	pg.next = nil
-	pg.prev = l.tail
-	if l.tail != nil {
-		l.tail.next = pg
-	} else {
-		l.head = pg
+	if int(l.back-l.front) == len(l.ring) {
+		l.makeRoom()
 	}
-	l.tail = pg
+	l.ring[l.back&l.mask()] = pg
+	pg.list, pg.pos = l, l.back
+	l.back++
 	l.size++
 }
 
@@ -273,23 +314,25 @@ func (l *PageList) Remove(pg *Page) {
 	if pg.list != l {
 		panic(fmt.Sprintf("mem: Remove from %q but page is on %v", l.Name, listName(pg.list)))
 	}
-	if pg.prev != nil {
-		pg.prev.next = pg.next
-	} else {
-		l.head = pg.next
-	}
-	if pg.next != nil {
-		pg.next.prev = pg.prev
-	} else {
-		l.tail = pg.prev
-	}
-	pg.prev, pg.next, pg.list = nil, nil, nil
+	mask := l.mask()
+	l.ring[pg.pos&mask] = nil
+	pg.list = nil
 	l.size--
+	switch {
+	case l.size == 0:
+		l.front, l.back = 0, 0
+	case pg.pos == l.front:
+		for l.front++; l.ring[l.front&mask] == nil; l.front++ {
+		}
+	case pg.pos == l.back-1:
+		for l.back--; l.ring[(l.back-1)&mask] == nil; l.back-- {
+		}
+	}
 }
 
 // PopBack removes and returns the tail page, or nil if empty.
 func (l *PageList) PopBack() *Page {
-	pg := l.tail
+	pg := l.Back()
 	if pg != nil {
 		l.Remove(pg)
 	}
@@ -298,7 +341,7 @@ func (l *PageList) PopBack() *Page {
 
 // PopFront removes and returns the head page, or nil if empty.
 func (l *PageList) PopFront() *Page {
-	pg := l.head
+	pg := l.Front()
 	if pg != nil {
 		l.Remove(pg)
 	}
@@ -308,6 +351,17 @@ func (l *PageList) PopFront() *Page {
 // MoveToFront rotates pg (already on this list) to the head, the CLOCK
 // second-chance action.
 func (l *PageList) MoveToFront(pg *Page) {
+	if pg.list == l && pg.pos == l.back-1 && int(l.back-l.front) == l.size {
+		// The hand's common case, the tail of a list without tombstones:
+		// both ends step back a position (the same slot when the ring is full).
+		mask := l.mask()
+		l.ring[pg.pos&mask] = nil
+		l.back--
+		l.front--
+		l.ring[l.front&mask] = pg
+		pg.pos = l.front
+		return
+	}
 	l.Remove(pg)
 	l.PushFront(pg)
 }
@@ -315,18 +369,44 @@ func (l *PageList) MoveToFront(pg *Page) {
 // Each calls fn for every page from head to tail. fn must not mutate the
 // list; use EachSafe when removal during iteration is needed.
 func (l *PageList) Each(fn func(*Page)) {
-	for pg := l.head; pg != nil; pg = pg.next {
-		fn(pg)
+	for p := l.front; p < l.back; p++ {
+		if pg := l.ring[p&l.mask()]; pg != nil {
+			fn(pg)
+		}
 	}
 }
 
 // EachSafe iterates head→tail, tolerating removal of the current page by fn.
 func (l *PageList) EachSafe(fn func(*Page)) {
-	for pg := l.head; pg != nil; {
-		next := pg.next
+	for pg := l.Front(); pg != nil; {
+		next := pg.Next()
 		fn(pg)
 		pg = next
 	}
+}
+
+// makeRoom runs when a push finds the span [front, back) as long as the
+// ring. If at least a quarter of the slots are tombstones it squeezes them
+// out in place, else it doubles the ring; either way the live entries end up
+// contiguous from front. A squeeze moves len(ring) slots and frees at least
+// len(ring)/4 of them, each consumed by one later push, so the cost is at
+// most four slot moves per push, on top of the usual doubling bound.
+func (l *PageList) makeRoom() {
+	from, to := l.ring, l.ring
+	if holes := len(from) - l.size; holes == 0 || holes < len(from)/4 {
+		to = make([]*Page, max(2*len(from), 16))
+	}
+	fromMask, toMask := int64(len(from)-1), int64(len(to)-1)
+	w := l.front
+	for p := l.front; p < l.back; p++ {
+		if pg := from[p&fromMask]; pg != nil {
+			from[p&fromMask] = nil // w never passes p, so this slot is done
+			to[w&toMask] = pg
+			pg.pos = w
+			w++
+		}
+	}
+	l.ring, l.back = to, w
 }
 
 func (l *PageList) checkFree(pg *Page) {

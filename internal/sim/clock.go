@@ -128,17 +128,19 @@ func (c *Clock) Schedule(d Duration, fn func()) *Event {
 // in the past fire on the next Advance.
 func (c *Clock) ScheduleAt(t Time, fn func()) *Event {
 	c.seq++
-	return c.scheduleExact(t, c.seq, fn)
+	ev := &Event{clock: c, cancelled: new(bool)}
+	c.push(ev, t, c.seq, fn)
+	return ev
 }
 
-// scheduleExact pushes an event with an explicit sequence number and does
-// not advance the clock's sequence counter. The normal path always goes
-// through ScheduleAt; checkpoint restore uses it to re-create a saved heap
-// bit for bit (the saved clock sequence is restored separately).
-func (c *Clock) scheduleExact(t Time, seq uint64, fn func()) *Event {
-	cancelled := new(bool)
-	c.events.push(scheduled{at: t, seq: seq, fn: fn, cancelled: cancelled})
-	return &Event{clock: c, cancelled: cancelled, at: t, seq: seq}
+// push queues fn at (t, seq) under ev's cancel flag and records the deadline
+// on ev, without touching the clock's sequence counter. A daemon re-arms
+// through it with the Event it owns, so a wakeup allocates nothing, and
+// checkpoint restore uses it to re-create a saved heap bit for bit (the
+// saved clock sequence is restored separately).
+func (c *Clock) push(ev *Event, t Time, seq uint64, fn func()) {
+	ev.at, ev.seq = t, seq
+	c.events.push(scheduled{at: t, seq: seq, fn: fn, cancelled: ev.cancelled})
 }
 
 // Pending reports the number of scheduled (uncancelled) events. Cancelled
@@ -253,7 +255,8 @@ type Daemon struct {
 	Body     func(now Time)
 
 	clock    *Clock
-	ev       *Event
+	ev       Event  // the pending wakeup; re-armed in place
+	wake     func() // d.fire, bound once
 	stopped  bool
 	postpone Duration // extra delay before the next wakeup (consumed by arm)
 	Runs     int      // number of completed wakeups
@@ -267,6 +270,8 @@ func (c *Clock) StartDaemon(name string, interval Duration, body func(now Time))
 		panic("sim: daemon interval must be positive")
 	}
 	d := &Daemon{Name: name, Interval: interval, Body: body, clock: c}
+	d.ev = Event{clock: c, cancelled: new(bool)}
+	d.wake = d.fire
 	c.daemons = append(c.daemons, d)
 	d.arm()
 	return d
@@ -275,7 +280,16 @@ func (c *Clock) StartDaemon(name string, interval Duration, body func(now Time))
 func (d *Daemon) arm() {
 	delay := d.Interval + d.postpone
 	d.postpone = 0
-	d.ev = d.clock.Schedule(delay, d.fire)
+	c := d.clock
+	c.seq++
+	c.push(&d.ev, c.now+Time(delay), c.seq, d.wake)
+}
+
+// cancelPending cancels the queued wakeup ahead of a re-arm. The cancelled
+// entry stays on the heap holding the old flag, so the next one needs its own.
+func (d *Daemon) cancelPending() {
+	d.ev.Cancel()
+	d.ev.cancelled = new(bool)
 }
 
 // fire is one wakeup: run the body (through the pass hook when installed)
@@ -324,7 +338,7 @@ func (d *Daemon) SetInterval(interval Duration) {
 	}
 	d.Interval = interval
 	if !d.stopped {
-		d.ev.Cancel()
+		d.cancelPending()
 		d.arm()
 	}
 }

@@ -209,6 +209,60 @@ func TestDaemonIntervalChange(t *testing.T) {
 	}
 }
 
+// A re-arm reuses the daemon's own Event and cancel flag (a 1 ms kpromoted
+// used to cost three heap objects per wakeup); the paths that cancel a queued
+// wakeup and arm another must still leave the cancelled heap entry dead.
+func TestDaemonWakeupAllocatesNothing(t *testing.T) {
+	c := NewClock()
+	d := c.StartDaemon("d", 100, func(Time) {})
+	c.Advance(1000) // let the heap reach its size
+	if allocs := testing.AllocsPerRun(100, func() { c.Advance(100) }); allocs != 0 {
+		t.Fatalf("a daemon wakeup allocates %v objects, want 0", allocs)
+	}
+	if d.Runs != 111 {
+		t.Fatalf("daemon ran %d times, want 111", d.Runs)
+	}
+}
+
+func TestDaemonSetIntervalAndRestoreReplaceTheWakeup(t *testing.T) {
+	c := NewClock()
+	var wakeups []Time
+	d := c.StartDaemon("d", 100, func(now Time) { wakeups = append(wakeups, now) })
+	c.Advance(150)
+	d.SetInterval(30) // the wakeup queued for 200 must die
+	if c.Pending() != 1 || c.NonDaemonPending() != 0 {
+		t.Fatalf("Pending %d NonDaemonPending %d after SetInterval, want 1 and 0", c.Pending(), c.NonDaemonPending())
+	}
+	c.Advance(60)
+	st := d.State()
+	if st.At != 240 || st.Runs != 3 {
+		t.Fatalf("state %+v, want the next wakeup at 240 after 3 runs", st)
+	}
+	d.SetInterval(1000) // move the wakeup away, then rewind the daemon
+	if err := d.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.State(); got != st {
+		t.Fatalf("restored state %+v, want %+v", got, st)
+	}
+	if c.Pending() != 1 || c.NonDaemonPending() != 0 {
+		t.Fatalf("Pending %d NonDaemonPending %d after RestoreState, want 1 and 0", c.Pending(), c.NonDaemonPending())
+	}
+	c.Advance(2000 - 210)
+	want := []Time{100, 180, 210}
+	for at := Time(240); at <= 2000; at += 30 {
+		want = append(want, at)
+	}
+	if len(wakeups) != len(want) {
+		t.Fatalf("wakeups = %v, want %v", wakeups, want)
+	}
+	for i := range want {
+		if wakeups[i] != want[i] {
+			t.Fatalf("wakeups = %v, want %v", wakeups, want)
+		}
+	}
+}
+
 func TestDaemonPostpone(t *testing.T) {
 	c := NewClock()
 	var wakeups []Time

@@ -32,7 +32,7 @@ func (c *Clock) Seq() uint64 { return c.seq }
 func (c *Clock) NonDaemonPending() int {
 	owned := make(map[uint64]bool, len(c.daemons))
 	for _, d := range c.daemons {
-		if !d.stopped && d.ev != nil && !*d.ev.cancelled {
+		if !d.stopped && !*d.ev.cancelled {
 			owned[d.ev.seq] = true
 		}
 	}
@@ -87,7 +87,7 @@ func (d *Daemon) State() DaemonState {
 // RestoreState rewinds a freshly-armed daemon to a saved state: the pending
 // wakeup is cancelled and re-armed at the exact saved (deadline, seq).
 // Restore-only; must run before the clock's own RestoreTime so the sanity
-// checks in scheduleExact-based paths see a consistent view.
+// checks in push-based paths see a consistent view.
 func (d *Daemon) RestoreState(st DaemonState) error {
 	if st.Name != d.Name {
 		return fmt.Errorf("sim: daemon state %q restored onto daemon %q", st.Name, d.Name)
@@ -98,7 +98,7 @@ func (d *Daemon) RestoreState(st DaemonState) error {
 		d.Stop()
 		return nil
 	}
-	d.ev.Cancel()
-	d.ev = d.clock.scheduleExact(st.At, st.Seq, d.fire)
+	d.cancelPending()
+	d.clock.push(&d.ev, st.At, st.Seq, d.wake)
 	return nil
 }

@@ -168,7 +168,32 @@ func TestSoakResumeAndExport(t *testing.T) {
 	if code != 0 || !strings.Contains(tiered, " tiers=dram:512,cxl:1024,pm:8192\n") || !strings.Contains(tiered, "CXL") {
 		t.Fatalf("tiered soak: exit %d\n%s%s", code, tiered, stderr)
 	}
-	if code, _, stderr := mcbench("-soak", "thermostat", "-quick", "-soak-ops", "100", "-snapshot", snap, "-snapshot-every", "50"); code != 1 || !strings.HasPrefix(stderr, "mcbench: ") {
-		t.Fatalf("uncheckpointable policy: exit %d stderr %q", code, stderr)
+	// Any policy checkpoints: one outside the original seven, resumed.
+	code, first, stderr = mcbench("-soak", "thermostat", "-quick", "-soak-ops", "400", "-snapshot", snap, "-snapshot-every", "1000")
+	if code != 0 {
+		t.Fatalf("thermostat soak: exit %d\n%s", code, stderr)
+	}
+	if code, resumed, stderr = mcbench("-soak", "thermostat", "-restore", snap); code != 0 || resumed != first {
+		t.Fatalf("resumed thermostat soak: exit %d\n%s\nfirst:\n%s\nresumed:\n%s", code, stderr, first, resumed)
+	}
+}
+
+// TestBakeoffIsDeterministicAcrossParallelism: the competitor bake-off
+// prints the same bytes at -parallel 1, again, and at -parallel 4.
+func TestBakeoffIsDeterministicAcrossParallelism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the quick bake-off three times")
+	}
+	var want string
+	for i, parallel := range []string{"1", "1", "4"} {
+		code, stdout, stderr := mcbench("-exp", "bakeoff", "-quick", "-deadline", "10m", "-parallel", parallel)
+		if code != 0 {
+			t.Fatalf("-parallel %s: exit %d\n%s", parallel, code, stderr)
+		}
+		if i == 0 {
+			want = stdout
+		} else if stdout != want {
+			t.Errorf("run %d at -parallel %s differs from the first at -parallel 1", i, parallel)
+		}
 	}
 }

@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mcsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var j job
-	pol := fs.String("policy", "multiclock", "comma-separated list of static | multiclock | multiclock-gated | nimble | nimble-gated | at-cpm | at-opm | memory-mode | thermostat | amp-{lru,lfu,random} | nomad | s3fifo")
+	pol := fs.String("policy", "multiclock", "comma-separated list of "+strings.Join(bench.PolicyNames(), " | "))
 	workload := fs.String("workload", "A", "YCSB workload (A-F, W)")
 	fs.BoolVar(&j.sequence, "sequence", false, "run the paper's full YCSB sequence (Load,A,B,C,F,W,D)")
 	fs.StringVar(&j.gapbs, "gapbs", "", "run a GAPBS kernel instead (BFS, SSSP, PR, CC, BC, TC)")

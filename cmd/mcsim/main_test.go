@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"multiclock/internal/bench"
 	"multiclock/internal/metrics"
 )
 
@@ -144,6 +145,35 @@ func TestRestoreResumesTheReport(t *testing.T) {
 	}
 	if code, _, stderr := mcsim("-restore", filepath.Join(t.TempDir(), "missing.mcsnap")); code != 1 || !strings.HasPrefix(stderr, "mcsim: ") {
 		t.Fatalf("missing snapshot: exit %d stderr %q", code, stderr)
+	}
+}
+
+// TestDeterministicTwiceAcrossParallelism: the same multi-policy command
+// prints the same bytes at -parallel 1, again, and at -parallel 4 — on a
+// 3-tier hierarchy, and over every policy under fault injection.
+func TestDeterministicTwiceAcrossParallelism(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"3-tier", []string{"-tiers", "dram:1024,cxl:2048,pm:8192", "-policy", "multiclock,nomad,s3fifo", "-workload", "A", "-records", "4000", "-ops", "60000"}},
+		{"every policy under chaos", with(small, "-policy", strings.Join(bench.PolicyNames(), ","), "-interval", "5ms", "-chaos", "7,0.01")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			var want string
+			for i, parallel := range []string{"1", "1", "4"} {
+				code, stdout, stderr := mcsim(with(c.args, "-parallel", parallel)...)
+				if code != 0 {
+					t.Fatalf("-parallel %s: exit %d\n%s", parallel, code, stderr)
+				}
+				if i == 0 {
+					want = stdout
+				} else if stdout != want {
+					t.Errorf("run %d at -parallel %s differs from the first at -parallel 1:\n%s\n---\n%s", i, parallel, stdout, want)
+				}
+			}
+		})
 	}
 }
 

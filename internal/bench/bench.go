@@ -86,66 +86,98 @@ var SystemNames = []string{"static", "multiclock", "nimble", "at-cpm", "at-opm"}
 // MemModeNames lists the Fig. 7 comparison set.
 var MemModeNames = []string{"static", "multiclock", "memory-mode"}
 
+// checkpointable is what every entry of the policy table builds: a policy
+// that is also a machine.StateSnapshotter, so "every policy can be
+// checkpointed" is checked by the compiler, not refused at run time.
+type checkpointable interface {
+	machine.Policy
+	machine.StateSnapshotter
+}
+
+// policyTable is the one ordered list of systems: NewPolicy, PolicyNames,
+// the facade's ParsePolicy, mcsim's -policy help and the test matrices all
+// derive from it. Each constructor takes the daemon interval.
+var policyTable = []struct {
+	name  string
+	build func(interval sim.Duration) checkpointable
+}{
+	{"static", func(sim.Duration) checkpointable { return policy.NewStatic() }},
+	{"multiclock", func(d sim.Duration) checkpointable { return newMultiClock(d, nil) }},
+	{"nimble", func(d sim.Duration) checkpointable { return newNimble(d, nil) }},
+	{"at-cpm", func(d sim.Duration) checkpointable { return newAutoTiering(d, policy.CPM) }},
+	{"at-opm", func(d sim.Duration) checkpointable { return newAutoTiering(d, policy.OPM) }},
+	{"memory-mode", func(sim.Duration) checkpointable { return policy.NewMemoryMode() }},
+	{"thermostat", func(d sim.Duration) checkpointable {
+		cfg := policy.DefaultThermostatConfig()
+		cfg.ScanInterval = d
+		return policy.NewThermostat(cfg)
+	}},
+	{"amp-lfu", func(d sim.Duration) checkpointable { return newAMP(d, policy.AMPLFU) }},
+	{"amp-lru", func(d sim.Duration) checkpointable { return newAMP(d, policy.AMPLRU) }},
+	{"amp-random", func(d sim.Duration) checkpointable { return newAMP(d, policy.AMPRandom) }},
+	{"nomad", func(d sim.Duration) checkpointable {
+		cfg := policy.DefaultNomadConfig()
+		cfg.ScanInterval = d
+		return policy.NewNomad(cfg)
+	}},
+	{"s3fifo", func(d sim.Duration) checkpointable {
+		cfg := policy.DefaultS3FIFOConfig()
+		cfg.ScanInterval = d
+		return policy.NewS3FIFO(cfg)
+	}},
+	{"multiclock-gated", func(d sim.Duration) checkpointable { return newMultiClock(d, newGate()) }},
+	{"nimble-gated", func(d sim.Duration) checkpointable { return newNimble(d, newGate()) }},
+}
+
+func newGate() machine.PromotionGate {
+	return policy.NewBandwidthGate(policy.DefaultBandwidthGateConfig())
+}
+
+func newMultiClock(d sim.Duration, gate machine.PromotionGate) *core.MultiClock {
+	cfg := core.DefaultConfig()
+	cfg.ScanInterval, cfg.Gate = d, gate
+	return core.New(cfg)
+}
+
+func newNimble(d sim.Duration, gate machine.PromotionGate) *policy.Nimble {
+	cfg := policy.DefaultNimbleConfig()
+	cfg.ScanInterval, cfg.Gate = d, gate
+	return policy.NewNimble(cfg)
+}
+
+func newAutoTiering(d sim.Duration, mode policy.ATMode) *policy.AutoTiering {
+	cfg := policy.DefaultATConfig(mode)
+	cfg.ScanInterval = d
+	return policy.NewAutoTiering(cfg)
+}
+
+func newAMP(d sim.Duration, sel policy.AMPSelector) *policy.AMP {
+	cfg := policy.DefaultAMPConfig(sel)
+	cfg.ScanInterval = d
+	return policy.NewAMP(cfg)
+}
+
+// PolicyNames lists every system NewPolicy builds, in table order.
+func PolicyNames() []string {
+	names := make([]string, len(policyTable))
+	for i, e := range policyTable {
+		names[i] = e.name
+	}
+	return names
+}
+
 // NewPolicy constructs a policy by name with the given daemon interval;
 // a non-positive interval means DefaultScanInterval.
 func NewPolicy(name string, interval sim.Duration) (machine.Policy, error) {
 	if interval <= 0 {
 		interval = DefaultScanInterval
 	}
-	switch name {
-	case "static":
-		return policy.NewStatic(), nil
-	case "multiclock":
-		cfg := core.DefaultConfig()
-		cfg.ScanInterval = interval
-		return core.New(cfg), nil
-	case "nimble":
-		cfg := policy.DefaultNimbleConfig()
-		cfg.ScanInterval = interval
-		return policy.NewNimble(cfg), nil
-	case "at-cpm", "at-opm":
-		mode := policy.CPM
-		if name == "at-opm" {
-			mode = policy.OPM
+	for _, e := range policyTable {
+		if e.name == name {
+			return e.build(interval), nil
 		}
-		cfg := policy.DefaultATConfig(mode)
-		cfg.ScanInterval = interval
-		return policy.NewAutoTiering(cfg), nil
-	case "memory-mode":
-		return policy.NewMemoryMode(), nil
-	case "thermostat":
-		cfg := policy.DefaultThermostatConfig()
-		cfg.ScanInterval = interval
-		return policy.NewThermostat(cfg), nil
-	case "amp-lru", "amp-lfu", "amp-random":
-		sel, err := policy.DefaultAMPName(name)
-		if err != nil {
-			return nil, err
-		}
-		cfg := policy.DefaultAMPConfig(sel)
-		cfg.ScanInterval = interval
-		return policy.NewAMP(cfg), nil
-	case "nomad":
-		cfg := policy.DefaultNomadConfig()
-		cfg.ScanInterval = interval
-		return policy.NewNomad(cfg), nil
-	case "s3fifo":
-		cfg := policy.DefaultS3FIFOConfig()
-		cfg.ScanInterval = interval
-		return policy.NewS3FIFO(cfg), nil
-	case "multiclock-gated":
-		cfg := core.DefaultConfig()
-		cfg.ScanInterval = interval
-		cfg.Gate = policy.NewBandwidthGate(policy.DefaultBandwidthGateConfig())
-		return core.New(cfg), nil
-	case "nimble-gated":
-		cfg := policy.DefaultNimbleConfig()
-		cfg.ScanInterval = interval
-		cfg.Gate = policy.NewBandwidthGate(policy.DefaultBandwidthGateConfig())
-		return policy.NewNimble(cfg), nil
-	default:
-		return nil, fmt.Errorf("bench: unknown system %q", name)
 	}
+	return nil, fmt.Errorf("bench: unknown system %q", name)
 }
 
 // scale bundles the size parameters one Options implies.

@@ -15,13 +15,18 @@ import (
 var quickOpt = Options{Quick: true, Seed: 1}
 
 func TestNewPolicyNames(t *testing.T) {
-	for _, name := range append(append([]string{}, SystemNames...), "memory-mode") {
+	if len(PolicyNames()) != 14 {
+		t.Fatalf("policy table has %d entries, want the 14 benchmarks/ sweeps", len(PolicyNames()))
+	}
+	for _, name := range PolicyNames() {
 		p, err := NewPolicy(name, 10*sim.Millisecond)
 		if err != nil {
 			t.Fatalf("NewPolicy(%q): %v", name, err)
 		}
-		if p.Name() != name {
-			t.Fatalf("policy %q reports %q", name, p.Name())
+		// A gated variant reports its base policy plus the gate.
+		base, gated := strings.CutSuffix(name, "-gated")
+		if got := p.Name(); got != name && !(gated && strings.HasPrefix(got, base+"+bandwidth-gate")) {
+			t.Fatalf("policy %q reports %q", name, got)
 		}
 	}
 	if _, err := NewPolicy("bogus", 0); err == nil {

@@ -180,12 +180,6 @@ func (s *Session) Done() bool { return s.widx >= len(s.Cfg.Workloads) }
 // deterministic report. Stepping resumes exactly where a restored snapshot
 // left off.
 func (s *Session) Run(h SoakHooks) (string, error) {
-	if h.SnapshotEvery > 0 {
-		// Fail before the run, not at the first checkpoint.
-		if _, ok := s.M.Policy.(machine.StateSnapshotter); !ok {
-			return "", &snapshot.UnsupportedPolicyError{Policy: s.M.Policy.Name()}
-		}
-	}
 	for !s.Done() {
 		more := s.ensureRun().Step()
 		if err := s.boundary(h); err != nil {

@@ -19,11 +19,7 @@ import (
 const fourTierSpec = "dram:128,cxl:256,pm:1024,ssd:*"
 
 // allPolicyNames is every system NewPolicy accepts.
-var allPolicyNames = []string{
-	"static", "multiclock", "nimble", "at-cpm", "at-opm", "memory-mode",
-	"thermostat", "amp-lru", "amp-lfu", "amp-random", "nomad", "s3fifo",
-	"multiclock-gated", "nimble-gated",
-}
+var allPolicyNames = PolicyNames()
 
 // runTiered drives one policy over YCSB A on an instrumented machine built
 // from the tier spec and returns the report plus the metrics export.
@@ -96,14 +92,16 @@ func TestFourTierAllPoliciesDeterministic(t *testing.T) {
 // explicit 3-tier hierarchy: a session restored mid-run must finish with a
 // byte-identical report and state fingerprint.
 func TestThreeTierSoakResumeIdentity(t *testing.T) {
-	for _, policy := range []string{"multiclock", "nomad", "s3fifo"} {
-		policy := policy
+	for _, policy := range []string{
+		"multiclock", "nomad", "s3fifo",
+		"at-cpm", "at-opm", "memory-mode", "thermostat", "amp-lru", "amp-lfu", "amp-random",
+	} {
 		t.Run(policy, func(t *testing.T) {
 			t.Parallel()
 			cfg := testSoakConfig(policy, false)
-			cfg.Tiers = "dram:128,cxl:256,pm:1024"
+			cfg.Tiers = fmt.Sprintf("dram:%d,cxl:%d,pm:%d", cfg.DRAMPages, 2*cfg.DRAMPages, cfg.PMPages)
 			straight, rec1, _ := runStraight(t, cfg)
-			resumed, rec2, _ := resumeFromMidpoint(t, cfg, cfg.Ops/2)
+			resumed, rec2, _ := resumeFromMidpoint(t, cfg, cfg.Ops/2, policyStateLive)
 			if straight != resumed {
 				t.Errorf("resumed 3-tier report differs from straight run:\n--- straight\n%s\n--- resumed\n%s", straight, resumed)
 			}

@@ -202,7 +202,7 @@ func TestAdaptiveIntervalReacts(t *testing.T) {
 		t.Fatalf("interval never shrank under promotion flow: min %v", mc.MinIntervalSeen)
 	}
 	// Quiesced (the burst is one-shot): the interval has backed off.
-	pmDaemon := mc.daemons[1] // node 1 = PM
+	pmDaemon := mc.Daemons()[1] // node 1 = PM
 	m.Compute(500 * sim.Millisecond)
 	if pmDaemon.Interval <= cfg.ScanInterval {
 		t.Fatalf("interval did not back off when idle: %v", pmDaemon.Interval)

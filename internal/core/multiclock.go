@@ -108,8 +108,7 @@ type retryState struct {
 // MultiClock is the policy object. Create with New, pass to machine.New.
 type MultiClock struct {
 	machine.Base
-	cfg     Config
-	daemons []*sim.Daemon
+	cfg Config
 
 	// retries tracks per-page transient-failure state for the bounded
 	// requeue/backoff paths. Populated only when retries are enabled;
@@ -187,7 +186,8 @@ func (mc *MultiClock) Name() string {
 	return "multiclock"
 }
 
-// Config returns the active configuration.
+// Config returns the configuration the policy was built with (SetScanInterval
+// retunes the running daemons, not this record).
 func (mc *MultiClock) Config() Config { return mc.cfg }
 
 // Attach starts one kpromoted thread per node, following the kernel
@@ -221,18 +221,12 @@ func (mc *MultiClock) Attach(m *machine.Machine) {
 	if mc.cfg.Gate != nil {
 		mc.cfg.Gate.Attach(m)
 	}
-	for _, n := range m.Mem.Nodes {
-		node := n.ID
-		var d *sim.Daemon
-		d = m.Clock.StartDaemon("kpromoted", mc.cfg.ScanInterval, func(now sim.Time) {
-			promoted := mc.kpromoted(node)
-			if mc.cfg.Adaptive {
-				mc.adapt(d, promoted)
-			}
-			m.FinishDaemonPass(d)
-		})
-		mc.daemons = append(mc.daemons, d)
-	}
+	mc.StartNodeDaemons("kpromoted", mc.cfg.ScanInterval, func(node mem.NodeID, d *sim.Daemon) {
+		promoted := mc.kpromoted(node)
+		if mc.cfg.Adaptive {
+			mc.adapt(d, promoted)
+		}
+	})
 }
 
 // PageFreed drops any retry bookkeeping for a page whose frame is being
@@ -267,23 +261,6 @@ func (mc *MultiClock) adapt(d *sim.Daemon, promoted int) {
 	}
 }
 
-// Stop halts all daemons (used by experiments that rebuild machines).
-func (mc *MultiClock) Stop() {
-	for _, d := range mc.daemons {
-		d.Stop()
-	}
-}
-
-// SetScanInterval retunes the wakeup period of every kpromoted thread,
-// taking effect from each thread's next wakeup (used by the Fig. 10
-// sensitivity sweep).
-func (mc *MultiClock) SetScanInterval(d sim.Duration) {
-	mc.cfg.ScanInterval = d
-	for _, dm := range mc.daemons {
-		dm.SetInterval(d)
-	}
-}
-
 // kpromoted is one wakeup of the per-node daemon: scan the lists to update
 // page states from the hardware reference bits, then migrate everything on
 // the promote list to the next-higher tier (§III-B). It returns the number
@@ -297,9 +274,7 @@ func (mc *MultiClock) kpromoted(node mem.NodeID) int {
 	tier := m.Mem.Nodes[node].Tier
 	candidates := vec.AppendPromote(mc.promoteBuf[:0], -1)
 	mc.promoteBuf = candidates[:0]
-	if m.Metrics != nil {
-		m.Metrics.QueueDepth("promote_queue_depth", len(candidates), m.Clock.Now())
-	}
+	mc.QueueDepth(len(candidates))
 	if tier == m.Mem.FastestTier() {
 		// Top tier: nothing higher. Promote-list residents return to the
 		// active list — they are simply the hottest pages where they are.
@@ -557,6 +532,3 @@ func (mc *MultiClock) evictIsolated(pg *mem.Page) {
 	}
 	mc.M.SwapOut(pg)
 }
-
-// compile-time interface check
-var _ machine.Policy = (*MultiClock)(nil)

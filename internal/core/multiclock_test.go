@@ -46,8 +46,8 @@ func TestZeroConfigNormalized(t *testing.T) {
 
 func TestAttachStartsDaemonPerNode(t *testing.T) {
 	_, mc := testMachine(64, 256, DefaultConfig())
-	if len(mc.daemons) != 2 {
-		t.Fatalf("daemons = %d, want one per node", len(mc.daemons))
+	if len(mc.Daemons()) != 2 {
+		t.Fatalf("daemons = %d, want one per node", len(mc.Daemons()))
 	}
 	if mc.Name() != "multiclock" {
 		t.Fatal("name")
@@ -213,9 +213,9 @@ func TestPromotionDisplacesColdDRAM(t *testing.T) {
 func TestScanIntervalRetuning(t *testing.T) {
 	m, mc := testMachine(64, 256, DefaultConfig())
 	mc.SetScanInterval(100 * sim.Millisecond)
-	runsBefore := mc.daemons[0].Runs
+	runsBefore := mc.Daemons()[0].Runs
 	m.Compute(1 * sim.Second)
-	got := mc.daemons[0].Runs - runsBefore
+	got := mc.Daemons()[0].Runs - runsBefore
 	if got < 9 {
 		t.Fatalf("daemon ran %d times in 1s at 100ms interval", got)
 	}
@@ -225,7 +225,7 @@ func TestStopHaltsDaemons(t *testing.T) {
 	m, mc := testMachine(64, 256, DefaultConfig())
 	mc.Stop()
 	m.Compute(10 * sim.Second)
-	for _, d := range mc.daemons {
+	for _, d := range mc.Daemons() {
 		if d.Runs != 0 {
 			t.Fatal("stopped daemon ran")
 		}

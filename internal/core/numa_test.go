@@ -30,8 +30,8 @@ func TestNUMATopologyConstruction(t *testing.T) {
 	if len(m.Mem.Nodes) != 4 {
 		t.Fatalf("nodes = %d, want 4", len(m.Mem.Nodes))
 	}
-	if len(mc.daemons) != 4 {
-		t.Fatalf("kpromoted threads = %d, want one per node (§IV)", len(mc.daemons))
+	if len(mc.Daemons()) != 4 {
+		t.Fatalf("kpromoted threads = %d, want one per node (§IV)", len(mc.Daemons()))
 	}
 	if got := m.Mem.TierCapacity(mem.TierDRAM); got != 512 {
 		t.Fatalf("DRAM capacity %d", got)

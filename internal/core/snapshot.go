@@ -21,22 +21,11 @@ import (
 // SnapshotState implements machine.StateSnapshotter.
 func (mc *MultiClock) SnapshotState(enc *snapcodec.Encoder) error {
 	enc.Bool(mc.retries != nil)
-	type retryEntry struct {
-		seq uint64
-		st  *retryState
-	}
-	entries := make([]retryEntry, 0, len(mc.retries))
-	for pg, st := range mc.retries {
-		entries = append(entries, retryEntry{pg.Seq, st})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
-	enc.Int(len(entries))
-	for _, e := range entries {
-		enc.U64(e.seq)
-		enc.U8(e.st.promoteFails)
-		enc.U8(e.st.demoteFails)
-		enc.I64(int64(e.st.nextTry))
-	}
+	machine.SnapshotPageMap(enc, mc.retries, func(st *retryState) {
+		enc.U8(st.promoteFails)
+		enc.U8(st.demoteFails)
+		enc.I64(int64(st.nextTry))
+	})
 
 	ids := make([]mem.NodeID, 0, len(mc.lastDemote))
 	for id := range mc.lastDemote {
@@ -63,35 +52,17 @@ func (mc *MultiClock) SnapshotState(enc *snapcodec.Encoder) error {
 // RestoreState implements machine.StateSnapshotter; the policy must already
 // be attached to its machine.
 func (mc *MultiClock) RestoreState(dec *snapcodec.Decoder, reg *machine.PageRegistry) error {
-	hasRetries := dec.Bool()
-	n := dec.Int()
-	if dec.Err() != nil {
-		return dec.Err()
-	}
-	if hasRetries != (mc.retries != nil) {
+	if hasRetries := dec.Bool(); dec.Err() == nil && hasRetries != (mc.retries != nil) {
 		return fmt.Errorf("core: snapshot retry tracking %v, policy %v", hasRetries, mc.retries != nil)
 	}
-	for i := 0; i < n; i++ {
-		seq := dec.U64()
-		st := &retryState{
-			promoteFails: dec.U8(),
-			demoteFails:  dec.U8(),
-			nextTry:      sim.Time(dec.I64()),
-		}
-		if dec.Err() != nil {
-			return dec.Err()
-		}
-		pg, ok := reg.Live(seq)
-		if !ok {
-			return fmt.Errorf("core: snapshot retry state names unknown page %d", seq)
-		}
-		if _, dup := mc.retries[pg]; dup {
-			return fmt.Errorf("core: snapshot repeats retry state for page %d", seq)
-		}
-		mc.retries[pg] = st
+	err := machine.RestorePageMap(dec, reg, mc.retries, "retry state", func() *retryState {
+		return &retryState{promoteFails: dec.U8(), demoteFails: dec.U8(), nextTry: sim.Time(dec.I64())}
+	})
+	if err != nil {
+		return err
 	}
 
-	n = dec.Int()
+	n := dec.Int()
 	if dec.Err() != nil {
 		return dec.Err()
 	}
@@ -117,5 +88,3 @@ func (mc *MultiClock) RestoreState(dec *snapcodec.Decoder, reg *machine.PageRegi
 
 	return machine.RestoreGate(dec, reg, mc.cfg.Gate)
 }
-
-var _ machine.StateSnapshotter = (*MultiClock)(nil)

@@ -81,17 +81,12 @@ func (v *Vec) ScanCycleRecency(batch int) ScanStats {
 	return stats
 }
 
-// CollectActiveReferenced isolates up to max recently-referenced pages from
-// the heads of the active lists: Nimble's promotion selection ("exchange
-// the top most recently accessed pages in the upper tier", §II-D). A single
-// recent reference qualifies a page, which is exactly the lower selectivity
-// the paper contrasts with MULTI-CLOCK's two-touch promote list. At most
-// budget pages are examined.
-func (v *Vec) CollectActiveReferenced(max, budget int) []*mem.Page {
-	return v.AppendActiveReferenced(nil, max, budget)
-}
-
-// AppendActiveReferenced is CollectActiveReferenced appending into buf.
+// AppendActiveReferenced isolates up to max recently-referenced pages from
+// the heads of the active lists into buf: Nimble's promotion selection
+// ("exchange the top most recently accessed pages in the upper tier",
+// §II-D). A single recent reference qualifies a page, which is exactly the
+// lower selectivity the paper contrasts with MULTI-CLOCK's two-touch promote
+// list. At most budget pages are examined.
 func (v *Vec) AppendActiveReferenced(buf []*mem.Page, max, budget int) []*mem.Page {
 	base := len(buf)
 	for _, k := range [...]Kind{ActiveAnon, ActiveFile} {

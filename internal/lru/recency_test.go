@@ -79,7 +79,7 @@ func TestCollectActiveReferencedSelectsSingleTouch(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		pages[i].Accessed = true
 	}
-	got := v.CollectActiveReferenced(100, 100)
+	got := v.AppendActiveReferenced(nil, 100, 100)
 	// Referenced flags from the activation scan also qualify — the
 	// low-selectivity point. At least the 5 freshly touched are taken.
 	if len(got) < 5 {
@@ -109,11 +109,11 @@ func TestCollectActiveReferencedBudgets(t *testing.T) {
 	for _, pg := range pages {
 		pg.Accessed = true
 	}
-	if got := v.CollectActiveReferenced(7, 100); len(got) != 7 {
+	if got := v.AppendActiveReferenced(nil, 7, 100); len(got) != 7 {
 		t.Fatalf("max budget: collected %d, want 7", len(got))
 	}
 	// Examination budget also bounds work.
-	if got := v.CollectActiveReferenced(100, 3); len(got) > 3 {
+	if got := v.AppendActiveReferenced(nil, 100, 3); len(got) > 3 {
 		t.Fatalf("scan budget: collected %d", len(got))
 	}
 }
@@ -125,7 +125,7 @@ func TestClearPromoteRequiresIsolation(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		v.MarkAccessed(pg)
 	}
-	cands := v.CollectPromote(-1)
+	cands := v.AppendPromote(nil, -1)
 	if len(cands) != 1 {
 		t.Fatal("setup")
 	}

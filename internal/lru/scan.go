@@ -154,17 +154,12 @@ func (v *Vec) scanList(k Kind, n int) ScanStats {
 	return stats
 }
 
-// CollectPromote isolates up to max pages from the promote lists (oldest
-// first) and returns them ready for migration to a higher tier. This is
-// kpromoted's selection step: everything on the promote list is a
+// AppendPromote isolates up to max pages from the promote lists (oldest
+// first) and appends them to buf, ready for migration to a higher tier.
+// This is kpromoted's selection step: everything on the promote list is a
 // candidate, and all selected pages are promoted in the same run (§III-B).
-// Pass max < 0 to take everything.
-func (v *Vec) CollectPromote(max int) []*mem.Page {
-	return v.AppendPromote(nil, max)
-}
-
-// AppendPromote is CollectPromote appending into buf, so daemons that run
-// every wakeup can reuse one candidate buffer instead of allocating.
+// Pass max < 0 to take everything. Daemons that run every wakeup reuse one
+// candidate buffer instead of allocating.
 func (v *Vec) AppendPromote(buf []*mem.Page, max int) []*mem.Page {
 	base := len(buf)
 	for _, k := range [...]Kind{PromoteAnon, PromoteFile} {
@@ -210,16 +205,11 @@ func (v *Vec) BalanceActive(ratio float64, budget int) int {
 	return moved
 }
 
-// DemoteCandidatesCold isolates up to max unreferenced pages from the
-// inactive tails without spending any reference state: referenced pages
-// are skipped, not aged. Used by repeat reclaim calls within one virtual
-// instant, where no application access could have re-referenced anything
-// since the last aging pass.
-func (v *Vec) DemoteCandidatesCold(max int) []*mem.Page {
-	return v.AppendDemoteCandidatesCold(nil, max)
-}
-
-// AppendDemoteCandidatesCold is DemoteCandidatesCold appending into buf.
+// AppendDemoteCandidatesCold isolates up to max unreferenced pages from the
+// inactive tails into buf without spending any reference state: referenced
+// pages are skipped, not aged. Used by repeat reclaim calls within one
+// virtual instant, where no application access could have re-referenced
+// anything since the last aging pass.
 func (v *Vec) AppendDemoteCandidatesCold(buf []*mem.Page, max int) []*mem.Page {
 	base := len(buf)
 	for _, k := range [...]Kind{InactiveAnon, InactiveFile} {
@@ -239,16 +229,12 @@ func (v *Vec) AppendDemoteCandidatesCold(buf []*mem.Page, max int) []*mem.Page {
 	return buf
 }
 
-// DemoteCandidates scans the inactive tails for cold pages and isolates up
-// to max of them for migration to a lower tier (or eviction). Pages with a
-// set hardware bit or software referenced flag receive their second chance
-// instead, exactly as shrink_inactive_list keeps referenced pages (§III-C).
-// The scan examines at most one full pass over each inactive list.
-func (v *Vec) DemoteCandidates(max int) []*mem.Page {
-	return v.AppendDemoteCandidates(nil, max)
-}
-
-// AppendDemoteCandidates is DemoteCandidates appending into buf.
+// AppendDemoteCandidates scans the inactive tails for cold pages and
+// isolates up to max of them into buf for migration to a lower tier (or
+// eviction). Pages with a set hardware bit or software referenced flag
+// receive their second chance instead, exactly as shrink_inactive_list keeps
+// referenced pages (§III-C). The scan examines at most one full pass over
+// each inactive list.
 func (v *Vec) AppendDemoteCandidates(buf []*mem.Page, max int) []*mem.Page {
 	base := len(buf)
 	for _, k := range [...]Kind{InactiveAnon, InactiveFile} {

@@ -225,7 +225,7 @@ func TestCollectPromote(t *testing.T) {
 			v.MarkAccessed(pg)
 		}
 	}
-	got := v.CollectPromote(-1)
+	got := v.AppendPromote(nil, -1)
 	if len(got) != 4 {
 		t.Fatalf("collected %d, want 4", len(got))
 	}
@@ -250,7 +250,7 @@ func TestCollectPromoteMax(t *testing.T) {
 			v.MarkAccessed(pg)
 		}
 	}
-	got := v.CollectPromote(3)
+	got := v.AppendPromote(nil, 3)
 	if len(got) != 3 {
 		t.Fatalf("collected %d, want 3", len(got))
 	}
@@ -323,7 +323,7 @@ func TestDemoteCandidatesTakesColdOnly(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		pages[i].Accessed = true
 	}
-	got := v.DemoteCandidates(20)
+	got := v.AppendDemoteCandidates(nil, 20)
 	if len(got) != 10 {
 		t.Fatalf("candidates = %d, want 10", len(got))
 	}
@@ -345,12 +345,12 @@ func TestDemoteCandidatesSecondChanceForSoftRef(t *testing.T) {
 	for _, pg := range pages {
 		v.MarkAccessed(pg) // inactive+ref (software flag)
 	}
-	got := v.DemoteCandidates(10)
+	got := v.AppendDemoteCandidates(nil, 10)
 	if len(got) != 0 {
 		t.Fatalf("soft-referenced pages demoted: %d", len(got))
 	}
 	// Their reference was spent; next pass takes them.
-	got = v.DemoteCandidates(10)
+	got = v.AppendDemoteCandidates(nil, 10)
 	if len(got) != 10 {
 		t.Fatalf("second pass candidates = %d, want 10", len(got))
 	}
@@ -359,7 +359,7 @@ func TestDemoteCandidatesSecondChanceForSoftRef(t *testing.T) {
 func TestDemoteCandidatesMax(t *testing.T) {
 	v := NewVec(0)
 	populate(v, 50)
-	got := v.DemoteCandidates(7)
+	got := v.AppendDemoteCandidates(nil, 7)
 	if len(got) != 7 {
 		t.Fatalf("candidates = %d, want 7", len(got))
 	}
@@ -370,7 +370,7 @@ func TestDemoteCandidatesCoversFileList(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		v.Add(filePage())
 	}
-	got := v.DemoteCandidates(10)
+	got := v.AppendDemoteCandidates(nil, 10)
 	if len(got) != 5 {
 		t.Fatalf("file candidates = %d, want 5", len(got))
 	}

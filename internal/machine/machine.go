@@ -602,8 +602,8 @@ func (m *Machine) SwapOut(pg *mem.Page) {
 // FinishDaemonPass applies injected daemon-overrun faults to the daemon
 // whose body is currently running: when the injector decides this pass
 // exceeded its budget, the next wakeup is postponed by the overrun and the
-// extra time is charged as daemon interference. Policies call it at the
-// end of each periodic daemon body; with injection disabled it is free.
+// extra time is charged as daemon interference. Base.StartDaemon calls it
+// after every daemon body; with injection disabled it is free.
 func (m *Machine) FinishDaemonPass(d *sim.Daemon) {
 	if m.Faults == nil {
 		return

@@ -65,19 +65,25 @@ type PromotionGate interface {
 	Admit(pg *mem.Page, now sim.Time) bool
 }
 
-// Stopper is implemented by policies that run daemons: Stop halts them so
-// abandoned machines cost nothing. Callers that tear systems down should
-// type-assert once against this interface instead of enumerating concrete
-// policy types.
+// Stopper is what tearing a system down needs of its policy: Stop halts the
+// policy's daemons so abandoned machines cost nothing. Every policy
+// embedding Base has it; callers type-assert once against this interface
+// instead of enumerating concrete policy types.
 type Stopper interface {
 	Stop()
 }
 
-// Base provides the default behaviour shared by every policy: DRAM-first
-// birth, base tier latency, and swap-based direct reclaim from the lowest
-// tier. Embed it and override what differs.
+// Base is the machinery every policy shares, so that a policy is its
+// selection rule plus a state struct: fastest-tier-first birth, base tier
+// latency, swap-based direct reclaim from the lowest tier, and the whole
+// daemon lifecycle (start, overrun faults, retune, stop). Embed it and
+// override what differs.
 type Base struct {
 	M *Machine
+
+	// daemons are the policy's scanning threads in start order — the order
+	// the clock section and the metrics events serialise them in.
+	daemons []*sim.Daemon
 
 	// reclaimBuf is reused across DirectReclaim calls so repeated direct
 	// reclaim under sustained pressure does not allocate. SwapOut never
@@ -88,6 +94,53 @@ type Base struct {
 // Attach stores the machine reference. Policies embedding Base should call
 // this from their own Attach before installing daemons.
 func (b *Base) Attach(m *Machine) { b.M = m }
+
+// StartDaemon starts one periodic policy daemon. Injected daemon-overrun
+// faults are applied after every body, so no policy can escape them by
+// forgetting to ask.
+func (b *Base) StartDaemon(name string, interval sim.Duration, body func(d *sim.Daemon)) {
+	var d *sim.Daemon
+	d = b.M.Clock.StartDaemon(name, interval, func(sim.Time) {
+		body(d)
+		b.M.FinishDaemonPass(d)
+	})
+	b.daemons = append(b.daemons, d)
+}
+
+// StartNodeDaemons starts one daemon per memory node, in node order: the
+// kernel prototype's one-scanning-thread-per-node design (§IV).
+func (b *Base) StartNodeDaemons(name string, interval sim.Duration, body func(node mem.NodeID, d *sim.Daemon)) {
+	for _, n := range b.M.Mem.Nodes {
+		node := n.ID
+		b.StartDaemon(name, interval, func(d *sim.Daemon) { body(node, d) })
+	}
+}
+
+// Daemons returns the policy's daemons in start order.
+func (b *Base) Daemons() []*sim.Daemon { return b.daemons }
+
+// Stop halts every daemon (used by experiments that rebuild machines).
+func (b *Base) Stop() {
+	for _, d := range b.daemons {
+		d.Stop()
+	}
+}
+
+// SetScanInterval retunes every daemon's period; each pending wakeup is
+// rescheduled one new interval from now (the Fig. 10 sensitivity sweep).
+func (b *Base) SetScanInterval(interval sim.Duration) {
+	for _, d := range b.daemons {
+		d.SetInterval(interval)
+	}
+}
+
+// QueueDepth reports the number of promotion candidates a scanning pass
+// found to the telemetry sink, when one is attached.
+func (b *Base) QueueDepth(n int) {
+	if b.M.Metrics != nil {
+		b.M.Metrics.QueueDepth("promote_queue_depth", n, b.M.Clock.Now())
+	}
+}
 
 // AllocOrder births pages in the fastest tier while it lasts, then each
 // slower tier in turn (§II-A).

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"sort"
 
 	"multiclock/internal/mem"
 	"multiclock/internal/pagetable"
@@ -13,9 +14,8 @@ import (
 // admission gates) that support deterministic checkpoint/restore. Snapshot
 // encodes the component's full mutable state at a quiescent point; Restore
 // decodes it into a freshly constructed component of identical configuration,
-// resolving page references through the registry. Policies that cannot be
-// checkpointed simply do not implement the interface; the snapshot layer
-// reports them as unsupported instead of silently dropping state.
+// resolving page references through the registry. Every policy the run layer
+// can name implements it (bench's policy table requires it at compile time).
 type StateSnapshotter interface {
 	SnapshotState(enc *snapcodec.Encoder) error
 	RestoreState(dec *snapcodec.Decoder, pages *PageRegistry) error
@@ -77,6 +77,45 @@ func (r *PageRegistry) Resolve(seq uint64) *mem.Page {
 	}
 	r.zombies[seq] = pg
 	return pg
+}
+
+// SnapshotPageMap encodes a page-indexed policy map in Seq order — such maps
+// are indexed, never iterated, during a run, so the canonical order is
+// behaviorally exact — calling value to encode each entry after its key.
+func SnapshotPageMap[V any](enc *snapcodec.Encoder, m map[*mem.Page]V, value func(V)) {
+	pages := make([]*mem.Page, 0, len(m))
+	for pg := range m {
+		pages = append(pages, pg)
+	}
+	sort.Slice(pages, func(i, j int) bool { return pages[i].Seq < pages[j].Seq })
+	enc.Int(len(pages))
+	for _, pg := range pages {
+		enc.U64(pg.Seq)
+		value(m[pg])
+	}
+}
+
+// RestorePageMap decodes what SnapshotPageMap wrote into m, calling value to
+// decode each entry. Entries of such maps die with their page, so every key
+// must name a live page, once; what names the map in errors.
+func RestorePageMap[V any](dec *snapcodec.Decoder, reg *PageRegistry, m map[*mem.Page]V, what string, value func() V) error {
+	n := dec.Int()
+	if n != 0 && m == nil && dec.Err() == nil {
+		return fmt.Errorf("machine: snapshot has %d %s entries, policy tracks none", n, what)
+	}
+	for i := 0; i < n && dec.Err() == nil; i++ {
+		seq := dec.U64()
+		v := value()
+		if dec.Err() != nil {
+			break
+		}
+		pg, ok := reg.Live(seq)
+		if _, dup := m[pg]; !ok || dup {
+			return fmt.Errorf("machine: snapshot %s names page %d, which is unknown or repeated", what, seq)
+		}
+		m[pg] = v
+	}
+	return dec.Err()
 }
 
 // SnapshotLRUState encodes every node's LRU vector. At a quiescent point the

@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"fmt"
 	"sort"
 
 	"multiclock/internal/lru"
@@ -62,9 +61,8 @@ func DefaultAMPConfig(sel AMPSelector) AMPConfig {
 // the coldest DRAM pages under the chosen selector.
 type AMP struct {
 	machine.Base
-	cfg     AMPConfig
-	daemons []*sim.Daemon
-	rng     *sim.RNG
+	cfg AMPConfig
+	rng *sim.RNG
 
 	Promotions int64
 }
@@ -86,19 +84,7 @@ func (a *AMP) Name() string { return a.cfg.Selector.String() }
 // Attach starts the periodic migration daemon.
 func (a *AMP) Attach(m *machine.Machine) {
 	a.Base.Attach(m)
-	var d *sim.Daemon
-	d = m.Clock.StartDaemon("amp", a.cfg.ScanInterval, func(now sim.Time) {
-		a.rebalance()
-		m.FinishDaemonPass(d)
-	})
-	a.daemons = append(a.daemons, d)
-}
-
-// Stop halts the daemon.
-func (a *AMP) Stop() {
-	for _, d := range a.daemons {
-		d.Stop()
-	}
+	a.StartDaemon("amp", a.cfg.ScanInterval, func(*sim.Daemon) { a.rebalance() })
 }
 
 // Access profiles every access exactly — AMP's defining (and, on real
@@ -160,9 +146,7 @@ func (a *AMP) rebalance() {
 	fastest := m.Mem.FastestTier()
 	pmPages := a.collectLower()
 	dramPages := a.collect(fastest)
-	m.Mem.Counters.PagesScanned += int64(len(pmPages) + len(dramPages))
-	m.ChargeTax(m.Mem.Lat.DaemonWakeup +
-		sim.Duration(len(pmPages)+len(dramPages))*m.Mem.Lat.DaemonScanPage)
+	a.ScanTax(lru.ScanStats{Scanned: len(pmPages) + len(dramPages)})
 
 	sort.Slice(pmPages, func(i, j int) bool { return pmPages[i].score > pmPages[j].score }) // hottest first
 	sort.Slice(dramPages, func(i, j int) bool { return dramPages[i].score < dramPages[j].score })
@@ -212,19 +196,3 @@ func (a *AMP) rebalance() {
 		}
 	}
 }
-
-// DefaultAMPName parses "amp-lru" style names.
-func DefaultAMPName(name string) (AMPSelector, error) {
-	switch name {
-	case "amp-lru":
-		return AMPLRU, nil
-	case "amp-lfu":
-		return AMPLFU, nil
-	case "amp-random":
-		return AMPRandom, nil
-	default:
-		return 0, fmt.Errorf("policy: unknown AMP selector %q", name)
-	}
-}
-
-var _ machine.Policy = (*AMP)(nil)

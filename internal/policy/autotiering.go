@@ -73,8 +73,7 @@ func DefaultATConfig(mode ATMode) ATConfig {
 // systems' weakness.
 type AutoTiering struct {
 	machine.Base
-	cfg     ATConfig
-	daemons []*sim.Daemon
+	cfg ATConfig
 
 	// cursor tracks the poisoning position per address space.
 	cursor map[int32]pagetable.VPN
@@ -108,25 +107,14 @@ func (at *AutoTiering) Name() string { return at.cfg.Mode.String() }
 // Attach starts the PTE-poisoning scanner.
 func (at *AutoTiering) Attach(m *machine.Machine) {
 	at.Base.Attach(m)
-	var d *sim.Daemon
-	d = m.Clock.StartDaemon("at-scan", at.cfg.ScanInterval, func(now sim.Time) {
-		at.scan(now)
-		m.FinishDaemonPass(d)
-	})
-	at.daemons = append(at.daemons, d)
-}
-
-// Stop halts the scanner.
-func (at *AutoTiering) Stop() {
-	for _, d := range at.daemons {
-		d.Stop()
-	}
+	at.StartDaemon("at-scan", at.cfg.ScanInterval, at.scan)
 }
 
 // scan poisons the next slice of every address space and, for OPM, ages
 // history bits and demotes cold DRAM pages.
-func (at *AutoTiering) scan(now sim.Time) {
+func (at *AutoTiering) scan(d *sim.Daemon) {
 	m := at.M
+	now := m.Clock.Now()
 	var demoteCands []*mem.Page
 	for _, as := range m.Spaces() {
 		id := as.ID
@@ -151,7 +139,7 @@ func (at *AutoTiering) scan(now sim.Time) {
 				if at.cfg.Mode == OPM {
 					pg.Hist = (pg.Hist << 1) & (1<<uint(at.cfg.HistBits) - 1)
 					if pg.Hist == 0 && m.Mem.Tier(pg) == m.Mem.FastestTier() &&
-						now-pg.LastHint > sim.Time(2*at.cfg.ScanInterval) {
+						now-pg.LastHint > sim.Time(2*d.Interval) {
 						demoteCands = append(demoteCands, pg)
 					}
 				}
@@ -299,5 +287,3 @@ func (at *AutoTiering) exchangeVictim(t mem.Tier) bool {
 	}
 	return false
 }
-
-var _ machine.Policy = (*AutoTiering)(nil)

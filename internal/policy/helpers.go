@@ -17,19 +17,41 @@ func demotable(m *machine.Machine, t mem.Tier) bool {
 	return ok && len(m.Mem.TierNodes(down)) > 0
 }
 
-// promoteDst picks a promotion destination in tier `up`: a node with free
-// frames above its reserve, demoting cold pages from the tier (via the
-// policy's makeRoom) once when every node is at its reserve.
-func promoteDst(m *machine.Machine, up mem.Tier, makeRoom func(mem.Tier)) (mem.NodeID, bool) {
+// pickVictimNode returns the tier-t node with free frames above its min
+// reserve, or NoNode. Shared by the migrating baselines.
+func pickVictimNode(m *machine.Machine, t mem.Tier) mem.NodeID {
+	id := m.Mem.PickNode(t)
+	if id == mem.NoNode {
+		return id
+	}
+	if m.Mem.Nodes[id].UnderMin() {
+		return mem.NoNode
+	}
+	return id
+}
+
+// dstAbove picks a promotion destination one tier above pg: a node with
+// free frames above its reserve, demoting cold pages from that tier (via
+// the policy's makeRoom) once when every node is at its reserve.
+func dstAbove(m *machine.Machine, pg *mem.Page, makeRoom func(mem.Tier)) (mem.NodeID, bool) {
+	up, ok := m.Mem.Above(m.Mem.Tier(pg))
+	if !ok {
+		return mem.NoNode, false
+	}
 	dst := pickVictimNode(m, up)
 	if dst == mem.NoNode {
 		makeRoom(up)
 		dst = pickVictimNode(m, up)
-		if dst == mem.NoNode {
-			return mem.NoNode, false
-		}
 	}
-	return dst, true
+	return dst, dst != mem.NoNode
+}
+
+// promoteUp exchanges one isolated page into the tier above it, demoting
+// cold pages from that tier first if no free frame exists (Nimble's
+// two-sided exchange, reduced to its placement effect).
+func promoteUp(m *machine.Machine, pg *mem.Page, makeRoom func(mem.Tier)) bool {
+	dst, ok := dstAbove(m, pg, makeRoom)
+	return ok && m.MigrateIsolated(pg, dst)
 }
 
 // relieveTier is the consolidated kswapd-style demotion scan every
@@ -64,4 +86,30 @@ func relieveTier(m *machine.Machine, t mem.Tier, batch int, buf []*mem.Page, try
 		buf = victims[:0]
 	}
 	return buf
+}
+
+// recencyDemoter is the base of the baselines whose demotion side is the
+// stock recency CLOCK (Nimble, S3-FIFO): machine.Base plus kswapd-style
+// relief of a pressured tier from its inactive lists.
+type recencyDemoter struct {
+	machine.Base
+	// batch caps victims per node per episode (the policy's ScanBatch).
+	batch int
+	// demoteBuf stays distinct from any promote buffer: makeRoom nests
+	// inside the promotion loops via promoteUp.
+	demoteBuf []*mem.Page
+}
+
+// makeRoom demotes cold pages (by the recency lists) from pressured nodes
+// of tier t one tier down.
+func (r *recencyDemoter) makeRoom(t mem.Tier) {
+	r.demoteBuf = relieveTier(r.M, t, r.batch, r.demoteBuf, nil)
+}
+
+// Pressure reacts to allocation pressure on a demotion-capable tier like
+// kswapd.
+func (r *recencyDemoter) Pressure(node mem.NodeID) {
+	if t := r.M.Mem.Nodes[node].Tier; demotable(r.M, t) {
+		r.makeRoom(t)
+	}
 }

@@ -118,5 +118,3 @@ func (mm *MemoryMode) HitRatio() float64 {
 	}
 	return float64(mm.Hits) / float64(total)
 }
-
-var _ machine.Policy = (*MemoryMode)(nil)

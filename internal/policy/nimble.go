@@ -31,18 +31,14 @@ func DefaultNimbleConfig() NimbleConfig {
 // Migration-mechanism optimizations (multi-threaded copy, THP exchange) are
 // out of scope exactly as in the paper's comparison.
 type Nimble struct {
-	machine.Base
-	cfg     NimbleConfig
-	daemons []*sim.Daemon
+	recencyDemoter
+	cfg NimbleConfig
 
 	// Promotions counts pages moved up; exposed for Fig. 8 telemetry.
 	Promotions int64
 
-	// Reusable candidate buffers (allocation-free wakeups). Kept distinct
-	// because makeRoom nests inside scan's candidate iteration via
-	// promoteIsolated.
+	// promoteBuf is the reusable candidate buffer (allocation-free wakeups).
 	promoteBuf []*mem.Page
-	demoteBuf  []*mem.Page
 }
 
 // NewNimble returns the Nimble-selection baseline.
@@ -53,7 +49,7 @@ func NewNimble(cfg NimbleConfig) *Nimble {
 	if cfg.ScanBatch <= 0 {
 		cfg.ScanBatch = 1024
 	}
-	return &Nimble{cfg: cfg}
+	return &Nimble{recencyDemoter: recencyDemoter{batch: cfg.ScanBatch}, cfg: cfg}
 }
 
 // Name implements machine.Policy. A gated instance reports its admission
@@ -65,36 +61,13 @@ func (nb *Nimble) Name() string {
 	return "nimble"
 }
 
-// SetScanInterval retunes the daemon period (Fig. 10 sweep).
-func (nb *Nimble) SetScanInterval(d sim.Duration) {
-	nb.cfg.ScanInterval = d
-	for _, dm := range nb.daemons {
-		dm.SetInterval(d)
-	}
-}
-
 // Attach starts the per-node scanning daemon.
 func (nb *Nimble) Attach(m *machine.Machine) {
 	nb.Base.Attach(m)
 	if nb.cfg.Gate != nil {
 		nb.cfg.Gate.Attach(m)
 	}
-	for _, n := range m.Mem.Nodes {
-		node := n.ID
-		var d *sim.Daemon
-		d = m.Clock.StartDaemon("nimble-scan", nb.cfg.ScanInterval, func(now sim.Time) {
-			nb.scan(node)
-			m.FinishDaemonPass(d)
-		})
-		nb.daemons = append(nb.daemons, d)
-	}
-}
-
-// Stop halts the daemons.
-func (nb *Nimble) Stop() {
-	for _, d := range nb.daemons {
-		d.Stop()
-	}
+	nb.StartNodeDaemons("nimble-scan", nb.cfg.ScanInterval, func(node mem.NodeID, _ *sim.Daemon) { nb.scan(node) })
 }
 
 // scan is one daemon wakeup: vanilla CLOCK aging, then promote every
@@ -112,9 +85,7 @@ func (nb *Nimble) scan(node mem.NodeID) {
 	}
 	candidates := vec.AppendActiveReferenced(nb.promoteBuf[:0], nb.cfg.ScanBatch, nb.cfg.ScanBatch)
 	nb.promoteBuf = candidates[:0]
-	if m.Metrics != nil {
-		m.Metrics.QueueDepth("promote_queue_depth", len(candidates), m.Clock.Now())
-	}
+	nb.QueueDepth(len(candidates))
 	for _, pg := range candidates {
 		if nb.cfg.Gate != nil && !nb.cfg.Gate.Admit(pg, m.Clock.Now()) {
 			// Refused by the admission gate: back to the active list
@@ -122,7 +93,7 @@ func (nb *Nimble) scan(node mem.NodeID) {
 			m.Vecs[pg.Node].Putback(pg)
 			continue
 		}
-		if nb.promoteIsolated(pg) {
+		if promoteUp(m, pg, nb.makeRoom) {
 			nb.Promotions++
 		} else {
 			// No retry path in Nimble: a failed promotion is abandoned.
@@ -133,35 +104,3 @@ func (nb *Nimble) scan(node mem.NodeID) {
 		}
 	}
 }
-
-// promoteIsolated exchanges the page into the tier above it, demoting a
-// cold page from that tier first if no free frame exists (Nimble's
-// two-sided exchange, reduced to its placement effect).
-func (nb *Nimble) promoteIsolated(pg *mem.Page) bool {
-	m := nb.M
-	up, ok := m.Mem.Above(m.Mem.Tier(pg))
-	if !ok {
-		return false
-	}
-	dst, ok := promoteDst(m, up, nb.makeRoom)
-	if !ok {
-		return false
-	}
-	return m.MigrateIsolated(pg, dst)
-}
-
-// makeRoom demotes cold pages (by its recency lists) from pressured nodes
-// of tier t one tier down.
-func (nb *Nimble) makeRoom(t mem.Tier) {
-	nb.demoteBuf = relieveTier(nb.M, t, nb.cfg.ScanBatch, nb.demoteBuf, nil)
-}
-
-// Pressure reacts to allocation pressure on a demotion-capable tier like
-// kswapd.
-func (nb *Nimble) Pressure(node mem.NodeID) {
-	if t := nb.M.Mem.Nodes[node].Tier; demotable(nb.M, t) {
-		nb.makeRoom(t)
-	}
-}
-
-var _ machine.Policy = (*Nimble)(nil)

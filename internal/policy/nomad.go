@@ -38,8 +38,7 @@ type nomadTx struct {
 // migration.
 type Nomad struct {
 	machine.Base
-	cfg     NomadConfig
-	daemons []*sim.Daemon
+	cfg NomadConfig
 
 	// inflight tracks begun-but-uncommitted promotion transactions. Indexed
 	// only, never iterated (determinism). Entries die at commit, abort, or
@@ -78,33 +77,10 @@ func NewNomad(cfg NomadConfig) *Nomad {
 // Name implements machine.Policy.
 func (nd *Nomad) Name() string { return "nomad" }
 
-// SetScanInterval retunes the daemon period (interval sweeps).
-func (nd *Nomad) SetScanInterval(d sim.Duration) {
-	nd.cfg.ScanInterval = d
-	for _, dm := range nd.daemons {
-		dm.SetInterval(d)
-	}
-}
-
 // Attach starts the per-node scanning daemon.
 func (nd *Nomad) Attach(m *machine.Machine) {
 	nd.Base.Attach(m)
-	for _, n := range m.Mem.Nodes {
-		node := n.ID
-		var d *sim.Daemon
-		d = m.Clock.StartDaemon("nomad-scan", nd.cfg.ScanInterval, func(now sim.Time) {
-			nd.scan(node)
-			m.FinishDaemonPass(d)
-		})
-		nd.daemons = append(nd.daemons, d)
-	}
-}
-
-// Stop halts the daemons.
-func (nd *Nomad) Stop() {
-	for _, d := range nd.daemons {
-		d.Stop()
-	}
+	nd.StartNodeDaemons("nomad-scan", nd.cfg.ScanInterval, func(node mem.NodeID, _ *sim.Daemon) { nd.scan(node) })
 }
 
 // Access watches writes: a write aborts any in-flight promotion transaction
@@ -141,9 +117,7 @@ func (nd *Nomad) scan(node mem.NodeID) {
 	tier := m.Mem.Nodes[node].Tier
 	candidates := vec.AppendPromote(nd.promoteBuf[:0], -1)
 	nd.promoteBuf = candidates[:0]
-	if m.Metrics != nil {
-		m.Metrics.QueueDepth("promote_queue_depth", len(candidates), m.Clock.Now())
-	}
+	nd.QueueDepth(len(candidates))
 	if tier == m.Mem.FastestTier() {
 		// Top tier: promote-list residents are simply the hottest pages
 		// where they are.
@@ -162,9 +136,9 @@ func (nd *Nomad) scan(node mem.NodeID) {
 		switch {
 		case pg.IsHuge():
 			// Shadow frames cover base pages only; compound pages take the
-			// exclusive path directly.
+			// ordinary exclusive migration directly.
 			lru.ClearPromote(pg)
-			if !nd.promoteExclusive(pg) {
+			if !promoteUp(m, pg, nd.makeRoom) {
 				vec.Putback(pg)
 			}
 		case tx == nil:
@@ -184,7 +158,7 @@ func (nd *Nomad) scan(node mem.NodeID) {
 				nd.TxAborts++
 				// The replica is stale; retry as an ordinary exclusive
 				// migration (a fresh copy with nothing left to invalidate).
-				if !nd.promoteExclusive(pg) {
+				if !promoteUp(m, pg, nd.makeRoom) {
 					vec.Putback(pg)
 				}
 				continue
@@ -215,7 +189,7 @@ func (nd *Nomad) scan(node mem.NodeID) {
 // promoteShadow commits one transactional promotion: the page moves one
 // tier up and its source frame stays behind as the shadow.
 func (nd *Nomad) promoteShadow(pg *mem.Page) bool {
-	dst, ok := nd.dstAbove(pg)
+	dst, ok := dstAbove(nd.M, pg, nd.makeRoom)
 	if !ok {
 		return false
 	}
@@ -230,27 +204,6 @@ func (nd *Nomad) promoteShadow(pg *mem.Page) bool {
 	}
 	nd.shadowed = append(nd.shadowed, pg)
 	return true
-}
-
-// promoteExclusive is the fallback ordinary migration (aborted transactions
-// and compound pages).
-func (nd *Nomad) promoteExclusive(pg *mem.Page) bool {
-	dst, ok := nd.dstAbove(pg)
-	if !ok {
-		return false
-	}
-	return nd.M.MigrateIsolated(pg, dst)
-}
-
-// dstAbove picks the destination one tier above pg, demoting cold pages
-// from that tier first when it is under pressure.
-func (nd *Nomad) dstAbove(pg *mem.Page) (mem.NodeID, bool) {
-	m := nd.M
-	up, ok := m.Mem.Above(m.Mem.Tier(pg))
-	if !ok {
-		return mem.NoNode, false
-	}
-	return promoteDst(m, up, nd.makeRoom)
 }
 
 // makeRoom demotes cold pages from pressured nodes of tier t — for free
@@ -320,6 +273,3 @@ func (nd *Nomad) DirectReclaim(frames int) int {
 	}
 	return freed
 }
-
-var _ machine.Policy = (*Nomad)(nil)
-var _ machine.Stopper = (*Nomad)(nil)

@@ -73,9 +73,8 @@ type s3queues struct {
 // transition-hook surface; DRAM aging and the demotion side reuse the
 // vanilla recency CLOCK.
 type S3FIFO struct {
-	machine.Base
-	cfg     S3FIFOConfig
-	daemons []*sim.Daemon
+	recencyDemoter
+	cfg S3FIFOConfig
 
 	// queues is indexed by NodeID; nil for DRAM nodes.
 	queues []*s3queues
@@ -90,7 +89,6 @@ type S3FIFO struct {
 	Promotions  int64
 
 	promoteBuf []*mem.Page
-	demoteBuf  []*mem.Page
 }
 
 // NewS3FIFO returns the S3-FIFO selector policy.
@@ -110,19 +108,15 @@ func NewS3FIFO(cfg S3FIFOConfig) *S3FIFO {
 	if cfg.PromoteFreq > s3FreqMax {
 		cfg.PromoteFreq = s3FreqMax
 	}
-	return &S3FIFO{cfg: cfg, state: make(map[*mem.Page]uint8)}
+	return &S3FIFO{
+		recencyDemoter: recencyDemoter{batch: cfg.ScanBatch},
+		cfg:            cfg,
+		state:          make(map[*mem.Page]uint8),
+	}
 }
 
 // Name implements machine.Policy.
 func (s *S3FIFO) Name() string { return "s3fifo" }
-
-// SetScanInterval retunes the daemon period (interval sweeps).
-func (s *S3FIFO) SetScanInterval(d sim.Duration) {
-	s.cfg.ScanInterval = d
-	for _, dm := range s.daemons {
-		dm.SetInterval(d)
-	}
-}
 
 // Attach sizes the per-PM-node queues, registers the arrival hook on each
 // PM vec, and starts the per-node daemons.
@@ -130,33 +124,20 @@ func (s *S3FIFO) Attach(m *machine.Machine) {
 	s.Base.Attach(m)
 	s.queues = make([]*s3queues, len(m.Mem.Nodes))
 	for _, n := range m.Mem.Nodes {
-		node := n.ID
 		if n.Tier != m.Mem.FastestTier() {
 			smallCap := int(float64(n.Frames) * s.cfg.SmallFrac)
 			if smallCap < 8 {
 				smallCap = 8
 			}
-			s.queues[node] = &s3queues{
+			s.queues[n.ID] = &s3queues{
 				smallCap: smallCap,
 				mainCap:  n.Frames - smallCap,
 				ghostCap: n.Frames / 2,
 			}
-			m.Vecs[node].AddHook(s)
+			m.Vecs[n.ID].AddHook(s)
 		}
-		var d *sim.Daemon
-		d = m.Clock.StartDaemon("s3fifo-scan", s.cfg.ScanInterval, func(now sim.Time) {
-			s.scan(node)
-			m.FinishDaemonPass(d)
-		})
-		s.daemons = append(s.daemons, d)
 	}
-}
-
-// Stop halts the daemons.
-func (s *S3FIFO) Stop() {
-	for _, d := range s.daemons {
-		d.Stop()
-	}
+	s.StartNodeDaemons("s3fifo-scan", s.cfg.ScanInterval, func(node mem.NodeID, _ *sim.Daemon) { s.scan(node) })
 }
 
 // PageTransition implements lru.Hook: PM arrivals enter the small queue.
@@ -333,7 +314,7 @@ func (s *S3FIFO) promoteFromMain(q *s3queues) int {
 		}
 		depth++
 		m.Vecs[pg.Node].Isolate(pg)
-		if s.promoteIsolated(pg) {
+		if promoteUp(m, pg, s.makeRoom) {
 			s.Promotions++
 			delete(s.state, pg)
 		} else {
@@ -342,41 +323,8 @@ func (s *S3FIFO) promoteFromMain(q *s3queues) int {
 			q.main = append(q.main, pg)
 		}
 	}
-	if m.Metrics != nil {
-		m.Metrics.QueueDepth("promote_queue_depth", depth, m.Clock.Now())
-	}
+	s.QueueDepth(depth)
 	return limit
 }
 
-// promoteIsolated exchanges the page into the tier above it, demoting cold
-// pages from that tier first if no free frame exists.
-func (s *S3FIFO) promoteIsolated(pg *mem.Page) bool {
-	m := s.M
-	up, ok := m.Mem.Above(m.Mem.Tier(pg))
-	if !ok {
-		return false
-	}
-	dst, ok := promoteDst(m, up, s.makeRoom)
-	if !ok {
-		return false
-	}
-	return m.MigrateIsolated(pg, dst)
-}
-
-// makeRoom demotes cold pages (by the recency lists) from pressured nodes
-// of tier t one tier down.
-func (s *S3FIFO) makeRoom(t mem.Tier) {
-	s.demoteBuf = relieveTier(s.M, t, s.cfg.ScanBatch, s.demoteBuf, nil)
-}
-
-// Pressure reacts to allocation pressure on a demotion-capable tier like
-// kswapd.
-func (s *S3FIFO) Pressure(node mem.NodeID) {
-	if t := s.M.Mem.Nodes[node].Tier; demotable(s.M, t) {
-		s.makeRoom(t)
-	}
-}
-
-var _ machine.Policy = (*S3FIFO)(nil)
-var _ machine.Stopper = (*S3FIFO)(nil)
 var _ lru.Hook = (*S3FIFO)(nil)

@@ -5,10 +5,7 @@
 // AMP-style selector family (LRU/LFU/random) is provided as an extension.
 package policy
 
-import (
-	"multiclock/internal/machine"
-	"multiclock/internal/mem"
-)
+import "multiclock/internal/machine"
 
 // Static is static tiering: pages are born in DRAM until it fills, then in
 // PM, and never move for the rest of their lifetime (§II-D). It is the
@@ -22,18 +19,3 @@ func NewStatic() *Static { return &Static{} }
 
 // Name implements machine.Policy.
 func (s *Static) Name() string { return "static" }
-
-var _ machine.Policy = (*Static)(nil)
-
-// pickVictimNode returns the tier-t node with free frames above its min
-// reserve, or NoNode. Shared by the migrating baselines.
-func pickVictimNode(m *machine.Machine, t mem.Tier) mem.NodeID {
-	id := m.Mem.PickNode(t)
-	if id == mem.NoNode {
-		return id
-	}
-	if m.Mem.Nodes[id].UnderMin() {
-		return mem.NoNode
-	}
-	return id
-}

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"sort"
+
 	"multiclock/internal/machine"
 	"multiclock/internal/mem"
 	"multiclock/internal/pagetable"
@@ -22,9 +24,8 @@ import (
 // classification demotes hot neighbours with it.
 type Thermostat struct {
 	machine.Base
-	cfg     ThermostatConfig
-	daemons []*sim.Daemon
-	rng     *sim.RNG
+	cfg ThermostatConfig
+	rng *sim.RNG
 
 	regions map[regionKey]*regionStats
 
@@ -67,10 +68,9 @@ type regionKey struct {
 }
 
 type regionStats struct {
-	faults   int // hint faults this period
-	sampled  int
-	demoted  bool
-	hotScore int
+	faults  int // hint faults this period
+	sampled int
+	demoted bool
 }
 
 // NewThermostat returns the baseline policy.
@@ -100,19 +100,7 @@ func (th *Thermostat) Name() string { return "thermostat" }
 // Attach starts the sampling daemon.
 func (th *Thermostat) Attach(m *machine.Machine) {
 	th.Base.Attach(m)
-	var d *sim.Daemon
-	d = m.Clock.StartDaemon("thermostat", th.cfg.ScanInterval, func(now sim.Time) {
-		th.period()
-		m.FinishDaemonPass(d)
-	})
-	th.daemons = append(th.daemons, d)
-}
-
-// Stop halts the daemon.
-func (th *Thermostat) Stop() {
-	for _, d := range th.daemons {
-		d.Stop()
-	}
+	th.StartDaemon("thermostat", th.cfg.ScanInterval, func(*sim.Daemon) { th.period() })
 }
 
 // regionOf returns the key for a page's region.
@@ -133,6 +121,24 @@ func (th *Thermostat) HintFault(pg *mem.Page, write bool) {
 	st.faults++
 }
 
+// sortedRegions returns the region keys in (space, base) order. Regions
+// compete for the DemoteBatch cap and for free frames, so the
+// classification loop — like the snapshot encoder — must not see them in
+// Go's randomized map order.
+func (th *Thermostat) sortedRegions() []regionKey {
+	keys := make([]regionKey, 0, len(th.regions))
+	for key := range th.regions {
+		keys = append(keys, key)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].space != keys[j].space {
+			return keys[i].space < keys[j].space
+		}
+		return keys[i].base < keys[j].base
+	})
+	return keys
+}
+
 // period is one Thermostat cycle: classify last period's samples, migrate,
 // then poison the next sample set.
 func (th *Thermostat) period() {
@@ -144,7 +150,8 @@ func (th *Thermostat) period() {
 	fastest := m.Mem.FastestTier()
 	coldTier, _ := m.Mem.Below(fastest)
 	demoted := 0
-	for key, st := range th.regions {
+	for _, key := range th.sortedRegions() {
+		st := th.regions[key]
 		if st.sampled == 0 {
 			continue
 		}
@@ -225,5 +232,3 @@ func (th *Thermostat) migrateRegion(key regionKey, t mem.Tier) int {
 	})
 	return moved
 }
-
-var _ machine.Policy = (*Thermostat)(nil)

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"testing"
 
 	"multiclock/internal/core"
@@ -189,5 +190,36 @@ func TestThermostatStop(t *testing.T) {
 	m.Compute(10 * sim.Second)
 	if m.Mem.Counters.PagesScanned != scanned {
 		t.Fatal("stopped thermostat kept sampling")
+	}
+}
+
+// TestThermostatIsDeterministic: with more cold regions than DemoteBatch,
+// which ones a period demotes must not depend on Go's map order. Twelve
+// idle regions compete for a batch of two; touching the two lowest
+// afterwards makes the choice visible in the tier counters and the clock.
+func TestThermostatIsDeterministic(t *testing.T) {
+	run := func() string {
+		cfg := thermostatCfg()
+		cfg.SampleFrac = 1 // sample every region every period
+		cfg.DemoteBatch = 2
+		th := NewThermostat(cfg)
+		m := newMachine(1024, 4096, th)
+		as := m.NewSpace()
+		v := fillOver(m, as, 12*cfg.RegionPages)
+		m.Compute(25 * sim.Millisecond) // one period samples, the next classifies
+		if th.Demotions != int64(cfg.DemoteBatch) {
+			t.Fatalf("%d regions demoted, want the batch of %d", th.Demotions, cfg.DemoteBatch)
+		}
+		for i := 0; i < 2*cfg.RegionPages; i++ {
+			m.Access(as, v.Start+pagetable.VPN(i), false)
+		}
+		th.Stop()
+		return fmt.Sprintf("%s @%d", m.Mem.Counters.String(), m.Clock.Now())
+	}
+	want := run()
+	for i := 1; i < 4; i++ {
+		if got := run(); got != want {
+			t.Fatalf("run %d differs from run 0:\n%s\n%s", i, got, want)
+		}
 	}
 }

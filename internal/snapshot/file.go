@@ -93,16 +93,6 @@ func (e *ConfigMismatchError) Error() string {
 	return "snapshot: configuration mismatch: " + e.Reason
 }
 
-// UnsupportedPolicyError reports a policy that does not implement
-// checkpoint/restore.
-type UnsupportedPolicyError struct {
-	Policy string
-}
-
-func (e *UnsupportedPolicyError) Error() string {
-	return fmt.Sprintf("snapshot: policy %q does not support checkpoint/restore", e.Policy)
-}
-
 // NotQuiescentError reports a capture attempted while non-daemon events were
 // pending on the virtual clock.
 type NotQuiescentError struct {

@@ -32,9 +32,9 @@ func Capture(t *Target, config []byte) (*File, error) {
 	if n := t.M.Clock.NonDaemonPending(); n != 0 {
 		return nil, &NotQuiescentError{Pending: n}
 	}
-	ps, ok := t.M.Policy.(machine.StateSnapshotter)
-	if !ok {
-		return nil, &UnsupportedPolicyError{Policy: t.M.Policy.Name()}
+	ps, err := policyCodec(t.M)
+	if err != nil {
+		return nil, err
 	}
 
 	f := NewFile()
@@ -97,9 +97,9 @@ func Capture(t *Target, config []byte) (*File, error) {
 // workload (nil if none was running) and the machine passes its invariant
 // checker; on error the target is unusable and must be discarded.
 func Restore(t *Target, f *File) error {
-	ps, ok := t.M.Policy.(machine.StateSnapshotter)
-	if !ok {
-		return &UnsupportedPolicyError{Policy: t.M.Policy.Name()}
+	ps, err := policyCodec(t.M)
+	if err != nil {
+		return err
 	}
 	reg := machine.NewPageRegistry()
 
@@ -172,6 +172,17 @@ func Restore(t *Target, f *File) error {
 		return fmt.Errorf("snapshot: restored state fails machine invariants: %w", err)
 	}
 	return nil
+}
+
+// policyCodec returns the policy's checkpoint codec. Every policy
+// bench.NewPolicy builds has one — its table's element type requires it —
+// so only a policy defined outside that table can fail here.
+func policyCodec(m *machine.Machine) (machine.StateSnapshotter, error) {
+	ps, ok := m.Policy.(machine.StateSnapshotter)
+	if !ok {
+		return nil, fmt.Errorf("snapshot: policy %q has no SnapshotState/RestoreState", m.Policy.Name())
+	}
+	return ps, nil
 }
 
 // encodeClock serializes the virtual clock and every daemon's armed state.
@@ -319,16 +330,14 @@ func finish(dec *snapcodec.Decoder, err error) error {
 	return dec.Finish()
 }
 
-// wrapSection types a section-restore failure. Configuration and policy-
-// support mismatches keep their own types (a memory-topology mismatch
-// surfaces as a config mismatch naming the section); everything else
-// decodes under a verified checksum yet fails semantic validation, which is
-// corruption.
+// wrapSection types a section-restore failure. Configuration mismatches
+// keep their own type (a memory-topology mismatch surfaces as a config
+// mismatch naming the section); everything else decodes under a verified
+// checksum yet fails semantic validation, which is corruption.
 func wrapSection(name string, err error) error {
 	var cm *ConfigMismatchError
-	var up *UnsupportedPolicyError
 	var tm *mem.TopologyMismatchError
-	if errors.As(err, &cm) || errors.As(err, &up) {
+	if errors.As(err, &cm) {
 		return err
 	}
 	if errors.As(err, &tm) {

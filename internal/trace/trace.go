@@ -16,30 +16,6 @@ import (
 	"multiclock/internal/stats"
 )
 
-// Multi fans Observer events out to several observers.
-type Multi []machine.Observer
-
-// OnAccess implements machine.Observer.
-func (m Multi) OnAccess(pg *mem.Page, write bool, now sim.Time) {
-	for _, o := range m {
-		o.OnAccess(pg, write, now)
-	}
-}
-
-// OnMigrate implements machine.Observer.
-func (m Multi) OnMigrate(pg *mem.Page, from, to mem.NodeID, now sim.Time) {
-	for _, o := range m {
-		o.OnMigrate(pg, from, to, now)
-	}
-}
-
-// OnFault implements machine.Observer.
-func (m Multi) OnFault(pg *mem.Page, hint bool, now sim.Time) {
-	for _, o := range m {
-		o.OnFault(pg, hint, now)
-	}
-}
-
 // Heatmap records access counts for a sampled set of pages over fixed time
 // windows — the Fig. 1 measurement ("we randomly sampled pages from memory,
 // assigned them unique identifiers, and traced the accesses").

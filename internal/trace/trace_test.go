@@ -197,10 +197,11 @@ func TestMultiFansOut(t *testing.T) {
 	v := as.Mmap(1, false, "x")
 	h1 := NewHeatmap([]pagetable.VPN{v.Start}, []int32{as.ID}, sim.Second)
 	h2 := NewHeatmap([]pagetable.VPN{v.Start}, []int32{as.ID}, sim.Second)
-	m.Attach(Multi{h1, h2})
+	m.Attach(h1)
+	m.Attach(h2)
 	m.Access(as, v.Start, false)
 	if h1.Count(0, 0) != 1 || h2.Count(0, 0) != 1 {
-		t.Fatal("multi did not fan out")
+		t.Fatal("two attached heatmaps did not both see the access")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"multiclock/internal/bench"
 	"multiclock/internal/mem"
 	"multiclock/internal/metrics"
 	"multiclock/internal/sim"
@@ -141,7 +142,16 @@ func TestAttachDetach(t *testing.T) {
 }
 
 func TestParsePolicy(t *testing.T) {
-	for _, p := range append(Policies(), ExtensionPolicies()...) {
+	// The facade's named constants are exactly the policy table.
+	all := append(Policies(), ExtensionPolicies()...)
+	names := bench.PolicyNames()
+	if len(all) != len(names) {
+		t.Fatalf("facade lists %d policies, the table %d", len(all), len(names))
+	}
+	for i, p := range all {
+		if string(p) != names[i] {
+			t.Errorf("facade policy %d is %q, the table's is %q", i, p, names[i])
+		}
 		got, err := ParsePolicy(string(p))
 		if err != nil || got != p {
 			t.Fatalf("ParsePolicy(%q) = %q, %v", p, got, err)

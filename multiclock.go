@@ -97,17 +97,14 @@ func ExtensionPolicies() []Policy {
 }
 
 // ParsePolicy resolves a policy name (as CLIs accept it) to a Policy,
-// rejecting unknown names with the valid set in the error.
+// rejecting unknown names with the valid set — bench's policy table — in
+// the error.
 func ParsePolicy(s string) (Policy, error) {
-	all := append(Policies(), ExtensionPolicies()...)
-	for _, p := range all {
-		if Policy(s) == p {
-			return p, nil
+	names := bench.PolicyNames()
+	for _, name := range names {
+		if s == name {
+			return Policy(s), nil
 		}
-	}
-	names := make([]string, len(all))
-	for i, p := range all {
-		names[i] = string(p)
 	}
 	return "", fmt.Errorf("multiclock: unknown policy %q (have %s)", s, strings.Join(names, ", "))
 }

@@ -162,21 +162,24 @@ func TestSnapshotCrossTopologyRejected(t *testing.T) {
 }
 
 // TestSnapshotVersion1Rejected: the topology header bumped the container
-// format, so a version-1 file (pre-bump layout) is refused with a
-// VersionError instead of being misparsed.
+// format to 2 and the counting latency histogram to 3, so a file of either
+// earlier version (pre-bump layout) is refused with a VersionError instead of
+// being misparsed.
 func TestSnapshotVersion1Rejected(t *testing.T) {
-	if snapshot.Version < 2 {
-		t.Fatalf("container version = %d, expected the tier-topology bump to 2+", snapshot.Version)
+	if snapshot.Version < 3 {
+		t.Fatalf("container version = %d, expected the histogram-format bump to 3+", snapshot.Version)
 	}
-	f := snapshot.NewFile()
-	f.Version = 1
-	f.AddSection(snapshot.SecConfig, []byte("x"))
-	var ve *snapshot.VersionError
-	if _, err := snapshot.Decode(f.Encode()); !errors.As(err, &ve) {
-		t.Fatalf("Decode version-1 container = %v, want VersionError", err)
-	}
-	if ve.Got != 1 || ve.Want != snapshot.Version {
-		t.Errorf("VersionError = got %d want %d, expected got 1 want %d", ve.Got, ve.Want, snapshot.Version)
+	for _, old := range []uint32{1, 2} {
+		f := snapshot.NewFile()
+		f.Version = old
+		f.AddSection(snapshot.SecConfig, []byte("x"))
+		var ve *snapshot.VersionError
+		if _, err := snapshot.Decode(f.Encode()); !errors.As(err, &ve) {
+			t.Fatalf("Decode version-%d container = %v, want VersionError", old, err)
+		}
+		if ve.Got != old || ve.Want != snapshot.Version {
+			t.Errorf("VersionError = got %d want %d, expected got %d want %d", ve.Got, ve.Want, old, snapshot.Version)
+		}
 	}
 }
 

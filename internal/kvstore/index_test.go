@@ -1,0 +1,241 @@
+package kvstore
+
+import (
+	"bytes"
+	"sort"
+	"testing"
+
+	"multiclock/internal/pagetable"
+	"multiclock/internal/sim"
+	"multiclock/internal/snapcodec"
+)
+
+// collidingKeys returns n keys, key 0 among them, whose hashes agree with
+// hash(0) in their low bits: one probe run in any table of up to 1<<bits slots.
+func collidingKeys(n int, bits uint) []uint64 {
+	mask := uint64(1)<<bits - 1
+	keys := []uint64{0}
+	for k := uint64(1); len(keys) < n; k++ {
+		if hash(k)&mask == hash(0)&mask {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// checkIndex compares the index with the model key by key and checks the
+// table's own invariants: the count, the load bound, and that every item is
+// reachable from its home slot without crossing an empty one.
+func checkIndex(t *testing.T, x *index, model map[uint64]itemRef, probe []uint64) {
+	t.Helper()
+	if x.n != len(model) {
+		t.Fatalf("index holds %d items, model %d", x.n, len(model))
+	}
+	if 2*x.n > len(x.slots) || len(x.slots)&(len(x.slots)-1) != 0 {
+		t.Fatalf("%d items in %d slots", x.n, len(x.slots))
+	}
+	live := 0
+	for _, s := range x.slots {
+		if s.ref.npages == 0 {
+			if s != (slot{}) {
+				t.Fatalf("empty slot keeps %+v", s)
+			}
+			continue
+		}
+		live++
+		if want, ok := model[s.key]; !ok || want != s.ref {
+			t.Fatalf("slot holds key %d → %+v, model %+v (present %v)", s.key, s.ref, want, ok)
+		}
+	}
+	if live != x.n {
+		t.Fatalf("%d live slots, count %d", live, x.n)
+	}
+	for _, k := range probe {
+		got, ok := x.get(hash(k), k)
+		if want, in := model[k]; ok != in || got != want {
+			t.Fatalf("get(%d) = %+v, %v; model %+v, %v", k, got, ok, want, in)
+		}
+	}
+}
+
+// TestIndexMatchesMap drives the index and a map through the same random
+// inserts, overwrites and deletes, over a key set that mixes one long
+// collision chain (with key 0 in it) with scattered keys, through several
+// doublings.
+func TestIndexMatchesMap(t *testing.T) {
+	keys := collidingKeys(40, 12)
+	for k := uint64(1); k <= 600; k++ {
+		keys = append(keys, k*0x9e3779b97f4a7c15)
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := sim.NewRNG(seed)
+		x := newIndex(0)
+		model := map[uint64]itemRef{}
+		for step := 0; step < 20_000; step++ {
+			k := keys[rng.Intn(len(keys))]
+			if step < 4000 || rng.Intn(3) > 0 { // grow first, then churn
+				ref := itemRef{vpn: pagetable.VPN(rng.Uint64()), npages: int32(1 + rng.Intn(4)), class: int8(rng.Intn(8) - 1)}
+				x.put(hash(k), k, ref)
+				model[k] = ref
+			} else {
+				got, ok := x.del(hash(k), k)
+				if want, in := model[k]; ok != in || got != want {
+					t.Fatalf("seed %d step %d: del(%d) = %+v, %v; model %+v, %v", seed, step, k, got, ok, want, in)
+				}
+				delete(model, k)
+			}
+			if step%500 == 0 {
+				checkIndex(t, &x, model, keys)
+			}
+		}
+		checkIndex(t, &x, model, keys)
+		for _, k := range keys { // drain: backward shift must leave nothing behind
+			x.del(hash(k), k)
+			delete(model, k)
+		}
+		checkIndex(t, &x, model, keys)
+	}
+}
+
+// TestIndexCollisionChainWraps deletes from the middle of a probe run that
+// wraps past the last slot, the case backward-shift deletion gets wrong when
+// its cyclic comparison is off by one.
+func TestIndexCollisionChainWraps(t *testing.T) {
+	x := newIndex(0)
+	last := uint64(len(x.slots) - 1)
+	var keys []uint64
+	for k := uint64(0); len(keys) < 6; k++ { // all at home in the last two slots
+		if h := hash(k) & last; h >= last-1 {
+			keys = append(keys, k)
+		}
+	}
+	for drop := range keys {
+		x = newIndex(0)
+		model := map[uint64]itemRef{}
+		for _, k := range keys {
+			ref := itemRef{vpn: pagetable.VPN(k), npages: 1}
+			x.put(hash(k), k, ref)
+			model[k] = ref
+		}
+		x.del(hash(keys[drop]), keys[drop])
+		delete(model, keys[drop])
+		checkIndex(t, &x, model, keys)
+	}
+}
+
+// mapSnapshotItems is the item-table section as the map-backed store wrote
+// it: the count, then every item in key order.
+func mapSnapshotItems(items map[uint64]itemRef) []byte {
+	enc := snapcodec.NewEncoder()
+	keys := make([]uint64, 0, len(items))
+	for k := range items {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	enc.Int(len(keys))
+	for _, k := range keys {
+		ref := items[k]
+		enc.U64(k)
+		enc.U64(uint64(ref.vpn))
+		enc.I64(int64(ref.npages))
+		enc.I64(int64(ref.class))
+	}
+	return enc.Bytes()
+}
+
+// storeHistory applies a seeded mix of operations and returns the store with
+// a map of what it must hold.
+func storeHistory(seed uint64, ops int) (*Store, map[uint64]itemRef) {
+	_, s := newStore(1000)
+	rng := sim.NewRNG(seed)
+	model := map[uint64]itemRef{}
+	for i := 0; i < ops; i++ {
+		key := uint64(rng.Intn(300))
+		size := 1 + rng.Intn(6000)
+		switch rng.Intn(5) {
+		case 0:
+			s.Insert(key, size)
+		case 1, 2:
+			s.Set(key, size)
+		case 3:
+			s.Delete(key)
+			delete(model, key)
+			continue
+		default:
+			s.Get(key)
+			continue
+		}
+		model[key] = itemOf(s, key)
+	}
+	return s, model
+}
+
+// TestSnapshotBytesMatchMapEncoder holds the checkpoint format still: the
+// index writes its items exactly as the map did, and a restored store writes
+// the same bytes again.
+func TestSnapshotBytesMatchMapEncoder(t *testing.T) {
+	s, model := storeHistory(3, 5000)
+	if len(model) < 100 || s.Items() != len(model) {
+		t.Fatalf("history left %d items in the store, %d in the model", s.Items(), len(model))
+	}
+	enc := snapcodec.NewEncoder()
+	s.SnapshotState(enc)
+	const statsBytes = 9 * 8
+	items := mapSnapshotItems(model)
+	if tail := enc.Bytes()[:enc.Len()-statsBytes]; !bytes.HasSuffix(tail, items) {
+		t.Fatal("item table bytes differ from the map-backed encoding")
+	}
+
+	_, fresh := newStore(1000)
+	dec := snapcodec.NewDecoder(enc.Bytes())
+	if err := fresh.RestoreState(dec); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	again := snapcodec.NewEncoder()
+	fresh.SnapshotState(again)
+	if !bytes.Equal(again.Bytes(), enc.Bytes()) {
+		t.Fatal("restored store snapshots differently")
+	}
+	for k, want := range model {
+		if got := itemOf(fresh, k); got != want {
+			t.Fatalf("restored key %d → %+v, want %+v", k, got, want)
+		}
+	}
+}
+
+// FuzzStoreRestore feeds RestoreState arbitrary payloads: it must reject with
+// an error or accept, never panic or size a table from an unchecked length,
+// and an accepted item table must be a well-formed index.
+func FuzzStoreRestore(f *testing.F) {
+	s, _ := storeHistory(5, 60)
+	enc := snapcodec.NewEncoder()
+	s.SnapshotState(enc)
+	good := enc.Bytes()
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add([]byte{})
+	for _, at := range []int{8, 56, 64, len(good) - 80, len(good) - 100} {
+		bad := append([]byte(nil), good...)
+		bad[at] ^= 0xff
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		_, fresh := newStore(1000)
+		dec := snapcodec.NewDecoder(payload)
+		if err := fresh.RestoreState(dec); err != nil {
+			return
+		}
+		model := map[uint64]itemRef{}
+		var keys []uint64
+		for _, it := range fresh.items.slots {
+			if it.ref.npages != 0 {
+				model[it.key] = it.ref
+				keys = append(keys, it.key)
+			}
+		}
+		checkIndex(t, &fresh.items, model, keys)
+	})
+}

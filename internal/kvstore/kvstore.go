@@ -90,7 +90,7 @@ type Store struct {
 	arenaNext pagetable.VPN
 
 	classes     [len(classSizes)]slabClass
-	items       map[uint64]itemRef
+	items       index
 	itemTouches int
 	hugeArena   bool
 
@@ -115,7 +115,7 @@ func New(m *machine.Machine, cfg Config) *Store {
 		m:           m,
 		as:          m.NewSpace(),
 		nbuckets:    nbuckets,
-		items:       make(map[uint64]itemRef),
+		items:       newIndex(0),
 		itemTouches: touches,
 		hugeArena:   cfg.HugeArena,
 	}
@@ -136,7 +136,7 @@ func New(m *machine.Machine, cfg Config) *Store {
 func (s *Store) Space() *pagetable.AddressSpace { return s.as }
 
 // Items returns the number of stored records.
-func (s *Store) Items() int { return len(s.items) }
+func (s *Store) Items() int { return s.items.n }
 
 // hash is splitmix64, well mixed for sequential keys.
 func hash(key uint64) uint64 {
@@ -146,9 +146,10 @@ func hash(key uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// bucketVPN returns the hash-table page holding key's bucket.
-func (s *Store) bucketVPN(key uint64) pagetable.VPN {
-	b := hash(key) % uint64(s.nbuckets)
+// bucketVPN returns the hash-table page holding the bucket of the key that
+// hashes to h.
+func (s *Store) bucketVPN(h uint64) pagetable.VPN {
+	b := h % uint64(s.nbuckets)
 	return s.bucketVMA.Start + pagetable.VPN(b/bucketsPerPage)
 }
 
@@ -223,8 +224,9 @@ func (s *Store) touchItem(ref itemRef, write bool) {
 // pages. Reports whether the key was present.
 func (s *Store) Get(key uint64) bool {
 	s.Stats.Gets++
-	s.m.Access(s.as, s.bucketVPN(key), false)
-	ref, ok := s.items[key]
+	h := hash(key)
+	s.m.Access(s.as, s.bucketVPN(h), false)
+	ref, ok := s.items.get(h, key)
 	if !ok {
 		return false
 	}
@@ -237,8 +239,9 @@ func (s *Store) Get(key uint64) bool {
 // overwriting in place when the size class still fits.
 func (s *Store) Set(key uint64, size int) {
 	s.Stats.Sets++
-	s.m.Access(s.as, s.bucketVPN(key), false)
-	ref, ok := s.items[key]
+	h := hash(key)
+	s.m.Access(s.as, s.bucketVPN(h), false)
+	ref, ok := s.items.get(h, key)
 	if ok && fitsInPlace(ref, size) {
 		s.touchItem(ref, true)
 		return
@@ -246,17 +249,18 @@ func (s *Store) Set(key uint64, size int) {
 	if ok {
 		s.freeItem(ref)
 	}
-	s.insertLocked(key, size)
+	s.insertLocked(h, key, size)
 }
 
 // Insert adds a new record (YCSB insert). An existing key is overwritten.
 func (s *Store) Insert(key uint64, size int) {
 	s.Stats.Inserts++
-	s.m.Access(s.as, s.bucketVPN(key), true) // chain update
-	if old, ok := s.items[key]; ok {
+	h := hash(key)
+	s.m.Access(s.as, s.bucketVPN(h), true) // chain update
+	if old, ok := s.items.get(h, key); ok {
 		s.freeItem(old)
 	}
-	s.insertLocked(key, size)
+	s.insertLocked(h, key, size)
 }
 
 func fitsInPlace(ref itemRef, size int) bool {
@@ -266,9 +270,9 @@ func fitsInPlace(ref itemRef, size int) bool {
 	return size <= int(ref.npages)*mem.PageSize
 }
 
-func (s *Store) insertLocked(key uint64, size int) {
+func (s *Store) insertLocked(h, key uint64, size int) {
 	ref := s.allocItem(size)
-	s.items[key] = ref
+	s.items.put(h, key, ref)
 	s.Stats.BytesStored += int64(size)
 	s.touchItem(ref, true)
 }
@@ -276,12 +280,12 @@ func (s *Store) insertLocked(key uint64, size int) {
 // Delete removes the record, touching the bucket chain. Reports presence.
 func (s *Store) Delete(key uint64) bool {
 	s.Stats.Deletes++
-	s.m.Access(s.as, s.bucketVPN(key), true)
-	ref, ok := s.items[key]
+	h := hash(key)
+	s.m.Access(s.as, s.bucketVPN(h), true)
+	ref, ok := s.items.del(h, key)
 	if !ok {
 		return false
 	}
-	delete(s.items, key)
 	s.freeItem(ref)
 	return true
 }
@@ -290,8 +294,9 @@ func (s *Store) Delete(key uint64) bool {
 // Reports whether the key existed.
 func (s *Store) ReadModifyWrite(key uint64) bool {
 	s.Stats.RMWs++
-	s.m.Access(s.as, s.bucketVPN(key), false)
-	ref, ok := s.items[key]
+	h := hash(key)
+	s.m.Access(s.as, s.bucketVPN(h), false)
+	ref, ok := s.items.get(h, key)
 	if !ok {
 		return false
 	}

@@ -19,6 +19,12 @@ func newStore(items int) (*machine.Machine, *Store) {
 	return m, New(m, DefaultConfig(items))
 }
 
+// itemOf returns key's item reference, zero when absent.
+func itemOf(s *Store, key uint64) itemRef {
+	ref, _ := s.items.get(hash(key), key)
+	return ref
+}
+
 func TestGetMissThenHit(t *testing.T) {
 	m, s := newStore(1000)
 	if s.Get(42) {
@@ -97,10 +103,10 @@ func TestDelete(t *testing.T) {
 func TestSlabReuseAfterDelete(t *testing.T) {
 	_, s := newStore(1000)
 	s.Insert(1, 100)
-	ref1 := s.items[1]
+	ref1 := itemOf(s, 1)
 	s.Delete(1)
 	s.Insert(2, 100)
-	if s.items[2].vpn != ref1.vpn {
+	if itemOf(s, 2).vpn != ref1.vpn {
 		t.Fatal("freed chunk not reused")
 	}
 }
@@ -133,7 +139,7 @@ func TestScanUnsupported(t *testing.T) {
 func TestLargeItemsSpanPages(t *testing.T) {
 	_, s := newStore(1000)
 	s.Insert(1, 3*4096+10)
-	ref := s.items[1]
+	ref := itemOf(s, 1)
 	if ref.npages != 4 || ref.class != -1 {
 		t.Fatalf("large item ref: %+v", ref)
 	}
@@ -153,14 +159,14 @@ func TestSlabPacking(t *testing.T) {
 	for i := uint64(0); i < 64; i++ {
 		s.Insert(i, 60)
 	}
-	first := s.items[0].vpn
+	first := itemOf(s, 0).vpn
 	for i := uint64(1); i < 64; i++ {
-		if s.items[i].vpn != first {
+		if itemOf(s, i).vpn != first {
 			t.Fatalf("item %d not packed on first page", i)
 		}
 	}
 	s.Insert(64, 60)
-	if s.items[64].vpn == first {
+	if itemOf(s, 64).vpn == first {
 		t.Fatal("65th item packed on full page")
 	}
 }

@@ -13,7 +13,7 @@ import (
 // during the run, so the address-space geometry is reproduced by construction
 // and only verified here. The mutable state travels: the arena bump pointer,
 // each slab class's partial page and free list (exact LIFO order — allocItem
-// pops from the tail), the item table (sorted by key; the map is never
+// pops from the tail), the item table (sorted by key; the index is never
 // iterated during the run, so the canonical order is behaviorally exact) and
 // the stats.
 
@@ -35,18 +35,19 @@ func (s *Store) SnapshotState(enc *snapcodec.Encoder) {
 			enc.U64(uint64(vpn))
 		}
 	}
-	keys := make([]uint64, 0, len(s.items))
-	for k := range s.items {
-		keys = append(keys, k)
+	items := make([]slot, 0, s.items.n)
+	for _, it := range s.items.slots {
+		if it.ref.npages != 0 {
+			items = append(items, it)
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	enc.Int(len(keys))
-	for _, k := range keys {
-		ref := s.items[k]
-		enc.U64(k)
-		enc.U64(uint64(ref.vpn))
-		enc.I64(int64(ref.npages))
-		enc.I64(int64(ref.class))
+	sort.Slice(items, func(i, j int) bool { return items[i].key < items[j].key })
+	enc.Int(len(items))
+	for _, it := range items {
+		enc.U64(it.key)
+		enc.U64(uint64(it.ref.vpn))
+		enc.I64(int64(it.ref.npages))
+		enc.I64(int64(it.ref.class))
 	}
 	for _, v := range []int64{
 		s.Stats.Gets, s.Stats.GetHits, s.Stats.Sets, s.Stats.Inserts,
@@ -106,7 +107,7 @@ func (s *Store) RestoreState(dec *snapcodec.Decoder) error {
 	if n < 0 || n > dec.Remaining()/32 {
 		return fmt.Errorf("kvstore: snapshot claims %d items in %d bytes", n, dec.Remaining())
 	}
-	s.items = make(map[uint64]itemRef, n)
+	s.items = newIndex(n)
 	for i := 0; i < n; i++ {
 		k := dec.U64()
 		ref := itemRef{
@@ -117,13 +118,14 @@ func (s *Store) RestoreState(dec *snapcodec.Decoder) error {
 		if dec.Err() != nil {
 			return dec.Err()
 		}
-		if _, dup := s.items[k]; dup {
+		h := hash(k)
+		if _, dup := s.items.get(h, k); dup {
 			return fmt.Errorf("kvstore: snapshot repeats item key %d", k)
 		}
 		if ref.npages <= 0 || int(ref.class) >= len(classSizes) {
 			return fmt.Errorf("kvstore: snapshot item %d has invalid layout", k)
 		}
-		s.items[k] = ref
+		s.items.put(h, k, ref)
 	}
 	for _, p := range []*int64{
 		&s.Stats.Gets, &s.Stats.GetHits, &s.Stats.Sets, &s.Stats.Inserts,

@@ -121,7 +121,6 @@ func TestQuantileInterpolationErrorBounds(t *testing.T) {
 			samples := tc.samples()
 			var h Histogram
 			var exact stats.Histogram
-			exact.Reserve(len(samples))
 			for _, v := range samples {
 				h.Observe(v)
 				exact.Add(float64(v))

@@ -32,8 +32,11 @@ const Magic = "MCSNAP"
 
 // Version is the container format version. Version 2 prefixed the mem
 // section with the tier-topology header (and versioned the soak config for
-// the tier spec), so version-1 containers no longer decode.
-const Version = 2
+// the tier spec), so version-1 containers no longer decode. Version 3 writes
+// a run's latency histogram as (value, count) pairs instead of one word per
+// sample; the sections are otherwise unchanged, so the version is what stops
+// a version-2 container from being mis-decoded.
+const Version = 3
 
 // Section names in container order.
 const (

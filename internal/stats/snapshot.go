@@ -7,23 +7,59 @@ import (
 	"multiclock/internal/snapcodec"
 )
 
-// Checkpoint serialization for Histogram. Samples are written in their exact
-// in-memory order along with the incrementally accumulated sum — float
-// addition order matters bit-for-bit — and the sorted flag, so a restored
-// histogram answers every query with the identical result.
+// Checkpoint serialization for Histogram: the non-zero counters as ascending
+// (value, count) pairs, the remaining samples in their in-memory order, and
+// the incrementally accumulated sum — float addition order matters
+// bit-for-bit — so a restored histogram answers every query with the
+// identical result. The size follows the number of distinct values, not the
+// number of samples.
 
 // SnapshotState encodes the histogram.
 func (h *Histogram) SnapshotState(enc *snapcodec.Encoder) {
-	enc.Int(len(h.samples))
-	for _, v := range h.samples {
+	pairs := 0
+	for _, c := range h.counts {
+		if c != 0 {
+			pairs++
+		}
+	}
+	enc.Int(pairs)
+	for v, c := range h.counts {
+		if c != 0 {
+			enc.U32(uint32(v))
+			enc.U32(c)
+		}
+	}
+	enc.Int(len(h.rest))
+	for _, v := range h.rest {
 		enc.U64(math.Float64bits(v))
 	}
 	enc.U64(math.Float64bits(h.sum))
-	enc.Bool(h.sorted)
 }
 
-// RestoreState decodes into an empty histogram.
+// RestoreState decodes into the histogram, replacing what it held.
 func (h *Histogram) RestoreState(dec *snapcodec.Decoder) error {
+	pairs := dec.Int()
+	if dec.Err() != nil {
+		return dec.Err()
+	}
+	if pairs < 0 || pairs > dec.Remaining()/8 {
+		return fmt.Errorf("stats: snapshot claims %d counters in %d bytes", pairs, dec.Remaining())
+	}
+	*h = Histogram{}
+	last := -1
+	for i := 0; i < pairs; i++ {
+		v, c := int(dec.U32()), dec.U32()
+		if dec.Err() != nil {
+			return dec.Err()
+		}
+		if v <= last || v >= denseLimit || c == 0 {
+			return fmt.Errorf("stats: snapshot counter %d of value %d is out of order, range or empty", i, v)
+		}
+		h.reach(v)
+		h.counts[v] = c
+		h.n += int(c)
+		last = v
+	}
 	n := dec.Int()
 	if dec.Err() != nil {
 		return dec.Err()
@@ -31,12 +67,11 @@ func (h *Histogram) RestoreState(dec *snapcodec.Decoder) error {
 	if n < 0 || n > dec.Remaining()/8 {
 		return fmt.Errorf("stats: snapshot claims %d samples in %d bytes", n, dec.Remaining())
 	}
-	h.samples = h.samples[:0]
-	h.Reserve(n)
-	for i := 0; i < n; i++ {
-		h.samples = append(h.samples, math.Float64frombits(dec.U64()))
+	h.rest = make([]float64, n)
+	for i := range h.rest {
+		h.rest[i] = math.Float64frombits(dec.U64())
 	}
+	h.n += n
 	h.sum = math.Float64frombits(dec.U64())
-	h.sorted = dec.Bool()
 	return dec.Err()
 }

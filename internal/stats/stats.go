@@ -11,104 +11,139 @@ import (
 	"strings"
 )
 
-// Histogram accumulates float64 samples and answers order statistics.
-// Samples are kept exactly; the evaluation's sample counts are modest.
+// Histogram accumulates float64 samples and answers exact order statistics.
+// Small non-negative integers, which is every virtual-time latency the
+// workload clients record, are counted in a dense array indexed by value;
+// only the other samples (fractional, negative, large, or past a counter's
+// range) are kept one by one.
 type Histogram struct {
-	samples []float64
-	sorted  bool
-	sum     float64
+	counts []uint32  // counts[v] is how many samples equalled integer v
+	rest   []float64 // samples that counts could not take
+	sorted bool      // rest is in ascending order
+	n      int
+	sum    float64 // accumulated in Add order, so Mean is reproducible bit for bit
 }
 
-// Reserve grows the sample buffer to hold at least n samples, so callers
-// that know their sample count up front avoid append's doubling churn.
-func (h *Histogram) Reserve(n int) {
-	if n > cap(h.samples) {
-		grown := make([]float64, len(h.samples), n)
-		copy(grown, h.samples)
-		h.samples = grown
-	}
-}
+// denseLimit bounds counts: integer samples below it are counted, and a full
+// array is 4 MiB. In nanoseconds it is about a millisecond.
+const denseLimit = 1 << 20
 
 // Add records one sample.
 func (h *Histogram) Add(v float64) {
-	h.samples = append(h.samples, v)
-	h.sorted = false
+	h.n++
 	h.sum += v
+	if v >= 0 && v < denseLimit {
+		if i := int(v); float64(i) == v && h.count(i) {
+			return
+		}
+	}
+	h.rest = append(h.rest, v)
+	h.sorted = false
+}
+
+// count increments counts[i] unless the counter is already at its ceiling.
+func (h *Histogram) count(i int) bool {
+	h.reach(i)
+	if h.counts[i] == math.MaxUint32 {
+		return false
+	}
+	h.counts[i]++
+	return true
+}
+
+// reach grows counts, by doubling, until it holds index i.
+func (h *Histogram) reach(i int) {
+	if i < len(h.counts) {
+		return
+	}
+	size := max(2*len(h.counts), 1024)
+	for size <= i {
+		size *= 2
+	}
+	grown := make([]uint32, size)
+	copy(grown, h.counts)
+	h.counts = grown
 }
 
 // N returns the number of samples.
-func (h *Histogram) N() int { return len(h.samples) }
+func (h *Histogram) N() int { return h.n }
 
 // Sum returns the total of all samples.
 func (h *Histogram) Sum() float64 { return h.sum }
 
 // Mean returns the sample mean, or 0 with no samples.
 func (h *Histogram) Mean() float64 {
-	if len(h.samples) == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	return h.sum / float64(len(h.samples))
+	return h.sum / float64(h.n)
 }
 
 // Min returns the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() float64 {
-	h.ensureSorted()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	return h.samples[0]
-}
+func (h *Histogram) Min() float64 { return h.Percentile(0) }
 
 // Max returns the largest sample, or 0 with no samples.
-func (h *Histogram) Max() float64 {
-	h.ensureSorted()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	return h.samples[len(h.samples)-1]
-}
+func (h *Histogram) Max() float64 { return h.Percentile(100) }
 
 // Percentile returns the p-th percentile (0–100) by nearest-rank, or 0 with
 // no samples.
 func (h *Histogram) Percentile(p float64) float64 {
-	h.ensureSorted()
-	n := len(h.samples)
-	if n == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	if p <= 0 {
-		return h.samples[0]
+	rank := 0
+	switch {
+	case p >= 100:
+		rank = h.n - 1
+	case p > 0:
+		rank = max(int(math.Ceil(p/100*float64(h.n)))-1, 0)
 	}
-	if p >= 100 {
-		return h.samples[n-1]
+	return h.at(rank)
+}
+
+// at returns the sample of the given rank, 0 ≤ rank < n, in ascending order:
+// a merge of the counted integers with the sorted rest.
+func (h *Histogram) at(rank int) float64 {
+	if !h.sorted {
+		sort.Float64s(h.rest)
+		h.sorted = true
 	}
-	rank := int(math.Ceil(p/100*float64(n))) - 1
-	if rank < 0 {
-		rank = 0
+	r := 0 // h.rest[:r] and the integers below v precede rank
+	for v, c := range h.counts {
+		if c == 0 {
+			continue
+		}
+		for r < len(h.rest) && !(h.rest[r] >= float64(v)) { // a NaN sorts first
+			if rank == 0 {
+				return h.rest[r]
+			}
+			r++
+			rank--
+		}
+		if rank < int(c) {
+			return float64(v)
+		}
+		rank -= int(c)
 	}
-	return h.samples[rank]
+	return h.rest[r+rank]
 }
 
 // Stddev returns the population standard deviation.
 func (h *Histogram) Stddev() float64 {
-	n := len(h.samples)
-	if n == 0 {
+	if h.n == 0 {
 		return 0
 	}
 	mean := h.Mean()
 	var ss float64
-	for _, v := range h.samples {
+	for v, c := range h.counts {
+		d := float64(v) - mean
+		ss += float64(c) * d * d
+	}
+	for _, v := range h.rest {
 		d := v - mean
 		ss += d * d
 	}
-	return math.Sqrt(ss / float64(n))
-}
-
-func (h *Histogram) ensureSorted() {
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
-	}
+	return math.Sqrt(ss / float64(h.n))
 }
 
 // WindowSeries buckets event values into fixed-width windows of a scalar

@@ -46,6 +46,11 @@ type Zipfian struct {
 	items                            int64
 	theta, alpha, zetan, eta, zeta2t float64
 	countForZeta                     int64
+
+	// Derived from the fields above, never serialised.
+	second float64    // 1 + 0.5^theta: u*zetan below it picks item 1
+	served int64      // draws the formula answered since construction or Grow
+	table  *zipfTable // exact inverse of keyOf, built once served has paid for it
 }
 
 // NewZipfian returns a zipfian chooser over n items with the default
@@ -57,12 +62,17 @@ func NewZipfianTheta(n int64, theta float64) *Zipfian {
 	if n <= 0 {
 		panic("ycsb: zipfian over empty key space")
 	}
-	z := &Zipfian{items: n, theta: theta}
+	return newZipfian(n, theta, zetaRange(0, n, theta, 0))
+}
+
+// newZipfian is NewZipfianTheta given zetan = zeta(n, theta), which costs n
+// pow calls to compute.
+func newZipfian(n int64, theta, zetan float64) *Zipfian {
+	z := &Zipfian{items: n, theta: theta, zetan: zetan, countForZeta: n}
 	z.zeta2t = zetaRange(0, 2, theta, 0)
 	z.alpha = 1 / (1 - theta)
-	z.zetan = zetaRange(0, n, theta, 0)
-	z.countForZeta = n
 	z.eta = z.etaVal()
+	z.second = 1 + pow(0.5, theta)
 	return z
 }
 
@@ -81,17 +91,37 @@ func zetaRange(st, en int64, theta, initial float64) float64 {
 
 func pow(x, y float64) float64 { return math.Pow(x, y) }
 
+// drawBits is the width of one draw: rng.Uint64()>>11, the integer whose
+// quotient by 2^53 is RNG.Float64.
+const drawBits = 53
+
 // Next implements Chooser following the YCSB ZipfianGenerator algorithm.
 func (z *Zipfian) Next(rng *sim.RNG) int64 {
-	u := rng.Float64()
+	m := rng.Uint64() >> (64 - drawBits)
+	if z.table != nil {
+		return z.table.keyOf(m)
+	}
+	if z.served++; z.served == tableBuildEvals(z.items) {
+		z.table = z.buildTable()
+	}
+	return z.keyOf(m)
+}
+
+// keyOf maps one draw to its item by the Gray et al. formula. The float
+// result reaches items itself for the top few draws, so it is clamped.
+func (z *Zipfian) keyOf(m uint64) int64 {
+	u := float64(m) / (1 << drawBits)
 	uz := u * z.zetan
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+pow(0.5, z.theta) {
+	if uz < z.second {
 		return 1
 	}
-	return int64(float64(z.items) * pow(z.eta*u-z.eta+1, z.alpha))
+	if k := int64(float64(z.items) * pow(z.eta*u-z.eta+1, z.alpha)); k < z.items {
+		return k
+	}
+	return z.items - 1
 }
 
 // Grow implements Chooser, extending zeta incrementally like YCSB's
@@ -104,6 +134,7 @@ func (z *Zipfian) Grow(n int64) {
 	z.countForZeta = n
 	z.items = n
 	z.eta = z.etaVal()
+	z.served, z.table = 0, nil
 }
 
 // Items returns the current key-space size.

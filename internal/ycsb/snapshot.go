@@ -13,7 +13,9 @@ import (
 // mutable state travels. Choosers are encoded type-tagged with their exact
 // float state (math.Float64bits) — the zipfian's zetan/eta are accumulated
 // incrementally under Grow, so recomputing them from the item count would not
-// reproduce the same bits.
+// reproduce the same bits. What a zipfian derives from that state (its
+// branch constant, the inverse table and the draw count that triggers it) is
+// rebuilt on the restored side and never written.
 
 const (
 	chooserUniform   = 0
@@ -164,5 +166,6 @@ func decodeZipfian(dec *snapcodec.Decoder) (*Zipfian, error) {
 	if z.items <= 0 {
 		return nil, fmt.Errorf("ycsb: snapshot zipfian over %d items", z.items)
 	}
+	z.second = 1 + pow(0.5, z.theta)
 	return z, nil
 }

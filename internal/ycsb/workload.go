@@ -89,6 +89,12 @@ type Client struct {
 
 	records int64
 	loaded  bool
+
+	// zetan is zeta(zetaItems, ZipfianConstant), kept from the last run's
+	// chooser: a pure function of the record count that costs one pow per
+	// record to recompute.
+	zetaItems int64
+	zetan     float64
 }
 
 // NewClient creates a client bound to a store.
@@ -162,12 +168,10 @@ func (c *Client) StartRun(w Workload, ops int64) *Run {
 	if !c.loaded {
 		panic("ycsb: Run before Load")
 	}
-	r := &Run{
+	return &Run{
 		c: c, w: w, chooser: c.chooserFor(w),
 		ops: ops, startOps: c.m.Ops, start: c.m.Clock.Now(),
 	}
-	r.lat.Reserve(int(ops))
-	return r
 }
 
 // Workload returns the run's operation mix.
@@ -237,10 +241,20 @@ func (r *Run) Finish() RunResult {
 func (c *Client) chooserFor(w Workload) Chooser {
 	switch w.Dist {
 	case DistLatest:
-		return NewLatest(c.records)
+		return &Latest{z: c.zipfian(), n: c.records}
 	case DistUniform:
 		return NewUniform(c.records)
 	default:
-		return NewScrambled(c.records)
+		return &Scrambled{z: c.zipfian(), n: c.records}
 	}
+}
+
+// zipfian returns NewZipfian(c.records) without summing zeta again when the
+// record count has not moved since the last run.
+func (c *Client) zipfian() *Zipfian {
+	if c.zetaItems != c.records {
+		c.zetan = zetaRange(0, c.records, ZipfianConstant, 0)
+		c.zetaItems = c.records
+	}
+	return newZipfian(c.records, ZipfianConstant, c.zetan)
 }

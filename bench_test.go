@@ -133,6 +133,40 @@ func BenchmarkPageFault(b *testing.B) {
 	}
 }
 
+// BenchmarkFaultEvict is the fault path's steady state, which
+// BenchmarkPageFault's ping-pong on an empty machine never reaches: the
+// machine is full, so every fault first evicts a page through direct reclaim
+// (LRU scan, unmap, swap-out) and then pays a swap-in, and the allocator
+// works on a fragmented node instead of re-coalescing one block. A warmed
+// run allocates nothing (DESIGN.md §7.4).
+func BenchmarkFaultEvict(b *testing.B) {
+	cfg := machine.DefaultConfig()
+	cfg.Mem.DRAMNodes = []int{1024}
+	cfg.Mem.PMNodes = []int{8192}
+	cfg.OpCost = 0
+	m := machine.New(cfg, &noPolicy{})
+	as := m.NewSpace()
+	// The first pages born settle in DRAM for good (direct reclaim takes
+	// from the slowest tier); the stream runs over the rest.
+	const settled, region = 2048, 40_000
+	v := as.Mmap(settled+region, false, "stream")
+	m.AccessRange(as, v.Start, settled, false, 1)
+	stream := v.Start + settled
+	for i := 0; i < 2*region; i++ {
+		m.Access(as, stream+pagetable.VPN(i%region), false)
+	}
+	faults := m.Mem.Counters.MinorFaults
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Access(as, stream+pagetable.VPN(i%region), i%8 == 0)
+	}
+	b.StopTimer()
+	if got := m.Mem.Counters.MinorFaults - faults; got < int64(b.N)*3/4 {
+		b.Fatalf("%d of %d accesses faulted; the stream is meant to miss", got, b.N)
+	}
+}
+
 // BenchmarkScanCycle measures one CLOCK pass over a populated vec.
 func BenchmarkScanCycle(b *testing.B) {
 	vec := lru.NewVec(0)

@@ -247,8 +247,12 @@ func (m *Machine) AccessN(as *pagetable.AddressSpace, vpn pagetable.VPN, write b
 		if attempt == 3 {
 			panic("machine: page reclaimed immediately after fault three times (thrashing)")
 		}
-		pg = m.fault(as, vpn)
+		m.fault(as, vpn)
 		lat += m.Mem.Lat.MinorFault
+		// Ask the page table, not the descriptor fault built: if pressure
+		// evicted the newborn, a huge-page split in the same episode may
+		// already have reissued that descriptor to another page.
+		pg = as.Lookup(vpn)
 	}
 	if pg.Flags.Has(mem.FlagPoisoned) {
 		pagetable.Unpoison(pg)
@@ -336,14 +340,17 @@ func (m *Machine) SupervisedAccess(as *pagetable.AddressSpace, vpn pagetable.VPN
 }
 
 // fault populates vpn with a fresh page following the policy's allocation
-// order, reclaiming if the whole machine is full.
-func (m *Machine) fault(as *pagetable.AddressSpace, vpn pagetable.VPN) *mem.Page {
+// order, reclaiming if the whole machine is full. It returns nothing: the
+// pressure handling at its end may evict the page it just mapped, and the
+// page table is where the caller finds out.
+func (m *Machine) fault(as *pagetable.AddressSpace, vpn pagetable.VPN) {
 	vma := as.FindVMA(vpn)
 	if vma == nil {
 		panic(fmt.Sprintf("machine: segfault — access to unmapped vpn %#x in space %d", vpn, as.ID))
 	}
 	if vma.Huge {
-		return m.faultHuge(as, vpn, vma)
+		m.faultHuge(as, vpn, vma)
+		return
 	}
 	order := m.Policy.AllocOrder()
 	pg := m.Mem.Alloc(order)
@@ -388,13 +395,12 @@ func (m *Machine) fault(as *pagetable.AddressSpace, vpn pagetable.VPN) *mem.Page
 	if m.Mem.Nodes[pg.Node].UnderLow() {
 		m.Policy.Pressure(pg.Node)
 	}
-	return pg
 }
 
 // faultHuge populates an aligned transparent huge page covering vpn. When
 // no contiguous block is available (fragmentation or pressure) it falls
 // back to base pages for this fault, as THP does.
-func (m *Machine) faultHuge(as *pagetable.AddressSpace, vpn pagetable.VPN, vma *pagetable.VMA) *mem.Page {
+func (m *Machine) faultHuge(as *pagetable.AddressSpace, vpn pagetable.VPN, vma *pagetable.VMA) {
 	base := vpn - vpn%pagetable.HugePages
 	for _, t := range m.Policy.AllocOrder() {
 		for _, id := range m.Mem.TierNodes(t) {
@@ -423,15 +429,14 @@ func (m *Machine) faultHuge(as *pagetable.AddressSpace, vpn pagetable.VPN, vma *
 			if m.Mem.Nodes[pg.Node].UnderLow() {
 				m.Policy.Pressure(pg.Node)
 			}
-			return pg
+			return
 		}
 	}
 	// No contiguous block anywhere: fall back to one base page.
 	hugeSave := vma.Huge
 	vma.Huge = false
-	pg := m.fault(as, vpn)
+	m.fault(as, vpn)
 	vma.Huge = hugeSave
-	return pg
 }
 
 // Unmap releases the page at vpn: off the LRU, out of the page table, frame

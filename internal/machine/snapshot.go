@@ -283,7 +283,14 @@ func (m *Machine) RestoreMachineState(dec *snapcodec.Decoder, reg *PageRegistry)
 			return fmt.Errorf("machine: space %d swap population %d", as.ID, nsw)
 		}
 		for i := 0; i < nsw; i++ {
-			as.MarkSwapped(pagetable.VPN(dec.U64()))
+			vpn := pagetable.VPN(dec.U64())
+			if dec.Err() != nil {
+				return dec.Err()
+			}
+			if vpn > pagetable.MaxVPN {
+				return fmt.Errorf("machine: space %d swap entry %#x past the address space", as.ID, vpn)
+			}
+			as.MarkSwapped(vpn)
 		}
 	}
 	return dec.Err()

@@ -179,6 +179,7 @@ func TestHugeSwapOutAndBack(t *testing.T) {
 	as := m.NewSpace()
 	v := as.MmapHuge(512, "heap")
 	pg := m.Access(as, v.Start, false)
+	seq := pg.Seq
 	m.Vecs[pg.Node].Isolate(pg)
 	m.SwapOut(pg)
 	if as.Mapped() != 0 {
@@ -190,8 +191,8 @@ func TestHugeSwapOutAndBack(t *testing.T) {
 	// Re-access takes major-fault costs for the region.
 	before := m.Clock.Now()
 	pg2 := m.Access(as, v.Start+3, false)
-	if pg2 == pg {
-		t.Fatal("descriptor reused")
+	if pg2.Seq == seq {
+		t.Fatal("page identity reused")
 	}
 	if m.Mem.Counters.SwapIns != 512 {
 		t.Fatalf("swap-ins = %d, want 512", m.Mem.Counters.SwapIns)

@@ -143,10 +143,13 @@ type Page struct {
 	list *PageList
 	pos  int64
 
-	// Seq is the descriptor's birth sequence number, stamped once by the
-	// owning System and never reused. Descriptor creation order is
-	// deterministic, so Seq is a stable cross-run page identity — the
-	// checkpoint layer serializes every pointer to a page as its Seq.
+	// Seq is the page's birth sequence number, stamped by the owning System
+	// at every birth and never reused. The descriptor's address is: Free
+	// hands it to the next birth, so a page's identity is its Seq, and a
+	// reference that may outlive the page keeps the Seq beside the pointer
+	// and checks it. Birth order is deterministic, so Seq is also a stable
+	// cross-run identity — the checkpoint layer serializes every pointer to
+	// a page as its Seq.
 	Seq uint64
 
 	// Freq and LastUse are emulator-style full profiling scratch: exact
@@ -351,12 +354,20 @@ func (l *PageList) PopFront() *Page {
 // MoveToFront rotates pg (already on this list) to the head, the CLOCK
 // second-chance action.
 func (l *PageList) MoveToFront(pg *Page) {
-	if pg.list == l && pg.pos == l.back-1 && int(l.back-l.front) == l.size {
-		// The hand's common case, the tail of a list without tombstones:
-		// both ends step back a position (the same slot when the ring is full).
+	if pg.list == l && pg.pos == l.back-1 && l.size > 1 {
+		// The hand's case, the tail: rotate in place. The tail end steps
+		// back onto the previous page — over tombstones, if the span holds
+		// more slots than pages — which leaves the span shorter than the
+		// ring, so the slot before the head is free (the one just vacated
+		// when the span filled the ring).
 		mask := l.mask()
 		l.ring[pg.pos&mask] = nil
 		l.back--
+		if int(l.back-l.front) >= l.size {
+			for l.ring[(l.back-1)&mask] == nil {
+				l.back--
+			}
+		}
 		l.front--
 		l.ring[l.front&mask] = pg
 		pg.pos = l.front

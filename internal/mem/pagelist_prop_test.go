@@ -97,6 +97,7 @@ func TestPageListAgainstModel(t *testing.T) {
 	l.Name = "prop"
 	var m listModel
 	grows, squeezes := 0, 0
+	holedRotates, fullRotates := 0, 0 // tail rotations over tombstones, and with the span filling the ring
 	push := func(front bool) {
 		full, before := int(l.back-l.front) == len(l.ring), len(l.ring)
 		pg := &Page{}
@@ -140,8 +141,24 @@ func TestPageListAgainstModel(t *testing.T) {
 				i = rng.Intn(len(m))
 			}
 			pg := m[i]
+			rotate := i == len(m)-1 && len(m) > 1
+			span, ring := int(l.back-l.front), len(l.ring)
 			l.MoveToFront(pg)
 			m = m.without(i).withFront(pg)
+			if rotate {
+				// The hand's path must stay in place whatever the list
+				// holds: no new ring, no squeeze, no longer span.
+				if len(l.ring) != ring || int(l.back-l.front) > span {
+					t.Fatalf("step %d: tail rotation reshaped the ring (%d→%d slots, span %d→%d)",
+						step, ring, len(l.ring), span, int(l.back-l.front))
+				}
+				if span != len(m) {
+					holedRotates++
+				}
+				if span == ring {
+					fullRotates++
+				}
+			}
 		case op == 8:
 			if got := l.PopBack(); got != m[len(m)-1] {
 				t.Fatalf("step %d: PopBack returned the wrong page", step)
@@ -171,10 +188,90 @@ func TestPageListAgainstModel(t *testing.T) {
 			t.Fatalf("step %d (target %d): %v", step, target, err)
 		}
 	}
-	t.Logf("grows %d squeezes %d", grows, squeezes)
+	t.Logf("grows %d squeezes %d, tail rotations: %d tombstoned, %d ring-filling", grows, squeezes, holedRotates, fullRotates)
 	if grows < 5 || squeezes < 5 {
 		t.Fatalf("run crossed %d grow and %d squeeze thresholds, want several of each", grows, squeezes)
 	}
+	if holedRotates < 100 || fullRotates < 5 {
+		t.Fatalf("run rotated %d tombstoned and %d ring-filling tails, want many of each", holedRotates, fullRotates)
+	}
+}
+
+// TestPageListRotateTail walks the tail rotation through the shapes the random
+// run only meets by chance: a hole-free list, tombstones directly before the
+// tail, a span that fills the ring with and without tombstones, and the
+// one-page list.
+func TestPageListRotateTail(t *testing.T) {
+	build := func(n int) (*PageList, listModel) {
+		l := &PageList{Name: "rotate"}
+		var m listModel
+		for i := 0; i < n; i++ {
+			pg := &Page{}
+			l.PushBack(pg)
+			m = append(m, pg)
+		}
+		return l, m
+	}
+	rotate := func(t *testing.T, l *PageList, m listModel) listModel {
+		t.Helper()
+		ring, tail := len(l.ring), m[len(m)-1]
+		l.MoveToFront(tail)
+		m = m.without(len(m) - 1).withFront(tail)
+		if err := checkAgainst(l, m); err != nil {
+			t.Fatal(err)
+		}
+		if len(l.ring) != ring || int(l.back-l.front) > ring {
+			t.Fatalf("rotation reshaped the ring: %d→%d slots, span %d", ring, len(l.ring), l.back-l.front)
+		}
+		return m
+	}
+	remove := func(l *PageList, m listModel, i int) listModel {
+		l.Remove(m[i])
+		return m.without(i)
+	}
+
+	t.Run("hole-free ring-filling", func(t *testing.T) {
+		l, m := build(16) // the first ring is 16 slots
+		for i := 0; i < 40; i++ {
+			m = rotate(t, l, m)
+		}
+	})
+	t.Run("tombstones before the tail", func(t *testing.T) {
+		l, m := build(12)
+		m = remove(l, m, 10)
+		m = remove(l, m, 9)
+		m = remove(l, m, 4)
+		back := l.back
+		m = rotate(t, l, m)
+		if l.back != back-3 {
+			t.Fatalf("tail end moved %d positions, want 3 (the page and two tombstones)", back-l.back)
+		}
+		for i := 0; i < 30; i++ {
+			m = rotate(t, l, m)
+		}
+	})
+	t.Run("ring-filling with tombstones", func(t *testing.T) {
+		l, m := build(16)
+		m = remove(l, m, 14)
+		m = remove(l, m, 13)
+		m = remove(l, m, 2)
+		if int(l.back-l.front) != len(l.ring) {
+			t.Fatal("span does not fill the ring")
+		}
+		// The head takes the slot the tail just left.
+		slot := (l.back - 1) & l.mask()
+		m = rotate(t, l, m)
+		if l.front&l.mask() != slot {
+			t.Fatalf("head in slot %d, want the vacated slot %d", l.front&l.mask(), slot)
+		}
+		for i := 0; i < 40; i++ {
+			m = rotate(t, l, m)
+		}
+	})
+	t.Run("single page", func(t *testing.T) {
+		l, m := build(1)
+		rotate(t, l, m)
+	})
 }
 
 func TestPageListPanicMessages(t *testing.T) {

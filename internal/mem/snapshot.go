@@ -2,24 +2,22 @@ package mem
 
 import (
 	"fmt"
-	"sort"
 
 	"multiclock/internal/sim"
 	"multiclock/internal/snapcodec"
 )
 
 // Checkpoint serialization for the memory system. The "mem" section carries
-// the frame-allocation state (per-node buddy free lists), the event
+// the frame-allocation state (per-node buddy free sets), the event
 // counters, the shadow-frame count and the descriptor sequence counter.
 // Page descriptors themselves are serialized by the layers that own their
-// reachability (the LRU lists, the swap map, policy state), each as a full
+// reachability (the LRU lists, policy state), each as a full
 // PageState record keyed by Page.Seq.
 //
-// The buddy free lists are encoded sorted per order: every allocator
+// The buddy free sets are encoded ascending per order: every allocator
 // operation is value-addressed (Alloc pops the minimum block, removeFrom
-// searches by frame), so the lists have set semantics and the canonical
-// sorted form both hashes stably and restores to behaviorally identical
-// state.
+// names its frame), so the canonical sorted form both hashes stably and
+// restores to behaviorally identical state.
 
 // TopologyMismatchError reports a snapshot taken under a different tier
 // hierarchy than the restore target's. The snapshot layer converts it to
@@ -121,27 +119,23 @@ func (s *System) RestoreState(dec *snapcodec.Decoder) error {
 	return dec.Err()
 }
 
-// snapshot encodes the allocator's free lists, sorted per order.
+// snapshot encodes the allocator's free sets, ascending per order.
 func (b *buddy) snapshot(enc *snapcodec.Encoder) {
-	for order := 0; order <= MaxOrder; order++ {
-		list := append([]FrameID(nil), b.free[order]...)
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-		enc.Int(len(list))
-		for _, f := range list {
-			enc.U32(uint32(f))
-		}
+	for order := range b.free {
+		enc.Int(b.perOrder[order])
+		b.free[order].each(func(i int) { enc.U32(uint32(i << order)) })
 	}
 }
 
-// restore rebuilds the allocator from encoded free lists: everything not on
-// a free list is allocated. The derived state/nfree/perOrder views are
-// recomputed rather than trusted from the wire.
+// restore rebuilds the allocator from encoded free sets: everything not in
+// one is allocated. The derived state/nfree/perOrder views are recomputed
+// rather than trusted from the wire.
 func (b *buddy) restore(dec *snapcodec.Decoder) error {
 	for i := range b.state {
 		b.state[i] = stateAllocated
 	}
 	for order := range b.free {
-		b.free[order] = b.free[order][:0]
+		b.free[order].reset()
 		b.perOrder[order] = 0
 	}
 	b.nfree = 0
@@ -158,11 +152,8 @@ func (b *buddy) restore(dec *snapcodec.Decoder) error {
 			if dec.Err() != nil {
 				return dec.Err()
 			}
-			if int(f)&(1<<order-1) != 0 || int(f)+(1<<order) > b.frames {
+			if f < 0 || int(f)&(1<<order-1) != 0 || int(f)+(1<<order) > b.frames {
 				return fmt.Errorf("mem: buddy snapshot block %d invalid at order %d", f, order)
-			}
-			if b.state[f] != stateAllocated {
-				return fmt.Errorf("mem: buddy snapshot frame %d in two free blocks", f)
 			}
 			for j := int(f); j < int(f)+(1<<order); j++ {
 				if b.state[j] != stateAllocated {
@@ -171,8 +162,6 @@ func (b *buddy) restore(dec *snapcodec.Decoder) error {
 				b.state[j] = stateTail
 			}
 			b.insert(f, order)
-			// insert marks the head; the perOrder/nfree bookkeeping below
-			// mirrors newBuddy's construction path.
 			b.nfree += 1 << order
 		}
 	}
@@ -259,11 +248,7 @@ func EncodePage(enc *snapcodec.Encoder, pg *Page) {
 // slab. The caller registers the returned page under its Seq and re-links
 // it into whatever structure referenced it.
 func (s *System) RestorePage(dec *snapcodec.Decoder) *Page {
-	if len(s.descSlab) == 0 {
-		s.descSlab = make([]Page, descChunk)
-	}
-	pg := &s.descSlab[0]
-	s.descSlab = s.descSlab[1:]
+	pg := s.slabPage()
 	pg.Seq = dec.U64()
 	pg.Node = NodeID(dec.U32())
 	pg.Frame = FrameID(dec.U32())

@@ -83,12 +83,18 @@ type System struct {
 	// default allocation placement.
 	birthOrder []Tier
 
-	// descSlab bump-allocates page descriptors in chunks so page births
-	// (and huge-page splits) do not pay one heap allocation per
-	// descriptor. Descriptors are never recycled — observers track pages
-	// by pointer identity, so a freed page's pointer must stay unique —
-	// which means a chunk is garbage only once every descriptor in it is
-	// unreachable; at simulation scale that trade is cheap.
+	// descFree is the LIFO of descriptors Free has released; newPage
+	// reissues them before it touches the slab, so a machine at its resident
+	// set's high-water mark births pages without allocating (DESIGN.md
+	// §7.4). It is host state: which address a page lives at is invisible to
+	// the simulation, so no snapshot carries it. descSlab bump-allocates the
+	// refill in chunks (births beyond the high-water mark, huge-page splits,
+	// RestorePage) so those do not pay one heap allocation per descriptor.
+	//
+	// The contract recycling rests on: a *Page is valid from its birth to
+	// Free. Whatever may outlive the page holds (pointer, Seq) and treats the
+	// reference as live only while pg.Seq still equals the stamped Seq.
+	descFree []*Page
 	descSlab []Page
 
 	// shadowFrames counts frames currently held by shadow copies
@@ -105,16 +111,29 @@ type System struct {
 // descChunk is the descriptor slab chunk size in pages.
 const descChunk = 1024
 
-// newPage returns a fresh zeroed descriptor from the slab with the unmapped
-// sentinel fields set (Space -1, no shadow — NodeID zero is a real node, so
-// the no-shadow state needs the explicit sentinel — birth timestamp
-// stamped).
-func (s *System) newPage() *Page {
+// slabPage returns a never-used zeroed descriptor from the slab.
+func (s *System) slabPage() *Page {
 	if len(s.descSlab) == 0 {
 		s.descSlab = make([]Page, descChunk)
 	}
 	pg := &s.descSlab[0]
 	s.descSlab = s.descSlab[1:]
+	return pg
+}
+
+// newPage returns a zeroed descriptor — the most recently freed one, else a
+// fresh one from the slab — with a new Seq and the unmapped sentinel fields
+// set (Space -1, no shadow — NodeID zero is a real node, so the no-shadow
+// state needs the explicit sentinel — birth timestamp stamped).
+func (s *System) newPage() *Page {
+	var pg *Page
+	if n := len(s.descFree); n > 0 {
+		pg = s.descFree[n-1]
+		s.descFree = s.descFree[:n-1]
+		*pg = Page{}
+	} else {
+		pg = s.slabPage()
+	}
 	pg.Seq = s.pageSeq
 	s.pageSeq++
 	pg.Space = -1
@@ -303,8 +322,8 @@ func (s *System) BirthOrder() []Tier { return s.birthOrder }
 
 // Free releases the page's frames — and any shadow copy still held, so a
 // shadowed page's death cannot leak its second frame. The page must already
-// be off all LRU lists and unmapped; the descriptor must not be used
-// afterwards.
+// be off all LRU lists and unmapped. The descriptor must not be used
+// afterwards: the next birth reissues it under a new Seq.
 func (s *System) Free(pg *Page) {
 	if pg.OnList() {
 		panic("mem: freeing page still on an LRU list")
@@ -317,6 +336,7 @@ func (s *System) Free(pg *Page) {
 	s.Counters.Frees[n.Tier] += 1 << pg.Order
 	pg.Frame = NoFrame
 	pg.Node = NoNode
+	s.descFree = append(s.descFree, pg)
 }
 
 // MigrationResult reports the outcome of a Migrate call.

@@ -124,6 +124,64 @@ func TestFreeReturnsFrame(t *testing.T) {
 	}
 }
 
+// TestDescriptorRecycled pins the descriptor contract (DESIGN.md §7.4): Free
+// hands the descriptor to the next birth, and the page born into it is a new
+// page — a Seq never seen before and nothing left of the previous tenant.
+func TestDescriptorRecycled(t *testing.T) {
+	s := testSystem(100, 400)
+	s.clock.Advance(5 * sim.Microsecond) // so that PromotedAt and BornAt are not zero by accident
+	pg := shadowPage(t, s)
+	if !s.PromoteWithShadow(pg, s.TierNodes(TierDRAM)[0]).OK || pg.PromotedAt == 0 {
+		t.Fatal("shadow promotion failed")
+	}
+	// A long life leaves marks on every field a policy or the machine owns.
+	pg.Flags |= FlagDirty | FlagReferenced | FlagActive | FlagPoisoned
+	pg.Accessed, pg.HWDirty = true, true
+	pg.Freq, pg.Hist, pg.CacheHint = 41, 0x15, 7
+	pg.LastUse, pg.LastHint = 900, 800
+	pg.VA, pg.Space = 0x7000, 3
+	seq, next := pg.Seq, s.pageSeq
+	s.clock.Advance(5 * sim.Microsecond)
+
+	pg.ClearFlags(FlagIsolated)
+	s.Free(pg)
+	if s.ShadowFrames() != 0 {
+		t.Fatal("Free left the shadow frame held")
+	}
+	other := s.AllocOn(s.TierNodes(TierPM)[0], false)
+	if other != pg {
+		t.Fatal("the next birth did not reuse the freed descriptor")
+	}
+	if other.Seq == seq || other.Seq != next || s.pageSeq != next+1 {
+		t.Fatalf("rebirth has seq %d (previous life %d), want the fresh seq %d", other.Seq, seq, next)
+	}
+	want := Page{
+		Node: other.Node, Frame: other.Frame, Seq: next, Space: -1,
+		ShadowNode: NoNode, ShadowFrame: NoFrame, BornAt: s.clock.Now(),
+	}
+	if *other != want {
+		t.Fatalf("rebirth carries state from the previous life:\n got %+v\nwant %+v", *other, want)
+	}
+	if other.HasShadow() || other.OnList() || s.Tier(other) != TierPM {
+		t.Fatal("rebirth is shadowed, listed or misplaced")
+	}
+
+	// LIFO: two frees come back in reverse order, and a birth that finds
+	// the free list empty takes a never-used descriptor.
+	a, b := s.Alloc(DefaultOrder()), s.Alloc(DefaultOrder())
+	s.Free(a)
+	s.Free(b)
+	if got := s.Alloc(DefaultOrder()); got != b {
+		t.Fatal("free list is not last-in first-out")
+	}
+	if got := s.Alloc(DefaultOrder()); got != a {
+		t.Fatal("free list lost a descriptor")
+	}
+	if got := s.Alloc(DefaultOrder()); got == a || got == b || got == other {
+		t.Fatal("a live descriptor was issued twice")
+	}
+}
+
 func TestFreeOnListPanics(t *testing.T) {
 	s := testSystem(10, 10)
 	pg := s.Alloc(DefaultOrder())

@@ -38,7 +38,9 @@ type Cache struct {
 	m  *machine.Machine
 	as *pagetable.AddressSpace
 
-	files map[string]*File
+	// files holds the open files in Open order, the order the flusher
+	// cleans them in (a map's would differ from run to run).
+	files []*File
 
 	// DiskRead is the cost of filling a page-cache miss from storage.
 	DiskRead sim.Duration
@@ -53,7 +55,6 @@ func New(m *machine.Machine) *Cache {
 	return &Cache{
 		m:        m,
 		as:       m.NewSpace(),
-		files:    make(map[string]*File),
 		DiskRead: 50 * sim.Microsecond,
 	}
 }
@@ -89,7 +90,10 @@ func (c *Cache) Space() *pagetable.AddressSpace { return c.as }
 
 // Open creates (or returns) a file of the given size in pages.
 func (c *Cache) Open(name string, pages int) *File {
-	if f, ok := c.files[name]; ok {
+	for _, f := range c.files {
+		if f.Name != name {
+			continue
+		}
 		if f.Pages != pages {
 			panic(fmt.Sprintf("pagecache: %q reopened with different size", name))
 		}
@@ -106,7 +110,7 @@ func (c *Cache) Open(name string, pages int) *File {
 		vma:             c.as.Mmap(pages, true, "file:"+name),
 		readDiskLatency: c.DiskRead,
 	}
-	c.files[name] = f
+	c.files = append(c.files, f)
 	return f
 }
 

@@ -78,9 +78,11 @@ type AddressSpace struct {
 	lookupTag  VPN
 	lookupLeaf *pteLeaf
 
-	// swapped records pages written to backing store; the next fault on
+	// swapped records pages written to backing store — bit vpn&63 of word
+	// vpn>>6, grown on demand — and nswapped how many; the next fault on
 	// such a VPN is a major fault (swap-in).
-	swapped map[VPN]bool
+	swapped  []uint64
+	nswapped int
 }
 
 // New creates an empty address space. The ID tags page descriptors so
@@ -89,26 +91,42 @@ func New(id int32) *AddressSpace {
 	return &AddressSpace{
 		ID:      id,
 		nextVPN: 1, // skip page 0, keep NULL unmapped
-		swapped: make(map[VPN]bool),
 	}
 }
 
 // MarkSwapped records that vpn's contents live on backing store (set by
 // the eviction path after writing the page out).
-func (as *AddressSpace) MarkSwapped(vpn VPN) { as.swapped[vpn] = true }
+func (as *AddressSpace) MarkSwapped(vpn VPN) {
+	if vpn > MaxVPN {
+		panic("pagetable: VPN out of range")
+	}
+	w := int(vpn >> 6)
+	if w >= len(as.swapped) {
+		// At least doubling: eviction order is not address order.
+		grown := make([]uint64, max(w+1, 2*len(as.swapped)))
+		copy(grown, as.swapped)
+		as.swapped = grown
+	}
+	if bit := uint64(1) << (vpn & 63); as.swapped[w]&bit == 0 {
+		as.swapped[w] |= bit
+		as.nswapped++
+	}
+}
 
 // TakeSwapped reports and clears vpn's swap residency; a true return means
 // the caller's fault is a major fault that must read the page back in.
 func (as *AddressSpace) TakeSwapped(vpn VPN) bool {
-	if as.swapped[vpn] {
-		delete(as.swapped, vpn)
-		return true
+	w, bit := int(vpn>>6), uint64(1)<<(vpn&63)
+	if w >= len(as.swapped) || as.swapped[w]&bit == 0 {
+		return false
 	}
-	return false
+	as.swapped[w] &^= bit
+	as.nswapped--
+	return true
 }
 
 // Swapped returns the number of swapped-out pages.
-func (as *AddressSpace) Swapped() int { return len(as.swapped) }
+func (as *AddressSpace) Swapped() int { return as.nswapped }
 
 // Mmap creates a VMA of npages with a one-page guard gap after the previous
 // mapping, returning it. No pages are populated: population happens on first

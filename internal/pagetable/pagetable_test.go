@@ -1,10 +1,12 @@
 package pagetable
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"multiclock/internal/mem"
+	"multiclock/internal/sim"
 )
 
 func TestVPNRoundTrip(t *testing.T) {
@@ -195,4 +197,82 @@ func TestPageTableMapEquivalence(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSwapBitsetAgainstMap drives swap residency — mark, take, re-mark, the
+// count and the ascending listing — against a map, over VPNs chosen at the
+// bitset's word and growth boundaries and at both ends of the address space.
+func TestSwapBitsetAgainstMap(t *testing.T) {
+	as := New(1)
+	model := map[VPN]bool{}
+	check := func(when string) {
+		t.Helper()
+		if as.Swapped() != len(model) {
+			t.Fatalf("%s: Swapped() = %d, model %d", when, as.Swapped(), len(model))
+		}
+		want := make([]VPN, 0, len(model))
+		for v := range model {
+			want = append(want, v)
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		got := as.SwappedVPNs()
+		if len(got) != len(want) {
+			t.Fatalf("%s: SwappedVPNs lists %d pages, model %d", when, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: SwappedVPNs[%d] = %#x, model %#x (must ascend)", when, i, got[i], want[i])
+			}
+		}
+	}
+	if as.TakeSwapped(0) || as.TakeSwapped(MaxVPN) || as.TakeSwapped(MaxVPN+(1<<20)) {
+		t.Fatal("an empty space reported swap residency")
+	}
+	check("empty")
+
+	// Word edges, the doubling steps of a set that grows from nothing, and
+	// the last page of the address space (which sizes the set to its limit).
+	edges := []VPN{0, 1, 62, 63, 64, 65, 127, 128, 129, 4095, 4096, 4097, 8191, 8192, 70_000, 1 << 20, MaxVPN - 64, MaxVPN - 1, MaxVPN}
+	for _, v := range edges {
+		as.MarkSwapped(v)
+		model[v] = true
+		check("mark edge")
+	}
+	as.MarkSwapped(64) // re-marking a resident page counts it once
+	check("re-mark")
+	for _, v := range edges[:8] {
+		if !as.TakeSwapped(v) || as.TakeSwapped(v) {
+			t.Fatalf("TakeSwapped(%#x) must report the page exactly once", v)
+		}
+		delete(model, v)
+		check("take edge")
+	}
+
+	rng := sim.NewRNG(9)
+	for step := 0; step < 20_000; step++ {
+		v := VPN(rng.Intn(3000))
+		if rng.Intn(8) == 0 {
+			v = edges[rng.Intn(len(edges))]
+		}
+		if rng.Intn(2) == 0 {
+			as.MarkSwapped(v)
+			model[v] = true
+		} else {
+			if got := as.TakeSwapped(v); got != model[v] {
+				t.Fatalf("step %d: TakeSwapped(%#x) = %v, model %v", step, v, got, model[v])
+			}
+			delete(model, v)
+		}
+		if step%500 == 0 {
+			check("random")
+		}
+	}
+	check("end")
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("marking a page past the address space did not panic")
+		}
+	}()
+	as.MarkSwapped(MaxVPN + 1)
 }

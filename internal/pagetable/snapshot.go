@@ -1,6 +1,6 @@
 package pagetable
 
-import "sort"
+import "math/bits"
 
 // Checkpoint accessors. An address space's VMAs and bump-allocator position
 // are fully determined by the workload's construction-time Mmap calls — the
@@ -12,13 +12,13 @@ import "sort"
 // NextVPN returns the mmap bump-allocator position (checkpoint verification).
 func (as *AddressSpace) NextVPN() VPN { return as.nextVPN }
 
-// SwappedVPNs returns the swapped-out VPNs in sorted order (the map is never
-// iterated by the simulation, so the canonical form is behaviorally exact).
+// SwappedVPNs returns the swapped-out VPNs in ascending order.
 func (as *AddressSpace) SwappedVPNs() []VPN {
-	out := make([]VPN, 0, len(as.swapped))
-	for v := range as.swapped {
-		out = append(out, v)
+	out := make([]VPN, 0, as.nswapped)
+	for w, word := range as.swapped {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, VPN(w<<6|bits.TrailingZeros64(word)))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

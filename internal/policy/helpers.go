@@ -113,3 +113,20 @@ func (r *recencyDemoter) Pressure(node mem.NodeID) {
 		r.makeRoom(t)
 	}
 }
+
+// pageRef is a page reference that may outlive its page: the descriptor
+// together with the Seq it carried when the reference was taken. A freed
+// descriptor is reissued to the next birth (mem.System.Free), so the pointer
+// alone can come to name another page; the Seq cannot. The lazily pruned
+// queues (S3-FIFO's small/main/ghost, Nomad's shadowed) hold these.
+type pageRef struct {
+	pg  *mem.Page
+	seq uint64
+}
+
+func refTo(pg *mem.Page) pageRef { return pageRef{pg, pg.Seq} }
+
+// stale reports that the descriptor now belongs to a later page. A reference
+// that is not stale may still name a page that died and has not been reborn;
+// the holder's own test for that (a state-map miss, HasShadow) is unchanged.
+func (r pageRef) stale() bool { return r.pg.Seq != r.seq }

@@ -48,8 +48,9 @@ type Nomad struct {
 	// shadowed is a lazily-invalidated FIFO of pages that committed a
 	// shadow promotion, in commit order: the reclaim scan for PM pressure
 	// walks it oldest-first. Entries whose shadow is already gone (write,
-	// ordinary migration, or page death) are skipped and compacted away.
-	shadowed []*mem.Page
+	// ordinary migration, or page death — shadowGone) are skipped and
+	// compacted away.
+	shadowed []pageRef
 
 	// Transaction stats for the bake-off report.
 	TxBegins    int64
@@ -177,14 +178,18 @@ func (nd *Nomad) scan(node mem.NodeID) {
 	// pressure, so trim dead entries once they dominate.
 	if live := m.Mem.ShadowFrames(); len(nd.shadowed) > 2*live+64 {
 		kept := nd.shadowed[:0]
-		for _, pg := range nd.shadowed {
-			if pg.HasShadow() {
-				kept = append(kept, pg)
+		for _, ref := range nd.shadowed {
+			if !shadowGone(ref) {
+				kept = append(kept, ref)
 			}
 		}
 		nd.shadowed = kept
 	}
 }
+
+// shadowGone reports that a shadowed entry no longer names a page holding a
+// shadow: its descriptor was reissued, or the page gave the shadow up.
+func shadowGone(ref pageRef) bool { return ref.stale() || !ref.pg.HasShadow() }
 
 // promoteShadow commits one transactional promotion: the page moves one
 // tier up and its source frame stays behind as the shadow.
@@ -202,7 +207,7 @@ func (nd *Nomad) promoteShadow(pg *mem.Page) bool {
 	if !nd.M.PromoteShadowIsolated(pg, dst) {
 		return false
 	}
-	nd.shadowed = append(nd.shadowed, pg)
+	nd.shadowed = append(nd.shadowed, refTo(pg))
 	return true
 }
 
@@ -238,15 +243,15 @@ func (nd *Nomad) reclaimShadows(node mem.NodeID) {
 	m := nd.M
 	n := m.Mem.Nodes[node]
 	kept := nd.shadowed[:0]
-	for _, pg := range nd.shadowed {
-		if !pg.HasShadow() {
+	for _, ref := range nd.shadowed {
+		if shadowGone(ref) {
 			continue
 		}
-		if pg.ShadowNode == node && n.UnderLow() {
-			m.Mem.DropShadow(pg)
+		if ref.pg.ShadowNode == node && n.UnderLow() {
+			m.Mem.DropShadow(ref.pg)
 			continue
 		}
-		kept = append(kept, pg)
+		kept = append(kept, ref)
 	}
 	nd.shadowed = kept
 }
@@ -256,16 +261,16 @@ func (nd *Nomad) reclaimShadows(node mem.NodeID) {
 func (nd *Nomad) DirectReclaim(frames int) int {
 	freed := 0
 	kept := nd.shadowed[:0]
-	for _, pg := range nd.shadowed {
-		if !pg.HasShadow() {
+	for _, ref := range nd.shadowed {
+		if shadowGone(ref) {
 			continue
 		}
 		if freed < frames {
-			nd.M.Mem.DropShadow(pg)
+			nd.M.Mem.DropShadow(ref.pg)
 			freed++
 			continue
 		}
-		kept = append(kept, pg)
+		kept = append(kept, ref)
 	}
 	nd.shadowed = kept
 	if freed < frames {

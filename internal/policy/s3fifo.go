@@ -54,10 +54,11 @@ const (
 // s3queues is the per-PM-node queue triple. The small and main queues hold
 // PM-resident pages; the ghost queue holds identities of pages that left
 // small without demonstrated reuse. All three are lazily invalidated: the
-// state map is authoritative, and a popped entry whose recorded membership
-// no longer names that queue is stale and skipped.
+// state map is authoritative, and a popped entry whose descriptor has since
+// been reissued, or whose recorded membership no longer names that queue, is
+// stale and skipped.
 type s3queues struct {
-	small, main, ghost []*mem.Page
+	small, main, ghost []pageRef
 	smallCap, ghostCap int
 	mainCap            int
 }
@@ -162,7 +163,8 @@ func (s *S3FIFO) PageTransition(pg *mem.Page, node mem.NodeID, from, to lru.Stat
 		}
 	case lru.CauseDelete:
 		// Unmap/swap-out: forget the page; stale queue entries resolve
-		// lazily. (Descriptors are never recycled, so no ABA hazard.)
+		// lazily. (The descriptor will be reissued; the queues hold
+		// pageRefs, so its next page is not mistaken for this one.)
 		delete(s.state, pg)
 	}
 }
@@ -179,7 +181,7 @@ func (s *S3FIFO) admit(q *s3queues, pg *mem.Page, fresh bool) {
 		v |= s3Fresh
 	}
 	s.state[pg] = v
-	q.small = append(q.small, pg)
+	q.small = append(q.small, refTo(pg))
 }
 
 // Access bumps the tracked page's saturating frequency; an access to a
@@ -193,7 +195,7 @@ func (s *S3FIFO) Access(pg *mem.Page, write bool) sim.Duration {
 			s.GhostHits++
 			s.state[pg] = s3Main | 1<<s3FreqShift
 			if q := s.queues[pg.Node]; q != nil {
-				q.main = append(q.main, pg)
+				q.main = append(q.main, refTo(pg))
 			}
 		case v&s3Fresh != 0:
 			// The admitting access itself: absorbed, not a reuse.
@@ -249,20 +251,20 @@ func (s *S3FIFO) scan(node mem.NodeID) {
 func (s *S3FIFO) evictSmall(q *s3queues) int {
 	work := 0
 	for len(q.small) > q.smallCap && work < s.cfg.ScanBatch {
-		pg := q.small[0]
+		ref := q.small[0]
 		q.small = q.small[1:]
 		work++
-		v, ok := s.state[pg]
-		if !ok || v&s3MemberMask != s3Small {
+		v, ok := s.state[ref.pg]
+		if ref.stale() || !ok || v&s3MemberMask != s3Small {
 			continue // stale: the page died or was re-admitted elsewhere
 		}
 		if v>>s3FreqShift > 0 {
 			s.SmallToMain++
-			s.state[pg] = s3Main | v&^s3MemberMask
-			q.main = append(q.main, pg)
+			s.state[ref.pg] = s3Main | v&^s3MemberMask
+			q.main = append(q.main, ref)
 		} else {
-			s.state[pg] = s3Ghost
-			q.ghost = append(q.ghost, pg)
+			s.state[ref.pg] = s3Ghost
+			q.ghost = append(q.ghost, ref)
 			s.trimGhost(q)
 		}
 	}
@@ -273,10 +275,10 @@ func (s *S3FIFO) evictSmall(q *s3queues) int {
 // identity is forgotten entirely.
 func (s *S3FIFO) trimGhost(q *s3queues) {
 	for len(q.ghost) > q.ghostCap {
-		pg := q.ghost[0]
+		ref := q.ghost[0]
 		q.ghost = q.ghost[1:]
-		if s.state[pg] == s3Ghost {
-			delete(s.state, pg)
+		if !ref.stale() && s.state[ref.pg] == s3Ghost {
+			delete(s.state, ref.pg)
 		}
 	}
 }
@@ -293,10 +295,11 @@ func (s *S3FIFO) promoteFromMain(q *s3queues) int {
 	}
 	depth := 0
 	for i := 0; i < limit; i++ {
-		pg := q.main[0]
+		ref := q.main[0]
 		q.main = q.main[1:]
+		pg := ref.pg
 		v, ok := s.state[pg]
-		if !ok || v&s3MemberMask != s3Main {
+		if ref.stale() || !ok || v&s3MemberMask != s3Main {
 			continue // stale
 		}
 		freq := v >> s3FreqShift
@@ -309,7 +312,7 @@ func (s *S3FIFO) promoteFromMain(q *s3queues) int {
 				v -= 1 << s3FreqShift
 				s.state[pg] = v
 			}
-			q.main = append(q.main, pg)
+			q.main = append(q.main, ref)
 			continue
 		}
 		depth++
@@ -320,7 +323,7 @@ func (s *S3FIFO) promoteFromMain(q *s3queues) int {
 		} else {
 			// Destination full: put the page back and keep it queued.
 			m.Vecs[pg.Node].Putback(pg)
-			q.main = append(q.main, pg)
+			q.main = append(q.main, ref)
 		}
 	}
 	s.QueueDepth(depth)

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"multiclock/internal/machine"
-	"multiclock/internal/mem"
 	"multiclock/internal/pagetable"
 	"multiclock/internal/sim"
 	"multiclock/internal/snapcodec"
@@ -14,7 +13,8 @@ import (
 // Checkpoint serialization for the baseline policies. Maps indexed by page
 // pointer are written sorted by page sequence (they are never iterated during
 // a run, so the canonical order is behaviorally exact); queue slices are
-// written in their exact order, including stale entries for dead pages —
+// written in their exact order, including stale entries for dead pages (under
+// the Seq each entry was stamped with, whoever owns the descriptor now) —
 // lazy invalidation means a stale entry still shapes future wakeups, so the
 // restore side materializes zombie descriptors for them via the registry.
 // Per-page scratch the policies keep on the descriptor (Hist, LastHint,
@@ -230,10 +230,7 @@ func (nb *Nimble) RestoreState(dec *snapcodec.Decoder, reg *machine.PageRegistry
 // SnapshotState implements machine.StateSnapshotter.
 func (nd *Nomad) SnapshotState(enc *snapcodec.Encoder) error {
 	machine.SnapshotPageMap(enc, nd.inflight, func(tx *nomadTx) { enc.Bool(tx.aborted) })
-	enc.Int(len(nd.shadowed))
-	for _, pg := range nd.shadowed {
-		enc.U64(pg.Seq)
-	}
+	snapshotPageRefs(enc, nd.shadowed)
 	for _, v := range []int64{nd.TxBegins, nd.TxCommits, nd.TxAborts, nd.FreeDemotes} {
 		enc.I64(v)
 	}
@@ -248,7 +245,7 @@ func (nd *Nomad) RestoreState(dec *snapcodec.Decoder, reg *machine.PageRegistry)
 	if err != nil {
 		return err
 	}
-	if nd.shadowed, err = restorePageList(dec, reg, nd.shadowed); err != nil {
+	if nd.shadowed, err = restorePageRefs(dec, reg, nd.shadowed); err != nil {
 		return err
 	}
 	for _, p := range []*int64{&nd.TxBegins, &nd.TxCommits, &nd.TxAborts, &nd.FreeDemotes} {
@@ -268,11 +265,8 @@ func (s *S3FIFO) SnapshotState(enc *snapcodec.Encoder) error {
 		if q == nil {
 			continue
 		}
-		for _, list := range [][]*mem.Page{q.small, q.main, q.ghost} {
-			enc.Int(len(list))
-			for _, pg := range list {
-				enc.U64(pg.Seq)
-			}
+		for _, list := range [][]pageRef{q.small, q.main, q.ghost} {
+			snapshotPageRefs(enc, list)
 		}
 	}
 	for _, v := range []int64{s.SmallToMain, s.GhostHits, s.Promotions} {
@@ -304,9 +298,9 @@ func (s *S3FIFO) RestoreState(dec *snapcodec.Decoder, reg *machine.PageRegistry)
 		if q == nil {
 			continue
 		}
-		for _, list := range []*[]*mem.Page{&q.small, &q.main, &q.ghost} {
+		for _, list := range []*[]pageRef{&q.small, &q.main, &q.ghost} {
 			var err error
-			if *list, err = restorePageList(dec, reg, *list); err != nil {
+			if *list, err = restorePageRefs(dec, reg, *list); err != nil {
 				return err
 			}
 		}
@@ -317,9 +311,18 @@ func (s *S3FIFO) RestoreState(dec *snapcodec.Decoder, reg *machine.PageRegistry)
 	return dec.Err()
 }
 
-// restorePageList decodes one exact-order page reference list into buf,
-// resolving dead references to zombie descriptors.
-func restorePageList(dec *snapcodec.Decoder, reg *machine.PageRegistry, buf []*mem.Page) ([]*mem.Page, error) {
+// snapshotPageRefs encodes one page reference list in its exact order, each
+// entry as the Seq it was stamped with — for a stale entry, the dead page's.
+func snapshotPageRefs(enc *snapcodec.Encoder, refs []pageRef) {
+	enc.Int(len(refs))
+	for _, ref := range refs {
+		enc.U64(ref.seq)
+	}
+}
+
+// restorePageRefs decodes what snapshotPageRefs wrote into buf, resolving
+// dead references to zombie descriptors.
+func restorePageRefs(dec *snapcodec.Decoder, reg *machine.PageRegistry, buf []pageRef) ([]pageRef, error) {
 	n := dec.Int()
 	if dec.Err() != nil {
 		return buf, dec.Err()
@@ -329,7 +332,7 @@ func restorePageList(dec *snapcodec.Decoder, reg *machine.PageRegistry, buf []*m
 	}
 	buf = buf[:0]
 	for i := 0; i < n; i++ {
-		buf = append(buf, reg.Resolve(dec.U64()))
+		buf = append(buf, refTo(reg.Resolve(dec.U64())))
 	}
 	return buf, dec.Err()
 }

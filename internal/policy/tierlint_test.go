@@ -65,7 +65,8 @@ var sortedMapRanges = map[string]bool{
 func TestNoUnsortedMapRange(t *testing.T) {
 	fset := token.NewFileSet()
 	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	for _, dir := range []string{"../sim", "../mem", "../lru", "../machine", "../core", "."} {
+	for _, dir := range []string{"../sim", "../mem", "../lru", "../machine", "../core", ".",
+		"../pagecache", "../pagetable", "../kvstore", "../fault"} {
 		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 			return !strings.HasSuffix(fi.Name(), "_test.go")
 		}, 0)

@@ -154,9 +154,12 @@ type PromotionTracker struct {
 	promos *stats.WindowSeries
 	tierOf tierFunc
 
-	pending   map[*mem.Page]int // page → promotion window, until re-accessed
-	promoted  map[int64]int64   // window → promotions
-	reaccess  map[int64]int64   // window → promoted pages re-accessed
+	// pending maps a promoted page — by Seq: the entry can outlive the
+	// page, and the descriptor is reissued — to its promotion window, until
+	// the page is re-accessed or demoted.
+	pending   map[uint64]int
+	promoted  map[int64]int64 // window → promotions
+	reaccess  map[int64]int64 // window → promoted pages re-accessed
 	demotions int64
 }
 
@@ -168,7 +171,7 @@ func NewPromotionTracker(window sim.Duration) *PromotionTracker {
 	return &PromotionTracker{
 		Window:   window,
 		promos:   stats.NewWindowSeries(int64(window)),
-		pending:  make(map[*mem.Page]int),
+		pending:  make(map[uint64]int),
 		promoted: make(map[int64]int64),
 		reaccess: make(map[int64]int64),
 	}
@@ -183,10 +186,10 @@ func (p *PromotionTracker) OnMigrate(pg *mem.Page, from, to mem.NodeID, now sim.
 		w := int64(now) / int64(p.Window)
 		p.promos.Count(int64(now))
 		p.promoted[w]++
-		p.pending[pg] = int(w)
+		p.pending[pg.Seq] = int(w)
 	} else if p.tierOf(to) > p.tierOf(from) {
 		p.demotions++
-		delete(p.pending, pg)
+		delete(p.pending, pg.Seq)
 	}
 }
 
@@ -199,11 +202,11 @@ func (p *PromotionTracker) Bind(m *machine.Machine) *PromotionTracker {
 // OnAccess implements machine.Observer: the first access to a page after
 // its promotion marks it re-accessed.
 func (p *PromotionTracker) OnAccess(pg *mem.Page, write bool, now sim.Time) {
-	w, ok := p.pending[pg]
+	w, ok := p.pending[pg.Seq]
 	if !ok {
 		return
 	}
-	delete(p.pending, pg)
+	delete(p.pending, pg.Seq)
 	p.reaccess[int64(w)]++
 }
 

@@ -124,6 +124,46 @@ func TestPromotionTrackerCountsAndReaccess(t *testing.T) {
 	}
 }
 
+// TestPromotionTrackerIgnoresRebornDescriptor: a promoted page that is
+// unmapped without ever being demoted leaves its pending entry behind, and
+// its descriptor goes to the next birth. An access to that newborn is not a
+// re-access of the promoted page (Fig. 9 counts pages, not descriptors).
+func TestPromotionTrackerIgnoresRebornDescriptor(t *testing.T) {
+	m := staticMachine(64, 256)
+	pt := NewPromotionTracker(20 * sim.Second).Bind(m)
+	m.Attach(pt)
+	as := m.NewSpace()
+	v := as.Mmap(2, false, "data")
+	dram, pm := m.Mem.TierNodes(mem.TierDRAM)[0], m.Mem.TierNodes(mem.TierPM)[0]
+
+	old := m.Access(as, v.Start, false)
+	seq := old.Seq
+	if !m.MigratePage(old, pm) || !m.MigratePage(old, dram) {
+		t.Fatal("setup: migrations failed")
+	}
+	if pt.TotalPromotions() != 1 {
+		t.Fatalf("tracker saw %d promotions, want 1", pt.TotalPromotions())
+	}
+	m.Unmap(as, v.Start)
+	reborn := m.Access(as, v.Start+1, false)
+	if reborn != old || reborn.Seq == seq {
+		t.Fatal("setup: the newborn did not take over the dead page's descriptor")
+	}
+	m.Access(as, v.Start+1, false)
+	if pct := pt.MeanReaccessPercent(); pct != 0 {
+		t.Fatalf("re-access %% = %v: an access to the descriptor's next page counted for the promoted one", pct)
+	}
+
+	// The newborn's own promotion and re-access still count.
+	if !m.MigratePage(reborn, pm) || !m.MigratePage(reborn, dram) {
+		t.Fatal("setup: migrations failed")
+	}
+	m.Access(as, v.Start+1, false)
+	if pct := pt.MeanReaccessPercent(); pct != 50 {
+		t.Fatalf("re-access %% = %v, want 50 (one of two promoted pages re-accessed)", pct)
+	}
+}
+
 func TestPromotionTrackerUnbound(t *testing.T) {
 	pt := NewPromotionTracker(0)
 	if pt.Window != 20*sim.Second {

@@ -229,6 +229,42 @@ func BenchmarkScanCycleCold(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(scanned), "ns/page")
 }
 
+// BenchmarkScanCycleIdle is the pass file-churn's hands make (DESIGN.md §7.5):
+// cache-resident file lists, inactive and active, where about nine pages in
+// ten have neither the accessed bit nor the referenced flag when the hand
+// arrives, and where pages leave from the middle and come back at the head
+// between passes, so the rings carry tombstones. It is the run kernel
+// (mem.PageList.AgeRun) with little else; BenchmarkScanCycle's anonymous lists
+// see a quarter of their pages touched per pass.
+func BenchmarkScanCycleIdle(b *testing.B) {
+	vec := lru.NewVec(0)
+	pages := make([]*mem.Page, 8192)
+	for i := range pages {
+		pages[i] = &mem.Page{Flags: mem.FlagFile}
+		if i%2 == 0 {
+			pages[i].Flags |= mem.FlagActive
+		}
+		vec.Add(pages[i])
+	}
+	rng := sim.NewRNG(2)
+	scanned := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := 0; j < 64; j++ {
+			// A page is met every eighth pass, so 64 touches a pass leave
+			// ~6 % of the hand's pages accessed and as many referenced.
+			pages[rng.Intn(len(pages))].Accessed = true
+			pg := pages[rng.Intn(len(pages))]
+			vec.Delete(pg)
+			vec.Add(pg)
+		}
+		b.StartTimer()
+		scanned += vec.ScanCycle(1024).Scanned
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(scanned), "ns/page")
+}
+
 // BenchmarkMigration measures a promote+demote round trip.
 func BenchmarkMigration(b *testing.B) {
 	m := microMachine(&noPolicy{})

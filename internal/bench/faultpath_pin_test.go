@@ -87,10 +87,12 @@ func faultPathFingerprint(t *testing.T, policy, tiers string, chaos fault.Config
 				file.Read(rng.Intn(filePages))
 			}
 		case k < 14:
-			// A refault into a split, partly swapped region would ask for a
-			// whole huge page over live PTEs, which faultHuge does not guard
-			// (a latent panic, not this pin's subject): touch what is
-			// resident, and fault only a region that is entirely gone.
+			// A refault into a split, partly swapped region used to ask for
+			// a whole huge page over live PTEs and panic (it takes one base
+			// page now, machine.TestHugeRefaultIntoSplitRegion); the golden
+			// was cut with the scenario stepping around it, and keeps to it:
+			// touch what is resident, and fault only a region that is
+			// entirely gone.
 			// The last region is touched rarely enough to go cold and split.
 			region := 0
 			if rng.Intn(200) == 0 {

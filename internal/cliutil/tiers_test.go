@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -102,4 +103,30 @@ func TestParseTierSpecRoundTrip(t *testing.T) {
 			t.Errorf("round trip: %q -> %q", spec, got)
 		}
 	}
+}
+
+// FuzzParseTierSpec feeds the -tiers grammar arbitrary text: nothing panics,
+// an accepted topology validates, and its canonical spelling parses back to
+// the same topology.
+func FuzzParseTierSpec(f *testing.F) {
+	for _, spec := range []string{
+		"dram:1024,pm:4096", "dram:512,dram:512,pm:4096", "dram:1024,cxl:2048,pm:8192,ssd:*",
+		"", " , ", "dram", "dram:", ":7", "dram:*", "ssd:*", "ssd:9", "pm:4096,ssd:*,dram:1",
+		"dram:0", "dram:-3", "dram:+5", "dram:99999999999999999999", "dram:1,ssd:*,ssd:*", "dram:1,pm:2,dram:3",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		top, err := ParseTierSpec(spec)
+		if err != nil {
+			return
+		}
+		if err := top.Validate(); err != nil {
+			t.Fatalf("ParseTierSpec(%q) accepted a topology that does not validate: %v", spec, err)
+		}
+		again, err := ParseTierSpec(top.Spec())
+		if err != nil || !reflect.DeepEqual(again, top) {
+			t.Fatalf("ParseTierSpec(%q) = %+v, but its spelling %q parses to %+v, %v", spec, top, top.Spec(), again, err)
+		}
+	})
 }

@@ -128,7 +128,7 @@ func ParseSpec(s string) (Config, error) {
 	if err != nil {
 		return Config{}, fmt.Errorf("fault: bad rate in %q: %v", s, err)
 	}
-	if rate < 0 || rate > 1 {
+	if !(rate >= 0 && rate <= 1) { // NaN parses, and compares false both ways
 		return Config{}, fmt.Errorf("fault: rate %v outside [0,1]", rate)
 	}
 	return UniformRate(seed, rate), nil

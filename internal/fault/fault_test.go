@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -242,4 +243,38 @@ func TestWindowLogOffIsFree(t *testing.T) {
 	if f.Windows() != nil || f.WindowsDropped() != 0 {
 		t.Fatal("disabled window log recorded state")
 	}
+}
+
+// FuzzParseSpec feeds the -chaos grammar arbitrary text: nothing panics, and
+// an accepted spec is a uniform campaign with a probability for a rate — NaN
+// is not one — that its own spelling parses back to.
+func FuzzParseSpec(f *testing.F) {
+	for _, spec := range []string{
+		"", "42,0.01", " 7 , 1 ", "7,0", "7", "7,0.5,1", ",", "x,0.1", "-1,0.1", "7,1.5", "7,-0",
+		"7,NaN", "7,Inf", "7,1e-400", "7,0x1p-2", "18446744073709551616,0.1",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		rate := cfg.Rates[0]
+		if !(rate >= 0 && rate <= 1) {
+			t.Fatalf("ParseSpec(%q) accepted rate %v", spec, rate)
+		}
+		if cfg != UniformRate(cfg.Seed, rate) {
+			t.Fatalf("ParseSpec(%q) = %+v, not a uniform campaign", spec, cfg)
+		}
+		if spec == "" {
+			if cfg.Enabled() {
+				t.Fatal("the empty spec enabled injection")
+			}
+			return
+		}
+		if again, err := ParseSpec(fmt.Sprintf("%d,%v", cfg.Seed, rate)); err != nil || again != cfg {
+			t.Fatalf("ParseSpec(%q) = %+v, but its spelling parses to %+v, %v", spec, cfg, again, err)
+		}
+	})
 }

@@ -74,9 +74,6 @@ type Vec struct {
 	// Scanned counts pages examined by scanners on this vec.
 	Scanned int64
 
-	// ahead keeps the scanners' read-ahead loads alive (see touchAhead).
-	ahead mem.PageFlags
-
 	// hook is the compiled observer chain — nil, a single Hook, or a
 	// multiHook fan-out — rebuilt by AddHook/detach so the hot-path nil
 	// check in preState/emit stays a single comparison (see state.go).

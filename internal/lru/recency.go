@@ -53,12 +53,21 @@ func (v *Vec) ScanCycleRecency(batch int) ScanStats {
 			quota = lens[k]
 		}
 		l := &v.lists[k]
-		for i := 0; i < quota; i++ {
+		// Only (6), an inactive page seen twice, changes lists here; above
+		// the inactive lists references saturate and the whole quota is one
+		// run. No transition of this ladder is reported to hooks.
+		stop := 3 // never
+		if k.IsInactive() {
+			stop = 2 // a page seen twice
+		}
+		for left := quota; left > 0; left-- {
+			if left -= v.ageRun(l, left, stop, &stats); left == 0 {
+				break
+			}
 			pg := l.Back()
 			if pg == nil {
 				break
 			}
-			v.touchAhead(l)
 			stats.Scanned++
 			v.Scanned++
 			wasInactive := k.IsInactive()

@@ -97,31 +97,31 @@ func (v *Vec) ScanCycle(batch int) ScanStats {
 	return stats
 }
 
-// scanAhead is how many list positions in front of the hand a scanner reads
-// ahead. A list longer than the host's cache costs one miss per page; the
-// ring gives the hand the addresses of the next pages without touching them,
-// so reading a dozen ahead keeps that many misses in flight.
-const scanAhead = 12
-
-// touchAhead stands in for the prefetch Go lacks: a plain load of a field the
-// scan reads anyway, kept alive in v.ahead. Nothing reads v.ahead, so the call
-// cannot change what a scan does, only when the line arrives.
-func (v *Vec) touchAhead(l *mem.PageList) {
-	if pg := l.FromBack(scanAhead); pg != nil {
-		v.ahead |= pg.Flags
-	}
-}
-
-// scanList examines up to n pages from the tail of list k.
+// scanList examines up to n pages from the tail of list k. The pages whose
+// aging step keeps them on the list — idle ones, (1)/(7) and the referenced
+// decay, all but a few per cent of what a hand meets — are aged and rotated in
+// runs inside the ring (mem.PageList.AgeRun, DESIGN.md §7.5); the loop here
+// handles what a run stops at: the list-changing transitions (6)/(10), every
+// state-changing page while a hook is attached (AgeRun reports no
+// transitions), and the promote lists with their (11) decay.
 func (v *Vec) scanList(k Kind, n int) ScanStats {
 	var stats ScanStats
 	l := &v.lists[k]
-	for i := 0; i < n; i++ {
+	stop := 2 // a page seen twice: (6)/(10)
+	if v.hook != nil {
+		stop = 1 // and any page whose state changes: the hook is owed the event
+	}
+	for stats.Scanned < n {
+		if !k.IsPromote() {
+			v.ageRun(l, n-stats.Scanned, stop, &stats)
+			if stats.Scanned == n {
+				break
+			}
+		}
 		pg := l.Back()
 		if pg == nil {
 			return stats
 		}
-		v.touchAhead(l)
 		stats.Scanned++
 		wasKind := k
 		if v.Age(pg) {
@@ -152,6 +152,16 @@ func (v *Vec) scanList(k Kind, n int) ScanStats {
 		}
 	}
 	return stats
+}
+
+// ageRun hands the next n pages of l to the list's run kernel and books what
+// it took; it returns that count.
+func (v *Vec) ageRun(l *mem.PageList, n, stop int, stats *ScanStats) int {
+	run, referenced := l.AgeRun(n, stop)
+	stats.Scanned += run
+	stats.Referenced += referenced
+	v.Scanned += int64(run)
+	return run
 }
 
 // AppendPromote isolates up to max pages from the promote lists (oldest

@@ -398,45 +398,61 @@ func (m *Machine) fault(as *pagetable.AddressSpace, vpn pagetable.VPN) {
 }
 
 // faultHuge populates an aligned transparent huge page covering vpn. When
-// no contiguous block is available (fragmentation or pressure) it falls
-// back to base pages for this fault, as THP does.
+// no contiguous block is available (fragmentation or pressure), or the region
+// was split and part of it is still mapped, it falls back to base pages for
+// this fault, as THP does.
 func (m *Machine) faultHuge(as *pagetable.AddressSpace, vpn pagetable.VPN, vma *pagetable.VMA) {
 	base := vpn - vpn%pagetable.HugePages
-	for _, t := range m.Policy.AllocOrder() {
-		for _, id := range m.Mem.TierNodes(t) {
-			pg := m.Mem.AllocBlockOn(id, mem.MaxOrder, false)
-			if pg == nil {
-				continue
-			}
-			if vma.Locked {
-				pg.SetFlags(mem.FlagUnevictable)
-			}
-			// Major-fault cost for any part of the region on swap.
-			for i := 0; i < pagetable.HugePages; i++ {
-				if as.TakeSwapped(base + pagetable.VPN(i)) {
-					m.Mem.Counters.SwapIns++
-					m.chargeDirect(m.Mem.Lat.SwapIn)
-				}
-			}
-			m.Mem.Counters.MinorFaults++
-			as.InstallRange(base, pg, pagetable.HugePages)
-			pg.Accessed = true
-			m.Vecs[pg.Node].Add(pg)
-			m.Policy.PageBirth(pg)
-			if m.observer != nil {
-				m.observer.OnFault(pg, false, m.Clock.Now())
-			}
-			if m.Mem.Nodes[pg.Node].UnderLow() {
-				m.Policy.Pressure(pg.Node)
-			}
-			return
+	pg := m.allocHuge(as, base)
+	if pg == nil {
+		hugeSave := vma.Huge
+		vma.Huge = false
+		m.fault(as, vpn)
+		vma.Huge = hugeSave
+		return
+	}
+	if vma.Locked {
+		pg.SetFlags(mem.FlagUnevictable)
+	}
+	// Major-fault cost for any part of the region on swap.
+	for i := 0; i < pagetable.HugePages; i++ {
+		if as.TakeSwapped(base + pagetable.VPN(i)) {
+			m.Mem.Counters.SwapIns++
+			m.chargeDirect(m.Mem.Lat.SwapIn)
 		}
 	}
-	// No contiguous block anywhere: fall back to one base page.
-	hugeSave := vma.Huge
-	vma.Huge = false
-	m.fault(as, vpn)
-	vma.Huge = hugeSave
+	m.Mem.Counters.MinorFaults++
+	as.InstallRange(base, pg, pagetable.HugePages)
+	pg.Accessed = true
+	m.Vecs[pg.Node].Add(pg)
+	m.Policy.PageBirth(pg)
+	if m.observer != nil {
+		m.observer.OnFault(pg, false, m.Clock.Now())
+	}
+	if m.Mem.Nodes[pg.Node].UnderLow() {
+		m.Policy.Pressure(pg.Node)
+	}
+}
+
+// allocHuge takes a huge-page block for the aligned region at base from the
+// first node in the policy's allocation order that has one. It returns nil
+// when none has, and when any PTE of the region is populated — a split huge
+// page whose other base pages were swapped out or unmapped — since a compound
+// mapping would overwrite the live PTEs.
+func (m *Machine) allocHuge(as *pagetable.AddressSpace, base pagetable.VPN) *mem.Page {
+	populated := false
+	as.Walk(base, base+pagetable.HugePages, func(pagetable.VPN, *mem.Page) { populated = true })
+	if populated {
+		return nil
+	}
+	for _, t := range m.Policy.AllocOrder() {
+		for _, id := range m.Mem.TierNodes(t) {
+			if pg := m.Mem.AllocBlockOn(id, mem.MaxOrder, false); pg != nil {
+				return pg
+			}
+		}
+	}
+	return nil
 }
 
 // Unmap releases the page at vpn: off the LRU, out of the page table, frame

@@ -263,3 +263,51 @@ func TestSplitHuge(t *testing.T) {
 		t.Fatal("split base page cannot migrate")
 	}
 }
+
+// TestHugeRefaultIntoSplitRegion is ROADMAP correctness (e): a huge page is
+// split, a few of its base pages are swapped out, and one of them is touched
+// again while an aligned 512-frame block is free. The refault must take one
+// base page — a compound mapping would land on the region's live PTEs (the
+// parent panicked "PTE … already populated").
+func TestHugeRefaultIntoSplitRegion(t *testing.T) {
+	m := thpMachine(2048, 1024)
+	as := m.NewSpace()
+	v := as.MmapHuge(512, "heap")
+	pg := m.Access(as, v.Start, false)
+	m.Vecs[pg.Node].Isolate(pg)
+	bases := m.SplitHuge(pg)
+	for _, i := range []int{3, 4, 200} {
+		m.Vecs[bases[i].Node].Isolate(bases[i])
+		m.SwapOut(bases[i])
+	}
+	if free := m.Mem.Nodes[0].FreeBlocks()[mem.MaxOrder]; free == 0 {
+		t.Fatal("no aligned block free: the refault would fall back for the wrong reason")
+	}
+	faults, swapIns := m.Mem.Counters.MinorFaults, m.Mem.Counters.SwapIns
+	back := m.Access(as, v.Start+4, true)
+	if back.IsHuge() || as.Lookup(v.Start+4) != back {
+		t.Fatalf("refault mapped an order-%d page", back.Order)
+	}
+	if as.Mapped() != 510 || as.Swapped() != 2 {
+		t.Fatalf("%d PTEs mapped and %d swapped after one base refault, want 510 and 2", as.Mapped(), as.Swapped())
+	}
+	if m.Mem.Counters.MinorFaults != faults+1 || m.Mem.Counters.SwapIns != swapIns+1 {
+		t.Fatalf("refault counted %d faults and %d swap-ins, want one of each",
+			m.Mem.Counters.MinorFaults-faults, m.Mem.Counters.SwapIns-swapIns)
+	}
+	for _, i := range []int{0, 5, 511} {
+		if as.Lookup(v.Start+pagetable.VPN(i)) != bases[i] {
+			t.Fatalf("vpn %d lost its base page", i)
+		}
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// A region that is entirely gone still comes back as one huge page.
+	for i := 0; i < 512; i++ {
+		m.Unmap(as, v.Start+pagetable.VPN(i))
+	}
+	if whole := m.Access(as, v.Start+9, false); !whole.IsHuge() {
+		t.Fatal("an empty region refaulted as a base page")
+	}
+}

@@ -243,6 +243,8 @@ type PageList struct {
 	ring        []*Page // len is zero or a power of two
 	front, back int64
 	size        int
+	// ahead keeps AgeRun's read-ahead loads alive.
+	ahead PageFlags
 	// Name identifies the list in diagnostics (e.g. "anon_promote").
 	Name string
 }
@@ -262,11 +264,6 @@ func (l *PageList) Front() *Page { return l.at(l.front) }
 // Back returns the page at the tail (the CLOCK hand scans from here), or nil
 // if empty.
 func (l *PageList) Back() *Page { return l.at(l.back - 1) }
-
-// FromBack returns the entry n positions before the tail — Back is
-// FromBack(0) — or nil when that position is a tombstone or off the list.
-// Scanners use it to touch descriptors ahead of the hand.
-func (l *PageList) FromBack(n int) *Page { return l.at(l.back - 1 - int64(n)) }
 
 // at returns the entry at position p: nil for a tombstone or off the list.
 func (l *PageList) at(p int64) *Page {
@@ -355,26 +352,95 @@ func (l *PageList) PopFront() *Page {
 // second-chance action.
 func (l *PageList) MoveToFront(pg *Page) {
 	if pg.list == l && pg.pos == l.back-1 && l.size > 1 {
-		// The hand's case, the tail: rotate in place. The tail end steps
-		// back onto the previous page — over tombstones, if the span holds
-		// more slots than pages — which leaves the span shorter than the
-		// ring, so the slot before the head is free (the one just vacated
-		// when the span filled the ring).
-		mask := l.mask()
-		l.ring[pg.pos&mask] = nil
-		l.back--
-		if int(l.back-l.front) >= l.size {
-			for l.ring[(l.back-1)&mask] == nil {
-				l.back--
-			}
-		}
-		l.front--
-		l.ring[l.front&mask] = pg
-		pg.pos = l.front
+		l.front, l.back = rotateTail(l.ring, pg, l.front, l.back, l.size)
 		return
 	}
 	l.Remove(pg)
 	l.PushFront(pg)
+}
+
+// rotateTail moves pg, the tail page of the span [front, back) of ring, which
+// holds size > 1 pages, to the head in place and returns the new span. The
+// tail end steps back onto the previous page — over tombstones, if the span
+// holds more slots than pages — which leaves the span shorter than the ring,
+// so the slot before the head is free (the one just vacated when the span
+// filled the ring). It works on values so that AgeRun's loop keeps them in
+// registers.
+func rotateTail(ring []*Page, pg *Page, front, back int64, size int) (int64, int64) {
+	mask := int64(len(ring) - 1)
+	back--
+	ring[back&mask] = nil
+	if int(back-front) >= size {
+		for ring[(back-1)&mask] == nil {
+			back--
+		}
+	}
+	front--
+	ring[front&mask] = pg
+	pg.pos = front
+	return front, back
+}
+
+// scanAhead is how many list positions in front of the hand AgeRun reads
+// ahead. A list longer than the host's cache costs one miss per page; the
+// ring gives the hand the addresses of the next pages without touching them,
+// so reading a dozen ahead keeps that many misses in flight.
+const scanAhead = 12
+
+// AgeRun is the CLOCK hand's run over the pages that stay on this list. From
+// the tail, each page takes the scan window's aging step — the hardware
+// accessed bit is consumed and becomes the referenced flag: set is Fig. 4
+// (1)/(7), cleared is the decay (2) — and rotates to the head. The run ends
+// after n pages, or before the first page that shows at least stop of the two
+// signals (accessed bit, referenced flag): stop 2 leaves the twice-seen page,
+// whose step moves it to another list, to the caller; stop 1 leaves every page
+// whose state the step would change, for a caller that reports transitions;
+// stop 3 ends the run only at n. A list of fewer than two pages has nothing to
+// rotate and is left alone. It returns the pages rotated and how many of them
+// had the accessed bit set.
+//
+// The loop is the simulator's hottest (DESIGN.md §7.5): it keeps the span in
+// locals, and it carries the read-ahead — a plain load of the Flags of the
+// page scanAhead positions on, standing in for the prefetch Go lacks. The load
+// is kept alive in l.ahead, which nothing reads, so it cannot change what a
+// scan does, only when the line arrives.
+func (l *PageList) AgeRun(n, stop int) (run, referenced int) {
+	if l.size < 2 {
+		return 0, 0
+	}
+	ring, mask := l.ring, l.mask()
+	front, back, size, ahead := l.front, l.back, l.size, l.ahead
+	for run < n {
+		if p := back - 1 - scanAhead; p >= front {
+			if pg := ring[p&mask]; pg != nil {
+				ahead |= pg.Flags
+			}
+		}
+		pg := ring[(back-1)&mask]
+		seen := 0
+		if pg.Accessed {
+			seen++
+		}
+		if pg.Flags&FlagReferenced != 0 {
+			seen++
+		}
+		if seen >= stop {
+			break
+		}
+		if seen != 0 {
+			if pg.Accessed {
+				pg.Accessed = false
+				pg.Flags |= FlagReferenced
+				referenced++
+			} else {
+				pg.Flags &^= FlagReferenced
+			}
+		}
+		front, back = rotateTail(ring, pg, front, back, size)
+		run++
+	}
+	l.front, l.back, l.ahead = front, back, ahead
+	return run, referenced
 }
 
 // Each calls fn for every page from head to tail. fn must not mutate the

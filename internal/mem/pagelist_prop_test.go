@@ -27,6 +27,61 @@ func (m listModel) withFront(pg *Page) listModel {
 	return append(listModel{pg}, m...)
 }
 
+// ageRun is the reference AgeRun: the per-page aging step and a rotation, one
+// page at a time, on the slice. It works on the pages' real bits, so the
+// caller runs it on a twin of the list under test (see ageTwin).
+func (m listModel) ageRun(n, stop int) (after listModel, run, referenced int) {
+	if len(m) < 2 {
+		return m, 0, 0
+	}
+	rest, rotated := m, listModel(nil) // rotated[0] went to the head first
+	for run < n {
+		if len(rest) == 0 {
+			// The hand has lapped the list: the first page it rotated is
+			// the tail again.
+			rest, rotated = rotated.reversed(), nil
+		}
+		pg := rest[len(rest)-1]
+		seen := 0
+		if pg.Accessed {
+			seen++
+		}
+		if pg.Flags.Has(FlagReferenced) {
+			seen++
+		}
+		if seen >= stop {
+			break
+		}
+		pg.ClearFlags(FlagReferenced)
+		if pg.TestAndClearAccessed() {
+			pg.SetFlags(FlagReferenced)
+			referenced++
+		}
+		rest, rotated = rest[:len(rest)-1], append(rotated, pg)
+		run++
+	}
+	return append(rotated.reversed(), rest...), run, referenced
+}
+
+func (m listModel) reversed() listModel {
+	r := make(listModel, len(m))
+	for i, pg := range m {
+		r[len(m)-1-i] = pg
+	}
+	return r
+}
+
+// ageTwin returns a model holding copies of m's pages, bit for bit, for the
+// reference run to age while the list under test ages the originals. A
+// copy's VA is the index of its original in m.
+func (m listModel) ageTwin() listModel {
+	twin := make(listModel, len(m))
+	for i, pg := range m {
+		twin[i] = &Page{Flags: pg.Flags, Accessed: pg.Accessed, VA: uint64(i)}
+	}
+	return twin
+}
+
 // checkAgainst compares every read-only view of l with the model.
 func checkAgainst(l *PageList, m listModel) error {
 	if l.Len() != len(m) || l.Empty() != (len(m) == 0) {
@@ -69,19 +124,6 @@ func checkAgainst(l *PageList, m listModel) error {
 			return fmt.Errorf("%s diverges from the model", name)
 		}
 	}
-	// FromBack counts positions, tombstones included: exact on a list
-	// without holes, otherwise nil or a page no further from the tail.
-	holes := int(l.back-l.front) != l.size
-	for n := 0; n < 3; n++ {
-		var want *Page
-		if n < len(m) {
-			want = m[len(m)-1-n]
-		}
-		got := l.FromBack(n)
-		if !holes && got != want || got != nil && m.index(got) < len(m)-1-n {
-			return fmt.Errorf("FromBack(%d) disagrees with the model", n)
-		}
-	}
 	return nil
 }
 
@@ -98,6 +140,7 @@ func TestPageListAgainstModel(t *testing.T) {
 	var m listModel
 	grows, squeezes := 0, 0
 	holedRotates, fullRotates := 0, 0 // tail rotations over tombstones, and with the span filling the ring
+	ageRuns, agedPages, lappedRuns, holedRuns := 0, 0, 0, 0
 	push := func(front bool) {
 		full, before := int(l.back-l.front) == len(l.ring), len(l.ring)
 		pg := &Page{}
@@ -117,7 +160,7 @@ func TestPageListAgainstModel(t *testing.T) {
 	}
 	for step := 0; step < steps; step++ {
 		target := targets[step/(steps/len(targets))%len(targets)]
-		op := rng.Intn(10)
+		op := rng.Intn(11)
 		switch {
 		case len(m) < target && op < 6, len(m) == 0 && op < 8:
 			push(op%2 == 0)
@@ -132,6 +175,45 @@ func TestPageListAgainstModel(t *testing.T) {
 				t.Fatalf("step %d: removed page still linked", step)
 			}
 			m = m.without(i)
+		case op == 10:
+			// The hand's run: bits on about one page in eight, so runs
+			// end on the quota, on a stop page and (n above the length)
+			// after lapping the list.
+			for i := len(m) / 8; i >= 0; i-- {
+				pg := m[rng.Intn(len(m))]
+				pg.Accessed = rng.Intn(2) == 0
+				pg.Flags = PageFlags(rng.Intn(2)) * FlagReferenced
+			}
+			n, stop := rng.Intn(96), 1+rng.Intn(3)
+			if rng.Intn(8) == 0 {
+				n = len(m) + rng.Intn(len(m)+1)
+			}
+			aged, wantRun, wantRef := m.ageTwin().ageRun(n, stop)
+			span, ring := int(l.back-l.front), len(l.ring)
+			run, ref := l.AgeRun(n, stop)
+			if run != wantRun || ref != wantRef {
+				t.Fatalf("step %d: AgeRun(%d, %d) on %d pages = %d, %d; the model says %d, %d", step, n, stop, len(m), run, ref, wantRun, wantRef)
+			}
+			if len(l.ring) != ring || int(l.back-l.front) > span {
+				t.Fatalf("step %d: AgeRun reshaped the ring (%d→%d slots, span %d→%d)", step, ring, len(l.ring), span, int(l.back-l.front))
+			}
+			after := make(listModel, len(m))
+			for i, tw := range aged {
+				pg := m[tw.VA]
+				if pg.Flags != tw.Flags || pg.Accessed != tw.Accessed {
+					t.Fatalf("step %d: AgeRun(%d, %d) left page %d with flags %#x accessed %v; the model says %#x, %v", step, n, stop, i, pg.Flags, pg.Accessed, tw.Flags, tw.Accessed)
+				}
+				after[i] = pg
+			}
+			m = after
+			ageRuns++
+			agedPages += run
+			if run > len(m) {
+				lappedRuns++
+			}
+			if run > 0 && span != len(m) {
+				holedRuns++
+			}
 		case op < 8:
 			// Middle moves leave tombstones and use up a slot each,
 			// which is what fills the span and forces a squeeze; the
@@ -194,6 +276,10 @@ func TestPageListAgainstModel(t *testing.T) {
 	}
 	if holedRotates < 100 || fullRotates < 5 {
 		t.Fatalf("run rotated %d tombstoned and %d ring-filling tails, want many of each", holedRotates, fullRotates)
+	}
+	t.Logf("AgeRun: %d runs over %d pages, %d lapped the list, %d over tombstones", ageRuns, agedPages, lappedRuns, holedRuns)
+	if ageRuns < 1000 || agedPages < 20*ageRuns || lappedRuns < 10 || holedRuns < 100 {
+		t.Fatal("AgeRun was not exercised: want many runs, long ones, some lapping the list and many over tombstones")
 	}
 }
 
@@ -271,6 +357,34 @@ func TestPageListRotateTail(t *testing.T) {
 	t.Run("single page", func(t *testing.T) {
 		l, m := build(1)
 		rotate(t, l, m)
+		if run, _ := l.AgeRun(4, 3); run != 0 {
+			t.Fatalf("AgeRun rotated %d pages of a one-page list", run)
+		}
+	})
+	t.Run("AgeRun is MoveToFront of the tail", func(t *testing.T) {
+		// One helper rotates for both, so twin lists driven one way each
+		// hold the same slots at the same positions after every rotation,
+		// tombstones before the tail and a ring-filling span included.
+		a, ma := build(16)
+		b, mb := build(16)
+		for _, i := range []int{14, 13, 9, 2} {
+			ma, mb = remove(a, ma, i), remove(b, mb, i)
+		}
+		for i := 0; i < 40; i++ {
+			a.MoveToFront(a.Back())
+			if run, ref := b.AgeRun(1, 3); run != 1 || ref != 0 {
+				t.Fatalf("rotation %d: AgeRun(1, 3) = %d, %d", i, run, ref)
+			}
+			if a.front != b.front || a.back != b.back {
+				t.Fatalf("rotation %d: spans [%d, %d) and [%d, %d)", i, a.front, a.back, b.front, b.back)
+			}
+			for p := a.front; p < a.back; p++ {
+				pa, pb := a.at(p), b.at(p)
+				if (pa == nil) != (pb == nil) || pa != nil && ma.index(pa) != mb.index(pb) {
+					t.Fatalf("rotation %d: position %d differs", i, p)
+				}
+			}
+		}
 	})
 }
 

@@ -3,6 +3,7 @@ package slo
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -272,4 +273,38 @@ func TestFormatReport(t *testing.T) {
 	if rep := Format("x", clean); !strings.Contains(rep, "alerts: none") || !strings.Contains(rep, "MET") {
 		t.Fatalf("clean report:\n%s", rep)
 	}
+}
+
+// FuzzParse feeds the -slo grammar arbitrary text: nothing panics, every
+// objective of an accepted spec is inside the bounds the engine relies on,
+// and the canonical text parses back to the same spec.
+func FuzzParse(f *testing.F) {
+	for _, spec := range []string{
+		"p99(access_latency_dram_read_ns) < 400ns over 10ms, 99.9%",
+		"p50(a) < 1us over 1ms; p99.99(b_2) < 2h over 1h, 100%", ";;", "", "p99(a) < 1ns over 1ms;",
+		"p100(a) < 1ns over 1ms", "p0(a) < 1ns over 1ms", "p99(a) < -1ns over 1ms", "p99(a) < 1ns over 0s",
+		"p99(a) < 1ns over 1ms, 0%", "p99(a) < 1ns over 1ms, 100.1%", "p99(A) < 1ns over 1ms",
+		"p99.99999(a) < 1ns over 1ms", "p99(a) < 9999999h over 1ms", "p99(a)<1.5us  over  2.5ms ,5%",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		sp, err := Parse(text)
+		if err != nil {
+			return
+		}
+		if len(sp.Objectives) == 0 {
+			t.Fatalf("Parse(%q) accepted a spec with no objectives", text)
+		}
+		for _, o := range sp.Objectives {
+			if o.Metric == "" || o.QuantilePPM <= 0 || o.QuantilePPM >= 1_000_000 || o.ThresholdNS <= 0 ||
+				o.WindowNS <= 0 || o.TargetPPM <= 0 || o.TargetPPM > 1_000_000 || o.BurnThresholdMilli <= 0 {
+				t.Fatalf("Parse(%q) accepted objective %+v", text, o)
+			}
+		}
+		again, err := Parse(sp.String())
+		if err != nil || !reflect.DeepEqual(again, sp) {
+			t.Fatalf("Parse(%q) = %+v, but its canonical text %q parses to %+v, %v", text, sp, sp.String(), again, err)
+		}
+	})
 }

@@ -307,18 +307,29 @@ func BenchmarkZipfian(b *testing.B) {
 	}
 }
 
-// BenchmarkZipfian24k is the chooser's other regime: the benchmark's ycsb-a
-// key space in steady state, answering from the inverse table. The warm-up
-// outlasts the lazy build, which comes after 18 formula draws an item.
+// BenchmarkZipfian24k is the chooser's other regime: the plain zipfian over
+// the benchmark's ycsb-a key space in steady state, answering from the
+// inverse table. The warm-up outlasts the lazy build, which comes after 18
+// formula draws an item.
 func BenchmarkZipfian24k(b *testing.B) {
-	z := ycsb.NewScrambled(24_000)
+	benchmarkTableChooser(b, ycsb.NewZipfian(24_000))
+}
+
+// BenchmarkScrambled24k is ycsb-a's own chooser on that table: the scramble
+// is folded into the table's answers, so it should cost what the plain
+// zipfian does.
+func BenchmarkScrambled24k(b *testing.B) {
+	benchmarkTableChooser(b, ycsb.NewScrambled(24_000))
+}
+
+func benchmarkTableChooser(b *testing.B, ch ycsb.Chooser) {
 	rng := sim.NewRNG(3)
 	for i := 0; i < 1_000_000; i++ {
-		_ = z.Next(rng)
+		_ = ch.Next(rng)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = z.Next(rng)
+		_ = ch.Next(rng)
 	}
 }
 

@@ -48,9 +48,9 @@ type Zipfian struct {
 	countForZeta                     int64
 
 	// Derived from the fields above, never serialised.
-	second float64    // 1 + 0.5^theta: u*zetan below it picks item 1
-	served int64      // draws the formula answered since construction or Grow
-	table  *zipfTable // exact inverse of keyOf, built once served has paid for it
+	second float64     // 1 + 0.5^theta: u*zetan below it picks item 1
+	tables *tableCache // counts formula draws per key space, keeps the table they paid for
+	table  *zipfTable  // tables' table for this key space, once there is one
 }
 
 // NewZipfian returns a zipfian chooser over n items with the default
@@ -62,13 +62,13 @@ func NewZipfianTheta(n int64, theta float64) *Zipfian {
 	if n <= 0 {
 		panic("ycsb: zipfian over empty key space")
 	}
-	return newZipfian(n, theta, zetaRange(0, n, theta, 0))
+	return newZipfian(n, theta, zetaRange(0, n, theta, 0), new(tableCache))
 }
 
 // newZipfian is NewZipfianTheta given zetan = zeta(n, theta), which costs n
-// pow calls to compute.
-func newZipfian(n int64, theta, zetan float64) *Zipfian {
-	z := &Zipfian{items: n, theta: theta, zetan: zetan, countForZeta: n}
+// pow calls to compute, and the cache its tables come from.
+func newZipfian(n int64, theta, zetan float64, tables *tableCache) *Zipfian {
+	z := &Zipfian{items: n, theta: theta, zetan: zetan, countForZeta: n, tables: tables}
 	z.zeta2t = zetaRange(0, 2, theta, 0)
 	z.alpha = 1 / (1 - theta)
 	z.eta = z.etaVal()
@@ -96,19 +96,26 @@ func pow(x, y float64) float64 { return math.Pow(x, y) }
 const drawBits = 53
 
 // Next implements Chooser following the YCSB ZipfianGenerator algorithm.
-func (z *Zipfian) Next(rng *sim.RNG) int64 {
+func (z *Zipfian) Next(rng *sim.RNG) int64 { return z.next(rng, plain) }
+
+// next draws one item and returns what f makes of it. The table answers once
+// z.tables has one for this key space and fold; until then the formula does,
+// and every draw it answers counts towards building one.
+func (z *Zipfian) next(rng *sim.RNG, f fold) int64 {
 	m := rng.Uint64() >> (64 - drawBits)
+	if z.table == nil && z.items <= tableMaxItems {
+		z.table = z.tables.draw(z, f)
+	}
 	if z.table != nil {
 		return z.table.keyOf(m)
 	}
-	if z.served++; z.served == tableBuildEvals(z.items) {
-		z.table = z.buildTable()
-	}
-	return z.keyOf(m)
+	return f.apply(z.keyOf(m), z.items)
 }
 
 // keyOf maps one draw to its item by the Gray et al. formula. The float
-// result reaches items itself for the top few draws, so it is clamped.
+// result reaches items itself for the top few draws, so it is clamped. The
+// compare is unsigned so that a negative k is clamped too: a restored state
+// that passed decoding can still Grow to an eta above 1, whose pow is NaN.
 func (z *Zipfian) keyOf(m uint64) int64 {
 	u := float64(m) / (1 << drawBits)
 	uz := u * z.zetan
@@ -118,7 +125,7 @@ func (z *Zipfian) keyOf(m uint64) int64 {
 	if uz < z.second {
 		return 1
 	}
-	if k := int64(float64(z.items) * pow(z.eta*u-z.eta+1, z.alpha)); k < z.items {
+	if k := int64(float64(z.items) * pow(z.eta*u-z.eta+1, z.alpha)); uint64(k) < uint64(z.items) {
 		return k
 	}
 	return z.items - 1
@@ -134,7 +141,7 @@ func (z *Zipfian) Grow(n int64) {
 	z.countForZeta = n
 	z.items = n
 	z.eta = z.etaVal()
-	z.served, z.table = 0, nil
+	z.table = nil
 }
 
 // Items returns the current key-space size.
@@ -143,55 +150,50 @@ func (z *Zipfian) Items() int64 { return z.items }
 // Scrambled wraps a zipfian so popularity is spread uniformly over the key
 // space (YCSB's ScrambledZipfianGenerator): without it the hottest keys
 // would be the first-loaded (and thus DRAM-resident) ones, hiding the
-// tiering effect.
-type Scrambled struct {
-	z *Zipfian
-	n int64
-}
+// tiering effect. Its records are the zipfian's items.
+type Scrambled struct{ z *Zipfian }
 
 // NewScrambled returns a scrambled-zipfian chooser over n records.
-func NewScrambled(n int64) *Scrambled {
-	return &Scrambled{z: NewZipfian(n), n: n}
-}
+func NewScrambled(n int64) *Scrambled { return &Scrambled{z: NewZipfian(n)} }
 
 // Next implements Chooser.
-func (s *Scrambled) Next(rng *sim.RNG) int64 {
-	v := s.z.Next(rng)
-	return int64(fnv64(uint64(v)) % uint64(s.n))
-}
+func (s *Scrambled) Next(rng *sim.RNG) int64 { return s.z.next(rng, scramble) }
 
 // Grow implements Chooser.
-func (s *Scrambled) Grow(n int64) {
-	if n > s.n {
-		s.n = n
-		s.z.Grow(n)
-	}
-}
+func (s *Scrambled) Grow(n int64) { s.z.Grow(n) }
 
 // Latest favors recently inserted records (YCSB SkewedLatestGenerator),
-// the distribution of workload D.
-type Latest struct {
-	z *Zipfian
-	n int64
-}
+// the distribution of workload D. Its records are the zipfian's items.
+type Latest struct{ z *Zipfian }
 
 // NewLatest returns a latest-skewed chooser over n records.
-func NewLatest(n int64) *Latest {
-	return &Latest{z: NewZipfian(n), n: n}
-}
+func NewLatest(n int64) *Latest { return &Latest{z: NewZipfian(n)} }
 
 // Next implements Chooser: the most recent record is the most popular.
-func (l *Latest) Next(rng *sim.RNG) int64 {
-	off := l.z.Next(rng)
-	return l.n - 1 - off
-}
+func (l *Latest) Next(rng *sim.RNG) int64 { return l.z.next(rng, latest) }
 
 // Grow implements Chooser.
-func (l *Latest) Grow(n int64) {
-	if n > l.n {
-		l.n = n
-		l.z.Grow(n)
+func (l *Latest) Grow(n int64) { l.z.Grow(n) }
+
+// fold is what a chooser returns for the zipfian's item k of n: the item
+// itself, the k-th newest record, or the record YCSB scrambles it to. A
+// table folds it into its answers, so a draw it answers costs no hash.
+type fold uint8
+
+const (
+	plain    fold = iota // Zipfian
+	latest               // Latest
+	scramble             // Scrambled
+)
+
+func (f fold) apply(k, n int64) int64 {
+	switch f {
+	case latest:
+		return n - 1 - k
+	case scramble:
+		return int64(fnv64(uint64(k)) % uint64(n))
 	}
+	return k
 }
 
 // fnv64 is the FNV-1a hash YCSB uses for key scrambling.

@@ -15,7 +15,8 @@ import (
 // incrementally under Grow, so recomputing them from the item count would not
 // reproduce the same bits. What a zipfian derives from that state (its
 // branch constant, the inverse table and the draw count that triggers it) is
-// rebuilt on the restored side and never written.
+// rebuilt on the restored side and never written. Scrambled and Latest write
+// their record count ahead of the zipfian; it is the zipfian's item count.
 
 const (
 	chooserUniform   = 0
@@ -23,6 +24,18 @@ const (
 	chooserLatest    = 2
 	chooserZipfian   = 3
 )
+
+// ChooserError reports a snapshot chooser no run could have been in: its
+// state would divide by zero, draw keys outside the client's records, or
+// make Grow sum zeta over a range it was never summed to.
+type ChooserError struct {
+	Kind   string // "uniform", "scrambled", "latest" or "zipfian"
+	Reason string
+}
+
+func (e *ChooserError) Error() string {
+	return fmt.Sprintf("ycsb: snapshot %s chooser: %s", e.Kind, e.Reason)
+}
 
 // SnapshotState encodes the client's mutable state.
 func (c *Client) SnapshotState(enc *snapcodec.Encoder) {
@@ -63,8 +76,8 @@ func (r *Run) SnapshotState(enc *snapcodec.Encoder) error {
 }
 
 // RestoreRun decodes an in-flight run bound to this client. The client must
-// already be restored (the run's chooser state is independent, but Step reads
-// c.records and c.rng).
+// already be restored: Step reads c.records and c.rng, and the chooser's key
+// space must lie within c.records.
 func (c *Client) RestoreRun(dec *snapcodec.Decoder) (*Run, error) {
 	name := dec.String()
 	if dec.Err() != nil {
@@ -83,7 +96,7 @@ func (c *Client) RestoreRun(dec *snapcodec.Decoder) (*Run, error) {
 	if err := r.lat.RestoreState(dec); err != nil {
 		return nil, err
 	}
-	if r.chooser, err = decodeChooser(dec); err != nil {
+	if r.chooser, err = c.decodeChooser(dec); err != nil {
 		return nil, err
 	}
 	if r.done < 0 || r.done > r.ops {
@@ -99,11 +112,11 @@ func encodeChooser(enc *snapcodec.Encoder, ch Chooser) error {
 		enc.I64(v.n)
 	case *Scrambled:
 		enc.U8(chooserScrambled)
-		enc.I64(v.n)
+		enc.I64(v.z.items)
 		encodeZipfian(enc, v.z)
 	case *Latest:
 		enc.U8(chooserLatest)
-		enc.I64(v.n)
+		enc.I64(v.z.items)
 		encodeZipfian(enc, v.z)
 	case *Zipfian:
 		enc.U8(chooserZipfian)
@@ -114,32 +127,41 @@ func encodeChooser(enc *snapcodec.Encoder, ch Chooser) error {
 	return nil
 }
 
-func decodeChooser(dec *snapcodec.Decoder) (Chooser, error) {
+// decodeChooser decodes a run's chooser onto c's tables. A state no chooser
+// of c could be in is a *ChooserError.
+func (c *Client) decodeChooser(dec *snapcodec.Decoder) (Chooser, error) {
 	tag := dec.U8()
 	if dec.Err() != nil {
 		return nil, dec.Err()
 	}
 	switch tag {
 	case chooserUniform:
-		return &Uniform{n: dec.I64()}, dec.Err()
-	case chooserScrambled:
-		s := &Scrambled{n: dec.I64()}
-		var err error
-		if s.z, err = decodeZipfian(dec); err != nil {
+		n := dec.I64()
+		if dec.Err() != nil {
+			return nil, dec.Err()
+		}
+		if n < 1 || n > c.records {
+			return nil, &ChooserError{"uniform", fmt.Sprintf("%d records outside the client's [1, %d]", n, c.records)}
+		}
+		return &Uniform{n: n}, nil
+	case chooserScrambled, chooserLatest:
+		n := dec.I64()
+		z, err := c.decodeZipfian(dec)
+		if err != nil {
 			return nil, err
 		}
-		return s, nil
-	case chooserLatest:
-		l := &Latest{n: dec.I64()}
-		var err error
-		if l.z, err = decodeZipfian(dec); err != nil {
-			return nil, err
+		kind, ch := "scrambled", Chooser(&Scrambled{z: z})
+		if tag == chooserLatest {
+			kind, ch = "latest", &Latest{z: z}
 		}
-		return l, nil
+		if n != z.items {
+			return nil, &ChooserError{kind, fmt.Sprintf("%d records over %d zipfian items", n, z.items)}
+		}
+		return ch, nil
 	case chooserZipfian:
-		return decodeZipfian(dec)
+		return c.decodeZipfian(dec)
 	default:
-		return nil, fmt.Errorf("ycsb: unknown chooser tag %d", tag)
+		return nil, &ChooserError{"unknown", fmt.Sprintf("tag %d", tag)}
 	}
 }
 
@@ -151,8 +173,10 @@ func encodeZipfian(enc *snapcodec.Encoder, z *Zipfian) {
 	}
 }
 
-func decodeZipfian(dec *snapcodec.Decoder) (*Zipfian, error) {
-	z := &Zipfian{}
+// decodeZipfian decodes a zipfian onto c's tables. Its floats keep the
+// snapshot's bits; they are only checked to lie where a zipfian's can.
+func (c *Client) decodeZipfian(dec *snapcodec.Decoder) (*Zipfian, error) {
+	z := &Zipfian{tables: &c.tables}
 	z.items = dec.I64()
 	z.countForZeta = dec.I64()
 	z.theta = math.Float64frombits(dec.U64())
@@ -163,9 +187,35 @@ func decodeZipfian(dec *snapcodec.Decoder) (*Zipfian, error) {
 	if dec.Err() != nil {
 		return nil, dec.Err()
 	}
-	if z.items <= 0 {
-		return nil, fmt.Errorf("ycsb: snapshot zipfian over %d items", z.items)
+	if reason := z.impossible(c.records); reason != "" {
+		return nil, &ChooserError{"zipfian", reason}
 	}
 	z.second = 1 + pow(0.5, z.theta)
 	return z, nil
+}
+
+// impossible says why no zipfian over at most records items has z's state,
+// or returns "". alpha is one exact division, so it must have those bits: a
+// table is shared on theta's. The other floats must lie where NewZipfianTheta
+// and Grow put them for theta in (0, 1): zeta(n) sums n terms in (0, 1]
+// starting with 1, and eta stays in (0, 1] except at two items, where it is
+// 0/0 and never read.
+func (z *Zipfian) impossible(records int64) string {
+	switch {
+	case z.items < 1 || z.items > records:
+		return fmt.Sprintf("%d items outside the client's [1, %d] records", z.items, records)
+	case z.countForZeta != z.items:
+		return fmt.Sprintf("zeta summed over %d of %d items", z.countForZeta, z.items)
+	case !(z.theta > 0 && z.theta < 1):
+		return fmt.Sprintf("theta %v outside (0, 1)", z.theta)
+	case z.alpha != 1/(1-z.theta):
+		return fmt.Sprintf("alpha %v is not 1/(1-theta)", z.alpha)
+	case !(z.zeta2t > 1 && z.zeta2t <= 2):
+		return fmt.Sprintf("zeta(2) %v outside (1, 2]", z.zeta2t)
+	case !(z.zetan >= 1 && z.zetan <= float64(z.items)):
+		return fmt.Sprintf("zetan %v outside [1, %d]", z.zetan, z.items)
+	case z.items != 2 && !(z.eta > 0 && z.eta <= 1):
+		return fmt.Sprintf("eta %v outside (0, 1]", z.eta)
+	}
+	return ""
 }

@@ -1,6 +1,9 @@
 package ycsb
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // The zipfian formula costs one math.Pow per draw, and on the evaluation's
 // key spaces that made the workload generator dearer in host time than the
@@ -30,32 +33,69 @@ const (
 	tableMaxItems = 1 << 18
 )
 
-// zipfTable is the exact inverse of Zipfian.keyOf for one (items, zetan).
+// zipfTable is the exact inverse of Zipfian.keyOf for one key space, with a
+// chooser's fold applied to its answers.
 type zipfTable struct {
 	// first[k] is the smallest draw whose item is ≥ k, so first[0] = 0;
 	// first[items] = 1<<drawBits stops the walk.
 	first []uint64
-	// guide is indexed by a draw's top bits. guide[c]>>1 is the item of the
-	// cell's first draw, c<<shift; guide[c]&1 says a later draw of the cell
-	// belongs to a later item, so first must be walked. The popular items
-	// span many cells each, so most draws end here.
+	// guide is indexed by a draw's top bits. An even guide[c] is a cell
+	// whose draws all belong to one item, and guide[c]>>1 is that item's
+	// answer. An odd one is a cell where later items start: guide[c]>>1 is
+	// the item of its first draw, c<<shift, from which first is walked. The
+	// popular items span many cells each, so most draws end here.
 	guide []uint32
+	// keys[k] is item k's answer.
+	keys  []uint32
 	shift uint
 }
 
-// tableBuildEvals is about how many formula evaluations buildTable makes for
-// n items, or 0 when n gets no table. A chooser builds once the formula has
-// answered that many draws: by then a table would have cost no more than what
-// was already spent, and choosers that stop or Grow sooner never pay for one.
-func tableBuildEvals(n int64) int64 {
-	if n > tableMaxItems {
-		return 0
-	}
-	return n * (searchEvals + 2*tableWindow)
+// keySpace is what a table is a function of: the state keyOf reads (alpha
+// and second derive from theta) and the fold of its answers.
+type keySpace struct {
+	items             int64
+	theta, zetan, eta uint64 // math.Float64bits
+	fold              fold
 }
 
-// buildTable returns the table for z, or nil if it failed verification.
-func (z *Zipfian) buildTable() *zipfTable {
+func (z *Zipfian) space(f fold) keySpace {
+	return keySpace{z.items, math.Float64bits(z.theta), math.Float64bits(z.zetan), math.Float64bits(z.eta), f}
+}
+
+// tableCache holds the table of one key space and counts the formula draws
+// made over it. A Client owns one for every chooser it makes or restores, so
+// a key space is built and verified once however many runs draw from it; a
+// chooser made on its own owns its own.
+type tableCache struct {
+	space  keySpace
+	served int64      // formula draws over space
+	table  *zipfTable // nil until served reaches tableBuildEvals, or if it failed verification
+}
+
+// draw counts one formula draw by z and returns the table for its key space
+// and fold, building it on the draw that completes the payment; nil means the
+// formula answers. Another key space replaces the one held.
+func (c *tableCache) draw(z *Zipfian, f fold) *zipfTable {
+	if s := z.space(f); s != c.space {
+		*c = tableCache{space: s}
+	}
+	if c.table == nil {
+		if c.served++; c.served == tableBuildEvals(c.space.items) {
+			c.table = z.buildTable(f)
+		}
+	}
+	return c.table
+}
+
+// tableBuildEvals is about how many formula evaluations buildTable makes for
+// n items. A key space is built once the formula has answered that many of
+// its draws: by then a table would have cost no more than what was already
+// spent, and key spaces that are left or grown sooner never pay for one.
+func tableBuildEvals(n int64) int64 { return n * (searchEvals + 2*tableWindow) }
+
+// buildTable returns the table for z with f folded into its answers, or nil
+// if it failed verification.
+func (z *Zipfian) buildTable(f fold) *zipfTable {
 	n := z.items
 	// Between a quarter and half as many cells as items. On the 24 000
 	// records of the evaluation that measured fastest next to a running
@@ -69,10 +109,14 @@ func (z *Zipfian) buildTable() *zipfTable {
 	t := &zipfTable{
 		first: make([]uint64, n+1),
 		guide: make([]uint32, 1<<cellBits),
+		keys:  make([]uint32, n),
 		shift: drawBits - cellBits,
 	}
 	for k := int64(1); k <= n; k++ {
 		t.first[k] = z.firstDraw(k)
+	}
+	for k := range t.keys {
+		t.keys[k] = uint32(k)
 	}
 	k := uint32(0)
 	for c := range t.guide {
@@ -84,8 +128,20 @@ func (z *Zipfian) buildTable() *zipfTable {
 			t.guide[c] |= 1
 		}
 	}
+	// Verified on items, the fold is then a relabelling: a scrambled table
+	// that passes cannot owe it to two neighbours scrambling alike.
 	if !t.verify(z) {
 		return nil
+	}
+	if f != plain {
+		for k := range t.keys {
+			t.keys[k] = uint32(f.apply(int64(k), n))
+		}
+		for c, g := range t.guide {
+			if g&1 == 0 {
+				t.guide[c] = t.keys[g>>1] << 1
+			}
+		}
 	}
 	return t
 }
@@ -124,16 +180,17 @@ func (z *Zipfian) firstDraw(k int64) uint64 {
 	return hi
 }
 
-// keyOf returns draw m's item.
+// keyOf returns draw m's answer.
 func (t *zipfTable) keyOf(m uint64) int64 {
 	g := t.guide[m>>t.shift]
-	k := int64(g >> 1)
-	if g&1 != 0 {
-		for t.first[k+1] <= m {
-			k++
-		}
+	if g&1 == 0 {
+		return int64(g >> 1)
 	}
-	return k
+	k := g >> 1
+	for t.first[k+1] <= m {
+		k++
+	}
+	return int64(t.keys[k])
 }
 
 // verify reports whether the table answers as the formula does around every

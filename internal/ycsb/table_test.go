@@ -1,11 +1,13 @@
 package ycsb
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
 
 	"multiclock/internal/sim"
+	"multiclock/internal/snapcodec"
 )
 
 // grayNext is the generator as it was before the table: two pow calls a
@@ -26,7 +28,9 @@ var tableSizes = []int64{1, 2, 3, 10, 1000, 24_000, 1 << 20}
 
 // TestChoosersMatchGrayFormula draws from Zipfian, Scrambled and Latest in
 // lockstep with the reference on identically seeded streams, across the
-// lazy build and again after Grow has dropped the table.
+// lazy build and again after Grow has dropped the table. Halfway through each
+// phase Scrambled hands over to an heir on its cache, which must answer from
+// the table it inherits (if one was built) from its first draw on.
 func TestChoosersMatchGrayFormula(t *testing.T) {
 	const draws = 3_000_000
 	for _, theta := range []float64{0.5, ZipfianConstant} {
@@ -35,15 +39,26 @@ func TestChoosersMatchGrayFormula(t *testing.T) {
 				t.Parallel()
 				ref := NewZipfianTheta(n, theta)
 				z := NewZipfianTheta(n, theta)
-				s := &Scrambled{z: NewZipfianTheta(n, theta), n: n}
-				l := &Latest{z: NewZipfianTheta(n, theta), n: n}
+				s := &Scrambled{z: NewZipfianTheta(n, theta)}
+				l := &Latest{z: NewZipfianTheta(n, theta)}
 				rngs := [4]*sim.RNG{}
 				for i := range rngs {
 					rngs[i] = sim.NewRNG(uint64(n) ^ math.Float64bits(theta))
 				}
 				for phase := 0; phase < 2; phase++ {
 					items := ref.items
+					built := int64(draws/2) >= tableBuildEvals(items) && items <= tableMaxItems
 					for i := 0; i < draws; i++ {
+						var inherited *zipfTable
+						if i == draws/2 {
+							if (s.z.table != nil) != built {
+								t.Fatalf("phase %d: Scrambled table built = %v after %d draws of %d items", phase, !built, i, items)
+							}
+							inherited = s.z.table
+							heir := *s.z
+							heir.table = nil
+							s = &Scrambled{z: &heir}
+						}
 						want := min(grayNext(ref, rngs[0]), items-1)
 						if got := z.Next(rngs[1]); got != want {
 							t.Fatalf("phase %d draw %d: Zipfian %d, formula %d", phase, i, got, want)
@@ -54,9 +69,14 @@ func TestChoosersMatchGrayFormula(t *testing.T) {
 						if got := l.Next(rngs[3]); got != items-1-want {
 							t.Fatalf("phase %d draw %d: Latest %d, formula %d", phase, i, got, items-1-want)
 						}
+						if inherited != nil && s.z.table != inherited {
+							t.Fatalf("phase %d: the heir's first draw did not come from the inherited table", phase)
+						}
 					}
-					if built, want := z.table != nil, int64(draws) >= tableBuildEvals(items) && items <= tableMaxItems; built != want {
-						t.Fatalf("phase %d: table built = %v after %d draws of %d items", phase, built, draws, items)
+					for _, ch := range []*Zipfian{z, s.z, l.z} {
+						if (ch.table != nil) != built {
+							t.Fatalf("phase %d: table built = %v after %d draws of %d items", phase, !built, draws, items)
+						}
 					}
 					grown := items + items/3 + 1
 					for _, ch := range []Chooser{ref, z, s, l} {
@@ -79,7 +99,7 @@ func TestTableThresholds(t *testing.T) {
 	for _, theta := range []float64{0.5, ZipfianConstant} {
 		for _, n := range []int64{1, 2, 3, 10, 1000, 24_000} {
 			z := NewZipfianTheta(n, theta)
-			tab := z.buildTable()
+			tab := z.buildTable(plain)
 			if tab == nil {
 				t.Fatalf("theta=%v n=%d: table failed verification", theta, n)
 			}
@@ -118,7 +138,7 @@ func TestTableThresholds(t *testing.T) {
 // so that the chooser keeps answering from the formula.
 func TestTableRejectedWhereItDisagrees(t *testing.T) {
 	z := NewZipfian(24_000)
-	tab := z.buildTable()
+	tab := z.buildTable(plain)
 	for _, k := range []int64{1, 2, 77, 5000, 23_999} {
 		for _, off := range []uint64{1, 3, ^uint64(0)} { // ^0 is -1
 			tab.first[k] += off
@@ -142,7 +162,7 @@ func TestExtremeDrawsStayInRange(t *testing.T) {
 		z := NewZipfian(n)
 		var tab *zipfTable
 		if n <= tableMaxItems {
-			if tab = z.buildTable(); tab == nil {
+			if tab = z.buildTable(plain); tab == nil {
 				t.Fatalf("n=%d: table failed verification", n)
 			}
 		}
@@ -171,52 +191,76 @@ func TestExtremeDrawsStayInRange(t *testing.T) {
 	}
 }
 
-// TestTableIsBuiltLazily pins the build rule: the formula answers until it
-// has served tableBuildEvals draws, Grow starts the count again, and key
+// TestTableIsBuiltLazily pins the build rule: a key space's formula answers
+// until its cache has counted tableBuildEvals draws over it, whichever of the
+// client's choosers made them; a chooser made after that answers from its
+// first draw; Grow moves to a key space whose count starts again; and key
 // spaces past tableMaxItems never build.
 func TestTableIsBuiltLazily(t *testing.T) {
-	z := NewZipfian(1000)
+	_, c := newClient(1000)
+	c.Load()
 	rng := sim.NewRNG(1)
 	after := tableBuildEvals(1000)
+	zs := []*Zipfian{c.zipfian(), c.zipfian(), c.zipfian()}
 	for i := int64(1); i < after; i++ {
-		z.Next(rng)
+		zs[i%3].next(rng, scramble)
 	}
-	if z.table != nil {
+	if c.tables.table != nil || zs[0].table != nil || zs[1].table != nil || zs[2].table != nil {
 		t.Fatalf("table built before %d draws", after)
 	}
-	z.Next(rng)
-	if z.table == nil {
+	zs[0].next(rng, scramble)
+	if c.tables.table == nil || zs[0].table != c.tables.table {
 		t.Fatalf("no table after %d draws", after)
 	}
+	z := c.zipfian()
+	z.next(rng, scramble)
+	if z.table != c.tables.table {
+		t.Fatal("a chooser made after the build did not answer its first draw from the table")
+	}
 	z.Grow(1001)
-	if z.table != nil || z.served != 0 {
-		t.Fatal("Grow kept derived state")
+	if z.table != nil {
+		t.Fatal("Grow kept the table")
 	}
 	z.Grow(1001) // not a growth: nothing to drop
 	for i := int64(1); i < tableBuildEvals(1001); i++ {
-		z.Next(rng)
+		z.next(rng, scramble)
 	}
-	if z.table != nil {
-		t.Fatal("table built early after Grow")
+	if z.table != nil || c.tables.table != nil || c.tables.served != tableBuildEvals(1001)-1 {
+		t.Fatalf("after Grow: table %v, %d draws counted, want none and %d", z.table != nil, c.tables.served, tableBuildEvals(1001)-1)
 	}
 
-	// Past tableMaxItems there is no draw count that triggers a build.
-	if tableBuildEvals(tableMaxItems+1) != 0 || tableBuildEvals(tableMaxItems) == 0 {
-		t.Fatal("tableMaxItems is not the boundary")
+	// Past tableMaxItems the formula answers without counting.
+	for _, n := range []int64{tableMaxItems, tableMaxItems + 1} {
+		z := NewZipfian(n)
+		z.Next(rng)
+		if counted := z.tables.served == 1; counted != (n <= tableMaxItems) {
+			t.Fatalf("%d items: draw counted = %v", n, counted)
+		}
 	}
 }
 
 // TestWorkloadDNeverBuilds runs the growing workload long enough that a
-// fixed key space would have built: every insert restarts the count.
+// fixed key space would have built: every insert moves the client's count to
+// a new key space.
 func TestWorkloadDNeverBuilds(t *testing.T) {
 	_, c := newClient(200)
 	c.Load()
 	r := c.StartRun(WorkloadD, 4*tableBuildEvals(200))
 	for r.Step() {
 	}
-	if z := r.chooser.(*Latest).z; z.table != nil {
+	if z := r.chooser.(*Latest).z; z.table != nil || c.tables.table != nil {
 		t.Fatalf("workload D built a table over %d items", z.items)
 	}
+	if c.tables.served >= tableBuildEvals(c.records) {
+		t.Fatalf("the client counted %d draws over one of D's key spaces", c.tables.served)
+	}
+}
+
+// zipfianBytes is z's serialised state.
+func zipfianBytes(z *Zipfian) []byte {
+	enc := snapcodec.NewEncoder()
+	encodeZipfian(enc, z)
+	return enc.Bytes()
 }
 
 // TestClientReusesZeta checks the memo is invisible: a chooser made from the
@@ -229,7 +273,7 @@ func TestClientReusesZeta(t *testing.T) {
 		t.Helper()
 		got := c.chooserFor(WorkloadA).(*Scrambled).z
 		want := NewZipfian(c.records)
-		if *got != *want {
+		if !bytes.Equal(zipfianBytes(got), zipfianBytes(want)) || got.second != want.second {
 			t.Fatalf("memoised chooser %+v, fresh %+v", *got, *want)
 		}
 	}
@@ -240,4 +284,94 @@ func TestClientReusesZeta(t *testing.T) {
 		t.Fatal("workload D inserted nothing")
 	}
 	same()
+}
+
+// TestClientReusesTable pins the client as the table's owner: the paper
+// sequence builds one table, and every run after the one that paid answers
+// from it from its first draw; a zipfian whose zetan or eta differs in the
+// last bit, as a zeta accumulated by Grow in another order could, gets none;
+// and a run restored mid-way onto a client that has yet to pay draws the keys
+// of the run that was never checkpointed.
+func TestClientReusesTable(t *testing.T) {
+	const records = 500
+	ops := 2 * tableBuildEvals(records) // every A/B/C/F/W op draws a key
+	_, c := newClient(records)
+	c.Load()
+	var built *zipfTable
+	for _, w := range PaperSequence {
+		r := c.StartRun(w, ops)
+		if w.Dist != DistZipfian {
+			continue // D, last: its inserts grow the key space
+		}
+		r.Step()
+		z := r.chooser.(*Scrambled).z
+		if built != nil && z.table != built {
+			t.Fatalf("workload %s: first draw not from the table workload A built", w.Name)
+		}
+		for r.Step() {
+		}
+		if built == nil {
+			built = z.table
+		}
+		if built == nil || c.tables.table != built {
+			t.Fatalf("workload %s: client table %p, want %p built once", w.Name, c.tables.table, built)
+		}
+	}
+
+	for _, nudge := range []func(z *Zipfian){
+		func(z *Zipfian) { z.zetan = math.Nextafter(z.zetan, 2*z.zetan) },
+		func(z *Zipfian) { z.eta = math.Nextafter(z.eta, 0) },
+	} {
+		_, c := newClient(records)
+		c.Load()
+		c.Run(WorkloadA, ops)
+		if c.tables.table == nil {
+			t.Fatal("no table to borrow")
+		}
+		odd, ref := c.zipfian(), c.zipfian()
+		nudge(odd)
+		nudge(ref)
+		ref.tables = new(tableCache)
+		rngs := [2]*sim.RNG{sim.NewRNG(9), sim.NewRNG(9)}
+		for i := 0; i < 1000; i++ {
+			if got, want := odd.next(rngs[0], scramble), scramble.apply(ref.keyOf(rngs[1].Uint64()>>(64-drawBits)), records); got != want {
+				t.Fatalf("draw %d: %d, its own formula %d", i, got, want)
+			}
+		}
+		if odd.table != nil {
+			t.Fatal("a zipfian one bit away borrowed the table")
+		}
+	}
+
+	_, c1 := newClient(records)
+	c1.Load()
+	r1 := c1.StartRun(WorkloadA, 1<<40)
+	for i := int64(0); i < tableBuildEvals(records)+100; i++ {
+		r1.Step()
+	}
+	enc := snapcodec.NewEncoder()
+	c1.SnapshotState(enc)
+	if err := r1.SnapshotState(enc); err != nil {
+		t.Fatal(err)
+	}
+	_, c2 := newClient(records)
+	dec := snapcodec.NewDecoder(enc.Bytes())
+	if err := c2.RestoreState(dec); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := c2.RestoreRun(dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.chooser.(*Scrambled).z.table == nil || r2.chooser.(*Scrambled).z.table != nil {
+		t.Fatal("want the checkpointed run on a table and the restored one on the formula")
+	}
+	for i := int64(0); i < 2*tableBuildEvals(records); i++ {
+		if a, b := r1.chooser.Next(c1.rng), r2.chooser.Next(c2.rng); a != b {
+			t.Fatalf("draw %d after restore: %d, never checkpointed %d", i, b, a)
+		}
+	}
+	if r2.chooser.(*Scrambled).z.table == nil {
+		t.Fatal("the restored client never built its own table")
+	}
 }

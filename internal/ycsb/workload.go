@@ -95,6 +95,10 @@ type Client struct {
 	// record to recompute.
 	zetaItems int64
 	zetan     float64
+	// tables serves every zipfian the client makes or restores, so the
+	// paper sequence's A, B, C, F and W, or a warm-up and the run after it,
+	// build and verify one table between them.
+	tables tableCache
 }
 
 // NewClient creates a client bound to a store.
@@ -241,20 +245,20 @@ func (r *Run) Finish() RunResult {
 func (c *Client) chooserFor(w Workload) Chooser {
 	switch w.Dist {
 	case DistLatest:
-		return &Latest{z: c.zipfian(), n: c.records}
+		return &Latest{z: c.zipfian()}
 	case DistUniform:
 		return NewUniform(c.records)
 	default:
-		return &Scrambled{z: c.zipfian(), n: c.records}
+		return &Scrambled{z: c.zipfian()}
 	}
 }
 
-// zipfian returns NewZipfian(c.records) without summing zeta again when the
-// record count has not moved since the last run.
+// zipfian returns NewZipfian(c.records) on the client's tables, without
+// summing zeta again when the record count has not moved since the last run.
 func (c *Client) zipfian() *Zipfian {
 	if c.zetaItems != c.records {
 		c.zetan = zetaRange(0, c.records, ZipfianConstant, 0)
 		c.zetaItems = c.records
 	}
-	return newZipfian(c.records, ZipfianConstant, c.zetan)
+	return newZipfian(c.records, ZipfianConstant, c.zetan, &c.tables)
 }

@@ -84,17 +84,24 @@ func TestListing(t *testing.T) {
 	}
 }
 
-// TestExperimentRun: experiments stream in order under section headers; an
-// unknown id fails inline without aborting the batch's exit reporting.
+// TestExperimentRun: experiments stream in order under section headers, under
+// fault injection too; an unknown id fails inline without aborting the
+// batch's exit reporting.
 func TestExperimentRun(t *testing.T) {
-	code, stdout, stderr := mcbench("-exp", "table1")
-	if code != 0 || !strings.HasPrefix(stdout, "==== table1 ====\nTable I") {
-		t.Fatalf("table1: exit %d\n%s%s", code, stdout, stderr)
-	}
-	code, stdout, stderr = mcbench("-exp", "bogus")
-	if code != 1 || !strings.HasPrefix(stdout, "==== bogus ====\nerror: bench: unknown experiment \"bogus\"") ||
-		!strings.HasSuffix(stderr, "mcbench: 1 of 1 experiments failed\n") {
-		t.Fatalf("bogus: exit %d\n%s%s", code, stdout, stderr)
+	for _, c := range []struct {
+		args   []string
+		code   int
+		stdout string // prefix
+		stderr string // suffix
+	}{
+		{[]string{"-exp", "table1"}, 0, "==== table1 ====\nTable I", ""},
+		{[]string{"-exp", "fig5", "-quick", "-parallel", "4", "-chaos", "7,0.01", "-deadline", "10m"}, 0, "==== fig5 ====\nFig. 5", ""},
+		{[]string{"-exp", "bogus"}, 1, "==== bogus ====\nerror: bench: unknown experiment \"bogus\"", "mcbench: 1 of 1 experiments failed\n"},
+	} {
+		code, stdout, stderr := mcbench(c.args...)
+		if code != c.code || !strings.HasPrefix(stdout, c.stdout) || !strings.HasSuffix(stderr, c.stderr) {
+			t.Errorf("%v: exit %d (want %d)\n%s%s", c.args, code, c.code, stdout, stderr)
+		}
 	}
 }
 

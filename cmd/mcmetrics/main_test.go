@@ -252,6 +252,9 @@ func TestSLOReport(t *testing.T) {
 			t.Fatalf("slo report missing %q:\n%s", want, out)
 		}
 	}
+	if _, again, _ := exec(t, "slo", golden); again != out {
+		t.Fatal("slo report is not deterministic across invocations")
+	}
 }
 
 func TestSLOWithoutSection(t *testing.T) {

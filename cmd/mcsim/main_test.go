@@ -9,6 +9,7 @@ import (
 
 	"multiclock/internal/bench"
 	"multiclock/internal/metrics"
+	"multiclock/internal/traceexport"
 )
 
 // mcsim runs the command in-process and returns exit code, stdout, stderr.
@@ -215,11 +216,18 @@ func TestExportsCarryEveryRequestedSink(t *testing.T) {
 		}
 		ex := readExport(t, m)
 		var labels []string
+		migrated := false
 		for _, r := range ex.Runs {
 			labels = append(labels, r.Label)
 			if r.Series == nil || r.Lifecycle == nil || r.SLO == nil || r.Topology == nil || r.Faults == nil || r.Trace == nil {
-				t.Errorf("run %s lacks a requested section", r.Label)
+				t.Fatalf("run %s lacks a requested section", r.Label)
 			}
+			for _, p := range r.Lifecycle.Pages {
+				migrated = migrated || p.Migrations > 0
+			}
+		}
+		if !migrated {
+			t.Error("no traced page migrated on an oversubscribed machine")
 		}
 		if got := strings.Join(labels, ","); got != "multiclock,multiclock#1,nimble" {
 			t.Errorf("labels = %s", got)
@@ -234,9 +242,44 @@ func TestExportsCarryEveryRequestedSink(t *testing.T) {
 			}
 			files[filepath.Base(f)[:1]] = data
 		}
+		// The in-run timeline is the post-hoc one: rebuilding it from the
+		// written export (what `mcmetrics perfetto` prints) gives the same
+		// bytes, so the export carries everything the trace shows.
+		if !bytes.Equal(traceexport.Build(ex.Runs), files["t"]) {
+			t.Errorf("-parallel %s: -trace-out differs from the timeline rebuilt from -metrics", parallel)
+		}
 	}
 	if !strings.HasPrefix(plain, "==== multiclock ====\n") || strings.Count(plain, "==== ") != 3 {
 		t.Errorf("multi-policy report lacks per-policy headers:\n%s", plain)
+	}
+}
+
+// TestLatencyHistogramsFollowTheTopology: the export carries one access
+// latency read/write pair per tier of the simulated hierarchy, and none for a
+// tier the machine does not have.
+func TestLatencyHistogramsFollowTheTopology(t *testing.T) {
+	m := filepath.Join(t.TempDir(), "m.json")
+	for _, c := range []struct{ tiers, want string }{
+		{"", "dram_read dram_write pm_read pm_write"},
+		{"dram:256,cxl:4096,ssd:*", "cxl_read cxl_write dram_read dram_write ssd_read ssd_write"},
+		{"dram:128,cxl:256,pm:2048", "cxl_read cxl_write dram_read dram_write pm_read pm_write"},
+	} {
+		args := with(small, "-ops", "5000", "-metrics", m)
+		if c.tiers != "" {
+			args = with(args, "-tiers", c.tiers)
+		}
+		if code, _, stderr := mcsim(args...); code != 0 {
+			t.Fatalf("-tiers %q: exit %d\n%s", c.tiers, code, stderr)
+		}
+		var got []string
+		for _, h := range readExport(t, m).Runs[0].Histograms {
+			if pair, ok := strings.CutPrefix(h.Name, "access_latency_"); ok {
+				got = append(got, strings.TrimSuffix(pair, "_ns"))
+			}
+		}
+		if strings.Join(got, " ") != c.want {
+			t.Errorf("-tiers %q: access latency histograms %v, want %s", c.tiers, got, c.want)
+		}
 	}
 }
 

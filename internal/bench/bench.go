@@ -76,9 +76,6 @@ func (o Options) workers() int {
 	return o.Parallel
 }
 
-// DefaultOptions returns full-scale settings.
-func DefaultOptions() Options { return Options{Seed: 1} }
-
 // SystemNames lists the tiered systems compared in Figs. 5 and 6, in
 // presentation order.
 var SystemNames = []string{"static", "multiclock", "nimble", "at-cpm", "at-opm"}

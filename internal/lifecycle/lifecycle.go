@@ -256,9 +256,6 @@ func (t *Tracer) PageFreed(pg *mem.Page, now sim.Time) {
 	delete(t.byPtr, pg)
 }
 
-// PagesTraced returns the number of pages with recorded timelines.
-func (t *Tracer) PagesTraced() int { return t.tracked }
-
 // Export snapshots the tracer as the wire-format lifecycle section, pages
 // sorted by (space, va). Export does not mutate the tracer and may be
 // called repeatedly.

@@ -199,12 +199,6 @@ func (s *System) FastestTier() Tier { return 0 }
 // can actually live on; a durable swap tier below it is not included.
 func (s *System) SlowestTier() Tier { return s.birthOrder[len(s.birthOrder)-1] }
 
-// DurableLastTier reports whether the hierarchy ends in a durable
-// (storage-backed) tier subsuming the swap path.
-func (s *System) DurableLastTier() bool {
-	return s.Top.Tiers[len(s.Top.Tiers)-1].Durable
-}
-
 // Above returns the tier one step faster than t, if any.
 func (s *System) Above(t Tier) (Tier, bool) {
 	if t <= 0 {
@@ -411,30 +405,6 @@ func (s *System) Migrate(pg *Page, dst NodeID) MigrationResult {
 	return MigrationResult{OK: true, From: src, To: dst, Cost: cost, Tax: s.Lat.MigrationTax}
 }
 
-// Promote migrates pg one tier up, onto the emptiest node of the tier
-// above its current one. Fails (without counting a migrate failure) when
-// the page is already on the fastest tier or the tier above has no free
-// frame.
-func (s *System) Promote(pg *Page) MigrationResult {
-	dst := s.PickNodeAbove(s.Tier(pg))
-	if dst == NoNode {
-		return MigrationResult{From: pg.Node, To: NoNode}
-	}
-	return s.Migrate(pg, dst)
-}
-
-// Demote migrates pg one tier down, onto the emptiest node of the tier
-// below its current one. Fails (without counting a migrate failure) when
-// no such node has a free frame — in particular when the tier below is a
-// durable swap tier; the caller's fallback is SwapOut.
-func (s *System) Demote(pg *Page) MigrationResult {
-	dst := s.PickNodeBelow(s.Tier(pg))
-	if dst == NoNode {
-		return MigrationResult{From: pg.Node, To: NoNode}
-	}
-	return s.Migrate(pg, dst)
-}
-
 // Split breaks an isolated compound page into base-page descriptors over
 // the same frames (split_huge_page): the block's frames stay allocated but
 // are now owned by 512 independent pages that can migrate, swap and age
@@ -477,17 +447,6 @@ func (s *System) PickNode(t Tier) NodeID {
 		}
 	}
 	return best
-}
-
-// PickNodeAbove selects the emptiest node of the tier above t (the
-// promotion destination), or NoNode when t is the fastest tier or the tier
-// above is full.
-func (s *System) PickNodeAbove(t Tier) NodeID {
-	up, ok := s.Above(t)
-	if !ok {
-		return NoNode
-	}
-	return s.PickNode(up)
 }
 
 // PickNodeBelow selects the emptiest node of the tier below t (the

@@ -35,7 +35,7 @@ type TierSpec struct {
 
 // Topology is an ordered memory hierarchy, fastest tier first. Tier t of a
 // System built from it is Tiers[t]; all tier-relative navigation
-// (Above/Below, PickNodeAbove/Below) walks this order.
+// (Above/Below, PickNodeBelow) walks this order.
 type Topology struct {
 	Tiers []TierSpec
 }

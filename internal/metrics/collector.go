@@ -12,10 +12,6 @@ const (
 	HistMigrationLatency = "migration_latency_ns"
 	HistDaemonPassWork   = "daemon_pass_work_ns"
 	HistPromoteQueue     = "promote_queue_depth"
-	HistAccessDRAMRead   = "access_latency_dram_read_ns"
-	HistAccessDRAMWrite  = "access_latency_dram_write_ns"
-	HistAccessPMRead     = "access_latency_pm_read_ns"
-	HistAccessPMWrite    = "access_latency_pm_write_ns"
 )
 
 // Collector adapts one machine's telemetry streams onto a Registry. It
@@ -45,10 +41,10 @@ type Collector struct {
 }
 
 // NewCollector builds a collector over reg, pre-resolving every instrument
-// so the hot-path methods do no map lookups. Call Bind before wiring it to
-// a machine.
+// so the hot-path methods do no map lookups (the per-tier access latencies
+// once Bind knows the tiers). Call Bind before wiring it to a machine.
 func NewCollector(reg *Registry) *Collector {
-	c := &Collector{
+	return &Collector{
 		reg:        reg,
 		migLat:     reg.Histogram(HistMigrationLatency),
 		passWork:   reg.Histogram(HistDaemonPassWork),
@@ -60,14 +56,6 @@ func NewCollector(reg *Registry) *Collector {
 		minorFault: reg.Counter("minor_faults"),
 		hintFault:  reg.Counter("hint_faults"),
 	}
-	// Pre-resolve the default two-tier instruments; Bind re-sizes the table
-	// to the machine's actual topology (these names coincide with the
-	// topology-derived ones for any hierarchy starting dram/pm).
-	c.accessLat = [][2]*Histogram{
-		{reg.Histogram(HistAccessDRAMRead), reg.Histogram(HistAccessDRAMWrite)},
-		{reg.Histogram(HistAccessPMRead), reg.Histogram(HistAccessPMWrite)},
-	}
-	return c
 }
 
 // Registry returns the collector's registry.
@@ -80,8 +68,8 @@ func (c *Collector) Bind(m *machine.Machine) *Collector {
 	c.vmstat = &m.Mem.Counters
 	c.now = m.Clock.Now
 	// Resolve one read/write histogram pair per tier of the machine's
-	// topology ("access_latency_<tier>_read_ns"). For the default two-tier
-	// hierarchy these are exactly the instruments NewCollector registered.
+	// topology ("access_latency_<tier>_read_ns"): the only place these
+	// names are made, so an export lists exactly the machine's tiers.
 	tiers := m.Mem.Top.Tiers
 	c.accessLat = make([][2]*Histogram, len(tiers))
 	for i, ts := range tiers {

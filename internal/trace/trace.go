@@ -118,29 +118,6 @@ func (h *Heatmap) Render() string {
 	return b.String()
 }
 
-// CSV emits the raw matrix for external plotting.
-func (h *Heatmap) CSV() string {
-	var b strings.Builder
-	windows := h.Windows()
-	b.WriteString("page")
-	for w := 0; w < windows; w++ {
-		fmt.Fprintf(&b, ",w%d", w)
-	}
-	b.WriteByte('\n')
-	for i, row := range h.counts {
-		fmt.Fprintf(&b, "%d", i)
-		for w := 0; w < windows; w++ {
-			var c int64
-			if w < len(row) {
-				c = row[w]
-			}
-			fmt.Fprintf(&b, ",%d", c)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // tierFunc resolves a node to its memory tier.
 type tierFunc func(mem.NodeID) mem.Tier
 

@@ -2,6 +2,7 @@ package multiclock
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"multiclock/internal/bench"
@@ -83,6 +84,24 @@ func TestMetricsDisabledIsNoOp(t *testing.T) {
 		}
 		i++
 	})
+}
+
+// TestLifecycleSectionOmittedWhenOff: a run without the optional sections
+// serializes without their keys, so exports of plain runs stay byte-stable.
+func TestLifecycleSectionOmittedWhenOff(t *testing.T) {
+	sys := NewSystem(Config{DRAMPages: 256, PMPages: 1024, Seed: 5})
+	defer sys.Stop()
+	col := sys.EnableMetrics(0)
+	store := sys.NewKVStore(1000)
+	client := sys.NewYCSB(store, 1000)
+	client.Load()
+	b, err := ExportMetricsJSON(col.Run("plain"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(b), `"series"`) || strings.Contains(string(b), `"lifecycle"`) {
+		t.Fatal("disabled observability leaked into the export")
+	}
 }
 
 // TestMultipleObservers attaches a PromotionTracker and a metrics collector

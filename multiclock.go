@@ -29,17 +29,13 @@ import (
 	"multiclock/internal/fault"
 	"multiclock/internal/graph"
 	"multiclock/internal/kvstore"
-	"multiclock/internal/lifecycle"
 	"multiclock/internal/machine"
 	"multiclock/internal/mem"
 	"multiclock/internal/metrics"
 	"multiclock/internal/pagecache"
 	"multiclock/internal/pagetable"
 	"multiclock/internal/sim"
-	"multiclock/internal/slo"
-	"multiclock/internal/timeseries"
 	"multiclock/internal/trace"
-	"multiclock/internal/traceexport"
 	"multiclock/internal/ycsb"
 )
 
@@ -173,17 +169,10 @@ type TierSpec = mem.TierSpec
 // FaultConfig describes a fault-injection campaign (re-export).
 type FaultConfig = fault.Config
 
-// ParseFaultSpec parses the CLI fault specification "seed,rate" into a
-// uniform-rate FaultConfig; the empty string disables injection.
-func ParseFaultSpec(s string) (FaultConfig, error) { return fault.ParseSpec(s) }
-
 // System is a running simulated machine plus its tiering policy.
 type System struct {
-	m        *machine.Machine
-	pol      machine.Policy
-	samplers []*timeseries.Sampler
-	metrics  *metrics.Collector
-	slos     []*slo.Engine
+	m   *machine.Machine
+	pol machine.Policy
 }
 
 // NewSystem builds a machine per cfg with the policy attached and its
@@ -258,26 +247,12 @@ func (s *System) DRAMHitRatio() float64 { return s.m.Mem.Counters.DRAMHitRatio()
 // accounting, LRU membership, page-table mapping); nil when consistent.
 func (s *System) CheckInvariants() error { return s.m.CheckInvariants() }
 
-// FaultReport summarizes injected faults, or "" when injection is off.
-func (s *System) FaultReport() string {
-	if s.m.Faults == nil {
-		return ""
-	}
-	return s.m.Faults.Counters.String()
-}
-
 // Stop halts the policy's daemons (for long-lived processes building many
 // systems). Any policy with background work implements machine.Stopper;
 // policies without daemons have nothing to stop.
 func (s *System) Stop() {
 	if st, ok := s.pol.(machine.Stopper); ok {
 		st.Stop()
-	}
-	for _, sp := range s.samplers {
-		sp.Stop()
-	}
-	for _, e := range s.slos {
-		e.Stop()
 	}
 }
 
@@ -341,8 +316,6 @@ type (
 	Observer = machine.Observer
 	// PromotionTracker measures promotions and re-access (Figs. 8–9).
 	PromotionTracker = trace.PromotionTracker
-	// Heatmap records sampled page access intensity (Fig. 1).
-	Heatmap = trace.Heatmap
 	// Metrics is the virtual-clock-native metrics collector: counters,
 	// gauges, log-bucketed histograms and an optional structured event
 	// trace, with deterministic JSON/CSV export.
@@ -354,8 +327,8 @@ type (
 
 // Attach registers an observer alongside any already attached and returns
 // a function that detaches exactly it. Multiple observers (a
-// PromotionTracker, a Heatmap, a Metrics collector, ...) coexist; each
-// sees every event.
+// PromotionTracker, a Metrics collector, ...) coexist; each sees every
+// event.
 func (s *System) Attach(o Observer) (detach func()) {
 	return s.m.Attach(o)
 }
@@ -371,109 +344,18 @@ func (s *System) NewPromotionTracker(window Duration) *PromotionTracker {
 // counters and histograms still record). The collector observes passively —
 // an instrumented run's simulation timeline is bit-for-bit identical to an
 // uninstrumented one. Export with ExportMetricsJSON or the collector's Run
-// snapshot.
+// snapshot. The sections layered on the collector (time series, lifecycle
+// spans, SLOs, the Perfetto timeline) are selected by the mcsim and mcbench
+// flags -series, -lifecycle, -slo and -trace-out.
 func (s *System) EnableMetrics(traceEvents int) *Metrics {
-	s.metrics, _ = bench.RunConfig{Metrics: true, TraceEvents: traceEvents}.Attach(s.m)
-	return s.metrics
+	c, _ := bench.RunConfig{Metrics: true, TraceEvents: traceEvents}.Attach(s.m)
+	return c
 }
 
 // ExportMetricsJSON renders one or more labeled metric snapshots (from
 // Metrics.Run) as the canonical deterministic JSON document.
 func ExportMetricsJSON(runs ...metrics.RunExport) ([]byte, error) {
 	return metrics.ExportJSON(runs...)
-}
-
-// SLO re-exports: declarative virtual-time latency objectives with
-// Google-SRE multi-window multi-burn-rate alerting.
-type (
-	// SLOEngine evaluates a parsed objective spec against the metrics
-	// collector's histograms on fixed virtual-time windows. Passive like
-	// every observability layer: it never advances the clock.
-	SLOEngine = slo.Engine
-	// SLOSpec is a parsed set of objectives (see ParseSLOSpec).
-	SLOSpec = slo.Spec
-	// SLOResult is the exported evaluation section a MetricsRun carries
-	// (run.SLO = engine.Export()).
-	SLOResult = metrics.SLOExport
-)
-
-// ParseSLOSpec parses a declarative objective spec, e.g.
-// "p99(access_latency_dram_read_ns) < 400ns over 10ms, 99.9%"; objectives
-// are ';'-separated and the compliance target defaults to 99.9%.
-func ParseSLOSpec(spec string) (*SLOSpec, error) { return slo.Parse(spec) }
-
-// EnableSLO parses spec and starts an SLO engine over the system's metrics
-// registry; EnableMetrics must have run first (the engine evaluates the
-// collector's histograms). Attach the result to a MetricsRun via
-// run.SLO = engine.Export(); render it with `mcmetrics slo`.
-func (s *System) EnableSLO(spec string) (*SLOEngine, error) {
-	if s.metrics == nil {
-		return nil, fmt.Errorf("multiclock: EnableSLO needs EnableMetrics first")
-	}
-	sp, err := slo.Parse(spec)
-	if err != nil {
-		return nil, err
-	}
-	eng := slo.New(s.m.Clock, s.metrics.Registry(), sp, 0)
-	s.slos = append(s.slos, eng)
-	return eng, nil
-}
-
-// EnableTraceRecording turns on the extra recording that only the Perfetto
-// trace export consumes — today the injected-fault window log (topology
-// needs no recording). Call before running the workload; attach the
-// sections afterwards with AttachTraceSections.
-func (s *System) EnableTraceRecording() {
-	s.m.Faults.EnableWindowLog(0)
-}
-
-// AttachTraceSections fills run's node→tier topology and injected-fault
-// window sections from the system, so ExportPerfettoJSON can label
-// migration tracks and draw fault windows.
-func (s *System) AttachTraceSections(run *MetricsRun) {
-	run.Topology = metrics.TopologyOf(s.m)
-	run.Faults = metrics.FaultsOf(s.m)
-}
-
-// ExportPerfettoJSON renders labeled metric snapshots as one deterministic
-// Chrome-trace-event JSON document that opens in ui.perfetto.dev, merging
-// migrations, daemon passes, page faults, lifecycle spans, injected-fault
-// windows and SLO burn-rate alerts onto the virtual-time timeline.
-func ExportPerfettoJSON(runs ...metrics.RunExport) []byte {
-	return traceexport.Build(runs)
-}
-
-// Observability re-exports: per-page lifecycle span tracing and windowed
-// time-series sampling.
-type (
-	// LifecycleTracer records every Fig. 4 transition of sampled pages as
-	// virtual-time-stamped span events with typed reason codes.
-	LifecycleTracer = lifecycle.Tracer
-	// LifecycleConfig bounds the tracer (sampling modulus, page and
-	// per-page event caps).
-	LifecycleConfig = lifecycle.Config
-	// SeriesSampler snapshots per-node occupancy and windowed vmstat
-	// deltas on a fixed virtual-time period.
-	SeriesSampler = timeseries.Sampler
-)
-
-// EnableLifecycle installs a per-page span tracer on the system and returns
-// it. Zero config fields take defaults (trace every page, 4096 pages, 512
-// events per page). Like EnableMetrics, the tracer observes passively: the
-// simulated timeline is unchanged. Attach the export to a MetricsRun via
-// run.Lifecycle = tracer.Export().
-func (s *System) EnableLifecycle(cfg LifecycleConfig) *LifecycleTracer {
-	return lifecycle.New(cfg).Bind(s.m)
-}
-
-// EnableTimeSeries starts a windowed occupancy sampler on the system's
-// virtual clock and returns it. Attach the export to a MetricsRun via
-// run.Series = sampler.Export(). Stop the sampler (or the system) before
-// draining the clock if sampling should end earlier.
-func (s *System) EnableTimeSeries(window Duration) *SeriesSampler {
-	sp := timeseries.New(s.m, window, 0)
-	s.samplers = append(s.samplers, sp)
-	return sp
 }
 
 // File-backed memory (re-exports): files whose cached pages ride the file

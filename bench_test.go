@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"multiclock/internal/bench"
+	"multiclock/internal/graph"
 	"multiclock/internal/kvstore"
 	"multiclock/internal/lru"
 	"multiclock/internal/machine"
@@ -331,6 +332,24 @@ func benchmarkTableChooser(b *testing.B, ch ycsb.Chooser) {
 	for i := 0; i < b.N; i++ {
 		_ = ch.Next(rng)
 	}
+}
+
+// BenchmarkGraphLoad is the GAPBS load phase at gapbs-pr's shape (96 000
+// vertices, average degree 8, Kronecker): the RMAT edge list, then the
+// symmetric, sorted, deduplicated CSR written into a fresh machine's
+// simulated memory (DESIGN.md §7.6). It reports host ns per generated edge.
+func BenchmarkGraphLoad(b *testing.B) {
+	cfg := graph.GenConfig{Vertices: 96_000, Degree: 8, Kronecker: true, Seed: 1}
+	edges := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := microMachine(policy.NewStatic())
+		b.StartTimer()
+		e := graph.GenerateEdges(cfg)
+		graph.Build(m, e, cfg.Vertices, cfg.Seed)
+		edges += len(e)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(edges), "ns/edge")
 }
 
 // BenchmarkKpromotedWakeup measures one daemon wakeup (scan + promote) on a

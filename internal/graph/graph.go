@@ -9,7 +9,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 
 	"multiclock/internal/machine"
 	"multiclock/internal/pagetable"
@@ -34,6 +33,29 @@ type GenConfig struct {
 	Seed      uint64
 }
 
+// RMAT quadrant thresholds: GAPBS's (A,B,C) = (0.57, 0.19, 0.19) as the
+// cumulative probabilities 0.57, 0.76 and 0.95, each scaled by 2⁵³. A draw
+// x from sim.RNG is Float64() = (x>>11)/2⁵³ exactly, and a float64 c in
+// [0.5, 1) is an integer multiple of 2⁻⁵³, so Float64() < c is exactly
+// x>>11 < c·2⁵³ with both sides integers (DESIGN.md §7.6).
+const (
+	rmatA = uint64(float64(0.57) * (1 << 53))
+	rmatB = uint64(float64(0.76) * (1 << 53))
+	rmatC = uint64(float64(0.95) * (1 << 53))
+)
+
+// quadrant decodes one RMAT draw into its (u, v) bit: A (0,0) below rmatA,
+// B (0,1) below rmatB, C (1,0) below rmatC, else D (1,1). Each ge* is 1 when
+// k is at or past its threshold (the subtraction borrows into bit 63), so u
+// is geB and v is the parity of the three.
+func quadrant(x uint64) (u, v uint64) {
+	k := x >> 11
+	geA := (rmatA - 1 - k) >> 63
+	geB := (rmatB - 1 - k) >> 63
+	geC := (rmatC - 1 - k) >> 63
+	return geB, geA ^ geB ^ geC
+}
+
 // GenerateEdges produces the edge list for cfg.
 func GenerateEdges(cfg GenConfig) []Edge {
 	if cfg.Vertices <= 1 || cfg.Degree <= 0 {
@@ -43,31 +65,21 @@ func GenerateEdges(cfg GenConfig) []Edge {
 	m := cfg.Vertices * cfg.Degree
 	edges := make([]Edge, 0, m)
 	if cfg.Kronecker {
-		// RMAT with GAPBS's (A,B,C) = (0.57, 0.19, 0.19).
 		bits := 0
 		for 1<<bits < cfg.Vertices {
 			bits++
 		}
-		n := int32(1) << bits
+		n := uint64(cfg.Vertices)
 		for len(edges) < m {
-			var u, v int32
+			var u, v uint64
 			for b := 0; b < bits; b++ {
-				p := rng.Float64()
-				switch {
-				case p < 0.57: // quadrant A: (0,0)
-				case p < 0.76: // B: (0,1)
-					v |= 1 << b
-				case p < 0.95: // C: (1,0)
-					u |= 1 << b
-				default: // D: (1,1)
-					u |= 1 << b
-					v |= 1 << b
-				}
+				du, dv := quadrant(rng.Uint64())
+				u |= du << b
+				v |= dv << b
 			}
-			if int(u) < cfg.Vertices && int(v) < cfg.Vertices && u != v {
-				edges = append(edges, Edge{u, v})
+			if u < n && v < n && u != v {
+				edges = append(edges, Edge{int32(u), int32(v)})
 			}
-			_ = n
 		}
 	} else {
 		for len(edges) < m {
@@ -101,28 +113,56 @@ type Graph struct {
 // deduplicating adjacency lists, and writing the result into simulated
 // memory on m.
 func Build(m *machine.Machine, edges []Edge, n int, seed uint64) *Graph {
-	// Symmetrize and dedupe in host memory (the builder's scratch), then
-	// stream into simulated arrays (the load phase the machine observes).
-	adj := make([][]int32, n)
+	// Symmetrize, sort and dedupe in host memory (the builder's scratch),
+	// then stream into simulated arrays (the load phase the machine
+	// observes). off[u] is where u's segment starts in a flat list of both
+	// orientations of every edge; counts stay int so 2·len(edges) cannot
+	// wrap.
+	off := make([]int, n+1)
 	for _, e := range edges {
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
+		off[int(e.U)+1]++
+		off[int(e.V)+1]++
 	}
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
+	}
+	// Pass 1 groups the neighbours by vertex, in edge order.
+	next := make([]int, n)
+	copy(next, off)
+	byEdge := make([]int32, off[n])
+	for _, e := range edges {
+		byEdge[next[e.U]] = e.V
+		next[e.U]++
+		byEdge[next[e.V]] = e.U
+		next[e.V]++
+	}
+	// Pass 2 scatters each u, in ascending order, into the segments of its
+	// neighbours. The multiset is symmetric (v lists u as often as u lists
+	// v), so segment v receives exactly its own neighbours, sorted, with
+	// duplicates adjacent (DESIGN.md §7.6).
+	copy(next, off)
+	adj := make([]int32, off[n])
+	for u := 0; u < n; u++ {
+		for _, v := range byEdge[off[u]:off[u+1]] {
+			adj[next[v]] = int32(u)
+			next[v]++
+		}
+	}
+	// Dedupe in place; off becomes the CSR offsets.
 	total := 0
-	for u := range adj {
-		l := adj[u]
-		sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
-		out := l[:0]
-		var prev int32 = -1
-		for _, v := range l {
+	for u := 0; u < n; u++ {
+		lo, hi := off[u], off[u+1]
+		off[u] = total
+		prev := int32(-1)
+		for _, v := range adj[lo:hi] {
 			if v != prev {
-				out = append(out, v)
+				adj[total] = v
+				total++
 				prev = v
 			}
 		}
-		adj[u] = out
-		total += len(out)
 	}
+	off[n] = total
 
 	as := m.NewSpace()
 	g := &Graph{N: n, M: total, m: m, as: as}
@@ -131,16 +171,14 @@ func Build(m *machine.Machine, edges []Edge, n int, seed uint64) *Graph {
 	g.weights = simdata.NewArray[int32](m, as, "csr-weights", max(total, 1), 4)
 
 	rng := sim.NewRNG(seed ^ 0x5eed)
-	pos := 0
 	for u := 0; u < n; u++ {
-		g.offsets.Set(u, int64(pos))
-		for _, v := range adj[u] {
-			g.targets.Set(pos, v)
+		g.offsets.Set(u, int64(off[u]))
+		for pos := off[u]; pos < off[u+1]; pos++ {
+			g.targets.Set(pos, adj[pos])
 			g.weights.Set(pos, int32(rng.Intn(255))+1)
-			pos++
 		}
 	}
-	g.offsets.Set(n, int64(pos))
+	g.offsets.Set(n, int64(total))
 	return g
 }
 

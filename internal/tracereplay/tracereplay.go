@@ -12,7 +12,10 @@
 //
 // where dtNanos is the virtual time elapsed since the previous record and
 // flags bit0 is write. Records are delta-encoded so steady workloads
-// compress to a few bytes per access.
+// compress to a few bytes per access. A record must name a space that fits
+// an int32 and a VPN below 2²² (Replay maps one 2²²-page VMA per space), set
+// no flag bit but bit0, and keep the trace's running time below 2⁶² ns;
+// the Reader rejects any other record with a *FormatError.
 package tracereplay
 
 import (
@@ -21,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"multiclock/internal/machine"
 	"multiclock/internal/mem"
@@ -31,6 +35,31 @@ import (
 var magic = [4]byte{'M', 'C', 'T', 'R'}
 
 const version = 1
+
+const (
+	// spacePages is the size of the VMA Replay maps for each trace space.
+	spacePages = 1 << 22
+	// maxElapsed bounds a trace's running time, the sum of its gaps. It
+	// keeps every gap a non-negative sim.Duration and leaves a Timed replay's
+	// deadline (start plus running time) room for the replay's own
+	// latencies before sim.Time would wrap.
+	maxElapsed = 1 << 62
+)
+
+// FormatError reports a record that decodes but that no replay can execute:
+// a space ID that does not fit an int32, a VPN past the replay VMA, a flag
+// bit other than write, or a gap that takes the running time to 2⁶² ns.
+type FormatError struct {
+	// Record is the zero-based index of the record in the stream.
+	Record int64
+	// Field is "space", "vpn", "flags" or "gap".
+	Field string
+	Value uint64
+}
+
+func (e *FormatError) Error() string {
+	return fmt.Sprintf("tracereplay: record %d: %s %#x out of range", e.Record, e.Field, e.Value)
+}
 
 // Record is one trace event.
 type Record struct {
@@ -105,6 +134,9 @@ func (r *Recorder) Close() error {
 // Reader iterates a trace stream.
 type Reader struct {
 	br *bufio.Reader
+	// n counts the records returned so far; elapsed sums their gaps.
+	n       int64
+	elapsed uint64
 }
 
 // NewReader validates the header.
@@ -144,6 +176,21 @@ func (t *Reader) Next() (Record, error) {
 	if err != nil {
 		return Record{}, truncated(err)
 	}
+	bad := func(field string, v uint64) (Record, error) {
+		return Record{}, &FormatError{Record: t.n, Field: field, Value: v}
+	}
+	switch {
+	case space > math.MaxInt32:
+		return bad("space", space)
+	case vpn >= spacePages:
+		return bad("vpn", vpn)
+	case flags&^1 != 0:
+		return bad("flags", uint64(flags))
+	case gap >= maxElapsed-t.elapsed:
+		return bad("gap", gap)
+	}
+	t.n++
+	t.elapsed += gap
 	return Record{
 		Space: int32(space),
 		VPN:   pagetable.VPN(vpn),
@@ -180,16 +227,15 @@ type Result struct {
 }
 
 // Replay re-executes a trace on the machine. Address spaces are created on
-// demand (trace space IDs are mapped to fresh spaces); VMAs are sized lazily
-// to cover the trace's VPN range per space.
+// demand (trace space IDs are mapped to fresh spaces), each with one
+// 2²²-page VMA that the trace's VPNs index.
 func Replay(m *machine.Machine, r io.Reader, mode Mode) (Result, error) {
 	tr, err := NewReader(r)
 	if err != nil {
 		return Result{}, err
 	}
 	type spaceState struct {
-		as  *pagetable.AddressSpace
-		max pagetable.VPN
+		as *pagetable.AddressSpace
 		// base maps trace VPNs into the replay VMA.
 		base pagetable.VPN
 	}
@@ -209,7 +255,7 @@ func Replay(m *machine.Machine, r io.Reader, mode Mode) (Result, error) {
 		if !ok {
 			as := m.NewSpace()
 			// One generous VMA per space: trace VPNs are offsets into it.
-			vma := as.Mmap(1<<22, false, fmt.Sprintf("replay-%d", rec.Space))
+			vma := as.Mmap(spacePages, false, fmt.Sprintf("replay-%d", rec.Space))
 			st = &spaceState{as: as, base: vma.Start}
 			spaces[rec.Space] = st
 		}

@@ -2,8 +2,10 @@ package tracereplay
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"testing"
 
 	"multiclock/internal/core"
@@ -23,7 +25,7 @@ func newM(p machine.Policy) *machine.Machine {
 
 // capture runs a small skewed workload under static tiering with a
 // recorder attached and returns the trace bytes.
-func capture(t *testing.T, accesses int) []byte {
+func capture(t testing.TB, accesses int) []byte {
 	t.Helper()
 	m := newM(policy.NewStatic())
 	var buf bytes.Buffer
@@ -201,6 +203,72 @@ func TestReaderTruncatedRecord(t *testing.T) {
 			return // got the truncation error
 		}
 	}
+}
+
+// trace encodes records as a Recorder would, without range checks.
+func trace(recs ...[4]uint64) []byte {
+	b := append([]byte{}, magic[:]...)
+	b = append(b, version)
+	for _, r := range recs {
+		b = binary.AppendUvarint(b, r[0])
+		b = binary.AppendUvarint(b, r[1])
+		b = append(b, byte(r[2]))
+		b = binary.AppendUvarint(b, r[3])
+	}
+	return b
+}
+
+func TestReplayRejectsOutOfRangeRecords(t *testing.T) {
+	ok := [4]uint64{0, 5, 1, 100} // space, vpn, flags, gap
+	for _, c := range []struct {
+		name   string
+		data   []byte
+		record int64
+		field  string
+	}{
+		{"vpn past the replay VMA", trace([4]uint64{0, spacePages, 0, 0}), 0, "vpn"},
+		{"vpn after a good record", trace(ok, [4]uint64{3, 1 << 40, 0, 0}), 1, "vpn"},
+		{"space past int32", trace(ok, ok, [4]uint64{1 << 31, 5, 0, 0}), 2, "space"},
+		{"space wrapping to -1", trace([4]uint64{math.MaxUint64, 5, 0, 0}), 0, "space"},
+		{"unknown flag bit", trace(ok, [4]uint64{0, 5, 2, 0}), 1, "flags"},
+		{"gap of 2⁶³", trace([4]uint64{0, 5, 0, 1 << 63}), 0, "gap"},
+		{"running time wraps", trace([4]uint64{0, 5, 0, 1<<62 - 1}, [4]uint64{0, 6, 0, 1}), 1, "gap"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, mode := range []Mode{Timed, Fast} {
+				_, err := Replay(newM(policy.NewStatic()), bytes.NewReader(c.data), mode)
+				var fe *FormatError
+				if !errors.As(err, &fe) || fe.Record != c.record || fe.Field != c.field {
+					t.Fatalf("mode %d: err %v, want a FormatError for record %d field %s", mode, err, c.record, c.field)
+				}
+			}
+		})
+	}
+	// The largest values of each field still replay.
+	edge := trace(ok, [4]uint64{math.MaxInt32, spacePages - 1, 1, 1<<62 - 101})
+	res, err := Replay(newM(policy.NewStatic()), bytes.NewReader(edge), Timed)
+	if err != nil || res.Records != 2 {
+		t.Fatalf("in-range trace: %d records, err %v", res.Records, err)
+	}
+}
+
+func FuzzReplay(f *testing.F) {
+	data := capture(f, 40)
+	f.Add(data)
+	for i := range data {
+		f.Add(data[:i])
+	}
+	f.Add(trace([4]uint64{0, spacePages, 0, 0}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := newM(policy.NewStatic())
+		res, err := Replay(m, bytes.NewReader(data), Timed)
+		if err != nil {
+			return
+		}
+		if res.Records < 0 || res.Elapsed < 0 {
+			t.Fatalf("accepted trace replayed to %+v", res)
+		}
+	})
 }
 
 func TestReplayDeterminism(t *testing.T) {

@@ -195,12 +195,7 @@ func BenchmarkScanCycle(b *testing.B) {
 // the cost the ring lists and the read-ahead exist to hide (DESIGN.md §7.2).
 func BenchmarkScanCycleCold(b *testing.B) {
 	const n = 1 << 16
-	sys := mem.NewSystem(sim.NewClock(), mem.Config{
-		DRAMNodes:  []int{2 * n},
-		PMNodes:    []int{64},
-		Watermarks: mem.DefaultWatermarks(),
-		Latency:    mem.DefaultLatency(),
-	})
+	sys := mem.NewSystem(sim.NewClock(), mem.Config{DRAMNodes: []int{2 * n}, PMNodes: []int{64}})
 	vec := lru.NewVec(0)
 	pages := make([]*mem.Page, n)
 	for i := range pages {

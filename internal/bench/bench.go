@@ -100,58 +100,24 @@ var policyTable = []struct {
 }{
 	{"static", func(sim.Duration) checkpointable { return policy.NewStatic() }},
 	{"multiclock", func(d sim.Duration) checkpointable { return newMultiClock(d, nil) }},
-	{"nimble", func(d sim.Duration) checkpointable { return newNimble(d, nil) }},
-	{"at-cpm", func(d sim.Duration) checkpointable { return newAutoTiering(d, policy.CPM) }},
-	{"at-opm", func(d sim.Duration) checkpointable { return newAutoTiering(d, policy.OPM) }},
+	{"nimble", func(d sim.Duration) checkpointable { return policy.NewNimble(d, nil) }},
+	{"at-cpm", func(d sim.Duration) checkpointable { return policy.NewAutoTiering(policy.CPM, d) }},
+	{"at-opm", func(d sim.Duration) checkpointable { return policy.NewAutoTiering(policy.OPM, d) }},
 	{"memory-mode", func(sim.Duration) checkpointable { return policy.NewMemoryMode() }},
-	{"thermostat", func(d sim.Duration) checkpointable {
-		cfg := policy.DefaultThermostatConfig()
-		cfg.ScanInterval = d
-		return policy.NewThermostat(cfg)
-	}},
-	{"amp-lfu", func(d sim.Duration) checkpointable { return newAMP(d, policy.AMPLFU) }},
-	{"amp-lru", func(d sim.Duration) checkpointable { return newAMP(d, policy.AMPLRU) }},
-	{"amp-random", func(d sim.Duration) checkpointable { return newAMP(d, policy.AMPRandom) }},
-	{"nomad", func(d sim.Duration) checkpointable {
-		cfg := policy.DefaultNomadConfig()
-		cfg.ScanInterval = d
-		return policy.NewNomad(cfg)
-	}},
-	{"s3fifo", func(d sim.Duration) checkpointable {
-		cfg := policy.DefaultS3FIFOConfig()
-		cfg.ScanInterval = d
-		return policy.NewS3FIFO(cfg)
-	}},
-	{"multiclock-gated", func(d sim.Duration) checkpointable { return newMultiClock(d, newGate()) }},
-	{"nimble-gated", func(d sim.Duration) checkpointable { return newNimble(d, newGate()) }},
-}
-
-func newGate() machine.PromotionGate {
-	return policy.NewBandwidthGate(policy.DefaultBandwidthGateConfig())
+	{"thermostat", func(d sim.Duration) checkpointable { return policy.NewThermostat(d) }},
+	{"amp-lfu", func(d sim.Duration) checkpointable { return policy.NewAMP(policy.AMPLFU, d) }},
+	{"amp-lru", func(d sim.Duration) checkpointable { return policy.NewAMP(policy.AMPLRU, d) }},
+	{"amp-random", func(d sim.Duration) checkpointable { return policy.NewAMP(policy.AMPRandom, d) }},
+	{"nomad", func(d sim.Duration) checkpointable { return policy.NewNomad(d) }},
+	{"s3fifo", func(d sim.Duration) checkpointable { return policy.NewS3FIFO(d) }},
+	{"multiclock-gated", func(d sim.Duration) checkpointable { return newMultiClock(d, policy.NewBandwidthGate()) }},
+	{"nimble-gated", func(d sim.Duration) checkpointable { return policy.NewNimble(d, policy.NewBandwidthGate()) }},
 }
 
 func newMultiClock(d sim.Duration, gate machine.PromotionGate) *core.MultiClock {
 	cfg := core.DefaultConfig()
 	cfg.ScanInterval, cfg.Gate = d, gate
 	return core.New(cfg)
-}
-
-func newNimble(d sim.Duration, gate machine.PromotionGate) *policy.Nimble {
-	cfg := policy.DefaultNimbleConfig()
-	cfg.ScanInterval, cfg.Gate = d, gate
-	return policy.NewNimble(cfg)
-}
-
-func newAutoTiering(d sim.Duration, mode policy.ATMode) *policy.AutoTiering {
-	cfg := policy.DefaultATConfig(mode)
-	cfg.ScanInterval = d
-	return policy.NewAutoTiering(cfg)
-}
-
-func newAMP(d sim.Duration, sel policy.AMPSelector) *policy.AMP {
-	cfg := policy.DefaultAMPConfig(sel)
-	cfg.ScanInterval = d
-	return policy.NewAMP(cfg)
 }
 
 // PolicyNames lists every system NewPolicy builds, in table order.

@@ -175,6 +175,8 @@ func (rc RunConfig) MachineWith(p machine.Policy) (*machine.Machine, error) {
 			return nil, fmt.Errorf("bench: tier spec: %w", err)
 		}
 		spec.Topology = &top
+	} else if rc.DRAMPages <= 0 || rc.PMPages <= 0 {
+		return nil, fmt.Errorf("bench: a two-node machine needs positive DRAM and PM pages, got %d/%d", rc.DRAMPages, rc.PMPages)
 	}
 	return spec.New(p), nil
 }

@@ -26,8 +26,9 @@ import (
 // the final report — byte for byte.
 
 // soakConfigVersion guards the config-section layout inside the container.
-// Version 2 added the tier-hierarchy spec.
-const soakConfigVersion = 2
+// Version 2 added the tier-hierarchy spec; version 3 dropped the two
+// PM-slowdown words, which the fault model now holds as constants.
+const soakConfigVersion = 3
 
 // Session is one live checkpointable system.
 type Session struct {
@@ -123,7 +124,8 @@ func RestoreSession(f *snapshot.File) (*Session, error) {
 	}
 	s, err := newPristine(cfg)
 	if err != nil {
-		return nil, err
+		// The recipe decoded but describes no system that can be built.
+		return nil, &snapshot.CorruptError{Section: snapshot.SecConfig, Err: err}
 	}
 	t := s.target()
 	if err := snapshot.Restore(t, f); err != nil {
@@ -134,6 +136,12 @@ func RestoreSession(f *snapshot.File) (*Session, error) {
 		(s.run != nil && widx >= len(cfg.Workloads)) {
 		return nil, &snapshot.CorruptError{Section: snapshot.SecConfig,
 			Err: fmt.Errorf("progress (workload %d of %d, %d results) is inconsistent", widx, len(cfg.Workloads), len(results))}
+	}
+	// The in-flight run is the one ensureRun starts for this position.
+	if r := s.run; r != nil && (r.Workload().Name != cfg.Workloads[widx] || r.Ops() != cfg.Ops) {
+		return nil, &snapshot.CorruptError{Section: snapshot.SecWorkload,
+			Err: fmt.Errorf("in-flight run %s of %d ops, but the recipe's workload %d is %s of %d ops",
+				r.Workload().Name, r.Ops(), widx, cfg.Workloads[widx], cfg.Ops)}
 	}
 	s.widx = widx
 	s.results = results
@@ -468,8 +476,6 @@ func (s *Session) encodeSessionState() []byte {
 	for _, r := range c.Chaos.Rates {
 		enc.U64(math.Float64bits(r))
 	}
-	enc.U64(math.Float64bits(c.Chaos.PMSlowdownFactor))
-	enc.I64(int64(c.Chaos.PMSlowdownWindow))
 	enc.Bool(c.Metrics)
 	enc.Int(c.TraceEvents)
 
@@ -528,8 +534,6 @@ func decodeSessionState(payload []byte) (cfg SoakConfig, widx int, results []ycs
 	for i := range cfg.Chaos.Rates {
 		cfg.Chaos.Rates[i] = math.Float64frombits(dec.U64())
 	}
-	cfg.Chaos.PMSlowdownFactor = math.Float64frombits(dec.U64())
-	cfg.Chaos.PMSlowdownWindow = sim.Duration(dec.I64())
 	cfg.Metrics = dec.Bool()
 	cfg.TraceEvents = dec.Int()
 

@@ -26,50 +26,18 @@ type Config struct {
 	// every selected page, which is the paper's behaviour ("promotes all
 	// the pages it selected", §III-B); positive values throttle.
 	PromoteMax int
-	// DemoteRounds bounds how many batch rounds one pressure episode may
-	// run. Two rounds age pages (spend hardware bit, then referenced
-	// flag) without forcibly evicting pages that are hot between
-	// episodes; genuinely cold pages isolate on the first pass.
-	DemoteRounds int
-	// MinActiveRatio floors the active:inactive balance ratio. The
-	// kernel's √(10·n) formula evaluates near 1 for our MiB-scale nodes,
-	// but those nodes stand in for the paper's ~100 GiB tiers where the
-	// ratio is ≈30; without the floor, tiny-node balancing deactivates
-	// the hot set every pressure episode.
-	MinActiveRatio float64
 	// Adaptive enables the §VII future-work extension: each kpromoted
 	// thread retunes its own interval from what its wakeups find — heavy
 	// promotion flow halves the interval (the workload is shifting and
 	// wants faster reaction), an idle wakeup doubles it (nothing to do,
-	// stop paying scan overhead) — clamped to [AdaptiveMin, AdaptiveMax].
-	Adaptive    bool
-	AdaptiveMin sim.Duration
-	AdaptiveMax sim.Duration
+	// stop paying scan overhead) — clamped to [ScanInterval/8,
+	// ScanInterval*8].
+	Adaptive bool
 	// WriteBias, when positive, implements the §VII discussion extension:
 	// a dirty page on the promote list is preferred for promotion by
 	// ordering (writes to PM are the most expensive accesses). Zero keeps
 	// the paper's read/write-oblivious behaviour.
 	WriteBias bool
-
-	// PromoteRetryMax bounds how many times a promote-list page whose
-	// migration failed transiently (pinned page, destination allocation
-	// denial) is requeued onto the promote list — with exponential backoff
-	// in virtual time — before dropping to the active list for good. Zero
-	// keeps the paper's behaviour (drop to active immediately, §III-C)
-	// unless the machine injects faults, in which case Attach defaults it
-	// to 3; negative forces the paper's behaviour even under injection.
-	PromoteRetryMax int
-	// PromoteBackoff is the wait before the first promotion retry; it
-	// doubles per subsequent failure of the same page. Zero defaults to
-	// ScanInterval.
-	PromoteBackoff sim.Duration
-	// DemoteRetryMax bounds how many times a demotion candidate whose
-	// downward migration failed is returned to its inactive list before
-	// demotion falls back to swapping it out. Zero falls back to swap
-	// immediately (the pre-fault-model behaviour) unless the machine
-	// injects faults, in which case Attach defaults it to 2; negative
-	// forces immediate fallback.
-	DemoteRetryMax int
 
 	// Gate, when non-nil, is a promotion admission controller consulted
 	// once per candidate before any migration work is spent (TierBPF-style
@@ -83,17 +51,43 @@ type Config struct {
 // pages per scan, unlimited promotions.
 func DefaultConfig() Config {
 	return Config{
-		ScanInterval:   1 * sim.Second,
-		ScanBatch:      1024,
-		PromoteMax:     -1,
-		DemoteRounds:   2,
-		MinActiveRatio: 3,
+		ScanInterval: 1 * sim.Second,
+		ScanBatch:    1024,
+		PromoteMax:   -1,
 	}
 }
 
-// reclaimCluster is the minimum batch one pressure episode tries to free,
-// mirroring the kernel's clustered reclaim so kswapd work is amortized.
-const reclaimCluster = 32
+const (
+	// reclaimCluster is the minimum batch one pressure episode tries to
+	// free, mirroring the kernel's clustered reclaim so kswapd work is
+	// amortized.
+	reclaimCluster = 32
+
+	// demoteRounds bounds how many batch rounds one pressure episode may
+	// run. Two rounds age pages (spend hardware bit, then referenced flag)
+	// without forcibly evicting pages that are hot between episodes;
+	// genuinely cold pages isolate on the first pass.
+	demoteRounds = 2
+
+	// minActiveRatio floors the active:inactive balance ratio. The kernel's
+	// √(10·n) formula evaluates near 1 for our MiB-scale nodes, but those
+	// nodes stand in for the paper's ~100 GiB tiers where the ratio is ≈30;
+	// without the floor, tiny-node balancing deactivates the hot set every
+	// pressure episode.
+	minActiveRatio = 3
+
+	// promoteRetryMax bounds how many times a promote-list page whose
+	// migration failed transiently (pinned page, destination allocation
+	// denial) is requeued onto the promote list — with exponential backoff
+	// in virtual time, starting at ScanInterval — before dropping to the
+	// active list for good. demoteRetryMax bounds how many times a demotion
+	// candidate whose downward migration failed is returned to its inactive
+	// list before demotion falls back to swapping it out. Both apply only
+	// when the machine injects faults; a fault-free machine keeps the
+	// paper's behaviour (drop to active immediately, §III-C; swap at once).
+	promoteRetryMax = 3
+	demoteRetryMax  = 2
+)
 
 // retryState is the per-page bookkeeping behind bounded retries: how many
 // times each direction of migration has transiently failed, and (for
@@ -111,9 +105,9 @@ type MultiClock struct {
 	cfg Config
 
 	// retries tracks per-page transient-failure state for the bounded
-	// requeue/backoff paths. Populated only when retries are enabled;
-	// entries die with the page (PageFreed) or when it finally migrates
-	// or falls back.
+	// requeue/backoff paths. Non-nil only on a machine that injects faults
+	// (retries are enabled exactly then); entries die with the page
+	// (PageFreed) or when it finally migrates or falls back.
 	retries map[*mem.Page]*retryState
 
 	// lastDemote rate-limits pressure episodes to one per node per
@@ -160,20 +154,6 @@ func New(cfg Config) *MultiClock {
 	if cfg.PromoteMax <= 0 {
 		cfg.PromoteMax = -1 // the paper's promote-all
 	}
-	if cfg.DemoteRounds <= 0 {
-		cfg.DemoteRounds = 2
-	}
-	if cfg.MinActiveRatio <= 0 {
-		cfg.MinActiveRatio = 3
-	}
-	if cfg.Adaptive {
-		if cfg.AdaptiveMin <= 0 {
-			cfg.AdaptiveMin = cfg.ScanInterval / 8
-		}
-		if cfg.AdaptiveMax <= 0 {
-			cfg.AdaptiveMax = cfg.ScanInterval * 8
-		}
-	}
 	return &MultiClock{cfg: cfg, lastDemote: make(map[mem.NodeID]sim.Time)}
 }
 
@@ -195,27 +175,9 @@ func (mc *MultiClock) Config() Config { return mc.cfg }
 func (mc *MultiClock) Attach(m *machine.Machine) {
 	mc.Base.Attach(m)
 	// Under fault injection, transient migration failures are expected
-	// rather than exceptional, so bounded retries default on; a fault-free
-	// machine keeps the paper's drop-immediately behaviour unless the
-	// configuration asks otherwise.
+	// rather than exceptional, so bounded retries are on; a fault-free
+	// machine keeps the paper's drop-immediately behaviour.
 	if m.Faults != nil {
-		if mc.cfg.PromoteRetryMax == 0 {
-			mc.cfg.PromoteRetryMax = 3
-		}
-		if mc.cfg.DemoteRetryMax == 0 {
-			mc.cfg.DemoteRetryMax = 2
-		}
-	}
-	if mc.cfg.PromoteRetryMax < 0 {
-		mc.cfg.PromoteRetryMax = 0
-	}
-	if mc.cfg.DemoteRetryMax < 0 {
-		mc.cfg.DemoteRetryMax = 0
-	}
-	if mc.cfg.PromoteBackoff <= 0 {
-		mc.cfg.PromoteBackoff = mc.cfg.ScanInterval
-	}
-	if mc.cfg.PromoteRetryMax > 0 || mc.cfg.DemoteRetryMax > 0 {
 		mc.retries = make(map[*mem.Page]*retryState)
 	}
 	if mc.cfg.Gate != nil {
@@ -244,8 +206,8 @@ func (mc *MultiClock) adapt(d *sim.Daemon, promoted int) {
 	case promoted > mc.cfg.ScanBatch/64:
 		// The workload is moving pages across tiers: react faster.
 		next := d.Interval / 2
-		if next < mc.cfg.AdaptiveMin {
-			next = mc.cfg.AdaptiveMin
+		if lo := mc.cfg.ScanInterval / 8; next < lo {
+			next = lo
 		}
 		d.Interval = next
 		if mc.MinIntervalSeen == 0 || next < mc.MinIntervalSeen {
@@ -254,8 +216,8 @@ func (mc *MultiClock) adapt(d *sim.Daemon, promoted int) {
 	case promoted == 0:
 		// Quiet tier: back off, saving scan overhead.
 		next := d.Interval * 2
-		if next > mc.cfg.AdaptiveMax {
-			next = mc.cfg.AdaptiveMax
+		if hi := mc.cfg.ScanInterval * 8; next > hi {
+			next = hi
 		}
 		d.Interval = next
 	}
@@ -355,15 +317,15 @@ func (mc *MultiClock) kpromoted(node mem.NodeID) int {
 // exhausted it drops to the active list of its current tier, the paper's
 // behaviour (§III-C).
 func (mc *MultiClock) retryPromote(pg *mem.Page) {
-	if mc.cfg.PromoteRetryMax > 0 {
+	if mc.retries != nil {
 		st := mc.retries[pg]
 		if st == nil {
 			st = &retryState{}
 			mc.retries[pg] = st
 		}
-		if int(st.promoteFails) < mc.cfg.PromoteRetryMax {
+		if st.promoteFails < promoteRetryMax {
 			st.promoteFails++
-			st.nextTry = mc.M.Clock.Now() + sim.Time(mc.cfg.PromoteBackoff<<(st.promoteFails-1))
+			st.nextTry = mc.M.Clock.Now() + sim.Time(mc.cfg.ScanInterval<<(st.promoteFails-1))
 			mc.PromoteRequeues++
 			if l := mc.M.Lifecycle; l != nil {
 				l.PromoteRequeued(pg, int(st.promoteFails), mc.M.Clock.Now())
@@ -424,7 +386,7 @@ func (mc *MultiClock) Pressure(node mem.NodeID) {
 }
 
 // demoteFrom relieves pressure on one node: rebalance active/inactive by
-// the √(10·n):1 rule (floored by MinActiveRatio), then migrate cold
+// the √(10·n):1 rule (floored by minActiveRatio), then migrate cold
 // inactive pages down a tier — or swap them out if the node is already in
 // the lowest tier (§III-C). extra raises the reclaim target beyond the
 // high watermark (promotion demand).
@@ -455,10 +417,10 @@ func (mc *MultiClock) demoteFrom(node mem.NodeID, extra int) {
 	} else {
 		mc.lastDemote[node] = now
 		ratio := lru.ActiveRatioLimit(n.Frames)
-		if ratio < mc.cfg.MinActiveRatio {
-			ratio = mc.cfg.MinActiveRatio
+		if ratio < minActiveRatio {
+			ratio = minActiveRatio
 		}
-		for round := 0; round < mc.cfg.DemoteRounds && len(candidates) < need; round++ {
+		for round := 0; round < demoteRounds && len(candidates) < need; round++ {
 			moved := vec.BalanceActive(ratio, mc.cfg.ScanBatch)
 			m.Mem.Counters.PagesScanned += int64(moved)
 			candidates = vec.AppendDemoteCandidates(candidates, need-len(candidates))
@@ -499,13 +461,13 @@ func (mc *MultiClock) demoteFrom(node mem.NodeID, extra int) {
 // page out (synchronous writeback is strictly worse than a retried
 // migration).
 func (mc *MultiClock) retryDemote(pg *mem.Page) {
-	if mc.cfg.DemoteRetryMax > 0 {
+	if mc.retries != nil {
 		st := mc.retries[pg]
 		if st == nil {
 			st = &retryState{}
 			mc.retries[pg] = st
 		}
-		if int(st.demoteFails) < mc.cfg.DemoteRetryMax {
+		if st.demoteFails < demoteRetryMax {
 			st.demoteFails++
 			mc.DemoteRequeues++
 			if l := mc.M.Lifecycle; l != nil {

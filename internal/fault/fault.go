@@ -73,21 +73,21 @@ type Config struct {
 	// allocation, one PM access outside a slowdown window, or one daemon
 	// pass respectively.
 	Rates [NumKinds]float64
-
-	// PMSlowdownFactor multiplies PM access latency inside a slowdown
-	// window (≥ 1). Zero defaults to 4, the order of Optane's observed
-	// tail spikes.
-	PMSlowdownFactor float64
-	// PMSlowdownWindow is the virtual duration of one media-slowdown
-	// window. Zero defaults to 5 ms.
-	PMSlowdownWindow sim.Duration
-	// StormWindow is the virtual duration of one allocation-failure storm.
-	// Zero defaults to 2 ms.
-	StormWindow sim.Duration
-	// OverrunFactor sizes a daemon overrun as a multiple of the daemon's
-	// interval. Zero defaults to 1.5.
-	OverrunFactor float64
 }
+
+// The shape of the injected windows and overruns.
+const (
+	// pmSlowdownFactor multiplies slow-media access latency inside a
+	// slowdown window: the order of Optane's observed tail spikes.
+	pmSlowdownFactor = 4
+	// pmSlowdownWindow is the virtual duration of one media-slowdown window.
+	pmSlowdownWindow = 5 * sim.Millisecond
+	// stormWindow is the virtual duration of one allocation-failure storm.
+	stormWindow = 2 * sim.Millisecond
+	// overrunFactor sizes a daemon overrun as a multiple of the daemon's
+	// interval.
+	overrunFactor = 1.5
+)
 
 // Enabled reports whether any fault kind has a positive rate.
 func (c Config) Enabled() bool {
@@ -99,9 +99,8 @@ func (c Config) Enabled() bool {
 	return false
 }
 
-// UniformRate returns a Config injecting every fault kind at the same rate
-// with default window and factor knobs — the shape behind the CLIs'
-// "-chaos seed,rate" flag.
+// UniformRate returns a Config injecting every fault kind at the same rate —
+// the shape behind the CLIs' "-chaos seed,rate" flag.
 func UniformRate(seed uint64, rate float64) Config {
 	c := Config{Seed: seed}
 	for k := range c.Rates {
@@ -238,23 +237,8 @@ func (f *Injector) logWindow(k Kind, start, end sim.Time) {
 // New builds an injector on the given virtual clock. The RNG stream is
 // split from the seed so it never correlates with workload randomness.
 func New(clock *sim.Clock, cfg Config) *Injector {
-	if cfg.PMSlowdownFactor < 1 {
-		cfg.PMSlowdownFactor = 4
-	}
-	if cfg.PMSlowdownWindow <= 0 {
-		cfg.PMSlowdownWindow = 5 * sim.Millisecond
-	}
-	if cfg.StormWindow <= 0 {
-		cfg.StormWindow = 2 * sim.Millisecond
-	}
-	if cfg.OverrunFactor <= 0 {
-		cfg.OverrunFactor = 1.5
-	}
 	return &Injector{cfg: cfg, rng: sim.NewRNG(cfg.Seed).Split(0xfa07), clock: clock}
 }
-
-// Config returns the injector's resolved configuration.
-func (f *Injector) Config() Config { return f.cfg }
 
 // roll draws one Bernoulli trial for kind k, counting a hit. Disabled kinds
 // consume no randomness, so enabling one kind does not shift another's
@@ -293,7 +277,7 @@ func (f *Injector) AllocDenied(nearWatermark bool) bool {
 		return true
 	}
 	if f.roll(AllocStorm) {
-		f.stormUntil = now + sim.Time(f.cfg.StormWindow)
+		f.stormUntil = now + sim.Time(stormWindow)
 		f.logWindow(AllocStorm, now, f.stormUntil)
 		return true
 	}
@@ -314,10 +298,10 @@ func (f *Injector) AccessDelay(belowFastest bool, base sim.Duration) sim.Duratio
 			return 0
 		}
 		now := f.clock.Now()
-		f.slowUntil = now + sim.Time(f.cfg.PMSlowdownWindow)
+		f.slowUntil = now + sim.Time(pmSlowdownWindow)
 		f.logWindow(PMSlowdown, now, f.slowUntil)
 	}
-	return sim.Duration(float64(base) * (f.cfg.PMSlowdownFactor - 1))
+	return sim.Duration(float64(base) * (pmSlowdownFactor - 1))
 }
 
 // Overrun returns the extra virtual time this daemon pass took beyond its
@@ -327,5 +311,5 @@ func (f *Injector) Overrun(interval sim.Duration) sim.Duration {
 	if !f.roll(DaemonOverrun) {
 		return 0
 	}
-	return sim.Duration(float64(interval) * f.cfg.OverrunFactor)
+	return sim.Duration(float64(interval) * overrunFactor)
 }

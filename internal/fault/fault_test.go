@@ -79,8 +79,6 @@ func TestPMSlowdownWindow(t *testing.T) {
 	clock := sim.NewClock()
 	cfg := Config{Seed: 3}
 	cfg.Rates[PMSlowdown] = 1.0
-	cfg.PMSlowdownFactor = 4
-	cfg.PMSlowdownWindow = 1 * sim.Millisecond
 	f := New(clock, cfg)
 
 	// First access opens the window; extra = (4-1) × base.
@@ -103,8 +101,8 @@ func TestPMSlowdownWindow(t *testing.T) {
 	if f.AccessDelay(false, 80) != 0 {
 		t.Fatal("DRAM access charged a PM slowdown")
 	}
-	// Past the window a new one opens (rate 1).
-	clock.Advance(2 * sim.Millisecond)
+	// Past the window (5 ms) a new one opens (rate 1).
+	clock.Advance(pmSlowdownWindow)
 	if d := f.AccessDelay(true, 300); d != 900 {
 		t.Fatalf("post-window delay = %v", d)
 	}
@@ -117,7 +115,6 @@ func TestAllocStormOnlyNearWatermark(t *testing.T) {
 	clock := sim.NewClock()
 	cfg := Config{Seed: 5}
 	cfg.Rates[AllocStorm] = 1.0
-	cfg.StormWindow = 1 * sim.Millisecond
 	f := New(clock, cfg)
 
 	if f.AllocDenied(false) {
@@ -140,11 +137,11 @@ func TestAllocStormOnlyNearWatermark(t *testing.T) {
 }
 
 func TestOverrunScalesInterval(t *testing.T) {
-	cfg := Config{Seed: 9, OverrunFactor: 2}
+	cfg := Config{Seed: 9}
 	cfg.Rates[DaemonOverrun] = 1.0
 	f := New(sim.NewClock(), cfg)
-	if d := f.Overrun(10 * sim.Millisecond); d != 20*sim.Millisecond {
-		t.Fatalf("overrun = %v, want 20ms", d)
+	if d := f.Overrun(10 * sim.Millisecond); d != 15*sim.Millisecond {
+		t.Fatalf("overrun = %v, want 1.5 × 10ms", d)
 	}
 }
 
@@ -180,8 +177,6 @@ func TestWindowLogRecordsOpens(t *testing.T) {
 	cfg := Config{Seed: 11}
 	cfg.Rates[PMSlowdown] = 1.0
 	cfg.Rates[AllocStorm] = 1.0
-	cfg.PMSlowdownWindow = 1 * sim.Millisecond
-	cfg.StormWindow = 2 * sim.Millisecond
 	f := New(clock, cfg)
 	f.EnableWindowLog(0) // default cap
 
@@ -197,16 +192,16 @@ func TestWindowLogRecordsOpens(t *testing.T) {
 	f.AccessDelay(true, 300) // inside the window: no new entry
 	f.AllocDenied(true)      // opens a storm at t=100µs
 	clock.Advance(5 * sim.Millisecond)
-	f.AccessDelay(true, 300) // reopens at t=5.1ms
+	f.AccessDelay(true, 300) // reopens at t=5.1ms, past the 5 ms window
 
 	ws := f.Windows()
 	if len(ws) != 3 {
 		t.Fatalf("logged %d windows, want 3: %v", len(ws), ws)
 	}
 	want := []Window{
-		{PMSlowdown, 0, sim.Time(1 * sim.Millisecond)},
-		{AllocStorm, sim.Time(100 * sim.Microsecond), sim.Time(100*sim.Microsecond) + sim.Time(2*sim.Millisecond)},
-		{PMSlowdown, sim.Time(5100 * sim.Microsecond), sim.Time(5100*sim.Microsecond) + sim.Time(1*sim.Millisecond)},
+		{PMSlowdown, 0, sim.Time(pmSlowdownWindow)},
+		{AllocStorm, sim.Time(100 * sim.Microsecond), sim.Time(100*sim.Microsecond) + sim.Time(stormWindow)},
+		{PMSlowdown, sim.Time(5100 * sim.Microsecond), sim.Time(5100*sim.Microsecond) + sim.Time(pmSlowdownWindow)},
 	}
 	for i, w := range ws {
 		if w != want[i] {
@@ -222,12 +217,11 @@ func TestWindowLogCapDropsAndCounts(t *testing.T) {
 	clock := sim.NewClock()
 	cfg := Config{Seed: 13}
 	cfg.Rates[PMSlowdown] = 1.0
-	cfg.PMSlowdownWindow = 1 * sim.Microsecond
 	f := New(clock, cfg)
 	f.EnableWindowLog(2)
 	for i := 0; i < 5; i++ {
 		f.AccessDelay(true, 300)
-		clock.Advance(10 * sim.Microsecond)
+		clock.Advance(pmSlowdownWindow)
 	}
 	if len(f.Windows()) != 2 || f.WindowsDropped() != 3 {
 		t.Fatalf("windows=%d dropped=%d, want 2/3", len(f.Windows()), f.WindowsDropped())

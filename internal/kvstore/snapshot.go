@@ -58,6 +58,12 @@ func (s *Store) SnapshotState(enc *snapcodec.Encoder) {
 	}
 }
 
+// carved reports whether pages [vpn, vpn+n) lie in the part of the arena
+// allocItem has handed out.
+func (s *Store) carved(vpn pagetable.VPN, n int) bool {
+	return vpn >= s.arena.Start && vpn < s.arenaNext && pagetable.VPN(n) <= s.arenaNext-vpn
+}
+
 // RestoreState decodes into a freshly constructed store of identical
 // configuration.
 func (s *Store) RestoreState(dec *snapcodec.Decoder) error {
@@ -95,9 +101,16 @@ func (s *Store) RestoreState(dec *snapcodec.Decoder) error {
 		if c.curUsed < 0 || c.curUsed > c.perPage {
 			return fmt.Errorf("kvstore: snapshot class %d has %d of %d chunks used", i, c.curUsed, c.perPage)
 		}
+		if c.cur != 0 && !s.carved(c.cur, 1) {
+			return fmt.Errorf("kvstore: snapshot class %d slab page %d is not a carved arena page", i, c.cur)
+		}
 		c.free = c.free[:0]
 		for j := 0; j < n; j++ {
-			c.free = append(c.free, pagetable.VPN(dec.U64()))
+			vpn := pagetable.VPN(dec.U64())
+			if dec.Err() == nil && !s.carved(vpn, 1) {
+				return fmt.Errorf("kvstore: snapshot class %d frees chunk page %d outside the carved arena", i, vpn)
+			}
+			c.free = append(c.free, vpn)
 		}
 	}
 	n := dec.Int()
@@ -122,7 +135,8 @@ func (s *Store) RestoreState(dec *snapcodec.Decoder) error {
 		if _, dup := s.items.get(h, k); dup {
 			return fmt.Errorf("kvstore: snapshot repeats item key %d", k)
 		}
-		if ref.npages <= 0 || int(ref.class) >= len(classSizes) {
+		if ref.npages <= 0 || ref.class < -1 || int(ref.class) >= len(classSizes) ||
+			(ref.class >= 0 && ref.npages != 1) || !s.carved(ref.vpn, int(ref.npages)) {
 			return fmt.Errorf("kvstore: snapshot item %d has invalid layout", k)
 		}
 		s.items.put(h, k, ref)

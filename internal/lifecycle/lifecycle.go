@@ -9,7 +9,7 @@
 // virtual time, so an instrumented run's simulated timeline is identical
 // to an uninstrumented one. Memory is bounded three ways: deterministic
 // page-identity-hash sampling (SampleMod), a cap on traced pages
-// (MaxPages), and a per-page event cap (MaxEventsPerPage). Sampling is a
+// (maxPages), and a per-page event cap (maxEventsPerPage). Sampling is a
 // pure function of (space, virtual address), so the same pages are traced
 // in every same-seed run regardless of parallelism.
 package lifecycle
@@ -24,24 +24,22 @@ import (
 	"multiclock/internal/sim"
 )
 
-// Config bounds the tracer's memory.
+// Config selects the traced pages.
 type Config struct {
 	// SampleMod traces only pages whose identity hash is 0 mod SampleMod;
 	// 0 or 1 traces every page.
 	SampleMod uint64
-	// MaxPages caps distinct traced pages (default 4096). Later pages are
-	// counted in PagesDropped and their events discarded.
-	MaxPages int
-	// MaxEventsPerPage caps each page's timeline (default 512); events past
-	// the cap are dropped (the head of the timeline is kept, so birth and
-	// the first ladder climb always survive).
-	MaxEventsPerPage int
 }
 
-// DefaultConfig returns the default bounds with sampling off.
-func DefaultConfig() Config {
-	return Config{SampleMod: 1, MaxPages: 4096, MaxEventsPerPage: 512}
-}
+const (
+	// maxPages caps distinct traced pages. Later pages are counted in
+	// PagesDropped and their events discarded.
+	maxPages = 4096
+	// maxEventsPerPage caps each page's timeline; events past the cap are
+	// dropped (the head of the timeline is kept, so birth and the first
+	// ladder climb always survive).
+	maxEventsPerPage = 512
+)
 
 // pageKey is the stable page identity: descriptor pointers are reused
 // across free/fault, but (space, va) names the same application page
@@ -52,7 +50,7 @@ type pageKey struct {
 }
 
 // pageTrace accumulates one page's timeline. A nil events slice with
-// stub=true marks a page that arrived after MaxPages was hit.
+// stub=true marks a page that arrived after maxPages was hit.
 type pageTrace struct {
 	events     []metrics.SpanEvent
 	migrations int64
@@ -78,17 +76,10 @@ type Tracer struct {
 	eventsDropped int64
 }
 
-// New creates a tracer with cfg's bounds (zero fields take defaults).
+// New creates a tracer sampling per cfg (a zero SampleMod traces every page).
 func New(cfg Config) *Tracer {
-	def := DefaultConfig()
 	if cfg.SampleMod == 0 {
-		cfg.SampleMod = def.SampleMod
-	}
-	if cfg.MaxPages <= 0 {
-		cfg.MaxPages = def.MaxPages
-	}
-	if cfg.MaxEventsPerPage <= 0 {
-		cfg.MaxEventsPerPage = def.MaxEventsPerPage
+		cfg.SampleMod = 1
 	}
 	return &Tracer{
 		cfg:   cfg,
@@ -144,7 +135,7 @@ func (t *Tracer) trace(pg *mem.Page) *pageTrace {
 	pt := t.pages[k]
 	if pt == nil {
 		pt = &pageTrace{}
-		if t.tracked >= t.cfg.MaxPages {
+		if t.tracked >= maxPages {
 			pt.stub = true
 			t.pagesDropped++
 		} else {
@@ -165,7 +156,7 @@ func (t *Tracer) record(pg *mem.Page, state lru.State, reason string, node mem.N
 	if pt == nil {
 		return
 	}
-	if len(pt.events) >= t.cfg.MaxEventsPerPage {
+	if len(pt.events) >= maxEventsPerPage {
 		pt.truncated = true
 		t.eventsDropped++
 		return
@@ -262,8 +253,8 @@ func (t *Tracer) PageFreed(pg *mem.Page, now sim.Time) {
 func (t *Tracer) Export() *metrics.LifecycleExport {
 	out := &metrics.LifecycleExport{
 		SampleMod:        t.cfg.SampleMod,
-		MaxPages:         t.cfg.MaxPages,
-		MaxEventsPerPage: t.cfg.MaxEventsPerPage,
+		MaxPages:         maxPages,
+		MaxEventsPerPage: maxEventsPerPage,
 		PagesDropped:     t.pagesDropped,
 		EventsDropped:    t.eventsDropped,
 	}

@@ -245,30 +245,42 @@ func TestSamplingBoundsAndDeterminism(t *testing.T) {
 // TestMemoryBounds: the page and per-page event caps must hold, be counted,
 // and still produce a valid export.
 func TestMemoryBounds(t *testing.T) {
-	m := testMachine(256, 256)
-	tr := New(Config{MaxPages: 4, MaxEventsPerPage: 3}).Bind(m)
+	const n = maxPages + 16
+	m := testMachine(n+64, 64)
+	tr := New(Config{}).Bind(m)
 	as := m.NewSpace()
-	v := as.Mmap(16, false, "x")
-	for i := uint64(0); i < 16; i++ {
-		for j := 0; j < 5; j++ {
-			m.SupervisedAccess(as, v.Start+pagetable.VPN(i), false)
-		}
+	v := as.Mmap(n, false, "x")
+	for i := 0; i < n; i++ {
+		m.SupervisedAccess(as, v.Start+pagetable.VPN(i), false)
+	}
+	// Cycle the first page off and back onto its list past the event cap.
+	pg := as.Lookup(v.Start)
+	for i := 0; i < maxEventsPerPage; i++ {
+		m.Vecs[pg.Node].Isolate(pg)
+		m.Vecs[pg.Node].Putback(pg)
 	}
 	ex := tr.Export()
-	if len(ex.Pages) != 4 {
-		t.Fatalf("pages = %d, want MaxPages = 4", len(ex.Pages))
+	if len(ex.Pages) != maxPages {
+		t.Fatalf("pages = %d, want maxPages = %d", len(ex.Pages), maxPages)
 	}
 	if ex.PagesDropped == 0 || ex.EventsDropped == 0 {
 		t.Fatalf("drops not counted: pages=%d events=%d", ex.PagesDropped, ex.EventsDropped)
 	}
+	capped := 0
 	for _, p := range ex.Pages {
-		if len(p.Events) > 3 {
+		if len(p.Events) > maxEventsPerPage {
 			t.Fatalf("page %#x has %d events over cap", p.VA, len(p.Events))
+		}
+		if len(p.Events) == maxEventsPerPage {
+			capped++
 		}
 		// The head of the timeline survives: birth is event zero.
 		if p.Events[0].Reason != "birth" {
 			t.Fatalf("truncation lost the birth event: %+v", p.Events[0])
 		}
+	}
+	if capped != 1 {
+		t.Fatalf("%d pages at the event cap, want the cycled one", capped)
 	}
 	if err := metrics.ValidateSections(ex, nil); err != nil {
 		t.Fatalf("bounded export does not validate: %v", err)

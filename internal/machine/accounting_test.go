@@ -35,11 +35,14 @@ func TestFaultLatencyMatchesFaultCounters(t *testing.T) {
 	cfg.Mem.PMNodes = []int{16}
 	cfg.OpCost = 0
 	cfg.CPUCachePages = 0
-	cfg.Mem.Latency = mem.LatencyModel{
+	m := New(cfg, &nullPolicy{})
+	m.Mem.Lat = mem.LatencyModel{
+		Read:       make([]sim.Duration, 2),
+		Write:      make([]sim.Duration, 2),
+		PageCopy:   [][]sim.Duration{make([]sim.Duration, 2), make([]sim.Duration, 2)},
 		MinorFault: 1500 * sim.Nanosecond,
 		SwapIn:     60 * sim.Microsecond,
 	}
-	m := New(cfg, &nullPolicy{})
 	as := m.NewSpace()
 	v := as.Mmap(128, false, "big")
 	for round := 0; round < 4; round++ {
@@ -101,7 +104,7 @@ func TestCacheFilteredAccessesBypassMetrics(t *testing.T) {
 	if m.Mem.Counters.CacheFiltered != 1 {
 		t.Fatalf("CacheFiltered = %d, want 1", m.Mem.Counters.CacheFiltered)
 	}
-	if got := sim.Duration(m.Clock.Now() - before); got != m.Config().CacheHit {
-		t.Fatalf("filtered access advanced clock by %v, want CacheHit %v", got, m.Config().CacheHit)
+	if got := sim.Duration(m.Clock.Now() - before); got != cacheHit {
+		t.Fatalf("filtered access advanced clock by %v, want cacheHit %v", got, cacheHit)
 	}
 }

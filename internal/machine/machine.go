@@ -16,17 +16,22 @@ import (
 	"multiclock/internal/sim"
 )
 
+const (
+	// daemonInterference is the fraction of daemon-side work (scanning and
+	// page copying) charged to the application timeline, modelling memory
+	// bandwidth contention and context switches. The paper observes that
+	// over-frequent kpromoted scheduling costs application performance
+	// (§III-B, §V-E); this factor is how that cost manifests.
+	daemonInterference = 0.4
+	// cacheHit is the cost of a cache-filtered access (see
+	// Config.CPUCachePages).
+	cacheHit = 20 * sim.Nanosecond
+)
+
 // Config describes a machine.
 type Config struct {
 	Mem  mem.Config
 	Seed uint64
-
-	// DaemonInterference is the fraction of daemon-side work (scanning and
-	// page copying) charged to the application timeline, modelling memory
-	// bandwidth contention and context switches. The paper observes that
-	// over-frequent kpromoted scheduling costs application performance
-	// (§III-B, §V-E); this knob is how that cost manifests.
-	DaemonInterference float64
 
 	// OpCost is the default CPU time per workload operation outside of
 	// memory accesses (request parsing, hashing, ...). Workloads may charge
@@ -40,26 +45,22 @@ type Config struct {
 	Faults fault.Config
 
 	// CPUCachePages models the CPU cache hierarchy as an LRU set of
-	// recently-touched pages: accesses to them cost CacheHit instead of
+	// recently-touched pages: accesses to them cost cacheHit instead of
 	// memory latency. Without it, small always-hot structures (a graph
 	// kernel's per-vertex arrays, a store's bucket headers) would be
 	// charged DRAM/PM latency on every access that real hardware serves
 	// from L2/L3. Zero disables the filter.
 	CPUCachePages int
-	// CacheHit is the cost of a cache-filtered access.
-	CacheHit sim.Duration
 }
 
 // DefaultConfig returns a machine with the default memory layout and
 // calibrated overheads.
 func DefaultConfig() Config {
 	return Config{
-		Mem:                mem.DefaultConfig(),
-		Seed:               1,
-		DaemonInterference: 0.4,
-		OpCost:             1500 * sim.Nanosecond,
-		CPUCachePages:      64, // ≈256 KiB of page-granular reach
-		CacheHit:           20 * sim.Nanosecond,
+		Mem:           mem.DefaultConfig(),
+		Seed:          1,
+		OpCost:        1500 * sim.Nanosecond,
+		CPUCachePages: 64, // ≈256 KiB of page-granular reach
 	}
 }
 
@@ -131,9 +132,6 @@ type Machine struct {
 // New builds a machine running the given policy. The policy's Attach hook
 // runs immediately so its daemons start at time zero.
 func New(cfg Config, p Policy) *Machine {
-	if cfg.DaemonInterference < 0 || cfg.DaemonInterference > 1 {
-		panic("machine: DaemonInterference must be in [0,1]")
-	}
 	m := &Machine{
 		Clock:  sim.NewClock(),
 		RNG:    sim.NewRNG(cfg.Seed),
@@ -155,9 +153,6 @@ func New(cfg Config, p Policy) *Machine {
 	p.Attach(m)
 	return m
 }
-
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
 
 // NewSpace creates a process address space.
 func (m *Machine) NewSpace() *pagetable.AddressSpace {
@@ -192,7 +187,7 @@ func (m *Machine) EndOp() {
 // timeline on its next access, scaled by the interference factor.
 func (m *Machine) ChargeTax(d sim.Duration) {
 	m.daemonWork += d
-	m.pendingTax += sim.Duration(float64(d) * m.cfg.DaemonInterference)
+	m.pendingTax += sim.Duration(float64(d) * daemonInterference)
 }
 
 // chargeDirect adds full-cost latency (e.g. TLB shootdown) to the pending
@@ -231,7 +226,7 @@ func (m *Machine) Access(as *pagetable.AddressSpace, vpn pagetable.VPN, write bo
 // thrash-retry fault loop charges Lat.MinorFault exactly once and fault()
 // increments Counters.MinorFaults exactly once, so fault latency and fault
 // counters always move in lockstep. Cache-filtered accesses charge the
-// CacheHit cost and count CacheFiltered but are deliberately not reported
+// cacheHit cost and count CacheFiltered but are deliberately not reported
 // to Metrics.AccessLatency — that sink carries device-level memory-system
 // cost, and a CPU-cache hit never reaches the memory system.
 func (m *Machine) AccessN(as *pagetable.AddressSpace, vpn pagetable.VPN, write bool, lines int) *mem.Page {
@@ -271,7 +266,7 @@ func (m *Machine) AccessN(as *pagetable.AddressSpace, vpn pagetable.VPN, write b
 	if m.cache != nil && m.cache.Touch(pg, sub) {
 		// Served by the CPU cache hierarchy: no memory-system traffic.
 		m.Mem.Counters.CacheFiltered += int64(lines)
-		lat += sim.Duration(lines) * m.cfg.CacheHit
+		lat += sim.Duration(lines) * cacheHit
 	} else {
 		tier := m.Mem.Tier(pg)
 		if write {

@@ -36,17 +36,6 @@ func TestNewMachineWiring(t *testing.T) {
 	}
 }
 
-func TestBadInterferencePanics(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DaemonInterference = 2
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	New(cfg, &nullPolicy{})
-}
-
 func TestAccessFaultsInPage(t *testing.T) {
 	m := testMachine(100, 400)
 	as := m.NewSpace()

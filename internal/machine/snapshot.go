@@ -249,6 +249,11 @@ func (m *Machine) RestoreMachineState(dec *snapcodec.Decoder, reg *PageRegistry)
 	if dec.Err() != nil {
 		return dec.Err()
 	}
+	if m.pendingTax < 0 || m.daemonWork < 0 {
+		// Both sum non-negative costs; a negative tax would run the clock
+		// backwards on the next access.
+		return fmt.Errorf("machine: snapshot carries negative daemon charges (tax %d, work %d)", m.pendingTax, m.daemonWork)
+	}
 	if hasCache != (m.cache != nil) {
 		return fmt.Errorf("machine: snapshot CPU cache presence %v, machine %v", hasCache, m.cache != nil)
 	}

@@ -336,10 +336,7 @@ func FuzzBuddyOps(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sizes := []int{300, fuzzFrames}
-		s := NewSystem(sim.NewClock(), Config{
-			DRAMNodes: sizes[:1], PMNodes: sizes[1:],
-			Watermarks: DefaultWatermarks(), Latency: DefaultLatency(),
-		})
+		s := NewSystem(sim.NewClock(), Config{DRAMNodes: sizes[:1], PMNodes: sizes[1:]})
 		refs := []*refBuddy{newRefBuddy(sizes[0]), newRefBuddy(sizes[1])}
 		var held []*Page
 		var lastSeq uint64

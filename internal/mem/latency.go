@@ -51,17 +51,12 @@ type LatencyModel struct {
 	DaemonWakeup sim.Duration
 }
 
-// DefaultLatency returns the calibrated model used throughout the
-// evaluation, sized for the default two-tier (DRAM + PM) topology. The
-// per-tier numbers are the builtin dram/pm tier specs (DRAM 80/90 ns, PM
-// 300/450 ns, page copies of 1.2 µs DRAM↔DRAM and 3 µs touching PM —
-// 4 KiB over the slower end's bandwidth plus fixed remap overhead).
-func DefaultLatency() LatencyModel {
-	return DefaultTopology([]int{1}, []int{1}).Latency(defaultScalarLatency())
-}
-
-// defaultScalarLatency returns the tier-independent calibrated costs.
-func defaultScalarLatency() LatencyModel {
+// scalarLatency returns the tier-independent calibrated costs; a System's
+// model is its topology's per-tier costs over these (Topology.Latency). The
+// builtin dram and pm tier specs give the default pair DRAM 80/90 ns, PM
+// 300/450 ns, and page copies of 1.2 µs DRAM↔DRAM and 3 µs touching PM —
+// 4 KiB over the slower end's bandwidth plus fixed remap overhead.
+func scalarLatency() LatencyModel {
 	var m LatencyModel
 	// Migrating a mapped page interrupts the application for page-table
 	// locking and TLB shootdown IPIs on every core — microseconds of
@@ -75,25 +70,6 @@ func defaultScalarLatency() LatencyModel {
 	m.SwapIn = 60 * sim.Microsecond // NVMe-SSD major fault
 	m.DaemonScanPage = 150 * sim.Nanosecond
 	m.DaemonWakeup = 20 * sim.Microsecond
-	return m
-}
-
-// resizeLatency returns a copy of m whose per-tier slices are sized to n
-// tiers, keeping any values present and zero-filling the rest — the exact
-// semantics a partially specified fixed-array model used to have.
-func resizeLatency(m LatencyModel, n int) LatencyModel {
-	read := make([]sim.Duration, n)
-	copy(read, m.Read)
-	write := make([]sim.Duration, n)
-	copy(write, m.Write)
-	pc := make([][]sim.Duration, n)
-	for i := range pc {
-		pc[i] = make([]sim.Duration, n)
-		if i < len(m.PageCopy) {
-			copy(pc[i], m.PageCopy[i])
-		}
-	}
-	m.Read, m.Write, m.PageCopy = read, write, pc
 	return m
 }
 

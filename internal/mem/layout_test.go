@@ -42,12 +42,7 @@ func TestPageLayout(t *testing.T) {
 
 	// Descriptors come from 1024 × 128 B slab chunks; cross a chunk
 	// boundary so both the chunk base and the stride are checked.
-	s := NewSystem(sim.NewClock(), Config{
-		DRAMNodes:  []int{2 * descChunk},
-		PMNodes:    []int{64},
-		Watermarks: DefaultWatermarks(),
-		Latency:    DefaultLatency(),
-	})
+	s := NewSystem(sim.NewClock(), Config{DRAMNodes: []int{2 * descChunk}, PMNodes: []int{64}})
 	for i := 0; i < descChunk+8; i++ {
 		pg := s.Alloc(s.BirthOrder())
 		if pg == nil {

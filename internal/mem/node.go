@@ -17,21 +17,20 @@ type Watermarks struct {
 	High int
 }
 
-// WatermarkConfig expresses watermarks as fractions of a node's frames.
-type WatermarkConfig struct {
-	MinFrac, LowFrac, HighFrac float64
-}
+// The watermarks as fractions of a node's frames, in the kernel's rough
+// proportions.
+const (
+	wmMinFrac  = 0.005
+	wmLowFrac  = 0.0125
+	wmHighFrac = 0.025
+)
 
-// DefaultWatermarks mirrors the kernel's rough proportions.
-func DefaultWatermarks() WatermarkConfig {
-	return WatermarkConfig{MinFrac: 0.005, LowFrac: 0.0125, HighFrac: 0.025}
-}
-
-func (c WatermarkConfig) compute(frames int) Watermarks {
+// watermarks computes the thresholds of a node with the given frame count.
+func watermarks(frames int) Watermarks {
 	w := Watermarks{
-		Min:  int(float64(frames) * c.MinFrac),
-		Low:  int(float64(frames) * c.LowFrac),
-		High: int(float64(frames) * c.HighFrac),
+		Min:  int(float64(frames) * wmMinFrac),
+		Low:  int(float64(frames) * wmLowFrac),
+		High: int(float64(frames) * wmHighFrac),
 	}
 	// Guarantee a sane ordering even on tiny nodes.
 	if w.Min < 1 {
@@ -64,12 +63,12 @@ type Node struct {
 	PhysicalSocket int
 }
 
-func newNode(id NodeID, tier Tier, frames int, wm WatermarkConfig, socket int) *Node {
+func newNode(id NodeID, tier Tier, frames int, socket int) *Node {
 	return &Node{
 		ID:             id,
 		Tier:           tier,
 		Frames:         frames,
-		WM:             wm.compute(frames),
+		WM:             watermarks(frames),
 		alloc:          newBuddy(frames),
 		PhysicalSocket: socket,
 	}

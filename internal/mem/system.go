@@ -7,7 +7,9 @@ import (
 	"multiclock/internal/sim"
 )
 
-// Config describes the physical memory layout of a machine.
+// Config describes the physical memory layout of a machine. Its costs are
+// the tier specs' over the calibrated scalar costs, and its watermarks the
+// kernel's proportions of each node's frames.
 type Config struct {
 	// DRAMNodes and PMNodes give the frame count of each node of the
 	// respective tier; e.g. two sockets with DRAM + hot-plugged PM would
@@ -20,26 +22,17 @@ type Config struct {
 	// per-tier latencies, optional durable last tier) and wins over
 	// DRAMNodes/PMNodes.
 	Topology *Topology
-
-	Watermarks WatermarkConfig
-	Latency    LatencyModel
 }
 
 // DefaultConfig returns a small two-node machine: one DRAM node and one PM
 // node with a 1:4 capacity ratio, the shape of the paper's testbed scaled to
 // simulation size.
 func DefaultConfig() Config {
-	return Config{
-		DRAMNodes:  []int{1024},
-		PMNodes:    []int{4096},
-		Watermarks: DefaultWatermarks(),
-		Latency:    DefaultLatency(),
-	}
+	return Config{DRAMNodes: []int{1024}, PMNodes: []int{4096}}
 }
 
 // topology resolves the hierarchy a Config describes: an explicit Topology
-// verbatim, else the legacy DRAM/PM pair with its per-tier latencies lifted
-// from cfg.Latency (so a customized two-tier latency model keeps working).
+// verbatim, else the builtin DRAM/PM pair.
 func (cfg Config) topology() Topology {
 	if cfg.Topology != nil {
 		return *cfg.Topology
@@ -47,16 +40,7 @@ func (cfg Config) topology() Topology {
 	if len(cfg.DRAMNodes) == 0 {
 		panic("mem: need at least one DRAM node")
 	}
-	top := DefaultTopology(cfg.DRAMNodes, cfg.PMNodes)
-	for t := range top.Tiers {
-		if t < len(cfg.Latency.Read) {
-			top.Tiers[t].Read = cfg.Latency.Read[t]
-		}
-		if t < len(cfg.Latency.Write) {
-			top.Tiers[t].Write = cfg.Latency.Write[t]
-		}
-	}
-	return top
+	return DefaultTopology(cfg.DRAMNodes, cfg.PMNodes)
 }
 
 // System is the whole physical memory of the simulated machine.
@@ -152,27 +136,12 @@ func NewSystem(clock *sim.Clock, cfg Config) *System {
 		panic("mem: " + err.Error())
 	}
 	s := &System{Top: top, clock: clock, tiers: make([][]NodeID, len(top.Tiers))}
-	switch {
-	case len(cfg.Latency.Read) == len(top.Tiers) &&
-		len(cfg.Latency.Write) == len(top.Tiers) &&
-		len(cfg.Latency.PageCopy) == len(top.Tiers):
-		// A latency model already sized to the hierarchy (the default
-		// two-tier model, or a caller-tuned one) is used verbatim.
-		s.Lat = cfg.Latency
-	case cfg.Topology != nil:
-		// An explicit hierarchy derives its per-tier costs from the tier
-		// specs; the scalar costs come from the configured model.
-		s.Lat = top.Latency(cfg.Latency)
-	default:
-		// Legacy two-tier configs with partially specified per-tier costs
-		// keep the fixed-array semantics: missing entries are zero.
-		s.Lat = resizeLatency(cfg.Latency, len(top.Tiers))
-	}
+	s.Lat = top.Latency(scalarLatency())
 	s.Counters = newCounters(top)
 	for t, ts := range top.Tiers {
 		for socket, frames := range ts.Nodes {
 			id := NodeID(len(s.Nodes))
-			s.Nodes = append(s.Nodes, newNode(id, Tier(t), frames, cfg.Watermarks, socket))
+			s.Nodes = append(s.Nodes, newNode(id, Tier(t), frames, socket))
 			s.tiers[t] = append(s.tiers[t], id)
 		}
 		if !ts.Durable {

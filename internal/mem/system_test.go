@@ -303,7 +303,7 @@ func TestPickNode(t *testing.T) {
 func TestWatermarkOrdering(t *testing.T) {
 	f := func(frames uint16) bool {
 		n := int(frames%10000) + 2
-		wm := DefaultWatermarks().compute(n)
+		wm := watermarks(n)
 		return wm.Min >= 1 && wm.Min < wm.Low && wm.Low < wm.High
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -374,7 +374,7 @@ func TestCountersReport(t *testing.T) {
 }
 
 func TestLatencyModelDefaults(t *testing.T) {
-	m := DefaultLatency()
+	m := testSystem(1, 1).Lat
 	if m.Read[TierPM] <= m.Read[TierDRAM] {
 		t.Fatal("PM reads must be slower than DRAM")
 	}
@@ -389,6 +389,24 @@ func TestLatencyModelDefaults(t *testing.T) {
 	}
 	if m.PageCopy[TierPM][TierDRAM] <= m.PageCopy[TierDRAM][TierDRAM] {
 		t.Fatal("PM-involved copies must cost more")
+	}
+}
+
+// TestTwoTierSpecTakesItsOwnCosts: every hierarchy's model is its tier specs
+// over the calibrated scalar costs. A two-tier dram/cxl machine used to be
+// charged the default dram/pm arrays (they happened to have two entries),
+// and a Config without a latency model got no scalar costs at all.
+func TestTwoTierSpecTakesItsOwnCosts(t *testing.T) {
+	dram, _ := BuiltinTierSpec("dram")
+	cxl, _ := BuiltinTierSpec("cxl")
+	dram.Nodes, cxl.Nodes = []int{8}, []int{8}
+	s := NewSystem(sim.NewClock(), Config{Topology: &Topology{Tiers: []TierSpec{dram, cxl}}})
+	if s.Lat.Read[1] != cxl.Read || s.Lat.Write[1] != cxl.Write || s.Lat.PageCopy[0][1] != cxl.CopyCost {
+		t.Fatalf("cxl tier costs read %v write %v copy %v, want the cxl spec's %v/%v/%v",
+			s.Lat.Read[1], s.Lat.Write[1], s.Lat.PageCopy[0][1], cxl.Read, cxl.Write, cxl.CopyCost)
+	}
+	if s.Lat.MinorFault != testSystem(1, 1).Lat.MinorFault {
+		t.Fatal("scalar costs differ from the default pair's")
 	}
 }
 

@@ -8,25 +8,19 @@ import (
 	"multiclock/internal/sim"
 )
 
-// BandwidthGateConfig tunes the TierBPF-style promotion admission gate.
-type BandwidthGateConfig struct {
-	// Window is the virtual-time accounting window over which migration
-	// bandwidth consumption is measured (default 1 s).
-	Window sim.Duration
-	// Budget is the fraction of each window migration copies may consume
-	// before the gate starts rejecting (default 0.05 — migration traffic
-	// beyond a few percent of wall time means the copy engine is stealing
-	// the bandwidth the promotions were meant to win back).
-	Budget float64
-	// HardLimit is the multiple of Budget beyond which everything is
-	// rejected, including high-benefit candidates (default 2).
-	HardLimit float64
-}
-
-// DefaultBandwidthGateConfig returns the default operating point.
-func DefaultBandwidthGateConfig() BandwidthGateConfig {
-	return BandwidthGateConfig{Window: 1 * sim.Second, Budget: 0.05, HardLimit: 2}
-}
+const (
+	// gateWindow is the virtual-time accounting window over which migration
+	// bandwidth consumption is measured.
+	gateWindow = 1 * sim.Second
+	// gateBudget is the fraction of each window migration copies may
+	// consume before the gate starts rejecting: migration traffic beyond a
+	// few percent of wall time means the copy engine is stealing the
+	// bandwidth the promotions were meant to win back.
+	gateBudget = 0.05
+	// gateHardLimit is the multiple of the budget beyond which everything
+	// is rejected, including high-benefit candidates.
+	gateHardLimit = 2
+)
 
 // BandwidthGate is a TierBPF-style admission controller for promotions
 // (arXiv:2604.12300): scanning daemons consult it before each migration,
@@ -40,8 +34,7 @@ func DefaultBandwidthGateConfig() BandwidthGateConfig {
 // The gate reads only the machine's MigrationBusy counter and virtual
 // clock, so it is deterministic and adds no state to any page.
 type BandwidthGate struct {
-	cfg BandwidthGateConfig
-	m   *machine.Machine
+	m *machine.Machine
 
 	// The current window: where it started and how much migration busy
 	// time the machine had accumulated at that point.
@@ -54,23 +47,12 @@ type BandwidthGate struct {
 	Rejects int64
 }
 
-// NewBandwidthGate returns an admission gate with the given configuration.
-func NewBandwidthGate(cfg BandwidthGateConfig) *BandwidthGate {
-	if cfg.Window <= 0 {
-		cfg.Window = 1 * sim.Second
-	}
-	if cfg.Budget <= 0 {
-		cfg.Budget = 0.05
-	}
-	if cfg.HardLimit < 1 {
-		cfg.HardLimit = 2
-	}
-	return &BandwidthGate{cfg: cfg}
-}
+// NewBandwidthGate returns an admission gate.
+func NewBandwidthGate() *BandwidthGate { return &BandwidthGate{} }
 
 // Name implements machine.PromotionGate.
 func (g *BandwidthGate) Name() string {
-	return fmt.Sprintf("bandwidth-gate(%.0f%%/%v)", g.cfg.Budget*100, g.cfg.Window)
+	return fmt.Sprintf("bandwidth-gate(%.0f%%/%v)", gateBudget*100, gateWindow)
 }
 
 // Attach implements machine.PromotionGate.
@@ -78,17 +60,18 @@ func (g *BandwidthGate) Attach(m *machine.Machine) { g.m = m }
 
 // Admit implements machine.PromotionGate.
 func (g *BandwidthGate) Admit(pg *mem.Page, now sim.Time) bool {
-	if now-g.windowStart >= sim.Time(g.cfg.Window) {
+	if now-g.windowStart >= sim.Time(gateWindow) {
 		g.windowStart = now
 		g.busyAtStart = g.m.Mem.Counters.MigrationBusy
 	}
 	spent := g.m.Mem.Counters.MigrationBusy - g.busyAtStart
-	budget := sim.Duration(float64(g.cfg.Window) * g.cfg.Budget)
+	frac := float64(gateBudget) // a variable: the product rounds at run time, not exactly at compile time
+	budget := sim.Duration(float64(gateWindow) * frac)
 	switch {
 	case spent < budget:
 		g.Admits++
 		return true
-	case spent < sim.Duration(float64(budget)*g.cfg.HardLimit) && pg.Flags.Has(mem.FlagDirty):
+	case spent < sim.Duration(float64(budget)*gateHardLimit) && pg.Flags.Has(mem.FlagDirty):
 		// Over budget: spend what remains only on the candidates whose
 		// stay in PM is costliest.
 		g.Admits++

@@ -36,55 +36,43 @@ func (s AMPSelector) String() string {
 	}
 }
 
-// AMPConfig tunes the AMP baseline.
-type AMPConfig struct {
-	Selector     AMPSelector
-	ScanInterval sim.Duration
-	// MigrateBatch bounds promotions (and matching demotions) per
+const (
+	// ampMigrateBatch bounds promotions (and matching demotions) per
 	// interval.
-	MigrateBatch int
-	// Decay halves frequency counters every interval when true, aging
-	// LFU's history.
-	Decay bool
-	Seed  uint64
-}
-
-// DefaultAMPConfig mirrors the evaluation cadence.
-func DefaultAMPConfig(sel AMPSelector) AMPConfig {
-	return AMPConfig{Selector: sel, ScanInterval: 1 * sim.Second, MigrateBatch: 512, Decay: true}
-}
+	ampMigrateBatch = 512
+	// ampSeed seeds the random selector's private stream. It is a constant,
+	// so -seed does not reach it.
+	ampSeed = 0xa3b
+)
 
 // AMP reimplements the AMP tiered-memory baseline: full per-page profiling
 // of every access (exact recency and frequency — feasible only because
 // this is a simulator, which is the paper's §II-D point about AMP being
 // emulator-only), with periodic exchange of the hottest PM pages against
-// the coldest DRAM pages under the chosen selector.
+// the coldest DRAM pages under the chosen selector. Under LFU the frequency
+// counters halve every interval, aging the history.
 type AMP struct {
 	machine.Base
-	cfg AMPConfig
-	rng *sim.RNG
+	sel      AMPSelector
+	interval sim.Duration
+	rng      *sim.RNG
 
 	Promotions int64
 }
 
-// NewAMP returns the baseline for the given configuration.
-func NewAMP(cfg AMPConfig) *AMP {
-	if cfg.ScanInterval <= 0 {
-		cfg.ScanInterval = 1 * sim.Second
-	}
-	if cfg.MigrateBatch <= 0 {
-		cfg.MigrateBatch = 512
-	}
-	return &AMP{cfg: cfg, rng: sim.NewRNG(cfg.Seed ^ 0xa3b)}
+// NewAMP returns the baseline under selector sel, rebalancing every
+// interval.
+func NewAMP(sel AMPSelector, interval sim.Duration) *AMP {
+	return &AMP{sel: sel, interval: interval, rng: sim.NewRNG(ampSeed)}
 }
 
 // Name implements machine.Policy.
-func (a *AMP) Name() string { return a.cfg.Selector.String() }
+func (a *AMP) Name() string { return a.sel.String() }
 
 // Attach starts the periodic migration daemon.
 func (a *AMP) Attach(m *machine.Machine) {
 	a.Base.Attach(m)
-	a.StartDaemon("amp", a.cfg.ScanInterval, func(*sim.Daemon) { a.rebalance() })
+	a.StartDaemon("amp", a.interval, func(*sim.Daemon) { a.rebalance() })
 }
 
 // Access profiles every access exactly — AMP's defining (and, on real
@@ -98,7 +86,7 @@ func (a *AMP) Access(pg *mem.Page, write bool) sim.Duration {
 // hotness scores a page for promotion under the selector; higher is
 // hotter.
 func (a *AMP) hotness(pg *mem.Page) float64 {
-	switch a.cfg.Selector {
+	switch a.sel {
 	case AMPLFU:
 		return float64(pg.Freq)
 	case AMPLRU:
@@ -151,9 +139,8 @@ func (a *AMP) rebalance() {
 	sort.Slice(pmPages, func(i, j int) bool { return pmPages[i].score > pmPages[j].score }) // hottest first
 	sort.Slice(dramPages, func(i, j int) bool { return dramPages[i].score < dramPages[j].score })
 
-	batch := a.cfg.MigrateBatch
 	di := 0
-	for i := 0; i < len(pmPages) && i < batch; i++ {
+	for i := 0; i < len(pmPages) && i < ampMigrateBatch; i++ {
 		hot := pmPages[i].pg
 		if !hot.OnList() {
 			continue
@@ -170,7 +157,7 @@ func (a *AMP) rebalance() {
 			cold := dramPages[di].pg
 			di++
 			// Don't displace a page hotter than the one arriving.
-			if a.cfg.Selector != AMPRandom && a.hotness(cold) >= pmPages[i].score {
+			if a.sel != AMPRandom && a.hotness(cold) >= pmPages[i].score {
 				break
 			}
 			pmDst := m.Mem.PickNodeBelow(fastest)
@@ -187,7 +174,7 @@ func (a *AMP) rebalance() {
 		}
 	}
 
-	if a.cfg.Selector == AMPLFU && a.cfg.Decay {
+	if a.sel == AMPLFU {
 		for _, s := range pmPages {
 			s.pg.Freq /= 2
 		}

@@ -14,21 +14,12 @@ func TestAMPNamesAndParsing(t *testing.T) {
 		if sel.String() != name {
 			t.Fatalf("selector %v stringifies to %q", sel, sel.String())
 		}
-		if NewAMP(DefaultAMPConfig(sel)).Name() != name {
-			t.Fatalf("policy name for %v", sel)
-		}
-	}
-}
-
-func TestAMPZeroConfigNormalized(t *testing.T) {
-	a := NewAMP(AMPConfig{Selector: AMPLFU})
-	if a.cfg.ScanInterval != 1*sim.Second || a.cfg.MigrateBatch != 512 {
-		t.Fatalf("config not normalized: %+v", a.cfg)
+		checkDaemons(t, NewAMP(sel, 250*sim.Millisecond), name, 250*sim.Millisecond)
 	}
 }
 
 func TestAMPProfilesEveryAccess(t *testing.T) {
-	a := NewAMP(DefaultAMPConfig(AMPLFU))
+	a := NewAMP(AMPLFU, 1*sim.Second)
 	m := newMachine(256, 1024, a)
 	as := m.NewSpace()
 	v := as.Mmap(1, false, "x")
@@ -47,9 +38,7 @@ func TestAMPProfilesEveryAccess(t *testing.T) {
 // TestAMPLFUPromotesHotPages: exact frequency selection must move a hot PM
 // set to DRAM, exchanging against cold DRAM pages.
 func TestAMPLFUPromotesHotPages(t *testing.T) {
-	cfg := DefaultAMPConfig(AMPLFU)
-	cfg.ScanInterval = 10 * sim.Millisecond
-	a := NewAMP(cfg)
+	a := NewAMP(AMPLFU, 10*sim.Millisecond)
 	m := newMachine(128, 1024, a)
 	as := m.NewSpace()
 	v := fillOver(m, as, 400)
@@ -82,9 +71,7 @@ func TestAMPLFUPromotesHotPages(t *testing.T) {
 // TestAMPLFUDoesNotDisplaceHotterPages: the exchange guard must refuse to
 // demote a DRAM page hotter than the arriving one.
 func TestAMPExchangeGuard(t *testing.T) {
-	cfg := DefaultAMPConfig(AMPLFU)
-	cfg.ScanInterval = 10 * sim.Millisecond
-	a := NewAMP(cfg)
+	a := NewAMP(AMPLFU, 10*sim.Millisecond)
 	m := newMachine(128, 1024, a)
 	as := m.NewSpace()
 	v := fillOver(m, as, 400)
@@ -120,10 +107,7 @@ func TestAMPExchangeGuard(t *testing.T) {
 }
 
 func TestAMPRandomStillMigrates(t *testing.T) {
-	cfg := DefaultAMPConfig(AMPRandom)
-	cfg.ScanInterval = 10 * sim.Millisecond
-	cfg.Seed = 9
-	a := NewAMP(cfg)
+	a := NewAMP(AMPRandom, 10*sim.Millisecond)
 	m := newMachine(128, 1024, a)
 	as := m.NewSpace()
 	fillOver(m, as, 400)
@@ -134,7 +118,7 @@ func TestAMPRandomStillMigrates(t *testing.T) {
 }
 
 func TestAMPStop(t *testing.T) {
-	a := NewAMP(DefaultAMPConfig(AMPLRU))
+	a := NewAMP(AMPLRU, 1*sim.Second)
 	m := newMachine(64, 256, a)
 	as := m.NewSpace()
 	fillOver(m, as, 100)
@@ -147,9 +131,7 @@ func TestAMPStop(t *testing.T) {
 }
 
 func TestAMPLFUDecay(t *testing.T) {
-	cfg := DefaultAMPConfig(AMPLFU)
-	cfg.ScanInterval = 10 * sim.Millisecond
-	a := NewAMP(cfg)
+	a := NewAMP(AMPLFU, 10*sim.Millisecond)
 	m := newMachine(256, 1024, a)
 	as := m.NewSpace()
 	v := as.Mmap(1, false, "x")

@@ -32,39 +32,18 @@ func (m ATMode) String() string {
 	return "at-opm"
 }
 
-// ATConfig tunes the AutoTiering baseline.
-type ATConfig struct {
-	Mode ATMode
-	// ScanInterval is the hint-fault scanner period.
-	ScanInterval sim.Duration
-	// PoisonFrac is the fraction of each address space's mapped pages
+const (
+	// atPoisonFrac is the fraction of each address space's mapped pages
 	// poisoned per interval. Software-fault tracking cannot afford full
-	// coverage on large memories (the paper's core criticism, §II-D);
-	// the default mirrors AutoNUMA's bounded scan rate relative to the
-	// paper-scale footprint.
-	PoisonFrac float64
-	// PromoteWindow, when positive, requires a page's two most recent
-	// hint faults to fall within the window before promotion. Zero (the
-	// default behaviour of NUMA-balancing-derived designs) promotes on
-	// the first hint fault — a page was touched while sampled, so it is
-	// assumed misplaced and migrated in the fault path.
-	PromoteWindow sim.Duration
-	// HistBits is the length of OPM's per-page coldness vector.
-	HistBits int
-	// DemoteBatch caps OPM demotions per interval.
-	DemoteBatch int
-}
-
-// DefaultATConfig mirrors the evaluation settings.
-func DefaultATConfig(mode ATMode) ATConfig {
-	return ATConfig{
-		Mode:         mode,
-		ScanInterval: 1 * sim.Second,
-		PoisonFrac:   0.125,
-		HistBits:     4,
-		DemoteBatch:  1024,
-	}
-}
+	// coverage on large memories (the paper's core criticism, §II-D); the
+	// value mirrors AutoNUMA's bounded scan rate relative to the paper-scale
+	// footprint.
+	atPoisonFrac = 0.125
+	// atHistBits is the length of OPM's per-page coldness vector.
+	atHistBits = 4
+	// atDemoteBatch caps OPM demotions per interval.
+	atDemoteBatch = 1024
+)
 
 // AutoTiering implements both AT-CPM and AT-OPM. Page access tracking uses
 // hint page faults: the scanner poisons a rotating sample of PTEs, and the
@@ -73,7 +52,8 @@ func DefaultATConfig(mode ATMode) ATConfig {
 // systems' weakness.
 type AutoTiering struct {
 	machine.Base
-	cfg ATConfig
+	mode     ATMode
+	interval sim.Duration
 
 	// cursor tracks the poisoning position per address space.
 	cursor map[int32]pagetable.VPN
@@ -84,30 +64,19 @@ type AutoTiering struct {
 	Demotions  int64
 }
 
-// NewAutoTiering returns the policy for the given variant.
-func NewAutoTiering(cfg ATConfig) *AutoTiering {
-	if cfg.ScanInterval <= 0 {
-		cfg.ScanInterval = 1 * sim.Second
-	}
-	if cfg.PoisonFrac <= 0 || cfg.PoisonFrac > 1 {
-		cfg.PoisonFrac = 0.125
-	}
-	if cfg.HistBits <= 0 || cfg.HistBits > 8 {
-		cfg.HistBits = 4
-	}
-	if cfg.DemoteBatch <= 0 {
-		cfg.DemoteBatch = 1024
-	}
-	return &AutoTiering{cfg: cfg, cursor: make(map[int32]pagetable.VPN)}
+// NewAutoTiering returns the policy for the given variant, its hint-fault
+// scanner waking every interval.
+func NewAutoTiering(mode ATMode, interval sim.Duration) *AutoTiering {
+	return &AutoTiering{mode: mode, interval: interval, cursor: make(map[int32]pagetable.VPN)}
 }
 
 // Name implements machine.Policy.
-func (at *AutoTiering) Name() string { return at.cfg.Mode.String() }
+func (at *AutoTiering) Name() string { return at.mode.String() }
 
 // Attach starts the PTE-poisoning scanner.
 func (at *AutoTiering) Attach(m *machine.Machine) {
 	at.Base.Attach(m)
-	at.StartDaemon("at-scan", at.cfg.ScanInterval, at.scan)
+	at.StartDaemon("at-scan", at.interval, at.scan)
 }
 
 // scan poisons the next slice of every address space and, for OPM, ages
@@ -118,7 +87,7 @@ func (at *AutoTiering) scan(d *sim.Daemon) {
 	var demoteCands []*mem.Page
 	for _, as := range m.Spaces() {
 		id := as.ID
-		budget := int(float64(as.Mapped()) * at.cfg.PoisonFrac)
+		budget := int(float64(as.Mapped()) * atPoisonFrac)
 		if budget == 0 && as.Mapped() > 0 {
 			budget = 1
 		}
@@ -136,8 +105,8 @@ func (at *AutoTiering) scan(d *sim.Daemon) {
 				}
 				// OPM ages the page's history each time the scanner
 				// passes it: shift in a zero; a hint fault sets bit 0.
-				if at.cfg.Mode == OPM {
-					pg.Hist = (pg.Hist << 1) & (1<<uint(at.cfg.HistBits) - 1)
+				if at.mode == OPM {
+					pg.Hist = (pg.Hist << 1) & (1<<atHistBits - 1)
 					if pg.Hist == 0 && m.Mem.Tier(pg) == m.Mem.FastestTier() &&
 						now-pg.LastHint > sim.Time(2*d.Interval) {
 						demoteCands = append(demoteCands, pg)
@@ -158,7 +127,7 @@ func (at *AutoTiering) scan(d *sim.Daemon) {
 		m.Mem.Counters.PagesScanned += int64(poisoned)
 	}
 
-	if at.cfg.Mode == OPM {
+	if at.mode == OPM {
 		at.demoteCold(demoteCands)
 	}
 }
@@ -168,7 +137,7 @@ func (at *AutoTiering) scan(d *sim.Daemon) {
 func (at *AutoTiering) demoteCold(cands []*mem.Page) {
 	m := at.M
 	fastest := m.Mem.FastestTier()
-	budget := at.cfg.DemoteBatch
+	budget := atDemoteBatch
 	for _, id := range m.Mem.TierNodes(fastest) {
 		// Only demote while the node actually needs headroom.
 		n := m.Mem.Nodes[id]
@@ -196,16 +165,14 @@ func (at *AutoTiering) demoteCold(cands []*mem.Page) {
 }
 
 // HintFault handles a software fault on a poisoned PTE: record recency and
-// promote lower-tier pages — on the first fault by default
-// (NUMA-balancing-style migrate-on-fault), or on two faults within
-// PromoteWindow when configured. The migration runs synchronously in fault
-// context, so its full cost hits the application; that cost, plus the
-// blind exchange victims under CPM, is what sinks these baselines (§V-C).
+// promote a lower-tier page on its first fault (NUMA-balancing-style
+// migrate-on-fault: a page touched while sampled is assumed misplaced). The
+// migration runs synchronously in fault context, so its full cost hits the
+// application; that cost, plus the blind exchange victims under CPM, is
+// what sinks these baselines (§V-C).
 func (at *AutoTiering) HintFault(pg *mem.Page, write bool) {
 	m := at.M
-	now := m.Clock.Now()
-	prev := pg.LastHint
-	pg.LastHint = now
+	pg.LastHint = m.Clock.Now()
 	pg.Hist |= 1
 
 	src := m.Mem.Tier(pg)
@@ -213,13 +180,9 @@ func (at *AutoTiering) HintFault(pg *mem.Page, write bool) {
 	if !ok {
 		return
 	}
-	if at.cfg.PromoteWindow > 0 && (prev == 0 || now-prev > sim.Time(at.cfg.PromoteWindow)) {
-		return
-	}
-	// Qualifying fault: promote one tier up.
 	dst := pickVictimNode(m, up)
 	if dst == mem.NoNode {
-		switch at.cfg.Mode {
+		switch at.mode {
 		case CPM:
 			// Conservative exchange: demote an upper-tier page chosen
 			// without reference information — the oldest-born page of the

@@ -12,17 +12,7 @@ import (
 // --- Nomad ---
 
 func TestNomadDefaults(t *testing.T) {
-	cfg := DefaultNomadConfig()
-	if cfg.ScanInterval != 1*sim.Second || cfg.ScanBatch != 1024 {
-		t.Fatalf("defaults: %+v", cfg)
-	}
-	nd := NewNomad(NomadConfig{})
-	if nd.cfg.ScanInterval != 1*sim.Second || nd.cfg.ScanBatch != 1024 {
-		t.Fatal("zero config not normalized")
-	}
-	if nd.Name() != "nomad" {
-		t.Fatal("name")
-	}
+	checkDaemons(t, NewNomad(250*sim.Millisecond), "nomad", 250*sim.Millisecond)
 }
 
 // nomadHotReads drives read-only heat at 16 PM pages for `rounds` daemon
@@ -45,7 +35,7 @@ func nomadHotReads(t *testing.T, m *machine.Machine, rounds int) (*pagetable.Add
 }
 
 func TestNomadShadowPromotionIsTwoPhase(t *testing.T) {
-	nd := NewNomad(DefaultNomadConfig())
+	nd := NewNomad(1 * sim.Second)
 	m := newMachine(128, 1024, nd)
 	as, hot := nomadHotReads(t, m, 8)
 
@@ -76,7 +66,7 @@ func TestNomadShadowPromotionIsTwoPhase(t *testing.T) {
 }
 
 func TestNomadWriteAbortsInflightTransaction(t *testing.T) {
-	nd := NewNomad(DefaultNomadConfig())
+	nd := NewNomad(1 * sim.Second)
 	m := newMachine(128, 1024, nd)
 	as := m.NewSpace()
 	v := fillOver(m, as, 400)
@@ -108,7 +98,7 @@ func TestNomadWriteAbortsInflightTransaction(t *testing.T) {
 }
 
 func TestNomadWriteInvalidatesShadow(t *testing.T) {
-	nd := NewNomad(DefaultNomadConfig())
+	nd := NewNomad(1 * sim.Second)
 	m := newMachine(128, 1024, nd)
 	as, hot := nomadHotReads(t, m, 8)
 	if m.Mem.ShadowFrames() == 0 {
@@ -131,7 +121,7 @@ func TestNomadWriteInvalidatesShadow(t *testing.T) {
 }
 
 func TestNomadCleanShadowedPagesDemoteForFree(t *testing.T) {
-	nd := NewNomad(DefaultNomadConfig())
+	nd := NewNomad(1 * sim.Second)
 	m := newMachine(64, 1024, nd)
 	as, _ := nomadHotReads(t, m, 8)
 	if m.Mem.ShadowFrames() == 0 {
@@ -157,7 +147,7 @@ func TestNomadCleanShadowedPagesDemoteForFree(t *testing.T) {
 }
 
 func TestNomadStop(t *testing.T) {
-	nd := NewNomad(DefaultNomadConfig())
+	nd := NewNomad(1 * sim.Second)
 	m := newMachine(64, 64, nd)
 	nd.Stop()
 	m.Compute(5 * sim.Second)
@@ -169,7 +159,7 @@ func TestNomadStop(t *testing.T) {
 // --- BandwidthGate ---
 
 func TestBandwidthGateBudget(t *testing.T) {
-	g := NewBandwidthGate(BandwidthGateConfig{Window: 1 * sim.Second, Budget: 0.1, HardLimit: 2})
+	g := NewBandwidthGate()
 	m := newMachine(64, 64, NewStatic())
 	g.Attach(m)
 	clean := &mem.Page{}
@@ -178,17 +168,17 @@ func TestBandwidthGateBudget(t *testing.T) {
 	if !g.Admit(clean, 0) {
 		t.Fatal("idle machine rejected a promotion")
 	}
-	// Spend past the soft budget (100 ms of a 1 s window): only dirty
-	// pages pass.
-	m.Mem.Counters.MigrationBusy = 150 * sim.Millisecond
+	// Spend past the soft budget (50 ms of a 1 s window): only dirty pages
+	// pass.
+	m.Mem.Counters.MigrationBusy = 75 * sim.Millisecond
 	if g.Admit(clean, 0) {
 		t.Fatal("clean page admitted over budget")
 	}
 	if !g.Admit(dirty, 0) {
 		t.Fatal("dirty page rejected between budget and hard limit")
 	}
-	// Past the hard limit (200 ms) nothing passes.
-	m.Mem.Counters.MigrationBusy = 250 * sim.Millisecond
+	// Past the hard limit (100 ms) nothing passes.
+	m.Mem.Counters.MigrationBusy = 125 * sim.Millisecond
 	if g.Admit(dirty, 0) {
 		t.Fatal("dirty page admitted past the hard limit")
 	}
@@ -203,30 +193,27 @@ func TestBandwidthGateBudget(t *testing.T) {
 }
 
 func TestBandwidthGateDefaults(t *testing.T) {
-	g := NewBandwidthGate(BandwidthGateConfig{})
-	if g.cfg.Window != 1*sim.Second || g.cfg.Budget != 0.05 || g.cfg.HardLimit != 2 {
-		t.Fatalf("zero config not normalized: %+v", g.cfg)
-	}
-	if g.Name() == "" {
-		t.Fatal("name")
+	// The bake-off tables label the gated variants with this rendering.
+	if got := NewBandwidthGate().Name(); got != "bandwidth-gate(5%/1.000s)" {
+		t.Fatalf("name %q", got)
 	}
 }
 
 func TestGatedNimbleRejectsUnderPressure(t *testing.T) {
-	// A gate with a near-zero budget starves promotions as soon as any
-	// migration (including demotions) has happened in the window.
-	cfg := DefaultNimbleConfig()
-	cfg.Gate = NewBandwidthGate(BandwidthGateConfig{Window: 10 * sim.Second, Budget: 0.000001})
-	nb := NewNimble(cfg)
+	// A copy engine that has already spent a whole window migrating (past
+	// the hard limit) starves every promotion until the window turns over;
+	// Nimble wakes ten times a window, so its candidates meet a spent gate.
+	nb := NewNimble(100*sim.Millisecond, NewBandwidthGate())
 	m := newMachine(128, 1024, nb)
 	as := m.NewSpace()
 	v := fillOver(m, as, 400)
 	hot := pmVPNs(m, as, v, 32)
+	m.Mem.Counters.MigrationBusy += gateWindow
 	for round := 0; round < 6; round++ {
 		for _, vpn := range hot {
 			m.Access(as, vpn, false)
 		}
-		m.Compute(1100 * sim.Millisecond)
+		m.Compute(110 * sim.Millisecond)
 	}
 	if m.Mem.Counters.AdmissionRejects == 0 {
 		t.Fatal("starved gate rejected nothing")
@@ -239,22 +226,11 @@ func TestGatedNimbleRejectsUnderPressure(t *testing.T) {
 // --- S3-FIFO ---
 
 func TestS3FIFODefaults(t *testing.T) {
-	cfg := DefaultS3FIFOConfig()
-	if cfg.ScanInterval != 1*sim.Second || cfg.ScanBatch != 1024 ||
-		cfg.SmallFrac != 0.1 || cfg.PromoteFreq != 2 {
-		t.Fatalf("defaults: %+v", cfg)
-	}
-	s := NewS3FIFO(S3FIFOConfig{})
-	if s.cfg.ScanInterval != 1*sim.Second || s.cfg.PromoteFreq != 2 {
-		t.Fatal("zero config not normalized")
-	}
-	if s.Name() != "s3fifo" {
-		t.Fatal("name")
-	}
+	checkDaemons(t, NewS3FIFO(250*sim.Millisecond), "s3fifo", 250*sim.Millisecond)
 }
 
 func TestS3FIFOPromotesReusedPages(t *testing.T) {
-	s := NewS3FIFO(DefaultS3FIFOConfig())
+	s := NewS3FIFO(1 * sim.Second)
 	m := newMachine(128, 1024, s)
 	as := m.NewSpace()
 	v := fillOver(m, as, 400)
@@ -288,7 +264,7 @@ func TestS3FIFOPromotesReusedPages(t *testing.T) {
 func TestS3FIFOColdPagesStayPut(t *testing.T) {
 	// Pages touched only at birth never leave the small→ghost path and
 	// are never promoted.
-	s := NewS3FIFO(DefaultS3FIFOConfig())
+	s := NewS3FIFO(1 * sim.Second)
 	m := newMachine(128, 1024, s)
 	as := m.NewSpace()
 	fillOver(m, as, 400)
@@ -302,7 +278,7 @@ func TestS3FIFOColdPagesStayPut(t *testing.T) {
 }
 
 func TestS3FIFOGhostHitSkipsProbation(t *testing.T) {
-	s := NewS3FIFO(DefaultS3FIFOConfig())
+	s := NewS3FIFO(1 * sim.Second)
 	m := newMachine(64, 256, s)
 	as := m.NewSpace()
 	v := fillOver(m, as, 220)
@@ -326,7 +302,7 @@ func TestS3FIFOGhostHitSkipsProbation(t *testing.T) {
 }
 
 func TestS3FIFOSurvivesUnmapOfQueuedPages(t *testing.T) {
-	s := NewS3FIFO(DefaultS3FIFOConfig())
+	s := NewS3FIFO(1 * sim.Second)
 	m := newMachine(64, 512, s)
 	as := m.NewSpace()
 	v := fillOver(m, as, 300)
@@ -342,7 +318,7 @@ func TestS3FIFOSurvivesUnmapOfQueuedPages(t *testing.T) {
 }
 
 func TestS3FIFOStop(t *testing.T) {
-	s := NewS3FIFO(DefaultS3FIFOConfig())
+	s := NewS3FIFO(1 * sim.Second)
 	m := newMachine(64, 64, s)
 	s.Stop()
 	m.Compute(5 * sim.Second)

@@ -1,0 +1,103 @@
+package policy
+
+import (
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// settableConfigFields is every exported field of a *Config struct in the
+// policy layer and the machine beneath it, each with the callers that give it
+// different values. A setting exists only when two non-test callers need
+// different values (benchmarks/ counts as a caller; tests and examples do
+// not); a value with one caller is a constant (DESIGN.md, "Knobs").
+var settableConfigFields = map[string]string{
+	"core.Config.ScanInterval": "-interval and the fig10 sweep vary it",
+	"core.Config.ScanBatch":    "ablation-batch varies it",
+	"core.Config.PromoteMax":   "ablation-write caps it at 16; every other run promotes all",
+	"core.Config.Adaptive":     "the §VII extension; off everywhere but its test",
+	"core.Config.WriteBias":    "ablation-write compares both values",
+	"core.Config.Gate":         "the -gated variants set it",
+
+	"fault.Config.Seed":  "-chaos seed",
+	"fault.Config.Rates": "-chaos rate",
+
+	"lifecycle.Config.SampleMod": "-lifecycle N; benchmarks/ sets it",
+
+	"mem.Config.DRAMNodes": "every run's -dram sizing; benchmarks/ sets it",
+	"mem.Config.PMNodes":   "every run's -pm sizing; benchmarks/ sets it",
+	"mem.Config.Topology":  "-tiers sets it",
+
+	"machine.Config.Mem":           "the memory layout above",
+	"machine.Config.Seed":          "-seed; benchmarks/ sets it",
+	"machine.Config.OpCost":        "the evaluation's 1 µs, the facade's OpCost; benchmarks/ sets it",
+	"machine.Config.Faults":        "-chaos sets it",
+	"machine.Config.CPUCachePages": "benchmarks/ sets it",
+}
+
+// TestConfigFieldsHaveCallers keeps single-value knobs from growing back:
+// every exported field of a struct type named *Config in the non-test
+// sources of the policy layer and the machine must be allow-listed above
+// with the reason it is settable, and every entry must still name a field.
+func TestConfigFieldsHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	seen := map[string]bool{}
+	for _, dir := range []string{"../core", ".", "../fault", "../lifecycle", "../mem", "../machine"} {
+		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, pkg := range pkgs {
+			files := make([]*ast.File, 0, len(pkg.Files))
+			for _, f := range pkg.Files {
+				files = append(files, f)
+			}
+			tpkg, err := conf.Check("multiclock/internal/"+name, fset, files, nil)
+			if err != nil {
+				t.Fatalf("type-checking %s: %v", dir, err)
+			}
+			scope := tpkg.Scope()
+			for _, tname := range scope.Names() {
+				obj, ok := scope.Lookup(tname).(*types.TypeName)
+				if !ok || !strings.HasSuffix(tname, "Config") {
+					continue
+				}
+				st, ok := obj.Type().Underlying().(*types.Struct)
+				if !ok {
+					continue
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					f := st.Field(i)
+					if !f.Exported() {
+						continue
+					}
+					key := name + "." + tname + "." + f.Name()
+					seen[key] = true
+					if _, ok := settableConfigFields[key]; !ok {
+						t.Errorf("%s: %s is settable but has no allow-list entry; make a value with one caller a constant, or list the callers that set it",
+							fset.Position(f.Pos()), key)
+					}
+				}
+			}
+		}
+	}
+	var stale []string
+	for key := range settableConfigFields {
+		if !seen[key] {
+			stale = append(stale, key)
+		}
+	}
+	sort.Strings(stale)
+	for _, key := range stale {
+		t.Errorf("allow-list entry %s names no config field", key)
+	}
+}

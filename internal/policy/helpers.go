@@ -5,6 +5,12 @@ import (
 	"multiclock/internal/mem"
 )
 
+// scanBatch is the pages examined per daemon wakeup by the CLOCK-scanning
+// baselines (Nimble, Nomad, S3-FIFO) and the cap on victims per node per
+// demotion episode: the paper's 1024 (§V-C), MULTI-CLOCK's own batch, so the
+// bake-off compares selection rules at one operating point.
+const scanBatch = 1024
+
 // Tier-relative helpers shared by the migrating baselines. Policies in this
 // package never name tiers: they navigate the machine's hierarchy with
 // FastestTier/Above/Below, so the same code drives a two-tier DRAM/PM
@@ -56,12 +62,12 @@ func promoteUp(m *machine.Machine, pg *mem.Page, makeRoom func(mem.Tier)) bool {
 
 // relieveTier is the consolidated kswapd-style demotion scan every
 // migrating baseline shares: for each node of tier t under its high
-// watermark, rebalance the recency lists and demote up to `batch` cold
+// watermark, rebalance the recency lists and demote up to scanBatch cold
 // victims one tier down — or swap them out when the tier below has no free
 // frame (or is the durable swap tier). tryFirst, when non-nil, gets the
 // first shot at each victim (Nomad's free shadow demotion); a true return
 // consumes the victim. The returned slice is the reusable victim buffer.
-func relieveTier(m *machine.Machine, t mem.Tier, batch int, buf []*mem.Page, tryFirst func(*mem.Page) bool) []*mem.Page {
+func relieveTier(m *machine.Machine, t mem.Tier, buf []*mem.Page, tryFirst func(*mem.Page) bool) []*mem.Page {
 	for _, id := range m.Mem.TierNodes(t) {
 		n := m.Mem.Nodes[id]
 		if !n.UnderHigh() {
@@ -69,10 +75,10 @@ func relieveTier(m *machine.Machine, t mem.Tier, batch int, buf []*mem.Page, try
 		}
 		vec := m.Vecs[id]
 		need := n.WM.High - n.FreeFrames()
-		if need > batch {
-			need = batch
+		if need > scanBatch {
+			need = scanBatch
 		}
-		vec.BalanceActive(1, batch)
+		vec.BalanceActive(1, scanBatch)
 		victims := vec.AppendDemoteCandidates(buf[:0], need)
 		for _, victim := range victims {
 			if tryFirst != nil && tryFirst(victim) {
@@ -93,8 +99,6 @@ func relieveTier(m *machine.Machine, t mem.Tier, batch int, buf []*mem.Page, try
 // relief of a pressured tier from its inactive lists.
 type recencyDemoter struct {
 	machine.Base
-	// batch caps victims per node per episode (the policy's ScanBatch).
-	batch int
 	// demoteBuf stays distinct from any promote buffer: makeRoom nests
 	// inside the promotion loops via promoteUp.
 	demoteBuf []*mem.Page
@@ -103,7 +107,7 @@ type recencyDemoter struct {
 // makeRoom demotes cold pages (by the recency lists) from pressured nodes
 // of tier t one tier down.
 func (r *recencyDemoter) makeRoom(t mem.Tier) {
-	r.demoteBuf = relieveTier(r.M, t, r.batch, r.demoteBuf, nil)
+	r.demoteBuf = relieveTier(r.M, t, r.demoteBuf, nil)
 }
 
 // Pressure reacts to allocation pressure on a demotion-capable tier like

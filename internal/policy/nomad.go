@@ -7,20 +7,6 @@ import (
 	"multiclock/internal/sim"
 )
 
-// NomadConfig tunes the Nomad-style non-exclusive tiering policy.
-type NomadConfig struct {
-	// ScanInterval is the promotion daemon's wakeup period (1 s to match
-	// the other systems).
-	ScanInterval sim.Duration
-	// ScanBatch is pages examined per wakeup.
-	ScanBatch int
-}
-
-// DefaultNomadConfig matches the shared operating point of the bake-off.
-func DefaultNomadConfig() NomadConfig {
-	return NomadConfig{ScanInterval: 1 * sim.Second, ScanBatch: 1024}
-}
-
 // nomadTx is one in-flight transactional promotion: begun at a daemon
 // wakeup, committed (or aborted by an intervening write) at the next.
 type nomadTx struct {
@@ -38,7 +24,7 @@ type nomadTx struct {
 // migration.
 type Nomad struct {
 	machine.Base
-	cfg NomadConfig
+	interval sim.Duration
 
 	// inflight tracks begun-but-uncommitted promotion transactions. Indexed
 	// only, never iterated (determinism). Entries die at commit, abort, or
@@ -64,15 +50,10 @@ type Nomad struct {
 	demoteBuf  []*mem.Page
 }
 
-// NewNomad returns the Nomad-style non-exclusive tiering policy.
-func NewNomad(cfg NomadConfig) *Nomad {
-	if cfg.ScanInterval <= 0 {
-		cfg.ScanInterval = 1 * sim.Second
-	}
-	if cfg.ScanBatch <= 0 {
-		cfg.ScanBatch = 1024
-	}
-	return &Nomad{cfg: cfg, inflight: make(map[*mem.Page]*nomadTx)}
+// NewNomad returns the Nomad-style non-exclusive tiering policy, its
+// promotion daemon waking every interval.
+func NewNomad(interval sim.Duration) *Nomad {
+	return &Nomad{interval: interval, inflight: make(map[*mem.Page]*nomadTx)}
 }
 
 // Name implements machine.Policy.
@@ -81,7 +62,7 @@ func (nd *Nomad) Name() string { return "nomad" }
 // Attach starts the per-node scanning daemon.
 func (nd *Nomad) Attach(m *machine.Machine) {
 	nd.Base.Attach(m)
-	nd.StartNodeDaemons("nomad-scan", nd.cfg.ScanInterval, func(node mem.NodeID, _ *sim.Daemon) { nd.scan(node) })
+	nd.StartNodeDaemons("nomad-scan", nd.interval, func(node mem.NodeID, _ *sim.Daemon) { nd.scan(node) })
 }
 
 // Access watches writes: a write aborts any in-flight promotion transaction
@@ -112,7 +93,7 @@ func (nd *Nomad) PageFreed(pg *mem.Page) {
 func (nd *Nomad) scan(node mem.NodeID) {
 	m := nd.M
 	vec := m.Vecs[node]
-	stats := vec.ScanCycle(nd.cfg.ScanBatch)
+	stats := vec.ScanCycle(scanBatch)
 	nd.ScanTax(stats)
 
 	tier := m.Mem.Nodes[node].Tier
@@ -216,7 +197,7 @@ func (nd *Nomad) promoteShadow(pg *mem.Page) bool {
 // shadowed page demotes by remap alone), by ordinary migration otherwise.
 func (nd *Nomad) makeRoom(t mem.Tier) {
 	m := nd.M
-	nd.demoteBuf = relieveTier(m, t, nd.cfg.ScanBatch, nd.demoteBuf, func(victim *mem.Page) bool {
+	nd.demoteBuf = relieveTier(m, t, nd.demoteBuf, func(victim *mem.Page) bool {
 		if m.DemoteShadowIsolated(victim) {
 			nd.FreeDemotes++
 			return true

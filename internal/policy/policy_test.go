@@ -28,6 +28,27 @@ func fillOver(m *machine.Machine, as *pagetable.AddressSpace, n int) *pagetable.
 	return v
 }
 
+// checkDaemons attaches p to a small machine and checks that it reports
+// name and that every daemon it started wakes on the interval it was given.
+func checkDaemons(t *testing.T, p interface {
+	machine.Policy
+	Daemons() []*sim.Daemon
+}, name string, interval sim.Duration) {
+	t.Helper()
+	newMachine(64, 256, p)
+	if p.Name() != name {
+		t.Fatalf("name %q, want %q", p.Name(), name)
+	}
+	if len(p.Daemons()) == 0 {
+		t.Fatal("no daemon started")
+	}
+	for _, d := range p.Daemons() {
+		if d.Interval != interval {
+			t.Fatalf("daemon %s wakes every %v, want %v", d.Name, d.Interval, interval)
+		}
+	}
+}
+
 func pmVPNs(m *machine.Machine, as *pagetable.AddressSpace, v *pagetable.VMA, max int) []pagetable.VPN {
 	var out []pagetable.VPN
 	as.WalkVMA(v, func(vpn pagetable.VPN, pg *mem.Page) {
@@ -80,21 +101,12 @@ func TestStaticBornInDRAMFirst(t *testing.T) {
 // --- Nimble ---
 
 func TestNimbleDefaults(t *testing.T) {
-	cfg := DefaultNimbleConfig()
-	if cfg.ScanInterval != 1*sim.Second || cfg.ScanBatch != 1024 {
-		t.Fatal("defaults should mirror the paper")
-	}
-	nb := NewNimble(NimbleConfig{})
-	if nb.cfg.ScanInterval != 1*sim.Second || nb.cfg.ScanBatch != 1024 {
-		t.Fatal("zero config not normalized")
-	}
-	if nb.Name() != "nimble" {
-		t.Fatal("name")
-	}
+	checkDaemons(t, NewNimble(250*sim.Millisecond, nil), "nimble", 250*sim.Millisecond)
+	checkDaemons(t, NewNimble(sim.Second, NewBandwidthGate()), "nimble+bandwidth-gate(5%/1.000s)", sim.Second)
 }
 
 func TestNimblePromotesOnSingleRecency(t *testing.T) {
-	nb := NewNimble(DefaultNimbleConfig())
+	nb := NewNimble(1*sim.Second, nil)
 	m := newMachine(128, 1024, nb)
 	as := m.NewSpace()
 	v := fillOver(m, as, 400)
@@ -127,7 +139,7 @@ func TestNimblePromotesOnSingleRecency(t *testing.T) {
 // — the Fig. 8 behaviour. Here: pages touched a single time right before a
 // scan still get promoted by Nimble.
 func TestNimblePromotesOneTouchPages(t *testing.T) {
-	nb := NewNimble(DefaultNimbleConfig())
+	nb := NewNimble(1*sim.Second, nil)
 	m := newMachine(256, 1024, nb)
 	as := m.NewSpace()
 	v := fillOver(m, as, 600)
@@ -146,7 +158,7 @@ func TestNimblePromotesOneTouchPages(t *testing.T) {
 }
 
 func TestNimbleStop(t *testing.T) {
-	nb := NewNimble(DefaultNimbleConfig())
+	nb := NewNimble(1*sim.Second, nil)
 	m := newMachine(64, 64, nb)
 	nb.Stop()
 	m.Compute(5 * sim.Second)
@@ -156,7 +168,7 @@ func TestNimbleStop(t *testing.T) {
 }
 
 func TestNimbleSetScanInterval(t *testing.T) {
-	nb := NewNimble(DefaultNimbleConfig())
+	nb := NewNimble(1*sim.Second, nil)
 	m := newMachine(64, 64, nb)
 	as := m.NewSpace()
 	fillOver(m, as, 32)
@@ -170,24 +182,12 @@ func TestNimbleSetScanInterval(t *testing.T) {
 // --- AutoTiering ---
 
 func TestATDefaults(t *testing.T) {
-	cfg := DefaultATConfig(CPM)
-	if cfg.Mode != CPM || cfg.ScanInterval != 1*sim.Second || cfg.HistBits != 4 {
-		t.Fatalf("defaults: %+v", cfg)
-	}
-	at := NewAutoTiering(ATConfig{Mode: OPM})
-	if at.cfg.PoisonFrac != 0.125 || at.cfg.PromoteWindow != 0 {
-		t.Fatal("zero config not normalized")
-	}
-	if NewAutoTiering(DefaultATConfig(CPM)).Name() != "at-cpm" {
-		t.Fatal("cpm name")
-	}
-	if NewAutoTiering(DefaultATConfig(OPM)).Name() != "at-opm" {
-		t.Fatal("opm name")
-	}
+	checkDaemons(t, NewAutoTiering(CPM, 250*sim.Millisecond), "at-cpm", 250*sim.Millisecond)
+	checkDaemons(t, NewAutoTiering(OPM, sim.Second), "at-opm", sim.Second)
 }
 
 func TestATPoisonsPages(t *testing.T) {
-	at := NewAutoTiering(DefaultATConfig(CPM))
+	at := NewAutoTiering(CPM, 1*sim.Second)
 	m := newMachine(256, 256, at)
 	as := m.NewSpace()
 	v := fillOver(m, as, 128)
@@ -198,14 +198,14 @@ func TestATPoisonsPages(t *testing.T) {
 			poisoned++
 		}
 	})
-	want := int(0.125 * 128)
+	want := int(atPoisonFrac * 128)
 	if poisoned < want-2 || poisoned > want+2 {
 		t.Fatalf("poisoned %d pages, want ≈%d", poisoned, want)
 	}
 }
 
 func TestATHintFaultsCostTheApplication(t *testing.T) {
-	at := NewAutoTiering(DefaultATConfig(CPM))
+	at := NewAutoTiering(CPM, 1*sim.Second)
 	cfg := machine.DefaultConfig()
 	cfg.Mem.DRAMNodes = []int{256}
 	cfg.Mem.PMNodes = []int{256}
@@ -224,15 +224,17 @@ func TestATHintFaultsCostTheApplication(t *testing.T) {
 	}
 }
 
+// atLap is the number of scanner passes in which the poisoning cursor
+// visits every mapped page once.
+const atLap = int(1 / atPoisonFrac)
+
 func TestATCPMPromotesOnRepeatedFaults(t *testing.T) {
-	cfg := DefaultATConfig(CPM)
-	cfg.PoisonFrac = 1.0 // full coverage for a deterministic test
-	at := NewAutoTiering(cfg)
+	at := NewAutoTiering(CPM, 1*sim.Second)
 	m := newMachine(128, 1024, at)
 	as := m.NewSpace()
 	v := fillOver(m, as, 400)
 	hot := pmVPNs(m, as, v, 8)
-	for round := 0; round < 6; round++ {
+	for round := 0; round < 6*atLap; round++ {
 		m.Compute(1100 * sim.Millisecond)
 		for _, vpn := range hot {
 			m.Access(as, vpn, false)
@@ -244,14 +246,12 @@ func TestATCPMPromotesOnRepeatedFaults(t *testing.T) {
 }
 
 func TestATCPMExchangesBlindVictims(t *testing.T) {
-	cfg := DefaultATConfig(CPM)
-	cfg.PoisonFrac = 1.0
-	at := NewAutoTiering(cfg)
+	at := NewAutoTiering(CPM, 1*sim.Second)
 	m := newMachine(64, 1024, at)
 	as := m.NewSpace()
 	v := fillOver(m, as, 300)
 	hot := pmVPNs(m, as, v, 32)
-	for round := 0; round < 8; round++ {
+	for round := 0; round < 8*atLap; round++ {
 		m.Compute(1100 * sim.Millisecond)
 		for _, vpn := range hot {
 			m.Access(as, vpn, false)
@@ -263,16 +263,14 @@ func TestATCPMExchangesBlindVictims(t *testing.T) {
 }
 
 func TestATOPMDemotesColdPages(t *testing.T) {
-	cfg := DefaultATConfig(OPM)
-	cfg.PoisonFrac = 1.0
-	at := NewAutoTiering(cfg)
+	at := NewAutoTiering(OPM, 1*sim.Second)
 	m := newMachine(64, 1024, at)
 	as := m.NewSpace()
 	v := fillOver(m, as, 300)
 	hot := pmVPNs(m, as, v, 16)
 	// DRAM pages go cold (never faulted again); history empties; OPM
 	// demotes them while hot PM pages fault repeatedly.
-	for round := 0; round < 10; round++ {
+	for round := 0; round < 10*atLap; round++ {
 		m.Compute(1100 * sim.Millisecond)
 		for _, vpn := range hot {
 			m.Access(as, vpn, false)
@@ -287,7 +285,7 @@ func TestATOPMDemotesColdPages(t *testing.T) {
 }
 
 func TestATStop(t *testing.T) {
-	at := NewAutoTiering(DefaultATConfig(CPM))
+	at := NewAutoTiering(CPM, 1*sim.Second)
 	m := newMachine(64, 64, at)
 	as := m.NewSpace()
 	fillOver(m, as, 32)

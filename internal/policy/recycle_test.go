@@ -12,6 +12,7 @@ import (
 	"multiclock/internal/machine"
 	"multiclock/internal/mem"
 	"multiclock/internal/pagetable"
+	"multiclock/internal/sim"
 )
 
 // s3Rebirth is an S3-FIFO machine with its daemon stopped (the tests drive
@@ -30,7 +31,7 @@ type s3Rebirth struct {
 }
 
 func newS3Rebirth(t *testing.T) *s3Rebirth {
-	s := NewS3FIFO(DefaultS3FIFOConfig())
+	s := NewS3FIFO(1 * sim.Second)
 	m := newMachine(64, 512, s)
 	s.Stop()
 	as := m.NewSpace()
@@ -152,7 +153,7 @@ func TestS3FIFOStaleMainEntrySkipsRebornDescriptor(t *testing.T) {
 }
 
 func TestNomadStaleShadowedEntrySkipsRebornDescriptor(t *testing.T) {
-	nd := NewNomad(DefaultNomadConfig())
+	nd := NewNomad(1 * sim.Second)
 	m := newMachine(128, 1024, nd)
 	nd.Stop()
 	as := m.NewSpace()

@@ -7,32 +7,6 @@ import (
 	"multiclock/internal/sim"
 )
 
-// S3FIFOConfig tunes the S3-FIFO promote-candidate selector.
-type S3FIFOConfig struct {
-	// ScanInterval is the selector daemon's wakeup period.
-	ScanInterval sim.Duration
-	// ScanBatch bounds the queue entries processed per wakeup (and the
-	// CLOCK aging batch on the demotion side).
-	ScanBatch int
-	// SmallFrac is the small queue's share of a PM node's frames
-	// (default 0.1, the S3-FIFO paper's split).
-	SmallFrac float64
-	// PromoteFreq is the access count at which a main-queue page is
-	// promoted to DRAM (default 2 — matching MULTI-CLOCK's two-touch bar;
-	// frequencies saturate at 3 as in S3-FIFO).
-	PromoteFreq uint8
-}
-
-// DefaultS3FIFOConfig matches the shared operating point of the bake-off.
-func DefaultS3FIFOConfig() S3FIFOConfig {
-	return S3FIFOConfig{
-		ScanInterval: 1 * sim.Second,
-		ScanBatch:    1024,
-		SmallFrac:    0.1,
-		PromoteFreq:  2,
-	}
-}
-
 // Selector membership lives in the low bits of the state byte, the
 // saturating access frequency (0..3) in the high nibble, and one "fresh"
 // bit marks a page admitted by the very access being served (a birth
@@ -49,6 +23,16 @@ const (
 	s3Fresh      uint8 = 0x08
 	s3FreqShift        = 4
 	s3FreqMax    uint8 = 3
+)
+
+const (
+	// s3SmallFrac is the small queue's share of a PM node's frames, the
+	// S3-FIFO paper's split.
+	s3SmallFrac = 0.1
+	// s3PromoteFreq is the access count at which a main-queue page is
+	// promoted to DRAM: MULTI-CLOCK's two-touch bar (frequencies saturate
+	// at s3FreqMax as in S3-FIFO).
+	s3PromoteFreq uint8 = 2
 )
 
 // s3queues is the per-PM-node queue triple. The small and main queues hold
@@ -70,12 +54,12 @@ type s3queues struct {
 // with one or more accesses they graduate to the main FIFO; a ghost hit —
 // an access to a recently "quick-demoted" identity — re-enters main
 // directly. Main-queue pages whose saturating access count reaches
-// PromoteFreq migrate to DRAM. Arrivals are observed through the lru.Vec
+// s3PromoteFreq migrate to DRAM. Arrivals are observed through the lru.Vec
 // transition-hook surface; DRAM aging and the demotion side reuse the
 // vanilla recency CLOCK.
 type S3FIFO struct {
 	recencyDemoter
-	cfg S3FIFOConfig
+	interval sim.Duration
 
 	// queues is indexed by NodeID; nil for DRAM nodes.
 	queues []*s3queues
@@ -92,28 +76,10 @@ type S3FIFO struct {
 	promoteBuf []*mem.Page
 }
 
-// NewS3FIFO returns the S3-FIFO selector policy.
-func NewS3FIFO(cfg S3FIFOConfig) *S3FIFO {
-	if cfg.ScanInterval <= 0 {
-		cfg.ScanInterval = 1 * sim.Second
-	}
-	if cfg.ScanBatch <= 0 {
-		cfg.ScanBatch = 1024
-	}
-	if cfg.SmallFrac <= 0 || cfg.SmallFrac >= 1 {
-		cfg.SmallFrac = 0.1
-	}
-	if cfg.PromoteFreq == 0 {
-		cfg.PromoteFreq = 2
-	}
-	if cfg.PromoteFreq > s3FreqMax {
-		cfg.PromoteFreq = s3FreqMax
-	}
-	return &S3FIFO{
-		recencyDemoter: recencyDemoter{batch: cfg.ScanBatch},
-		cfg:            cfg,
-		state:          make(map[*mem.Page]uint8),
-	}
+// NewS3FIFO returns the S3-FIFO selector policy, its daemons waking every
+// interval.
+func NewS3FIFO(interval sim.Duration) *S3FIFO {
+	return &S3FIFO{interval: interval, state: make(map[*mem.Page]uint8)}
 }
 
 // Name implements machine.Policy.
@@ -126,7 +92,7 @@ func (s *S3FIFO) Attach(m *machine.Machine) {
 	s.queues = make([]*s3queues, len(m.Mem.Nodes))
 	for _, n := range m.Mem.Nodes {
 		if n.Tier != m.Mem.FastestTier() {
-			smallCap := int(float64(n.Frames) * s.cfg.SmallFrac)
+			smallCap := int(float64(n.Frames) * s3SmallFrac)
 			if smallCap < 8 {
 				smallCap = 8
 			}
@@ -138,7 +104,7 @@ func (s *S3FIFO) Attach(m *machine.Machine) {
 			m.Vecs[n.ID].AddHook(s)
 		}
 	}
-	s.StartNodeDaemons("s3fifo-scan", s.cfg.ScanInterval, func(node mem.NodeID, _ *sim.Daemon) { s.scan(node) })
+	s.StartNodeDaemons("s3fifo-scan", s.interval, func(node mem.NodeID, _ *sim.Daemon) { s.scan(node) })
 }
 
 // PageTransition implements lru.Hook: PM arrivals enter the small queue.
@@ -220,7 +186,7 @@ func (s *S3FIFO) PageFreed(pg *mem.Page) {
 func (s *S3FIFO) scan(node mem.NodeID) {
 	m := s.M
 	vec := m.Vecs[node]
-	stats := vec.ScanCycleRecency(s.cfg.ScanBatch)
+	stats := vec.ScanCycleRecency(scanBatch)
 
 	flushed := vec.AppendPromote(s.promoteBuf[:0], -1)
 	s.promoteBuf = flushed[:0]
@@ -250,7 +216,7 @@ func (s *S3FIFO) scan(node mem.NodeID) {
 // returns the number of entries examined (daemon work accounting).
 func (s *S3FIFO) evictSmall(q *s3queues) int {
 	work := 0
-	for len(q.small) > q.smallCap && work < s.cfg.ScanBatch {
+	for len(q.small) > q.smallCap && work < scanBatch {
 		ref := q.small[0]
 		q.small = q.small[1:]
 		work++
@@ -283,15 +249,15 @@ func (s *S3FIFO) trimGhost(q *s3queues) {
 	}
 }
 
-// promoteFromMain examines up to ScanBatch main-queue entries: pages at or
+// promoteFromMain examines up to scanBatch main-queue entries: pages at or
 // above the promotion frequency migrate to DRAM, the rest rotate to the
 // tail (with a frequency decay when the queue is over capacity, the
 // original's eviction pressure). Returns entries examined.
 func (s *S3FIFO) promoteFromMain(q *s3queues) int {
 	m := s.M
 	limit := len(q.main)
-	if limit > s.cfg.ScanBatch {
-		limit = s.cfg.ScanBatch
+	if limit > scanBatch {
+		limit = scanBatch
 	}
 	depth := 0
 	for i := 0; i < limit; i++ {
@@ -303,7 +269,7 @@ func (s *S3FIFO) promoteFromMain(q *s3queues) int {
 			continue // stale
 		}
 		freq := v >> s3FreqShift
-		if freq < s.cfg.PromoteFreq || pg.Flags.Has(mem.FlagUnevictable) ||
+		if freq < s3PromoteFreq || pg.Flags.Has(mem.FlagUnevictable) ||
 			!pg.OnList() || pg.Flags.Has(mem.FlagIsolated) {
 			// Not (or not yet) a candidate: rotate, decaying the recorded
 			// frequency when the queue is over capacity so stale heat

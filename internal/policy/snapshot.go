@@ -213,7 +213,7 @@ func (g *BandwidthGate) RestoreState(dec *snapcodec.Decoder, reg *machine.PageRe
 // SnapshotState implements machine.StateSnapshotter.
 func (nb *Nimble) SnapshotState(enc *snapcodec.Encoder) error {
 	enc.I64(nb.Promotions)
-	return machine.SnapshotGate(enc, nb.cfg.Gate)
+	return machine.SnapshotGate(enc, nb.gate)
 }
 
 // RestoreState implements machine.StateSnapshotter.
@@ -222,7 +222,7 @@ func (nb *Nimble) RestoreState(dec *snapcodec.Decoder, reg *machine.PageRegistry
 	if dec.Err() != nil {
 		return dec.Err()
 	}
-	return machine.RestoreGate(dec, reg, nb.cfg.Gate)
+	return machine.RestoreGate(dec, reg, nb.gate)
 }
 
 // --- Nomad ---

@@ -24,8 +24,8 @@ import (
 // classification demotes hot neighbours with it.
 type Thermostat struct {
 	machine.Base
-	cfg ThermostatConfig
-	rng *sim.RNG
+	interval sim.Duration
+	rng      *sim.RNG
 
 	regions map[regionKey]*regionStats
 
@@ -33,34 +33,23 @@ type Thermostat struct {
 	Promotions int64
 }
 
-// ThermostatConfig tunes the baseline.
-type ThermostatConfig struct {
-	ScanInterval sim.Duration
-	// RegionPages is the classification granularity (512 = 2 MiB huge
+// Thermostat's published operating point scaled to the simulator.
+const (
+	// thermoRegionPages is the classification granularity (512 = 2 MiB huge
 	// pages).
-	RegionPages int
-	// SampleFrac is the fraction of each region's resident pages poisoned
-	// per period.
-	SampleFrac float64
-	// ColdThreshold: regions with at most this many sampled faults per
+	thermoRegionPages = 512
+	// thermoSampleFrac is the fraction of each space's resident pages
+	// poisoned per period.
+	thermoSampleFrac = 0.05
+	// thermoColdThreshold: regions with at most this many sampled faults per
 	// period are classified cold.
-	ColdThreshold int
-	// DemoteBatch caps region demotions per period.
-	DemoteBatch int
-	Seed        uint64
-}
-
-// DefaultThermostatConfig mirrors Thermostat's published operating point
-// scaled to the simulator.
-func DefaultThermostatConfig() ThermostatConfig {
-	return ThermostatConfig{
-		ScanInterval:  1 * sim.Second,
-		RegionPages:   512,
-		SampleFrac:    0.05,
-		ColdThreshold: 0,
-		DemoteBatch:   8,
-	}
-}
+	thermoColdThreshold = 0
+	// thermoDemoteBatch caps region demotions per period.
+	thermoDemoteBatch = 8
+	// thermoSeed seeds the sampling stream. It is a constant, so -seed does
+	// not reach it.
+	thermoSeed = 0x7e45
+)
 
 type regionKey struct {
 	space int32
@@ -73,24 +62,12 @@ type regionStats struct {
 	demoted bool
 }
 
-// NewThermostat returns the baseline policy.
-func NewThermostat(cfg ThermostatConfig) *Thermostat {
-	if cfg.ScanInterval <= 0 {
-		cfg.ScanInterval = 1 * sim.Second
-	}
-	if cfg.RegionPages <= 0 {
-		cfg.RegionPages = 512
-	}
-	if cfg.SampleFrac <= 0 || cfg.SampleFrac > 1 {
-		cfg.SampleFrac = 0.05
-	}
-	if cfg.DemoteBatch <= 0 {
-		cfg.DemoteBatch = 8
-	}
+// NewThermostat returns the baseline policy, sampling every interval.
+func NewThermostat(interval sim.Duration) *Thermostat {
 	return &Thermostat{
-		cfg:     cfg,
-		rng:     sim.NewRNG(cfg.Seed ^ 0x7e45),
-		regions: make(map[regionKey]*regionStats),
+		interval: interval,
+		rng:      sim.NewRNG(thermoSeed),
+		regions:  make(map[regionKey]*regionStats),
 	}
 }
 
@@ -100,7 +77,7 @@ func (th *Thermostat) Name() string { return "thermostat" }
 // Attach starts the sampling daemon.
 func (th *Thermostat) Attach(m *machine.Machine) {
 	th.Base.Attach(m)
-	th.StartDaemon("thermostat", th.cfg.ScanInterval, func(*sim.Daemon) { th.period() })
+	th.StartDaemon("thermostat", th.interval, func(*sim.Daemon) { th.period() })
 }
 
 // regionOf returns the key for a page's region.
@@ -108,7 +85,7 @@ func (th *Thermostat) regionOf(pg *mem.Page) regionKey {
 	vpn := pagetable.VPNOf(pg.VA)
 	return regionKey{
 		space: pg.Space,
-		base:  vpn - vpn%pagetable.VPN(th.cfg.RegionPages),
+		base:  vpn - vpn%thermoRegionPages,
 	}
 }
 
@@ -122,7 +99,7 @@ func (th *Thermostat) HintFault(pg *mem.Page, write bool) {
 }
 
 // sortedRegions returns the region keys in (space, base) order. Regions
-// compete for the DemoteBatch cap and for free frames, so the
+// compete for the thermoDemoteBatch cap and for free frames, so the
 // classification loop — like the snapshot encoder — must not see them in
 // Go's randomized map order.
 func (th *Thermostat) sortedRegions() []regionKey {
@@ -156,14 +133,14 @@ func (th *Thermostat) period() {
 			continue
 		}
 		switch {
-		case !st.demoted && st.faults <= th.cfg.ColdThreshold && demoted < th.cfg.DemoteBatch:
+		case !st.demoted && st.faults <= thermoColdThreshold && demoted < thermoDemoteBatch:
 			// Cold region: demote every resident page.
 			if th.migrateRegion(key, coldTier) > 0 {
 				st.demoted = true
 				th.Demotions++
 				demoted++
 			}
-		case st.demoted && st.faults > th.cfg.ColdThreshold+1:
+		case st.demoted && st.faults > thermoColdThreshold+1:
 			// Misclassified: the "cold" region is being accessed from the
 			// slow tier.
 			if th.migrateRegion(key, fastest) > 0 {
@@ -176,9 +153,12 @@ func (th *Thermostat) period() {
 	}
 
 	// Poison the next sample set: a fraction of each space's resident
-	// pages, region-tagged.
+	// pages, region-tagged. frac is a float64 variable so that frac*4
+	// rounds at run time like every other product here, not exactly at
+	// compile time.
+	frac := float64(thermoSampleFrac)
 	for _, as := range m.Spaces() {
-		budget := int(float64(as.Mapped()) * th.cfg.SampleFrac)
+		budget := int(float64(as.Mapped()) * frac)
 		if budget == 0 && as.Mapped() > 0 {
 			budget = 1
 		}
@@ -188,7 +168,7 @@ func (th *Thermostat) period() {
 				return
 			}
 			// Sample pseudo-randomly so coverage rotates.
-			if th.rng.Float64() > th.cfg.SampleFrac*4 {
+			if th.rng.Float64() > frac*4 {
 				return
 			}
 			key := th.regionOf(pg)
@@ -215,7 +195,7 @@ func (th *Thermostat) migrateRegion(key regionKey, t mem.Tier) int {
 	}
 	as := m.Space(key.space)
 	moved := 0
-	as.Walk(key.base, key.base+pagetable.VPN(th.cfg.RegionPages), func(vpn pagetable.VPN, pg *mem.Page) {
+	as.Walk(key.base, key.base+thermoRegionPages, func(vpn pagetable.VPN, pg *mem.Page) {
 		if m.Mem.Tier(pg) == t || !pg.OnList() {
 			return
 		}

@@ -22,61 +22,50 @@ func mcForTest() (*core.MultiClock, *machine.Machine) {
 	return mc, machine.New(cfg, mc)
 }
 
-func thermostatCfg() ThermostatConfig {
-	cfg := DefaultThermostatConfig()
-	cfg.ScanInterval = 10 * sim.Millisecond
-	cfg.RegionPages = 64 // small regions so tests stay small
-	cfg.SampleFrac = 0.2
-	return cfg
-}
+// thermoTick is the sampling period the tests run Thermostat at.
+const thermoTick = 10 * sim.Millisecond
+
+// The poisoning walk starts at the lowest VPN of a space and stops once
+// thermoSampleFrac of the space's pages are poisoned, each passed page
+// drawn with probability 4·thermoSampleFrac, so a period samples about the
+// lowest quarter of a space. The tests map eight 2 MiB regions: regions 0
+// and 1 are sampled every period, the other six never are.
+const thermoRegions = 8
 
 func TestThermostatDefaults(t *testing.T) {
-	cfg := DefaultThermostatConfig()
-	if cfg.RegionPages != 512 {
-		t.Fatal("regions should default to 2 MiB huge pages")
-	}
-	th := NewThermostat(ThermostatConfig{})
-	if th.cfg.ScanInterval != 1*sim.Second || th.cfg.RegionPages != 512 || th.cfg.DemoteBatch != 8 {
-		t.Fatalf("zero config not normalized: %+v", th.cfg)
-	}
-	if th.Name() != "thermostat" {
-		t.Fatal("name")
-	}
+	checkDaemons(t, NewThermostat(250*sim.Millisecond), "thermostat", 250*sim.Millisecond)
 }
 
-// TestThermostatDemotesColdRegions: untouched regions must be sampled,
-// classified cold, and demoted wholesale.
+// TestThermostatDemotesColdRegions: a sampled untouched region must be
+// classified cold and demoted wholesale, while a sampled hot one stays.
 func TestThermostatDemotesColdRegions(t *testing.T) {
-	th := NewThermostat(thermostatCfg())
-	m := newMachine(1024, 4096, th)
+	th := NewThermostat(thermoTick)
+	m := newMachine(2*thermoRegions*thermoRegionPages, thermoRegions*thermoRegionPages, th)
 	as := m.NewSpace()
-	v := as.Mmap(512, false, "data") // 8 regions of 64 pages
-	for i := 0; i < 512; i++ {
-		m.Access(as, v.Start+pagetable.VPN(i), false)
-	}
-	// Keep one region hot; leave the rest cold.
+	v := fillOver(m, as, thermoRegions*thermoRegionPages)
+	// Keep region 0 hot; leave the rest cold.
 	hotBase := v.Start
 	for round := 0; round < 20; round++ {
-		for i := 0; i < 64; i++ {
+		for i := 0; i < thermoRegionPages; i++ {
 			m.Access(as, hotBase+pagetable.VPN(i), false)
 		}
-		m.Compute(11 * sim.Millisecond)
+		m.Compute(thermoTick + sim.Millisecond)
 	}
 	if th.Demotions == 0 {
 		t.Fatal("no cold regions demoted")
 	}
-	// The hot region must still be fully DRAM-resident.
+	// The hot region must still be DRAM-resident.
 	inPM := 0
-	for i := 0; i < 64; i++ {
+	for i := 0; i < thermoRegionPages; i++ {
 		if pg := as.Lookup(hotBase + pagetable.VPN(i)); pg != nil && m.Mem.Tier(pg) == mem.TierPM {
 			inPM++
 		}
 	}
-	if inPM > 8 {
-		t.Fatalf("%d/64 hot-region pages demoted", inPM)
+	if inPM > thermoRegionPages/8 {
+		t.Fatalf("%d/%d hot-region pages demoted", inPM, thermoRegionPages)
 	}
-	// Cold pages must have moved to PM.
-	if m.Mem.Counters.Demotions < 64 {
+	// A whole cold region must have moved to PM.
+	if m.Mem.Counters.Demotions < thermoRegionPages {
 		t.Fatalf("only %d pages demoted", m.Mem.Counters.Demotions)
 	}
 }
@@ -84,32 +73,24 @@ func TestThermostatDemotesColdRegions(t *testing.T) {
 // TestThermostatCorrectsMisclassification: a demoted region that turns hot
 // is promoted back.
 func TestThermostatCorrectsMisclassification(t *testing.T) {
-	cfg := thermostatCfg()
-	cfg.SampleFrac = 0.3
-	th := NewThermostat(cfg)
-	m := newMachine(1024, 4096, th)
+	th := NewThermostat(thermoTick)
+	m := newMachine(2*thermoRegions*thermoRegionPages, thermoRegions*thermoRegionPages, th)
 	as := m.NewSpace()
-	v := as.Mmap(512, false, "data")
-	for i := 0; i < 512; i++ {
-		m.Access(as, v.Start+pagetable.VPN(i), false)
-	}
-	// Phase 1: everything idle → regions demoted.
+	v := fillOver(m, as, thermoRegions*thermoRegionPages)
+	// Phase 1: everything idle → the sampled regions are demoted.
 	for round := 0; round < 20; round++ {
-		m.Compute(11 * sim.Millisecond)
+		m.Compute(thermoTick + sim.Millisecond)
 	}
-	if th.Demotions == 0 {
-		t.Skip("no demotions during idle phase")
-	}
-	// Phase 2: one demoted region becomes hot.
-	target := v.Start + pagetable.VPN(128)
+	target := v.Start + thermoRegionPages // region 1
 	if pg := as.Lookup(target); pg == nil || m.Mem.Tier(pg) != mem.TierPM {
-		t.Skip("target region not in PM")
+		t.Fatal("setup: idle sampled region 1 not demoted")
 	}
+	// Phase 2: the demoted region becomes hot.
 	for round := 0; round < 30; round++ {
-		for i := 0; i < 64; i++ {
-			m.Access(as, target+pagetable.VPN(i%64), false)
+		for i := 0; i < thermoRegionPages; i++ {
+			m.Access(as, target+pagetable.VPN(i), false)
 		}
-		m.Compute(11 * sim.Millisecond)
+		m.Compute(thermoTick + sim.Millisecond)
 	}
 	if th.Promotions == 0 {
 		t.Fatal("misclassified hot region never promoted back")
@@ -124,25 +105,22 @@ func TestThermostatCorrectsMisclassification(t *testing.T) {
 // MULTI-CLOCK's base-page promote list recovers it.
 func TestThermostatGranularityTradeoff(t *testing.T) {
 	// Thermostat side.
-	th := NewThermostat(thermostatCfg())
-	m := newMachine(1024, 4096, th)
+	th := NewThermostat(thermoTick)
+	m := newMachine(2*thermoRegions*thermoRegionPages, thermoRegions*thermoRegionPages, th)
 	as := m.NewSpace()
-	v := as.Mmap(256, false, "data")
-	for i := 0; i < 256; i++ {
-		m.Access(as, v.Start+pagetable.VPN(i), false)
-	}
-	lone := v.Start + pagetable.VPN(64)
+	v := fillOver(m, as, thermoRegions*thermoRegionPages)
+	lone := v.Start + thermoRegionPages + 64 // inside sampled region 1
 	for round := 0; round < 20; round++ {
 		for rep := 0; rep < 32; rep++ {
 			m.Access(as, lone, false)
 		}
-		m.Compute(11 * sim.Millisecond)
+		m.Compute(thermoTick + sim.Millisecond)
 	}
 	if th.Demotions == 0 {
 		t.Fatal("thermostat never demoted a region")
 	}
 	// Wholesale migration: demotions moved whole regions of pages.
-	if m.Mem.Counters.Demotions < 64 {
+	if m.Mem.Counters.Demotions < thermoRegionPages {
 		t.Fatalf("expected region-wholesale demotion, got %d pages", m.Mem.Counters.Demotions)
 	}
 	loneUnderThermostat := false
@@ -181,7 +159,7 @@ func TestThermostatGranularityTradeoff(t *testing.T) {
 }
 
 func TestThermostatStop(t *testing.T) {
-	th := NewThermostat(thermostatCfg())
+	th := NewThermostat(thermoTick)
 	m := newMachine(256, 1024, th)
 	as := m.NewSpace()
 	fillOver(m, as, 100)
@@ -193,24 +171,26 @@ func TestThermostatStop(t *testing.T) {
 	}
 }
 
-// TestThermostatIsDeterministic: with more cold regions than DemoteBatch,
-// which ones a period demotes must not depend on Go's map order. Twelve
-// idle regions compete for a batch of two; touching the two lowest
+// TestThermostatIsDeterministic: with more cold regions than
+// thermoDemoteBatch, which ones a period demotes must not depend on Go's map
+// order. Forty idle regions put about ten in each period's sample (see
+// thermoRegions); they compete for the batch, and touching the two lowest
 // afterwards makes the choice visible in the tier counters and the clock.
 func TestThermostatIsDeterministic(t *testing.T) {
+	const regions = 40
+	// Faulting the regions in takes ≈ 35 ms of virtual time; the period is
+	// longer, so the first one samples the filled space.
+	const period = 100 * sim.Millisecond
 	run := func() string {
-		cfg := thermostatCfg()
-		cfg.SampleFrac = 1 // sample every region every period
-		cfg.DemoteBatch = 2
-		th := NewThermostat(cfg)
-		m := newMachine(1024, 4096, th)
+		th := NewThermostat(period)
+		m := newMachine((regions+2)*thermoRegionPages, 2*thermoDemoteBatch*thermoRegionPages, th)
 		as := m.NewSpace()
-		v := fillOver(m, as, 12*cfg.RegionPages)
-		m.Compute(25 * sim.Millisecond) // one period samples, the next classifies
-		if th.Demotions != int64(cfg.DemoteBatch) {
-			t.Fatalf("%d regions demoted, want the batch of %d", th.Demotions, cfg.DemoteBatch)
+		v := fillOver(m, as, regions*thermoRegionPages)
+		m.Compute(2*period + period/2) // one period samples, the next classifies
+		if th.Demotions != thermoDemoteBatch {
+			t.Fatalf("%d regions demoted, want the batch of %d", th.Demotions, thermoDemoteBatch)
 		}
-		for i := 0; i < 2*cfg.RegionPages; i++ {
+		for i := 0; i < 2*thermoRegionPages; i++ {
 			m.Access(as, v.Start+pagetable.VPN(i), false)
 		}
 		th.Stop()

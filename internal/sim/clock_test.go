@@ -224,6 +224,22 @@ func TestDaemonWakeupAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestDaemonRestoreRejectsNonPositiveInterval: a daemon restored with a zero
+// or negative period would re-arm at its own wakeup time forever.
+func TestDaemonRestoreRejectsNonPositiveInterval(t *testing.T) {
+	d := NewClock().StartDaemon("d", 100, func(Time) {})
+	for _, iv := range []Duration{0, -100} {
+		st := d.State()
+		st.Interval = iv
+		if err := d.RestoreState(st); err == nil {
+			t.Fatalf("interval %d restored", iv)
+		}
+	}
+	if d.Interval != 100 {
+		t.Fatalf("rejected restore changed the interval to %d", d.Interval)
+	}
+}
+
 func TestDaemonSetIntervalAndRestoreReplaceTheWakeup(t *testing.T) {
 	c := NewClock()
 	var wakeups []Time

@@ -92,6 +92,10 @@ func (d *Daemon) RestoreState(st DaemonState) error {
 	if st.Name != d.Name {
 		return fmt.Errorf("sim: daemon state %q restored onto daemon %q", st.Name, d.Name)
 	}
+	if st.Interval <= 0 {
+		// The daemon would re-arm at its own wakeup time forever.
+		return fmt.Errorf("sim: daemon %q restored with interval %d", st.Name, st.Interval)
+	}
 	d.Interval = st.Interval
 	d.Runs = st.Runs
 	if st.Stopped {

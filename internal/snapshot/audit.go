@@ -2,7 +2,9 @@ package snapshot
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -72,27 +74,68 @@ func (a *AuditWriter) Append(rec AuditRecord) error {
 // Flush drains the buffer.
 func (a *AuditWriter) Flush() error { return a.w.Flush() }
 
-// ReadAudit parses a JSONL audit trail.
+// maxAuditLine bounds one audit record line; a fingerprint is a few hundred
+// bytes.
+const maxAuditLine = 4 * 1024 * 1024
+
+// AuditError reports an audit trail ReadAudit rejects: the 1-based line and
+// what is wrong with it.
+type AuditError struct {
+	Line int
+	Err  error
+}
+
+func (e *AuditError) Error() string { return fmt.Sprintf("audit line %d: %v", e.Line, e.Err) }
+
+func (e *AuditError) Unwrap() error { return e.Err }
+
+// ReadAudit parses a JSONL audit trail: one record object per line, blank
+// lines skipped. Any other line — malformed or trailing JSON, a non-object,
+// an unknown field, a negative op or vtime, a record without hashes, a line
+// longer than 4 MiB — and any read error is an *AuditError.
 func ReadAudit(r io.Reader) ([]AuditRecord, error) {
 	var recs []AuditRecord
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxAuditLine)
 	line := 0
 	for sc.Scan() {
 		line++
-		if len(sc.Bytes()) == 0 {
+		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue
 		}
-		var rec AuditRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("audit line %d: %w", line, err)
+		rec, err := parseAuditRecord(sc.Bytes())
+		if err != nil {
+			return nil, &AuditError{Line: line, Err: err}
 		}
 		recs = append(recs, rec)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, &AuditError{Line: line + 1, Err: err}
 	}
 	return recs, nil
+}
+
+// parseAuditRecord decodes and checks one record line.
+func parseAuditRecord(b []byte) (AuditRecord, error) {
+	var rec AuditRecord
+	if b = bytes.TrimSpace(b); b[0] != '{' {
+		return rec, errors.New("not a JSON object")
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rec); err != nil {
+		return rec, err
+	}
+	if dec.InputOffset() != int64(len(b)) {
+		return rec, errors.New("trailing data after the record")
+	}
+	switch {
+	case rec.Op < 0 || rec.VTime < 0:
+		return rec, fmt.Errorf("negative op %d or vtime %d", rec.Op, rec.VTime)
+	case rec.Hashes == nil:
+		return rec, errors.New("record has no hashes")
+	}
+	return rec, nil
 }
 
 // Divergence locates the first difference between two audit trails.

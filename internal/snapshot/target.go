@@ -240,6 +240,11 @@ func restoreClock(c *sim.Clock, payload []byte) error {
 		if !st.Stopped && st.Seq > seq {
 			return fmt.Errorf("daemon %q wakeup sequence %d exceeds clock sequence %d", st.Name, st.Seq, seq)
 		}
+		if !st.Stopped && st.At < now {
+			// A quiescent clock has fired everything due; a wakeup in the
+			// past would replay every missed period at once.
+			return fmt.Errorf("daemon %q wakeup at %d precedes the clock at %d", st.Name, st.At, now)
+		}
 		if err := d.RestoreState(st); err != nil {
 			return err
 		}

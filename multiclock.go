@@ -122,17 +122,13 @@ type Config struct {
 	// picks the defaults (1 Gi-scale ratio 1:4 at simulation scale).
 	DRAMPages, PMPages int
 
-	// DRAMNodes and PMNodes optionally give a full NUMA topology (frame
-	// count per node), overriding DRAMPages/PMPages — e.g. a two-socket
-	// machine with PM on both sockets is {N,N} and {M,M}, the paper's
-	// testbed shape (§V-A).
-	DRAMNodes, PMNodes []int
-
 	// Tiers optionally replaces the DRAM/PM pair with an explicit N-tier
 	// hierarchy (fastest tier first, e.g. dram over cxl over pm with a
-	// durable ssd swap tier last), overriding every sizing field above.
-	// Build one from mem.BuiltinTierSpec or parse the CLI -tiers syntax
-	// with cliutil.ParseTierSpec.
+	// durable ssd swap tier last), overriding the sizing fields above. A
+	// tier backed by several NUMA nodes lists each node's frame count —
+	// "dram:64,dram:64,pm:256,pm:256" is the paper's two-socket testbed
+	// shape (§V-A). Build one from mem.BuiltinTierSpec or parse the CLI
+	// -tiers syntax with cliutil.ParseTierSpec.
 	Tiers *TierTopology
 
 	// Policy selects the tiering system; default PolicyMultiClock.
@@ -211,12 +207,6 @@ func NewSystem(cfg Config) *System {
 	}
 	if cfg.PMPages > 0 {
 		spec.PMNodes = []int{cfg.PMPages}
-	}
-	if len(cfg.DRAMNodes) > 0 {
-		spec.DRAMNodes = cfg.DRAMNodes
-	}
-	if len(cfg.PMNodes) > 0 {
-		spec.PMNodes = cfg.PMNodes
 	}
 	if cfg.Seed != 0 {
 		spec.Seed = cfg.Seed

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"multiclock/internal/cliutil"
 	"multiclock/internal/core"
 )
 
@@ -200,7 +201,11 @@ func TestFileCacheViaFacade(t *testing.T) {
 }
 
 func TestNUMATopologyViaFacade(t *testing.T) {
-	sys := NewSystem(Config{DRAMNodes: []int{64, 64}, PMNodes: []int{256, 256}})
+	top, err := cliutil.ParseTierSpec("dram:64,dram:64,pm:256,pm:256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := NewSystem(Config{Tiers: &top})
 	defer sys.Stop()
 	if got := len(sys.Machine().Mem.Nodes); got != 4 {
 		t.Fatalf("nodes = %d, want 4", got)

@@ -23,6 +23,7 @@ import (
 	"multiclock/internal/pagetable"
 	"multiclock/internal/policy"
 	"multiclock/internal/sim"
+	"multiclock/internal/stats"
 	"multiclock/internal/ycsb"
 )
 
@@ -327,6 +328,40 @@ func benchmarkTableChooser(b *testing.B, ch ycsb.Chooser) {
 	for i := 0; i < b.N; i++ {
 		_ = ch.Next(rng)
 	}
+}
+
+// BenchmarkLatencyHistogram is the latency histogram as a ycsb-a run uses it:
+// Add on every operation's virtual-time latency, then the three percentiles
+// Finish reads. The stream has a run's shape: nearly every sample on fifteen
+// values of 1–5 µs, about 270 singletons scattered between 138 µs and 2²⁰ ns,
+// and about 150 above. It reports ns per sample.
+func BenchmarkLatencyHistogram(b *testing.B) {
+	const samples = 1 << 20
+	hot := []float64{1180, 1240, 1460, 1660, 1720, 1740, 1800, 1940, 2020, 3420, 3480, 3700, 4620, 4680, 4900}
+	rng := sim.NewRNG(5)
+	stream := make([]float64, samples)
+	for i := range stream {
+		switch r := rng.Intn(samples); {
+		case r < 270:
+			stream[i] = float64(138_000 + rng.Intn(1<<20-138_000))
+		case r < 420:
+			stream[i] = float64(1<<20 + rng.Intn(1<<20))
+		default:
+			stream[i] = hot[rng.Intn(len(hot))]
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var h stats.Histogram
+		for _, v := range stream {
+			h.Add(v)
+		}
+		if h.Percentile(50) > h.Percentile(95) || h.Percentile(95) > h.Percentile(99) {
+			b.Fatal("percentiles out of order")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples), "ns/sample")
 }
 
 // BenchmarkGraphLoad is the GAPBS load phase at gapbs-pr's shape (96 000

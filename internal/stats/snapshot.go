@@ -17,18 +17,12 @@ import (
 // SnapshotState encodes the histogram.
 func (h *Histogram) SnapshotState(enc *snapcodec.Encoder) {
 	pairs := 0
-	for _, c := range h.counts {
-		if c != 0 {
-			pairs++
-		}
-	}
+	h.eachCounter(func(int, uint32) { pairs++ })
 	enc.Int(pairs)
-	for v, c := range h.counts {
-		if c != 0 {
-			enc.U32(uint32(v))
-			enc.U32(c)
-		}
-	}
+	h.eachCounter(func(v int, c uint32) {
+		enc.U32(uint32(v))
+		enc.U32(c)
+	})
 	enc.Int(len(h.rest))
 	for _, v := range h.rest {
 		enc.U64(math.Float64bits(v))
@@ -36,7 +30,23 @@ func (h *Histogram) SnapshotState(enc *snapcodec.Encoder) {
 	enc.U64(math.Float64bits(h.sum))
 }
 
-// RestoreState decodes into the histogram, replacing what it held.
+// eachCounter calls fn with every non-zero counter in ascending order of
+// value.
+func (h *Histogram) eachCounter(fn func(v int, c uint32)) {
+	for p, pg := range h.pages {
+		if pg == nil {
+			continue
+		}
+		for i, c := range pg {
+			if c != 0 {
+				fn(p<<pageBits|i, c)
+			}
+		}
+	}
+}
+
+// RestoreState decodes into the histogram, replacing what it held. It
+// allocates only the pages the checkpoint's counters fall in.
 func (h *Histogram) RestoreState(dec *snapcodec.Decoder) error {
 	pairs := dec.Int()
 	if dec.Err() != nil {
@@ -55,8 +65,7 @@ func (h *Histogram) RestoreState(dec *snapcodec.Decoder) error {
 		if v <= last || v >= denseLimit || c == 0 {
 			return fmt.Errorf("stats: snapshot counter %d of value %d is out of order, range or empty", i, v)
 		}
-		h.reach(v)
-		h.counts[v] = c
+		h.page(v >> pageBits)[v&(pageSize-1)] = c
 		h.n += int(c)
 		last = v
 	}

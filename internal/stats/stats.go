@@ -13,56 +13,74 @@ import (
 
 // Histogram accumulates float64 samples and answers exact order statistics.
 // Small non-negative integers, which is every virtual-time latency the
-// workload clients record, are counted in a dense array indexed by value;
-// only the other samples (fractional, negative, large, or past a counter's
-// range) are kept one by one.
+// workload clients record, are counted in pages of counters indexed by value,
+// a page allocated when a value in it is first counted; only the other
+// samples (fractional, negative, large, or past a counter's range) are kept
+// one by one.
 type Histogram struct {
-	counts []uint32  // counts[v] is how many samples equalled integer v
-	rest   []float64 // samples that counts could not take
-	sorted bool      // rest is in ascending order
+	pages  []*counterPage // pages[p][i] counts samples equal to integer p<<pageBits | i; nil until one is
+	rest   []float64      // samples that pages could not take
+	sorted bool           // rest is in ascending order
 	n      int
 	sum    float64 // accumulated in Add order, so Mean is reproducible bit for bit
 }
 
-// denseLimit bounds counts: integer samples below it are counted, and a full
-// array is 4 MiB. In nanoseconds it is about a millisecond.
-const denseLimit = 1 << 20
+const (
+	// denseLimit bounds the counted values: integer samples below it are
+	// counted. In nanoseconds it is about a millisecond.
+	denseLimit = 1 << 20
+	// pageBits sizes a page: 128 values, 512 B. A YCSB run's latencies are
+	// a dozen hot values of a few microseconds and a few hundred singletons
+	// scattered up to denseLimit, one page each, so the footprint is about
+	// singletons × page + the pages slice (8 B a page up to the highest one
+	// touched). For ≈ 270 singletons that sum is least between 64 and 128
+	// values a page, within 2 % at either; 128 keeps the slice at 64 KiB.
+	pageBits = 7
+	pageSize = 1 << pageBits
+)
+
+type counterPage [pageSize]uint32
 
 // Add records one sample.
 func (h *Histogram) Add(v float64) {
 	h.n++
 	h.sum += v
 	if v >= 0 && v < denseLimit {
-		if i := int(v); float64(i) == v && h.count(i) {
-			return
+		// A counter already at its ceiling leaves the sample to rest.
+		if i := int(v); float64(i) == v {
+			if c := &h.page(i >> pageBits)[i&(pageSize-1)]; *c < math.MaxUint32 {
+				*c++
+				return
+			}
 		}
 	}
 	h.rest = append(h.rest, v)
 	h.sorted = false
 }
 
-// count increments counts[i] unless the counter is already at its ceiling.
-func (h *Histogram) count(i int) bool {
-	h.reach(i)
-	if h.counts[i] == math.MaxUint32 {
-		return false
+// page returns page p, allocating it if need be.
+func (h *Histogram) page(p int) *counterPage {
+	if p < len(h.pages) && h.pages[p] != nil {
+		return h.pages[p]
 	}
-	h.counts[i]++
-	return true
+	return h.newPage(p)
 }
 
-// reach grows counts, by doubling, until it holds index i.
-func (h *Histogram) reach(i int) {
-	if i < len(h.counts) {
-		return
+// newPage allocates page p, growing pages to reach it: by doubling, so a
+// stream that keeps touching higher pages copies the slice only a few times,
+// but never past the last page. It is kept out of line so that page, and
+// with it the whole per-sample path, is inlined into Add.
+//
+//go:noinline
+func (h *Histogram) newPage(p int) *counterPage {
+	if p >= cap(h.pages) {
+		grown := make([]*counterPage, p+1, min(max(p+1, 2*cap(h.pages)), denseLimit/pageSize))
+		copy(grown, h.pages)
+		h.pages = grown
 	}
-	size := max(2*len(h.counts), 1024)
-	for size <= i {
-		size *= 2
-	}
-	grown := make([]uint32, size)
-	copy(grown, h.counts)
-	h.counts = grown
+	h.pages = h.pages[:max(p+1, len(h.pages))]
+	h.pages[p] = new(counterPage)
+	return h.pages[p]
 }
 
 // N returns the number of samples.
@@ -109,41 +127,29 @@ func (h *Histogram) at(rank int) float64 {
 		h.sorted = true
 	}
 	r := 0 // h.rest[:r] and the integers below v precede rank
-	for v, c := range h.counts {
-		if c == 0 {
+	for p, pg := range h.pages {
+		if pg == nil {
 			continue
 		}
-		for r < len(h.rest) && !(h.rest[r] >= float64(v)) { // a NaN sorts first
-			if rank == 0 {
-				return h.rest[r]
+		for i, c := range pg {
+			if c == 0 {
+				continue
 			}
-			r++
-			rank--
+			v := p<<pageBits | i
+			for r < len(h.rest) && !(h.rest[r] >= float64(v)) { // a NaN sorts first
+				if rank == 0 {
+					return h.rest[r]
+				}
+				r++
+				rank--
+			}
+			if rank < int(c) {
+				return float64(v)
+			}
+			rank -= int(c)
 		}
-		if rank < int(c) {
-			return float64(v)
-		}
-		rank -= int(c)
 	}
 	return h.rest[r+rank]
-}
-
-// Stddev returns the population standard deviation.
-func (h *Histogram) Stddev() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	mean := h.Mean()
-	var ss float64
-	for v, c := range h.counts {
-		d := float64(v) - mean
-		ss += float64(c) * d * d
-	}
-	for _, v := range h.rest {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(h.n))
 }
 
 // WindowSeries buckets event values into fixed-width windows of a scalar

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"multiclock/internal/snapcodec"
 )
@@ -15,7 +17,7 @@ import (
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
 	if h.N() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 ||
-		h.Percentile(50) != 0 || h.Stddev() != 0 || h.Sum() != 0 {
+		h.Percentile(50) != 0 || h.Sum() != 0 {
 		t.Fatal("empty histogram should be all zeros")
 	}
 }
@@ -36,10 +38,6 @@ func TestHistogramBasics(t *testing.T) {
 	}
 	if h.Percentile(0) != 1 || h.Percentile(100) != 5 {
 		t.Fatal("extreme percentiles")
-	}
-	want := math.Sqrt(2) // population stddev of 1..5
-	if math.Abs(h.Stddev()-want) > 1e-12 {
-		t.Fatalf("stddev = %v, want %v", h.Stddev(), want)
 	}
 }
 
@@ -293,16 +291,17 @@ func TestHistogramCounterSaturates(t *testing.T) {
 	for _, v := range []float64{3, 7, 7, 9.5} {
 		h.Add(v)
 	}
-	h.counts[7] = math.MaxUint32 - 1 // as if 7 had been added that often
+	seven := &h.pages[0][7]
+	*seven = math.MaxUint32 - 1 // as if 7 had been added that often
 	h.n += math.MaxUint32 - 1 - 2
 	h.Add(7)
-	if h.counts[7] != math.MaxUint32 || len(h.rest) != 1 {
-		t.Fatalf("counter %d, %d samples kept", h.counts[7], len(h.rest))
+	if *seven != math.MaxUint32 || len(h.rest) != 1 {
+		t.Fatalf("counter %d, %d samples kept", *seven, len(h.rest))
 	}
 	h.Add(7)
 	h.Add(7)
-	if h.counts[7] != math.MaxUint32 || len(h.rest) != 3 {
-		t.Fatalf("a full counter took more: counter %d, %d samples kept", h.counts[7], len(h.rest))
+	if *seven != math.MaxUint32 || len(h.rest) != 3 {
+		t.Fatalf("a full counter took more: counter %d, %d samples kept", *seven, len(h.rest))
 	}
 	if want := math.MaxUint32 + 4; h.N() != want {
 		t.Fatalf("N = %d, want %d", h.N(), want)
@@ -369,12 +368,16 @@ func FuzzHistogramRestore(f *testing.F) {
 		if err := h.RestoreState(dec); err != nil {
 			return
 		}
-		total := len(h.rest)
-		for _, c := range h.counts {
+		total, pairs := len(h.rest), 0
+		h.eachCounter(func(_ int, c uint32) {
 			total += int(c)
-		}
-		if h.N() != total || len(h.counts) > denseLimit {
-			t.Fatalf("accepted N = %d over %d samples in %d counters", h.N(), total, len(h.counts))
+			pairs++
+		})
+		// Restore allocates a page only for a counter it fills, and the
+		// pages slice reaches the last of them and no further.
+		if h.N() != total || len(h.pages) > denseLimit/pageSize || pagesHeld(&h) > pairs ||
+			len(h.pages) > 0 && h.pages[len(h.pages)-1] == nil {
+			t.Fatalf("accepted N = %d over %d samples in %d counters on %d pages of %d", h.N(), total, pairs, pagesHeld(&h), len(h.pages))
 		}
 		again := snapcodec.NewEncoder()
 		h.SnapshotState(again)
@@ -388,4 +391,234 @@ func FuzzHistogramRestore(f *testing.F) {
 			}
 		}
 	})
+}
+
+// pagesHeld is how many counter pages h has allocated.
+func pagesHeld(h *Histogram) int {
+	n := 0
+	for _, pg := range h.pages {
+		if pg != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// counterBytes is what h's counters occupy: its pages and the slice that
+// points to them.
+func counterBytes(h *Histogram) int {
+	return pagesHeld(h)*int(unsafe.Sizeof(counterPage{})) + cap(h.pages)*int(unsafe.Sizeof((*counterPage)(nil)))
+}
+
+// checkedPercentiles are the ranks TestHistogramMatchesDense and
+// FuzzHistogramAdd compare: both ends, the tails Finish reports, the median.
+var checkedPercentiles = []float64{0, 0.1, 1, 50, 95, 99, 99.9, 100}
+
+func histogramBytes(h interface{ SnapshotState(*snapcodec.Encoder) }) []byte {
+	enc := snapcodec.NewEncoder()
+	h.SnapshotState(enc)
+	return enc.Bytes()
+}
+
+// checkMatchesDense compares every answer and the checkpoint bytes of h and
+// d, which were given the same samples, bit for bit.
+func checkMatchesDense(t *testing.T, h *Histogram, d *denseHistogram) {
+	t.Helper()
+	bits := math.Float64bits
+	if h.N() != d.N() || bits(h.Sum()) != bits(d.Sum()) || bits(h.Mean()) != bits(d.Mean()) {
+		t.Fatalf("N, Sum, Mean = %d, %v, %v; dense %d, %v, %v", h.N(), h.Sum(), h.Mean(), d.N(), d.Sum(), d.Mean())
+	}
+	for _, p := range checkedPercentiles {
+		if got, want := h.Percentile(p), d.Percentile(p); bits(got) != bits(want) {
+			t.Fatalf("Percentile(%v) = %v, dense %v over %d samples", p, got, want, d.N())
+		}
+	}
+	if got, want := histogramBytes(h), histogramBytes(d); !bytes.Equal(got, want) {
+		t.Fatalf("checkpoint of %d bytes differs from the dense one's %d", len(got), len(want))
+	}
+}
+
+// checkCrossRestore restores a paged histogram from d's checkpoint and a
+// dense one from h's, and holds the two to each other; it returns them.
+func checkCrossRestore(t *testing.T, h *Histogram, d *denseHistogram) (*Histogram, *denseHistogram) {
+	t.Helper()
+	var h2 Histogram
+	var d2 denseHistogram
+	for _, r := range []struct {
+		from []byte
+		into interface {
+			RestoreState(*snapcodec.Decoder) error
+		}
+	}{{histogramBytes(d), &h2}, {histogramBytes(h), &d2}} {
+		dec := snapcodec.NewDecoder(r.from)
+		if err := r.into.RestoreState(dec); err != nil {
+			t.Fatal(err)
+		}
+		if err := dec.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkMatchesDense(t, &h2, &d2)
+	return &h2, &d2
+}
+
+// pageSamples draws from every class Add distinguishes and every place a page
+// could be miscounted: both sides of page boundaries, the first and last
+// counted values and the first past them, fractions, negatives, −0, NaN, ±Inf,
+// and the value extra, whose counter a stream may have brought near its
+// ceiling.
+func pageSamples(rng *rand.Rand, n int, extra float64) []float64 {
+	specials := []float64{0, math.Copysign(0, -1), denseLimit - 1, denseLimit, denseLimit - 0.5,
+		pageSize - 1, pageSize, 0.5, -1, math.NaN(), math.Inf(1), math.Inf(-1), extra}
+	out := make([]float64, n)
+	for i := range out {
+		switch rng.Intn(6) {
+		case 0:
+			out[i] = specials[rng.Intn(len(specials))]
+		case 1:
+			out[i] = float64(rng.Intn(denseLimit/pageSize)*pageSize + rng.Intn(3) - 1)
+		case 2:
+			out[i] = float64(rng.Intn(denseLimit)) + rng.Float64()
+		case 3:
+			out[i] = float64(rng.Intn(denseLimit + denseLimit/4))
+		default:
+			out[i] = float64(1000 + rng.Intn(4000))
+		}
+	}
+	return out
+}
+
+// TestHistogramMatchesDense holds the paged histogram to the dense array it
+// replaced, kept in dense_ref_test.go: after every batch of a seeded stream
+// the two give the same N, the same bits of Sum, Mean and every checked
+// percentile, and the same checkpoint bytes, and each restored from the
+// other's checkpoint does too. Every other stream starts from a checkpoint
+// whose counter at near is 40 short of its ceiling, so the stream saturates
+// it.
+func TestHistogramMatchesDense(t *testing.T) {
+	const near = 3*pageSize + 5
+	for seed := int64(1); seed <= 6; seed++ {
+		h, d := new(Histogram), new(denseHistogram)
+		if seed%2 == 0 {
+			enc := snapcodec.NewEncoder()
+			enc.Int(1)
+			enc.U32(near)
+			enc.U32(math.MaxUint32 - 40)
+			enc.Int(0)
+			enc.U64(0)
+			for _, into := range []interface {
+				RestoreState(*snapcodec.Decoder) error
+			}{h, d} {
+				if err := into.RestoreState(snapcodec.NewDecoder(enc.Bytes())); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for batch := 0; batch < 8; batch++ {
+			for _, v := range pageSamples(rng, 1+rng.Intn(3000), near) {
+				h.Add(v)
+				d.Add(v)
+			}
+			checkMatchesDense(t, h, d)
+			h2, d2 := checkCrossRestore(t, h, d)
+			if batch%2 == 1 { // go on from the restored pair
+				h, d = h2, d2
+			}
+		}
+		if seed%2 == 0 && h.pages[near>>pageBits][near&(pageSize-1)] != math.MaxUint32 {
+			t.Fatalf("seed %d: the counter at %d never saturated", seed, near)
+		}
+	}
+}
+
+// fuzzSample decodes three bytes into a sample: the low three bits of b[0]
+// pick a class, the other 21 bits a value in it.
+func fuzzSample(b []byte) float64 {
+	u := int(b[0])>>3<<16 | int(b[1])<<8 | int(b[2])
+	specials := []float64{0, math.Copysign(0, -1), denseLimit - 1, denseLimit, pageSize - 1, pageSize,
+		math.NaN(), math.Inf(1), math.Inf(-1)}
+	switch b[0] & 7 {
+	case 0:
+		return specials[u%len(specials)]
+	case 1:
+		return float64(u) // counted, or up to twice denseLimit
+	case 2:
+		return float64(u) + 0.5
+	case 3:
+		return -float64(u)
+	default:
+		return float64(u & 0x3ff) // the first pages, often repeated
+	}
+}
+
+// FuzzHistogramAdd feeds both histograms the sample stream a payload decodes
+// to and compares them as TestHistogramMatchesDense does.
+func FuzzHistogramAdd(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 2, 0x79, 0xff, 0xff, 1, 0x80, 0, 4, 0, 0x7f, 4, 0, 0x80, 4, 0, 0x80})
+	f.Add([]byte{0, 0, 6, 0, 0, 1, 2, 0, 3, 3, 0, 9, 0xf9, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var h Histogram
+		var d denseHistogram
+		for ; len(payload) >= 3; payload = payload[3:] {
+			v := fuzzSample(payload)
+			h.Add(v)
+			d.Add(v)
+		}
+		checkMatchesDense(t, &h, &d)
+		checkCrossRestore(t, &h, &d)
+	})
+}
+
+// TestHistogramFootprint pins what the counters of one ycsb-a warm-up run
+// cost. The stream has that run's shape (measured at seeds 5 and 77): 1.5 M
+// samples, nearly all on fifteen values of 1–5 µs, with about 270 singletons
+// scattered between 138 µs and 2²⁰ ns and about 150 samples above that. The
+// dense array held 4 MiB of counters for it. A checkpoint holding one
+// counter, at the top of the counted range, must restore onto one page.
+func TestHistogramFootprint(t *testing.T) {
+	hot := []float64{1180, 1240, 1460, 1660, 1720, 1740, 1800, 1940, 2020, 3420, 3480, 3700, 4620, 4680, 4900}
+	const samples = 1_500_000
+	rng := rand.New(rand.NewSource(1))
+	var h Histogram
+	for i := 0; i < samples; i++ {
+		switch r := rng.Intn(samples); {
+		case r < 270:
+			h.Add(float64(138_000 + rng.Intn(denseLimit-138_000)))
+		case r < 420:
+			h.Add(float64(denseLimit + rng.Intn(denseLimit)))
+		default:
+			h.Add(hot[rng.Intn(len(hot))])
+		}
+	}
+	got := counterBytes(&h)
+	t.Logf("%d samples, %d kept one by one: %d pages of %d values and a %d-entry page slice, %d B of counters (dense: %d B)",
+		h.N(), len(h.rest), pagesHeld(&h), pageSize, cap(h.pages), got, 4*denseLimit)
+	if got > 256<<10 {
+		t.Fatalf("%d B of counters, want at most 256 KiB", got)
+	}
+
+	enc := snapcodec.NewEncoder()
+	enc.Int(1)
+	enc.U32(denseLimit - 1)
+	enc.U32(1)
+	enc.Int(0)
+	enc.U64(math.Float64bits(denseLimit - 1))
+	var restored Histogram
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := restored.RestoreState(snapcodec.NewDecoder(enc.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a %d-byte checkpoint restores onto %d page(s), allocating %d B (dense: %d B)", enc.Len(), pagesHeld(&restored), allocated, 4*denseLimit)
+	if pagesHeld(&restored) != 1 || allocated > uint64(counterBytes(&restored)) {
+		t.Fatalf("restoring one counter allocated %d B on %d pages", allocated, pagesHeld(&restored))
+	}
+	if restored.Max() != denseLimit-1 || restored.N() != 1 {
+		t.Fatalf("restored N %d, Max %v", restored.N(), restored.Max())
+	}
 }

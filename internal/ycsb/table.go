@@ -76,15 +76,33 @@ type tableCache struct {
 // and fold, building it on the draw that completes the payment; nil means the
 // formula answers. Another key space replaces the one held.
 func (c *tableCache) draw(z *Zipfian, f fold) *zipfTable {
-	if s := z.space(f); s != c.space {
-		*c = tableCache{space: s}
-	}
+	c.hold(z, f)
 	if c.table == nil {
 		if c.served++; c.served == tableBuildEvals(c.space.items) {
 			c.table = z.buildTable(f)
 		}
 	}
 	return c.table
+}
+
+// prepay builds the table for z's key space and fold before the draws that
+// would pay for it, and counts them as made, so a table that fails
+// verification is not built again. A key space already paid for is left as
+// it is.
+func (c *tableCache) prepay(z *Zipfian, f fold) {
+	c.hold(z, f)
+	if evals := tableBuildEvals(c.space.items); c.served < evals {
+		c.served = evals
+		c.table = z.buildTable(f)
+	}
+}
+
+// hold moves the cache to z's key space and fold, dropping another one's
+// count and table.
+func (c *tableCache) hold(z *Zipfian, f fold) {
+	if s := z.space(f); s != c.space {
+		*c = tableCache{space: s}
+	}
 }
 
 // tableBuildEvals is about how many formula evaluations buildTable makes for

@@ -239,6 +239,63 @@ func TestTableIsBuiltLazily(t *testing.T) {
 	}
 }
 
+// TestStartRunBuildsForALongRun pins when StartRun builds the table ahead of
+// the draws: a scrambled run of at least tableBuildEvals ops over a key space
+// the table serves. A shorter run, workload D (inserts grow the key space)
+// and workload E (uniform) keep the lazy count. Either way the keys are the
+// formula's.
+func TestStartRunBuildsForALongRun(t *testing.T) {
+	const records = 1000
+	evals := tableBuildEvals(records)
+	for _, tc := range []struct {
+		w     Workload
+		ops   int64
+		built bool
+	}{
+		{WorkloadA, evals, true},
+		{WorkloadW, 1 << 40, true},
+		{WorkloadA, evals - 1, false},
+		{WorkloadD, 1 << 40, false},
+		{WorkloadE, 1 << 40, false},
+	} {
+		_, c := newClient(records)
+		c.Load()
+		r := c.StartRun(tc.w, tc.ops)
+		if built := c.tables.table != nil; built != tc.built {
+			t.Fatalf("StartRun(%s, %d): table built = %v", tc.w.Name, tc.ops, built)
+		}
+		if !tc.built {
+			continue
+		}
+		if c.tables.served != evals {
+			t.Fatalf("StartRun(%s, %d): %d draws counted, want %d paid", tc.w.Name, tc.ops, c.tables.served, evals)
+		}
+		ref := NewZipfian(records)
+		ref.tables = new(tableCache)
+		rngs := [2]*sim.RNG{sim.NewRNG(4), sim.NewRNG(4)}
+		for i := int64(0); i < evals+1000; i++ {
+			if got, want := r.chooser.Next(rngs[0]), scramble.apply(ref.keyOf(rngs[1].Uint64()>>(64-drawBits)), records); got != want {
+				t.Fatalf("StartRun(%s, %d) draw %d: %d, formula %d", tc.w.Name, tc.ops, i, got, want)
+			}
+		}
+		if r.chooser.(*Scrambled).z.table != c.tables.table || c.tables.served != evals {
+			t.Fatal("the run drew from the formula, or counted draws, beside a built table")
+		}
+		c.StartRun(tc.w, tc.ops)
+		if c.tables.served != evals {
+			t.Fatal("a second long run paid again")
+		}
+	}
+	// Past tableMaxItems a long run builds nothing. (A client that has
+	// loaded that many, without a store to hold them.)
+	_, c := newClient(10)
+	c.loaded, c.records = true, tableMaxItems+1
+	c.StartRun(WorkloadA, 1<<40)
+	if c.tables.table != nil || c.tables.served != 0 {
+		t.Fatalf("%d records: table built, %d draws counted", c.records, c.tables.served)
+	}
+}
+
 // TestWorkloadDNeverBuilds runs the growing workload long enough that a
 // fixed key space would have built: every insert moves the client's count to
 // a new key space.
@@ -287,7 +344,7 @@ func TestClientReusesZeta(t *testing.T) {
 }
 
 // TestClientReusesTable pins the client as the table's owner: the paper
-// sequence builds one table, and every run after the one that paid answers
+// sequence builds one table, when workload A starts, and every run answers
 // from it from its first draw; a zipfian whose zetan or eta differs in the
 // last bit, as a zeta accumulated by Grow in another order could, gets none;
 // and a run restored mid-way onto a client that has yet to pay draws the keys
@@ -303,17 +360,17 @@ func TestClientReusesTable(t *testing.T) {
 		if w.Dist != DistZipfian {
 			continue // D, last: its inserts grow the key space
 		}
+		if built == nil {
+			built = c.tables.table
+		}
 		r.Step()
 		z := r.chooser.(*Scrambled).z
-		if built != nil && z.table != built {
-			t.Fatalf("workload %s: first draw not from the table workload A built", w.Name)
+		if built == nil || z.table != built {
+			t.Fatalf("workload %s: first draw not from the table workload A's start built", w.Name)
 		}
 		for r.Step() {
 		}
-		if built == nil {
-			built = z.table
-		}
-		if built == nil || c.tables.table != built {
+		if c.tables.table != built {
 			t.Fatalf("workload %s: client table %p, want %p built once", w.Name, c.tables.table, built)
 		}
 	}
@@ -346,7 +403,7 @@ func TestClientReusesTable(t *testing.T) {
 	_, c1 := newClient(records)
 	c1.Load()
 	r1 := c1.StartRun(WorkloadA, 1<<40)
-	for i := int64(0); i < tableBuildEvals(records)+100; i++ {
+	for i := 0; i < 100; i++ {
 		r1.Step()
 	}
 	enc := snapcodec.NewEncoder()

@@ -172,8 +172,16 @@ func (c *Client) StartRun(w Workload, ops int64) *Run {
 	if !c.loaded {
 		panic("ycsb: Run before Load")
 	}
+	chooser := c.chooserFor(w)
+	// A scrambled run without inserts draws one key an op from one key
+	// space, so a run of tableBuildEvals ops would pay for the table
+	// anyway: build it now rather than after that many formula draws.
+	if s, ok := chooser.(*Scrambled); ok && w.InsertProp == 0 &&
+		c.records <= tableMaxItems && ops >= tableBuildEvals(c.records) {
+		c.tables.prepay(s.z, scramble)
+	}
 	return &Run{
-		c: c, w: w, chooser: c.chooserFor(w),
+		c: c, w: w, chooser: chooser,
 		ops: ops, startOps: c.m.Ops, start: c.m.Clock.Now(),
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"multiclock/internal/pagetable"
 	"multiclock/internal/sim"
 	"multiclock/internal/snapcodec"
-	"multiclock/internal/trace"
 )
 
 // The fault-path pin is a fingerprint of one small oversubscribed run per
@@ -51,7 +50,7 @@ func faultPathFingerprint(t *testing.T, policy, tiers string, chaos fault.Config
 		t.Fatal(err)
 	}
 	p := m.Policy
-	tracker := trace.NewPromotionTracker(50 * sim.Millisecond).Bind(m)
+	tracker := NewPromotionTracker(m, 50*sim.Millisecond)
 	m.Attach(tracker)
 
 	const anonPages, filePages, hugeRegions = 1400, 900, 2

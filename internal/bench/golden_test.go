@@ -15,7 +15,6 @@ import (
 	"multiclock/internal/metrics"
 	"multiclock/internal/runner"
 	"multiclock/internal/sim"
-	"multiclock/internal/trace"
 	"multiclock/internal/ycsb"
 )
 
@@ -116,7 +115,7 @@ func goldenPattern(sc scale, system string) string {
 	m := gsc.machineWith(1, p)
 	sc.instrument(m, system+"-pattern")
 	as := m.NewSpace()
-	trace.RunPattern(m, as, trace.PatternRUBiS, 100*sim.Millisecond, 7)
+	runPattern(m, as, patterns[0], 100*sim.Millisecond, 7)
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s-pattern ==\n%s\nelapsed=%v ops=%d\n",
 		system, m.Mem.Counters.String(), m.Elapsed(), m.Ops)

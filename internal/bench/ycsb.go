@@ -8,7 +8,6 @@ import (
 	"multiclock/internal/runner"
 	"multiclock/internal/sim"
 	"multiclock/internal/stats"
-	"multiclock/internal/trace"
 	"multiclock/internal/ycsb"
 )
 
@@ -18,15 +17,15 @@ import (
 type ycsbRunResult struct {
 	Throughput map[string]float64
 	Machine    *machine.Machine
-	Tracker    *trace.PromotionTracker
+	Tracker    *PromotionTracker
 }
 
 func ycsbRun(sc scale, seed uint64, system string, interval sim.Duration, track bool) ycsbRunResult {
 	m := sc.machine(seed, system, interval)
 	sc.instrument(m, system)
-	var tracker *trace.PromotionTracker
+	var tracker *PromotionTracker
 	if track {
-		tracker = trace.NewPromotionTracker(sc.Window).Bind(m)
+		tracker = NewPromotionTracker(m, sc.Window)
 		m.Attach(tracker)
 	}
 	_, client := sc.run(seed, system, interval).NewYCSB(m)

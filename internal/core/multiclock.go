@@ -166,10 +166,6 @@ func (mc *MultiClock) Name() string {
 	return "multiclock"
 }
 
-// Config returns the configuration the policy was built with (SetScanInterval
-// retunes the running daemons, not this record).
-func (mc *MultiClock) Config() Config { return mc.cfg }
-
 // Attach starts one kpromoted thread per node, following the kernel
 // prototype's one-thread-per-node design to avoid lock contention (§IV).
 func (mc *MultiClock) Attach(m *machine.Machine) {

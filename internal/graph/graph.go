@@ -192,9 +192,6 @@ func (g *Graph) FootprintPages() int {
 	return g.offsets.Pages() + g.targets.Pages() + g.weights.Pages()
 }
 
-// Space returns the graph's address space.
-func (g *Graph) Space() *pagetable.AddressSpace { return g.as }
-
 // Degree returns the out-degree of u (simulated reads of the offset
 // array).
 func (g *Graph) Degree(u int32) int {

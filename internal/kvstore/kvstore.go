@@ -24,6 +24,10 @@ const bucketBytes = 64
 // bucketsPerPage is how many bucket headers share a page.
 const bucketsPerPage = mem.PageSize / bucketBytes
 
+// arenaPages bounds the slab arena: 4 GiB of virtual reservation, its pages
+// faulted on demand.
+const arenaPages = 1 << 20
+
 // chunk size classes, memcached-style powers of two. Items larger than the
 // biggest class span whole pages.
 var classSizes = [...]int{64, 128, 256, 512, 1024, 2048, 4096}
@@ -32,9 +36,6 @@ var classSizes = [...]int{64, 128, 256, 512, 1024, 2048, 4096}
 type Config struct {
 	// Buckets is the number of hash buckets; rounded up to a full page.
 	Buckets int
-	// ArenaPages bounds the slab arena (virtual reservation; pages are
-	// demand-faulted). Zero picks a generous default.
-	ArenaPages int
 	// ItemTouches is how many cache-missing accesses reading or writing
 	// one item page costs (copying a ~1 KiB value misses several lines).
 	// Zero means 1.
@@ -103,10 +104,6 @@ func New(m *machine.Machine, cfg Config) *Store {
 		cfg = DefaultConfig(1 << 16)
 	}
 	nbuckets := (cfg.Buckets + bucketsPerPage - 1) / bucketsPerPage * bucketsPerPage
-	arena := cfg.ArenaPages
-	if arena <= 0 {
-		arena = 1 << 20 // 4 GiB of virtual reservation; faulted on demand
-	}
 	touches := cfg.ItemTouches
 	if touches <= 0 {
 		touches = 1
@@ -121,9 +118,9 @@ func New(m *machine.Machine, cfg Config) *Store {
 	}
 	s.bucketVMA = s.as.Mmap(nbuckets/bucketsPerPage, false, "hashtable")
 	if cfg.HugeArena {
-		s.arena = s.as.MmapHuge(arena, "slab-arena")
+		s.arena = s.as.MmapHuge(arenaPages, "slab-arena")
 	} else {
-		s.arena = s.as.Mmap(arena, false, "slab-arena")
+		s.arena = s.as.Mmap(arenaPages, false, "slab-arena")
 	}
 	s.arenaNext = s.arena.Start
 	for i, sz := range classSizes {

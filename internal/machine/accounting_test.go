@@ -74,7 +74,7 @@ func (r *latRecorder) AccessLatency(tier mem.Tier, write bool, lat sim.Duration,
 }
 func (r *latRecorder) Migration(from, to mem.NodeID, pages int, cost sim.Duration, now sim.Time) {}
 func (r *latRecorder) DaemonPass(name string, work sim.Duration, now sim.Time)                   {}
-func (r *latRecorder) QueueDepth(name string, depth int, now sim.Time)                           {}
+func (r *latRecorder) QueueDepth(depth int, now sim.Time)                                        {}
 
 // TestCacheFilteredAccessesBypassMetrics pins the documented contract:
 // accesses absorbed by the modelled CPU cache are invisible to the

@@ -298,23 +298,10 @@ func (m *Machine) AccessN(as *pagetable.AddressSpace, vpn pagetable.VPN, write b
 	return pg
 }
 
-// AccessBatch performs the accesses in order, each with the full per-access
-// semantics of AccessN: faults, hint costs, cache filtering, observer
-// callbacks, and an individual clock advance per element. Batching amortizes
-// driver-loop overhead; it never coalesces charges, so a batch produces
-// byte-identical results to the equivalent AccessN loop. Returns the page of
-// the last access (nil for an empty batch).
-func (m *Machine) AccessBatch(as *pagetable.AddressSpace, vpns []pagetable.VPN, write bool, lines int) *mem.Page {
-	var pg *mem.Page
-	for _, vpn := range vpns {
-		pg = m.AccessN(as, vpn, write, lines)
-	}
-	return pg
-}
-
-// AccessRange touches n consecutive pages starting at base, with AccessBatch
-// semantics (one full-cost access per page, in ascending order). It is the
-// natural driver for sequential record touches and initialization sweeps.
+// AccessRange touches n consecutive pages starting at base, one AccessN per
+// page in ascending order, each with its full per-access semantics and clock
+// advance. It is the natural driver for sequential record touches and
+// initialization sweeps.
 func (m *Machine) AccessRange(as *pagetable.AddressSpace, base pagetable.VPN, n int, write bool, lines int) *mem.Page {
 	var pg *mem.Page
 	for i := 0; i < n; i++ {
@@ -454,27 +441,12 @@ func (m *Machine) allocHuge(as *pagetable.AddressSpace, base pagetable.VPN) *mem
 // freed. For a compound page the whole aligned region is released. No-op if
 // the PTE is empty.
 func (m *Machine) Unmap(as *pagetable.AddressSpace, vpn pagetable.VPN) {
+	var pg *mem.Page
 	if probe := as.Lookup(vpn); probe != nil && probe.IsHuge() {
-		base := pagetable.VPNOf(probe.VA)
-		pg := as.UnmapRange(base, probe.Frames())
-		if pg == nil {
-			return
-		}
-		if pg.OnList() {
-			m.Vecs[pg.Node].Delete(pg)
-		}
-		pg.ClearFlags(mem.FlagIsolated)
-		if m.cache != nil {
-			m.cache.Invalidate(pg)
-		}
-		if m.Lifecycle != nil {
-			m.Lifecycle.PageFreed(pg, m.Clock.Now())
-		}
-		m.Policy.PageFreed(pg)
-		m.Mem.Free(pg)
-		return
+		pg = as.UnmapRange(pagetable.VPNOf(probe.VA), probe.Frames())
+	} else {
+		pg = as.Unmap(vpn)
 	}
-	pg := as.Unmap(vpn)
 	if pg == nil {
 		return
 	}

@@ -339,6 +339,20 @@ func TestObserverHooks(t *testing.T) {
 	}
 }
 
+// TestMultiFansOut: every attached observer sees every event.
+func TestMultiFansOut(t *testing.T) {
+	m := testMachine(128, 128)
+	as := m.NewSpace()
+	v := as.Mmap(1, false, "x")
+	o1, o2 := &recObserver{}, &recObserver{}
+	m.Attach(o1)
+	m.Attach(o2)
+	m.Access(as, v.Start, false)
+	if o1.accesses != 1 || o2.accesses != 1 {
+		t.Fatal("two attached observers did not both see the access")
+	}
+}
+
 func TestComputeAdvancesClock(t *testing.T) {
 	m := testMachine(10, 10)
 	m.Compute(5 * sim.Microsecond)

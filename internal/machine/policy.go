@@ -138,7 +138,7 @@ func (b *Base) SetScanInterval(interval sim.Duration) {
 // found to the telemetry sink, when one is attached.
 func (b *Base) QueueDepth(n int) {
 	if b.M.Metrics != nil {
-		b.M.Metrics.QueueDepth("promote_queue_depth", n, b.M.Clock.Now())
+		b.M.Metrics.QueueDepth(n, b.M.Clock.Now())
 	}
 }
 

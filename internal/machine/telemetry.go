@@ -21,9 +21,9 @@ type Telemetry interface {
 	// DaemonPass reports one completed daemon wakeup and the raw
 	// (pre-interference) daemon-side work it charged.
 	DaemonPass(name string, work sim.Duration, now sim.Time)
-	// QueueDepth reports a policy queue length observed during a daemon
-	// pass (e.g. the promote-list depth per kpromoted wakeup).
-	QueueDepth(name string, depth int, now sim.Time)
+	// QueueDepth reports the promotion-candidate queue length a scanning
+	// pass found (e.g. the promote-list depth per kpromoted wakeup).
+	QueueDepth(depth int, now sim.Time)
 }
 
 // obsSlot wraps one attached observer so detach can identify it without
@@ -51,15 +51,6 @@ func (m *Machine) Attach(o Observer) (detach func()) {
 			}
 		}
 	}
-}
-
-// Observers returns the currently attached observers in attach order.
-func (m *Machine) Observers() []Observer {
-	out := make([]Observer, len(m.observers))
-	for i, s := range m.observers {
-		out[i] = s.o
-	}
-	return out
 }
 
 // rebuildObserver recompiles the fan-out target the hot path dispatches to:

@@ -120,17 +120,11 @@ func (c *Collector) DaemonPass(name string, work sim.Duration, now sim.Time) {
 	}
 }
 
-// QueueDepth implements machine.Telemetry.
-func (c *Collector) QueueDepth(name string, depth int, now sim.Time) {
-	// Only the promote queue is pre-resolved today; unknown names resolve
-	// through the registry so new producers keep working.
-	if name == HistPromoteQueue {
-		c.queueDepth.ObserveInt(depth)
-		c.queueGauge.Set(int64(depth))
-		return
-	}
-	c.reg.Histogram(name).ObserveInt(depth)
-	c.reg.Gauge(name).Set(int64(depth))
+// QueueDepth implements machine.Telemetry: the promote queue's depth, as
+// histogram and gauge.
+func (c *Collector) QueueDepth(depth int, now sim.Time) {
+	c.queueDepth.ObserveInt(depth)
+	c.queueGauge.Set(int64(depth))
 }
 
 // OnAccess implements machine.Observer. Access accounting arrives through

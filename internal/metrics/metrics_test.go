@@ -157,7 +157,7 @@ func sampleRun(label string, traceEvents int) RunExport {
 	c := NewCollector(NewRegistry(traceEvents))
 	c.Migration(1, 0, 1, 2000, 10)
 	c.DaemonPass("kpromoted", 300, 20)
-	c.QueueDepth(HistPromoteQueue, 4, 20)
+	c.QueueDepth(4, 20)
 	c.AccessLatency(0, false, 100, 30)
 	return c.Run(label)
 }

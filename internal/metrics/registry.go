@@ -165,14 +165,6 @@ func (h *Histogram) N() int64 { return h.n }
 // Sum returns the sample total.
 func (h *Histogram) Sum() int64 { return h.sum }
 
-// Mean returns the sample mean, or 0 with no samples.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
-
 // bucketUpper returns the inclusive upper bound of bucket k.
 func bucketUpper(k int) int64 {
 	if k == 0 {

@@ -13,8 +13,8 @@ import (
 )
 
 // settableConfigFields is every exported field of a *Config struct in the
-// policy layer and the machine beneath it, each with the callers that give it
-// different values. A setting exists only when two non-test callers need
+// policy layer, the machine beneath it and the workload layer above it, each
+// with the callers that give it different values. A setting exists only when two non-test callers need
 // different values (benchmarks/ counts as a caller; tests and examples do
 // not); a value with one caller is a constant (DESIGN.md, "Knobs").
 var settableConfigFields = map[string]string{
@@ -39,17 +39,30 @@ var settableConfigFields = map[string]string{
 	"machine.Config.OpCost":        "the evaluation's 1 µs, the facade's OpCost; benchmarks/ sets it",
 	"machine.Config.Faults":        "-chaos sets it",
 	"machine.Config.CPUCachePages": "benchmarks/ sets it",
+
+	"ycsb.ClientConfig.Records": "every run's -records; benchmarks/ sets it",
+	"ycsb.ClientConfig.Seed":    "runs derive it from -seed; the facade keeps the default",
+
+	"kvstore.Config.Buckets":     "DefaultConfig sizes it from the record count",
+	"kvstore.Config.ItemTouches": "the evaluation's 8 (bench, benchmarks/), the facade's 1",
+	"kvstore.Config.HugeArena":   "ablation-thp compares both values",
+
+	"graph.GenConfig.Vertices":  "-vertices and the scale's graph size; benchmarks/ sets it",
+	"graph.GenConfig.Degree":    "-degree and the scale's degree; benchmarks/ sets it",
+	"graph.GenConfig.Kronecker": "true at every caller, but benchmarks/ sets it: a constant once the benchmark changes",
+	"graph.GenConfig.Seed":      "-seed; benchmarks/ sets it",
 }
 
 // TestConfigFieldsHaveCallers keeps single-value knobs from growing back:
 // every exported field of a struct type named *Config in the non-test
-// sources of the policy layer and the machine must be allow-listed above
-// with the reason it is settable, and every entry must still name a field.
+// sources of the policy layer, the machine and the workload layer must be
+// allow-listed above with the reason it is settable, and every entry must
+// still name a field.
 func TestConfigFieldsHaveCallers(t *testing.T) {
 	fset := token.NewFileSet()
 	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
 	seen := map[string]bool{}
-	for _, dir := range []string{"../core", ".", "../fault", "../lifecycle", "../mem", "../machine"} {
+	for _, dir := range []string{"../core", ".", "../fault", "../lifecycle", "../mem", "../machine", "../ycsb", "../kvstore", "../graph"} {
 		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 			return !strings.HasSuffix(fi.Name(), "_test.go")
 		}, 0)

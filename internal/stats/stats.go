@@ -1,6 +1,5 @@
 // Package stats provides the small statistics toolkit the evaluation
-// harness uses: histograms with percentiles, time-windowed series (the
-// paper reports several metrics per 20-second window), and plain-text table
+// harness uses: a histogram with exact percentiles, and plain-text table
 // rendering for regenerated figures.
 package stats
 
@@ -152,76 +151,6 @@ func (h *Histogram) at(rank int) float64 {
 	return h.rest[r+rank]
 }
 
-// WindowSeries buckets event values into fixed-width windows of a scalar
-// key (virtual time, usually), as the paper does for promotions per
-// 20-second window (Fig. 8) and re-access percentages (Fig. 9).
-type WindowSeries struct {
-	Width   int64
-	count   map[int64]int64
-	sum     map[int64]float64
-	maxSeen int64
-	any     bool
-}
-
-// NewWindowSeries creates a series with the given window width. Width must
-// be positive.
-func NewWindowSeries(width int64) *WindowSeries {
-	if width <= 0 {
-		panic("stats: window width must be positive")
-	}
-	return &WindowSeries{
-		Width: width,
-		count: make(map[int64]int64),
-		sum:   make(map[int64]float64),
-	}
-}
-
-// Observe adds value v at key position t.
-func (w *WindowSeries) Observe(t int64, v float64) {
-	id := t / w.Width
-	w.count[id]++
-	w.sum[id] += v
-	if id > w.maxSeen {
-		w.maxSeen = id
-	}
-	w.any = true
-}
-
-// Count returns one event with value 1 at t (counting series).
-func (w *WindowSeries) Count(t int64) { w.Observe(t, 1) }
-
-// Windows returns the number of windows from 0 through the last observed.
-func (w *WindowSeries) Windows() int {
-	if !w.any {
-		return 0
-	}
-	return int(w.maxSeen) + 1
-}
-
-// Sum returns the total value in window id.
-func (w *WindowSeries) Sum(id int) float64 { return w.sum[int64(id)] }
-
-// N returns the event count in window id.
-func (w *WindowSeries) N(id int) int64 { return w.count[int64(id)] }
-
-// Mean returns the mean value in window id, or 0 when empty.
-func (w *WindowSeries) Mean(id int) float64 {
-	c := w.count[int64(id)]
-	if c == 0 {
-		return 0
-	}
-	return w.sum[int64(id)] / float64(c)
-}
-
-// Sums returns the per-window totals for all windows.
-func (w *WindowSeries) Sums() []float64 {
-	out := make([]float64, w.Windows())
-	for i := range out {
-		out[i] = w.Sum(i)
-	}
-	return out
-}
-
 // Table renders aligned plain-text tables for the regenerated figures.
 type Table struct {
 	Title   string
@@ -246,29 +175,6 @@ func (t *Table) AddRow(cells ...string) {
 	row := make([]string, len(t.header))
 	copy(row, cells)
 	t.rows = append(t.rows, row)
-}
-
-// AddNumRow appends a row of a label followed by formatted numbers.
-func (t *Table) AddNumRow(label string, vals ...float64) {
-	cells := make([]string, 0, len(vals)+1)
-	cells = append(cells, label)
-	for _, v := range vals {
-		cells = append(cells, FormatNum(v))
-	}
-	t.AddRow(cells...)
-}
-
-// FormatNum renders a float compactly: integers plainly, large values with
-// thousands grouping left off, small values with 3 significant decimals.
-func FormatNum(v float64) string {
-	switch {
-	case v == math.Trunc(v) && math.Abs(v) < 1e15:
-		return fmt.Sprintf("%.0f", v)
-	case math.Abs(v) >= 100:
-		return fmt.Sprintf("%.1f", v)
-	default:
-		return fmt.Sprintf("%.3f", v)
-	}
 }
 
 // String renders the table.
@@ -308,33 +214,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// Normalize divides each value by base, the paper's normalized-to-static
-// presentation. A zero base yields zeros.
-func Normalize(base float64, vals []float64) []float64 {
-	out := make([]float64, len(vals))
-	if base == 0 {
-		return out
-	}
-	for i, v := range vals {
-		out[i] = v / base
-	}
-	return out
-}
-
-// GeoMean returns the geometric mean of positive values, ignoring
-// non-positive entries.
-func GeoMean(vals []float64) float64 {
-	sum, n := 0.0, 0
-	for _, v := range vals {
-		if v > 0 {
-			sum += math.Log(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
 }

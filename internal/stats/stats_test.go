@@ -80,50 +80,10 @@ func TestPercentileMatchesNearestRank(t *testing.T) {
 	}
 }
 
-func TestWindowSeries(t *testing.T) {
-	w := NewWindowSeries(20)
-	w.Count(5)
-	w.Count(19)
-	w.Observe(25, 10)
-	w.Observe(65, 4)
-	if w.Windows() != 4 {
-		t.Fatalf("windows = %d, want 4", w.Windows())
-	}
-	if w.Sum(0) != 2 || w.N(0) != 2 {
-		t.Fatal("window 0")
-	}
-	if w.Sum(1) != 10 || w.Mean(1) != 10 {
-		t.Fatal("window 1")
-	}
-	if w.Sum(2) != 0 || w.Mean(2) != 0 {
-		t.Fatal("empty window 2")
-	}
-	sums := w.Sums()
-	if len(sums) != 4 || sums[3] != 4 {
-		t.Fatalf("Sums = %v", sums)
-	}
-}
-
-func TestWindowSeriesEmpty(t *testing.T) {
-	w := NewWindowSeries(10)
-	if w.Windows() != 0 || len(w.Sums()) != 0 {
-		t.Fatal("empty series")
-	}
-}
-
-func TestWindowSeriesBadWidthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewWindowSeries(0)
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Fig X", "workload", "static", "multiclock")
 	tb.AddRow("A", "1.000", "1.350")
-	tb.AddNumRow("B", 1, 1.22)
+	tb.AddRow("B", "1", "1.220")
 	out := tb.String()
 	if !strings.Contains(out, "Fig X") || !strings.Contains(out, "workload") {
 		t.Fatalf("missing title/header:\n%s", out)
@@ -160,45 +120,6 @@ func TestTableOverfullRowPanics(t *testing.T) {
 	}()
 	tb := NewTable("t", "a", "b")
 	tb.AddRow("1", "2", "dropped-before-this-fix")
-}
-
-func TestFormatNum(t *testing.T) {
-	cases := map[float64]string{
-		3:       "3",
-		1234567: "1234567",
-		250.5:   "250.5",
-		0.125:   "0.125",
-	}
-	for v, want := range cases {
-		if got := FormatNum(v); got != want {
-			t.Errorf("FormatNum(%v) = %q, want %q", v, got, want)
-		}
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	got := Normalize(2, []float64{2, 4, 1})
-	want := []float64{1, 2, 0.5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Normalize = %v", got)
-		}
-	}
-	if z := Normalize(0, []float64{1, 2}); z[0] != 0 || z[1] != 0 {
-		t.Fatal("zero base")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Fatalf("GeoMean = %v, want 2", g)
-	}
-	if g := GeoMean([]float64{2, 0, -1}); math.Abs(g-2) > 1e-12 {
-		t.Fatal("non-positive values must be ignored")
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("empty geomean")
-	}
 }
 
 // nearestRank is Percentile as the histogram answered it before it counted:

@@ -63,9 +63,6 @@ func New(m *machine.Machine, window sim.Duration, maxWindows int) *Sampler {
 	return s
 }
 
-// Window returns the sampling period.
-func (s *Sampler) Window() sim.Duration { return s.window }
-
 // tick closes the current window and re-arms the next boundary.
 func (s *Sampler) tick() {
 	now := s.m.Clock.Now()

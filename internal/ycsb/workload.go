@@ -63,20 +63,20 @@ func ByName(name string) (Workload, error) {
 	return Workload{}, fmt.Errorf("ycsb: unknown workload %q", name)
 }
 
+// recordSize is bytes per record: YCSB's default of ten 100-byte fields.
+const recordSize = 1000
+
 // ClientConfig sizes a benchmark client.
 type ClientConfig struct {
 	// Records is the load-phase record count.
 	Records int64
-	// RecordSize is bytes per record; YCSB's default is ten 100-byte
-	// fields ≈ 1000 bytes.
-	RecordSize int
 	// Seed feeds the client's private random stream.
 	Seed uint64
 }
 
-// DefaultClientConfig returns the standard record shape.
+// DefaultClientConfig returns the standard record count and seed.
 func DefaultClientConfig(records int64) ClientConfig {
-	return ClientConfig{Records: records, RecordSize: 1000, Seed: 42}
+	return ClientConfig{Records: records, Seed: 42}
 }
 
 // Client drives a kvstore with YCSB workloads on a machine's virtual
@@ -106,9 +106,6 @@ func NewClient(m *machine.Machine, store *kvstore.Store, cfg ClientConfig) *Clie
 	if cfg.Records <= 0 {
 		panic("ycsb: Records must be positive")
 	}
-	if cfg.RecordSize <= 0 {
-		cfg.RecordSize = 1000
-	}
 	return &Client{store: store, m: m, rng: sim.NewRNG(cfg.Seed), cfg: cfg}
 }
 
@@ -118,7 +115,7 @@ func (c *Client) Records() int64 { return c.records }
 // Load runs the load phase: inserting Records sequential keys.
 func (c *Client) Load() {
 	for i := int64(0); i < c.cfg.Records; i++ {
-		c.store.Insert(uint64(i), c.cfg.RecordSize)
+		c.store.Insert(uint64(i), recordSize)
 		c.m.EndOp()
 	}
 	c.records = c.cfg.Records
@@ -209,12 +206,12 @@ func (r *Run) Step() bool {
 	case p < w.ReadProp:
 		c.store.Get(uint64(r.chooser.Next(c.rng)))
 	case p < w.ReadProp+w.UpdateProp:
-		c.store.Set(uint64(r.chooser.Next(c.rng)), c.cfg.RecordSize)
+		c.store.Set(uint64(r.chooser.Next(c.rng)), recordSize)
 	case p < w.ReadProp+w.UpdateProp+w.InsertProp:
 		key := uint64(c.records)
 		c.records++
 		r.chooser.Grow(c.records)
-		c.store.Insert(key, c.cfg.RecordSize)
+		c.store.Insert(key, recordSize)
 	case p < w.ReadProp+w.UpdateProp+w.InsertProp+w.RMWProp:
 		c.store.ReadModifyWrite(uint64(r.chooser.Next(c.rng)))
 	default:

@@ -278,7 +278,7 @@ func TestClientDeterminism(t *testing.T) {
 
 func TestDefaultClientConfig(t *testing.T) {
 	cfg := DefaultClientConfig(5)
-	if cfg.RecordSize != 1000 || cfg.Records != 5 {
+	if cfg.Records != 5 || cfg.Seed != 42 {
 		t.Fatalf("%+v", cfg)
 	}
 }

@@ -35,7 +35,6 @@ import (
 	"multiclock/internal/pagecache"
 	"multiclock/internal/pagetable"
 	"multiclock/internal/sim"
-	"multiclock/internal/trace"
 	"multiclock/internal/ycsb"
 )
 
@@ -305,7 +304,7 @@ type (
 	// in attach order and never advance virtual time.
 	Observer = machine.Observer
 	// PromotionTracker measures promotions and re-access (Figs. 8–9).
-	PromotionTracker = trace.PromotionTracker
+	PromotionTracker = bench.PromotionTracker
 	// Metrics is the virtual-clock-native metrics collector: counters,
 	// gauges, log-bucketed histograms and an optional structured event
 	// trace, with deterministic JSON/CSV export.
@@ -326,7 +325,7 @@ func (s *System) Attach(o Observer) (detach func()) {
 // NewPromotionTracker builds a promotion tracker with the given window,
 // bound to this system but not yet attached; pass it to Attach.
 func (s *System) NewPromotionTracker(window Duration) *PromotionTracker {
-	return trace.NewPromotionTracker(window).Bind(s.m)
+	return bench.NewPromotionTracker(s.m, window)
 }
 
 // EnableMetrics installs a metrics collector on the system and returns it.

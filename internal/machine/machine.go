@@ -476,14 +476,10 @@ func (m *Machine) MigratePage(pg *mem.Page, dst mem.NodeID) bool {
 	}
 	src := pg.Node
 	m.Vecs[src].Isolate(pg)
-	res := m.Mem.Migrate(pg, dst)
-	if !res.OK {
-		m.lifecycleMigration(pg, src, dst, false)
+	if !m.MigrateIsolated(pg, dst) {
 		m.Vecs[src].Putback(pg)
 		return false
 	}
-	m.Vecs[dst].Putback(pg)
-	m.finishMigration(pg, src, dst, res)
 	return true
 }
 
@@ -492,24 +488,20 @@ func (m *Machine) MigratePage(pg *mem.Page, dst mem.NodeID) bool {
 // caller keeps ownership of the still-isolated page and must put it back or
 // free it. Unevictable pages fail.
 func (m *Machine) MigrateIsolated(pg *mem.Page, dst mem.NodeID) bool {
-	if pg.Flags.Has(mem.FlagUnevictable) {
-		m.Mem.Counters.MigrateFails++
-		m.lifecycleMigration(pg, pg.Node, dst, false)
-		return false
-	}
 	src := pg.Node
-	res := m.Mem.Migrate(pg, dst)
+	return m.finishMigration(pg, src, dst, m.Mem.Migrate(pg, dst))
+}
+
+// finishMigration completes a migration attempt of an isolated page. A failed
+// attempt is reported and leaves the page isolated with the caller; a
+// successful one puts the page back on dst's LRU and applies the shared
+// post-migration accounting.
+func (m *Machine) finishMigration(pg *mem.Page, src, dst mem.NodeID, res mem.MigrationResult) bool {
 	if !res.OK {
 		m.lifecycleMigration(pg, src, dst, false)
 		return false
 	}
 	m.Vecs[dst].Putback(pg)
-	m.finishMigration(pg, src, dst, res)
-	return true
-}
-
-// finishMigration applies the shared post-migration accounting.
-func (m *Machine) finishMigration(pg *mem.Page, src, dst mem.NodeID, res mem.MigrationResult) {
 	m.ChargeTax(res.Cost)
 	m.chargeDirect(res.Tax)
 	if m.cache != nil {
@@ -523,6 +515,7 @@ func (m *Machine) finishMigration(pg *mem.Page, src, dst mem.NodeID, res mem.Mig
 	if m.observer != nil {
 		m.observer.OnMigrate(pg, src, dst, m.Clock.Now())
 	}
+	return true
 }
 
 // SplitHuge breaks an isolated compound page into base pages

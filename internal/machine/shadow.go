@@ -13,20 +13,8 @@ import "multiclock/internal/mem"
 // still-isolated page. Unevictable pages fail; compound pages must take the
 // regular migration path.
 func (m *Machine) PromoteShadowIsolated(pg *mem.Page, dst mem.NodeID) bool {
-	if pg.Flags.Has(mem.FlagUnevictable) {
-		m.Mem.Counters.MigrateFails++
-		m.lifecycleMigration(pg, pg.Node, dst, false)
-		return false
-	}
 	src := pg.Node
-	res := m.Mem.PromoteWithShadow(pg, dst)
-	if !res.OK {
-		m.lifecycleMigration(pg, src, dst, false)
-		return false
-	}
-	m.Vecs[dst].Putback(pg)
-	m.finishMigration(pg, src, dst, res)
-	return true
+	return m.finishMigration(pg, src, dst, m.Mem.PromoteWithShadow(pg, dst))
 }
 
 // DemoteShadowIsolated demotes an isolated clean shadowed page for free by
@@ -39,8 +27,5 @@ func (m *Machine) DemoteShadowIsolated(pg *mem.Page) bool {
 	}
 	src := pg.Node
 	res := m.Mem.DemoteToShadow(pg)
-	dst := pg.Node
-	m.Vecs[dst].Putback(pg)
-	m.finishMigration(pg, src, dst, res)
-	return true
+	return m.finishMigration(pg, src, pg.Node, res)
 }

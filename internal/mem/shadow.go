@@ -24,55 +24,7 @@ func (s *System) ShadowFrames() int { return s.shadowFrames }
 // transient fault injections as Migrate apply; a failed attempt leaves the
 // page untouched on its source frame.
 func (s *System) PromoteWithShadow(pg *Page, dst NodeID) MigrationResult {
-	if pg.Flags.Has(FlagUnevictable) {
-		s.Counters.MigrateFails++
-		return MigrationResult{}
-	}
-	if !pg.Flags.Has(FlagIsolated) {
-		panic("mem: shadow-promoting a page that is not isolated from the LRU")
-	}
-	if pg.OnList() {
-		panic("mem: shadow-promoting a page still on a list")
-	}
-	if pg.IsHuge() {
-		panic("mem: shadow-promoting a compound page")
-	}
-	if pg.HasShadow() {
-		panic("mem: shadow-promoting a page that already has a shadow")
-	}
-	src := pg.Node
-	if src == dst {
-		return MigrationResult{OK: true, From: src, To: dst}
-	}
-	if s.Faults.MigrationPinned() || s.Faults.TargetDenied() {
-		s.Counters.MigrateFails++
-		return MigrationResult{From: src, To: dst}
-	}
-	dn := s.Nodes[dst]
-	f := dn.alloc.Alloc(0)
-	if f == NoFrame {
-		s.Counters.MigrateFails++
-		return MigrationResult{From: src, To: dst}
-	}
-	// The source frame is not freed: it becomes the shadow. Only the
-	// destination allocation enters the conservation ledger, so
-	// allocs - frees still equals frames in use (primary + shadow).
-	s.Counters.Allocs[dn.Tier]++
-	pg.ShadowNode = src
-	pg.ShadowFrame = pg.Frame
-	s.shadowFrames++
-	pg.Node = dst
-	pg.Frame = f
-
-	sn := s.Nodes[src]
-	cost := s.Lat.PageCopy[sn.Tier][dn.Tier]
-	s.Counters.MigrationBusy += cost
-	if dn.Tier < sn.Tier {
-		s.Counters.Promotions++
-		pg.PromotedAt = s.clock.Now()
-	}
-	s.Counters.ShadowPromotes++
-	return MigrationResult{OK: true, From: src, To: dst, Cost: cost, Tax: s.Lat.MigrationTax}
+	return s.migrate(pg, dst, true)
 }
 
 // DemoteToShadow demotes a clean shadowed page for free: the page is

@@ -318,15 +318,25 @@ type MigrationResult struct {
 // from the LRU (FlagIsolated) and not unevictable. Counters record the
 // direction as promotion or demotion by tier order.
 func (s *System) Migrate(pg *Page, dst NodeID) MigrationResult {
+	return s.migrate(pg, dst, false)
+}
+
+// migrate is Migrate, and with keepShadow PromoteWithShadow: the source
+// frame stays allocated as the page's shadow copy instead of being freed.
+func (s *System) migrate(pg *Page, dst NodeID, keepShadow bool) MigrationResult {
 	if pg.Flags.Has(FlagUnevictable) {
 		s.Counters.MigrateFails++
 		return MigrationResult{}
 	}
-	if !pg.Flags.Has(FlagIsolated) {
+	switch {
+	case !pg.Flags.Has(FlagIsolated):
 		panic("mem: migrating a page that is not isolated from the LRU")
-	}
-	if pg.OnList() {
+	case pg.OnList():
 		panic("mem: migrating a page still on a list")
+	case keepShadow && pg.IsHuge():
+		panic("mem: shadow-promoting a compound page")
+	case keepShadow && pg.HasShadow():
+		panic("mem: shadow-promoting a page that already has a shadow")
 	}
 	src := pg.Node
 	if src == dst {
@@ -347,16 +357,25 @@ func (s *System) Migrate(pg *Page, dst NodeID) MigrationResult {
 		s.Counters.MigrateFails++
 		return MigrationResult{From: src, To: dst}
 	}
-	// An ordinary migration ends any non-exclusive residency: the shadow
-	// protocol only spans promotion → next write or shadow demotion, so a
-	// page moving by the regular path gives its retained copy back.
-	if pg.HasShadow() {
-		s.DropShadow(pg)
-	}
 	sn := s.Nodes[src]
-	sn.alloc.Free(pg.Frame, int(pg.Order))
+	if keepShadow {
+		// The source frame is not freed: it becomes the shadow. Only the
+		// destination allocation enters the conservation ledger, so
+		// allocs - frees still equals frames in use (primary + shadow).
+		pg.ShadowNode = src
+		pg.ShadowFrame = pg.Frame
+		s.shadowFrames++
+		s.Counters.ShadowPromotes++
+	} else {
+		// An ordinary migration ends any non-exclusive residency: the
+		// shadow protocol only spans promotion → next write or shadow
+		// demotion, so a page moving by the regular path gives its
+		// retained copy back.
+		s.DropShadow(pg)
+		sn.alloc.Free(pg.Frame, int(pg.Order))
+		s.Counters.Frees[sn.Tier] += 1 << pg.Order
+	}
 	s.Counters.Allocs[dn.Tier] += 1 << pg.Order
-	s.Counters.Frees[sn.Tier] += 1 << pg.Order
 	pg.Node = dst
 	pg.Frame = f
 

@@ -65,11 +65,25 @@ func (k Kind) IsActive() bool { return k == ActiveAnon || k == ActiveFile }
 // IsInactive reports whether the kind is an inactive list.
 func (k Kind) IsInactive() bool { return k == InactiveAnon || k == InactiveFile }
 
+// Ladder is the aging ladder a vec's pages climb.
+type Ladder uint8
+
+const (
+	// MultiClockLadder is Fig. 4: an active referenced page referenced again
+	// moves to the promote list (10).
+	MultiClockLadder Ladder = iota
+	// StockLadder is Linux's stock CLOCK, on which Nimble's page selection
+	// runs (§II-D): references saturate at active referenced, and no page
+	// reaches a promote list.
+	StockLadder
+)
+
 // Vec is the set of LRU lists for one node (the kernel's lruvec, extended
 // with promote lists).
 type Vec struct {
-	Node  mem.NodeID
-	lists [NumKinds]mem.PageList
+	Node   mem.NodeID
+	Ladder Ladder
+	lists  [NumKinds]mem.PageList
 
 	// Scanned counts pages examined by scanners on this vec.
 	Scanned int64
@@ -81,7 +95,7 @@ type Vec struct {
 	hooks []*hookEntry
 }
 
-// NewVec creates the list set for a node.
+// NewVec creates the list set for a node, on MULTI-CLOCK's ladder.
 func NewVec(node mem.NodeID) *Vec {
 	v := &Vec{Node: node}
 	for k := Kind(0); k < NumKinds; k++ {
@@ -191,7 +205,8 @@ func (v *Vec) Putback(pg *mem.Page) {
 
 // MarkAccessed applies one observed access to the page's LRU state — the
 // paper's extended mark_page_accessed (§IV), covering Fig. 4 transitions
-// (1), (6), (7), (10) and (12). Supervised accesses call it directly;
+// (1), (6), (7), (10) and (12); on the stock ladder an active referenced
+// page stays put instead of taking (10). Supervised accesses call it directly;
 // unsupervised accesses reach it through Age when a scanner finds the
 // hardware accessed bit set.
 func (v *Vec) MarkAccessed(pg *mem.Page) {
@@ -223,7 +238,7 @@ func (v *Vec) markAccessed(pg *mem.Page) {
 		if !pg.Flags.Has(mem.FlagReferenced) {
 			// (7) active unreferenced → active referenced.
 			pg.SetFlags(mem.FlagReferenced)
-		} else {
+		} else if v.Ladder == MultiClockLadder {
 			// (10) active referenced, referenced again → promote list.
 			// This is MULTI-CLOCK's recency+frequency selection: the
 			// page was recently accessed more than once. The referenced

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"multiclock/internal/lru"
 	"multiclock/internal/machine"
 	"multiclock/internal/mem"
 )
@@ -102,6 +103,15 @@ type recencyDemoter struct {
 	// demoteBuf stays distinct from any promote buffer: makeRoom nests
 	// inside the promotion loops via promoteUp.
 	demoteBuf []*mem.Page
+}
+
+// Attach attaches the base and puts every node on the stock CLOCK ladder:
+// these baselines age pages the way Linux does, with no promote list.
+func (r *recencyDemoter) Attach(m *machine.Machine) {
+	r.Base.Attach(m)
+	for _, v := range m.Vecs {
+		v.Ladder = lru.StockLadder
+	}
 }
 
 // makeRoom demotes cold pages (by the recency lists) from pressured nodes

@@ -179,6 +179,46 @@ func TestNimbleSetScanInterval(t *testing.T) {
 	}
 }
 
+// TestStockLadderParksNothingOnPromoteLists drives a file mapping hot through
+// supervised accesses (read(2)-style, so MarkAccessed rather than the
+// hardware bit) under each baseline on the stock CLOCK ladder. No page may
+// end up on a promote list: nothing in these policies reads one.
+func TestStockLadderParksNothingOnPromoteLists(t *testing.T) {
+	const interval = 10 * sim.Millisecond
+	for _, p := range []machine.Policy{
+		NewNimble(interval, nil),
+		NewNimble(interval, NewBandwidthGate()),
+		NewS3FIFO(interval),
+	} {
+		m := newMachine(128, 1024, p)
+		as := m.NewSpace()
+		fillOver(m, as, 400)
+		file := as.Mmap(32, true, "file")
+		for i := 0; i < 32; i++ {
+			m.Access(as, file.Start+pagetable.VPN(i), false)
+		}
+		if pm := pmVPNs(m, as, file, 32); len(pm) != 32 {
+			t.Fatalf("%s setup: %d of 32 file pages on PM", p.Name(), len(pm))
+		}
+		for ms := 1; ms <= 200; ms++ {
+			for i := 0; i < 32; i++ {
+				m.SupervisedAccess(as, file.Start+pagetable.VPN(i), false)
+				m.SupervisedAccess(as, file.Start+pagetable.VPN(i), false)
+			}
+			m.Compute(sim.Millisecond)
+			parked := 0
+			as.WalkVMA(file, func(_ pagetable.VPN, pg *mem.Page) {
+				if pg.Flags.Has(mem.FlagPromote) {
+					parked++
+				}
+			})
+			if parked > 0 {
+				t.Fatalf("%s: %d of 32 pages parked on a promote list after %d ms", p.Name(), parked, ms)
+			}
+		}
+	}
+}
+
 // --- AutoTiering ---
 
 func TestATDefaults(t *testing.T) {

@@ -6,75 +6,83 @@ import (
 	"multiclock/internal/mem"
 )
 
-func TestScanCycleRecencyLadderStopsAtActive(t *testing.T) {
+// stockVec is a vec on the stock CLOCK ladder, as the recency baselines
+// attach it.
+func stockVec() *Vec {
 	v := NewVec(0)
+	v.Ladder = StockLadder
+	return v
+}
+
+func TestStockLadderStopsAtActive(t *testing.T) {
+	v := stockVec()
 	pg := anonPage()
 	v.Add(pg)
 	// Access every window: vanilla CLOCK activates but never promotes.
 	for round := 0; round < 6; round++ {
 		pg.Accessed = true
-		v.ScanCycleRecency(100)
+		v.ScanCycle(100)
 	}
 	if got := v.KindOf(pg); got != ActiveAnon {
-		t.Fatalf("recency ladder ended at %v, want active (no promote list)", got)
+		t.Fatalf("stock ladder ended at %v, want active (no promote list)", got)
 	}
 	if !pg.Flags.Has(mem.FlagReferenced) {
 		t.Fatal("active page should be referenced after hot scans")
 	}
 }
 
-func TestScanCycleRecencyDecay(t *testing.T) {
-	v := NewVec(0)
+func TestStockLadderDecay(t *testing.T) {
+	v := stockVec()
 	pg := anonPage()
 	v.Add(pg)
 	pg.Accessed = true
-	v.ScanCycleRecency(100) // inactive+ref
+	v.ScanCycle(100) // inactive+ref
 	if !pg.Flags.Has(mem.FlagReferenced) {
 		t.Fatal("reference not recorded")
 	}
-	v.ScanCycleRecency(100) // idle window: decay
+	v.ScanCycle(100) // idle window: decay
 	if pg.Flags.Has(mem.FlagReferenced) {
 		t.Fatal("idle window did not decay the reference")
 	}
 }
 
-func TestScanCycleRecencyStats(t *testing.T) {
-	v := NewVec(0)
+func TestStockLadderStats(t *testing.T) {
+	v := stockVec()
 	pages := populate(v, 20)
 	for _, pg := range pages {
 		pg.Accessed = true
 	}
-	s1 := v.ScanCycleRecency(100)
+	s1 := v.ScanCycle(100)
 	if s1.Referenced != 20 || s1.Activated != 0 {
 		t.Fatalf("first pass stats: %+v", s1)
 	}
 	for _, pg := range pages {
 		pg.Accessed = true
 	}
-	s2 := v.ScanCycleRecency(100)
+	s2 := v.ScanCycle(100)
 	if s2.Activated != 20 {
 		t.Fatalf("second pass activations: %+v", s2)
 	}
 	if s2.ToPromote != 0 || s2.FromPromote != 0 {
-		t.Fatal("recency scan must not touch promote state")
+		t.Fatal("a stock-ladder scan must not touch promote state")
 	}
-	if v.ScanCycleRecency(0).Scanned != 0 {
+	if v.ScanCycle(0).Scanned != 0 {
 		t.Fatal("zero budget scanned")
 	}
 }
 
 func TestCollectActiveReferencedSelectsSingleTouch(t *testing.T) {
-	v := NewVec(0)
+	v := stockVec()
 	pages := populate(v, 10)
 	// Activate all.
 	for _, pg := range pages {
 		pg.Accessed = true
 	}
-	v.ScanCycleRecency(100)
+	v.ScanCycle(100)
 	for _, pg := range pages {
 		pg.Accessed = true
 	}
-	v.ScanCycleRecency(100)
+	v.ScanCycle(100)
 	// One fresh touch qualifies half of them for Nimble.
 	for i := 0; i < 5; i++ {
 		pages[i].Accessed = true
@@ -96,16 +104,16 @@ func TestCollectActiveReferencedSelectsSingleTouch(t *testing.T) {
 }
 
 func TestCollectActiveReferencedBudgets(t *testing.T) {
-	v := NewVec(0)
+	v := stockVec()
 	pages := populate(v, 50)
 	for _, pg := range pages {
 		pg.Accessed = true
 	}
-	v.ScanCycleRecency(200)
+	v.ScanCycle(200)
 	for _, pg := range pages {
 		pg.Accessed = true
 	}
-	v.ScanCycleRecency(200)
+	v.ScanCycle(200)
 	for _, pg := range pages {
 		pg.Accessed = true
 	}

@@ -383,83 +383,103 @@ func TestDemoteCandidatesCoversFileList(t *testing.T) {
 // never fewer (integer division must not strand budget). Every page carries
 // a set hardware bit, so each examination observes a reference; a page
 // examined twice in one pass (or a mid-pass arrival re-examined) would find
-// its bit already cleared and show up as Referenced < Scanned.
+// its bit already cleared and show up as Referenced < Scanned. The stock
+// ladder keeps its historical split instead, pinned list by list: a zero
+// quota bumped to one page, the remainder dropped.
 func TestScanCycleBudgetConservationProperty(t *testing.T) {
-	rng := sim.NewRNG(0xbadc0de)
-	// Adversarial per-list sizes: empty, singletons, tiny, and large-skew
-	// shapes that exercise both the remainder loop and the q > lens clamp.
-	sizes := []int{0, 0, 1, 1, 2, 3, 5, 17, 200}
-	for trial := 0; trial < 200; trial++ {
-		v := NewVec(0)
-		total := 0
-		// Shape the six evictable lists: anon and file ladders, each with
-		// inactive / active / promote populations.
-		for _, file := range []bool{false, true} {
-			for rung := 0; rung < 3; rung++ {
-				n := sizes[rng.Intn(len(sizes))]
-				total += n
-				for i := 0; i < n; i++ {
-					var pg *mem.Page
-					if file {
-						pg = filePage()
-					} else {
-						pg = anonPage()
-					}
-					v.Add(pg)
-					// 0 MarkAccessed keeps it inactive; 2 makes it
-					// active; 4 climbs to promote.
-					for j := 0; j < 2*rung; j++ {
-						v.MarkAccessed(pg)
+	for _, ladder := range []Ladder{MultiClockLadder, StockLadder} {
+		rng := sim.NewRNG(0xbadc0de)
+		// Adversarial per-list sizes: empty, singletons, tiny, and large-skew
+		// shapes that exercise both the remainder loop and the q > lens clamp.
+		sizes := []int{0, 0, 1, 1, 2, 3, 5, 17, 200}
+		for trial := 0; trial < 200; trial++ {
+			v := NewVec(0)
+			v.Ladder = ladder
+			total := 0
+			// Shape the six evictable lists: anon and file ladders, each with
+			// inactive / active / promote populations (active on the stock
+			// ladder, which has no promote list).
+			for _, file := range []bool{false, true} {
+				for rung := 0; rung < 3; rung++ {
+					n := sizes[rng.Intn(len(sizes))]
+					total += n
+					for i := 0; i < n; i++ {
+						var pg *mem.Page
+						if file {
+							pg = filePage()
+						} else {
+							pg = anonPage()
+						}
+						v.Add(pg)
+						// 0 MarkAccessed keeps it inactive; 2 makes it
+						// active; 4 climbs to promote.
+						for j := 0; j < 2*rung; j++ {
+							v.MarkAccessed(pg)
+						}
 					}
 				}
 			}
-		}
-		if got := v.TotalEvictable(); got != total {
-			t.Fatalf("trial %d: setup placed %d evictable pages, want %d", trial, got, total)
-		}
-		// Every page referenced: transitions fire mid-pass (activations,
-		// promote retentions) while the budget must still hold exactly.
-		for k := Kind(0); k < Unevictable; k++ {
-			for pg := v.List(k).Back(); pg != nil; pg = pg.Prev() {
-				pg.Accessed = true
+			if got := v.TotalEvictable(); got != total {
+				t.Fatalf("%s trial %d: setup placed %d evictable pages, want %d", ladderNames[ladder], trial, got, total)
 			}
-		}
-		batch := 0
-		switch rng.Intn(5) {
-		case 0:
-			batch = 1
-		case 1:
-			batch = total + 1 + rng.Intn(10) // over-budget: full single pass
-		case 2:
-			batch = total // exact cover
-		case 3:
-			if total > 0 {
-				batch = 1 + rng.Intn(total) // partial
+			// Every page referenced: transitions fire mid-pass (activations,
+			// promote retentions) while the budget must still hold exactly.
+			var lens [Unevictable]int
+			for k := Kind(0); k < Unevictable; k++ {
+				lens[k] = v.Len(k)
+				for pg := v.List(k).Back(); pg != nil; pg = pg.Prev() {
+					pg.Accessed = true
+				}
 			}
-		case 4:
-			batch = rng.Intn(2 * (total + 1))
-		}
-		stats := v.ScanCycle(batch)
-		want := batch
-		if total < want {
-			want = total
-		}
-		if batch <= 0 {
-			want = 0
-		}
-		if stats.Scanned != want {
-			t.Fatalf("trial %d: Scanned = %d, want min(batch=%d, total=%d) = %d",
-				trial, stats.Scanned, batch, total, want)
-		}
-		if stats.Referenced != stats.Scanned {
-			t.Fatalf("trial %d: Referenced = %d != Scanned = %d — a page was examined twice in one pass",
-				trial, stats.Referenced, stats.Scanned)
-		}
-		if got := v.TotalEvictable(); got != total {
-			t.Fatalf("trial %d: population %d after scan, want %d (page leaked)", trial, got, total)
-		}
-		if _, err := v.CheckConsistency(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+			batch := 0
+			switch rng.Intn(5) {
+			case 0:
+				batch = 1
+			case 1:
+				batch = total + 1 + rng.Intn(10) // over-budget: full single pass
+			case 2:
+				batch = total // exact cover
+			case 3:
+				if total > 0 {
+					batch = 1 + rng.Intn(total) // partial
+				}
+			case 4:
+				batch = rng.Intn(2 * (total + 1))
+			}
+			want := min(batch, total)
+			if batch <= 0 {
+				want = 0
+			}
+			if ladder == StockLadder && total > 0 && batch > 0 {
+				want = 0
+				quotas := v.quotas(&lens, total, batch)
+				for k, n := range lens {
+					q := 0
+					if n > 0 {
+						q = min(max(batch*n/total, 1), n)
+					}
+					if quotas[k] != q {
+						t.Fatalf("stock trial %d: %v quota %d of %d pages at batch %d, total %d; the historical split gives %d",
+							trial, Kind(k), quotas[k], n, batch, total, q)
+					}
+					want += q
+				}
+			}
+			stats := v.ScanCycle(batch)
+			if stats.Scanned != want {
+				t.Fatalf("%s trial %d: Scanned = %d, want %d (batch=%d, total=%d)",
+					ladderNames[ladder], trial, stats.Scanned, want, batch, total)
+			}
+			if stats.Referenced != stats.Scanned {
+				t.Fatalf("%s trial %d: Referenced = %d != Scanned = %d — a page was examined twice in one pass",
+					ladderNames[ladder], trial, stats.Referenced, stats.Scanned)
+			}
+			if got := v.TotalEvictable(); got != total {
+				t.Fatalf("%s trial %d: population %d after scan, want %d (page leaked)", ladderNames[ladder], trial, got, total)
+			}
+			if _, err := v.CheckConsistency(); err != nil {
+				t.Fatalf("%s trial %d: %v", ladderNames[ladder], trial, err)
+			}
 		}
 	}
 }

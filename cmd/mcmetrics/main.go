@@ -17,7 +17,7 @@
 //	mcmetrics series out.json            # time-series windows as CSV
 //	mcmetrics slo out.json               # SLO compliance + burn-rate report
 //	mcmetrics perfetto -o t.json out.json# rebuild the Perfetto timeline
-//	mcmetrics diverge a.jsonl b.jsonl    # bisect two -audit trails to the
+//	mcmetrics diverge a.jsonl b.jsonl    # scan two -audit trails to the
 //	                                     # first diverging checkpoint
 package main
 
@@ -91,6 +91,59 @@ func loadRuns(path, runFilter string, stderr io.Writer) ([]metrics.RunExport, *m
 	return runs, ex
 }
 
+// subcmd is the setup the export-reading subcommands share: a flag set
+// carrying -run, an operand count checked against a usage line, and the
+// export named by the last operand.
+type subcmd struct {
+	*flag.FlagSet
+	run *string
+}
+
+func newSubcmd(name string, stderr io.Writer) *subcmd {
+	fs := flag.NewFlagSet("mcmetrics "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return &subcmd{FlagSet: fs, run: fs.String("run", "", "restrict output to the run with this label")}
+}
+
+// parse parses args and checks for nargs operands, printing usage when the
+// count is wrong. False means exit status 2.
+func (c *subcmd) parse(args []string, nargs int, usage string) bool {
+	if c.Parse(args) != nil {
+		return false
+	}
+	if c.NArg() != nargs {
+		fmt.Fprintln(c.Output(), usage)
+		return false
+	}
+	return true
+}
+
+// load reads the export named by the last operand, filtered by -run. A nil
+// result has been reported.
+func (c *subcmd) load() []metrics.RunExport {
+	runs, _ := loadRuns(c.Arg(c.NArg()-1), *c.run, c.Output())
+	return runs
+}
+
+// carrying keeps the runs that carry a section, per has. When none does it
+// reports that the section (which the run flag adds) is missing and returns
+// nil. Nil runs, a load that failed, stay nil without a further report.
+func (c *subcmd) carrying(runs []metrics.RunExport, section, runFlag string, has func(*metrics.RunExport) bool) []metrics.RunExport {
+	if runs == nil {
+		return nil
+	}
+	var out []metrics.RunExport
+	for i := range runs {
+		if has(&runs[i]) {
+			out = append(out, runs[i])
+		}
+	}
+	if out == nil {
+		fmt.Fprintf(c.Output(), "mcmetrics: no run in the export carries %s (run with %s)\n", section, runFlag)
+	}
+	return out
+}
+
 // cmdSummary is the original flag-driven path: validate, CSV, or summary.
 func cmdSummary(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mcmetrics", flag.ContinueOnError)
@@ -131,22 +184,16 @@ func cmdSummary(args []string, stdout, stderr io.Writer) int {
 
 // cmdTimeline prints one page's lifecycle span walk from each selected run.
 func cmdTimeline(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("mcmetrics timeline", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	runFilter := fs.String("run", "", "restrict output to the run with this label")
-	if fs.Parse(args) != nil {
+	c := newSubcmd("timeline", stderr)
+	if !c.parse(args, 2, "usage: mcmetrics timeline [-run label] <[space/]va> <export.json>") {
 		return 2
 	}
-	if fs.NArg() != 2 {
-		fmt.Fprintln(stderr, "usage: mcmetrics timeline [-run label] <[space/]va> <export.json>")
-		return 2
-	}
-	space, anySpace, va, err := parsePageSpec(fs.Arg(0))
+	space, anySpace, va, err := parsePageSpec(c.Arg(0))
 	if err != nil {
 		fmt.Fprintf(stderr, "mcmetrics: %v\n", err)
 		return 2
 	}
-	runs, _ := loadRuns(fs.Arg(1), *runFilter, stderr)
+	runs := c.load()
 	if runs == nil {
 		return 1
 	}
@@ -170,7 +217,7 @@ func cmdTimeline(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if found == 0 {
-		fmt.Fprintf(stderr, "mcmetrics: page %s not traced in any selected run (was -lifecycle on and the page sampled?)\n", fs.Arg(0))
+		fmt.Fprintf(stderr, "mcmetrics: page %s not traced in any selected run (was -lifecycle on and the page sampled?)\n", c.Arg(0))
 		return 1
 	}
 	return 0
@@ -179,27 +226,21 @@ func cmdTimeline(args []string, stdout, stderr io.Writer) int {
 // cmdPingpong ranks traced pages by successful migrations — the pages
 // bouncing between tiers — and prints the top N per run.
 func cmdPingpong(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("mcmetrics pingpong", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	runFilter := fs.String("run", "", "restrict output to the run with this label")
-	top := fs.Int("top", 10, "pages to show per run")
-	if fs.Parse(args) != nil {
+	const usage = "usage: mcmetrics pingpong [-run label] [--top N] <export.json>"
+	c := newSubcmd("pingpong", stderr)
+	top := c.Int("top", 10, "pages to show per run")
+	if !c.parse(args, 1, usage) {
 		return 2
 	}
-	if fs.NArg() != 1 || *top < 1 {
-		fmt.Fprintln(stderr, "usage: mcmetrics pingpong [-run label] [--top N] <export.json>")
+	if *top < 1 {
+		fmt.Fprintln(stderr, usage)
 		return 2
 	}
-	runs, _ := loadRuns(fs.Arg(0), *runFilter, stderr)
+	runs := c.carrying(c.load(), "a lifecycle section", "-lifecycle", func(r *metrics.RunExport) bool { return r.Lifecycle != nil })
 	if runs == nil {
 		return 1
 	}
-	shown := false
 	for _, r := range runs {
-		if r.Lifecycle == nil {
-			continue
-		}
-		shown = true
 		// Exported pages are (space,va)-sorted, so a stable selection sort
 		// by migrations descending inherits the (space,va) tie-break.
 		ranked := make([]*metrics.PageTimeline, 0, len(r.Lifecycle.Pages))
@@ -233,10 +274,6 @@ func cmdPingpong(args []string, stdout, stderr io.Writer) int {
 				i+1, p.Space, p.VA, p.Migrations, len(p.Events))
 		}
 	}
-	if !shown {
-		fmt.Fprintln(stderr, "mcmetrics: no run in the export carries a lifecycle section (run with -lifecycle)")
-		return 1
-	}
 	return 0
 }
 
@@ -244,30 +281,23 @@ func cmdPingpong(args []string, stdout, stderr io.Writer) int {
 // (window, node), with the window-global deltas and DRAM hit ratio repeated
 // on each row so a plotting tool needs no joins.
 func cmdSeries(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("mcmetrics series", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	runFilter := fs.String("run", "", "restrict output to the run with this label")
-	if fs.Parse(args) != nil {
+	c := newSubcmd("series", stderr)
+	if !c.parse(args, 1, "usage: mcmetrics series [-run label] <export.json>") {
 		return 2
 	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: mcmetrics series [-run label] <export.json>")
-		return 2
-	}
-	runs, _ := loadRuns(fs.Arg(0), *runFilter, stderr)
+	runs := c.load()
 	if runs == nil {
 		return 1
 	}
-	shown := false
 	fmt.Fprintln(stdout, "run,window,start_ns,end_ns,node,tier,free_frames,low_distance,"+
 		"anon_inactive,anon_active,anon_promote,file_inactive,file_active,file_promote,unevictable,"+
 		"reads_dram,reads_pm,writes_dram,writes_pm,promotions,demotions,migrate_fails,"+
 		"swap_outs,swap_ins,pages_scanned,dram_hit")
+	runs = c.carrying(runs, "a series section", "-series", func(r *metrics.RunExport) bool { return r.Series != nil })
+	if runs == nil {
+		return 1
+	}
 	for _, r := range runs {
-		if r.Series == nil {
-			continue
-		}
-		shown = true
 		for i := range r.Series.Windows {
 			w := &r.Series.Windows[i]
 			for _, n := range w.Nodes {
@@ -281,41 +311,22 @@ func cmdSeries(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	if !shown {
-		fmt.Fprintln(stderr, "mcmetrics: no run in the export carries a series section (run with -series)")
-		return 1
-	}
 	return 0
 }
 
 // cmdSLO renders the human burn-rate report for every selected run that
 // carries an slo section (mcsim/mcbench -slo ... -metrics out.json).
 func cmdSLO(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("mcmetrics slo", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	runFilter := fs.String("run", "", "restrict output to the run with this label")
-	if fs.Parse(args) != nil {
+	c := newSubcmd("slo", stderr)
+	if !c.parse(args, 1, "usage: mcmetrics slo [-run label] <export.json>") {
 		return 2
 	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: mcmetrics slo [-run label] <export.json>")
-		return 2
-	}
-	runs, _ := loadRuns(fs.Arg(0), *runFilter, stderr)
+	runs := c.carrying(c.load(), "an slo section", "-slo", func(r *metrics.RunExport) bool { return r.SLO != nil })
 	if runs == nil {
 		return 1
 	}
-	shown := false
 	for _, r := range runs {
-		if r.SLO == nil {
-			continue
-		}
-		shown = true
 		fmt.Fprint(stdout, slo.Format(r.Label, r.SLO))
-	}
-	if !shown {
-		fmt.Fprintln(stderr, "mcmetrics: no run in the export carries an slo section (run with -slo)")
-		return 1
 	}
 	return 0
 }
@@ -324,18 +335,12 @@ func cmdSLO(args []string, stdout, stderr io.Writer) int {
 // export after the fact — the same bytes mcsim/mcbench -trace-out would have
 // written for the selected runs. Open the result in ui.perfetto.dev.
 func cmdPerfetto(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("mcmetrics perfetto", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	runFilter := fs.String("run", "", "restrict output to the run with this label")
-	out := fs.String("o", "", "write the trace to this file instead of stdout")
-	if fs.Parse(args) != nil {
+	c := newSubcmd("perfetto", stderr)
+	out := c.String("o", "", "write the trace to this file instead of stdout")
+	if !c.parse(args, 1, "usage: mcmetrics perfetto [-run label] [-o trace.json] <export.json>") {
 		return 2
 	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: mcmetrics perfetto [-run label] [-o trace.json] <export.json>")
-		return 2
-	}
-	runs, _ := loadRuns(fs.Arg(0), *runFilter, stderr)
+	runs := c.load()
 	if runs == nil {
 		return 1
 	}
@@ -355,7 +360,7 @@ func cmdPerfetto(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// cmdDiverge bisects two audit trails (the JSONL files mcsim/mcbench write
+// cmdDiverge scans two audit trails (the JSONL files mcsim/mcbench write
 // under -audit) to the first checkpoint where any subsystem hash differs —
 // turning "two runs that should match don't" into the op, virtual time and
 // subsystems of the first divergence. Exit 0 means identical trails.

@@ -84,11 +84,11 @@ var SystemNames = []string{"static", "multiclock", "nimble", "at-cpm", "at-opm"}
 var MemModeNames = []string{"static", "multiclock", "memory-mode"}
 
 // checkpointable is what every entry of the policy table builds: a policy
-// that is also a machine.StateSnapshotter, so "every policy can be
+// that is also a machine.Checkpointer, so "every policy can be
 // checkpointed" is checked by the compiler, not refused at run time.
 type checkpointable interface {
 	machine.Policy
-	machine.StateSnapshotter
+	machine.Checkpointer
 }
 
 // policyTable is the one ordered list of systems: NewPolicy, PolicyNames,

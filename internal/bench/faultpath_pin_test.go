@@ -119,15 +119,19 @@ func faultPathFingerprint(t *testing.T, policy, tiers string, chaos fault.Config
 		t.Fatalf("%s: %v", policy, err)
 	}
 
-	enc := snapcodec.NewEncoder()
-	m.Mem.SnapshotState(enc)
-	m.SnapshotLRUState(enc)
-	m.SnapshotMachineState(enc)
-	if err := p.(machine.StateSnapshotter).SnapshotState(enc); err != nil {
-		t.Fatalf("%s: %v", policy, err)
+	c := snapcodec.NewWriter()
+	for _, err := range []error{
+		m.Mem.Checkpoint(c),
+		m.CheckpointLRU(c, nil),
+		m.CheckpointMachine(c, nil),
+		p.(machine.Checkpointer).Checkpoint(c, nil),
+	} {
+		if err != nil {
+			t.Fatalf("%s: %v", policy, err)
+		}
 	}
 	h := fnv.New64a()
-	h.Write(enc.Bytes())
+	h.Write(c.Bytes())
 
 	var b strings.Builder
 	m.Mem.Counters.Each(func(name string, v int64) { fmt.Fprintf(&b, "%s=%d ", name, v) })
@@ -140,7 +144,7 @@ func faultPathFingerprint(t *testing.T, policy, tiers string, chaos fault.Config
 	}
 	fmt.Fprintf(&b, "file misses=%d flushed=%d promotions=%d reaccess=%.4f%%\n",
 		file.CacheMisses+scratch.CacheMisses, pc.FlushedPages, tracker.TotalPromotions(), tracker.MeanReaccessPercent())
-	fmt.Fprintf(&b, "checkpoint %d bytes fnv64a=%016x\n", enc.Len(), h.Sum64())
+	fmt.Fprintf(&b, "checkpoint %d bytes fnv64a=%016x\n", len(c.Bytes()), h.Sum64())
 	if m.Faults != nil {
 		fmt.Fprintf(&b, "%s\n", m.Faults.Counters.String())
 	}

@@ -65,7 +65,7 @@ func withinSeedBudget(seed, mutated []byte) bool {
 }
 
 // pendingTax reads the daemon charge the next access absorbs from a machine
-// section (machine.SnapshotMachineState: ops, four RNG words, then the tax).
+// section (machine.CheckpointMachine: ops, four RNG words, then the tax).
 // A large one is a valid state whose next access advances the clock — and
 // every daemon through its wakeups — by that much.
 func pendingTax(machineSection []byte) sim.Duration {

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strings"
 
@@ -11,7 +10,6 @@ import (
 	"multiclock/internal/kvstore"
 	"multiclock/internal/machine"
 	"multiclock/internal/metrics"
-	"multiclock/internal/sim"
 	"multiclock/internal/snapcodec"
 	"multiclock/internal/snapshot"
 	"multiclock/internal/ycsb"
@@ -456,110 +454,92 @@ func RunStepped(prog, labelPrefix string, cfg RunConfig, f *cliutil.RunFlags, st
 // the session progress (completed results travel here so a restored session
 // can finish the report).
 func (s *Session) encodeSessionState() []byte {
-	enc := snapcodec.NewEncoder()
-	enc.U32(soakConfigVersion)
-	c := &s.Cfg
-	enc.String(c.Policy)
-	enc.Int(len(c.Workloads))
-	for _, w := range c.Workloads {
-		enc.String(w)
-	}
-	enc.I64(c.Records)
-	enc.I64(c.Ops)
-	enc.Int(c.DRAMPages)
-	enc.Int(c.PMPages)
-	enc.String(c.Tiers)
-	enc.I64(int64(c.Interval))
-	enc.U64(c.Seed)
-	enc.U64(c.Chaos.Seed)
-	enc.Int(len(c.Chaos.Rates))
-	for _, r := range c.Chaos.Rates {
-		enc.U64(math.Float64bits(r))
-	}
-	enc.Bool(c.Metrics)
-	enc.Int(c.TraceEvents)
-
-	enc.Int(s.widx)
-	enc.Int(len(s.results))
-	for _, r := range s.results {
-		enc.String(r.Workload)
-		enc.I64(r.Ops)
-		enc.I64(int64(r.Elapsed))
-		enc.U64(math.Float64bits(r.Throughput))
-		enc.I64(int64(r.P50))
-		enc.I64(int64(r.P95))
-		enc.I64(int64(r.P99))
-		enc.I64(int64(r.MeanLatency))
-		enc.Bool(r.Unsupported)
-	}
-	return enc.Bytes()
+	c := snapcodec.NewWriter()
+	checkpointSession(c, &s.Cfg, &s.widx, &s.results)
+	return c.Bytes()
 }
 
 // decodeSessionState parses the config section back into a recipe and the
 // saved progress.
 func decodeSessionState(payload []byte) (cfg SoakConfig, widx int, results []ycsb.RunResult, err error) {
-	dec := snapcodec.NewDecoder(payload)
-	fail := func(e error) (SoakConfig, int, []ycsb.RunResult, error) {
-		return SoakConfig{}, 0, nil, e
+	c := snapcodec.NewReader(payload)
+	if err := checkpointSession(c, &cfg, &widx, &results); err != nil {
+		return SoakConfig{}, 0, nil, err
 	}
-	if v := dec.U32(); dec.Err() == nil && v != soakConfigVersion {
-		return fail(fmt.Errorf("soak config version %d (this build reads %d)", v, soakConfigVersion))
-	}
-	cfg.Policy = dec.String()
-	nw := dec.Int()
-	if dec.Err() != nil {
-		return fail(dec.Err())
-	}
-	if nw <= 0 || nw > dec.Remaining() {
-		return fail(fmt.Errorf("soak config claims %d workloads", nw))
-	}
-	for i := 0; i < nw; i++ {
-		cfg.Workloads = append(cfg.Workloads, dec.String())
-	}
-	cfg.Records = dec.I64()
-	cfg.Ops = dec.I64()
-	cfg.DRAMPages = dec.Int()
-	cfg.PMPages = dec.Int()
-	cfg.Tiers = dec.String()
-	cfg.Interval = sim.Duration(dec.I64())
-	cfg.Seed = dec.U64()
-	cfg.Chaos.Seed = dec.U64()
-	nr := dec.Int()
-	if dec.Err() != nil {
-		return fail(dec.Err())
-	}
-	if nr != len(cfg.Chaos.Rates) {
-		return fail(fmt.Errorf("soak config carries %d fault rates, this build has %d", nr, len(cfg.Chaos.Rates)))
-	}
-	for i := range cfg.Chaos.Rates {
-		cfg.Chaos.Rates[i] = math.Float64frombits(dec.U64())
-	}
-	cfg.Metrics = dec.Bool()
-	cfg.TraceEvents = dec.Int()
-
-	widx = dec.Int()
-	n := dec.Int()
-	if dec.Err() != nil {
-		return fail(dec.Err())
-	}
-	if widx < 0 || n < 0 || n > dec.Remaining() {
-		return fail(fmt.Errorf("soak progress claims workload %d, %d results", widx, n))
-	}
-	for i := 0; i < n; i++ {
-		var r ycsb.RunResult
-		r.Workload = dec.String()
-		r.Ops = dec.I64()
-		r.Elapsed = sim.Duration(dec.I64())
-		r.Throughput = math.Float64frombits(dec.U64())
-		r.P50 = sim.Duration(dec.I64())
-		r.P95 = sim.Duration(dec.I64())
-		r.P99 = sim.Duration(dec.I64())
-		r.MeanLatency = sim.Duration(dec.I64())
-		r.Unsupported = dec.Bool()
-		results = append(results, r)
-	}
-	if err := dec.Finish(); err != nil {
-		return fail(err)
+	if err := c.Finish(); err != nil {
+		return SoakConfig{}, 0, nil, err
 	}
 	return cfg, widx, results, nil
+}
+
+// checkpointSession codes the config section: the versioned recipe, then
+// the index of the workload in progress and the completed results.
+func checkpointSession(c *snapcodec.Codec, cfg *SoakConfig, widx *int, results *[]ycsb.RunResult) error {
+	v := uint32(soakConfigVersion)
+	snapcodec.U32(c, &v)
+	if c.Err() == nil && v != soakConfigVersion {
+		return fmt.Errorf("soak config version %d (this build reads %d)", v, soakConfigVersion)
+	}
+	c.String(&cfg.Policy)
+	nw := len(cfg.Workloads)
+	snapcodec.I64(c, &nw)
+	if c.Err() != nil {
+		return c.Err()
+	}
+	if nw <= 0 || nw > c.Remaining() {
+		return fmt.Errorf("soak config claims %d workloads", nw)
+	}
+	if c.Reading() {
+		cfg.Workloads = make([]string, nw)
+	}
+	for i := range cfg.Workloads {
+		c.String(&cfg.Workloads[i])
+	}
+	snapcodec.I64(c, &cfg.Records)
+	snapcodec.I64(c, &cfg.Ops)
+	snapcodec.I64(c, &cfg.DRAMPages)
+	snapcodec.I64(c, &cfg.PMPages)
+	c.String(&cfg.Tiers)
+	snapcodec.I64(c, &cfg.Interval)
+	snapcodec.U64(c, &cfg.Seed)
+	snapcodec.U64(c, &cfg.Chaos.Seed)
+	nr := len(cfg.Chaos.Rates)
+	snapcodec.I64(c, &nr)
+	if c.Err() != nil {
+		return c.Err()
+	}
+	if nr != len(cfg.Chaos.Rates) {
+		return fmt.Errorf("soak config carries %d fault rates, this build has %d", nr, len(cfg.Chaos.Rates))
+	}
+	for i := range cfg.Chaos.Rates {
+		snapcodec.F64(c, &cfg.Chaos.Rates[i])
+	}
+	c.Bool(&cfg.Metrics)
+	snapcodec.I64(c, &cfg.TraceEvents)
+
+	snapcodec.I64(c, widx)
+	n := len(*results)
+	snapcodec.I64(c, &n)
+	if c.Err() != nil {
+		return c.Err()
+	}
+	if *widx < 0 || n < 0 || n > c.Remaining() {
+		return fmt.Errorf("soak progress claims workload %d, %d results", *widx, n)
+	}
+	if c.Reading() {
+		*results = make([]ycsb.RunResult, n)
+	}
+	for i := range *results {
+		r := &(*results)[i]
+		c.String(&r.Workload)
+		snapcodec.I64(c, &r.Ops)
+		snapcodec.I64(c, &r.Elapsed)
+		snapcodec.F64(c, &r.Throughput)
+		snapcodec.I64(c, &r.P50)
+		snapcodec.I64(c, &r.P95)
+		snapcodec.I64(c, &r.P99)
+		snapcodec.I64(c, &r.MeanLatency)
+		c.Bool(&r.Unsupported)
+	}
+	return c.Err()
 }

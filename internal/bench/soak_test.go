@@ -97,8 +97,9 @@ func runStraight(t *testing.T, cfg SoakConfig) (string, snapshot.AuditRecord, *S
 
 // resumeFromMidpoint runs a second session to the given op boundary (where
 // the atCheckpoint checks see it), round-trips a snapshot through its byte
-// encoding, restores, finishes, and returns the resumed report and final
-// fingerprint.
+// encoding, restores, captures the restored session again — every section
+// must equal the original's byte for byte, which pins what the reading side
+// rebuilds — finishes, and returns the resumed report and final fingerprint.
 func resumeFromMidpoint(t *testing.T, cfg SoakConfig, mid int64, atCheckpoint ...func(*testing.T, *Session)) (string, snapshot.AuditRecord, *Session) {
 	t.Helper()
 	s, err := NewSession(cfg)
@@ -120,6 +121,16 @@ func resumeFromMidpoint(t *testing.T, cfg SoakConfig, mid int64, atCheckpoint ..
 	r, err := RestoreSession(f2)
 	if err != nil {
 		t.Fatalf("RestoreSession: %v", err)
+	}
+	again, err := r.Capture()
+	if err != nil {
+		t.Fatalf("Capture of the restored session: %v", err)
+	}
+	for _, name := range snapshot.SectionOrder {
+		want, _ := f.Section(name)
+		if got, _ := again.Section(name); !bytes.Equal(got, want) {
+			t.Errorf("section %q of the restored session recaptures to %d bytes that differ from the original %d", name, len(got), len(want))
+		}
 	}
 	report, err := r.Finish()
 	if err != nil {
@@ -354,8 +365,8 @@ func TestSoakAuditReconcileAfterKill(t *testing.T) {
 	}
 }
 
-// codecless is a policy defined outside the policy table, without the two
-// StateSnapshotter methods.
+// codecless is a policy defined outside the policy table, without a
+// Checkpoint method.
 type codecless struct{ machine.Base }
 
 func (*codecless) Name() string { return "codecless" }

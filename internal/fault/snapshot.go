@@ -1,43 +1,20 @@
 package fault
 
-import (
-	"multiclock/internal/sim"
-	"multiclock/internal/snapcodec"
-)
+import "multiclock/internal/snapcodec"
 
 // Checkpoint serialization. The injector's configuration is resolved
 // deterministically at construction (New applies the same defaults for equal
 // Configs), so only the mutable state travels: the private RNG stream, the
 // open fault windows and the tallies.
 
-// SnapshotState encodes the injector's mutable state.
-func (f *Injector) SnapshotState(enc *snapcodec.Encoder) {
-	st := f.rng.State()
-	for _, w := range st {
-		enc.U64(w)
+// Checkpoint codes the injector's mutable state; reading, the injector is
+// freshly constructed with the same configuration.
+func (f *Injector) Checkpoint(c *snapcodec.Codec) error {
+	f.rng.Checkpoint(c)
+	snapcodec.I64(c, &f.slowUntil)
+	snapcodec.I64(c, &f.stormUntil)
+	for k := range f.Counters.Injected {
+		snapcodec.I64(c, &f.Counters.Injected[k])
 	}
-	enc.I64(int64(f.slowUntil))
-	enc.I64(int64(f.stormUntil))
-	for k := Kind(0); k < NumKinds; k++ {
-		enc.I64(f.Counters.Injected[k])
-	}
-}
-
-// RestoreState decodes into a freshly constructed injector of identical
-// configuration.
-func (f *Injector) RestoreState(dec *snapcodec.Decoder) error {
-	var st [4]uint64
-	for i := range st {
-		st[i] = dec.U64()
-	}
-	if dec.Err() != nil {
-		return dec.Err()
-	}
-	f.rng.SetState(st)
-	f.slowUntil = sim.Time(dec.I64())
-	f.stormUntil = sim.Time(dec.I64())
-	for k := Kind(0); k < NumKinds; k++ {
-		f.Counters.Injected[k] = dec.I64()
-	}
-	return dec.Err()
+	return c.Err()
 }

@@ -178,25 +178,22 @@ func TestSnapshotBytesMatchMapEncoder(t *testing.T) {
 	if len(model) < 100 || s.Items() != len(model) {
 		t.Fatalf("history left %d items in the store, %d in the model", s.Items(), len(model))
 	}
-	enc := snapcodec.NewEncoder()
-	s.SnapshotState(enc)
+	snap := storeBytes(s)
 	const statsBytes = 9 * 8
 	items := mapSnapshotItems(model)
-	if tail := enc.Bytes()[:enc.Len()-statsBytes]; !bytes.HasSuffix(tail, items) {
+	if tail := snap[:len(snap)-statsBytes]; !bytes.HasSuffix(tail, items) {
 		t.Fatal("item table bytes differ from the map-backed encoding")
 	}
 
 	_, fresh := newStore(1000)
-	dec := snapcodec.NewDecoder(enc.Bytes())
-	if err := fresh.RestoreState(dec); err != nil {
+	c := snapcodec.NewReader(snap)
+	if err := fresh.Checkpoint(c); err != nil {
 		t.Fatal(err)
 	}
-	if err := dec.Finish(); err != nil {
+	if err := c.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	again := snapcodec.NewEncoder()
-	fresh.SnapshotState(again)
-	if !bytes.Equal(again.Bytes(), enc.Bytes()) {
+	if !bytes.Equal(storeBytes(fresh), snap) {
 		t.Fatal("restored store snapshots differently")
 	}
 	for k, want := range model {
@@ -206,14 +203,21 @@ func TestSnapshotBytesMatchMapEncoder(t *testing.T) {
 	}
 }
 
-// FuzzStoreRestore feeds RestoreState arbitrary payloads: it must reject with
+// storeBytes is the store's checkpoint.
+func storeBytes(s *Store) []byte {
+	c := snapcodec.NewWriter()
+	if err := s.Checkpoint(c); err != nil {
+		panic(err)
+	}
+	return c.Bytes()
+}
+
+// FuzzStoreRestore feeds Checkpoint arbitrary payloads: it must reject with
 // an error or accept, never panic or size a table from an unchecked length,
 // and an accepted item table must be a well-formed index.
 func FuzzStoreRestore(f *testing.F) {
 	s, _ := storeHistory(5, 60)
-	enc := snapcodec.NewEncoder()
-	s.SnapshotState(enc)
-	good := enc.Bytes()
+	good := storeBytes(s)
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	f.Add([]byte{})
@@ -224,8 +228,7 @@ func FuzzStoreRestore(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		_, fresh := newStore(1000)
-		dec := snapcodec.NewDecoder(payload)
-		if err := fresh.RestoreState(dec); err != nil {
+		if err := fresh.Checkpoint(snapcodec.NewReader(payload)); err != nil {
 			return
 		}
 		model := map[uint64]itemRef{}

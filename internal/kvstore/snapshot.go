@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"multiclock/internal/pagetable"
@@ -17,64 +18,19 @@ import (
 // iterated during the run, so the canonical order is behaviorally exact) and
 // the stats.
 
-// SnapshotState encodes the store's mutable state.
-func (s *Store) SnapshotState(enc *snapcodec.Encoder) {
-	enc.Int(s.nbuckets)
-	enc.Int(s.itemTouches)
-	enc.Bool(s.hugeArena)
-	enc.U64(uint64(s.bucketVMA.Start))
-	enc.U64(uint64(s.arena.Start))
-	enc.U64(uint64(s.arena.End))
-	enc.U64(uint64(s.arenaNext))
-	for i := range s.classes {
-		c := &s.classes[i]
-		enc.U64(uint64(c.cur))
-		enc.Int(c.curUsed)
-		enc.Int(len(c.free))
-		for _, vpn := range c.free {
-			enc.U64(uint64(vpn))
-		}
-	}
-	items := make([]slot, 0, s.items.n)
-	for _, it := range s.items.slots {
-		if it.ref.npages != 0 {
-			items = append(items, it)
-		}
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i].key < items[j].key })
-	enc.Int(len(items))
-	for _, it := range items {
-		enc.U64(it.key)
-		enc.U64(uint64(it.ref.vpn))
-		enc.I64(int64(it.ref.npages))
-		enc.I64(int64(it.ref.class))
-	}
-	for _, v := range []int64{
-		s.Stats.Gets, s.Stats.GetHits, s.Stats.Sets, s.Stats.Inserts,
-		s.Stats.Deletes, s.Stats.RMWs, s.Stats.ScanRejects,
-		s.Stats.BytesStored, s.Stats.EvictedForSpace,
-	} {
-		enc.I64(v)
-	}
-}
-
-// carved reports whether pages [vpn, vpn+n) lie in the part of the arena
-// allocItem has handed out.
-func (s *Store) carved(vpn pagetable.VPN, n int) bool {
-	return vpn >= s.arena.Start && vpn < s.arenaNext && pagetable.VPN(n) <= s.arenaNext-vpn
-}
-
-// RestoreState decodes into a freshly constructed store of identical
-// configuration.
-func (s *Store) RestoreState(dec *snapcodec.Decoder) error {
-	nbuckets := dec.Int()
-	touches := dec.Int()
-	huge := dec.Bool()
-	bucketStart := pagetable.VPN(dec.U64())
-	arenaStart := pagetable.VPN(dec.U64())
-	arenaEnd := pagetable.VPN(dec.U64())
-	if dec.Err() != nil {
-		return dec.Err()
+// Checkpoint codes the store's mutable state; reading, the store is freshly
+// constructed with the same configuration.
+func (s *Store) Checkpoint(c *snapcodec.Codec) error {
+	nbuckets, touches, huge := s.nbuckets, s.itemTouches, s.hugeArena
+	bucketStart, arenaStart, arenaEnd := s.bucketVMA.Start, s.arena.Start, s.arena.End
+	snapcodec.I64(c, &nbuckets)
+	snapcodec.I64(c, &touches)
+	c.Bool(&huge)
+	snapcodec.U64(c, &bucketStart)
+	snapcodec.U64(c, &arenaStart)
+	snapcodec.U64(c, &arenaEnd)
+	if c.Err() != nil {
+		return c.Err()
 	}
 	if nbuckets != s.nbuckets || touches != s.itemTouches || huge != s.hugeArena {
 		return fmt.Errorf("kvstore: snapshot geometry (buckets %d touches %d huge %v) does not match store (buckets %d touches %d huge %v)",
@@ -83,54 +39,91 @@ func (s *Store) RestoreState(dec *snapcodec.Decoder) error {
 	if bucketStart != s.bucketVMA.Start || arenaStart != s.arena.Start || arenaEnd != s.arena.End {
 		return fmt.Errorf("kvstore: snapshot VMA layout does not match store")
 	}
-	s.arenaNext = pagetable.VPN(dec.U64())
+	snapcodec.U64(c, &s.arenaNext)
 	if s.arenaNext < s.arena.Start || s.arenaNext > s.arena.End {
 		return fmt.Errorf("kvstore: snapshot arena pointer %d outside arena [%d, %d)", s.arenaNext, s.arena.Start, s.arena.End)
 	}
 	for i := range s.classes {
-		c := &s.classes[i]
-		c.cur = pagetable.VPN(dec.U64())
-		c.curUsed = dec.Int()
-		n := dec.Int()
-		if dec.Err() != nil {
-			return dec.Err()
+		cl := &s.classes[i]
+		snapcodec.U64(c, &cl.cur)
+		snapcodec.I64(c, &cl.curUsed)
+		n := len(cl.free)
+		snapcodec.I64(c, &n)
+		if c.Err() != nil {
+			return c.Err()
 		}
-		if n < 0 || n > dec.Remaining()/8 {
-			return fmt.Errorf("kvstore: snapshot claims %d free chunks in %d bytes", n, dec.Remaining())
+		if n < 0 || n > c.Remaining()/8 {
+			return fmt.Errorf("kvstore: snapshot claims %d free chunks in %d bytes", n, c.Remaining())
 		}
-		if c.curUsed < 0 || c.curUsed > c.perPage {
-			return fmt.Errorf("kvstore: snapshot class %d has %d of %d chunks used", i, c.curUsed, c.perPage)
+		if cl.curUsed < 0 || cl.curUsed > cl.perPage {
+			return fmt.Errorf("kvstore: snapshot class %d has %d of %d chunks used", i, cl.curUsed, cl.perPage)
 		}
-		if c.cur != 0 && !s.carved(c.cur, 1) {
-			return fmt.Errorf("kvstore: snapshot class %d slab page %d is not a carved arena page", i, c.cur)
+		if cl.cur != 0 && !s.carved(cl.cur, 1) {
+			return fmt.Errorf("kvstore: snapshot class %d slab page %d is not a carved arena page", i, cl.cur)
 		}
-		c.free = c.free[:0]
-		for j := 0; j < n; j++ {
-			vpn := pagetable.VPN(dec.U64())
-			if dec.Err() == nil && !s.carved(vpn, 1) {
-				return fmt.Errorf("kvstore: snapshot class %d frees chunk page %d outside the carved arena", i, vpn)
+		if c.Reading() {
+			cl.free = slices.Grow(cl.free[:0], n)[:n]
+		}
+		for j := range cl.free {
+			snapcodec.U64(c, &cl.free[j])
+			if c.Err() == nil && !s.carved(cl.free[j], 1) {
+				return fmt.Errorf("kvstore: snapshot class %d frees chunk page %d outside the carved arena", i, cl.free[j])
 			}
-			c.free = append(c.free, vpn)
 		}
 	}
-	n := dec.Int()
-	if dec.Err() != nil {
-		return dec.Err()
+	if err := s.checkpointItems(c); err != nil {
+		return err
 	}
-	if n < 0 || n > dec.Remaining()/32 {
-		return fmt.Errorf("kvstore: snapshot claims %d items in %d bytes", n, dec.Remaining())
+	for _, p := range []*int64{
+		&s.Stats.Gets, &s.Stats.GetHits, &s.Stats.Sets, &s.Stats.Inserts,
+		&s.Stats.Deletes, &s.Stats.RMWs, &s.Stats.ScanRejects,
+		&s.Stats.BytesStored, &s.Stats.EvictedForSpace,
+	} {
+		snapcodec.I64(c, p)
+	}
+	return c.Err()
+}
+
+// carved reports whether pages [vpn, vpn+n) lie in the part of the arena
+// allocItem has handed out.
+func (s *Store) carved(vpn pagetable.VPN, n int) bool {
+	return vpn >= s.arena.Start && vpn < s.arenaNext && pagetable.VPN(n) <= s.arenaNext-vpn
+}
+
+// checkpointItems codes the item table sorted by key. Reading, it rebuilds
+// the table, rejecting repeated keys and items outside the carved arena.
+func (s *Store) checkpointItems(c *snapcodec.Codec) error {
+	if !c.Reading() {
+		items := make([]slot, 0, s.items.n)
+		for _, it := range s.items.slots {
+			if it.ref.npages != 0 {
+				items = append(items, it)
+			}
+		}
+		sort.Slice(items, func(i, j int) bool { return items[i].key < items[j].key })
+		n := len(items)
+		snapcodec.I64(c, &n)
+		for i := range items {
+			items[i].checkpoint(c)
+		}
+		return nil
+	}
+	var n int
+	snapcodec.I64(c, &n)
+	if c.Err() != nil {
+		return c.Err()
+	}
+	if n < 0 || n > c.Remaining()/32 {
+		return fmt.Errorf("kvstore: snapshot claims %d items in %d bytes", n, c.Remaining())
 	}
 	s.items = newIndex(n)
 	for i := 0; i < n; i++ {
-		k := dec.U64()
-		ref := itemRef{
-			vpn:    pagetable.VPN(dec.U64()),
-			npages: int32(dec.I64()),
-			class:  int8(dec.I64()),
+		var it slot
+		it.checkpoint(c)
+		if c.Err() != nil {
+			return c.Err()
 		}
-		if dec.Err() != nil {
-			return dec.Err()
-		}
+		k, ref := it.key, it.ref
 		h := hash(k)
 		if _, dup := s.items.get(h, k); dup {
 			return fmt.Errorf("kvstore: snapshot repeats item key %d", k)
@@ -141,12 +134,13 @@ func (s *Store) RestoreState(dec *snapcodec.Decoder) error {
 		}
 		s.items.put(h, k, ref)
 	}
-	for _, p := range []*int64{
-		&s.Stats.Gets, &s.Stats.GetHits, &s.Stats.Sets, &s.Stats.Inserts,
-		&s.Stats.Deletes, &s.Stats.RMWs, &s.Stats.ScanRejects,
-		&s.Stats.BytesStored, &s.Stats.EvictedForSpace,
-	} {
-		*p = dec.I64()
-	}
-	return dec.Err()
+	return c.Err()
+}
+
+// checkpoint codes one item: its key, first page, page count and class.
+func (it *slot) checkpoint(c *snapcodec.Codec) {
+	snapcodec.U64(c, &it.key)
+	snapcodec.U64(c, &it.ref.vpn)
+	snapcodec.I64(c, &it.ref.npages)
+	snapcodec.I64(c, &it.ref.class)
 }

@@ -6,19 +6,18 @@ import (
 
 	"multiclock/internal/mem"
 	"multiclock/internal/pagetable"
-	"multiclock/internal/sim"
 	"multiclock/internal/snapcodec"
 )
 
-// StateSnapshotter is implemented by policies (and nested components such as
-// admission gates) that support deterministic checkpoint/restore. Snapshot
-// encodes the component's full mutable state at a quiescent point; Restore
-// decodes it into a freshly constructed component of identical configuration,
-// resolving page references through the registry. Every policy the run layer
-// can name implements it (bench's policy table requires it at compile time).
-type StateSnapshotter interface {
-	SnapshotState(enc *snapcodec.Encoder) error
-	RestoreState(dec *snapcodec.Decoder, pages *PageRegistry) error
+// Checkpointer is implemented by policies (and nested components such as
+// admission gates) that support deterministic checkpoint/restore.
+// Checkpoint codes the component's full mutable state at a quiescent point.
+// Reading, the component is freshly constructed with identical
+// configuration and resolves page references through the registry; writing,
+// pages is nil. Every policy the run layer can name implements it (bench's
+// policy table requires it at compile time).
+type Checkpointer interface {
+	Checkpoint(c *snapcodec.Codec, pages *PageRegistry) error
 }
 
 // PageRegistry resolves serialized page references (Page.Seq) back to
@@ -79,34 +78,37 @@ func (r *PageRegistry) Resolve(seq uint64) *mem.Page {
 	return pg
 }
 
-// SnapshotPageMap encodes a page-indexed policy map in Seq order — such maps
-// are indexed, never iterated, during a run, so the canonical order is
-// behaviorally exact — calling value to encode each entry after its key.
-func SnapshotPageMap[V any](enc *snapcodec.Encoder, m map[*mem.Page]V, value func(V)) {
-	pages := make([]*mem.Page, 0, len(m))
-	for pg := range m {
-		pages = append(pages, pg)
+// PageMap codes a page-indexed policy map in Seq order — such maps are
+// indexed, never iterated, during a run, so the canonical order is
+// behaviorally exact — calling value to code each entry after its key.
+// Reading, value receives a zero V to fill. Entries of such maps die with
+// their page, so every key read must name a live page, once; what names the
+// map in errors.
+func PageMap[V any](c *snapcodec.Codec, reg *PageRegistry, m map[*mem.Page]V, what string, value func(*V)) error {
+	n := len(m)
+	snapcodec.I64(c, &n)
+	if !c.Reading() {
+		pages := make([]*mem.Page, 0, n)
+		for pg := range m {
+			pages = append(pages, pg)
+		}
+		sort.Slice(pages, func(i, j int) bool { return pages[i].Seq < pages[j].Seq })
+		for _, pg := range pages {
+			v := m[pg]
+			snapcodec.U64(c, &pg.Seq)
+			value(&v)
+		}
+		return nil
 	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i].Seq < pages[j].Seq })
-	enc.Int(len(pages))
-	for _, pg := range pages {
-		enc.U64(pg.Seq)
-		value(m[pg])
-	}
-}
-
-// RestorePageMap decodes what SnapshotPageMap wrote into m, calling value to
-// decode each entry. Entries of such maps die with their page, so every key
-// must name a live page, once; what names the map in errors.
-func RestorePageMap[V any](dec *snapcodec.Decoder, reg *PageRegistry, m map[*mem.Page]V, what string, value func() V) error {
-	n := dec.Int()
-	if n != 0 && m == nil && dec.Err() == nil {
+	if n != 0 && m == nil && c.Err() == nil {
 		return fmt.Errorf("machine: snapshot has %d %s entries, policy tracks none", n, what)
 	}
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		seq := dec.U64()
-		v := value()
-		if dec.Err() != nil {
+	for i := 0; i < n && c.Err() == nil; i++ {
+		var seq uint64
+		var v V
+		snapcodec.U64(c, &seq)
+		value(&v)
+		if c.Err() != nil {
 			break
 		}
 		pg, ok := reg.Live(seq)
@@ -115,54 +117,82 @@ func RestorePageMap[V any](dec *snapcodec.Decoder, reg *PageRegistry, m map[*mem
 		}
 		m[pg] = v
 	}
-	return dec.Err()
+	return c.Err()
 }
 
-// SnapshotLRUState encodes every node's LRU vector. At a quiescent point the
+// CheckpointLRU codes every node's LRU vector. At a quiescent point the
 // lists enumerate every resident page (machine invariants pin
 // used = on-lists + shadow frames), so this section carries all live page
-// descriptors.
-func (m *Machine) SnapshotLRUState(enc *snapcodec.Encoder) {
-	enc.Int(len(m.Vecs))
-	for _, v := range m.Vecs {
-		v.SnapshotState(enc)
+// descriptors. Reading, it rebuilds the vectors of a pristine machine: each
+// page gets a fresh descriptor, is registered in the page registry, and has
+// its PTEs re-installed into its (pre-existing) address space.
+func (m *Machine) CheckpointLRU(c *snapcodec.Codec, reg *PageRegistry) error {
+	n := len(m.Vecs)
+	snapcodec.I64(c, &n)
+	if c.Err() != nil {
+		return c.Err()
 	}
-}
-
-// RestoreLRUState rebuilds the LRU vectors on a pristine machine: each
-// decoded page gets a fresh descriptor, is registered in the page registry,
-// and has its PTEs re-installed into its (pre-existing) address space.
-func (m *Machine) RestoreLRUState(dec *snapcodec.Decoder, reg *PageRegistry) error {
-	if n := dec.Int(); n != len(m.Vecs) {
-		if dec.Err() != nil {
-			return dec.Err()
-		}
+	if n != len(m.Vecs) {
 		return fmt.Errorf("machine: snapshot has %d LRU vectors, machine has %d", n, len(m.Vecs))
 	}
 	var relinkErr error
-	newPage := func(d *snapcodec.Decoder) *mem.Page {
-		pg := m.Mem.RestorePage(d)
-		if relinkErr == nil && d.Err() == nil {
-			relinkErr = m.relinkRestored(pg, reg)
+	held := &frameClaims{owned: make([][]bool, len(m.Mem.Nodes))}
+	newPage := func(c *snapcodec.Codec) *mem.Page {
+		pg := m.Mem.RestorePage(c)
+		if relinkErr == nil && c.Err() == nil {
+			relinkErr = m.relinkRestored(pg, reg, held)
 		}
 		return pg
 	}
 	for _, v := range m.Vecs {
-		if err := v.RestoreState(dec, newPage); err != nil {
+		if err := v.Checkpoint(c, newPage); err != nil {
 			return err
 		}
 		if relinkErr != nil {
 			return relinkErr
 		}
 	}
-	return dec.Err()
+	if c.Reading() && held.shadows != m.Mem.ShadowFrames() {
+		return fmt.Errorf("machine: restored pages hold %d shadow frames, mem section counts %d", held.shadows, m.Mem.ShadowFrames())
+	}
+	return c.Err()
+}
+
+// frameClaims records, per node, which frames the restored pages hold, and
+// how many of those are shadow copies.
+type frameClaims struct {
+	owned   [][]bool
+	shadows int
+}
+
+// claim marks frames [f, f+n) of node as held by one restored page. They must
+// lie on the node, be allocated and be held by no other page: otherwise the
+// page's eventual free would double-free a frame.
+func (fc *frameClaims) claim(m *Machine, node mem.NodeID, f mem.FrameID, n int) bool {
+	if node < 0 || int(node) >= len(fc.owned) {
+		return false
+	}
+	nd := m.Mem.Nodes[node]
+	if f < 0 || int(f)+n > nd.Frames {
+		return false
+	}
+	if fc.owned[node] == nil {
+		fc.owned[node] = make([]bool, nd.Frames)
+	}
+	for i := f; i < f+mem.FrameID(n); i++ {
+		if fc.owned[node][i] || !nd.Allocated(i) {
+			return false
+		}
+		fc.owned[node][i] = true
+	}
+	return true
 }
 
 // relinkRestored validates a decoded resident page and re-establishes its
 // external references: the seq registry and its page-table entries. Bounds
 // are checked explicitly so a structurally invalid snapshot fails with an
 // error instead of a panic deeper in.
-func (m *Machine) relinkRestored(pg *mem.Page, reg *PageRegistry) error {
+func (m *Machine) relinkRestored(pg *mem.Page, reg *PageRegistry, held *frameClaims) error {
 	if int(pg.Order) > mem.MaxOrder {
 		return fmt.Errorf("machine: restored page seq %d has order %d", pg.Seq, pg.Order)
 	}
@@ -171,6 +201,16 @@ func (m *Machine) relinkRestored(pg *mem.Page, reg *PageRegistry) error {
 	}
 	if n := m.Mem.Nodes[pg.Node]; pg.Frame < 0 || int(pg.Frame)+pg.Frames() > n.Frames {
 		return fmt.Errorf("machine: restored page seq %d spans frames %d+%d beyond node %d", pg.Seq, pg.Frame, pg.Frames(), pg.Node)
+	}
+	if !held.claim(m, pg.Node, pg.Frame, pg.Frames()) {
+		return fmt.Errorf("machine: restored page seq %d holds frames %d+%d of node %d that are free or held twice", pg.Seq, pg.Frame, pg.Frames(), pg.Node)
+	}
+	if pg.HasShadow() {
+		// Only base pages take shadow copies.
+		if pg.Order != 0 || !held.claim(m, pg.ShadowNode, pg.ShadowFrame, 1) {
+			return fmt.Errorf("machine: restored page seq %d has an invalid shadow frame %d on node %d", pg.Seq, pg.ShadowFrame, pg.ShadowNode)
+		}
+		held.shadows++
 	}
 	if err := reg.AddLive(pg); err != nil {
 		return err
@@ -198,56 +238,22 @@ func (m *Machine) relinkRestored(pg *mem.Page, reg *PageRegistry) error {
 	return nil
 }
 
-// SnapshotMachineState encodes the machine scalars, the CPU-cache model and
-// per-space swap/geometry state. The LRU section must be restored first: the
-// cache references pages by Seq and the per-space mapped counts verify
-// against the re-installed PTEs.
-func (m *Machine) SnapshotMachineState(enc *snapcodec.Encoder) {
-	enc.I64(m.Ops)
-	st := m.RNG.State()
-	for _, w := range st {
-		enc.U64(w)
-	}
-	enc.I64(int64(m.pendingTax))
-	enc.I64(int64(m.daemonWork))
-	if m.cache == nil {
-		enc.Bool(false)
-	} else {
-		enc.Bool(true)
-		m.cache.snapshot(enc)
-	}
-	enc.Int(len(m.spaces))
-	for _, as := range m.spaces {
-		enc.U64(uint64(as.NextVPN()))
-		enc.Int(len(as.VMAs()))
-		enc.Int(as.Mapped())
-		sw := as.SwappedVPNs()
-		enc.Int(len(sw))
-		for _, v := range sw {
-			enc.U64(uint64(v))
-		}
-	}
-}
-
-// RestoreMachineState decodes the machine section. The address spaces and
-// their VMAs must already exist (the restore target is constructed by the
-// same workload-setup path as the original run); geometry fields are
-// verified, not replayed.
-func (m *Machine) RestoreMachineState(dec *snapcodec.Decoder, reg *PageRegistry) error {
-	m.Ops = dec.I64()
-	var st [4]uint64
-	for i := range st {
-		st[i] = dec.U64()
-	}
-	if dec.Err() != nil {
-		return dec.Err()
-	}
-	m.RNG.SetState(st)
-	m.pendingTax = sim.Duration(dec.I64())
-	m.daemonWork = sim.Duration(dec.I64())
-	hasCache := dec.Bool()
-	if dec.Err() != nil {
-		return dec.Err()
+// CheckpointMachine codes the machine scalars, the CPU-cache model and
+// per-space swap/geometry state. Reading, the LRU section must be restored
+// first: the cache references pages by Seq and the per-space mapped counts
+// verify against the re-installed PTEs. The address spaces and their VMAs
+// already exist (the restore target is constructed by the same
+// workload-setup path as the original run); geometry fields are verified,
+// not replayed.
+func (m *Machine) CheckpointMachine(c *snapcodec.Codec, reg *PageRegistry) error {
+	snapcodec.I64(c, &m.Ops)
+	m.RNG.Checkpoint(c)
+	snapcodec.I64(c, &m.pendingTax)
+	snapcodec.I64(c, &m.daemonWork)
+	hasCache := m.cache != nil
+	c.Bool(&hasCache)
+	if c.Err() != nil {
+		return c.Err()
 	}
 	if m.pendingTax < 0 || m.daemonWork < 0 {
 		// Both sum non-negative costs; a negative tax would run the clock
@@ -258,24 +264,31 @@ func (m *Machine) RestoreMachineState(dec *snapcodec.Decoder, reg *PageRegistry)
 		return fmt.Errorf("machine: snapshot CPU cache presence %v, machine %v", hasCache, m.cache != nil)
 	}
 	if hasCache {
-		if err := m.cache.restore(dec, reg); err != nil {
+		if err := m.cache.checkpoint(c, reg); err != nil {
 			return err
 		}
 	}
-	nspaces := dec.Int()
-	if dec.Err() != nil {
-		return dec.Err()
+	nspaces := len(m.spaces)
+	snapcodec.I64(c, &nspaces)
+	if c.Err() != nil {
+		return c.Err()
 	}
 	if nspaces != len(m.spaces) {
 		return fmt.Errorf("machine: snapshot has %d address spaces, machine has %d", nspaces, len(m.spaces))
 	}
 	for _, as := range m.spaces {
-		nextVPN := pagetable.VPN(dec.U64())
-		vmas := dec.Int()
-		mapped := dec.Int()
-		nsw := dec.Int()
-		if dec.Err() != nil {
-			return dec.Err()
+		nextVPN, vmas, mapped := as.NextVPN(), len(as.VMAs()), as.Mapped()
+		var sw []pagetable.VPN
+		if !c.Reading() {
+			sw = as.SwappedVPNs()
+		}
+		nsw := len(sw)
+		snapcodec.U64(c, &nextVPN)
+		snapcodec.I64(c, &vmas)
+		snapcodec.I64(c, &mapped)
+		snapcodec.I64(c, &nsw)
+		if c.Err() != nil {
+			return c.Err()
 		}
 		if nextVPN != as.NextVPN() || vmas != len(as.VMAs()) {
 			return fmt.Errorf("machine: space %d geometry differs (snapshot nextVPN %#x/%d VMAs, machine %#x/%d)",
@@ -284,13 +297,20 @@ func (m *Machine) RestoreMachineState(dec *snapcodec.Decoder, reg *PageRegistry)
 		if mapped != as.Mapped() {
 			return fmt.Errorf("machine: space %d has %d mapped PTEs after restore, snapshot recorded %d", as.ID, as.Mapped(), mapped)
 		}
+		if !c.Reading() {
+			for i := range sw {
+				snapcodec.U64(c, &sw[i])
+			}
+			continue
+		}
 		if nsw < 0 {
 			return fmt.Errorf("machine: space %d swap population %d", as.ID, nsw)
 		}
 		for i := 0; i < nsw; i++ {
-			vpn := pagetable.VPN(dec.U64())
-			if dec.Err() != nil {
-				return dec.Err()
+			var vpn pagetable.VPN
+			snapcodec.U64(c, &vpn)
+			if c.Err() != nil {
+				return c.Err()
 			}
 			if vpn > pagetable.MaxVPN {
 				return fmt.Errorf("machine: space %d swap entry %#x past the address space", as.ID, vpn)
@@ -298,64 +318,64 @@ func (m *Machine) RestoreMachineState(dec *snapcodec.Decoder, reg *PageRegistry)
 			as.MarkSwapped(vpn)
 		}
 	}
-	return dec.Err()
+	return c.Err()
 }
 
-// snapshot encodes the CPU-cache model: hit counters plus the cached
+// checkpoint codes the CPU-cache model: hit counters plus the cached
 // (page, sub-frame) units in LRU order, tail (least recent) first. Slot
 // indexes are not serialized — slot assignment is behaviorally invisible —
-// so the encoding is canonical.
-func (c *pageCache) snapshot(enc *snapcodec.Encoder) {
-	enc.I64(c.Hits)
-	enc.I64(c.Misses)
-	enc.Int(c.cap - len(c.free))
-	for idx := c.tail; idx >= 0; idx = c.nodes[idx].prev {
-		k := c.nodes[idx].key
-		enc.U64(k.pg.Seq)
-		enc.U32(uint32(k.sub))
+// so the encoding is canonical. Reading, it rebuilds the cache into an
+// empty slab: entries push to the front in the order read, reproducing the
+// exact LRU order. Cached pages are always live (migration, swap and free
+// all invalidate).
+func (pc *pageCache) checkpoint(c *snapcodec.Codec, reg *PageRegistry) error {
+	snapcodec.I64(c, &pc.Hits)
+	snapcodec.I64(c, &pc.Misses)
+	n := pc.cap - len(pc.free)
+	snapcodec.I64(c, &n)
+	if !c.Reading() {
+		for idx := pc.tail; idx >= 0; idx = pc.nodes[idx].prev {
+			k := pc.nodes[idx].key
+			snapcodec.U64(c, &k.pg.Seq)
+			snapcodec.U32(c, &k.sub)
+		}
+		return nil
 	}
-}
-
-// restore rebuilds the cache into an empty slab: entries decode tail-first
-// and push to the front, reproducing the exact LRU order. Cached pages are
-// always live (migration, swap and free all invalidate).
-func (c *pageCache) restore(dec *snapcodec.Decoder, reg *PageRegistry) error {
-	c.Hits = dec.I64()
-	c.Misses = dec.I64()
-	n := dec.Int()
-	if dec.Err() != nil {
-		return dec.Err()
+	if c.Err() != nil {
+		return c.Err()
 	}
-	if n < 0 || n > c.cap {
-		return fmt.Errorf("machine: snapshot caches %d of %d slots", n, c.cap)
+	if n < 0 || n > pc.cap {
+		return fmt.Errorf("machine: snapshot caches %d of %d slots", n, pc.cap)
 	}
 	for i := 0; i < n; i++ {
-		seq := dec.U64()
-		sub := int32(dec.U32())
-		if dec.Err() != nil {
-			return dec.Err()
+		var seq uint64
+		var sub int32
+		snapcodec.U64(c, &seq)
+		snapcodec.U32(c, &sub)
+		if c.Err() != nil {
+			return c.Err()
 		}
 		pg, ok := reg.Live(seq)
 		if !ok {
 			return fmt.Errorf("machine: CPU cache references non-resident page seq %d", seq)
 		}
-		idx := c.free[len(c.free)-1]
-		c.free = c.free[:len(c.free)-1]
-		c.nodes[idx].key = cacheKey{pg, sub}
-		c.pushFront(idx)
+		idx := pc.free[len(pc.free)-1]
+		pc.free = pc.free[:len(pc.free)-1]
+		pc.nodes[idx].key = cacheKey{pg, sub}
+		pc.pushFront(idx)
 		if sub == 0 {
 			if pg.CacheHint != 0 {
 				return fmt.Errorf("machine: page seq %d cached twice", seq)
 			}
 			pg.CacheHint = idx + 1
 		} else {
-			if c.sub == nil {
-				c.sub = make(map[*mem.Page]map[int32]int32, c.cap)
+			if pc.sub == nil {
+				pc.sub = make(map[*mem.Page]map[int32]int32, pc.cap)
 			}
-			frames := c.sub[pg]
+			frames := pc.sub[pg]
 			if frames == nil {
 				frames = make(map[int32]int32, 4)
-				c.sub[pg] = frames
+				pc.sub[pg] = frames
 			}
 			if _, dup := frames[sub]; dup {
 				return fmt.Errorf("machine: page seq %d sub-frame %d cached twice", seq, sub)
@@ -363,29 +383,16 @@ func (c *pageCache) restore(dec *snapcodec.Decoder, reg *PageRegistry) error {
 			frames[sub] = idx
 		}
 	}
-	return dec.Err()
+	return c.Err()
 }
 
-// SnapshotGate encodes a nested admission gate (presence-tagged), requiring
+// CheckpointGate codes a nested admission gate (presence-tagged), requiring
 // it to support checkpointing when present. Shared by the gated policies.
-func SnapshotGate(enc *snapcodec.Encoder, gate PromotionGate) error {
-	if gate == nil {
-		enc.Bool(false)
-		return nil
-	}
-	enc.Bool(true)
-	gs, ok := gate.(StateSnapshotter)
-	if !ok {
-		return fmt.Errorf("machine: admission gate %s does not support checkpointing", gate.Name())
-	}
-	return gs.SnapshotState(enc)
-}
-
-// RestoreGate decodes the nested gate section, cross-checking presence.
-func RestoreGate(dec *snapcodec.Decoder, reg *PageRegistry, gate PromotionGate) error {
-	hasGate := dec.Bool()
-	if dec.Err() != nil {
-		return dec.Err()
+func CheckpointGate(c *snapcodec.Codec, reg *PageRegistry, gate PromotionGate) error {
+	hasGate := gate != nil
+	c.Bool(&hasGate)
+	if c.Err() != nil {
+		return c.Err()
 	}
 	if hasGate != (gate != nil) {
 		return fmt.Errorf("machine: snapshot gate presence %v does not match policy", hasGate)
@@ -393,9 +400,9 @@ func RestoreGate(dec *snapcodec.Decoder, reg *PageRegistry, gate PromotionGate) 
 	if !hasGate {
 		return nil
 	}
-	gs, ok := gate.(StateSnapshotter)
+	gs, ok := gate.(Checkpointer)
 	if !ok {
 		return fmt.Errorf("machine: admission gate %s does not support checkpointing", gate.Name())
 	}
-	return gs.RestoreState(dec, reg)
+	return gs.Checkpoint(c, reg)
 }

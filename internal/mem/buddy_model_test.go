@@ -146,6 +146,13 @@ func (b *buddy) checkStructure() error {
 	return nil
 }
 
+// buddyBytes is b's checkpoint.
+func buddyBytes(b *buddy) []byte {
+	c := snapcodec.NewWriter()
+	b.checkpoint(c)
+	return c.Bytes()
+}
+
 // agree compares the allocator with the model: inventory, structure and
 // checkpoint bytes.
 func agree(b *buddy, r *refBuddy) error {
@@ -155,9 +162,7 @@ func agree(b *buddy, r *refBuddy) error {
 	if err := b.checkStructure(); err != nil {
 		return err
 	}
-	enc := snapcodec.NewEncoder()
-	b.snapshot(enc)
-	if !bytes.Equal(enc.Bytes(), r.snapshot()) {
+	if !bytes.Equal(buddyBytes(b), r.snapshot()) {
 		return fmt.Errorf("snapshot bytes differ from the model's")
 	}
 	return nil
@@ -209,10 +214,9 @@ func TestBuddyAgainstModel(t *testing.T) {
 					}
 				}
 				if step == 1500 {
-					enc := snapcodec.NewEncoder()
-					b.snapshot(enc)
+					snap := buddyBytes(b)
 					b = newBuddy(frames)
-					if err := b.restore(snapcodec.NewDecoder(enc.Bytes())); err != nil {
+					if err := b.checkpoint(snapcodec.NewReader(snap)); err != nil {
 						t.Fatalf("restore: %v", err)
 					}
 				}
@@ -267,9 +271,7 @@ func FuzzBuddyRestore(f *testing.F) {
 	valid := func(prepare func(b *buddy)) []byte {
 		b := newBuddy(fuzzFrames)
 		prepare(b)
-		enc := snapcodec.NewEncoder()
-		b.snapshot(enc)
-		return enc.Bytes()
+		return buddyBytes(b)
 	}
 	fresh := valid(func(*buddy) {})
 	f.Add(fresh)
@@ -303,21 +305,18 @@ func FuzzBuddyRestore(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := newBuddy(fuzzFrames)
-		if err := b.restore(snapcodec.NewDecoder(data)); err != nil {
+		if err := b.checkpoint(snapcodec.NewReader(data)); err != nil {
 			return
 		}
 		if err := b.checkStructure(); err != nil {
 			t.Fatalf("accepted a malformed allocator: %v", err)
 		}
-		enc := snapcodec.NewEncoder()
-		b.snapshot(enc)
+		snap := buddyBytes(b)
 		again := newBuddy(fuzzFrames)
-		if err := again.restore(snapcodec.NewDecoder(enc.Bytes())); err != nil {
+		if err := again.checkpoint(snapcodec.NewReader(snap)); err != nil {
 			t.Fatalf("re-encoded state does not restore: %v", err)
 		}
-		enc2 := snapcodec.NewEncoder()
-		again.snapshot(enc2)
-		if !bytes.Equal(enc.Bytes(), enc2.Bytes()) {
+		if !bytes.Equal(snap, buddyBytes(again)) {
 			t.Fatal("snapshot of a restored allocator is not a fixed point")
 		}
 	})

@@ -97,16 +97,9 @@ func (n *Node) UnderHigh() bool { return n.FreeFrames() < n.WM.High }
 // UnderMin reports whether only the emergency reserve remains.
 func (n *Node) UnderMin() bool { return n.FreeFrames() < n.WM.Min }
 
-// allocFrame pops a free frame, or NoFrame when the node is exhausted.
-func (n *Node) allocFrame() FrameID { return n.alloc.Alloc(0) }
-
-// freeFrame returns a frame to the allocator (with buddy coalescing).
-func (n *Node) freeFrame(f FrameID) {
-	if f < 0 || int(f) >= n.Frames {
-		panic(fmt.Sprintf("mem: freeing frame %d outside node %d (%d frames)", f, n.ID, n.Frames))
-	}
-	n.alloc.Free(f, 0)
-}
+// Allocated reports whether frame f is held by an allocation (restore checks
+// that every page it rebuilds sits on allocated frames).
+func (n *Node) Allocated(f FrameID) bool { return n.alloc.state[f] == stateAllocated }
 
 func (n *Node) String() string {
 	return fmt.Sprintf("node%d(%s, %d/%d free)", n.ID, n.Tier, n.FreeFrames(), n.Frames)

@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 
-	"multiclock/internal/sim"
 	"multiclock/internal/snapcodec"
 )
 
@@ -14,121 +13,69 @@ import (
 // construction path keep their pointers and receive the snapshot values in
 // place.
 
-// SnapshotState encodes every instrument and the event ring.
-func (r *Registry) SnapshotState(enc *snapcodec.Encoder) {
-	names := sortedNames(r.counters)
-	enc.Int(len(names))
-	for _, name := range names {
-		enc.String(name)
-		enc.I64(r.counters[name].v)
-	}
-	names = sortedNames(r.gauges)
-	enc.Int(len(names))
-	for _, name := range names {
-		g := r.gauges[name]
-		enc.String(name)
-		enc.I64(g.last)
-		enc.I64(g.max)
-		enc.Bool(g.any)
-	}
-	names = sortedNames(r.hists)
-	enc.Int(len(names))
-	for _, name := range names {
-		h := r.hists[name]
-		enc.String(name)
-		for _, c := range h.counts {
-			enc.I64(c)
+// Checkpoint codes every instrument and the event ring. Reading, the
+// registry is built with the same trace capacity.
+func (r *Registry) Checkpoint(c *snapcodec.Codec) error {
+	err := snapcodec.Entries(c, sortedNames(r.counters), func(name *string) error {
+		c.String(name)
+		if c.Err() != nil {
+			return c.Err()
 		}
-		enc.I64(h.n)
-		enc.I64(h.sum)
-		enc.I64(h.min)
-		enc.I64(h.max)
+		snapcodec.I64(c, &r.Counter(*name).v)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	if r.events == nil {
-		enc.Bool(false)
-		return
-	}
-	enc.Bool(true)
-	t := r.events
-	enc.Int(t.Capacity())
-	enc.I64(t.dropped)
-	enc.Int(t.n)
-	for i := 0; i < t.n; i++ {
-		ev := t.buf[(t.start+i)%len(t.buf)]
-		enc.I64(int64(ev.At))
-		enc.U8(uint8(ev.Kind))
-		enc.I64(int64(ev.From))
-		enc.I64(int64(ev.To))
-		enc.Int(ev.Pages)
-		enc.U64(ev.VA)
-		enc.I64(int64(ev.Work))
-		enc.String(ev.Name)
-	}
-}
-
-// RestoreState decodes into a registry built with the same trace capacity.
-func (r *Registry) RestoreState(dec *snapcodec.Decoder) error {
-	n := dec.Int()
-	if dec.Err() != nil {
-		return dec.Err()
-	}
-	for i := 0; i < n; i++ {
-		name := dec.String()
-		v := dec.I64()
-		if dec.Err() != nil {
-			return dec.Err()
+	err = snapcodec.Entries(c, sortedNames(r.gauges), func(name *string) error {
+		c.String(name)
+		if c.Err() != nil {
+			return c.Err()
 		}
-		r.Counter(name).v = v
+		g := r.Gauge(*name)
+		snapcodec.I64(c, &g.last)
+		snapcodec.I64(c, &g.max)
+		c.Bool(&g.any)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	n = dec.Int()
-	if dec.Err() != nil {
-		return dec.Err()
-	}
-	for i := 0; i < n; i++ {
-		name := dec.String()
-		last := dec.I64()
-		max := dec.I64()
-		any := dec.Bool()
-		if dec.Err() != nil {
-			return dec.Err()
+	err = snapcodec.Entries(c, sortedNames(r.hists), func(name *string) error {
+		c.String(name)
+		if c.Err() != nil {
+			return c.Err()
 		}
-		g := r.Gauge(name)
-		g.last, g.max, g.any = last, max, any
-	}
-	n = dec.Int()
-	if dec.Err() != nil {
-		return dec.Err()
-	}
-	for i := 0; i < n; i++ {
-		name := dec.String()
-		if dec.Err() != nil {
-			return dec.Err()
-		}
-		h := r.Histogram(name)
+		h := r.Histogram(*name)
 		for k := range h.counts {
-			h.counts[k] = dec.I64()
+			snapcodec.I64(c, &h.counts[k])
 		}
-		h.n = dec.I64()
-		h.sum = dec.I64()
-		h.min = dec.I64()
-		h.max = dec.I64()
+		for _, p := range []*int64{&h.n, &h.sum, &h.min, &h.max} {
+			snapcodec.I64(c, p)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	hasTrace := dec.Bool()
-	if dec.Err() != nil {
-		return dec.Err()
+	hasTrace := r.events != nil
+	c.Bool(&hasTrace)
+	if c.Err() != nil {
+		return c.Err()
 	}
 	if hasTrace != (r.events != nil) {
 		return fmt.Errorf("metrics: snapshot trace presence %v, registry %v", hasTrace, r.events != nil)
 	}
 	if !hasTrace {
-		return dec.Err()
+		return nil
 	}
 	t := r.events
-	capacity := dec.Int()
-	dropped := dec.I64()
-	live := dec.Int()
-	if dec.Err() != nil {
-		return dec.Err()
+	capacity, live := t.Capacity(), t.n
+	snapcodec.I64(c, &capacity)
+	snapcodec.I64(c, &t.dropped)
+	snapcodec.I64(c, &live)
+	if c.Err() != nil {
+		return c.Err()
 	}
 	if capacity != t.Capacity() {
 		return fmt.Errorf("metrics: snapshot trace capacity %d, registry %d", capacity, t.Capacity())
@@ -136,19 +83,19 @@ func (r *Registry) RestoreState(dec *snapcodec.Decoder) error {
 	if live < 0 || live > capacity {
 		return fmt.Errorf("metrics: snapshot trace holds %d of %d events", live, capacity)
 	}
-	t.start = 0
-	t.n = live
-	t.dropped = dropped
-	for i := 0; i < live; i++ {
-		ev := &t.buf[i]
-		ev.At = sim.Time(dec.I64())
-		ev.Kind = EventKind(dec.U8())
-		ev.From = int(dec.I64())
-		ev.To = int(dec.I64())
-		ev.Pages = dec.Int()
-		ev.VA = dec.U64()
-		ev.Work = sim.Duration(dec.I64())
-		ev.Name = dec.String()
+	if c.Reading() {
+		t.start, t.n = 0, live
 	}
-	return dec.Err()
+	for i := 0; i < live; i++ {
+		ev := &t.buf[(t.start+i)%len(t.buf)]
+		snapcodec.I64(c, &ev.At)
+		snapcodec.U8(c, &ev.Kind)
+		snapcodec.I64(c, &ev.From)
+		snapcodec.I64(c, &ev.To)
+		snapcodec.I64(c, &ev.Pages)
+		snapcodec.U64(c, &ev.VA)
+		snapcodec.I64(c, &ev.Work)
+		c.String(&ev.Name)
+	}
+	return c.Err()
 }

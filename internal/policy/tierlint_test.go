@@ -50,11 +50,11 @@ func TestNoHardcodedTierConstants(t *testing.T) {
 // range over a map: each collects the keys and sorts them before anything
 // order-dependent happens (the page cache's only removes what it visits).
 var sortedMapRanges = map[string]bool{
-	"machine.SnapshotPageMap":          true, // page-indexed policy maps, Seq order
-	"core.MultiClock.SnapshotState":    true, // lastDemote, node order
-	"policy.AutoTiering.SnapshotState": true, // at-scan cursors, space order
-	"policy.Thermostat.sortedRegions":  true, // regions, (space, base) order
-	"machine.pageCache.Invalidate":     true, // drops every sub-frame entry of one page
+	"machine.PageMap":                 true, // page-indexed policy maps, Seq order
+	"core.MultiClock.Checkpoint":      true, // lastDemote, node order
+	"policy.AutoTiering.Checkpoint":   true, // at-scan cursors, space order
+	"policy.Thermostat.sortedRegions": true, // regions, (space, base) order
+	"machine.pageCache.Invalidate":    true, // drops every sub-frame entry of one page
 }
 
 // TestNoUnsortedMapRange pins the determinism contract at the source: Go

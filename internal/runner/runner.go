@@ -46,65 +46,28 @@ func panicError(i int, name string, r any) error {
 // results in input order. fn must be self-contained: each call builds and
 // drives its own simulated machine (or otherwise touches no shared state).
 // With workers ≤ 1 the calls happen inline on the caller's goroutine, in
-// order, so sequential behavior is exactly the pre-pool code path. A panic
-// in any call is re-raised on the caller's goroutine — sequential or not,
-// after the pool drains — wrapped as an error naming the task index.
+// order. Every call runs even when one panics; afterwards the panic of the
+// lowest-index failing call is re-raised on the caller's goroutine, wrapped
+// as an error naming the task index, so which panic surfaces does not
+// depend on timing.
 func Map[T, R any](workers int, items []T, fn func(i int, item T) R) []R {
-	n := len(items)
-	if n == 0 {
+	if len(items) == 0 {
 		return nil
 	}
-	out := make([]R, n)
-	call := func(i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				panic(panicError(i, "", r))
-			}
-		}()
-		out[i] = fn(i, items[i])
+	tasks := make([]Task[R], len(items))
+	for i, item := range items {
+		tasks[i].Fn = func() (R, error) { return fn(i, item), nil }
 	}
-	w := Workers(workers, n)
-	if workers > 0 && workers <= 1 {
-		w = 1
-	}
-	if w == 1 {
-		for i := range items {
-			call(i)
+	out := make([]R, len(items))
+	var failed error
+	Stream(workers, nil, tasks, func(i int, r TaskResult[R]) {
+		out[i] = r.Value
+		if failed == nil {
+			failed = r.Err
 		}
-		return out
-	}
-
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicked error
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							err, ok := r.(error)
-							if !ok {
-								err = panicError(i, "", r)
-							}
-							panicOnce.Do(func() { panicked = err })
-						}
-					}()
-					call(i)
-				}()
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
+	})
+	if failed != nil {
+		panic(failed)
 	}
 	return out
 }
@@ -123,21 +86,13 @@ type TaskResult[R any] struct {
 	Wall  time.Duration
 }
 
-// Run executes tasks on up to workers goroutines and returns their results
-// in submission order. One progress line per completed task — name, wall
-// time, ok/error — is written to progress as tasks finish (nil silences
-// it); completion order on the progress stream is nondeterministic, the
-// returned slice is not. A panicking task is captured as an error so the
-// remaining tasks still run.
-func Run[R any](workers int, progress io.Writer, tasks []Task[R]) []TaskResult[R] {
-	out := make([]TaskResult[R], len(tasks))
-	Stream(workers, progress, tasks, func(i int, r TaskResult[R]) { out[i] = r })
-	return out
-}
-
-// Stream is Run with ordered delivery: emit is called on the caller's
-// goroutine once per task, in submission order, as soon as the task (and
-// every task before it) has finished. This lets a CLI print experiment
+// Stream executes tasks on up to workers goroutines and calls emit on the
+// caller's goroutine once per task, in submission order, as soon as the task
+// (and every task before it) has finished. One progress line per completed
+// task — name, wall time, ok/error — is written to progress as tasks finish
+// (nil silences it); completion order on the progress stream is
+// nondeterministic, the emit order is not. A panicking task is captured as
+// an error so the remaining tasks still run. This lets a CLI print experiment
 // output incrementally while keeping stdout byte-identical to a
 // sequential run.
 func Stream[R any](workers int, progress io.Writer, tasks []Task[R], emit func(i int, r TaskResult[R])) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -89,6 +90,13 @@ func TestMapPropagatesPanic(t *testing.T) {
 	})
 }
 
+// collect gathers Stream's results in the order it emits them.
+func collect[R any](workers int, progress io.Writer, tasks []Task[R]) []TaskResult[R] {
+	var out []TaskResult[R]
+	Stream(workers, progress, tasks, func(_ int, r TaskResult[R]) { out = append(out, r) })
+	return out
+}
+
 func TestRunOrderTimingAndErrors(t *testing.T) {
 	var buf bytes.Buffer
 	tasks := []Task[string]{
@@ -97,7 +105,7 @@ func TestRunOrderTimingAndErrors(t *testing.T) {
 		{Name: "c", Fn: func() (string, error) { panic("kaboom") }},
 		{Name: "d", Fn: func() (string, error) { return "rd", nil }},
 	}
-	res := Run(3, &buf, tasks)
+	res := collect(3, &buf, tasks)
 	if len(res) != 4 {
 		t.Fatalf("results = %d", len(res))
 	}
@@ -177,7 +185,7 @@ func TestStreamPanicErrorNamesTask(t *testing.T) {
 		{Name: "bad", Fn: func() (int, error) { panic("kaboom") }},
 	}
 	for _, workers := range []int{1, 2} {
-		res := Run(workers, nil, tasks)
+		res := collect(workers, nil, tasks)
 		if res[1].Err == nil {
 			t.Fatalf("workers=%d: panic not captured", workers)
 		}

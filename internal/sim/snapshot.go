@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"multiclock/internal/snapcodec"
+)
 
 // Checkpoint support. A snapshot is only taken at a quiescent boundary: the
 // only live events on the heap are the armed daemons' next wakeups. At such
@@ -12,11 +16,12 @@ import "fmt"
 // i of the saved one (names are kept as a sanity check only, since several
 // daemons may share one, e.g. per-node "kpromoted" threads).
 
-// State returns the RNG's internal xoshiro256** state words.
-func (r *RNG) State() [4]uint64 { return r.s }
-
-// SetState overwrites the RNG's internal state (checkpoint restore).
-func (r *RNG) SetState(s [4]uint64) { r.s = s }
+// Checkpoint codes the RNG's xoshiro256** state words.
+func (r *RNG) Checkpoint(c *snapcodec.Codec) {
+	for i := range r.s {
+		snapcodec.U64(c, &r.s[i])
+	}
+}
 
 // Daemons returns every daemon ever started on the clock, in start order.
 // The slice is the clock's own registry; callers must not mutate it.

@@ -64,20 +64,15 @@ func (a *Array[T]) Len() int { return len(a.data) }
 // Pages returns the page footprint.
 func (a *Array[T]) Pages() int { return (len(a.data) + a.perPage - 1) / a.perPage }
 
-// vpnOf returns the page holding element i.
-func (a *Array[T]) vpnOf(i int) pagetable.VPN {
-	return a.base + pagetable.VPN(i/a.perPage)
-}
-
 // Get reads element i, charging the simulated access.
 func (a *Array[T]) Get(i int) T {
-	a.m.Access(a.as, a.vpnOf(i), false)
+	a.m.Access(a.as, a.base+pagetable.VPN(i/a.perPage), false)
 	return a.data[i]
 }
 
 // Set writes element i, charging the simulated access.
 func (a *Array[T]) Set(i int, v T) {
-	a.m.Access(a.as, a.vpnOf(i), true)
+	a.m.Access(a.as, a.base+pagetable.VPN(i/a.perPage), true)
 	a.data[i] = v
 }
 

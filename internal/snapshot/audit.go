@@ -15,7 +15,7 @@ import (
 // state hashes (the container's fnv-1a section checksums — equal state,
 // equal bytes, equal hash). Two audit trails from runs that should be
 // identical — straight vs restored, two builds, two hosts — are then
-// bisected to the first diverging boundary and the subsystems that differ,
+// scanned to the first diverging boundary and the subsystems that differ,
 // turning "the reports differ" into "the policy section first diverged at op
 // 41200, vtime 3.1s".
 
@@ -164,36 +164,15 @@ func (d *Divergence) String() string {
 	return fmt.Sprintf("first divergence at checkpoint %d (op %d, vtime %dns): sections %v", d.Index, d.Op, d.VTime, d.Sections)
 }
 
-// Diverge bisects two trails to their first differing record. It returns nil
-// when the trails are identical.
+// Diverge finds the first record at which two trails differ. It returns nil
+// when the trails are identical. The scan is linear: a divergence need not
+// persist (a transient difference can reconverge), so no record can be
+// skipped.
 func Diverge(a, b []AuditRecord) *Divergence {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	// The trails are checkpoint-ordered, so binary search for the first
-	// index where they disagree: if records match at i they match everywhere
-	// before i only if divergence is monotone — which hash equality is not
-	// guaranteed to be in theory, but a deterministic simulation that
-	// diverges stays diverged (all downstream state compounds the change).
-	// A linear verification pass below keeps the result exact regardless.
-	lo, hi := 0, n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if recordsEqual(a[mid], b[mid]) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	first := lo
-	// Verify: the binary search assumed monotonicity; scan the prefix to
-	// catch a transient (non-compounding) divergence it may have skipped.
-	for i := 0; i < first; i++ {
-		if !recordsEqual(a[i], b[i]) {
-			first = i
-			break
-		}
+	n := min(len(a), len(b))
+	first := 0
+	for first < n && recordsEqual(a[first], b[first]) {
+		first++
 	}
 	if first == n {
 		if len(a) == len(b) {

@@ -24,6 +24,39 @@ type Target struct {
 	Metrics *metrics.Registry
 }
 
+// section is one container section: code walks its subsystem's state
+// through a codec, in either direction. reg is nil when writing.
+type section struct {
+	name string
+	code func(t *Target, c *snapcodec.Codec, reg *machine.PageRegistry) error
+}
+
+// sections lists every state section in restore order. The LRU section
+// registers the live pages the machine, policy and later sections resolve;
+// mem comes first so a snapshot of another tier hierarchy fails as a
+// topology mismatch before anything else is compared. The clock comes after
+// the machine, so the container order (SectionOrder, clock first) is not
+// the restore order.
+var sections = []section{
+	{SecMem, func(t *Target, c *snapcodec.Codec, _ *machine.PageRegistry) error { return t.M.Mem.Checkpoint(c) }},
+	{SecLRU, func(t *Target, c *snapcodec.Codec, reg *machine.PageRegistry) error { return t.M.CheckpointLRU(c, reg) }},
+	{SecMachine, func(t *Target, c *snapcodec.Codec, reg *machine.PageRegistry) error {
+		return t.M.CheckpointMachine(c, reg)
+	}},
+	{SecClock, func(t *Target, c *snapcodec.Codec, _ *machine.PageRegistry) error {
+		return checkpointClock(t.M.Clock, c)
+	}},
+	{SecFault, func(t *Target, c *snapcodec.Codec, _ *machine.PageRegistry) error {
+		return optional(c, "fault injection", t.M.Faults != nil, func() error { return t.M.Faults.Checkpoint(c) })
+	}},
+	{SecPolicy, checkpointPolicy},
+	{SecStore, func(t *Target, c *snapcodec.Codec, _ *machine.PageRegistry) error { return t.Store.Checkpoint(c) }},
+	{SecWorkload, checkpointWorkload},
+	{SecMetrics, func(t *Target, c *snapcodec.Codec, _ *machine.PageRegistry) error {
+		return optional(c, "telemetry", t.Metrics != nil, func() error { return t.Metrics.Checkpoint(c) })
+	}},
+}
+
 // Capture serializes the target at a quiescent boundary into a container.
 // The config payload is opaque to this layer: the harness that constructs
 // targets writes whatever it needs to rebuild (and cross-check) an identical
@@ -32,62 +65,18 @@ func Capture(t *Target, config []byte) (*File, error) {
 	if n := t.M.Clock.NonDaemonPending(); n != 0 {
 		return nil, &NotQuiescentError{Pending: n}
 	}
-	ps, err := policyCodec(t.M)
-	if err != nil {
-		return nil, err
-	}
-
-	f := NewFile()
-	f.AddSection(SecConfig, config)
-	f.AddSection(SecClock, encodeClock(t.M.Clock))
-
-	enc := snapcodec.NewEncoder()
-	t.M.Mem.SnapshotState(enc)
-	f.AddSection(SecMem, enc.Bytes())
-
-	enc = snapcodec.NewEncoder()
-	t.M.SnapshotLRUState(enc)
-	f.AddSection(SecLRU, enc.Bytes())
-
-	enc = snapcodec.NewEncoder()
-	t.M.SnapshotMachineState(enc)
-	f.AddSection(SecMachine, enc.Bytes())
-
-	enc = snapcodec.NewEncoder()
-	enc.Bool(t.M.Faults != nil)
-	if t.M.Faults != nil {
-		t.M.Faults.SnapshotState(enc)
-	}
-	f.AddSection(SecFault, enc.Bytes())
-
-	enc = snapcodec.NewEncoder()
-	enc.String(t.M.Policy.Name())
-	if err := ps.SnapshotState(enc); err != nil {
-		return nil, err
-	}
-	f.AddSection(SecPolicy, enc.Bytes())
-
-	enc = snapcodec.NewEncoder()
-	t.Store.SnapshotState(enc)
-	f.AddSection(SecStore, enc.Bytes())
-
-	enc = snapcodec.NewEncoder()
-	t.Client.SnapshotState(enc)
-	enc.Bool(t.Run != nil)
-	if t.Run != nil {
-		if err := t.Run.SnapshotState(enc); err != nil {
+	payloads := map[string][]byte{SecConfig: config}
+	for _, s := range sections {
+		c := snapcodec.NewWriter()
+		if err := s.code(t, c, nil); err != nil {
 			return nil, err
 		}
+		payloads[s.name] = c.Bytes()
 	}
-	f.AddSection(SecWorkload, enc.Bytes())
-
-	enc = snapcodec.NewEncoder()
-	enc.Bool(t.Metrics != nil)
-	if t.Metrics != nil {
-		t.Metrics.SnapshotState(enc)
+	f := NewFile()
+	for _, name := range SectionOrder {
+		f.AddSection(name, payloads[name])
 	}
-	f.AddSection(SecMetrics, enc.Bytes())
-
 	return f, nil
 }
 
@@ -97,125 +86,59 @@ func Capture(t *Target, config []byte) (*File, error) {
 // workload (nil if none was running) and the machine passes its invariant
 // checker; on error the target is unusable and must be discarded.
 func Restore(t *Target, f *File) error {
-	ps, err := policyCodec(t.M)
-	if err != nil {
-		return err
-	}
 	reg := machine.NewPageRegistry()
-
-	dec, err := sectionDecoder(f, SecMem)
-	if err != nil {
-		return err
+	for _, s := range sections {
+		p, ok := f.Section(s.name)
+		if !ok {
+			return &CorruptError{Section: s.name, Err: errors.New("section missing")}
+		}
+		c := snapcodec.NewReader(p)
+		err := s.code(t, c, reg)
+		if err == nil {
+			err = c.Finish()
+		}
+		if err != nil {
+			return wrapSection(s.name, err)
+		}
 	}
-	if err := finish(dec, t.M.Mem.RestoreState(dec)); err != nil {
-		return wrapSection(SecMem, err)
-	}
-
-	if dec, err = sectionDecoder(f, SecLRU); err != nil {
-		return err
-	}
-	if err := finish(dec, t.M.RestoreLRUState(dec, reg)); err != nil {
-		return wrapSection(SecLRU, err)
-	}
-
-	if dec, err = sectionDecoder(f, SecMachine); err != nil {
-		return err
-	}
-	if err := finish(dec, t.M.RestoreMachineState(dec, reg)); err != nil {
-		return wrapSection(SecMachine, err)
-	}
-
-	payload, _ := f.Section(SecClock)
-	if payload == nil {
-		return &CorruptError{Section: SecClock, Err: errors.New("section missing")}
-	}
-	if err := restoreClock(t.M.Clock, payload); err != nil {
-		return wrapSection(SecClock, err)
-	}
-
-	if dec, err = sectionDecoder(f, SecFault); err != nil {
-		return err
-	}
-	if err := finish(dec, restoreFault(t.M, dec)); err != nil {
-		return wrapSection(SecFault, err)
-	}
-
-	if dec, err = sectionDecoder(f, SecPolicy); err != nil {
-		return err
-	}
-	if err := finish(dec, restorePolicy(t.M, ps, dec, reg)); err != nil {
-		return wrapSection(SecPolicy, err)
-	}
-
-	if dec, err = sectionDecoder(f, SecStore); err != nil {
-		return err
-	}
-	if err := finish(dec, t.Store.RestoreState(dec)); err != nil {
-		return wrapSection(SecStore, err)
-	}
-
-	if dec, err = sectionDecoder(f, SecWorkload); err != nil {
-		return err
-	}
-	if err := finish(dec, restoreWorkload(t, dec)); err != nil {
-		return wrapSection(SecWorkload, err)
-	}
-
-	if dec, err = sectionDecoder(f, SecMetrics); err != nil {
-		return err
-	}
-	if err := finish(dec, restoreMetrics(t, dec)); err != nil {
-		return wrapSection(SecMetrics, err)
-	}
-
 	if err := t.M.CheckInvariants(); err != nil {
 		return fmt.Errorf("snapshot: restored state fails machine invariants: %w", err)
 	}
 	return nil
 }
 
-// policyCodec returns the policy's checkpoint codec. Every policy
-// bench.NewPolicy builds has one — its table's element type requires it —
-// so only a policy defined outside that table can fail here.
-func policyCodec(m *machine.Machine) (machine.StateSnapshotter, error) {
-	ps, ok := m.Policy.(machine.StateSnapshotter)
-	if !ok {
-		return nil, fmt.Errorf("snapshot: policy %q has no SnapshotState/RestoreState", m.Policy.Name())
+// optional codes a presence-tagged section: whether the component exists,
+// then its state when it does. A reader whose target differs in presence
+// has a different configuration; what names the component.
+func optional(c *snapcodec.Codec, what string, present bool, code func() error) error {
+	has := present
+	c.Bool(&has)
+	if c.Err() != nil {
+		return c.Err()
 	}
-	return ps, nil
+	if has != present {
+		return &ConfigMismatchError{Reason: fmt.Sprintf("snapshot %s %v, target %v", what, has, present)}
+	}
+	if !has {
+		return nil
+	}
+	return code()
 }
 
-// encodeClock serializes the virtual clock and every daemon's armed state.
-func encodeClock(c *sim.Clock) []byte {
-	enc := snapcodec.NewEncoder()
-	enc.I64(int64(c.Now()))
-	enc.U64(c.Seq())
-	ds := c.Daemons()
-	enc.Int(len(ds))
-	for _, d := range ds {
-		st := d.State()
-		enc.String(st.Name)
-		enc.I64(int64(st.Interval))
-		enc.Int(st.Runs)
-		enc.Bool(st.Stopped)
-		enc.I64(int64(st.At))
-		enc.U64(st.Seq)
-	}
-	return enc.Bytes()
-}
-
-// restoreClock re-arms each daemon at its saved (deadline, sequence) — start
+// checkpointClock codes the virtual clock and every daemon's armed state.
+// Reading, it re-arms each daemon at its saved (deadline, sequence) — start
 // order is the cross-run identity — then moves the clock itself. Daemons
 // first: RestoreTime refuses to rewind the sequence counter.
-func restoreClock(c *sim.Clock, payload []byte) error {
-	dec := snapcodec.NewDecoder(payload)
-	now := sim.Time(dec.I64())
-	seq := dec.U64()
-	n := dec.Int()
-	if dec.Err() != nil {
-		return dec.Err()
+func checkpointClock(clk *sim.Clock, c *snapcodec.Codec) error {
+	now, seq := clk.Now(), clk.Seq()
+	snapcodec.I64(c, &now)
+	snapcodec.U64(c, &seq)
+	ds := clk.Daemons()
+	n := len(ds)
+	snapcodec.I64(c, &n)
+	if c.Err() != nil {
+		return c.Err()
 	}
-	ds := c.Daemons()
 	if n != len(ds) {
 		// The daemon roster is determined by construction (policy and
 		// machine configuration), so a different roster means the snapshot
@@ -223,19 +146,19 @@ func restoreClock(c *sim.Clock, payload []byte) error {
 		return &ConfigMismatchError{Reason: fmt.Sprintf("snapshot has %d daemons, target clock has %d", n, len(ds))}
 	}
 	for _, d := range ds {
-		st := sim.DaemonState{
-			Name:     dec.String(),
-			Interval: sim.Duration(dec.I64()),
-			Runs:     dec.Int(),
-			Stopped:  dec.Bool(),
-			At:       sim.Time(dec.I64()),
-			Seq:      dec.U64(),
+		st := d.State()
+		name := st.Name
+		c.String(&st.Name)
+		snapcodec.I64(c, &st.Interval)
+		snapcodec.I64(c, &st.Runs)
+		c.Bool(&st.Stopped)
+		snapcodec.I64(c, &st.At)
+		snapcodec.U64(c, &st.Seq)
+		if c.Err() != nil {
+			return c.Err()
 		}
-		if dec.Err() != nil {
-			return dec.Err()
-		}
-		if st.Name != d.State().Name {
-			return &ConfigMismatchError{Reason: fmt.Sprintf("snapshot daemon %q, target daemon %q", st.Name, d.State().Name)}
+		if st.Name != name {
+			return &ConfigMismatchError{Reason: fmt.Sprintf("snapshot daemon %q, target daemon %q", st.Name, name)}
 		}
 		if !st.Stopped && st.Seq > seq {
 			return fmt.Errorf("daemon %q wakeup sequence %d exceeds clock sequence %d", st.Name, st.Seq, seq)
@@ -245,94 +168,58 @@ func restoreClock(c *sim.Clock, payload []byte) error {
 			// past would replay every missed period at once.
 			return fmt.Errorf("daemon %q wakeup at %d precedes the clock at %d", st.Name, st.At, now)
 		}
-		if err := d.RestoreState(st); err != nil {
-			return err
+		if c.Reading() {
+			if err := d.RestoreState(st); err != nil {
+				return err
+			}
 		}
 	}
-	if err := dec.Finish(); err != nil {
-		return err
+	if seq < clk.Seq() {
+		return fmt.Errorf("snapshot clock sequence %d rewinds target %d", seq, clk.Seq())
 	}
-	if seq < c.Seq() {
-		return fmt.Errorf("snapshot clock sequence %d rewinds target %d", seq, c.Seq())
-	}
-	c.RestoreTime(now, seq)
+	clk.RestoreTime(now, seq)
 	return nil
 }
 
-func restoreFault(m *machine.Machine, dec *snapcodec.Decoder) error {
-	has := dec.Bool()
-	if dec.Err() != nil {
-		return dec.Err()
+// checkpointPolicy codes the policy's name, cross-checked against the
+// target's, then its state.
+func checkpointPolicy(t *Target, c *snapcodec.Codec, reg *machine.PageRegistry) error {
+	name := t.M.Policy.Name()
+	c.String(&name)
+	if c.Err() != nil {
+		return c.Err()
 	}
-	if has != (m.Faults != nil) {
-		return &ConfigMismatchError{Reason: fmt.Sprintf("snapshot fault injection %v, target %v", has, m.Faults != nil)}
+	if name != t.M.Policy.Name() {
+		return &ConfigMismatchError{Reason: fmt.Sprintf("snapshot policy %q, target %q", name, t.M.Policy.Name())}
 	}
-	if !has {
-		return nil
-	}
-	return m.Faults.RestoreState(dec)
-}
-
-func restorePolicy(m *machine.Machine, ps machine.StateSnapshotter, dec *snapcodec.Decoder, reg *machine.PageRegistry) error {
-	name := dec.String()
-	if dec.Err() != nil {
-		return dec.Err()
-	}
-	if name != m.Policy.Name() {
-		return &ConfigMismatchError{Reason: fmt.Sprintf("snapshot policy %q, target %q", name, m.Policy.Name())}
-	}
-	return ps.RestoreState(dec, reg)
-}
-
-func restoreWorkload(t *Target, dec *snapcodec.Decoder) error {
-	if err := t.Client.RestoreState(dec); err != nil {
-		return err
-	}
-	inFlight := dec.Bool()
-	if dec.Err() != nil {
-		return dec.Err()
-	}
-	t.Run = nil
-	if !inFlight {
-		return nil
-	}
-	run, err := t.Client.RestoreRun(dec)
-	if err != nil {
-		return err
-	}
-	t.Run = run
-	return nil
-}
-
-func restoreMetrics(t *Target, dec *snapcodec.Decoder) error {
-	has := dec.Bool()
-	if dec.Err() != nil {
-		return dec.Err()
-	}
-	if has != (t.Metrics != nil) {
-		return &ConfigMismatchError{Reason: fmt.Sprintf("snapshot telemetry %v, target %v", has, t.Metrics != nil)}
-	}
-	if !has {
-		return nil
-	}
-	return t.Metrics.RestoreState(dec)
-}
-
-// sectionDecoder returns a decoder over a named section's payload.
-func sectionDecoder(f *File, name string) (*snapcodec.Decoder, error) {
-	p, ok := f.Section(name)
+	// Every policy bench.NewPolicy builds is a Checkpointer — its table's
+	// element type requires it — so only a policy defined outside that
+	// table can fail here.
+	p, ok := t.M.Policy.(machine.Checkpointer)
 	if !ok {
-		return nil, &CorruptError{Section: name, Err: errors.New("section missing")}
+		return fmt.Errorf("snapshot: policy %q has no Checkpoint", name)
 	}
-	return snapcodec.NewDecoder(p), nil
+	return p.Checkpoint(c, reg)
 }
 
-// finish folds a restore error with exact-consumption checking.
-func finish(dec *snapcodec.Decoder, err error) error {
-	if err != nil {
+// checkpointWorkload codes the client and, presence-tagged, the run in
+// flight. Reading, t.Run becomes the restored run (nil if none).
+func checkpointWorkload(t *Target, c *snapcodec.Codec, _ *machine.PageRegistry) error {
+	if err := t.Client.Checkpoint(c); err != nil {
 		return err
 	}
-	return dec.Finish()
+	inFlight := t.Run != nil
+	c.Bool(&inFlight)
+	if c.Err() != nil || !inFlight {
+		t.Run = nil
+		return c.Err()
+	}
+	if !c.Reading() {
+		return t.Run.Checkpoint(c)
+	}
+	var err error
+	t.Run, err = t.Client.RestoreRun(c)
+	return err
 }
 
 // wrapSection types a section-restore failure. Configuration mismatches

@@ -122,6 +122,22 @@ func (h *denseHistogram) at(rank int) float64 {
 	return h.rest[r+rank]
 }
 
+// bytes is the histogram's checkpoint.
+func (h *denseHistogram) bytes() []byte {
+	enc := snapcodec.NewEncoder()
+	h.SnapshotState(enc)
+	return enc.Bytes()
+}
+
+// restore reads a checkpoint, all of it, into the histogram.
+func (h *denseHistogram) restore(payload []byte) error {
+	dec := snapcodec.NewDecoder(payload)
+	if err := h.RestoreState(dec); err != nil {
+		return err
+	}
+	return dec.Finish()
+}
+
 // SnapshotState encodes the histogram.
 func (h *denseHistogram) SnapshotState(enc *snapcodec.Encoder) {
 	pairs := 0

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 
 	"multiclock/internal/snapcodec"
 )
@@ -14,20 +13,59 @@ import (
 // identical result. The size follows the number of distinct values, not the
 // number of samples.
 
-// SnapshotState encodes the histogram.
-func (h *Histogram) SnapshotState(enc *snapcodec.Encoder) {
+// Checkpoint codes the histogram. Reading, it replaces what the histogram
+// held, allocating only the pages the checkpoint's counters fall in.
+func (h *Histogram) Checkpoint(c *snapcodec.Codec) error {
 	pairs := 0
 	h.eachCounter(func(int, uint32) { pairs++ })
-	enc.Int(pairs)
-	h.eachCounter(func(v int, c uint32) {
-		enc.U32(uint32(v))
-		enc.U32(c)
-	})
-	enc.Int(len(h.rest))
-	for _, v := range h.rest {
-		enc.U64(math.Float64bits(v))
+	snapcodec.I64(c, &pairs)
+	if c.Err() != nil {
+		return c.Err()
 	}
-	enc.U64(math.Float64bits(h.sum))
+	if pairs < 0 || pairs > c.Remaining()/8 {
+		return fmt.Errorf("stats: snapshot claims %d counters in %d bytes", pairs, c.Remaining())
+	}
+	if c.Reading() {
+		*h = Histogram{}
+		last := -1
+		for i := 0; i < pairs; i++ {
+			var v int
+			var n uint32
+			snapcodec.U32(c, &v)
+			snapcodec.U32(c, &n)
+			if c.Err() != nil {
+				return c.Err()
+			}
+			if v <= last || v >= denseLimit || n == 0 {
+				return fmt.Errorf("stats: snapshot counter %d of value %d is out of order, range or empty", i, v)
+			}
+			h.page(v >> pageBits)[v&(pageSize-1)] = n
+			h.n += int(n)
+			last = v
+		}
+	} else {
+		h.eachCounter(func(v int, n uint32) {
+			snapcodec.U32(c, &v)
+			snapcodec.U32(c, &n)
+		})
+	}
+	n := len(h.rest)
+	snapcodec.I64(c, &n)
+	if c.Err() != nil {
+		return c.Err()
+	}
+	if n < 0 || n > c.Remaining()/8 {
+		return fmt.Errorf("stats: snapshot claims %d samples in %d bytes", n, c.Remaining())
+	}
+	if c.Reading() {
+		h.rest = make([]float64, n)
+		h.n += n
+	}
+	for i := range h.rest {
+		snapcodec.F64(c, &h.rest[i])
+	}
+	snapcodec.F64(c, &h.sum)
+	return c.Err()
 }
 
 // eachCounter calls fn with every non-zero counter in ascending order of
@@ -43,44 +81,4 @@ func (h *Histogram) eachCounter(fn func(v int, c uint32)) {
 			}
 		}
 	}
-}
-
-// RestoreState decodes into the histogram, replacing what it held. It
-// allocates only the pages the checkpoint's counters fall in.
-func (h *Histogram) RestoreState(dec *snapcodec.Decoder) error {
-	pairs := dec.Int()
-	if dec.Err() != nil {
-		return dec.Err()
-	}
-	if pairs < 0 || pairs > dec.Remaining()/8 {
-		return fmt.Errorf("stats: snapshot claims %d counters in %d bytes", pairs, dec.Remaining())
-	}
-	*h = Histogram{}
-	last := -1
-	for i := 0; i < pairs; i++ {
-		v, c := int(dec.U32()), dec.U32()
-		if dec.Err() != nil {
-			return dec.Err()
-		}
-		if v <= last || v >= denseLimit || c == 0 {
-			return fmt.Errorf("stats: snapshot counter %d of value %d is out of order, range or empty", i, v)
-		}
-		h.page(v >> pageBits)[v&(pageSize-1)] = c
-		h.n += int(c)
-		last = v
-	}
-	n := dec.Int()
-	if dec.Err() != nil {
-		return dec.Err()
-	}
-	if n < 0 || n > dec.Remaining()/8 {
-		return fmt.Errorf("stats: snapshot claims %d samples in %d bytes", n, dec.Remaining())
-	}
-	h.rest = make([]float64, n)
-	for i := range h.rest {
-		h.rest[i] = math.Float64frombits(dec.U64())
-	}
-	h.n += n
-	h.sum = math.Float64frombits(dec.U64())
-	return dec.Err()
 }

@@ -238,17 +238,12 @@ func TestHistogramSnapshotRoundTrip(t *testing.T) {
 	for _, v := range samples {
 		h.Add(v)
 	}
-	enc := snapcodec.NewEncoder()
-	h.SnapshotState(enc)
-	if perSample := 8 * len(samples); enc.Len() >= perSample {
-		t.Fatalf("snapshot is %d bytes; one word per sample would be %d", enc.Len(), perSample)
+	snap := histogramBytes(&h)
+	if perSample := 8 * len(samples); len(snap) >= perSample {
+		t.Fatalf("snapshot is %d bytes; one word per sample would be %d", len(snap), perSample)
 	}
 	restored := Histogram{rest: []float64{1, 2}, n: 2, sum: 3} // must be replaced, not added to
-	dec := snapcodec.NewDecoder(enc.Bytes())
-	if err := restored.RestoreState(dec); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Finish(); err != nil {
+	if err := restoreHistogram(&restored, snap); err != nil {
 		t.Fatal(err)
 	}
 	checkAgainstReference(t, &restored, samples)
@@ -258,15 +253,12 @@ func TestHistogramSnapshotRoundTrip(t *testing.T) {
 		h.Add(v)
 		restored.Add(v)
 	}
-	a, b := snapcodec.NewEncoder(), snapcodec.NewEncoder()
-	h.SnapshotState(a)
-	restored.SnapshotState(b)
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(histogramBytes(&h), histogramBytes(&restored)) {
 		t.Fatal("restored histogram diverged from the original")
 	}
 }
 
-// FuzzHistogramRestore feeds RestoreState arbitrary payloads: a rejection is
+// FuzzHistogramRestore feeds Checkpoint arbitrary payloads: a rejection is
 // an error, never a panic or an allocation sized by an unchecked length, and
 // an accepted histogram is consistent and re-encodes to what it was given.
 func FuzzHistogramRestore(f *testing.F) {
@@ -274,9 +266,7 @@ func FuzzHistogramRestore(f *testing.F) {
 	for _, v := range mixedSamples(4, 200) {
 		h.Add(v)
 	}
-	enc := snapcodec.NewEncoder()
-	h.SnapshotState(enc)
-	good := enc.Bytes()
+	good := histogramBytes(&h)
 	f.Add(good)
 	f.Add(good[:len(good)-3])
 	f.Add([]byte{})
@@ -285,8 +275,8 @@ func FuzzHistogramRestore(f *testing.F) {
 	f.Add(huge.Bytes())
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var h Histogram
-		dec := snapcodec.NewDecoder(payload)
-		if err := h.RestoreState(dec); err != nil {
+		c := snapcodec.NewReader(payload)
+		if err := h.Checkpoint(c); err != nil {
 			return
 		}
 		total, pairs := len(h.rest), 0
@@ -300,9 +290,7 @@ func FuzzHistogramRestore(f *testing.F) {
 			len(h.pages) > 0 && h.pages[len(h.pages)-1] == nil {
 			t.Fatalf("accepted N = %d over %d samples in %d counters on %d pages of %d", h.N(), total, pairs, pagesHeld(&h), len(h.pages))
 		}
-		again := snapcodec.NewEncoder()
-		h.SnapshotState(again)
-		if consumed := payload[:len(payload)-dec.Remaining()]; !bytes.Equal(again.Bytes(), consumed) {
+		if consumed := payload[:len(payload)-c.Remaining()]; !bytes.Equal(histogramBytes(&h), consumed) {
 			t.Fatal("accepted payload re-encodes differently")
 		}
 		if h.N() > 0 { // queries sort the kept samples, so they come after the re-encoding
@@ -335,10 +323,20 @@ func counterBytes(h *Histogram) int {
 // FuzzHistogramAdd compare: both ends, the tails Finish reports, the median.
 var checkedPercentiles = []float64{0, 0.1, 1, 50, 95, 99, 99.9, 100}
 
-func histogramBytes(h interface{ SnapshotState(*snapcodec.Encoder) }) []byte {
-	enc := snapcodec.NewEncoder()
-	h.SnapshotState(enc)
-	return enc.Bytes()
+// histogramBytes is h's checkpoint.
+func histogramBytes(h *Histogram) []byte {
+	c := snapcodec.NewWriter()
+	h.Checkpoint(c)
+	return c.Bytes()
+}
+
+// restoreHistogram reads a checkpoint, all of it, into h.
+func restoreHistogram(h *Histogram, payload []byte) error {
+	c := snapcodec.NewReader(payload)
+	if err := h.Checkpoint(c); err != nil {
+		return err
+	}
+	return c.Finish()
 }
 
 // checkMatchesDense compares every answer and the checkpoint bytes of h and
@@ -354,7 +352,7 @@ func checkMatchesDense(t *testing.T, h *Histogram, d *denseHistogram) {
 			t.Fatalf("Percentile(%v) = %v, dense %v over %d samples", p, got, want, d.N())
 		}
 	}
-	if got, want := histogramBytes(h), histogramBytes(d); !bytes.Equal(got, want) {
+	if got, want := histogramBytes(h), d.bytes(); !bytes.Equal(got, want) {
 		t.Fatalf("checkpoint of %d bytes differs from the dense one's %d", len(got), len(want))
 	}
 }
@@ -365,19 +363,11 @@ func checkCrossRestore(t *testing.T, h *Histogram, d *denseHistogram) (*Histogra
 	t.Helper()
 	var h2 Histogram
 	var d2 denseHistogram
-	for _, r := range []struct {
-		from []byte
-		into interface {
-			RestoreState(*snapcodec.Decoder) error
-		}
-	}{{histogramBytes(d), &h2}, {histogramBytes(h), &d2}} {
-		dec := snapcodec.NewDecoder(r.from)
-		if err := r.into.RestoreState(dec); err != nil {
-			t.Fatal(err)
-		}
-		if err := dec.Finish(); err != nil {
-			t.Fatal(err)
-		}
+	if err := restoreHistogram(&h2, d.bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.restore(histogramBytes(h)); err != nil {
+		t.Fatal(err)
 	}
 	checkMatchesDense(t, &h2, &d2)
 	return &h2, &d2
@@ -427,12 +417,11 @@ func TestHistogramMatchesDense(t *testing.T) {
 			enc.U32(math.MaxUint32 - 40)
 			enc.Int(0)
 			enc.U64(0)
-			for _, into := range []interface {
-				RestoreState(*snapcodec.Decoder) error
-			}{h, d} {
-				if err := into.RestoreState(snapcodec.NewDecoder(enc.Bytes())); err != nil {
-					t.Fatal(err)
-				}
+			if err := restoreHistogram(h, enc.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.restore(enc.Bytes()); err != nil {
+				t.Fatal(err)
 			}
 		}
 		rng := rand.New(rand.NewSource(seed))
@@ -529,7 +518,7 @@ func TestHistogramFootprint(t *testing.T) {
 	var restored Histogram
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := restored.RestoreState(snapcodec.NewDecoder(enc.Bytes()))
+	err := restored.Checkpoint(snapcodec.NewReader(enc.Bytes()))
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

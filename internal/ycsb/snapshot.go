@@ -2,9 +2,7 @@ package ycsb
 
 import (
 	"fmt"
-	"math"
 
-	"multiclock/internal/sim"
 	"multiclock/internal/snapcodec"
 )
 
@@ -37,161 +35,137 @@ func (e *ChooserError) Error() string {
 	return fmt.Sprintf("ycsb: snapshot %s chooser: %s", e.Kind, e.Reason)
 }
 
-// SnapshotState encodes the client's mutable state.
-func (c *Client) SnapshotState(enc *snapcodec.Encoder) {
-	st := c.rng.State()
-	for _, w := range st {
-		enc.U64(w)
-	}
-	enc.I64(c.records)
-	enc.Bool(c.loaded)
+// Checkpoint codes the client's mutable state; reading, the client is
+// freshly constructed with the same configuration.
+func (c *Client) Checkpoint(sc *snapcodec.Codec) error {
+	c.rng.Checkpoint(sc)
+	snapcodec.I64(sc, &c.records)
+	sc.Bool(&c.loaded)
+	return sc.Err()
 }
 
-// RestoreState decodes into a freshly constructed client of identical
-// configuration.
-func (c *Client) RestoreState(dec *snapcodec.Decoder) error {
-	var st [4]uint64
-	for i := range st {
-		st[i] = dec.U64()
+// Checkpoint codes an in-flight run at an operation boundary. Reading, r is
+// a zero run bound to its client; RestoreRun makes one.
+func (r *Run) Checkpoint(c *snapcodec.Codec) error {
+	name := r.w.Name
+	c.String(&name)
+	if c.Err() != nil {
+		return c.Err()
 	}
-	if dec.Err() != nil {
-		return dec.Err()
+	if c.Reading() {
+		w, err := ByName(name)
+		if err != nil {
+			return err
+		}
+		r.w = w
 	}
-	c.rng.SetState(st)
-	c.records = dec.I64()
-	c.loaded = dec.Bool()
-	return dec.Err()
-}
-
-// SnapshotState encodes an in-flight run at an operation boundary.
-func (r *Run) SnapshotState(enc *snapcodec.Encoder) error {
-	enc.String(r.w.Name)
-	enc.I64(r.ops)
-	enc.I64(r.done)
-	enc.I64(r.startOps)
-	enc.I64(int64(r.start))
-	enc.Bool(r.unsupported)
-	r.lat.SnapshotState(enc)
-	return encodeChooser(enc, r.chooser)
-}
-
-// RestoreRun decodes an in-flight run bound to this client. The client must
-// already be restored: Step reads c.records and c.rng, and the chooser's key
-// space must lie within c.records.
-func (c *Client) RestoreRun(dec *snapcodec.Decoder) (*Run, error) {
-	name := dec.String()
-	if dec.Err() != nil {
-		return nil, dec.Err()
+	snapcodec.I64(c, &r.ops)
+	snapcodec.I64(c, &r.done)
+	snapcodec.I64(c, &r.startOps)
+	snapcodec.I64(c, &r.start)
+	c.Bool(&r.unsupported)
+	if err := r.lat.Checkpoint(c); err != nil {
+		return err
 	}
-	w, err := ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	r := &Run{c: c, w: w}
-	r.ops = dec.I64()
-	r.done = dec.I64()
-	r.startOps = dec.I64()
-	r.start = sim.Time(dec.I64())
-	r.unsupported = dec.Bool()
-	if err := r.lat.RestoreState(dec); err != nil {
-		return nil, err
-	}
-	if r.chooser, err = c.decodeChooser(dec); err != nil {
-		return nil, err
+	if err := r.c.checkpointChooser(c, &r.chooser); err != nil {
+		return err
 	}
 	if r.done < 0 || r.done > r.ops {
-		return nil, fmt.Errorf("ycsb: snapshot run completed %d of %d ops", r.done, r.ops)
+		return fmt.Errorf("ycsb: snapshot run completed %d of %d ops", r.done, r.ops)
 	}
-	return r, dec.Err()
+	return c.Err()
 }
 
-func encodeChooser(enc *snapcodec.Encoder, ch Chooser) error {
-	switch v := ch.(type) {
+// RestoreRun reads an in-flight run bound to this client. The client must
+// already be restored: Step reads c.records and c.rng, and the chooser's key
+// space must lie within c.records.
+func (c *Client) RestoreRun(sc *snapcodec.Codec) (*Run, error) {
+	r := &Run{c: c}
+	if err := r.Checkpoint(sc); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// checkpointChooser codes a run's chooser, type-tagged; Scrambled and Latest
+// code their record count ahead of the zipfian. Reading, it builds the
+// chooser on c's tables: the zipfian's floats keep the snapshot's bits and
+// are only checked to lie where a zipfian's can, and a state no chooser of c
+// could be in is a *ChooserError.
+func (c *Client) checkpointChooser(sc *snapcodec.Codec, ch *Chooser) error {
+	var tag uint8
+	var n int64
+	var z *Zipfian
+	switch v := (*ch).(type) {
+	case nil: // reading
 	case *Uniform:
-		enc.U8(chooserUniform)
-		enc.I64(v.n)
+		tag, n = chooserUniform, v.n
 	case *Scrambled:
-		enc.U8(chooserScrambled)
-		enc.I64(v.z.items)
-		encodeZipfian(enc, v.z)
+		tag, n, z = chooserScrambled, v.z.items, v.z
 	case *Latest:
-		enc.U8(chooserLatest)
-		enc.I64(v.z.items)
-		encodeZipfian(enc, v.z)
+		tag, n, z = chooserLatest, v.z.items, v.z
 	case *Zipfian:
-		enc.U8(chooserZipfian)
-		encodeZipfian(enc, v)
+		tag, z = chooserZipfian, v
 	default:
-		return fmt.Errorf("ycsb: chooser %T is not serializable", ch)
+		return fmt.Errorf("ycsb: chooser %T is not serializable", v)
+	}
+	snapcodec.U8(sc, &tag)
+	if sc.Err() != nil {
+		return sc.Err()
+	}
+	if tag > chooserZipfian {
+		return &ChooserError{"unknown", fmt.Sprintf("tag %d", tag)}
+	}
+	if tag != chooserZipfian {
+		snapcodec.I64(sc, &n)
+	}
+	if tag == chooserUniform {
+		if sc.Err() != nil {
+			return sc.Err()
+		}
+		if n < 1 || n > c.records {
+			return &ChooserError{"uniform", fmt.Sprintf("%d records outside the client's [1, %d]", n, c.records)}
+		}
+		if sc.Reading() {
+			*ch = &Uniform{n: n}
+		}
+		return nil
+	}
+	if sc.Reading() {
+		z = &Zipfian{tables: &c.tables}
+	}
+	z.checkpoint(sc)
+	if sc.Err() != nil {
+		return sc.Err()
+	}
+	if reason := z.impossible(c.records); reason != "" {
+		return &ChooserError{"zipfian", reason}
+	}
+	kind, built := "zipfian", Chooser(z)
+	switch tag {
+	case chooserScrambled:
+		kind, built = "scrambled", &Scrambled{z: z}
+	case chooserLatest:
+		kind, built = "latest", &Latest{z: z}
+	}
+	if tag != chooserZipfian && n != z.items {
+		return &ChooserError{kind, fmt.Sprintf("%d records over %d zipfian items", n, z.items)}
+	}
+	if sc.Reading() {
+		z.second = 1 + pow(0.5, z.theta)
+		*ch = built
 	}
 	return nil
 }
 
-// decodeChooser decodes a run's chooser onto c's tables. A state no chooser
-// of c could be in is a *ChooserError.
-func (c *Client) decodeChooser(dec *snapcodec.Decoder) (Chooser, error) {
-	tag := dec.U8()
-	if dec.Err() != nil {
-		return nil, dec.Err()
+// checkpoint codes the zipfian's item count and exact float state; what it
+// derives from them is rebuilt on the restored side.
+func (z *Zipfian) checkpoint(c *snapcodec.Codec) {
+	snapcodec.I64(c, &z.items)
+	snapcodec.I64(c, &z.countForZeta)
+	for _, f := range []*float64{&z.theta, &z.alpha, &z.zetan, &z.eta, &z.zeta2t} {
+		snapcodec.F64(c, f)
 	}
-	switch tag {
-	case chooserUniform:
-		n := dec.I64()
-		if dec.Err() != nil {
-			return nil, dec.Err()
-		}
-		if n < 1 || n > c.records {
-			return nil, &ChooserError{"uniform", fmt.Sprintf("%d records outside the client's [1, %d]", n, c.records)}
-		}
-		return &Uniform{n: n}, nil
-	case chooserScrambled, chooserLatest:
-		n := dec.I64()
-		z, err := c.decodeZipfian(dec)
-		if err != nil {
-			return nil, err
-		}
-		kind, ch := "scrambled", Chooser(&Scrambled{z: z})
-		if tag == chooserLatest {
-			kind, ch = "latest", &Latest{z: z}
-		}
-		if n != z.items {
-			return nil, &ChooserError{kind, fmt.Sprintf("%d records over %d zipfian items", n, z.items)}
-		}
-		return ch, nil
-	case chooserZipfian:
-		return c.decodeZipfian(dec)
-	default:
-		return nil, &ChooserError{"unknown", fmt.Sprintf("tag %d", tag)}
-	}
-}
-
-func encodeZipfian(enc *snapcodec.Encoder, z *Zipfian) {
-	enc.I64(z.items)
-	enc.I64(z.countForZeta)
-	for _, f := range []float64{z.theta, z.alpha, z.zetan, z.eta, z.zeta2t} {
-		enc.U64(math.Float64bits(f))
-	}
-}
-
-// decodeZipfian decodes a zipfian onto c's tables. Its floats keep the
-// snapshot's bits; they are only checked to lie where a zipfian's can.
-func (c *Client) decodeZipfian(dec *snapcodec.Decoder) (*Zipfian, error) {
-	z := &Zipfian{tables: &c.tables}
-	z.items = dec.I64()
-	z.countForZeta = dec.I64()
-	z.theta = math.Float64frombits(dec.U64())
-	z.alpha = math.Float64frombits(dec.U64())
-	z.zetan = math.Float64frombits(dec.U64())
-	z.eta = math.Float64frombits(dec.U64())
-	z.zeta2t = math.Float64frombits(dec.U64())
-	if dec.Err() != nil {
-		return nil, dec.Err()
-	}
-	if reason := z.impossible(c.records); reason != "" {
-		return nil, &ChooserError{"zipfian", reason}
-	}
-	z.second = 1 + pow(0.5, z.theta)
-	return z, nil
 }
 
 // impossible says why no zipfian over at most records items has z's state,

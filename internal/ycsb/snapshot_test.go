@@ -38,11 +38,11 @@ func runSnapshot(tb testing.TB, w Workload, steps int, ch Chooser) []byte {
 	if ch != nil {
 		r.chooser = ch
 	}
-	enc := snapcodec.NewEncoder()
-	if err := r.SnapshotState(enc); err != nil {
+	out := snapcodec.NewWriter()
+	if err := r.Checkpoint(out); err != nil {
 		tb.Fatal(err)
 	}
-	return enc.Bytes()
+	return out.Bytes()
 }
 
 // withChooser returns snap, a checkpoint of a scrambled-zipfian run, with its
@@ -54,10 +54,11 @@ func withChooser(snap []byte, tag uint8, n int64, z *Zipfian) []byte {
 	if tag != chooserZipfian {
 		enc.I64(n)
 	}
+	out = append(out, enc.Bytes()...)
 	if z != nil {
-		encodeZipfian(enc, z)
+		out = append(out, zipfianBytes(z)...)
 	}
-	return append(out, enc.Bytes()...)
+	return out
 }
 
 // drawInRange draws a few hundred keys from r and fails on one outside the
@@ -119,7 +120,7 @@ func TestRestoreRunRejectsImpossibleChoosers(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, c := newClient(restoreRecords)
 			c.Load()
-			r, err := c.RestoreRun(snapcodec.NewDecoder(withChooser(snap, tc.tag, tc.n, tc.z)))
+			r, err := c.RestoreRun(snapcodec.NewReader(withChooser(snap, tc.tag, tc.n, tc.z)))
 			var ce *ChooserError
 			if errors.As(err, &ce) {
 				return
@@ -134,14 +135,14 @@ func TestRestoreRunRejectsImpossibleChoosers(t *testing.T) {
 	for _, w := range []Workload{WorkloadA, WorkloadD, WorkloadE} {
 		_, c := newClient(restoreRecords)
 		c.Load()
-		if _, err := c.RestoreRun(snapcodec.NewDecoder(runSnapshot(t, w, 0, nil))); err != nil {
+		if _, err := c.RestoreRun(snapcodec.NewReader(runSnapshot(t, w, 0, nil))); err != nil {
 			t.Fatalf("workload %s: %v", w.Name, err)
 		}
 	}
 	for _, n := range []int64{1, 2, 3, restoreRecords} {
 		_, c := newClient(restoreRecords)
 		c.Load()
-		r, err := c.RestoreRun(snapcodec.NewDecoder(withChooser(snap, chooserScrambled, n, NewZipfian(n))))
+		r, err := c.RestoreRun(snapcodec.NewReader(withChooser(snap, chooserScrambled, n, NewZipfian(n))))
 		if err != nil {
 			t.Fatalf("scrambled over %d records: %v", n, err)
 		}
@@ -178,7 +179,7 @@ func FuzzRestoreRun(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		_, c := newClient(restoreRecords)
 		c.Load()
-		r, err := c.RestoreRun(snapcodec.NewDecoder(payload))
+		r, err := c.RestoreRun(snapcodec.NewReader(payload))
 		if err != nil {
 			return
 		}

@@ -315,9 +315,9 @@ func TestWorkloadDNeverBuilds(t *testing.T) {
 
 // zipfianBytes is z's serialised state.
 func zipfianBytes(z *Zipfian) []byte {
-	enc := snapcodec.NewEncoder()
-	encodeZipfian(enc, z)
-	return enc.Bytes()
+	c := snapcodec.NewWriter()
+	z.checkpoint(c)
+	return c.Bytes()
 }
 
 // TestClientReusesZeta checks the memo is invisible: a chooser made from the
@@ -406,17 +406,17 @@ func TestClientReusesTable(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r1.Step()
 	}
-	enc := snapcodec.NewEncoder()
-	c1.SnapshotState(enc)
-	if err := r1.SnapshotState(enc); err != nil {
+	w := snapcodec.NewWriter()
+	c1.Checkpoint(w)
+	if err := r1.Checkpoint(w); err != nil {
 		t.Fatal(err)
 	}
 	_, c2 := newClient(records)
-	dec := snapcodec.NewDecoder(enc.Bytes())
-	if err := c2.RestoreState(dec); err != nil {
+	rd := snapcodec.NewReader(w.Bytes())
+	if err := c2.Checkpoint(rd); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := c2.RestoreRun(dec)
+	r2, err := c2.RestoreRun(rd)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Snapshot smoke: prove that a soak killed mid-run and restored from its
 # last checkpoint finishes byte-identical to the run that never stopped,
-# and that the resumed audit trail bisects clean against the straight one.
+# and that the resumed audit trail shows no divergence from the straight one.
 #
 # Used by the CI smoke step (default scale) and the nightly long-soak
 # variant. Knobs via environment:

@@ -121,6 +121,34 @@ func BenchmarkAccessHotPath(b *testing.B) {
 	}
 }
 
+// BenchmarkAccessCached measures one access to a resident page that the
+// CPU-cache model holds, the common case of gapbs-pr (DESIGN.md §7.7).
+// "depth1" alternates two pages, so each access finds its page second in the
+// LRU (64 % of gapbs-pr's touches); "depth0" repeats one page, already at
+// the front.
+func BenchmarkAccessCached(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		mask int // the page index is i&mask
+	}{{"depth1", 1}, {"depth0", 0}} {
+		b.Run(c.name, func(b *testing.B) {
+			m := microMachine(&noPolicy{})
+			as := m.NewSpace()
+			v := as.Mmap(2, false, "x")
+			m.AccessRange(as, v.Start, 2, false, 1)
+			filtered := m.Mem.Counters.CacheFiltered
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Access(as, v.Start+pagetable.VPN(i&c.mask), false)
+			}
+			b.StopTimer()
+			if got := m.Mem.Counters.CacheFiltered - filtered; got != int64(b.N) {
+				b.Fatalf("%d of %d accesses were cache hits", got, b.N)
+			}
+		})
+	}
+}
+
 // BenchmarkPageFault measures demand-paging cost (allocation, PTE install,
 // LRU insert).
 func BenchmarkPageFault(b *testing.B) {

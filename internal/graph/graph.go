@@ -166,9 +166,9 @@ func Build(m *machine.Machine, edges []Edge, n int, seed uint64) *Graph {
 
 	as := m.NewSpace()
 	g := &Graph{N: n, M: total, m: m, as: as}
-	g.offsets = simdata.NewArray[int64](m, as, "csr-offsets", n+1, 8)
-	g.targets = simdata.NewArray[int32](m, as, "csr-targets", max(total, 1), 4)
-	g.weights = simdata.NewArray[int32](m, as, "csr-weights", max(total, 1), 4)
+	g.offsets = simdata.NewArray[int64](m, as, "csr-offsets", n+1)
+	g.targets = simdata.NewArray[int32](m, as, "csr-targets", max(total, 1))
+	g.weights = simdata.NewArray[int32](m, as, "csr-weights", max(total, 1))
 
 	rng := sim.NewRNG(seed ^ 0x5eed)
 	for u := 0; u < n; u++ {
@@ -211,9 +211,9 @@ func (g *Graph) Neighbors(u int32, fn func(v int32, edge int)) {
 // Weight returns the weight of edge index e (simulated read).
 func (g *Graph) Weight(e int) int32 { return g.weights.Get(e) }
 
-// newVertexArray allocates an n-vertex scratch array in the graph's space.
-func vertexArray[T any](g *Graph, name string, elemSize int) *simdata.Array[T] {
-	return simdata.NewArray[T](g.m, g.as, name, g.N, elemSize)
+// vertexArray allocates an n-vertex scratch array in the graph's space.
+func vertexArray[T any](g *Graph, name string) *simdata.Array[T] {
+	return simdata.NewArray[T](g.m, g.as, name, g.N)
 }
 
 func (g *Graph) String() string {

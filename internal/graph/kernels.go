@@ -13,7 +13,7 @@ const infDist = math.MaxInt32
 // BFS runs breadth-first search from source and returns the parent array
 // (host copy). Unreached vertices have parent -1.
 func (g *Graph) BFS(source int32) []int32 {
-	parent := vertexArray[int32](g, "bfs-parent", 4)
+	parent := vertexArray[int32](g, "bfs-parent")
 	for i := 0; i < g.N; i++ {
 		parent.Set(i, -1)
 	}
@@ -45,7 +45,7 @@ func (g *Graph) SSSP(source int32, delta int32) []int32 {
 	if delta <= 0 {
 		delta = 64
 	}
-	dist := vertexArray[int32](g, "sssp-dist", 4)
+	dist := vertexArray[int32](g, "sssp-dist")
 	for i := 0; i < g.N; i++ {
 		dist.Set(i, infDist)
 	}
@@ -87,8 +87,8 @@ func (g *Graph) SSSP(source int32, delta int32) []int32 {
 // returns the scores.
 func (g *Graph) PageRank(iters int) []float64 {
 	const damping = 0.85
-	scores := vertexArray[float64](g, "pr-scores", 8)
-	outgoing := vertexArray[float64](g, "pr-contrib", 8)
+	scores := vertexArray[float64](g, "pr-scores")
+	outgoing := vertexArray[float64](g, "pr-contrib")
 	init := 1 / float64(g.N)
 	for i := 0; i < g.N; i++ {
 		scores.Set(i, init)
@@ -122,7 +122,7 @@ func (g *Graph) PageRank(iters int) []float64 {
 // component label of every vertex (the minimum vertex id in its
 // component).
 func (g *Graph) CC() []int32 {
-	comp := vertexArray[int32](g, "cc-comp", 4)
+	comp := vertexArray[int32](g, "cc-comp")
 	for i := 0; i < g.N; i++ {
 		comp.Set(i, int32(i))
 	}
@@ -152,10 +152,10 @@ func (g *Graph) CC() []int32 {
 // BC computes approximate betweenness centrality using Brandes' algorithm
 // from the given source vertices and returns the centrality scores.
 func (g *Graph) BC(sources []int32) []float64 {
-	bc := vertexArray[float64](g, "bc-scores", 8)
-	sigma := vertexArray[float64](g, "bc-sigma", 8)
-	depth := vertexArray[int32](g, "bc-depth", 4)
-	delta := vertexArray[float64](g, "bc-delta", 8)
+	bc := vertexArray[float64](g, "bc-scores")
+	sigma := vertexArray[float64](g, "bc-sigma")
+	depth := vertexArray[int32](g, "bc-depth")
+	delta := vertexArray[float64](g, "bc-delta")
 	for i := 0; i < g.N; i++ {
 		bc.Set(i, 0)
 	}

@@ -88,9 +88,9 @@ func refBuild(m *machine.Machine, edges []Edge, n int, seed uint64) *Graph {
 
 	as := m.NewSpace()
 	g := &Graph{N: n, M: total, m: m, as: as}
-	g.offsets = simdata.NewArray[int64](m, as, "csr-offsets", n+1, 8)
-	g.targets = simdata.NewArray[int32](m, as, "csr-targets", max(total, 1), 4)
-	g.weights = simdata.NewArray[int32](m, as, "csr-weights", max(total, 1), 4)
+	g.offsets = simdata.NewArray[int64](m, as, "csr-offsets", n+1)
+	g.targets = simdata.NewArray[int32](m, as, "csr-targets", max(total, 1))
+	g.weights = simdata.NewArray[int32](m, as, "csr-weights", max(total, 1))
 
 	rng := sim.NewRNG(seed ^ 0x5eed)
 	pos := 0

@@ -56,18 +56,17 @@ func newPageCache(capacity int) *pageCache {
 	return c
 }
 
-// Touch records an access to the page's sub-frame and reports a hit.
+// Touch records an access that Machine.AccessN does not serve in line, and
+// reports a hit: a base frame that is not cached (pg.CacheHint is zero), or
+// a compound page's sub-frame, cached or not. A cached base frame's hit is
+// AccessN's alone.
 func (c *pageCache) Touch(pg *mem.Page, sub int32) bool {
-	if sub == 0 {
-		if idx := pg.CacheHint - 1; idx >= 0 {
+	if sub != 0 {
+		if idx, ok := c.sub[pg][sub]; ok {
 			c.Hits++
 			c.moveToFront(idx)
 			return true
 		}
-	} else if idx, ok := c.sub[pg][sub]; ok {
-		c.Hits++
-		c.moveToFront(idx)
-		return true
 	}
 	c.Misses++
 	var idx int32
@@ -144,6 +143,8 @@ func (c *pageCache) pushFront(idx int32) {
 	c.head = idx
 }
 
+// unlink takes a slot off the list, leaving its own links stale: every caller
+// either pushes it straight back or frees it.
 func (c *pageCache) unlink(idx int32) {
 	n := &c.nodes[idx]
 	if n.prev >= 0 {
@@ -156,7 +157,6 @@ func (c *pageCache) unlink(idx int32) {
 	} else {
 		c.tail = n.prev
 	}
-	n.prev, n.next = -1, -1
 }
 
 func (c *pageCache) moveToFront(idx int32) {

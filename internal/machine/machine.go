@@ -263,7 +263,22 @@ func (m *Machine) AccessN(as *pagetable.AddressSpace, vpn pagetable.VPN, write b
 	if pg.IsHuge() {
 		sub = int32(vpn % pagetable.HugePages)
 	}
-	if m.cache != nil && m.cache.Touch(pg, sub) {
+	hit := false
+	if c := m.cache; c != nil {
+		if idx := pg.CacheHint - 1; sub == 0 && idx >= 0 {
+			// A cached base frame, found through its hint: the whole hit is
+			// served here, in line, since a helper would stay a call.
+			c.Hits++
+			if c.head != idx {
+				c.unlink(idx)
+				c.pushFront(idx)
+			}
+			hit = true
+		} else {
+			hit = c.Touch(pg, sub)
+		}
+	}
+	if hit {
 		// Served by the CPU cache hierarchy: no memory-system traffic.
 		m.Mem.Counters.CacheFiltered += int64(lines)
 		lat += sim.Duration(lines) * cacheHit

@@ -11,7 +11,10 @@
 // trace-driven architectural simulator would do it.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
 type Time int64
@@ -58,7 +61,11 @@ type PassHook interface {
 // with Advance; daemon-side work is scheduled as events which fire when the
 // clock passes their deadline. The zero value is not usable; call NewClock.
 type Clock struct {
-	now    Time
+	now Time
+	// next is the deadline at the top of events, or noEvent when the heap
+	// is empty. It is derived state, written only by push and pop (never
+	// serialised), so Advance can tell with one compare that nothing is due.
+	next   Time
 	events eventHeap
 	seq    uint64 // tie-breaker so equal-deadline events fire FIFO
 
@@ -72,9 +79,13 @@ type Clock struct {
 	Hook PassHook
 }
 
+// noEvent is the next deadline of a clock with an empty heap: later than any
+// time Advance can reach.
+const noEvent Time = math.MaxInt64
+
 // NewClock returns a clock positioned at time zero with an empty event queue.
 func NewClock() *Clock {
-	return &Clock{}
+	return &Clock{next: noEvent}
 }
 
 // Now returns the current virtual time.
@@ -84,13 +95,17 @@ func (c *Clock) Now() Time { return c.now }
 // passes. Event callbacks run with the clock set to their deadline, so a
 // daemon observes the time it was scheduled for, not the end of the
 // application's charge. Negative durations are a programming error.
+//
+// Advance is small enough to inline at every caller: when no deadline is
+// due it is a compare and an add, and the event loop runs out of line.
 func (c *Clock) Advance(d Duration) {
 	if d < 0 {
 		panic("sim: negative Advance")
 	}
-	target := c.now + Time(d)
-	c.runUntil(target)
-	c.now = target
+	c.now += Time(d)
+	if c.now >= c.next {
+		c.fireDue()
+	}
 }
 
 // AdvanceTo moves the clock to an absolute time, firing due events.
@@ -99,20 +114,30 @@ func (c *Clock) AdvanceTo(t Time) {
 	if t <= c.now {
 		return
 	}
-	c.runUntil(t)
 	c.now = t
+	if t >= c.next {
+		c.fireDue()
+	}
 }
 
-// runUntil fires every event with deadline <= target in deadline order.
-func (c *Clock) runUntil(target Time) {
-	for len(c.events) > 0 && c.events[0].at <= target {
-		ev := c.events.pop()
+// fireDue is the slow half of Advance and AdvanceTo, which have already set
+// the clock to their target: it fires every event due by the target in
+// deadline order, each with the clock at its own deadline, and leaves the
+// clock at the target. It stays out of line so that Advance fits the
+// inliner's budget.
+//
+//go:noinline
+func (c *Clock) fireDue() {
+	target := c.now
+	for c.next <= target {
+		ev := c.pop()
 		if ev.cancelled != nil && *ev.cancelled {
 			continue
 		}
 		c.now = ev.at
 		ev.fn()
 	}
+	c.now = target
 }
 
 // Schedule registers fn to run when virtual time reaches now+d.
@@ -124,9 +149,11 @@ func (c *Clock) Schedule(d Duration, fn func()) *Event {
 	return c.ScheduleAt(c.now+Time(d), fn)
 }
 
-// ScheduleAt registers fn to run at absolute virtual time t. Events scheduled
-// in the past fire on the next Advance.
+// ScheduleAt registers fn to run at absolute virtual time t. An event
+// scheduled in the past is due now: it fires on the next Advance and sees
+// the current time, since the clock never runs backwards.
 func (c *Clock) ScheduleAt(t Time, fn func()) *Event {
+	t = max(t, c.now)
 	c.seq++
 	ev := &Event{clock: c, cancelled: new(bool)}
 	c.push(ev, t, c.seq, fn)
@@ -141,6 +168,17 @@ func (c *Clock) ScheduleAt(t Time, fn func()) *Event {
 func (c *Clock) push(ev *Event, t Time, seq uint64, fn func()) {
 	ev.at, ev.seq = t, seq
 	c.events.push(scheduled{at: t, seq: seq, fn: fn, cancelled: ev.cancelled})
+	c.next = c.events[0].at
+}
+
+// pop removes the heap's top event and refreshes the cached deadline.
+func (c *Clock) pop() scheduled {
+	ev := c.events.pop()
+	c.next = noEvent
+	if len(c.events) > 0 {
+		c.next = c.events[0].at
+	}
+	return ev
 }
 
 // Pending reports the number of scheduled (uncancelled) events. Cancelled
@@ -159,7 +197,7 @@ func (c *Clock) Pending() int {
 // tests that want daemons to quiesce. The clock ends at the last deadline.
 func (c *Clock) Drain() {
 	for len(c.events) > 0 {
-		ev := c.events.pop()
+		ev := c.pop()
 		if ev.cancelled != nil && *ev.cancelled {
 			continue
 		}

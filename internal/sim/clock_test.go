@@ -116,10 +116,24 @@ func TestScheduleAtPastFiresOnNextAdvance(t *testing.T) {
 	c := NewClock()
 	c.Advance(100)
 	fired := false
-	c.ScheduleAt(50, func() { fired = true })
+	var seen Time
+	c.ScheduleAt(50, func() { fired, seen = true, c.Now() })
+	last := c.Now()
+	c.ScheduleAt(60, func() {
+		if c.Now() < last {
+			t.Errorf("time went back from %d to %d", last, c.Now())
+		}
+		last = c.Now()
+	})
 	c.Advance(1)
 	if !fired {
 		t.Fatal("past-deadline event did not fire")
+	}
+	if seen != 100 {
+		t.Fatalf("past-deadline event saw Now=%d, want 100", seen)
+	}
+	if c.Now() != 101 || last != 100 {
+		t.Fatalf("clock at %d, last event at %d; want 101 and 100", c.Now(), last)
 	}
 }
 

@@ -6,6 +6,10 @@
 package simdata
 
 import (
+	"fmt"
+	"math/bits"
+	"unsafe"
+
 	"multiclock/internal/machine"
 	"multiclock/internal/mem"
 	"multiclock/internal/pagetable"
@@ -13,66 +17,69 @@ import (
 
 // Array is a fixed-length vector of T in simulated memory.
 type Array[T any] struct {
-	m        *machine.Machine
-	as       *pagetable.AddressSpace
-	base     pagetable.VPN
-	perPage  int
-	data     []T
-	elemSize int
+	m    *machine.Machine
+	as   *pagetable.AddressSpace
+	base pagetable.VPN
+	// shift is log2 of the elements a page holds: element i lives on page
+	// i>>shift of the array.
+	shift uint
+	data  []T
 }
 
-// NewArray allocates an n-element array of elemSize-byte elements in the
-// address space, reserving the exact number of pages (demand faulted).
-func NewArray[T any](m *machine.Machine, as *pagetable.AddressSpace, name string, n, elemSize int) *Array[T] {
-	return newArray[T](m, as, name, n, elemSize, false)
+// NewArray allocates an n-element array in the address space, reserving the
+// exact number of pages (demand faulted). T's size must be a power of two
+// no larger than a page, so that elements never straddle a page.
+func NewArray[T any](m *machine.Machine, as *pagetable.AddressSpace, name string, n int) *Array[T] {
+	return newArray[T](m, as, name, n, false)
 }
 
 // NewArrayHuge is NewArray with transparent-huge-page backing (the
 // madvise(MADV_HUGEPAGE) a tuned graph framework would issue for its CSR).
-func NewArrayHuge[T any](m *machine.Machine, as *pagetable.AddressSpace, name string, n, elemSize int) *Array[T] {
-	return newArray[T](m, as, name, n, elemSize, true)
+func NewArrayHuge[T any](m *machine.Machine, as *pagetable.AddressSpace, name string, n int) *Array[T] {
+	return newArray[T](m, as, name, n, true)
 }
 
-func newArray[T any](m *machine.Machine, as *pagetable.AddressSpace, name string, n, elemSize int, huge bool) *Array[T] {
+func newArray[T any](m *machine.Machine, as *pagetable.AddressSpace, name string, n int, huge bool) *Array[T] {
 	if n <= 0 {
 		panic("simdata: empty array")
 	}
-	if elemSize <= 0 || elemSize > mem.PageSize {
-		panic("simdata: element size must be in (0, PageSize]")
+	var zero T
+	size := int(unsafe.Sizeof(zero))
+	if size == 0 || size > mem.PageSize || size&(size-1) != 0 {
+		panic(fmt.Sprintf("simdata: element type %T is %d bytes; the size must be a power of two no larger than a page (%d)", zero, size, mem.PageSize))
 	}
-	perPage := mem.PageSize / elemSize
-	npages := (n + perPage - 1) / perPage
+	a := &Array[T]{
+		m:     m,
+		as:    as,
+		shift: uint(bits.TrailingZeros(uint(mem.PageSize / size))),
+		data:  make([]T, n),
+	}
+	npages := a.Pages()
 	var vma *pagetable.VMA
 	if huge {
 		vma = as.MmapHuge(npages, name)
 	} else {
 		vma = as.Mmap(npages, false, name)
 	}
-	return &Array[T]{
-		m:        m,
-		as:       as,
-		base:     vma.Start,
-		perPage:  perPage,
-		data:     make([]T, n),
-		elemSize: elemSize,
-	}
+	a.base = vma.Start
+	return a
 }
 
 // Len returns the element count.
 func (a *Array[T]) Len() int { return len(a.data) }
 
 // Pages returns the page footprint.
-func (a *Array[T]) Pages() int { return (len(a.data) + a.perPage - 1) / a.perPage }
+func (a *Array[T]) Pages() int { return (len(a.data) + 1<<a.shift - 1) >> a.shift }
 
 // Get reads element i, charging the simulated access.
 func (a *Array[T]) Get(i int) T {
-	a.m.Access(a.as, a.base+pagetable.VPN(i/a.perPage), false)
+	a.m.Access(a.as, a.base+pagetable.VPN(i>>a.shift), false)
 	return a.data[i]
 }
 
 // Set writes element i, charging the simulated access.
 func (a *Array[T]) Set(i int, v T) {
-	a.m.Access(a.as, a.base+pagetable.VPN(i/a.perPage), true)
+	a.m.Access(a.as, a.base+pagetable.VPN(i>>a.shift), true)
 	a.data[i] = v
 }
 

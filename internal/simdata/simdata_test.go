@@ -1,6 +1,7 @@
 package simdata
 
 import (
+	"strings"
 	"testing"
 
 	"multiclock/internal/machine"
@@ -24,7 +25,7 @@ func newM() *machine.Machine {
 func TestArrayGetSet(t *testing.T) {
 	m := newM()
 	as := m.NewSpace()
-	a := NewArray[int64](m, as, "a", 100, 8)
+	a := NewArray[int64](m, as, "a", 100)
 	if a.Len() != 100 {
 		t.Fatal("Len")
 	}
@@ -41,7 +42,7 @@ func TestArrayPageFootprint(t *testing.T) {
 	m := newM()
 	as := m.NewSpace()
 	// 1000 × 8 bytes = 8000 bytes = 2 pages.
-	a := NewArray[int64](m, as, "a", 1000, 8)
+	a := NewArray[int64](m, as, "a", 1000)
 	if a.Pages() != 2 {
 		t.Fatalf("Pages = %d, want 2", a.Pages())
 	}
@@ -57,7 +58,7 @@ func TestArrayPageFootprint(t *testing.T) {
 func TestArrayChargesAccesses(t *testing.T) {
 	m := newM()
 	as := m.NewSpace()
-	a := NewArray[int32](m, as, "a", 10, 4)
+	a := NewArray[int32](m, as, "a", 10)
 	before := m.Mem.Counters.TotalAccesses()
 	a.Set(0, 7)
 	a.Get(0)
@@ -72,7 +73,7 @@ func TestArrayChargesAccesses(t *testing.T) {
 func TestPeekPokeAreFree(t *testing.T) {
 	m := newM()
 	as := m.NewSpace()
-	a := NewArray[int32](m, as, "a", 10, 4)
+	a := NewArray[int32](m, as, "a", 10)
 	before := m.Mem.Counters.TotalAccesses()
 	now := m.Clock.Now()
 	a.Poke(3, 9)
@@ -87,7 +88,7 @@ func TestPeekPokeAreFree(t *testing.T) {
 func TestFill(t *testing.T) {
 	m := newM()
 	as := m.NewSpace()
-	a := NewArray[int32](m, as, "a", 100, 4)
+	a := NewArray[int32](m, as, "a", 100)
 	a.Fill(3)
 	for i := 0; i < 100; i++ {
 		if a.Peek(i) != 3 {
@@ -100,9 +101,9 @@ func TestArrayValidation(t *testing.T) {
 	m := newM()
 	as := m.NewSpace()
 	for _, f := range []func(){
-		func() { NewArray[int32](m, as, "x", 0, 4) },
-		func() { NewArray[int32](m, as, "x", 10, 0) },
-		func() { NewArray[int32](m, as, "x", 10, 8192) },
+		func() { NewArray[int32](m, as, "x", 0) },
+		func() { NewArray[struct{}](m, as, "x", 10) },
+		func() { NewArray[[8192]byte](m, as, "x", 10) },
 	} {
 		func() {
 			defer func() {
@@ -124,7 +125,7 @@ func TestHugeArray(t *testing.T) {
 	cfg.CPUCachePages = 0
 	m := machine.New(cfg, &nullPolicy{})
 	as := m.NewSpace()
-	a := NewArrayHuge[int64](m, as, "huge", 1000, 8)
+	a := NewArrayHuge[int64](m, as, "huge", 1000)
 	a.Set(0, 42)
 	a.Set(999, 7)
 	if a.Get(0) != 42 || a.Get(999) != 7 {
@@ -136,5 +137,39 @@ func TestHugeArray(t *testing.T) {
 	}
 	if m.Mem.Nodes[0].UsedFrames() != 512 {
 		t.Fatalf("frames used = %d, want one 512-frame block", m.Mem.Nodes[0].UsedFrames())
+	}
+}
+
+// The page index is a shift, so an element size that is not a power of two
+// is refused when the array is made, with a message that names the type.
+func TestArrayRejectsNonPowerOfTwoElements(t *testing.T) {
+	m := newM()
+	as := m.NewSpace()
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "[3]uint8 is 3 bytes") || !strings.Contains(msg, "power of two") {
+			t.Fatalf("panic %q, want one naming the 3-byte type and the power-of-two rule", msg)
+		}
+	}()
+	NewArray[[3]byte](m, as, "x", 10)
+}
+
+// Every power-of-two size up to a page packs PageSize/size elements a page.
+func TestArrayPagesPerElementSize(t *testing.T) {
+	m := newM()
+	as := m.NewSpace()
+	for _, c := range []struct {
+		pages int
+		a     interface{ Pages() int }
+	}{
+		{1, NewArray[byte](m, as, "b", 4096)},
+		{2, NewArray[byte](m, as, "b", 4097)},
+		{2, NewArray[int16](m, as, "h", 4096)},
+		{3, NewArray[[16]byte](m, as, "x", 513)},
+		{5, NewArray[[4096]byte](m, as, "p", 5)},
+	} {
+		if got := c.a.Pages(); got != c.pages {
+			t.Errorf("%T: %d pages, want %d", c.a, got, c.pages)
+		}
 	}
 }

@@ -107,12 +107,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer stopDebug()
 
+	var flags bench.RunConfig
+	flags.SetFlags(&rf)
 	opt := bench.Options{
-		Quick: *quick, Seed: rf.Seed, Parallel: rf.Workers(), Chaos: rf.Chaos,
-		Tiers: rf.Tiers, Sinks: bench.FlagSinks(&rf),
+		Quick: *quick, Seed: flags.Seed, Parallel: rf.Workers(), Chaos: flags.Chaos,
+		Tiers: flags.Tiers, Sinks: flags.Sinks,
 	}
 	if *soak != "" {
-		return bench.RunStepped("mcbench", "soak/", bench.SoakConfigFor(*soak, opt, *soakOps), &rf, stdout, stderr)
+		cfg := bench.SoakConfigFor(*soak, opt, *soakOps)
+		cfg.SetFlags(&rf)
+		return bench.RunStepped("mcbench", "soak/", cfg, &rf, stdout, stderr)
 	}
 	if rf.Metrics != "" {
 		opt.Metrics = metrics.NewPool(rf.Ring())

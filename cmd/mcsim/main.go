@@ -124,8 +124,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *interval > 0 {
 		j.Interval = sim.Duration(interval.Nanoseconds())
 	}
-	j.Tiers, j.Seed, j.Chaos = rf.Tiers, rf.Seed, rf.Chaos
-	j.Metrics, j.TraceEvents, j.Sinks = rf.Metrics != "", rf.Ring(), bench.FlagSinks(&rf)
+	j.SetFlags(&rf)
 
 	if rf.Stepped() {
 		// Checkpointable runs (and periodic invariant sweeps) are one machine

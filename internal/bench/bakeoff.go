@@ -22,11 +22,11 @@ var BakeoffNames = []string{
 // counters (shadow copies, free demotions, admission rejections).
 func Bakeoff(opt Options) string {
 	sc := opt.scale()
-	sc.MetricsPrefix = "bakeoff/"
+	sc.Prefix = "bakeoff/"
 	workloads := []string{"A", "B", "C", "F", "W", "D"}
 
 	cells := runner.Map(opt.workers(), BakeoffNames, func(_ int, system string) ycsbRunResult {
-		return ycsbRun(sc, opt.Seed, system, sc.Interval, false)
+		return ycsbRun(sc, system, false)
 	})
 	results := map[string]map[string]float64{}
 	notes := map[string]string{}

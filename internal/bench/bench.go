@@ -52,9 +52,9 @@ type Options struct {
 	// reproduces fault-free output bit for bit.
 	Chaos fault.Config
 	// Metrics, when non-nil, collects per-machine telemetry from the
-	// experiments that support it (the YCSB family: figs. 5 and 7–10) into
-	// labeled registries for deterministic export. Nil collects nothing
-	// and leaves every simulation untouched.
+	// experiments that support it (the YCSB family: figs. 5 and 7–10 and
+	// the bakeoff) into labeled registries for deterministic export. Nil
+	// collects nothing and leaves every simulation untouched.
 	Metrics *metrics.Pool
 	// Sinks adds the observability layers it selects to every instrumented
 	// machine; their sections ride the run's metrics export. Requires
@@ -143,13 +143,13 @@ func NewPolicy(name string, interval sim.Duration) (machine.Policy, error) {
 	return nil, fmt.Errorf("bench: unknown system %q", name)
 }
 
-// scale bundles the size parameters one Options implies.
+// scale is the recipe one Options implies: the RunConfig template every
+// cell starts from, plus what a recipe cannot say.
 type scale struct {
-	Interval       sim.Duration
-	DRAMPages      int
-	PMPages        int
-	Records        int64
-	OpsPerWorkload int64
+	// RunConfig is the cell template: sizing, interval, seed, fault
+	// campaign, hierarchy and sinks. A cell names its system (and the
+	// interval sweep its interval); nothing else is restated per cell.
+	RunConfig
 	// Window is the telemetry window (the paper's 20 s = 20 intervals).
 	Window sim.Duration
 	// Graph scale for the GAPBS experiments (their memory is sized
@@ -161,105 +161,67 @@ type scale struct {
 	PRIters        int
 	BFSTrials      int
 	BCSources      int
-	// Chaos passes the Options fault-injection config through to every
-	// machine the experiment builds.
-	Chaos fault.Config
-	// Metrics and MetricsPrefix thread the Options telemetry pool through
-	// to each cell; collectors are claimed under Prefix+cell labels. Both
-	// must be set for a cell to instrument itself.
-	Metrics       *metrics.Pool
-	MetricsPrefix string
-	// Sinks and Tiers are the Options observability selection and tier
-	// spec, applied to each instrumented cell and each machine.
-	Sinks
-	Tiers string
+	// Pool and Prefix thread the Options telemetry pool through to each
+	// cell; collectors are claimed under Prefix+cell labels. Both must be
+	// set for a cell to instrument itself.
+	Pool   *metrics.Pool
+	Prefix string
 }
 
-// run describes one cell of the experiment: the named system at the
-// scale's sizing, fault campaign and hierarchy.
-func (sc scale) run(seed uint64, system string, interval sim.Duration) RunConfig {
-	return RunConfig{
-		Policy: system, Records: sc.Records, Ops: sc.OpsPerWorkload,
-		DRAMPages: sc.DRAMPages, PMPages: sc.PMPages, Tiers: sc.Tiers,
-		Interval: interval, Seed: seed, Chaos: sc.Chaos,
-	}
-}
-
-// machine builds one cell's machine; experiments name their systems and
-// validate their tier spec up front, so a failure here is a bug.
-func (sc scale) machine(seed uint64, system string, interval sim.Duration) *machine.Machine {
-	m, err := sc.run(seed, system, interval).Machine()
+// machine builds one cell's machine: the template under the named system.
+// Experiments name their systems and validate their tier spec up front, so
+// a failure here is a bug.
+func (sc scale) machine(system string) *machine.Machine {
+	p, err := NewPolicy(system, sc.Interval)
 	if err != nil {
 		panic(err)
 	}
-	return m
+	return sc.machineWith(p)
 }
 
 // machineWith builds one cell's machine around a custom-configured policy.
-func (sc scale) machineWith(seed uint64, p machine.Policy) *machine.Machine {
-	m, err := sc.run(seed, p.Name(), 0).MachineWith(p)
+func (sc scale) machineWith(p machine.Policy) *machine.Machine {
+	m, err := sc.MachineWith(p)
 	if err != nil {
 		panic(err)
 	}
 	return m
 }
 
-// instrument claims a collector labeled sc.MetricsPrefix+label from the
-// pool and attaches it and the scale's sinks to m. The sinks export at
+// instrument claims a collector labeled sc.Prefix+label from the pool and
+// attaches it and the template's sinks to m. The sinks export at
 // pool-snapshot time, after the cell's machine has quiesced. No-op (and no
 // allocation) when the experiment carries no pool or no prefix.
 func (sc scale) instrument(m *machine.Machine, label string) {
-	if sc.Metrics == nil || sc.MetricsPrefix == "" {
+	if sc.Pool == nil || sc.Prefix == "" {
 		return
 	}
-	full := sc.MetricsPrefix + label
-	sc.Metrics.Decorate(full, sc.Sinks.Attach(m, sc.Metrics.Collector(full)))
+	full := sc.Prefix + label
+	sc.Pool.Decorate(full, sc.Sinks.Attach(m, sc.Pool.Collector(full)))
 }
 
+// scale builds the template once: full-scale sizing, shrunk ~10× in op
+// counts, footprints and graph sizes under Quick.
 func (o Options) scale() scale {
-	sc := o.sizes()
-	sc.Chaos = o.Chaos
-	sc.Metrics = o.Metrics
-	sc.Sinks = o.Sinks
-	sc.Tiers = o.Tiers
-	return sc
-}
-
-func (o Options) sizes() scale {
+	sc := scale{
+		RunConfig: RunConfig{
+			Records: 24_000, Ops: 1_200_000,
+			// PM holds the initial footprint plus workload D's inserted
+			// records (~15k pages at full scale) without touching swap.
+			DRAMPages: 1024, PMPages: 24_576, Tiers: o.Tiers,
+			Interval: 10 * sim.Millisecond, Seed: o.Seed, Chaos: o.Chaos, Sinks: o.Sinks,
+		},
+		Window:        200 * sim.Millisecond,
+		GraphVertices: 96_000, GraphDegree: 8, GraphDRAMPages: 1024, GraphPMPages: 16_384,
+		PRIters: 5, BFSTrials: 3, BCSources: 8,
+		Pool: o.Metrics,
+	}
 	if o.Quick {
-		return scale{
-			Interval:       10 * sim.Millisecond,
-			DRAMPages:      1024,
-			PMPages:        8192,
-			Records:        16_000,
-			OpsPerWorkload: 120_000,
-			Window:         200 * sim.Millisecond,
-			GraphVertices:  48_000,
-			GraphDegree:    6,
-			GraphDRAMPages: 512,
-			GraphPMPages:   8192,
-			PRIters:        3,
-			BFSTrials:      2,
-			BCSources:      6,
-		}
+		sc.Records, sc.Ops, sc.PMPages = 16_000, 120_000, 8192
+		sc.GraphVertices, sc.GraphDegree, sc.GraphDRAMPages, sc.GraphPMPages = 48_000, 6, 512, 8192
+		sc.PRIters, sc.BFSTrials, sc.BCSources = 3, 2, 6
 	}
-	return scale{
-		Interval:  10 * sim.Millisecond,
-		DRAMPages: 1024,
-		// PM holds the initial footprint plus workload D's inserted
-		// records (~15k pages at full scale) without touching swap.
-		PMPages:        24_576,
-		Records:        24_000,
-		OpsPerWorkload: 1_200_000,
-		Window:         200 * sim.Millisecond,
-		GraphVertices:  96_000,
-		GraphDegree:    8,
-		GraphDRAMPages: 1024,
-		GraphPMPages:   16_384,
-		PRIters:        5,
-		BFSTrials:      3,
-		BCSources:      8,
-	}
+	return sc
 }
 
 // stopDaemons halts a policy's daemons so abandoned machines cost nothing.

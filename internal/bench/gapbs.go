@@ -17,8 +17,8 @@ var gapbsKernels = []string{"BFS", "SSSP", "PR", "CC", "BC", "TC"}
 // runKernel executes one GAPBS kernel for the given number of trials and
 // returns the mean virtual execution time per trial, which is what GAPBS
 // reports (§V-B: "the average execution time taken per trial").
-func runKernel(m *machine.Machine, g *graph.Graph, kernel string, sc scale, seed uint64) sim.Duration {
-	rng := sim.NewRNG(seed ^ 0xbadc)
+func runKernel(m *machine.Machine, g *graph.Graph, kernel string, sc scale) sim.Duration {
+	rng := sim.NewRNG(sc.Seed ^ 0xbadc)
 	trials := sc.BFSTrials
 	var total sim.Duration
 	run := func(body func()) {
@@ -62,18 +62,18 @@ func runKernel(m *machine.Machine, g *graph.Graph, kernel string, sc scale, seed
 
 // gapbsKernelTime builds a fresh system, loads the graph, runs one kernel,
 // and returns its mean trial time in virtual seconds.
-func gapbsKernelTime(sc scale, seed uint64, system, kernel string) float64 {
+func gapbsKernelTime(sc scale, system, kernel string) float64 {
 	gsc := sc
 	gsc.DRAMPages = sc.GraphDRAMPages
 	gsc.PMPages = sc.GraphPMPages
-	m := gsc.machine(seed, system, sc.Interval)
+	m := gsc.machine(system)
 	g := graph.Generate(m, graph.GenConfig{
 		Vertices:  sc.GraphVertices,
 		Degree:    sc.GraphDegree,
 		Kronecker: true,
-		Seed:      seed,
+		Seed:      sc.Seed,
 	})
-	t := runKernel(m, g, kernel, sc, seed)
+	t := runKernel(m, g, kernel, sc)
 	stopDaemons(m.Policy)
 	return t.Seconds()
 }
@@ -95,7 +95,7 @@ func Fig6(opt Options) string {
 		}
 	}
 	times := runner.Map(opt.workers(), cellDefs, func(_ int, c fig6Cell) float64 {
-		return gapbsKernelTime(sc, opt.Seed, c.system, c.kernel)
+		return gapbsKernelTime(sc, c.system, c.kernel)
 	})
 	results := map[string]map[string]float64{}
 	for i, c := range cellDefs {

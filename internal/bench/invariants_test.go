@@ -32,13 +32,10 @@ func (o *countingObserver) OnFault(pg *mem.Page, hint bool, now sim.Time)       
 
 // soakScale is a small grid that still faults, migrates, and swaps.
 func soakScale() scale {
-	return scale{
-		Interval:       10 * sim.Millisecond,
-		DRAMPages:      256,
-		PMPages:        1024,
-		Records:        2000,
-		OpsPerWorkload: 20_000,
-	}
+	return scale{RunConfig: RunConfig{
+		DRAMPages: 256, PMPages: 1024, Records: 2000, Ops: 20_000,
+		Interval: 10 * sim.Millisecond,
+	}}
 }
 
 // TestAttachDetachAroundRunningWorkloads exercises observer churn around
@@ -56,7 +53,9 @@ func TestAttachDetachAroundRunningWorkloads(t *testing.T) {
 			return cell{}
 		}
 		defer stopDaemons(p)
-		m := sc.machineWith(seed, p)
+		seeded := sc
+		seeded.Seed = seed
+		m := seeded.machineWith(p)
 
 		steady := &countingObserver{}
 		m.Attach(steady)
@@ -84,7 +83,7 @@ func TestAttachDetachAroundRunningWorkloads(t *testing.T) {
 		store := kvstore.New(m, kvstore.DefaultConfig(int(sc.Records)))
 		client := ycsb.NewClient(m, store, ycsb.DefaultClientConfig(sc.Records))
 		client.Load()
-		client.Run(ycsb.WorkloadA, sc.OpsPerWorkload)
+		client.Run(ycsb.WorkloadA, sc.Ops)
 
 		detachAdder()
 		detachAdder() // idempotent
@@ -111,21 +110,21 @@ func TestLRUAccountingAfterChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := soakScale()
-	sc.Chaos = chaos
+	sc.Chaos, sc.Seed = chaos, 7
 	p, err := NewPolicy("multiclock", sc.Interval)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stopDaemons(p)
-	m := sc.machineWith(7, p)
+	m := sc.machineWith(p)
 
 	storeCfg := kvstore.DefaultConfig(int(sc.Records))
 	storeCfg.HugeArena = true
 	store := kvstore.New(m, storeCfg)
 	client := ycsb.NewClient(m, store, ycsb.DefaultClientConfig(sc.Records))
 	client.Load()
-	client.Run(ycsb.WorkloadA, sc.OpsPerWorkload)
-	client.Run(ycsb.WorkloadW, sc.OpsPerWorkload)
+	client.Run(ycsb.WorkloadA, sc.Ops)
+	client.Run(ycsb.WorkloadW, sc.Ops)
 
 	if m.Mem.Counters.MinorFaults == 0 {
 		t.Fatal("soak did not fault")

@@ -303,7 +303,7 @@ func Fig1(opt Options) string {
 	duration := 20 * sc.Interval
 	sections := runner.Map(opt.workers(), patterns, func(_ int, preset pattern) string {
 		p := scalePattern(preset, duration)
-		m := sc.machine(opt.Seed, "static", sc.Interval)
+		m := sc.machine("static")
 		as := m.NewSpace()
 
 		// Pre-plan the sample rows: the pattern VMA is the first mapping
@@ -339,7 +339,7 @@ func Fig2(opt Options) string {
 	duration := 24 * sc.Interval
 	rows := runner.Map(opt.workers(), patterns, func(_ int, preset pattern) []string {
 		p := scalePattern(preset, duration)
-		m := sc.machine(opt.Seed, "static", sc.Interval)
+		m := sc.machine("static")
 		as := m.NewSpace()
 		wf := newWindowFreq(2*sc.Interval, 2*sc.Interval)
 		m.Attach(wf)

@@ -22,7 +22,7 @@ func AblationMultiProc(opt Options) string {
 	systems := []string{"static", "nimble", "multiclock"}
 	type raceRes struct{ early, late float64 }
 	cells := runner.Map(opt.workers(), systems, func(_ int, system string) raceRes {
-		early, late := multiProcRun(sc, opt.Seed, system)
+		early, late := multiProcRun(sc, system)
 		return raceRes{early, late}
 	})
 	tb := stats.NewTable(
@@ -43,8 +43,8 @@ func AblationMultiProc(opt Options) string {
 // process B arrives after DRAM is taken. Both then run identical skewed
 // loops; their throughputs are measured over the same virtual span by
 // interleaving operations.
-func multiProcRun(sc scale, seed uint64, system string) (early, late float64) {
-	m := sc.machine(seed, system, sc.Interval)
+func multiProcRun(sc scale, system string) (early, late float64) {
+	m := sc.machine(system)
 
 	const wset = 960 // pages per process; the early process alone ≈ DRAM
 	procA := m.NewSpace()
@@ -61,7 +61,7 @@ func multiProcRun(sc scale, seed uint64, system string) (early, late float64) {
 		m.Access(procB, vb.Start+pagetable.VPN(i), false)
 	}
 
-	rng := sim.NewRNG(seed ^ 0x2e)
+	rng := sim.NewRNG(sc.Seed ^ 0x2e)
 	// The hot quarter is striped across the whole working set so its
 	// placement follows the allocation race, not page order.
 	hot := func(r *sim.RNG) int {
@@ -73,7 +73,7 @@ func multiProcRun(sc scale, seed uint64, system string) (early, late float64) {
 
 	// Interleave both processes' identical workloads; measure after a
 	// warmup half.
-	ops := int(sc.OpsPerWorkload / 4)
+	ops := int(sc.Ops / 4)
 	run := func(measure bool) (ta, tb sim.Duration) {
 		for i := 0; i < ops; i++ {
 			start := m.Clock.Now()

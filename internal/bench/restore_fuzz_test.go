@@ -13,7 +13,7 @@ import (
 
 // fuzzSoakConfig is testSoakConfig scaled down so one restore-and-finish
 // stays in the low milliseconds.
-func fuzzSoakConfig(policy string, chaos bool) SoakConfig {
+func fuzzSoakConfig(policy string, chaos bool) RunConfig {
 	cfg := testSoakConfig(policy, false)
 	cfg.Records, cfg.Ops, cfg.DRAMPages, cfg.PMPages = 400, 600, 64, 512
 	cfg.Metrics = true

@@ -8,7 +8,6 @@ import (
 	"multiclock/internal/kvstore"
 	"multiclock/internal/lifecycle"
 	"multiclock/internal/machine"
-	"multiclock/internal/mem"
 	"multiclock/internal/metrics"
 	"multiclock/internal/sim"
 	"multiclock/internal/slo"
@@ -130,28 +129,6 @@ func (rc RunConfig) Attach(m *machine.Machine) (*metrics.Collector, func(*metric
 	return c, rc.Sinks.Attach(m, c)
 }
 
-// MachineSpec is what varies between the machines this repository builds;
-// everything else is machine.DefaultConfig's calibration.
-type MachineSpec struct {
-	// DRAMNodes and PMNodes give the frames per NUMA node of the default
-	// two-tier pair; Topology, when non-nil, replaces the pair.
-	DRAMNodes, PMNodes []int
-	Topology           *mem.Topology
-	Seed               uint64
-	// OpCost is the CPU time charged per workload operation.
-	OpCost sim.Duration
-	Chaos  fault.Config
-}
-
-// New builds the machine around p with p's daemons running — the run
-// layer's only machine.New.
-func (s MachineSpec) New(p machine.Policy) *machine.Machine {
-	cfg := machine.DefaultConfig()
-	cfg.Mem.DRAMNodes, cfg.Mem.PMNodes, cfg.Mem.Topology = s.DRAMNodes, s.PMNodes, s.Topology
-	cfg.Seed, cfg.OpCost, cfg.Faults = s.Seed, s.OpCost, s.Chaos
-	return machine.New(cfg, p)
-}
-
 // Machine builds the run's machine under the named policy.
 func (rc RunConfig) Machine() (*machine.Machine, error) {
 	p, err := NewPolicy(rc.Policy, rc.Interval)
@@ -165,20 +142,19 @@ func (rc RunConfig) Machine() (*machine.Machine, error) {
 // (a custom-configured MULTI-CLOCK, say) with the evaluation's 1 µs per-op
 // CPU cost.
 func (rc RunConfig) MachineWith(p machine.Policy) (*machine.Machine, error) {
-	spec := MachineSpec{
-		DRAMNodes: []int{rc.DRAMPages}, PMNodes: []int{rc.PMPages},
-		Seed: rc.Seed, OpCost: 1 * sim.Microsecond, Chaos: rc.Chaos,
-	}
+	cfg := machine.DefaultConfig()
+	cfg.Mem.DRAMNodes, cfg.Mem.PMNodes = []int{rc.DRAMPages}, []int{rc.PMPages}
+	cfg.Seed, cfg.OpCost, cfg.Faults = rc.Seed, 1*sim.Microsecond, rc.Chaos
 	if rc.Tiers != "" {
 		top, err := cliutil.ParseTierSpec(rc.Tiers)
 		if err != nil {
 			return nil, fmt.Errorf("bench: tier spec: %w", err)
 		}
-		spec.Topology = &top
+		cfg.Mem.Topology = &top
 	} else if rc.DRAMPages <= 0 || rc.PMPages <= 0 {
 		return nil, fmt.Errorf("bench: a two-node machine needs positive DRAM and PM pages, got %d/%d", rc.DRAMPages, rc.PMPages)
 	}
-	return spec.New(p), nil
+	return machine.New(cfg, p), nil
 }
 
 // NewStore builds the memcached-like store sized for about items records
@@ -206,10 +182,14 @@ func (rc RunConfig) NewYCSB(m *machine.Machine) (*kvstore.Store, *ycsb.Client) {
 	return newYCSB(m, rc.Records, rc.Seed^0x9c5b, false)
 }
 
-// FlagSinks is the sink selection the shared CLI flags ask for (validated
-// flags: the -slo spec is already parsed).
-func FlagSinks(f *cliutil.RunFlags) Sinks {
-	return Sinks{
+// SetFlags sets the recipe fields the shared CLI flags select (validated
+// flags: the -chaos and -slo specs are already parsed): seed, fault
+// campaign, hierarchy and instrumentation. It is the one place a flag value
+// enters a run description.
+func (rc *RunConfig) SetFlags(f *cliutil.RunFlags) {
+	rc.Seed, rc.Chaos, rc.Tiers = f.Seed, f.Chaos, f.Tiers
+	rc.Metrics, rc.TraceEvents = f.Metrics != "", f.Ring()
+	rc.Sinks = Sinks{
 		Series: sim.Duration(f.Series.Nanoseconds()), Lifecycle: f.Lifecycle,
 		SLO: f.SLOSpec, Trace: f.TraceOut != "",
 	}

@@ -101,7 +101,7 @@ func TestSoakConfigForFollowsTheScale(t *testing.T) {
 	rc := SoakConfigFor("nimble", opt, 0)
 	want := RunConfig{
 		Policy: "nimble", Workloads: []string{"A", "B", "C", "F", "W", "D"},
-		Records: sc.Records, Ops: sc.OpsPerWorkload, DRAMPages: sc.DRAMPages, PMPages: sc.PMPages,
+		Records: sc.Records, Ops: sc.Ops, DRAMPages: sc.DRAMPages, PMPages: sc.PMPages,
 		Tiers: opt.Tiers, Interval: sc.Interval, Seed: 9, Chaos: opt.Chaos,
 	}
 	if !reflect.DeepEqual(rc, want) {

@@ -53,8 +53,8 @@ func policyStateLive(t *testing.T, s *Session) {
 	}
 }
 
-func testSoakConfig(policy string, chaos bool) SoakConfig {
-	cfg := SoakConfig{
+func testSoakConfig(policy string, chaos bool) RunConfig {
+	cfg := RunConfig{
 		Policy:    policy,
 		Workloads: []string{"A"},
 		Records:   2_000,
@@ -78,7 +78,7 @@ func testSoakConfig(policy string, chaos bool) SoakConfig {
 
 // runStraight completes a fresh session and returns its report and final
 // fingerprint.
-func runStraight(t *testing.T, cfg SoakConfig) (string, snapshot.AuditRecord, *Session) {
+func runStraight(t *testing.T, cfg RunConfig) (string, snapshot.AuditRecord, *Session) {
 	t.Helper()
 	s, err := NewSession(cfg)
 	if err != nil {
@@ -100,7 +100,7 @@ func runStraight(t *testing.T, cfg SoakConfig) (string, snapshot.AuditRecord, *S
 // encoding, restores, captures the restored session again — every section
 // must equal the original's byte for byte, which pins what the reading side
 // rebuilds — finishes, and returns the resumed report and final fingerprint.
-func resumeFromMidpoint(t *testing.T, cfg SoakConfig, mid int64, atCheckpoint ...func(*testing.T, *Session)) (string, snapshot.AuditRecord, *Session) {
+func resumeFromMidpoint(t *testing.T, cfg RunConfig, mid int64, atCheckpoint ...func(*testing.T, *Session)) (string, snapshot.AuditRecord, *Session) {
 	t.Helper()
 	s, err := NewSession(cfg)
 	if err != nil {

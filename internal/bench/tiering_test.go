@@ -27,18 +27,15 @@ func runTiered(t *testing.T, policy, tiers string) (string, []byte) {
 	t.Helper()
 	pool := metrics.NewPool(0)
 	sc := scale{
-		Interval:       5 * 1e6, // 5ms
-		Records:        2_000,
-		OpsPerWorkload: 20_000,
-		Tiers:          tiers,
-		Metrics:        pool,
-		MetricsPrefix:  "tiered/",
+		RunConfig: RunConfig{Records: 2_000, Ops: 20_000, Tiers: tiers, Interval: 5 * 1e6, Seed: 1}, // 5ms
+		Pool:      pool,
+		Prefix:    "tiered/",
 	}
 	p, err := NewPolicy(policy, sc.Interval)
 	if err != nil {
 		t.Fatalf("NewPolicy(%s): %v", policy, err)
 	}
-	m := sc.machineWith(1, p)
+	m := sc.machineWith(p)
 	sc.instrument(m, policy)
 	storeCfg := kvstore.DefaultConfig(int(sc.Records))
 	storeCfg.ItemTouches = 8
@@ -47,7 +44,7 @@ func runTiered(t *testing.T, policy, tiers string) (string, []byte) {
 	clientCfg.Seed = 0x9c5b
 	client := ycsb.NewClient(m, store, clientCfg)
 	client.Load()
-	res := client.Run(ycsb.WorkloadA, sc.OpsPerWorkload)
+	res := client.Run(ycsb.WorkloadA, sc.Ops)
 	var b strings.Builder
 	fmt.Fprintf(&b, "tp=%.3f p50=%v p99=%v\n%s\nelapsed=%v ops=%d\n",
 		res.Throughput, res.P50, res.P99, m.Mem.Counters.String(), m.Elapsed(), m.Ops)

@@ -22,7 +22,7 @@ import (
 // the restored run's virtual timeline must match a sampler-free replay
 // exactly.
 func TestSamplerAcrossSnapshotRestore(t *testing.T) {
-	cfg := bench.SoakConfig{
+	cfg := bench.RunConfig{
 		Policy:    "multiclock",
 		Workloads: []string{"A"},
 		Records:   1_000,

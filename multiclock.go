@@ -196,24 +196,21 @@ func NewSystem(cfg Config) *System {
 
 	// The facade's own defaults: zero sizing, seed and per-op cost fall
 	// back to machine.DefaultConfig rather than the evaluation recipe.
-	def := machine.DefaultConfig()
-	spec := bench.MachineSpec{
-		DRAMNodes: def.Mem.DRAMNodes, PMNodes: def.Mem.PMNodes, Topology: cfg.Tiers,
-		Seed: def.Seed, OpCost: def.OpCost, Chaos: cfg.Chaos,
-	}
+	mc := machine.DefaultConfig()
+	mc.Mem.Topology, mc.Faults = cfg.Tiers, cfg.Chaos
 	if cfg.DRAMPages > 0 {
-		spec.DRAMNodes = []int{cfg.DRAMPages}
+		mc.Mem.DRAMNodes = []int{cfg.DRAMPages}
 	}
 	if cfg.PMPages > 0 {
-		spec.PMNodes = []int{cfg.PMPages}
+		mc.Mem.PMNodes = []int{cfg.PMPages}
 	}
 	if cfg.Seed != 0 {
-		spec.Seed = cfg.Seed
+		mc.Seed = cfg.Seed
 	}
 	if cfg.OpCost > 0 {
-		spec.OpCost = cfg.OpCost
+		mc.OpCost = cfg.OpCost
 	}
-	return &System{m: spec.New(pol), pol: pol}
+	return &System{m: machine.New(mc, pol), pol: pol}
 }
 
 // Machine exposes the underlying simulated machine for advanced use

@@ -13,8 +13,9 @@ import (
 )
 
 // settableConfigFields is every exported field of a *Config struct in the
-// policy layer, the machine beneath it and the workload layer above it, each
-// with the callers that give it different values. A setting exists only when two non-test callers need
+// policy layer, the machine beneath it, the workload layer above it and the
+// run layer (bench.RunConfig) on top, each with the callers that give it
+// different values. A setting exists only when two non-test callers need
 // different values (benchmarks/ counts as a caller; tests and examples do
 // not); a value with one caller is a constant (DESIGN.md, "Knobs").
 var settableConfigFields = map[string]string{
@@ -51,18 +52,33 @@ var settableConfigFields = map[string]string{
 	"graph.GenConfig.Degree":    "-degree and the scale's degree; benchmarks/ sets it",
 	"graph.GenConfig.Kronecker": "true at every caller, but benchmarks/ sets it: a constant once the benchmark changes",
 	"graph.GenConfig.Seed":      "-seed; benchmarks/ sets it",
+
+	"bench.RunConfig.Policy":      "mcsim -policy, mcbench -soak and each experiment cell's system; benchmarks/ sets it",
+	"bench.RunConfig.Workloads":   "mcsim -workload/-sequence, the soak's paper sequence; benchmarks/ sets it",
+	"bench.RunConfig.Records":     "mcsim -records, the scale's sizing and fig7's 4x footprint; benchmarks/ sets it",
+	"bench.RunConfig.Ops":         "mcsim -ops, mcbench -soak-ops and the scale's op count; benchmarks/ sets it",
+	"bench.RunConfig.DRAMPages":   "mcsim -dram, the scale's sizing, ablation-ratio and the graph machines; benchmarks/ sets it",
+	"bench.RunConfig.PMPages":     "mcsim -pm, the scale's sizing, ablation-ratio and the graph machines; benchmarks/ sets it",
+	"bench.RunConfig.Tiers":       "-tiers",
+	"bench.RunConfig.Interval":    "mcsim -interval, the scale's operating interval and the fig10 sweep; benchmarks/ sets it",
+	"bench.RunConfig.Seed":        "-seed; benchmarks/ sets it",
+	"bench.RunConfig.Chaos":       "-chaos",
+	"bench.RunConfig.Metrics":     "-metrics and the facade's EnableMetrics",
+	"bench.RunConfig.TraceEvents": "-trace-events (-trace-out's default ring) and the facade's EnableMetrics ring",
+	"bench.RunConfig.Sinks":       "-series, -lifecycle, -slo and -trace-out",
 }
 
 // TestConfigFieldsHaveCallers keeps single-value knobs from growing back:
 // every exported field of a struct type named *Config in the non-test
-// sources of the policy layer, the machine and the workload layer must be
+// sources of the policy layer, the machine, the workload layer and the run
+// layer must be
 // allow-listed above with the reason it is settable, and every entry must
 // still name a field.
 func TestConfigFieldsHaveCallers(t *testing.T) {
 	fset := token.NewFileSet()
 	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
 	seen := map[string]bool{}
-	for _, dir := range []string{"../core", ".", "../fault", "../lifecycle", "../mem", "../machine", "../ycsb", "../kvstore", "../graph"} {
+	for _, dir := range []string{"../core", ".", "../fault", "../lifecycle", "../mem", "../machine", "../ycsb", "../kvstore", "../graph", "../bench"} {
 		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 			return !strings.HasSuffix(fi.Name(), "_test.go")
 		}, 0)
@@ -81,7 +97,9 @@ func TestConfigFieldsHaveCallers(t *testing.T) {
 			scope := tpkg.Scope()
 			for _, tname := range scope.Names() {
 				obj, ok := scope.Lookup(tname).(*types.TypeName)
-				if !ok || !strings.HasSuffix(tname, "Config") {
+				// An alias (bench.SoakConfig) is another name for a
+				// struct already checked under its own.
+				if !ok || obj.IsAlias() || !strings.HasSuffix(tname, "Config") {
 					continue
 				}
 				st, ok := obj.Type().Underlying().(*types.Struct)

@@ -9,6 +9,7 @@
 #   OPS     ops per workload, empty = -quick default
 #   EVERY   checkpoint cadence in ops           (default 2000)
 #   CHAOS   fault spec "seed,rate", empty = off
+#   TIERS   -tiers hierarchy spec, empty = the default DRAM/PM pair
 #   RACE    non-empty = build the binaries with -race
 set -eu
 
@@ -25,6 +26,7 @@ go build -o "$DIR/mcmetrics" ./cmd/mcmetrics
 ARGS="-soak $POLICY -quick -seed 1"
 [ -n "${OPS:-}" ] && ARGS="$ARGS -soak-ops $OPS"
 [ -n "${CHAOS:-}" ] && ARGS="$ARGS -chaos $CHAOS"
+[ -n "${TIERS:-}" ] && ARGS="$ARGS -tiers $TIERS"
 
 # 1. The straight run, recording its own audit trail.
 "$DIR/mcbench" $ARGS -audit "$DIR/straight.jsonl" -snapshot-every "$EVERY" \

@@ -69,7 +69,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *deadline < 0 {
 		return usage("mcbench: -deadline must be non-negative, got %v", *deadline)
 	}
-	if err := rf.Validate("mcbench", *soak != ""); err != nil {
+	steppedBy := ""
+	if *soak != "" {
+		steppedBy = "-soak"
+	}
+	if err := rf.Validate("mcbench", steppedBy); err != nil {
 		return usage("%v", err)
 	}
 	if *soak == "" && (rf.Stepped() || *soakOps != 0) {

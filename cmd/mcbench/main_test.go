@@ -23,7 +23,7 @@ func with(base []string, extra ...string) []string {
 
 const (
 	msgNeedMetrics = "-series/-lifecycle/-slo/-trace-out ride the metrics export; set -metrics too\n"
-	msgCombined    = "-series/-lifecycle/-slo/-trace-out cannot be combined with checkpointing: one-shot samplers are not serializable\n"
+	msgCombined    = "-series/-lifecycle/-slo/-trace-out cannot be combined with -soak: one-shot samplers are not serializable\n"
 	msgNeedSoak    = "mcbench: -snapshot/-restore/-audit/-invariants-every/-soak-ops need -soak POLICY (experiments are not checkpointable)\n"
 )
 

@@ -88,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, format+"\n", a...)
 		return cliutil.ExitUsage
 	}
-	if err := rf.Validate("mcsim", false); err != nil {
+	if err := rf.Validate("mcsim", ""); err != nil {
 		return usage("%v", err)
 	}
 
@@ -131,10 +131,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// stepped op by op; the trace and graph paths have no
 		// quiescent-boundary driver.
 		if len(policies) > 1 {
-			return usage("mcsim: checkpointing (-snapshot/-restore/-audit) needs a single policy")
+			return usage("mcsim: %s needs a single policy (a stepped run is one machine)", rf.SteppedBy())
 		}
 		if j.gapbs != "" || j.record != "" || j.replay != "" {
-			return usage("mcsim: checkpointing supports YCSB workloads only (no -gapbs/-record/-replay)")
+			return usage("mcsim: %s supports YCSB workloads only (no -gapbs/-record/-replay)", rf.SteppedBy())
 		}
 	}
 	stopDebug, err := rf.ServeDebug("mcsim", stderr)

@@ -29,9 +29,13 @@ func with(base []string, extra ...string) []string {
 
 const (
 	msgNeedMetrics = "-series/-lifecycle/-slo/-trace-out ride the metrics export; set -metrics too\n"
-	msgCombined    = "-series/-lifecycle/-slo/-trace-out cannot be combined with checkpointing: one-shot samplers are not serializable\n"
 	msgCadence     = "-snapshot/-audit need -snapshot-every N to set the checkpoint cadence\n"
 )
+
+// msgCombined is the refusal of a sink in a run the named flags step.
+func msgCombined(by string) string {
+	return "-series/-lifecycle/-slo/-trace-out cannot be combined with " + by + ": one-shot samplers are not serializable\n"
+}
 
 // TestUsageRefusals pins every flag combination mcsim refuses before
 // building a machine: exit code 2, nothing on stdout, and the exact stderr
@@ -61,24 +65,28 @@ func TestUsageRefusals(t *testing.T) {
 		{"empty policy list", []string{"-policy", ", ,"}, "mcsim: -policy needs at least one policy name\n"},
 		{"record with two policies", []string{"-policy", "static,nimble", "-record", "x.mctr"},
 			"mcsim: -record needs a single policy (the trace is one machine's access stream)\n"},
+		// A stepped run is one machine on the YCSB driver; the refusal
+		// names the flag that made the run stepped.
 		{"checkpointing with two policies", with(snap, "-policy", "static,nimble"),
-			"mcsim: checkpointing (-snapshot/-restore/-audit) needs a single policy\n"},
-		{"invariant stepping with two policies", []string{"-invariants-every", "100", "-policy", "static,nimble"},
-			"mcsim: checkpointing (-snapshot/-restore/-audit) needs a single policy\n"},
+			"mcsim: -snapshot needs a single policy (a stepped run is one machine)\n"},
+		{"invariant stepping with two policies", []string{"-invariants-every", "1000", "-policy", "static,nimble"},
+			"mcsim: -invariants-every needs a single policy (a stepped run is one machine)\n"},
 		{"checkpointing with gapbs", with(snap, "-gapbs", "PR"),
-			"mcsim: checkpointing supports YCSB workloads only (no -gapbs/-record/-replay)\n"},
+			"mcsim: -snapshot supports YCSB workloads only (no -gapbs/-record/-replay)\n"},
+		{"invariant stepping with gapbs", []string{"-invariants-every", "1000", "-gapbs", "PR"},
+			"mcsim: -invariants-every supports YCSB workloads only (no -gapbs/-record/-replay)\n"},
 		{"checkpointing with record", with(snap, "-record", "x.mctr"),
-			"mcsim: checkpointing supports YCSB workloads only (no -gapbs/-record/-replay)\n"},
+			"mcsim: -snapshot supports YCSB workloads only (no -gapbs/-record/-replay)\n"},
 		{"restore with replay", []string{"-restore", "s.mcsnap", "-replay", "x.mctr"},
-			"mcsim: checkpointing supports YCSB workloads only (no -gapbs/-record/-replay)\n"},
+			"mcsim: -restore supports YCSB workloads only (no -gapbs/-record/-replay)\n"},
 		// A requested sink is attached or refused, never dropped: every
 		// stepped mode refuses all four the same way.
-		{"checkpointing with series", with(snap, "-metrics", "m.json", "-series", "10ms"), msgCombined},
-		{"restore with trace-out", []string{"-restore", "s.mcsnap", "-metrics", "m.json", "-trace-out", "t.json"}, msgCombined},
-		{"invariant stepping with series", []string{"-invariants-every", "100", "-metrics", "m.json", "-series", "10ms"}, msgCombined},
-		{"invariant stepping with lifecycle", []string{"-invariants-every", "100", "-metrics", "m.json", "-lifecycle", "1"}, msgCombined},
-		{"invariant stepping with slo", []string{"-invariants-every", "100", "-metrics", "m.json", "-slo", "p99(x_ns) < 1us over 1ms"}, msgCombined},
-		{"invariant stepping with trace-out", []string{"-invariants-every", "100", "-metrics", "m.json", "-trace-out", "t.json"}, msgCombined},
+		{"checkpointing with series", with(snap, "-metrics", "m.json", "-series", "10ms"), msgCombined("-snapshot")},
+		{"restore with trace-out", []string{"-restore", "s.mcsnap", "-metrics", "m.json", "-trace-out", "t.json"}, msgCombined("-restore")},
+		{"invariant stepping with series", []string{"-invariants-every", "100", "-metrics", "m.json", "-series", "10ms"}, msgCombined("-invariants-every")},
+		{"invariant stepping with lifecycle", []string{"-invariants-every", "100", "-metrics", "m.json", "-lifecycle", "1"}, msgCombined("-invariants-every")},
+		{"invariant stepping with slo", []string{"-invariants-every", "100", "-metrics", "m.json", "-slo", "p99(x_ns) < 1us over 1ms"}, msgCombined("-invariants-every")},
+		{"invariant stepping with trace-out", []string{"-invariants-every", "100", "-metrics", "m.json", "-trace-out", "t.json"}, msgCombined("-invariants-every")},
 	}
 	for _, c := range cases {
 		code, stdout, stderr := mcsim(c.args...)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"multiclock/internal/fault"
@@ -102,17 +103,32 @@ func (f *SnapshotFlags) Active() bool {
 // checkpointing, or periodic invariant sweeps.
 func (f *SnapshotFlags) Stepped() bool { return f.Active() || f.InvariantsEvery > 0 }
 
+// SteppedBy names the flags that put the run in stepping mode, joined with
+// "/", for the messages that refuse what a stepped run cannot do. Once
+// Validate has passed it is non-empty exactly when Stepped is true.
+func (f *SnapshotFlags) SteppedBy() string {
+	set := [...]bool{f.Snapshot != "", f.Restore != "", f.Audit != "", f.InvariantsEvery > 0}
+	var by []string
+	for i, name := range [...]string{"-snapshot", "-restore", "-audit", "-invariants-every"} {
+		if set[i] {
+			by = append(by, name)
+		}
+	}
+	return strings.Join(by, "/")
+}
+
 // Validate checks the shared flags, in one order for every binary: the
 // -chaos and -tiers specs, instrumentation without -metrics, the -slo spec,
 // the checkpoint cadence rules, and instrumentation in a stepped run.
-// stepped marks a run the binary steps for its own reasons (mcbench -soak);
-// the checkpoint flags imply it. A stepped run is checkpointable, and
+// steppedBy names the flag of a run the binary steps for its own reasons
+// (mcbench's "-soak"), or is empty; the checkpoint and invariant flags step
+// a run too (SteppedBy). A stepped run is checkpointable, and
 // one-shot -series/-lifecycle samplers, the -slo engine's scheduled window
 // ticks and the -trace-out window log hold state that cannot be serialized,
 // so the combination is refused rather than silently dropped. The error
 // text is the complete stderr line; prog prefixes only the messages that
 // always carried it.
-func (f *RunFlags) Validate(prog string, stepped bool) error {
+func (f *RunFlags) Validate(prog, steppedBy string) error {
 	var err error
 	if f.Chaos, err = fault.ParseSpec(f.chaos); err != nil {
 		return fmt.Errorf("%s: %v", prog, err)
@@ -143,8 +159,11 @@ func (f *RunFlags) Validate(prog string, stepped bool) error {
 	if (f.Snapshot != "" || f.Audit != "") && f.SnapshotEvery <= 0 {
 		return errors.New("-snapshot/-audit need -snapshot-every N to set the checkpoint cadence")
 	}
-	if sinks && (stepped || f.Stepped()) {
-		return errors.New("-series/-lifecycle/-slo/-trace-out cannot be combined with checkpointing: one-shot samplers are not serializable")
+	if steppedBy == "" {
+		steppedBy = f.SteppedBy()
+	}
+	if sinks && steppedBy != "" {
+		return fmt.Errorf("-series/-lifecycle/-slo/-trace-out cannot be combined with %s: one-shot samplers are not serializable", steppedBy)
 	}
 	return nil
 }

@@ -25,9 +25,13 @@ func parseFlags(t *testing.T, args ...string) *RunFlags {
 
 const (
 	msgNeedMetrics = "-series/-lifecycle/-slo/-trace-out ride the metrics export; set -metrics too"
-	msgCombined    = "-series/-lifecycle/-slo/-trace-out cannot be combined with checkpointing: one-shot samplers are not serializable"
 	goodSLO        = "p99(x_ns) < 1us over 1ms"
 )
+
+// msgCombined is the refusal of a sink in a run the named flags step.
+func msgCombined(by string) string {
+	return "-series/-lifecycle/-slo/-trace-out cannot be combined with " + by + ": one-shot samplers are not serializable"
+}
 
 // TestValidateExportFlags: instrumentation flags ride the metrics export, so
 // any of them without -metrics is refused with the one canonical message.
@@ -60,7 +64,7 @@ func TestValidateExportFlags(t *testing.T) {
 	}
 	for _, c := range cases {
 		f := parseFlags(t, c.args...)
-		checkErr(t, c.name, f.Validate("prog", false), c.want)
+		checkErr(t, c.name, f.Validate("prog", ""), c.want)
 		if c.want == "" && f.SLO != "" && f.SLOSpec == nil {
 			t.Errorf("%s: Validate left the -slo spec unparsed", c.name)
 		}
@@ -88,35 +92,39 @@ func TestSnapshotFlagsValidate(t *testing.T) {
 		return append(append([]string{"-metrics", "m.json"}, base...), extra...)
 	}
 	cases := []struct {
-		name    string
-		args    []string
-		stepped bool
-		want    string
+		name      string
+		args      []string
+		steppedBy string
+		want      string
 	}{
-		{"snapshot with cadence", snap, false, ""},
-		{"audit with cadence", []string{"-audit", "a.jsonl", "-snapshot-every", "5000"}, false, ""},
-		{"restore alone", []string{"-restore", "s.mcsnap"}, false, ""},
-		{"invariants alone", []string{"-invariants-every", "1000"}, false, ""},
-		{"metrics ring in a stepped run", with(snap, "-trace-events", "64"), true, ""},
-		{"negative cadence", []string{"-snapshot-every", "-1"}, false, "-snapshot-every must be non-negative"},
-		{"negative invariants", []string{"-invariants-every", "-1"}, false, "-invariants-every must be non-negative"},
-		{"cadence without sink", []string{"-snapshot-every", "5000"}, false, "-snapshot-every needs -snapshot or -audit to do anything"},
-		{"snapshot without cadence", []string{"-snapshot", "s.mcsnap"}, false, "-snapshot/-audit need -snapshot-every N to set the checkpoint cadence"},
-		{"audit without cadence", []string{"-audit", "a.jsonl"}, false, "-snapshot/-audit need -snapshot-every N to set the checkpoint cadence"},
-		{"snapshot with series", with(snap, "-series", "10ms"), false, msgCombined},
-		{"restore with lifecycle", with([]string{"-restore", "s.mcsnap"}, "-lifecycle", "1"), false, msgCombined},
-		{"restore with slo", with([]string{"-restore", "s.mcsnap"}, "-slo", goodSLO), false, msgCombined},
-		{"snapshot with trace-out", with(snap, "-trace-out", "t.json"), false, msgCombined},
-		{"invariants with series", with([]string{"-invariants-every", "1000"}, "-series", "10ms"), false, msgCombined},
-		{"invariants with lifecycle", with([]string{"-invariants-every", "1000"}, "-lifecycle", "1"), false, msgCombined},
-		{"invariants with slo", with([]string{"-invariants-every", "1000"}, "-slo", goodSLO), false, msgCombined},
-		{"stepped mode with series", with(nil, "-series", "10ms"), true, msgCombined},
-		{"stepped mode with lifecycle", with(nil, "-lifecycle", "1"), true, msgCombined},
-		{"stepped mode with trace-out", with(nil, "-trace-out", "t.json"), true, msgCombined},
-		{"sinks in a straight run", with(nil, "-series", "10ms", "-lifecycle", "1"), false, ""},
+		{"snapshot with cadence", snap, "", ""},
+		{"audit with cadence", []string{"-audit", "a.jsonl", "-snapshot-every", "5000"}, "", ""},
+		{"restore alone", []string{"-restore", "s.mcsnap"}, "", ""},
+		{"invariants alone", []string{"-invariants-every", "1000"}, "", ""},
+		{"metrics ring in a stepped run", with(snap, "-trace-events", "64"), "-soak", ""},
+		{"negative cadence", []string{"-snapshot-every", "-1"}, "", "-snapshot-every must be non-negative"},
+		{"negative invariants", []string{"-invariants-every", "-1"}, "", "-invariants-every must be non-negative"},
+		{"cadence without sink", []string{"-snapshot-every", "5000"}, "", "-snapshot-every needs -snapshot or -audit to do anything"},
+		{"snapshot without cadence", []string{"-snapshot", "s.mcsnap"}, "", "-snapshot/-audit need -snapshot-every N to set the checkpoint cadence"},
+		{"audit without cadence", []string{"-audit", "a.jsonl"}, "", "-snapshot/-audit need -snapshot-every N to set the checkpoint cadence"},
+		// The refusal names the flags that made the run stepped.
+		{"snapshot with series", with(snap, "-series", "10ms"), "", msgCombined("-snapshot")},
+		{"restore with lifecycle", with([]string{"-restore", "s.mcsnap"}, "-lifecycle", "1"), "", msgCombined("-restore")},
+		{"restore with slo", with([]string{"-restore", "s.mcsnap"}, "-slo", goodSLO), "", msgCombined("-restore")},
+		{"snapshot with trace-out", with(snap, "-trace-out", "t.json"), "", msgCombined("-snapshot")},
+		{"invariants with series", with([]string{"-invariants-every", "1000"}, "-series", "10ms"), "", msgCombined("-invariants-every")},
+		{"invariants with lifecycle", with([]string{"-invariants-every", "1000"}, "-lifecycle", "1"), "", msgCombined("-invariants-every")},
+		{"invariants with slo", with([]string{"-invariants-every", "1000"}, "-slo", goodSLO), "", msgCombined("-invariants-every")},
+		{"audit and invariants with series", with([]string{"-audit", "a.jsonl", "-snapshot-every", "5000", "-invariants-every", "1000"}, "-series", "10ms"),
+			"", msgCombined("-audit/-invariants-every")},
+		{"stepped mode with series", with(nil, "-series", "10ms"), "-soak", msgCombined("-soak")},
+		{"stepped mode with lifecycle", with(nil, "-lifecycle", "1"), "-soak", msgCombined("-soak")},
+		{"stepped mode with trace-out", with(nil, "-trace-out", "t.json"), "-soak", msgCombined("-soak")},
+		{"checkpointed stepped mode with series", with(snap, "-series", "10ms"), "-soak", msgCombined("-soak")},
+		{"sinks in a straight run", with(nil, "-series", "10ms", "-lifecycle", "1"), "", ""},
 	}
 	for _, c := range cases {
-		checkErr(t, c.name, parseFlags(t, c.args...).Validate("prog", c.stepped), c.want)
+		checkErr(t, c.name, parseFlags(t, c.args...).Validate("prog", c.steppedBy), c.want)
 	}
 }
 

@@ -323,9 +323,7 @@ func (mc *MultiClock) retryPromote(pg *mem.Page) {
 			st.promoteFails++
 			st.nextTry = mc.M.Clock.Now() + sim.Time(mc.cfg.ScanInterval<<(st.promoteFails-1))
 			mc.PromoteRequeues++
-			if l := mc.M.Lifecycle; l != nil {
-				l.PromoteRequeued(pg, int(st.promoteFails), mc.M.Clock.Now())
-			}
+			mc.M.Vecs[pg.Node].Note(pg, lru.CausePromoteRequeue)
 			lru.RequeuePromote(pg)
 			mc.M.Vecs[pg.Node].Putback(pg)
 			return
@@ -333,9 +331,7 @@ func (mc *MultiClock) retryPromote(pg *mem.Page) {
 		delete(mc.retries, pg)
 		mc.PromoteDrops++
 	}
-	if l := mc.M.Lifecycle; l != nil {
-		l.PromoteDropped(pg, mc.M.Clock.Now())
-	}
+	mc.M.Vecs[pg.Node].Note(pg, lru.CausePromoteDrop)
 	// Paper: pages that cannot migrate move to the active list of their
 	// current tier (§III-C). ClearPromote already set the flags.
 	mc.M.Vecs[pg.Node].Putback(pg)
@@ -466,18 +462,14 @@ func (mc *MultiClock) retryDemote(pg *mem.Page) {
 		if st.demoteFails < demoteRetryMax {
 			st.demoteFails++
 			mc.DemoteRequeues++
-			if l := mc.M.Lifecycle; l != nil {
-				l.DemoteRequeued(pg, int(st.demoteFails), mc.M.Clock.Now())
-			}
+			mc.M.Vecs[pg.Node].Note(pg, lru.CauseDemoteRequeue)
 			mc.M.Vecs[pg.Node].Putback(pg)
 			return
 		}
 		delete(mc.retries, pg)
 		mc.DemoteSwapFallbacks++
 	}
-	if l := mc.M.Lifecycle; l != nil {
-		l.SwapFallback(pg, mc.M.Clock.Now())
-	}
+	mc.M.Vecs[pg.Node].Note(pg, lru.CauseSwapFallback)
 	mc.evictIsolated(pg)
 }
 

@@ -207,19 +207,6 @@ func TestPromotionDisplacesColdDRAM(t *testing.T) {
 	}
 }
 
-// TestScanIntervalRetuning: SetScanInterval takes effect on running
-// daemons (the Fig. 10 sweep depends on it).
-func TestScanIntervalRetuning(t *testing.T) {
-	m, mc := testMachine(64, 256, DefaultConfig())
-	mc.SetScanInterval(100 * sim.Millisecond)
-	runsBefore := mc.Daemons()[0].Runs
-	m.Compute(1 * sim.Second)
-	got := mc.Daemons()[0].Runs - runsBefore
-	if got < 9 {
-		t.Fatalf("daemon ran %d times in 1s at 100ms interval", got)
-	}
-}
-
 func TestStopHaltsDaemons(t *testing.T) {
 	m, mc := testMachine(64, 256, DefaultConfig())
 	mc.Stop()

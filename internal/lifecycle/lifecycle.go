@@ -4,14 +4,14 @@
 // bookkeeping, eviction and death — is recorded as a virtual-time-stamped
 // span event with a typed reason code.
 //
-// The tracer is purely observational. It installs through
-// machine.SetLifecycle, never mutates pages or lists, and never advances
-// virtual time, so an instrumented run's simulated timeline is identical
-// to an uninstrumented one. Memory is bounded three ways: deterministic
-// page-identity-hash sampling (SampleMod), a cap on traced pages
-// (maxPages), and a per-page event cap (maxEventsPerPage). Sampling is a
-// pure function of (space, virtual address), so the same pages are traced
-// in every same-seed run regardless of parallelism.
+// The tracer is purely observational. It installs as an lru.Hook on every
+// vec, never mutates pages or lists, and never advances virtual time, so an
+// instrumented run's simulated timeline is identical to an uninstrumented
+// one. Memory is bounded three ways: deterministic page-identity-hash
+// sampling (SampleMod), a cap on traced pages (maxPages), and a per-page
+// event cap (maxEventsPerPage). Sampling is a pure function of (space,
+// virtual address), so the same pages are traced in every same-seed run
+// regardless of parallelism.
 package lifecycle
 
 import (
@@ -58,18 +58,17 @@ type pageTrace struct {
 	truncated  bool
 }
 
-// Tracer records page lifecycle spans. It implements machine.Lifecycle
-// (and, through it, lru.Hook). Single-threaded, like the machine it binds.
+// Tracer records page lifecycle spans. It implements lru.Hook.
+// Single-threaded, like the machine it binds.
 type Tracer struct {
 	cfg   Config
 	clock *sim.Clock
-	mach  *machine.Machine
 
 	pages map[pageKey]*pageTrace
 	// byPtr remembers each sampled descriptor's identity: the page table
 	// clears pg.Space before the delete/free hooks fire, so end-of-life
 	// events resolve their key through the descriptor. Entries die with
-	// the page (PageFreed / SwappedOut).
+	// the page (freed / swap-out).
 	byPtr         map[*mem.Page]pageKey
 	tracked       int // non-stub entries in pages
 	pagesDropped  int64
@@ -88,12 +87,13 @@ func New(cfg Config) *Tracer {
 	}
 }
 
-// Bind installs the tracer on the machine (machine.SetLifecycle wires the
-// LRU vec hooks too) and returns it for chaining.
+// Bind hooks the tracer on every LRU vec of the machine and returns it for
+// chaining.
 func (t *Tracer) Bind(m *machine.Machine) *Tracer {
 	t.clock = m.Clock
-	t.mach = m
-	m.SetLifecycle(t)
+	for _, v := range m.Vecs {
+		v.AddHook(t)
+	}
 	return t
 }
 
@@ -167,7 +167,8 @@ func (t *Tracer) record(pg *mem.Page, state lru.State, reason string, node mem.N
 }
 
 // PageTransition implements lru.Hook: list/state movement with the reason
-// refined from the LRU cause and the states involved.
+// refined from the LRU cause and the states involved, and the outcomes the
+// vecs note under their own cause names.
 func (t *Tracer) PageTransition(pg *mem.Page, node mem.NodeID, from, to lru.State, cause lru.Cause) {
 	now := t.clock.Now()
 	reason := cause.String()
@@ -189,62 +190,15 @@ func (t *Tracer) PageTransition(pg *mem.Page, node mem.NodeID, from, to lru.Stat
 		}
 	case lru.CauseDelete:
 		reason = "unmapped"
+	case lru.CausePromoted, lru.CauseDemoted, lru.CauseMigrated:
+		if pt := t.trace(pg); pt != nil {
+			pt.migrations++
+		}
 	}
 	t.record(pg, to, reason, node, now)
-}
-
-// MigrationAttempt implements machine.Lifecycle.
-func (t *Tracer) MigrationAttempt(pg *mem.Page, src, dst mem.NodeID, ok bool, now sim.Time) {
-	if !ok {
-		t.record(pg, lru.StateOf(pg), "migrate-fail", src, now)
-		return
+	if cause == lru.CauseSwapOut || cause == lru.CauseFreed {
+		delete(t.byPtr, pg)
 	}
-	pt := t.trace(pg)
-	if pt != nil {
-		pt.migrations++
-	}
-	reason := "migrated"
-	srcTier := t.mach.Mem.Nodes[src].Tier
-	dstTier := t.mach.Mem.Nodes[dst].Tier
-	switch {
-	case dstTier < srcTier:
-		reason = "promoted"
-	case dstTier > srcTier:
-		reason = "demoted"
-	}
-	t.record(pg, lru.StateOf(pg), reason, dst, now)
-}
-
-// PromoteRequeued implements machine.Lifecycle.
-func (t *Tracer) PromoteRequeued(pg *mem.Page, attempt int, now sim.Time) {
-	t.record(pg, lru.StateOf(pg), "promote-requeue", pg.Node, now)
-}
-
-// PromoteDropped implements machine.Lifecycle.
-func (t *Tracer) PromoteDropped(pg *mem.Page, now sim.Time) {
-	t.record(pg, lru.StateOf(pg), "promote-drop", pg.Node, now)
-}
-
-// DemoteRequeued implements machine.Lifecycle.
-func (t *Tracer) DemoteRequeued(pg *mem.Page, attempt int, now sim.Time) {
-	t.record(pg, lru.StateOf(pg), "demote-requeue", pg.Node, now)
-}
-
-// SwapFallback implements machine.Lifecycle.
-func (t *Tracer) SwapFallback(pg *mem.Page, now sim.Time) {
-	t.record(pg, lru.StateOf(pg), "swap-fallback", pg.Node, now)
-}
-
-// SwappedOut implements machine.Lifecycle.
-func (t *Tracer) SwappedOut(pg *mem.Page, now sim.Time) {
-	t.record(pg, lru.StateGone, "swap-out", pg.Node, now)
-	delete(t.byPtr, pg)
-}
-
-// PageFreed implements machine.Lifecycle.
-func (t *Tracer) PageFreed(pg *mem.Page, now sim.Time) {
-	t.record(pg, lru.StateGone, "freed", pg.Node, now)
-	delete(t.byPtr, pg)
 }
 
 // Export snapshots the tracer as the wire-format lifecycle section, pages
@@ -283,4 +237,4 @@ func (t *Tracer) Export() *metrics.LifecycleExport {
 }
 
 // compile-time interface check
-var _ machine.Lifecycle = (*Tracer)(nil)
+var _ lru.Hook = (*Tracer)(nil)

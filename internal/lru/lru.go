@@ -88,11 +88,10 @@ type Vec struct {
 	// Scanned counts pages examined by scanners on this vec.
 	Scanned int64
 
-	// hook is the compiled observer chain — nil, a single Hook, or a
-	// multiHook fan-out — rebuilt by AddHook/detach so the hot-path nil
-	// check in preState/emit stays a single comparison (see state.go).
-	hook  Hook
-	hooks []*hookEntry
+	// hook is the observer chain — nil, a single Hook, or a multiHook
+	// fan-out — grown by AddHook so the hot-path nil check in
+	// preState/emit stays a single comparison (see state.go).
+	hook Hook
 }
 
 // NewVec creates the list set for a node, on MULTI-CLOCK's ladder.

@@ -74,7 +74,9 @@ func StateOf(pg *mem.Page) State {
 	}
 }
 
-// Cause names the LRU operation that produced a state transition.
+// Cause names what produced a state transition: an LRU operation, or an
+// outcome the lists do not show (a migration's result, a policy's retry
+// decision, the page's death), which Note reports with from == to.
 type Cause uint8
 
 const (
@@ -97,11 +99,29 @@ const (
 	CausePutback
 	// CauseDelete: removed from the lists for unmap/free/swap-out.
 	CauseDelete
+
+	// The outcomes below are noted (Note), never emitted: a migration
+	// attempt's result — failed on the source vec, or succeeded to a
+	// faster tier, a slower one or the same tier on the destination vec —
+	// a policy's retry decision after a failure, and the page's death.
+	CauseMigrateFail
+	CausePromoted
+	CauseDemoted
+	CauseMigrated
+	CausePromoteRequeue
+	CausePromoteDrop
+	CauseDemoteRequeue
+	CauseSwapFallback
+	CauseSwapOut
+	CauseFreed
 	NumCauses
 )
 
 var causeNames = [NumCauses]string{
 	"add", "access", "decay", "deactivate", "isolate", "putback", "delete",
+	"migrate-fail", "promoted", "demoted", "migrated",
+	"promote-requeue", "promote-drop", "demote-requeue", "swap-fallback",
+	"swap-out", "freed",
 }
 
 // String returns the stable wire name used in lifecycle exports.
@@ -114,15 +134,11 @@ func (c Cause) String() string {
 
 // Hook observes page state transitions on a vec. Implementations must be
 // purely observational: they may not touch pages, lists, or virtual time.
-// Self-transitions (from == to) are filtered out before the hook is called.
+// Self-transitions (from == to) of the LRU operations are filtered out
+// before the hook is called; a noted outcome always arrives with from == to.
 type Hook interface {
 	PageTransition(pg *mem.Page, node mem.NodeID, from, to State, cause Cause)
 }
-
-// hookEntry is one registered observer; detach closures remove by entry
-// pointer so the same Hook value can be registered twice and detached
-// independently (and non-comparable Hook implementations stay legal).
-type hookEntry struct{ h Hook }
 
 // multiHook fans a transition out to several observers in registration
 // order.
@@ -134,39 +150,28 @@ func (m multiHook) PageTransition(pg *mem.Page, node mem.NodeID, from, to State,
 	}
 }
 
-// AddHook registers a transition observer alongside any already attached and
-// returns a function that detaches it again. Observers fire in registration
-// order; with none registered the hot path pays only a nil check.
-func (v *Vec) AddHook(h Hook) (detach func()) {
-	e := &hookEntry{h: h}
-	v.hooks = append(v.hooks, e)
-	v.rebuildHook()
-	return func() {
-		for i, cur := range v.hooks {
-			if cur == e {
-				v.hooks = append(v.hooks[:i], v.hooks[i+1:]...)
-				v.rebuildHook()
-				return
-			}
-		}
+// AddHook registers a transition observer alongside any already attached.
+// Observers fire in registration order; with none registered the hot path
+// pays only a nil check.
+func (v *Vec) AddHook(h Hook) {
+	switch cur := v.hook.(type) {
+	case nil:
+		v.hook = h
+	case multiHook:
+		v.hook = append(cur, h)
+	default:
+		v.hook = multiHook{cur, h}
 	}
 }
 
-// rebuildHook recompiles the observer chain into the single hook slot the
-// emit paths check.
-func (v *Vec) rebuildHook() {
-	switch len(v.hooks) {
-	case 0:
-		v.hook = nil
-	case 1:
-		v.hook = v.hooks[0].h
-	default:
-		m := make(multiHook, len(v.hooks))
-		for i, e := range v.hooks {
-			m[i] = e.h
-		}
-		v.hook = m
+// Note reports an outcome the lists do not show to the vec's hook, as a
+// transition from the page's state to itself.
+func (v *Vec) Note(pg *mem.Page, cause Cause) {
+	if v.hook == nil {
+		return
 	}
+	s := StateOf(pg)
+	v.hook.PageTransition(pg, v.Node, s, s, cause)
 }
 
 // preState snapshots the page's state for a later emit. With no hook

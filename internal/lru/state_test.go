@@ -19,31 +19,20 @@ func (r *recordingHook) PageTransition(pg *mem.Page, node mem.NodeID, from, to S
 func TestAddHookFanOut(t *testing.T) {
 	v := NewVec(0)
 	var log []string
-	detachA := v.AddHook(&recordingHook{tag: "a", log: &log})
-	detachB := v.AddHook(&recordingHook{tag: "b", log: &log})
+	v.AddHook(&recordingHook{tag: "a", log: &log})
+	v.AddHook(&recordingHook{tag: "b", log: &log})
+	v.AddHook(&recordingHook{tag: "c", log: &log})
 
 	pg := anonPage()
 	v.Add(pg)
-	// Both observers see the add, in registration order.
-	if len(log) != 2 || log[0] != "a:add" || log[1] != "b:add" {
-		t.Fatalf("fan-out log = %v, want [a:add b:add]", log)
+	// Every observer sees the add, in registration order.
+	if len(log) != 3 || log[0] != "a:add" || log[1] != "b:add" || log[2] != "c:add" {
+		t.Fatalf("fan-out log = %v, want [a:add b:add c:add]", log)
 	}
-
-	// Detaching one leaves the other observing.
-	detachA()
 	log = log[:0]
 	v.Isolate(pg)
-	if len(log) != 1 || log[0] != "b:isolate" {
-		t.Fatalf("post-detach log = %v, want [b:isolate]", log)
-	}
-
-	// Detach is idempotent and independent per registration.
-	detachA()
-	detachB()
-	log = log[:0]
-	v.Putback(pg)
-	if len(log) != 0 {
-		t.Fatalf("all hooks detached but log = %v", log)
+	if len(log) != 3 || log[0] != "a:isolate" || log[2] != "c:isolate" {
+		t.Fatalf("fan-out log = %v, want three isolate entries", log)
 	}
 }
 
@@ -51,20 +40,70 @@ func TestAddHookSameHookTwice(t *testing.T) {
 	v := NewVec(0)
 	var log []string
 	h := &recordingHook{tag: "h", log: &log}
-	detach1 := v.AddHook(h)
+	v.AddHook(h)
 	v.AddHook(h)
 
 	v.Add(anonPage())
 	if len(log) != 2 {
 		t.Fatalf("double-registered hook fired %d times, want 2", len(log))
 	}
+}
 
-	// Detaching one registration leaves the other.
-	detach1()
-	log = log[:0]
-	v.Add(anonPage())
-	if len(log) != 1 {
-		t.Fatalf("hook fired %d times after detaching one of two registrations, want 1", len(log))
+// transitionHook keeps every transition it observes.
+type transitionHook struct {
+	got []transition
+}
+
+type transition struct {
+	node     mem.NodeID
+	from, to State
+	cause    Cause
+}
+
+func (h *transitionHook) PageTransition(pg *mem.Page, node mem.NodeID, from, to State, cause Cause) {
+	h.got = append(h.got, transition{node, from, to, cause})
+}
+
+// Every cause has its own wire name; Note delivers an outcome as a
+// transition from the page's state to itself, while emit still drops the
+// self-transitions of the list operations.
+func TestCauseNamesAndNote(t *testing.T) {
+	seen := map[string]Cause{}
+	for c := Cause(0); c < NumCauses; c++ {
+		name := c.String()
+		if name == "" {
+			t.Errorf("cause %d has no wire name", c)
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("causes %d and %d share the wire name %q", prev, c, name)
+		}
+		seen[name] = c
+	}
+
+	v := NewVec(3)
+	pg := anonPage()
+	v.Note(pg, CauseFreed) // hookless: nothing to deliver, nothing to panic
+	h := &transitionHook{}
+	v.AddHook(h)
+	v.Add(pg)
+	h.got = nil
+	for c := CauseMigrateFail; c < NumCauses; c++ {
+		v.Note(pg, c)
+	}
+	if len(h.got) != int(NumCauses-CauseMigrateFail) {
+		t.Fatalf("%d notes delivered, want %d", len(h.got), NumCauses-CauseMigrateFail)
+	}
+	for i, tr := range h.got {
+		want := transition{3, StateInactiveUnref, StateInactiveUnref, CauseMigrateFail + Cause(i)}
+		if tr != want {
+			t.Errorf("note %d delivered %+v, want %+v", i, tr, want)
+		}
+	}
+
+	h.got = nil
+	v.emit(pg, StateOf(pg), CauseAccess)
+	if len(h.got) != 0 {
+		t.Fatalf("emit delivered a self-transition: %+v", h.got)
 	}
 }
 
@@ -77,12 +116,8 @@ func TestPreStateHooklessSentinel(t *testing.T) {
 	if got := v.preState(pg); got != StateGone {
 		t.Fatalf("hookless preState = %v, want StateGone sentinel", got)
 	}
-	detach := v.AddHook(&recordingHook{tag: "x", log: new([]string)})
+	v.AddHook(&recordingHook{tag: "x", log: new([]string)})
 	if got := v.preState(pg); got == StateGone {
 		t.Fatal("preState still sentinel with a hook attached")
-	}
-	detach()
-	if got := v.preState(pg); got != StateGone {
-		t.Fatal("preState not back on the nil fast path after detach")
 	}
 }

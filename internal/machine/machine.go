@@ -97,14 +97,6 @@ type Machine struct {
 	// leaves every path exactly as without the telemetry layer.
 	Metrics Telemetry
 
-	// Lifecycle is the optional per-page span sink (install via
-	// SetLifecycle, which also wires the LRU vec hooks). Nil leaves every
-	// path exactly as without the instrumentation layer.
-	Lifecycle Lifecycle
-	// lifecycleDetach unhooks the current lifecycle sink from the vec
-	// hook chains when it is replaced or removed.
-	lifecycleDetach []func()
-
 	// observers is the attach-ordered registry; observer is the compiled
 	// fan-out target the hot path dispatches to (nil when empty).
 	observers []*obsSlot
@@ -472,9 +464,7 @@ func (m *Machine) Unmap(as *pagetable.AddressSpace, vpn pagetable.VPN) {
 	if m.cache != nil {
 		m.cache.Invalidate(pg)
 	}
-	if m.Lifecycle != nil {
-		m.Lifecycle.PageFreed(pg, m.Clock.Now())
-	}
+	m.Vecs[pg.Node].Note(pg, lru.CauseFreed)
 	m.Policy.PageFreed(pg)
 	m.Mem.Free(pg)
 }
@@ -486,7 +476,7 @@ func (m *Machine) Unmap(as *pagetable.AddressSpace, vpn pagetable.VPN) {
 func (m *Machine) MigratePage(pg *mem.Page, dst mem.NodeID) bool {
 	if pg.Flags.Has(mem.FlagUnevictable) || !pg.OnList() {
 		m.Mem.Counters.MigrateFails++
-		m.lifecycleMigration(pg, pg.Node, dst, false)
+		m.Vecs[pg.Node].Note(pg, lru.CauseMigrateFail)
 		return false
 	}
 	src := pg.Node
@@ -513,7 +503,7 @@ func (m *Machine) MigrateIsolated(pg *mem.Page, dst mem.NodeID) bool {
 // post-migration accounting.
 func (m *Machine) finishMigration(pg *mem.Page, src, dst mem.NodeID, res mem.MigrationResult) bool {
 	if !res.OK {
-		m.lifecycleMigration(pg, src, dst, false)
+		m.Vecs[src].Note(pg, lru.CauseMigrateFail)
 		return false
 	}
 	m.Vecs[dst].Putback(pg)
@@ -526,7 +516,14 @@ func (m *Machine) finishMigration(pg *mem.Page, src, dst mem.NodeID, res mem.Mig
 	if m.Metrics != nil {
 		m.Metrics.Migration(src, dst, pg.Frames(), res.Cost, m.Clock.Now())
 	}
-	m.lifecycleMigration(pg, src, dst, true)
+	cause := lru.CauseMigrated
+	switch st, dt := m.Mem.Nodes[src].Tier, m.Mem.Nodes[dst].Tier; {
+	case dt < st:
+		cause = lru.CausePromoted
+	case dt > st:
+		cause = lru.CauseDemoted
+	}
+	m.Vecs[dst].Note(pg, cause)
 	if m.observer != nil {
 		m.observer.OnMigrate(pg, src, dst, m.Clock.Now())
 	}
@@ -588,9 +585,7 @@ func (m *Machine) SwapOut(pg *mem.Page) {
 	if m.cache != nil {
 		m.cache.Invalidate(pg)
 	}
-	if m.Lifecycle != nil {
-		m.Lifecycle.SwappedOut(pg, m.Clock.Now())
-	}
+	m.Vecs[pg.Node].Note(pg, lru.CauseSwapOut)
 	m.Policy.PageFreed(pg)
 	m.Mem.Free(pg)
 }

@@ -76,7 +76,7 @@ type Stopper interface {
 // Base is the machinery every policy shares, so that a policy is its
 // selection rule plus a state struct: fastest-tier-first birth, base tier
 // latency, swap-based direct reclaim from the lowest tier, and the whole
-// daemon lifecycle (start, overrun faults, retune, stop). Embed it and
+// daemon lifecycle (start, overrun faults, stop). Embed it and
 // override what differs.
 type Base struct {
 	M *Machine
@@ -123,14 +123,6 @@ func (b *Base) Daemons() []*sim.Daemon { return b.daemons }
 func (b *Base) Stop() {
 	for _, d := range b.daemons {
 		d.Stop()
-	}
-}
-
-// SetScanInterval retunes every daemon's period; each pending wakeup is
-// rescheduled one new interval from now (the Fig. 10 sensitivity sweep).
-func (b *Base) SetScanInterval(interval sim.Duration) {
-	for _, d := range b.daemons {
-		d.SetInterval(interval)
 	}
 }
 

@@ -1,8 +1,8 @@
 package machine
 
 // The daemon kit in Base: what every policy's scanning threads get without
-// writing it — per-node start in node order, stop, retune, and injected
-// overruns applied behind the body's back.
+// writing it — per-node start in node order, stop, and injected overruns
+// applied behind the body's back.
 
 import (
 	"testing"
@@ -70,23 +70,6 @@ func TestStopHaltsEveryDaemon(t *testing.T) {
 	for node, n := range p.runs {
 		if n != 1 {
 			t.Errorf("node %d daemon ran %d times, want 1 (before Stop)", node, n)
-		}
-	}
-}
-
-func TestSetScanIntervalRetunesEveryDaemon(t *testing.T) {
-	m, p := kitMachine(fault.Config{})
-	m.Compute(5 * sim.Millisecond)
-	p.SetScanInterval(2 * sim.Millisecond) // next wakeups at 7, 9, 11, 13 ms
-	m.Compute(9 * sim.Millisecond)
-	for node, n := range p.runs {
-		if n != 4 {
-			t.Errorf("node %d daemon ran %d times after retuning to 2ms, want 4", node, n)
-		}
-	}
-	for _, d := range p.Daemons() {
-		if d.Interval != 2*sim.Millisecond {
-			t.Errorf("daemon interval %v after SetScanInterval(2ms)", d.Interval)
 		}
 	}
 }

@@ -49,6 +49,15 @@ type LatencyModel struct {
 	// often — the "excessive context switches" the paper warns about
 	// when kpromoted is scheduled too aggressively (§III-B).
 	DaemonWakeup sim.Duration
+
+	// PTEPoison is the application-side cost of poisoning one PTE for a
+	// hint-fault access tracker (AutoTiering, Thermostat): the TLB
+	// shootdown whose IPIs disturb the running application.
+	PTEPoison sim.Duration
+
+	// Writeback is the cost of writing one dirty page-cache page back to
+	// storage, paid by the flusher daemon.
+	Writeback sim.Duration
 }
 
 // scalarLatency returns the tier-independent calibrated costs; a System's
@@ -70,6 +79,8 @@ func scalarLatency() LatencyModel {
 	m.SwapIn = 60 * sim.Microsecond // NVMe-SSD major fault
 	m.DaemonScanPage = 150 * sim.Nanosecond
 	m.DaemonWakeup = 20 * sim.Microsecond
+	m.PTEPoison = 300 * sim.Nanosecond
+	m.Writeback = 10 * sim.Microsecond
 	return m
 }
 

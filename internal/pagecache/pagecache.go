@@ -72,7 +72,7 @@ func (c *Cache) StartFlusher(interval sim.Duration) {
 		for _, f := range c.files {
 			n := f.flush()
 			c.FlushedPages += int64(n)
-			c.m.ChargeTax(sim.Duration(n) * 10 * sim.Microsecond)
+			c.m.ChargeTax(sim.Duration(n) * c.m.Mem.Lat.Writeback)
 		}
 	})
 }
@@ -175,7 +175,7 @@ func (f *File) flush() int {
 // were written.
 func (f *File) Writeback() int {
 	n := f.flush()
-	f.m.Compute(sim.Duration(n) * 10 * sim.Microsecond)
+	f.m.Compute(sim.Duration(n) * f.m.Mem.Lat.Writeback)
 	return n
 }
 

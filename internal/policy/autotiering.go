@@ -114,9 +114,7 @@ func (at *AutoTiering) scan(d *sim.Daemon) {
 				}
 				pagetable.Poison(pg)
 				poisoned++
-				// Poisoning a PTE costs a TLB shootdown whose IPIs
-				// disturb the running application.
-				m.ChargeTax(300 * sim.Nanosecond)
+				m.ChargeTax(m.Mem.Lat.PTEPoison)
 			})
 		}
 		walk(start, pagetable.MaxVPN+1)

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"multiclock/internal/lru"
 	"multiclock/internal/machine"
 	"multiclock/internal/mem"
 	"multiclock/internal/sim"
@@ -77,9 +78,7 @@ func (nb *Nimble) scan(node mem.NodeID) {
 			nb.Promotions++
 		} else {
 			// No retry path in Nimble: a failed promotion is abandoned.
-			if l := m.Lifecycle; l != nil {
-				l.PromoteDropped(pg, m.Clock.Now())
-			}
+			m.Vecs[pg.Node].Note(pg, lru.CausePromoteDrop)
 			m.Vecs[pg.Node].Putback(pg)
 		}
 	}

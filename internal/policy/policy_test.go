@@ -167,18 +167,6 @@ func TestNimbleStop(t *testing.T) {
 	}
 }
 
-func TestNimbleSetScanInterval(t *testing.T) {
-	nb := NewNimble(1*sim.Second, nil)
-	m := newMachine(64, 64, nb)
-	as := m.NewSpace()
-	fillOver(m, as, 32)
-	nb.SetScanInterval(100 * sim.Millisecond)
-	m.Compute(1 * sim.Second)
-	if m.Mem.Counters.PagesScanned < 9*32 {
-		t.Fatalf("scanned %d pages; retuned interval not applied", m.Mem.Counters.PagesScanned)
-	}
-}
-
 // TestStockLadderParksNothingOnPromoteLists drives a file mapping hot through
 // supervised accesses (read(2)-style, so MarkAccessed rather than the
 // hardware bit) under each baseline on the stock CLOCK ladder. No page may

@@ -180,7 +180,7 @@ func (th *Thermostat) period() {
 			pagetable.Poison(pg)
 			st.sampled++
 			poisoned++
-			m.ChargeTax(300 * sim.Nanosecond)
+			m.ChargeTax(m.Mem.Lat.PTEPoison)
 		})
 		m.Mem.Counters.PagesScanned += int64(poisoned)
 	}

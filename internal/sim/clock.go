@@ -366,17 +366,3 @@ func (d *Daemon) Postpone(extra Duration) {
 	}
 	d.postpone += extra
 }
-
-// SetInterval changes the period and reschedules the pending wakeup so the
-// new cadence takes effect immediately rather than after the old interval
-// elapses.
-func (d *Daemon) SetInterval(interval Duration) {
-	if interval <= 0 {
-		panic("sim: daemon interval must be positive")
-	}
-	d.Interval = interval
-	if !d.stopped {
-		d.cancelPending()
-		d.arm()
-	}
-}

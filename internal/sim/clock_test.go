@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -254,42 +255,38 @@ func TestDaemonRestoreRejectsNonPositiveInterval(t *testing.T) {
 	}
 }
 
-func TestDaemonSetIntervalAndRestoreReplaceTheWakeup(t *testing.T) {
+// TestDaemonRestoreReplacesTheWakeup: restoring a saved state onto a freshly
+// armed daemon, as a snapshot restore does, cancels the fresh wakeup and
+// re-arms the saved one with the saved interval.
+func TestDaemonRestoreReplacesTheWakeup(t *testing.T) {
 	c := NewClock()
-	var wakeups []Time
-	d := c.StartDaemon("d", 100, func(now Time) { wakeups = append(wakeups, now) })
+	d := c.StartDaemon("d", 100, func(Time) {})
 	c.Advance(150)
-	d.SetInterval(30) // the wakeup queued for 200 must die
-	if c.Pending() != 1 || c.NonDaemonPending() != 0 {
-		t.Fatalf("Pending %d NonDaemonPending %d after SetInterval, want 1 and 0", c.Pending(), c.NonDaemonPending())
-	}
-	c.Advance(60)
 	st := d.State()
-	if st.At != 240 || st.Runs != 3 {
-		t.Fatalf("state %+v, want the next wakeup at 240 after 3 runs", st)
+	if st.At != 200 || st.Runs != 1 {
+		t.Fatalf("state %+v, want the next wakeup at 200 after 1 run", st)
 	}
-	d.SetInterval(1000) // move the wakeup away, then rewind the daemon
-	if err := d.RestoreState(st); err != nil {
+
+	c2 := NewClock()
+	var wakeups []Time
+	d2 := c2.StartDaemon("d", 1000, func(now Time) { wakeups = append(wakeups, now) })
+	if err := d2.RestoreState(st); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.State(); got != st {
+	c2.RestoreTime(c.Now(), c.Seq())
+	if got := d2.State(); got != st {
 		t.Fatalf("restored state %+v, want %+v", got, st)
 	}
-	if c.Pending() != 1 || c.NonDaemonPending() != 0 {
-		t.Fatalf("Pending %d NonDaemonPending %d after RestoreState, want 1 and 0", c.Pending(), c.NonDaemonPending())
+	if c2.Pending() != 1 || c2.NonDaemonPending() != 0 {
+		t.Fatalf("Pending %d NonDaemonPending %d after RestoreState, want 1 and 0", c2.Pending(), c2.NonDaemonPending())
 	}
-	c.Advance(2000 - 210)
-	want := []Time{100, 180, 210}
-	for at := Time(240); at <= 2000; at += 30 {
+	c2.Advance(2000 - 150)
+	var want []Time
+	for at := Time(200); at <= 2000; at += 100 {
 		want = append(want, at)
 	}
-	if len(wakeups) != len(want) {
+	if !slices.Equal(wakeups, want) {
 		t.Fatalf("wakeups = %v, want %v", wakeups, want)
-	}
-	for i := range want {
-		if wakeups[i] != want[i] {
-			t.Fatalf("wakeups = %v, want %v", wakeups, want)
-		}
 	}
 }
 

@@ -99,7 +99,7 @@ func (r *refClock) run(target Time, drain bool) {
 func childDelay(id int) (Duration, bool) { return Duration(id % 7), id%4 == 0 }
 
 // TestCachedDeadlineProperty runs seeded sequences of Schedule, ScheduleAt
-// (past deadlines included), Cancel, Daemon.Stop/SetInterval/RestoreState,
+// (past deadlines included), Cancel, Daemon.Stop/RestoreState,
 // Advance (by a random amount, and exactly onto the next deadline) and Drain
 // on a Clock and on refClock. After every step the cached deadline must be
 // the heap top's (noEvent for an empty heap), the clock's time and the
@@ -191,17 +191,6 @@ func checkDeadlineSequence(t *testing.T, seed uint64, steps int) {
 			if rd := &ref.daemons[i]; !rd.stopped {
 				rd.stopped = true
 				*rd.pending = true
-			}
-		case k == 8:
-			i := rng.Intn(len(daemons))
-			iv := Duration(1 + rng.Intn(40))
-			op = fmt.Sprint("set interval ", i, " ", iv)
-			daemons[i].SetInterval(iv)
-			rd := &ref.daemons[i]
-			rd.interval = iv
-			if !rd.stopped {
-				*rd.pending = true
-				ref.arm(i)
 			}
 		case k == 9:
 			i := rng.Intn(len(daemons))

@@ -23,14 +23,17 @@ func fuzzSoakConfig(policy string, chaos bool) RunConfig {
 	return cfg
 }
 
-// restoreSeeds are valid mid-run captures of three policies — nomad's under
+// restoreSeeds are valid mid-run captures of four policies — nomad's under
 // fault injection — that FuzzRestoreSession mutates one section at a time.
+// amp-lfu's carries a per-page table in its policy section. New seeds go
+// last: an input picks its seed by index modulo the count, so the corpus
+// under testdata/fuzz names its seed accordingly.
 var restoreSeeds = sync.OnceValues(func() ([]*snapshot.File, error) {
 	var files []*snapshot.File
 	for _, c := range []struct {
 		policy string
 		chaos  bool
-	}{{"multiclock", false}, {"nomad", true}, {"s3fifo", false}} {
+	}{{"multiclock", false}, {"nomad", true}, {"s3fifo", false}, {"amp-lfu", false}} {
 		s, err := NewSession(fuzzSoakConfig(c.policy, c.chaos))
 		if err != nil {
 			return nil, err

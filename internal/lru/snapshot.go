@@ -15,14 +15,16 @@ import (
 // CLOCK hand order.
 
 // Checkpoint codes the vec: the scan counter, then every list with its
-// resident page records in head→tail order. Reading, it rebuilds the lists
-// of an empty vec; newPage reads one page record into a fresh registered
-// descriptor (the caller wires it to mem.System.RestorePage plus its
-// seq→page registry). Pages are appended with PushBack — head first —
+// resident page records in head→tail order. page codes one record: writing,
+// page(pg) writes pg's; reading, page(nil) reads one into a fresh registered
+// descriptor and returns it, or the reason the record is invalid (the caller
+// wires it to mem.System's CheckpointPage/RestorePage plus its seq→page
+// registry), and the vec rebuilds the lists of an empty vec. Pages are
+// appended with PushBack — head first —
 // bypassing Add's flag transitions, because the records already carry the
 // exact flags each page held at snapshot time; the flags are still
 // cross-checked against the list they were recorded on.
-func (v *Vec) Checkpoint(c *snapcodec.Codec, newPage func(*snapcodec.Codec) *mem.Page) error {
+func (v *Vec) Checkpoint(c *snapcodec.Codec, page func(*mem.Page) (*mem.Page, error)) error {
 	snapcodec.I64(c, &v.Scanned)
 	for k := Kind(0); k < NumKinds; k++ {
 		l := &v.lists[k]
@@ -33,7 +35,9 @@ func (v *Vec) Checkpoint(c *snapcodec.Codec, newPage func(*snapcodec.Codec) *mem
 		}
 		if !c.Reading() {
 			for pg := l.Front(); pg != nil; pg = pg.Next() {
-				pg.Checkpoint(c)
+				if _, err := page(pg); err != nil {
+					return err
+				}
 			}
 			continue
 		}
@@ -41,9 +45,9 @@ func (v *Vec) Checkpoint(c *snapcodec.Codec, newPage func(*snapcodec.Codec) *mem
 			return fmt.Errorf("lru: negative %v population %d", k, n)
 		}
 		for i := 0; i < n; i++ {
-			pg := newPage(c)
-			if c.Err() != nil {
-				return c.Err()
+			pg, err := page(nil)
+			if err != nil {
+				return err
 			}
 			if want := kindFor(pg); want != k {
 				return fmt.Errorf("lru: restored page flags select %v but page was recorded on %v", want, k)

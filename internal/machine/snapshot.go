@@ -63,14 +63,7 @@ func (r *PageRegistry) Resolve(seq uint64) *mem.Page {
 	if pg, ok := r.zombies[seq]; ok {
 		return pg
 	}
-	pg := &mem.Page{
-		Seq:         seq,
-		Node:        mem.NoNode,
-		Frame:       mem.NoFrame,
-		Space:       -1,
-		ShadowNode:  mem.NoNode,
-		ShadowFrame: mem.NoFrame,
-	}
+	pg := &mem.Page{Seq: seq, Node: mem.NoNode, Frame: mem.NoFrame, Space: -1}
 	if r.zombies == nil {
 		r.zombies = make(map[uint64]*mem.Page)
 	}
@@ -135,34 +128,29 @@ func (m *Machine) CheckpointLRU(c *snapcodec.Codec, reg *PageRegistry) error {
 	if n != len(m.Vecs) {
 		return fmt.Errorf("machine: snapshot has %d LRU vectors, machine has %d", n, len(m.Vecs))
 	}
-	var relinkErr error
 	held := &frameClaims{owned: make([][]bool, len(m.Mem.Nodes))}
-	newPage := func(c *snapcodec.Codec) *mem.Page {
-		pg := m.Mem.RestorePage(c)
-		if relinkErr == nil && c.Err() == nil {
-			relinkErr = m.relinkRestored(pg, reg, held)
+	page := func(pg *mem.Page) (*mem.Page, error) {
+		if !c.Reading() {
+			m.Mem.CheckpointPage(c, pg)
+			return pg, nil
 		}
-		return pg
+		pg = m.Mem.RestorePage(c)
+		if err := c.Err(); err != nil {
+			return nil, err
+		}
+		return pg, m.relinkRestored(pg, reg, held)
 	}
 	for _, v := range m.Vecs {
-		if err := v.Checkpoint(c, newPage); err != nil {
+		if err := v.Checkpoint(c, page); err != nil {
 			return err
 		}
-		if relinkErr != nil {
-			return relinkErr
-		}
-	}
-	if c.Reading() && held.shadows != m.Mem.ShadowFrames() {
-		return fmt.Errorf("machine: restored pages hold %d shadow frames, mem section counts %d", held.shadows, m.Mem.ShadowFrames())
 	}
 	return c.Err()
 }
 
-// frameClaims records, per node, which frames the restored pages hold, and
-// how many of those are shadow copies.
+// frameClaims records, per node, which frames the restored pages hold.
 type frameClaims struct {
-	owned   [][]bool
-	shadows int
+	owned [][]bool
 }
 
 // claim marks frames [f, f+n) of node as held by one restored page. They must
@@ -207,10 +195,9 @@ func (m *Machine) relinkRestored(pg *mem.Page, reg *PageRegistry, held *frameCla
 	}
 	if pg.HasShadow() {
 		// Only base pages take shadow copies.
-		if pg.Order != 0 || !held.claim(m, pg.ShadowNode, pg.ShadowFrame, 1) {
-			return fmt.Errorf("machine: restored page seq %d has an invalid shadow frame %d on node %d", pg.Seq, pg.ShadowFrame, pg.ShadowNode)
+		if node, frame := m.Mem.Shadow(pg); pg.Order != 0 || !held.claim(m, node, frame, 1) {
+			return fmt.Errorf("machine: restored page seq %d has an invalid shadow frame %d on node %d", pg.Seq, frame, node)
 		}
-		held.shadows++
 	}
 	if err := reg.AddLive(pg); err != nil {
 		return err

@@ -350,11 +350,11 @@ func FuzzBuddyOps(f *testing.F) {
 					t.Fatalf("step %d: AllocBlockOn(%d, %d) = %v, model frame %d", step, node, order, pg, want)
 				}
 				if pg != nil {
-					if pg.Seq < lastSeq || pg.Flags != 0 || pg.Freq != 0 || pg.HasShadow() || pg.OnList() || pg.Space != -1 {
+					if pg.Seq < lastSeq || pg.Flags != 0 || pg.Hist != 0 || pg.HasShadow() || pg.OnList() || pg.Space != -1 {
 						t.Fatalf("step %d: newborn descriptor is not clean: %+v", step, *pg)
 					}
 					lastSeq = pg.Seq + 1
-					pg.Flags, pg.Freq = FlagDirty|FlagReferenced, uint32(step)+1 // what a life leaves behind
+					pg.Flags, pg.Hist = FlagDirty|FlagReferenced, uint8(step)|1 // what a life leaves behind
 					held = append(held, pg)
 				}
 			} else {

@@ -94,6 +94,10 @@ const (
 	// access tracking (AutoTiering/Thermostat-style baselines); the next
 	// access takes a software fault.
 	FlagPoisoned
+	// FlagShadow is set while the page retains a lower-tier shadow copy
+	// (Nomad-style non-exclusive tiering); the System holds the shadow's
+	// location.
+	FlagShadow
 )
 
 // Has reports whether all bits in f are set.
@@ -105,10 +109,14 @@ func (p PageFlags) Has(f PageFlags) bool { return p&f == f }
 // placement — external references (page tables, LRU lists, policy state)
 // remain valid, which is exactly what migrate_pages achieves by remapping.
 //
-// The descriptor is two cache lines (128 bytes, 64-byte aligned when it comes
-// from a System), and everything the CLOCK scan and Machine.AccessN touch is
-// in the first: a scan over more descriptors than the host's cache holds pays
-// one miss per page, not two. TestPageLayout pins this (DESIGN.md §7.2).
+// The descriptor is one cache line (64 bytes, 64-byte aligned when it comes
+// from a System), and the CLOCK scan and Machine.AccessN touch nothing else
+// per page. It holds only what the engine itself reads: a policy's own
+// per-page state (AMP's profile, AutoTiering's hint timestamps, S3-FIFO's
+// queue membership) lives in the policy's state struct, keyed by *Page and
+// dropped in PageFreed, and a Nomad shadow copy's location lives in the
+// System (FlagShadow marks the pages that have one). TestPageLayout pins the
+// size, the line and the alignment (DESIGN.md §7.2).
 type Page struct {
 	Node  NodeID
 	Frame FrameID
@@ -126,7 +134,7 @@ type Page struct {
 	HWDirty  bool
 
 	// Hist is scratch space for policies that keep per-page history
-	// (AutoTiering-OPM's N-bit coldness vector).
+	// (AutoTiering-OPM's N-bit coldness vector); it fills a padding byte.
 	Hist uint8
 
 	// CacheHint is scratch owned by the machine's CPU-cache model: slot
@@ -134,9 +142,9 @@ type Page struct {
 	// cached. It lets the access fast path skip a map lookup entirely.
 	CacheHint int32
 
-	// VA and Space back-reference the single virtual mapping (our rmap).
-	VA    uint64
+	// Space and VA back-reference the single virtual mapping (our rmap).
 	Space int32
+	VA    uint64
 
 	// list is the PageList holding the page (nil when on none) and pos its
 	// position in that list's ring.
@@ -152,35 +160,8 @@ type Page struct {
 	// a page as its Seq.
 	Seq uint64
 
-	// Freq and LastUse are emulator-style full profiling scratch: exact
-	// per-page access counts and timestamps. Real kernels cannot afford
-	// them (the paper's argument against LFU, §II-D); the AMP baseline —
-	// which was designed on an emulator — uses them here.
-	Freq    uint32
-	LastUse sim.Time
-
 	// BornAt is the virtual time of first allocation (page "birth").
 	BornAt sim.Time
-
-	// LastHint is the virtual time of the last hint page fault taken on
-	// this page (software-fault access tracking baselines).
-	LastHint sim.Time
-
-	// PromotedAt is the virtual time of the page's most recent promotion,
-	// or 0 if never promoted; used by re-access telemetry (Fig. 9).
-	PromotedAt sim.Time
-
-	// ShadowNode/ShadowFrame record a retained lower-tier copy of the
-	// page's contents (Nomad-style non-exclusive tiering): after
-	// PromoteWithShadow the old frame stays allocated as a shadow instead
-	// of being freed, so a still-clean page can later be demoted for free
-	// by remapping to it (DemoteToShadow). Any write invalidates the
-	// shadow; the owning policy must DropShadow before or at the write.
-	// ShadowNode is NoNode when the page has no shadow.
-	ShadowNode  NodeID
-	ShadowFrame FrameID
-
-	_ [16]byte // pad to two cache lines
 }
 
 // Tier reports the tier of the node currently holding the page. It requires
@@ -210,7 +191,7 @@ func (pg *Page) List() *PageList { return pg.list }
 func (pg *Page) IsFile() bool { return pg.Flags.Has(FlagFile) }
 
 // HasShadow reports whether the page retains a lower-tier shadow copy.
-func (pg *Page) HasShadow() bool { return pg.ShadowNode != NoNode }
+func (pg *Page) HasShadow() bool { return pg.Flags.Has(FlagShadow) }
 
 // SetFlags sets the given flag bits.
 func (pg *Page) SetFlags(f PageFlags) { pg.Flags |= f }

@@ -10,12 +10,45 @@ package mem
 //
 // Accounting: a shadowed page occupies two frame sets — the primary
 // (Node/Frame, on the LRU and mapped) and the shadow (allocated, off-LRU,
-// unmapped). System.ShadowFrames() reports the latter so machine-level
-// invariant checks can reconcile used = LRU-resident + shadow.
+// unmapped). The page carries FlagShadow; the System keeps the shadow's
+// location, so the descriptor stays one cache line. System.ShadowFrames()
+// reports the shadow frames so machine-level invariant checks can reconcile
+// used = LRU-resident + shadow.
+
+// frameRef names one frame of one node.
+type frameRef struct {
+	node  NodeID
+	frame FrameID
+}
 
 // ShadowFrames returns the number of frames currently held by shadow
 // copies across the system.
-func (s *System) ShadowFrames() int { return s.shadowFrames }
+func (s *System) ShadowFrames() int { return len(s.shadows) }
+
+// Shadow returns the node and frame of pg's shadow copy, or (NoNode,
+// NoFrame) when it has none.
+func (s *System) Shadow(pg *Page) (NodeID, FrameID) {
+	if !pg.HasShadow() {
+		return NoNode, NoFrame
+	}
+	loc := s.shadows[pg]
+	return loc.node, loc.frame
+}
+
+// setShadow records loc as pg's shadow copy.
+func (s *System) setShadow(pg *Page, loc frameRef) {
+	s.shadows[pg] = loc
+	pg.SetFlags(FlagShadow)
+}
+
+// takeShadow forgets pg's shadow copy and returns its location; the caller
+// owns the frame.
+func (s *System) takeShadow(pg *Page) frameRef {
+	loc := s.shadows[pg]
+	delete(s.shadows, pg)
+	pg.ClearFlags(FlagShadow)
+	return loc
+}
 
 // PromoteWithShadow migrates pg to node dst like Migrate, but retains the
 // source frame as a shadow copy instead of freeing it. The page must be
@@ -43,20 +76,17 @@ func (s *System) DemoteToShadow(pg *Page) MigrationResult {
 		panic("mem: shadow-demoting a page with no shadow")
 	}
 	src := pg.Node
-	dst := pg.ShadowNode
 	sn := s.Nodes[src]
 	sn.alloc.Free(pg.Frame, 0)
 	s.Counters.Frees[sn.Tier]++
-	pg.Node = dst
-	pg.Frame = pg.ShadowFrame
-	pg.ShadowNode = NoNode
-	pg.ShadowFrame = NoFrame
-	s.shadowFrames--
-	if s.Nodes[dst].Tier > sn.Tier {
+	loc := s.takeShadow(pg)
+	pg.Node = loc.node
+	pg.Frame = loc.frame
+	if s.Nodes[loc.node].Tier > sn.Tier {
 		s.Counters.Demotions++
 	}
 	s.Counters.ShadowHits++
-	return MigrationResult{OK: true, From: src, To: dst, Cost: 0, Tax: s.Lat.MigrationTax}
+	return MigrationResult{OK: true, From: src, To: loc.node, Cost: 0, Tax: s.Lat.MigrationTax}
 }
 
 // DropShadow releases the page's shadow frame (a write invalidated the
@@ -66,11 +96,9 @@ func (s *System) DropShadow(pg *Page) {
 	if !pg.HasShadow() {
 		return
 	}
-	n := s.Nodes[pg.ShadowNode]
-	n.alloc.Free(pg.ShadowFrame, 0)
+	loc := s.takeShadow(pg)
+	n := s.Nodes[loc.node]
+	n.alloc.Free(loc.frame, 0)
 	s.Counters.Frees[n.Tier]++
-	pg.ShadowNode = NoNode
-	pg.ShadowFrame = NoFrame
-	s.shadowFrames--
 	s.Counters.ShadowDrops++
 }

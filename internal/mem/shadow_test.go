@@ -28,8 +28,8 @@ func TestPromoteWithShadowRetainsSource(t *testing.T) {
 	if s.Tier(pg) != TierDRAM {
 		t.Fatalf("page on %v, want DRAM", s.Tier(pg))
 	}
-	if !pg.HasShadow() || pg.ShadowNode != srcNode || pg.ShadowFrame != srcFrame {
-		t.Fatalf("shadow not retained: node=%d frame=%d", pg.ShadowNode, pg.ShadowFrame)
+	if node, frame := s.Shadow(pg); !pg.HasShadow() || node != srcNode || frame != srcFrame {
+		t.Fatalf("shadow not retained: node=%d frame=%d", node, frame)
 	}
 	if s.TierFree(TierPM) != pmFree {
 		t.Fatalf("PM free moved from %d to %d — source frame was freed", pmFree, s.TierFree(TierPM))

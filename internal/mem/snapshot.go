@@ -8,10 +8,11 @@ import (
 
 // Checkpoint serialization for the memory system. The "mem" section carries
 // the frame-allocation state (per-node buddy free sets), the event
-// counters, the shadow-frame count and the descriptor sequence counter.
-// Page descriptors themselves are serialized by the layers that own their
-// reachability (the LRU lists, policy state), each as a full
-// PageState record keyed by Page.Seq.
+// counters and the descriptor sequence counter. Page descriptors themselves
+// are serialized by the layers that own their reachability (the LRU lists),
+// each as a page record (CheckpointPage) keyed by Page.Seq; a record carries
+// its page's shadow location, so the shadow table needs no section of its
+// own.
 //
 // The buddy free sets are encoded ascending per order: every allocator
 // operation is value-addressed (Alloc pops the minimum block, removeFrom
@@ -74,7 +75,6 @@ func (s *System) Checkpoint(c *snapcodec.Codec) error {
 		return err
 	}
 	snapcodec.U64(c, &s.pageSeq)
-	snapcodec.I64(c, &s.shadowFrames)
 	s.Counters.checkpoint(c)
 	n := len(s.Nodes)
 	snapcodec.I64(c, &n)
@@ -175,10 +175,12 @@ func (c *Counters) checkpoint(cc *snapcodec.Codec) {
 	}
 }
 
-// Checkpoint codes a full page-descriptor record. CacheHint and list links
-// are deliberately excluded: the CPU-cache slab and the LRU lists restore
-// their own reverse references.
-func (pg *Page) Checkpoint(c *snapcodec.Codec) {
+// CheckpointPage codes pg's record: the descriptor without CacheHint and
+// the list links — the CPU-cache slab and the LRU lists restore their own
+// reverse references — followed, when FlagShadow is set, by the shadow
+// copy's location. Reading, pg is a fresh descriptor and a shadow read is
+// entered in the system's table.
+func (s *System) CheckpointPage(c *snapcodec.Codec, pg *Page) {
 	snapcodec.U64(c, &pg.Seq)
 	snapcodec.U32(c, &pg.Node)
 	snapcodec.U32(c, &pg.Frame)
@@ -190,12 +192,15 @@ func (pg *Page) Checkpoint(c *snapcodec.Codec) {
 	c.Bool(&pg.HWDirty)
 	snapcodec.I64(c, &pg.BornAt)
 	snapcodec.U8(c, &pg.Hist)
-	snapcodec.I64(c, &pg.LastHint)
-	snapcodec.U32(c, &pg.Freq)
-	snapcodec.I64(c, &pg.LastUse)
-	snapcodec.I64(c, &pg.PromotedAt)
-	snapcodec.U32(c, &pg.ShadowNode)
-	snapcodec.U32(c, &pg.ShadowFrame)
+	if !pg.HasShadow() {
+		return
+	}
+	loc := s.shadows[pg]
+	snapcodec.U32(c, &loc.node)
+	snapcodec.U32(c, &loc.frame)
+	if c.Reading() && c.Err() == nil {
+		s.setShadow(pg, loc)
+	}
 }
 
 // RestorePage reads one page record into a fresh descriptor from the slab.
@@ -203,6 +208,6 @@ func (pg *Page) Checkpoint(c *snapcodec.Codec) {
 // whatever structure referenced it.
 func (s *System) RestorePage(c *snapcodec.Codec) *Page {
 	pg := s.slabPage()
-	pg.Checkpoint(c)
+	s.CheckpointPage(c, pg)
 	return pg
 }

@@ -81,10 +81,11 @@ type System struct {
 	descFree []*Page
 	descSlab []Page
 
-	// shadowFrames counts frames currently held by shadow copies
-	// (non-exclusive tiering): allocated but neither LRU-resident nor
-	// mapped. Machine-level invariant checks reconcile against it.
-	shadowFrames int
+	// shadows holds the location of every shadow copy (non-exclusive
+	// tiering), keyed by the page that carries FlagShadow: frames that are
+	// allocated but neither LRU-resident nor mapped. Machine-level invariant
+	// checks reconcile against its size. It is only indexed, never iterated.
+	shadows map[*Page]frameRef
 
 	// pageSeq is the next descriptor birth sequence number (see Page.Seq).
 	pageSeq uint64
@@ -106,9 +107,8 @@ func (s *System) slabPage() *Page {
 }
 
 // newPage returns a zeroed descriptor — the most recently freed one, else a
-// fresh one from the slab — with a new Seq and the unmapped sentinel fields
-// set (Space -1, no shadow — NodeID zero is a real node, so the no-shadow
-// state needs the explicit sentinel — birth timestamp stamped).
+// fresh one from the slab — with a new Seq, the unmapped sentinel Space -1
+// and its birth timestamp stamped.
 func (s *System) newPage() *Page {
 	var pg *Page
 	if n := len(s.descFree); n > 0 {
@@ -121,8 +121,6 @@ func (s *System) newPage() *Page {
 	pg.Seq = s.pageSeq
 	s.pageSeq++
 	pg.Space = -1
-	pg.ShadowNode = NoNode
-	pg.ShadowFrame = NoFrame
 	pg.BornAt = s.clock.Now()
 	return pg
 }
@@ -135,7 +133,7 @@ func NewSystem(clock *sim.Clock, cfg Config) *System {
 	if err := top.Validate(); err != nil {
 		panic("mem: " + err.Error())
 	}
-	s := &System{Top: top, clock: clock, tiers: make([][]NodeID, len(top.Tiers))}
+	s := &System{Top: top, clock: clock, tiers: make([][]NodeID, len(top.Tiers)), shadows: make(map[*Page]frameRef)}
 	s.Lat = top.Latency(scalarLatency())
 	s.Counters = newCounters(top)
 	for t, ts := range top.Tiers {
@@ -362,9 +360,7 @@ func (s *System) migrate(pg *Page, dst NodeID, keepShadow bool) MigrationResult 
 		// The source frame is not freed: it becomes the shadow. Only the
 		// destination allocation enters the conservation ledger, so
 		// allocs - frees still equals frames in use (primary + shadow).
-		pg.ShadowNode = src
-		pg.ShadowFrame = pg.Frame
-		s.shadowFrames++
+		s.setShadow(pg, frameRef{src, pg.Frame})
 		s.Counters.ShadowPromotes++
 	} else {
 		// An ordinary migration ends any non-exclusive residency: the
@@ -386,7 +382,6 @@ func (s *System) migrate(pg *Page, dst NodeID, keepShadow bool) MigrationResult 
 	switch {
 	case dn.Tier < sn.Tier:
 		s.Counters.Promotions += int64(pg.Frames())
-		pg.PromotedAt = s.clock.Now()
 	case dn.Tier > sn.Tier:
 		s.Counters.Demotions += int64(pg.Frames())
 	}

@@ -129,16 +129,15 @@ func TestFreeReturnsFrame(t *testing.T) {
 // page — a Seq never seen before and nothing left of the previous tenant.
 func TestDescriptorRecycled(t *testing.T) {
 	s := testSystem(100, 400)
-	s.clock.Advance(5 * sim.Microsecond) // so that PromotedAt and BornAt are not zero by accident
+	s.clock.Advance(5 * sim.Microsecond) // so that BornAt is not zero by accident
 	pg := shadowPage(t, s)
-	if !s.PromoteWithShadow(pg, s.TierNodes(TierDRAM)[0]).OK || pg.PromotedAt == 0 {
+	if !s.PromoteWithShadow(pg, s.TierNodes(TierDRAM)[0]).OK || !pg.HasShadow() {
 		t.Fatal("shadow promotion failed")
 	}
 	// A long life leaves marks on every field a policy or the machine owns.
 	pg.Flags |= FlagDirty | FlagReferenced | FlagActive | FlagPoisoned
 	pg.Accessed, pg.HWDirty = true, true
-	pg.Freq, pg.Hist, pg.CacheHint = 41, 0x15, 7
-	pg.LastUse, pg.LastHint = 900, 800
+	pg.Hist, pg.CacheHint = 0x15, 7
 	pg.VA, pg.Space = 0x7000, 3
 	seq, next := pg.Seq, s.pageSeq
 	s.clock.Advance(5 * sim.Microsecond)
@@ -155,10 +154,7 @@ func TestDescriptorRecycled(t *testing.T) {
 	if other.Seq == seq || other.Seq != next || s.pageSeq != next+1 {
 		t.Fatalf("rebirth has seq %d (previous life %d), want the fresh seq %d", other.Seq, seq, next)
 	}
-	want := Page{
-		Node: other.Node, Frame: other.Frame, Seq: next, Space: -1,
-		ShadowNode: NoNode, ShadowFrame: NoFrame, BornAt: s.clock.Now(),
-	}
+	want := Page{Node: other.Node, Frame: other.Frame, Seq: next, Space: -1, BornAt: s.clock.Now()}
 	if *other != want {
 		t.Fatalf("rebirth carries state from the previous life:\n got %+v\nwant %+v", *other, want)
 	}
@@ -208,9 +204,6 @@ func TestMigratePromotes(t *testing.T) {
 	}
 	if s.Counters.Promotions != 1 || s.Counters.Demotions != 0 {
 		t.Fatalf("promotion counters: %+v", s.Counters)
-	}
-	if pg.PromotedAt != s.clock.Now() {
-		t.Fatal("PromotedAt not stamped")
 	}
 	if res.Cost <= 0 || res.Tax <= 0 {
 		t.Fatal("migration must cost time")

@@ -57,13 +57,26 @@ type AMP struct {
 	interval sim.Duration
 	rng      *sim.RNG
 
+	// prof is the exact profile of every page accessed since its birth,
+	// dropped in PageFreed; a page without an entry has a zero profile.
+	// Indexed only, never iterated.
+	prof map[*mem.Page]ampProfile
+
 	Promotions int64
+}
+
+// ampProfile is one page's exact profile: its access count and the virtual
+// time of its last access. Real kernels cannot afford either (the paper's
+// argument against LFU, §II-D).
+type ampProfile struct {
+	freq    uint32
+	lastUse sim.Time
 }
 
 // NewAMP returns the baseline under selector sel, rebalancing every
 // interval.
 func NewAMP(sel AMPSelector, interval sim.Duration) *AMP {
-	return &AMP{sel: sel, interval: interval, rng: sim.NewRNG(ampSeed)}
+	return &AMP{sel: sel, interval: interval, rng: sim.NewRNG(ampSeed), prof: make(map[*mem.Page]ampProfile)}
 }
 
 // Name implements machine.Policy.
@@ -78,9 +91,17 @@ func (a *AMP) Attach(m *machine.Machine) {
 // Access profiles every access exactly — AMP's defining (and, on real
 // hardware, disqualifying) requirement — then charges base latency.
 func (a *AMP) Access(pg *mem.Page, write bool) sim.Duration {
-	pg.Freq++
-	pg.LastUse = a.M.Clock.Now()
+	p := a.prof[pg]
+	p.freq++
+	p.lastUse = a.M.Clock.Now()
+	a.prof[pg] = p
 	return a.Base.Access(pg, write)
+}
+
+// PageFreed forgets a dying page's profile, so the descriptor's next page
+// starts from zero.
+func (a *AMP) PageFreed(pg *mem.Page) {
+	delete(a.prof, pg)
 }
 
 // hotness scores a page for promotion under the selector; higher is
@@ -88,9 +109,9 @@ func (a *AMP) Access(pg *mem.Page, write bool) sim.Duration {
 func (a *AMP) hotness(pg *mem.Page) float64 {
 	switch a.sel {
 	case AMPLFU:
-		return float64(pg.Freq)
+		return float64(a.prof[pg].freq)
 	case AMPLRU:
-		return float64(pg.LastUse)
+		return float64(a.prof[pg].lastUse)
 	default:
 		return a.rng.Float64()
 	}
@@ -175,11 +196,13 @@ func (a *AMP) rebalance() {
 	}
 
 	if a.sel == AMPLFU {
-		for _, s := range pmPages {
-			s.pg.Freq /= 2
-		}
-		for _, s := range dramPages {
-			s.pg.Freq /= 2
+		for _, pages := range [][]scored{pmPages, dramPages} {
+			for _, s := range pages {
+				if p, ok := a.prof[s.pg]; ok {
+					p.freq /= 2
+					a.prof[s.pg] = p
+				}
+			}
 		}
 	}
 }

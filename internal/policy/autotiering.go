@@ -58,6 +58,12 @@ type AutoTiering struct {
 	// cursor tracks the poisoning position per address space.
 	cursor map[int32]pagetable.VPN
 
+	// lastHint is the virtual time of each page's last hint fault, dropped
+	// in PageFreed; a page without an entry never faulted. Only OPM's
+	// coldness test reads it, so only OPM records it. Indexed only, never
+	// iterated.
+	lastHint map[*mem.Page]sim.Time
+
 	// Promotions and Exchanges are exposed for analysis.
 	Promotions int64
 	Exchanges  int64
@@ -67,7 +73,8 @@ type AutoTiering struct {
 // NewAutoTiering returns the policy for the given variant, its hint-fault
 // scanner waking every interval.
 func NewAutoTiering(mode ATMode, interval sim.Duration) *AutoTiering {
-	return &AutoTiering{mode: mode, interval: interval, cursor: make(map[int32]pagetable.VPN)}
+	return &AutoTiering{mode: mode, interval: interval, cursor: make(map[int32]pagetable.VPN),
+		lastHint: make(map[*mem.Page]sim.Time)}
 }
 
 // Name implements machine.Policy.
@@ -108,7 +115,7 @@ func (at *AutoTiering) scan(d *sim.Daemon) {
 				if at.mode == OPM {
 					pg.Hist = (pg.Hist << 1) & (1<<atHistBits - 1)
 					if pg.Hist == 0 && m.Mem.Tier(pg) == m.Mem.FastestTier() &&
-						now-pg.LastHint > sim.Time(2*d.Interval) {
+						now-at.lastHint[pg] > sim.Time(2*d.Interval) {
 						demoteCands = append(demoteCands, pg)
 					}
 				}
@@ -170,7 +177,9 @@ func (at *AutoTiering) demoteCold(cands []*mem.Page) {
 // what sinks these baselines (§V-C).
 func (at *AutoTiering) HintFault(pg *mem.Page, write bool) {
 	m := at.M
-	pg.LastHint = m.Clock.Now()
+	if at.mode == OPM {
+		at.lastHint[pg] = m.Clock.Now()
+	}
 	pg.Hist |= 1
 
 	src := m.Mem.Tier(pg)
@@ -212,6 +221,12 @@ func (at *AutoTiering) HintFault(pg *mem.Page, write bool) {
 	} else {
 		m.Vecs[pg.Node].Putback(pg)
 	}
+}
+
+// PageFreed forgets a dying page's hint time, so the descriptor's next page
+// starts as never faulted.
+func (at *AutoTiering) PageFreed(pg *mem.Page) {
+	delete(at.lastHint, pg)
 }
 
 // exchangeVictim demotes one tier-t page picked blind (oldest birth) one

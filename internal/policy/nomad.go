@@ -228,7 +228,7 @@ func (nd *Nomad) reclaimShadows(node mem.NodeID) {
 		if shadowGone(ref) {
 			continue
 		}
-		if ref.pg.ShadowNode == node && n.UnderLow() {
+		if at, _ := m.Mem.Shadow(ref.pg); at == node && n.UnderLow() {
 			m.Mem.DropShadow(ref.pg)
 			continue
 		}

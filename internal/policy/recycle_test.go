@@ -207,3 +207,91 @@ func TestNomadStaleShadowedEntrySkipsRebornDescriptor(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// tableWatch wraps a policy whose per-page state lives in a table keyed by
+// descriptor, and checks at every birth that the newborn inherits nothing:
+// no entry under its descriptor, and no more entries than live pages.
+type tableWatch struct {
+	machine.Policy
+	t    *testing.T
+	m    *machine.Machine
+	has  func(*mem.Page) bool
+	size func() int
+
+	tracked map[*mem.Page]bool // descriptors whose last tenant died with an entry
+	reused  int                // births into such a descriptor
+	births  int
+}
+
+func (w *tableWatch) live() int {
+	n := 0
+	for _, as := range w.m.Spaces() {
+		n += as.Mapped()
+	}
+	return n
+}
+
+func (w *tableWatch) PageFreed(pg *mem.Page) {
+	if w.has(pg) {
+		w.tracked[pg] = true
+	}
+	w.Policy.PageFreed(pg)
+}
+
+func (w *tableWatch) PageBirth(pg *mem.Page) {
+	w.births++
+	if w.tracked[pg] {
+		w.reused++
+		delete(w.tracked, pg)
+	}
+	if w.has(pg) {
+		w.t.Fatalf("birth %d (seq %d) found its descriptor's previous entry in %s's table", w.births, pg.Seq, w.Name())
+	}
+	if n, live := w.size(), w.live(); n > live {
+		w.t.Fatalf("birth %d: %s's table holds %d entries for %d live pages", w.births, w.Name(), n, live)
+	}
+	w.Policy.PageBirth(pg)
+}
+
+// TestPerPageTablesForgetDeadPages churns a machine three times
+// oversubscribed under the two policies that keep per-page state in their own
+// tables (AMP's exact profile, AT-OPM's hint times): faults, swap-outs and
+// refaults reuse descriptors constantly, and a table that missed a death
+// would hand the dead page's profile or hint time to the next page born into
+// its descriptor.
+func TestPerPageTablesForgetDeadPages(t *testing.T) {
+	amp := NewAMP(AMPLFU, 200*sim.Microsecond)
+	at := NewAutoTiering(OPM, 100*sim.Microsecond)
+	for _, w := range []*tableWatch{
+		{Policy: amp, has: func(pg *mem.Page) bool { _, ok := amp.prof[pg]; return ok }, size: func() int { return len(amp.prof) }},
+		{Policy: at, has: func(pg *mem.Page) bool { _, ok := at.lastHint[pg]; return ok }, size: func() int { return len(at.lastHint) }},
+	} {
+		t.Run(w.Name(), func(t *testing.T) {
+			w.t, w.tracked = t, make(map[*mem.Page]bool)
+			w.m = newMachine(32, 96, w)
+			as := w.m.NewSpace()
+			v := as.Mmap(384, false, "churn")
+			rng := sim.NewRNG(11)
+			for i := 0; i < 40000; i++ {
+				// A hot eighth of the range takes half the accesses, so
+				// profiles and hint faults build up before pages die.
+				vpn := rng.Intn(384)
+				if i%2 == 0 {
+					vpn %= 48
+				}
+				w.m.Access(as, v.Start+pagetable.VPN(vpn), i%5 == 0)
+			}
+			if w.reused == 0 {
+				t.Fatalf("no descriptor of a page that died with an entry was reused (%d births, %d swap-outs)",
+					w.births, w.m.Mem.Counters.SwapOuts)
+			}
+			if n, live := w.size(), w.live(); n == 0 || n > live {
+				t.Fatalf("table holds %d entries for %d live pages", n, live)
+			}
+			if err := w.m.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d births, %d into a descriptor whose last page died with an entry", w.births, w.reused)
+		})
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"multiclock/internal/machine"
+	"multiclock/internal/sim"
 	"multiclock/internal/snapcodec"
 )
 
@@ -16,8 +17,9 @@ import (
 // entry was stamped with, whoever owns the descriptor now) — lazy
 // invalidation means a stale entry still shapes future wakeups, so the
 // restore side materializes zombie descriptors for them via the registry.
-// Per-page scratch the policies keep on the descriptor (Hist, LastHint,
-// FlagPoisoned, Freq, LastUse) rides the page codec, not these sections.
+// Per-page state a policy keeps in its own tables (AMP's profiles,
+// AutoTiering's hint times) is coded with machine.PageMap; the scratch left
+// on the descriptor (Hist, FlagPoisoned) rides the page record.
 
 // Checkpoint codes nothing: static tiering holds no mutable policy state.
 func (s *Static) Checkpoint(*snapcodec.Codec, *machine.PageRegistry) error { return nil }
@@ -43,16 +45,20 @@ func (mm *MemoryMode) Checkpoint(c *snapcodec.Codec, _ *machine.PageRegistry) er
 	return c.Err()
 }
 
-// Checkpoint codes the random stream and the counter.
-func (a *AMP) Checkpoint(c *snapcodec.Codec, _ *machine.PageRegistry) error {
+// Checkpoint codes the random stream, the counter and the per-page
+// profiles.
+func (a *AMP) Checkpoint(c *snapcodec.Codec, reg *machine.PageRegistry) error {
 	a.rng.Checkpoint(c)
 	snapcodec.I64(c, &a.Promotions)
-	return c.Err()
+	return machine.PageMap(c, reg, a.prof, "amp profile", func(p *ampProfile) {
+		snapcodec.U32(c, &p.freq)
+		snapcodec.I64(c, &p.lastUse)
+	})
 }
 
-// Checkpoint codes the per-space poisoning cursors (sorted by space ID) and
-// the counters.
-func (at *AutoTiering) Checkpoint(c *snapcodec.Codec, _ *machine.PageRegistry) error {
+// Checkpoint codes the per-space poisoning cursors (sorted by space ID), the
+// counters and the per-page hint times.
+func (at *AutoTiering) Checkpoint(c *snapcodec.Codec, reg *machine.PageRegistry) error {
 	ids := make([]int32, 0, len(at.cursor))
 	for id := range at.cursor {
 		ids = append(ids, id)
@@ -77,7 +83,7 @@ func (at *AutoTiering) Checkpoint(c *snapcodec.Codec, _ *machine.PageRegistry) e
 	for _, p := range []*int64{&at.Promotions, &at.Exchanges, &at.Demotions} {
 		snapcodec.I64(c, p)
 	}
-	return c.Err()
+	return machine.PageMap(c, reg, at.lastHint, "at hint time", func(t *sim.Time) { snapcodec.I64(c, t) })
 }
 
 // Checkpoint codes the sampling stream, every region's classification and

@@ -35,8 +35,12 @@ const Magic = "MCSNAP"
 // the tier spec), so version-1 containers no longer decode. Version 3 writes
 // a run's latency histogram as (value, count) pairs instead of one word per
 // sample; the sections are otherwise unchanged, so the version is what stops
-// a version-2 container from being mis-decoded.
-const Version = 3
+// a version-2 container from being mis-decoded. Version 4 shrinks the page
+// record with the one-line descriptor: AMP's profiles and AutoTiering's hint
+// times moved into those policies' sections, PromotedAt is gone, a shadow
+// location is written only for a page with FlagShadow, and the mem section
+// no longer counts shadow frames.
+const Version = 4
 
 // Section names in container order.
 const (

@@ -85,16 +85,21 @@ func TestFileBitFlips(t *testing.T) {
 }
 
 func TestFileVersionSkew(t *testing.T) {
-	f := sample()
-	f.Version = Version + 7
-	data := f.Encode()
-	_, err := Decode(data)
-	var ve *VersionError
-	if !errors.As(err, &ve) {
-		t.Fatalf("err = %v, want VersionError", err)
-	}
-	if ve.Got != Version+7 || ve.Want != Version {
-		t.Fatalf("VersionError = %+v", ve)
+	// A future version, and version 3, whose page records are laid out for
+	// the two-line descriptor: both must be refused before any section is
+	// read.
+	for _, v := range []uint32{Version + 7, 3} {
+		f := sample()
+		f.Version = v
+		data := f.Encode()
+		_, err := Decode(data)
+		var ve *VersionError
+		if !errors.As(err, &ve) {
+			t.Fatalf("version %d: err = %v, want VersionError", v, err)
+		}
+		if ve.Got != v || ve.Want != Version {
+			t.Fatalf("version %d: VersionError = %+v", v, ve)
+		}
 	}
 }
 

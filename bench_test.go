@@ -221,7 +221,7 @@ func BenchmarkScanCycle(b *testing.B) {
 // list order shuffled by a seeded round of activations, and a 16 MiB buffer
 // walked before every timed pass. BenchmarkScanCycle's 8 192 descriptors stay
 // cache-resident and cannot show what a miss per scanned page costs, which is
-// the cost the ring lists and the read-ahead exist to hide (DESIGN.md §7.2).
+// the cost the ring lists exist to hide (DESIGN.md §7.2).
 func BenchmarkScanCycleCold(b *testing.B) {
 	const n = 1 << 16
 	sys := mem.NewSystem(sim.NewClock(), mem.Config{DRAMNodes: []int{2 * n}, PMNodes: []int{64}})

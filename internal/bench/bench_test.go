@@ -6,6 +6,7 @@ package bench
 // numbers.
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -88,8 +89,9 @@ func TestFig5Shape(t *testing.T) {
 		if mc <= static {
 			t.Errorf("workload %s: multiclock %.0f ≤ static %.0f", w, mc, static)
 		}
-		// MULTI-CLOCK outperforms Nimble's recency-only selection.
-		if mc <= nb {
+		// MULTI-CLOCK outperforms Nimble's recency-only selection, except
+		// on D, where the two tie (checked below).
+		if w != "D" && mc <= nb {
 			t.Errorf("workload %s: multiclock %.0f ≤ nimble %.0f", w, mc, nb)
 		}
 		// MULTI-CLOCK far outperforms AT-CPM (paper: 260-677%).
@@ -116,6 +118,22 @@ func TestFig5Shape(t *testing.T) {
 	}
 	if bestW != "D" && bestW != "W" {
 		t.Errorf("largest multiclock gain on %s (%.3f), expected D (or W)", bestW, best)
+	}
+	// On D, MULTI-CLOCK and Nimble tie (EXPERIMENTS.md, deviation 4): at
+	// quick scale the multiclock/nimble ratio of seeds 1–5 reads 1.004,
+	// 0.986, 0.978, 0.999 and 0.963, so an ordering would assert a coin
+	// flip. The check is a tie band over seeds 1–3; the extra seeds run only
+	// the two systems it compares.
+	const dTieBand = 0.05
+	for seed := uint64(1); seed <= 3; seed++ {
+		mc, nb := results["multiclock"]["D"], results["nimble"]["D"]
+		if seed != 1 {
+			sc := Options{Quick: true, Seed: seed}.scale()
+			mc, nb = ycsbRun(sc, "multiclock", false).Throughput["D"], ycsbRun(sc, "nimble", false).Throughput["D"]
+		}
+		if r := mc / nb; math.Abs(r-1) > dTieBand {
+			t.Errorf("workload D, seed %d: multiclock/nimble = %.3f, outside the ±%.0f%% tie band", seed, r, 100*dTieBand)
+		}
 	}
 }
 

@@ -106,9 +106,9 @@ type MultiClock struct {
 
 	// retries tracks per-page transient-failure state for the bounded
 	// requeue/backoff paths. Non-nil only on a machine that injects faults
-	// (retries are enabled exactly then); entries die with the page
-	// (PageFreed) or when it finally migrates or falls back.
-	retries map[*mem.Page]*retryState
+	// (retries are enabled exactly then); entries die with the page or when
+	// it finally migrates or falls back.
+	retries *mem.Side[retryState]
 
 	// lastDemote rate-limits pressure episodes to one per node per
 	// virtual instant: a promotion burst would otherwise run many
@@ -174,7 +174,7 @@ func (mc *MultiClock) Attach(m *machine.Machine) {
 	// rather than exceptional, so bounded retries are on; a fault-free
 	// machine keeps the paper's drop-immediately behaviour.
 	if m.Faults != nil {
-		mc.retries = make(map[*mem.Page]*retryState)
+		mc.retries = mem.NewSide[retryState](m.Mem)
 	}
 	if mc.cfg.Gate != nil {
 		mc.cfg.Gate.Attach(m)
@@ -185,14 +185,6 @@ func (mc *MultiClock) Attach(m *machine.Machine) {
 			mc.adapt(d, promoted)
 		}
 	})
-}
-
-// PageFreed drops any retry bookkeeping for a page whose frame is being
-// released, so the map never holds entries for dead pages.
-func (mc *MultiClock) PageFreed(pg *mem.Page) {
-	if len(mc.retries) != 0 {
-		delete(mc.retries, pg)
-	}
 }
 
 // adapt retunes one kpromoted thread's interval from its last wakeup's
@@ -268,7 +260,7 @@ func (mc *MultiClock) kpromoted(node mem.NodeID) int {
 
 	promoted := 0
 	for _, pg := range candidates {
-		if st := mc.retries[pg]; st != nil && st.nextTry > m.Clock.Now() {
+		if st := mc.retries.Get(pg); st != nil && st.nextTry > m.Clock.Now() {
 			// Still backing off from an earlier transient failure: park
 			// the page on the promote list without spending an attempt.
 			// RequeuePromote re-arms the referenced flag so the wait
@@ -297,7 +289,7 @@ func (mc *MultiClock) kpromoted(node mem.NodeID) int {
 		lru.ClearPromote(pg)
 		if mc.promoteIsolated(pg, len(candidates)) {
 			promoted++
-			delete(mc.retries, pg)
+			mc.retries.Delete(pg)
 		} else {
 			mc.PromoteFails++
 			mc.retryPromote(pg)
@@ -314,11 +306,7 @@ func (mc *MultiClock) kpromoted(node mem.NodeID) int {
 // behaviour (§III-C).
 func (mc *MultiClock) retryPromote(pg *mem.Page) {
 	if mc.retries != nil {
-		st := mc.retries[pg]
-		if st == nil {
-			st = &retryState{}
-			mc.retries[pg] = st
-		}
+		st := mc.retries.Put(pg)
 		if st.promoteFails < promoteRetryMax {
 			st.promoteFails++
 			st.nextTry = mc.M.Clock.Now() + sim.Time(mc.cfg.ScanInterval<<(st.promoteFails-1))
@@ -328,7 +316,7 @@ func (mc *MultiClock) retryPromote(pg *mem.Page) {
 			mc.M.Vecs[pg.Node].Putback(pg)
 			return
 		}
-		delete(mc.retries, pg)
+		mc.retries.Delete(pg)
 		mc.PromoteDrops++
 	}
 	mc.M.Vecs[pg.Node].Note(pg, lru.CausePromoteDrop)
@@ -442,7 +430,7 @@ func (mc *MultiClock) demoteFrom(node mem.NodeID, extra int) {
 			mc.retryDemote(pg)
 			continue
 		}
-		delete(mc.retries, pg)
+		mc.retries.Delete(pg)
 	}
 	mc.demoteBuf = candidates[:0]
 }
@@ -454,11 +442,7 @@ func (mc *MultiClock) demoteFrom(node mem.NodeID, extra int) {
 // migration).
 func (mc *MultiClock) retryDemote(pg *mem.Page) {
 	if mc.retries != nil {
-		st := mc.retries[pg]
-		if st == nil {
-			st = &retryState{}
-			mc.retries[pg] = st
-		}
+		st := mc.retries.Put(pg)
 		if st.demoteFails < demoteRetryMax {
 			st.demoteFails++
 			mc.DemoteRequeues++
@@ -466,7 +450,7 @@ func (mc *MultiClock) retryDemote(pg *mem.Page) {
 			mc.M.Vecs[pg.Node].Putback(pg)
 			return
 		}
-		delete(mc.retries, pg)
+		mc.retries.Delete(pg)
 		mc.DemoteSwapFallbacks++
 	}
 	mc.M.Vecs[pg.Node].Note(pg, lru.CauseSwapFallback)

@@ -13,7 +13,7 @@ import (
 // deterministic retry defaults) is reproduced by the restore target's
 // construction; the daemons' wakeup deadlines and adapted intervals are the
 // clock section's business. What travels here is the per-page retry
-// bookkeeping (sorted by page sequence — the map is indexed, never iterated),
+// bookkeeping (in page-sequence order, see mem.Side.Checkpoint),
 // the per-node pressure-episode rate limiter, the policy counters, and the
 // nested admission gate when one is configured.
 
@@ -25,13 +25,10 @@ func (mc *MultiClock) Checkpoint(c *snapcodec.Codec, reg *machine.PageRegistry) 
 	if c.Err() == nil && hasRetries != (mc.retries != nil) {
 		return fmt.Errorf("core: snapshot retry tracking %v, policy %v", hasRetries, mc.retries != nil)
 	}
-	err := machine.PageMap(c, reg, mc.retries, "retry state", func(st **retryState) {
-		if c.Reading() {
-			*st = new(retryState)
-		}
-		snapcodec.U8(c, &(*st).promoteFails)
-		snapcodec.U8(c, &(*st).demoteFails)
-		snapcodec.I64(c, &(*st).nextTry)
+	err := mc.retries.Checkpoint(c, reg.Live, "retry state", func(st *retryState) {
+		snapcodec.U8(c, &st.promoteFails)
+		snapcodec.U8(c, &st.demoteFails)
+		snapcodec.I64(c, &st.nextTry)
 	})
 	if err != nil {
 		return err

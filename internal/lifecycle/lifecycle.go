@@ -68,8 +68,8 @@ type Tracer struct {
 	// byPtr remembers each sampled descriptor's identity: the page table
 	// clears pg.Space before the delete/free hooks fire, so end-of-life
 	// events resolve their key through the descriptor. Entries die with
-	// the page (freed / swap-out).
-	byPtr         map[*mem.Page]pageKey
+	// the page.
+	byPtr         *mem.Side[pageKey]
 	tracked       int // non-stub entries in pages
 	pagesDropped  int64
 	eventsDropped int64
@@ -83,7 +83,6 @@ func New(cfg Config) *Tracer {
 	return &Tracer{
 		cfg:   cfg,
 		pages: make(map[pageKey]*pageTrace),
-		byPtr: make(map[*mem.Page]pageKey),
 	}
 }
 
@@ -91,6 +90,7 @@ func New(cfg Config) *Tracer {
 // chaining.
 func (t *Tracer) Bind(m *machine.Machine) *Tracer {
 	t.clock = m.Clock
+	t.byPtr = mem.NewSide[pageKey](m.Mem)
 	for _, v := range m.Vecs {
 		v.AddHook(t)
 	}
@@ -120,8 +120,10 @@ func (t *Tracer) keyOf(pg *mem.Page) (pageKey, bool) {
 	if pg.Space >= 0 {
 		return pageKey{space: pg.Space, va: pg.VA}, true
 	}
-	k, ok := t.byPtr[pg]
-	return k, ok
+	if k := t.byPtr.Get(pg); k != nil {
+		return *k, true
+	}
+	return pageKey{}, false
 }
 
 // trace returns the page's accumulator, creating it within bounds; nil
@@ -131,7 +133,7 @@ func (t *Tracer) trace(pg *mem.Page) *pageTrace {
 	if !ok || !t.sampled(k) {
 		return nil
 	}
-	t.byPtr[pg] = k
+	*t.byPtr.Put(pg) = k
 	pt := t.pages[k]
 	if pt == nil {
 		pt = &pageTrace{}
@@ -196,9 +198,6 @@ func (t *Tracer) PageTransition(pg *mem.Page, node mem.NodeID, from, to lru.Stat
 		}
 	}
 	t.record(pg, to, reason, node, now)
-	if cause == lru.CauseSwapOut || cause == lru.CauseFreed {
-		delete(t.byPtr, pg)
-	}
 }
 
 // Export snapshots the tracer as the wire-format lifecycle section, pages

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"sort"
 
 	"multiclock/internal/mem"
 	"multiclock/internal/pagetable"
@@ -26,8 +25,8 @@ type Checkpointer interface {
 // structures may also hold stale references to pages that have since died
 // (S3-FIFO queues, Nomad's shadowed list are lazily pruned); those restore to
 // "zombie" descriptors: unique per-Seq placeholders carrying the dead-page
-// sentinels, so staleness checks (pointer identity, HasShadow, map misses)
-// behave exactly as they would on the original dead descriptor.
+// sentinels, so staleness checks (pointer identity, HasShadow, side-table
+// misses) behave exactly as they would on the original dead descriptor.
 type PageRegistry struct {
 	live    map[uint64]*mem.Page
 	zombies map[uint64]*mem.Page
@@ -69,48 +68,6 @@ func (r *PageRegistry) Resolve(seq uint64) *mem.Page {
 	}
 	r.zombies[seq] = pg
 	return pg
-}
-
-// PageMap codes a page-indexed policy map in Seq order — such maps are
-// indexed, never iterated, during a run, so the canonical order is
-// behaviorally exact — calling value to code each entry after its key.
-// Reading, value receives a zero V to fill. Entries of such maps die with
-// their page, so every key read must name a live page, once; what names the
-// map in errors.
-func PageMap[V any](c *snapcodec.Codec, reg *PageRegistry, m map[*mem.Page]V, what string, value func(*V)) error {
-	n := len(m)
-	snapcodec.I64(c, &n)
-	if !c.Reading() {
-		pages := make([]*mem.Page, 0, n)
-		for pg := range m {
-			pages = append(pages, pg)
-		}
-		sort.Slice(pages, func(i, j int) bool { return pages[i].Seq < pages[j].Seq })
-		for _, pg := range pages {
-			v := m[pg]
-			snapcodec.U64(c, &pg.Seq)
-			value(&v)
-		}
-		return nil
-	}
-	if n != 0 && m == nil && c.Err() == nil {
-		return fmt.Errorf("machine: snapshot has %d %s entries, policy tracks none", n, what)
-	}
-	for i := 0; i < n && c.Err() == nil; i++ {
-		var seq uint64
-		var v V
-		snapcodec.U64(c, &seq)
-		value(&v)
-		if c.Err() != nil {
-			break
-		}
-		pg, ok := reg.Live(seq)
-		if _, dup := m[pg]; !ok || dup {
-			return fmt.Errorf("machine: snapshot %s names page %d, which is unknown or repeated", what, seq)
-		}
-		m[pg] = v
-	}
-	return c.Err()
 }
 
 // CheckpointLRU codes every node's LRU vector. At a quiescent point the

@@ -14,8 +14,10 @@ import (
 // AccessN state on one line, hotset-drift went from 4.9–5.9 M to
 // 9.0–9.7 M accesses/s), and on hotset-drift, where descriptors are most of
 // the heap, the second line that held only policy scratch cost about 11 MiB
-// of peak RSS. There is no room for another field: per-page state a policy
-// needs goes into the policy's own table (DESIGN.md §8.1), not here.
+// of peak RSS. There is no room for another field: the last two bytes of
+// padding hold the slab chunk that gives a descriptor its Side slot, and
+// per-page state a policy needs goes into a Side it owns (DESIGN.md §8.1),
+// not here.
 func TestPageLayout(t *testing.T) {
 	const line = 64
 	if got := unsafe.Sizeof(Page{}); got != line {
@@ -33,6 +35,7 @@ func TestPageLayout(t *testing.T) {
 		{"Accessed", unsafe.Offsetof(pg.Accessed), unsafe.Sizeof(pg.Accessed)},
 		{"HWDirty", unsafe.Offsetof(pg.HWDirty), unsafe.Sizeof(pg.HWDirty)},
 		{"Hist", unsafe.Offsetof(pg.Hist), unsafe.Sizeof(pg.Hist)},
+		{"slab", unsafe.Offsetof(pg.slab), unsafe.Sizeof(pg.slab)},
 		{"CacheHint", unsafe.Offsetof(pg.CacheHint), unsafe.Sizeof(pg.CacheHint)},
 		{"Space", unsafe.Offsetof(pg.Space), unsafe.Sizeof(pg.Space)},
 		{"VA", unsafe.Offsetof(pg.VA), unsafe.Sizeof(pg.VA)},
@@ -50,8 +53,8 @@ func TestPageLayout(t *testing.T) {
 	}
 	// Every field is listed: what the list does not cover is padding, and a
 	// field added without an entry here shows up as a larger descriptor.
-	if pad := unsafe.Sizeof(pg) - total; pad > 2 {
-		t.Errorf("%d bytes of Page are unlisted fields or padding, want at most 2", pad)
+	if pad := unsafe.Sizeof(pg) - total; pad != 0 {
+		t.Errorf("%d bytes of Page are unlisted fields or padding, want none", pad)
 	}
 
 	// Descriptors come from 1024 × 64 B slab chunks; cross a chunk boundary

@@ -113,10 +113,9 @@ func (p PageFlags) Has(f PageFlags) bool { return p&f == f }
 // from a System), and the CLOCK scan and Machine.AccessN touch nothing else
 // per page. It holds only what the engine itself reads: a policy's own
 // per-page state (AMP's profile, AutoTiering's hint timestamps, S3-FIFO's
-// queue membership) lives in the policy's state struct, keyed by *Page and
-// dropped in PageFreed, and a Nomad shadow copy's location lives in the
-// System (FlagShadow marks the pages that have one). TestPageLayout pins the
-// size, the line and the alignment (DESIGN.md §7.2).
+// queue membership) lives in a Side table the policy owns, and a Nomad shadow
+// copy's location in the System's (FlagShadow marks the pages that have one).
+// TestPageLayout pins the size, the line and the alignment (DESIGN.md §7.2).
 type Page struct {
 	Node  NodeID
 	Frame FrameID
@@ -136,6 +135,12 @@ type Page struct {
 	// Hist is scratch space for policies that keep per-page history
 	// (AutoTiering-OPM's N-bit coldness vector); it fills a padding byte.
 	Hist uint8
+
+	// slab is 1 + the index of the System slab chunk the descriptor was cut
+	// from, 0 for a descriptor no System issued. With the descriptor's place
+	// in that chunk it is the slot a Side indexes (the last two bytes of
+	// padding).
+	slab uint16
 
 	// CacheHint is scratch owned by the machine's CPU-cache model: slot
 	// index + 1 of this page's base frame in the cache slab, 0 when not
@@ -224,8 +229,6 @@ type PageList struct {
 	ring        []*Page // len is zero or a power of two
 	front, back int64
 	size        int
-	// ahead keeps AgeRun's read-ahead loads alive.
-	ahead PageFlags
 	// Name identifies the list in diagnostics (e.g. "anon_promote").
 	Name string
 }
@@ -362,12 +365,6 @@ func rotateTail(ring []*Page, pg *Page, front, back int64, size int) (int64, int
 	return front, back
 }
 
-// scanAhead is how many list positions in front of the hand AgeRun reads
-// ahead. A list longer than the host's cache costs one miss per page; the
-// ring gives the hand the addresses of the next pages without touching them,
-// so reading a dozen ahead keeps that many misses in flight.
-const scanAhead = 12
-
 // AgeRun is the CLOCK hand's run over the pages that stay on this list. From
 // the tail, each page takes the scan window's aging step — the hardware
 // accessed bit is consumed and becomes the referenced flag: set is Fig. 4
@@ -381,22 +378,14 @@ const scanAhead = 12
 // had the accessed bit set.
 //
 // The loop is the simulator's hottest (DESIGN.md §7.5): it keeps the span in
-// locals, and it carries the read-ahead — a plain load of the Flags of the
-// page scanAhead positions on, standing in for the prefetch Go lacks. The load
-// is kept alive in l.ahead, which nothing reads, so it cannot change what a
-// scan does, only when the line arrives.
+// locals and writes it back once.
 func (l *PageList) AgeRun(n, stop int) (run, referenced int) {
 	if l.size < 2 {
 		return 0, 0
 	}
 	ring, mask := l.ring, l.mask()
-	front, back, size, ahead := l.front, l.back, l.size, l.ahead
+	front, back, size := l.front, l.back, l.size
 	for run < n {
-		if p := back - 1 - scanAhead; p >= front {
-			if pg := ring[p&mask]; pg != nil {
-				ahead |= pg.Flags
-			}
-		}
 		pg := ring[(back-1)&mask]
 		seen := 0
 		if pg.Accessed {
@@ -420,7 +409,7 @@ func (l *PageList) AgeRun(n, stop int) (run, referenced int) {
 		front, back = rotateTail(ring, pg, front, back, size)
 		run++
 	}
-	l.front, l.back, l.ahead = front, back, ahead
+	l.front, l.back = front, back
 	return run, referenced
 }
 

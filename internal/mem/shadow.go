@@ -23,7 +23,7 @@ type frameRef struct {
 
 // ShadowFrames returns the number of frames currently held by shadow
 // copies across the system.
-func (s *System) ShadowFrames() int { return len(s.shadows) }
+func (s *System) ShadowFrames() int { return s.nshadows }
 
 // Shadow returns the node and frame of pg's shadow copy, or (NoNode,
 // NoFrame) when it has none.
@@ -31,21 +31,23 @@ func (s *System) Shadow(pg *Page) (NodeID, FrameID) {
 	if !pg.HasShadow() {
 		return NoNode, NoFrame
 	}
-	loc := s.shadows[pg]
+	loc := s.shadows.Value(pg)
 	return loc.node, loc.frame
 }
 
 // setShadow records loc as pg's shadow copy.
 func (s *System) setShadow(pg *Page, loc frameRef) {
-	s.shadows[pg] = loc
+	*s.shadows.Put(pg) = loc
+	s.nshadows++
 	pg.SetFlags(FlagShadow)
 }
 
 // takeShadow forgets pg's shadow copy and returns its location; the caller
 // owns the frame.
 func (s *System) takeShadow(pg *Page) frameRef {
-	loc := s.shadows[pg]
-	delete(s.shadows, pg)
+	loc := s.shadows.Value(pg)
+	s.shadows.Delete(pg)
+	s.nshadows--
 	pg.ClearFlags(FlagShadow)
 	return loc
 }

@@ -195,7 +195,7 @@ func (s *System) CheckpointPage(c *snapcodec.Codec, pg *Page) {
 	if !pg.HasShadow() {
 		return
 	}
-	loc := s.shadows[pg]
+	loc := s.shadows.Value(pg)
 	snapcodec.U32(c, &loc.node)
 	snapcodec.U32(c, &loc.frame)
 	if c.Reading() && c.Err() == nil {

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 
 	"multiclock/internal/fault"
 	"multiclock/internal/sim"
@@ -78,14 +79,18 @@ type System struct {
 	// The contract recycling rests on: a *Page is valid from its birth to
 	// Free. Whatever may outlive the page holds (pointer, Seq) and treats the
 	// reference as live only while pg.Seq still equals the stamped Seq.
+	// slabs holds every chunk in allocation order, so a descriptor's chunk
+	// (Page.slab) and its place in it are the slot a Side indexes.
 	descFree []*Page
 	descSlab []Page
+	slabs    []*[descChunk]Page
 
 	// shadows holds the location of every shadow copy (non-exclusive
-	// tiering), keyed by the page that carries FlagShadow: frames that are
-	// allocated but neither LRU-resident nor mapped. Machine-level invariant
-	// checks reconcile against its size. It is only indexed, never iterated.
-	shadows map[*Page]frameRef
+	// tiering) under the page that carries FlagShadow: frames that are
+	// allocated but neither LRU-resident nor mapped. nshadows counts them, so
+	// machine-level invariant checks can reconcile against it.
+	shadows  *Side[frameRef]
+	nshadows int
 
 	// pageSeq is the next descriptor birth sequence number (see Page.Seq).
 	pageSeq uint64
@@ -99,10 +104,16 @@ const descChunk = 1024
 // slabPage returns a never-used zeroed descriptor from the slab.
 func (s *System) slabPage() *Page {
 	if len(s.descSlab) == 0 {
-		s.descSlab = make([]Page, descChunk)
+		if len(s.slabs) == math.MaxUint16 {
+			panic("mem: descriptor slab exhausted: Page.slab holds 65 535 chunks")
+		}
+		chunk := new([descChunk]Page)
+		s.slabs = append(s.slabs, chunk)
+		s.descSlab = chunk[:]
 	}
 	pg := &s.descSlab[0]
 	s.descSlab = s.descSlab[1:]
+	pg.slab = uint16(len(s.slabs))
 	return pg
 }
 
@@ -114,7 +125,7 @@ func (s *System) newPage() *Page {
 	if n := len(s.descFree); n > 0 {
 		pg = s.descFree[n-1]
 		s.descFree = s.descFree[:n-1]
-		*pg = Page{}
+		*pg = Page{slab: pg.slab}
 	} else {
 		pg = s.slabPage()
 	}
@@ -133,7 +144,8 @@ func NewSystem(clock *sim.Clock, cfg Config) *System {
 	if err := top.Validate(); err != nil {
 		panic("mem: " + err.Error())
 	}
-	s := &System{Top: top, clock: clock, tiers: make([][]NodeID, len(top.Tiers)), shadows: make(map[*Page]frameRef)}
+	s := &System{Top: top, clock: clock, tiers: make([][]NodeID, len(top.Tiers))}
+	s.shadows = NewSide[frameRef](s)
 	s.Lat = top.Latency(scalarLatency())
 	s.Counters = newCounters(top)
 	for t, ts := range top.Tiers {

@@ -154,7 +154,12 @@ func TestDescriptorRecycled(t *testing.T) {
 	if other.Seq == seq || other.Seq != next || s.pageSeq != next+1 {
 		t.Fatalf("rebirth has seq %d (previous life %d), want the fresh seq %d", other.Seq, seq, next)
 	}
-	want := Page{Node: other.Node, Frame: other.Frame, Seq: next, Space: -1, BornAt: s.clock.Now()}
+	// The slot is the one thing a rebirth keeps: it is where the descriptor
+	// lives, not part of the page.
+	want := Page{Node: other.Node, Frame: other.Frame, Seq: next, Space: -1, BornAt: s.clock.Now(), slab: other.slab}
+	if other.slab == 0 {
+		t.Fatal("an issued descriptor has no slab chunk")
+	}
 	if *other != want {
 		t.Fatalf("rebirth carries state from the previous life:\n got %+v\nwant %+v", *other, want)
 	}

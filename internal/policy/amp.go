@@ -57,10 +57,9 @@ type AMP struct {
 	interval sim.Duration
 	rng      *sim.RNG
 
-	// prof is the exact profile of every page accessed since its birth,
-	// dropped in PageFreed; a page without an entry has a zero profile.
-	// Indexed only, never iterated.
-	prof map[*mem.Page]ampProfile
+	// prof is the exact profile of every page accessed since its birth; a
+	// page without an entry has a zero profile.
+	prof *mem.Side[ampProfile]
 
 	Promotions int64
 }
@@ -76,7 +75,7 @@ type ampProfile struct {
 // NewAMP returns the baseline under selector sel, rebalancing every
 // interval.
 func NewAMP(sel AMPSelector, interval sim.Duration) *AMP {
-	return &AMP{sel: sel, interval: interval, rng: sim.NewRNG(ampSeed), prof: make(map[*mem.Page]ampProfile)}
+	return &AMP{sel: sel, interval: interval, rng: sim.NewRNG(ampSeed)}
 }
 
 // Name implements machine.Policy.
@@ -85,23 +84,17 @@ func (a *AMP) Name() string { return a.sel.String() }
 // Attach starts the periodic migration daemon.
 func (a *AMP) Attach(m *machine.Machine) {
 	a.Base.Attach(m)
+	a.prof = mem.NewSide[ampProfile](m.Mem)
 	a.StartDaemon("amp", a.interval, func(*sim.Daemon) { a.rebalance() })
 }
 
 // Access profiles every access exactly — AMP's defining (and, on real
 // hardware, disqualifying) requirement — then charges base latency.
 func (a *AMP) Access(pg *mem.Page, write bool) sim.Duration {
-	p := a.prof[pg]
+	p := a.prof.Put(pg)
 	p.freq++
 	p.lastUse = a.M.Clock.Now()
-	a.prof[pg] = p
 	return a.Base.Access(pg, write)
-}
-
-// PageFreed forgets a dying page's profile, so the descriptor's next page
-// starts from zero.
-func (a *AMP) PageFreed(pg *mem.Page) {
-	delete(a.prof, pg)
 }
 
 // hotness scores a page for promotion under the selector; higher is
@@ -109,9 +102,9 @@ func (a *AMP) PageFreed(pg *mem.Page) {
 func (a *AMP) hotness(pg *mem.Page) float64 {
 	switch a.sel {
 	case AMPLFU:
-		return float64(a.prof[pg].freq)
+		return float64(a.prof.Value(pg).freq)
 	case AMPLRU:
-		return float64(a.prof[pg].lastUse)
+		return float64(a.prof.Value(pg).lastUse)
 	default:
 		return a.rng.Float64()
 	}
@@ -198,9 +191,8 @@ func (a *AMP) rebalance() {
 	if a.sel == AMPLFU {
 		for _, pages := range [][]scored{pmPages, dramPages} {
 			for _, s := range pages {
-				if p, ok := a.prof[s.pg]; ok {
+				if p := a.prof.Get(s.pg); p != nil {
 					p.freq /= 2
-					a.prof[s.pg] = p
 				}
 			}
 		}

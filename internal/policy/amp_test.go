@@ -24,13 +24,13 @@ func TestAMPProfilesEveryAccess(t *testing.T) {
 	as := m.NewSpace()
 	v := as.Mmap(1, false, "x")
 	pg := m.Access(as, v.Start, false)
-	first := a.prof[pg].lastUse
+	first := a.prof.Value(pg).lastUse
 	m.Access(as, v.Start, false)
 	m.Access(as, v.Start, true)
-	if got := a.prof[pg].freq; got != 3 {
+	if got := a.prof.Value(pg).freq; got != 3 {
 		t.Fatalf("freq = %d, want 3 (exact profiling)", got)
 	}
-	if a.prof[pg].lastUse <= first {
+	if a.prof.Value(pg).lastUse <= first {
 		t.Fatal("LastUse not advancing with accesses")
 	}
 }
@@ -139,11 +139,11 @@ func TestAMPLFUDecay(t *testing.T) {
 	for i := 0; i < 99; i++ {
 		m.Access(as, v.Start, false)
 	}
-	if got := a.prof[pg].freq; got != 100 {
+	if got := a.prof.Value(pg).freq; got != 100 {
 		t.Fatalf("freq = %d", got)
 	}
 	m.Compute(11 * sim.Millisecond) // one decay pass
-	if got := a.prof[pg].freq; got != 50 {
+	if got := a.prof.Value(pg).freq; got != 50 {
 		t.Fatalf("freq after decay = %d, want 50", got)
 	}
 }

@@ -58,11 +58,10 @@ type AutoTiering struct {
 	// cursor tracks the poisoning position per address space.
 	cursor map[int32]pagetable.VPN
 
-	// lastHint is the virtual time of each page's last hint fault, dropped
-	// in PageFreed; a page without an entry never faulted. Only OPM's
-	// coldness test reads it, so only OPM records it. Indexed only, never
-	// iterated.
-	lastHint map[*mem.Page]sim.Time
+	// lastHint is the virtual time of each page's last hint fault; a page
+	// without an entry never faulted. Only OPM's coldness test reads it, so
+	// only OPM records it.
+	lastHint *mem.Side[sim.Time]
 
 	// Promotions and Exchanges are exposed for analysis.
 	Promotions int64
@@ -73,8 +72,7 @@ type AutoTiering struct {
 // NewAutoTiering returns the policy for the given variant, its hint-fault
 // scanner waking every interval.
 func NewAutoTiering(mode ATMode, interval sim.Duration) *AutoTiering {
-	return &AutoTiering{mode: mode, interval: interval, cursor: make(map[int32]pagetable.VPN),
-		lastHint: make(map[*mem.Page]sim.Time)}
+	return &AutoTiering{mode: mode, interval: interval, cursor: make(map[int32]pagetable.VPN)}
 }
 
 // Name implements machine.Policy.
@@ -83,6 +81,7 @@ func (at *AutoTiering) Name() string { return at.mode.String() }
 // Attach starts the PTE-poisoning scanner.
 func (at *AutoTiering) Attach(m *machine.Machine) {
 	at.Base.Attach(m)
+	at.lastHint = mem.NewSide[sim.Time](m.Mem)
 	at.StartDaemon("at-scan", at.interval, at.scan)
 }
 
@@ -115,7 +114,7 @@ func (at *AutoTiering) scan(d *sim.Daemon) {
 				if at.mode == OPM {
 					pg.Hist = (pg.Hist << 1) & (1<<atHistBits - 1)
 					if pg.Hist == 0 && m.Mem.Tier(pg) == m.Mem.FastestTier() &&
-						now-at.lastHint[pg] > sim.Time(2*d.Interval) {
+						now-at.lastHint.Value(pg) > sim.Time(2*d.Interval) {
 						demoteCands = append(demoteCands, pg)
 					}
 				}
@@ -178,7 +177,7 @@ func (at *AutoTiering) demoteCold(cands []*mem.Page) {
 func (at *AutoTiering) HintFault(pg *mem.Page, write bool) {
 	m := at.M
 	if at.mode == OPM {
-		at.lastHint[pg] = m.Clock.Now()
+		*at.lastHint.Put(pg) = m.Clock.Now()
 	}
 	pg.Hist |= 1
 
@@ -221,12 +220,6 @@ func (at *AutoTiering) HintFault(pg *mem.Page, write bool) {
 	} else {
 		m.Vecs[pg.Node].Putback(pg)
 	}
-}
-
-// PageFreed forgets a dying page's hint time, so the descriptor's next page
-// starts as never faulted.
-func (at *AutoTiering) PageFreed(pg *mem.Page) {
-	delete(at.lastHint, pg)
 }
 
 // exchangeVictim demotes one tier-t page picked blind (oldest birth) one

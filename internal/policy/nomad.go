@@ -7,12 +7,6 @@ import (
 	"multiclock/internal/sim"
 )
 
-// nomadTx is one in-flight transactional promotion: begun at a daemon
-// wakeup, committed (or aborted by an intervening write) at the next.
-type nomadTx struct {
-	aborted bool
-}
-
 // Nomad implements Nomad-style non-exclusive memory tiering (transactional
 // page migration, arXiv:2401.13154) on MULTI-CLOCK's selection machinery:
 // pages qualify for promotion through the same two-touch promote list, but
@@ -26,10 +20,10 @@ type Nomad struct {
 	machine.Base
 	interval sim.Duration
 
-	// inflight tracks begun-but-uncommitted promotion transactions. Indexed
-	// only, never iterated (determinism). Entries die at commit, abort, or
-	// page death.
-	inflight map[*mem.Page]*nomadTx
+	// inflight holds each begun-but-uncommitted promotion transaction —
+	// begun at a daemon wakeup, committed at the next — as whether a write
+	// has aborted it since. Entries die at commit, abort, or page death.
+	inflight *mem.Side[bool]
 
 	// shadowed is a lazily-invalidated FIFO of pages that committed a
 	// shadow promotion, in commit order: the reclaim scan for PM pressure
@@ -53,7 +47,7 @@ type Nomad struct {
 // NewNomad returns the Nomad-style non-exclusive tiering policy, its
 // promotion daemon waking every interval.
 func NewNomad(interval sim.Duration) *Nomad {
-	return &Nomad{interval: interval, inflight: make(map[*mem.Page]*nomadTx)}
+	return &Nomad{interval: interval}
 }
 
 // Name implements machine.Policy.
@@ -62,6 +56,7 @@ func (nd *Nomad) Name() string { return "nomad" }
 // Attach starts the per-node scanning daemon.
 func (nd *Nomad) Attach(m *machine.Machine) {
 	nd.Base.Attach(m)
+	nd.inflight = mem.NewSide[bool](m.Mem)
 	nd.StartNodeDaemons("nomad-scan", nd.interval, func(node mem.NodeID, _ *sim.Daemon) { nd.scan(node) })
 }
 
@@ -72,20 +67,14 @@ func (nd *Nomad) Attach(m *machine.Machine) {
 // its shadow, so shadow demotions never need a dirtiness check.
 func (nd *Nomad) Access(pg *mem.Page, write bool) sim.Duration {
 	if write {
-		if tx := nd.inflight[pg]; tx != nil {
-			tx.aborted = true
+		if aborted := nd.inflight.Get(pg); aborted != nil {
+			*aborted = true
 		}
 		if pg.HasShadow() {
 			nd.M.Mem.DropShadow(pg)
 		}
 	}
 	return nd.Base.Access(pg, write)
-}
-
-// PageFreed drops transaction bookkeeping for a dying page (the shadow frame
-// itself is released by mem.Free).
-func (nd *Nomad) PageFreed(pg *mem.Page) {
-	delete(nd.inflight, pg)
 }
 
 // scan is one daemon wakeup: MULTI-CLOCK aging, then the two-phase
@@ -114,7 +103,7 @@ func (nd *Nomad) scan(node mem.NodeID) {
 	}
 
 	for _, pg := range candidates {
-		tx := nd.inflight[pg]
+		tx := nd.inflight.Get(pg)
 		switch {
 		case pg.IsHuge():
 			// Shadow frames cover base pages only; compound pages take the
@@ -128,15 +117,16 @@ func (nd *Nomad) scan(node mem.NodeID) {
 			// from PM while the replica is "in flight" until the next
 			// wakeup; RequeuePromote re-arms the referenced flag so the
 			// wait survives the intervening scan cycle's decay.
-			nd.inflight[pg] = &nomadTx{}
+			nd.inflight.Put(pg)
 			nd.TxBegins++
 			lru.RequeuePromote(pg)
 			vec.Putback(pg)
 		default:
 			// Phase 2: commit, or abort if a write raced the copy.
-			delete(nd.inflight, pg)
+			aborted := *tx
+			nd.inflight.Delete(pg)
 			lru.ClearPromote(pg)
-			if tx.aborted {
+			if aborted {
 				nd.TxAborts++
 				// The replica is stale; retry as an ordinary exclusive
 				// migration (a fresh copy with nothing left to invalidate).

@@ -91,7 +91,7 @@ func TestS3FIFOStaleSmallEntrySkipsRebornDescriptor(t *testing.T) {
 	y := r.rebirth()
 	r.m.Access(r.as, r.spare, false) // a reuse: y would graduate when its turn comes
 	r.drainSmallThrough(position(t, r.q.small, r.x))
-	if r.s.state[y]&s3MemberMask != s3Small || r.s.SmallToMain != 0 {
+	if r.s.state.Value(y)&s3MemberMask != s3Small || r.s.SmallToMain != 0 {
 		t.Fatal("the dead page's small entry graduated the newborn at the dead page's position")
 	}
 	if entries(r.q.small, y) != 1 || entries(r.q.main, y) != 0 {
@@ -99,7 +99,7 @@ func TestS3FIFOStaleSmallEntrySkipsRebornDescriptor(t *testing.T) {
 			entries(r.q.small, y), entries(r.q.main, y))
 	}
 	r.drainSmallThrough(len(r.q.small) - 1)
-	if r.s.state[y]&s3MemberMask != s3Main || r.s.SmallToMain != 1 || entries(r.q.main, y) != 1 {
+	if r.s.state.Value(y)&s3MemberMask != s3Main || r.s.SmallToMain != 1 || entries(r.q.main, y) != 1 {
 		t.Fatal("the newborn did not graduate once, at its own position")
 	}
 }
@@ -107,22 +107,22 @@ func TestS3FIFOStaleSmallEntrySkipsRebornDescriptor(t *testing.T) {
 func TestS3FIFOStaleGhostEntrySkipsRebornDescriptor(t *testing.T) {
 	r := newS3Rebirth(t)
 	r.drainSmallThrough(position(t, r.q.small, r.x))
-	if r.s.state[r.x] != s3Ghost {
+	if r.s.state.Value(r.x) != s3Ghost {
 		t.Fatal("setup: x was not quick-demoted to ghost")
 	}
 	y := r.rebirth()
 	r.drainSmallThrough(len(r.q.small) - 1)
-	if r.s.state[y] != s3Ghost || entries(r.q.ghost, y) != 2 {
+	if r.s.state.Value(y) != s3Ghost || entries(r.q.ghost, y) != 2 {
 		t.Fatal("setup: the ghost queue does not hold the dead page's entry and the newborn's")
 	}
 	// Trim exactly through the dead page's entry.
 	r.q.ghostCap = len(r.q.ghost) - (position(t, r.q.ghost, r.x) + 1)
 	r.s.trimGhost(r.q)
-	if r.s.state[y] != s3Ghost {
+	if r.s.state.Value(y) != s3Ghost {
 		t.Fatal("trimming the dead page's ghost entry forgot the newborn's ghost identity")
 	}
 	r.m.Access(r.as, r.spare, false)
-	if r.s.GhostHits != 1 || r.s.state[y]&s3MemberMask != s3Main {
+	if r.s.GhostHits != 1 || r.s.state.Value(y)&s3MemberMask != s3Main {
 		t.Fatal("the newborn's ghost hit was lost")
 	}
 }
@@ -131,13 +131,13 @@ func TestS3FIFOStaleMainEntrySkipsRebornDescriptor(t *testing.T) {
 	r := newS3Rebirth(t)
 	r.m.Access(r.as, r.xVPN, false) // one reuse: x graduates, below the promotion bar
 	r.drainSmallThrough(position(t, r.q.small, r.x))
-	if r.s.state[r.x]&s3MemberMask != s3Main {
+	if r.s.state.Value(r.x)&s3MemberMask != s3Main {
 		t.Fatal("setup: x did not graduate to main")
 	}
 	y := r.rebirth()
 	r.m.Access(r.as, r.spare, false)
 	r.drainSmallThrough(len(r.q.small) - 1)
-	if r.s.state[y]&s3MemberMask != s3Main || entries(r.q.main, y) != 2 {
+	if r.s.state.Value(y)&s3MemberMask != s3Main || entries(r.q.main, y) != 2 {
 		t.Fatal("setup: the main queue does not hold the dead page's entry and the newborn's")
 	}
 	r.s.promoteFromMain(r.q) // one pass over the whole queue: both entries rotate or drop
@@ -208,19 +208,23 @@ func TestNomadStaleShadowedEntrySkipsRebornDescriptor(t *testing.T) {
 	}
 }
 
-// tableWatch wraps a policy whose per-page state lives in a table keyed by
-// descriptor, and checks at every birth that the newborn inherits nothing:
-// no entry under its descriptor, and no more entries than live pages.
+// tableWatch wraps a policy whose per-page state lives in a side table, and
+// checks at every birth that the newborn inherits nothing: no entry under its
+// descriptor, and no more entries than live pages.
 type tableWatch struct {
 	machine.Policy
 	t    *testing.T
 	m    *machine.Machine
 	has  func(*mem.Page) bool
 	size func() int
+	// inherited reports an entry at birth that the newborn did not get
+	// from the policy's own birth handling; nil means any entry (has).
+	inherited func(*mem.Page) bool
 
 	tracked map[*mem.Page]bool // descriptors whose last tenant died with an entry
 	reused  int                // births into such a descriptor
 	births  int
+	peak    int // most entries seen at a birth
 }
 
 func (w *tableWatch) live() int {
@@ -231,9 +235,14 @@ func (w *tableWatch) live() int {
 	return n
 }
 
+// PageFreed also checks that a restore's zombie for a page dying with an
+// entry (its Seq on a descriptor no System issued) reads as having none.
 func (w *tableWatch) PageFreed(pg *mem.Page) {
 	if w.has(pg) {
 		w.tracked[pg] = true
+		if zombie := machine.NewPageRegistry().Resolve(pg.Seq); w.has(zombie) {
+			w.t.Fatalf("a zombie descriptor for seq %d reads its page's entry", pg.Seq)
+		}
 	}
 	w.Policy.PageFreed(pg)
 }
@@ -244,54 +253,91 @@ func (w *tableWatch) PageBirth(pg *mem.Page) {
 		w.reused++
 		delete(w.tracked, pg)
 	}
-	if w.has(pg) {
+	if w.inherited(pg) {
 		w.t.Fatalf("birth %d (seq %d) found its descriptor's previous entry in %s's table", w.births, pg.Seq, w.Name())
 	}
-	if n, live := w.size(), w.live(); n > live {
+	n, live := w.size(), w.live()
+	if n > live {
 		w.t.Fatalf("birth %d: %s's table holds %d entries for %d live pages", w.births, w.Name(), n, live)
 	}
+	w.peak = max(w.peak, n)
 	w.Policy.PageBirth(pg)
 }
 
-// TestPerPageTablesForgetDeadPages churns a machine three times
-// oversubscribed under the two policies that keep per-page state in their own
-// tables (AMP's exact profile, AT-OPM's hint times): faults, swap-outs and
-// refaults reuse descriptors constantly, and a table that missed a death
-// would hand the dead page's profile or hint time to the next page born into
-// its descriptor.
+// churn runs the watched machine oversubscribed: faults, swap-outs, unmaps
+// and refaults reuse descriptors constantly. Then it checks that some page
+// died with an entry and its descriptor was reborn, and that the table held
+// entries but never more than the live set.
+func (w *tableWatch) churn(t *testing.T, newMachine func(machine.Policy) *machine.Machine) {
+	w.t, w.tracked = t, make(map[*mem.Page]bool)
+	if w.inherited == nil {
+		w.inherited = w.has
+	}
+	w.m = newMachine(w)
+	as := w.m.NewSpace()
+	v := as.Mmap(384, false, "churn")
+	rng := sim.NewRNG(11)
+	for i := 0; i < 40000; i++ {
+		// A hot eighth of the range takes half the accesses, so profiles,
+		// hint faults, queue state and promotions build up before pages die.
+		vpn := v.Start + pagetable.VPN(rng.Intn(384))
+		if i%2 == 0 {
+			vpn = v.Start + (vpn-v.Start)%48
+		}
+		if i%97 == 0 {
+			w.m.Unmap(as, vpn)
+			continue
+		}
+		w.m.Access(as, vpn, i%5 == 0)
+	}
+	if w.reused == 0 {
+		t.Fatalf("no descriptor of a page that died with an entry was reused (%d births, %d swap-outs)",
+			w.births, w.m.Mem.Counters.SwapOuts)
+	}
+	if n, live := w.size(), w.live(); w.peak == 0 || n > live {
+		t.Fatalf("table holds %d entries for %d live pages, at most %d at a birth", n, live, w.peak)
+	}
+	if err := w.m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d births, %d into a descriptor whose last page died with an entry; at most %d entries",
+		w.births, w.reused, w.peak)
+}
+
+// TestPerPageTablesForgetDeadPages churns every policy in this package that
+// keeps per-page state (AMP's exact profile, AT-OPM's hint times, S3-FIFO's
+// queue membership, Nomad's in-flight transactions): a table that kept an
+// entry past its page's death would hand the dead page's state to the next
+// page born into its descriptor. MULTI-CLOCK's retry table has the same check
+// in package core.
 func TestPerPageTablesForgetDeadPages(t *testing.T) {
-	amp := NewAMP(AMPLFU, 200*sim.Microsecond)
 	at := NewAutoTiering(OPM, 100*sim.Microsecond)
-	for _, w := range []*tableWatch{
-		{Policy: amp, has: func(pg *mem.Page) bool { _, ok := amp.prof[pg]; return ok }, size: func() int { return len(amp.prof) }},
-		{Policy: at, has: func(pg *mem.Page) bool { _, ok := at.lastHint[pg]; return ok }, size: func() int { return len(at.lastHint) }},
-	} {
+	s3 := NewS3FIFO(100 * sim.Microsecond)
+	nd := NewNomad(50 * sim.Microsecond)
+	watches := []*tableWatch{
+		{Policy: at, has: func(pg *mem.Page) bool { return at.lastHint.Get(pg) != nil }, size: func() int { return at.lastHint.Len() }},
+		{Policy: s3, has: func(pg *mem.Page) bool { return s3.state.Get(pg) != nil }, size: func() int { return s3.state.Len() },
+			// A PM birth is admitted to the small queue before PageBirth.
+			inherited: func(pg *mem.Page) bool {
+				v := s3.state.Get(pg)
+				return v != nil && *v != s3Small|s3Fresh
+			}},
+		{Policy: nd, has: func(pg *mem.Page) bool { return nd.inflight.Get(pg) != nil }, size: func() int { return nd.inflight.Len() }},
+	}
+	for _, sel := range []AMPSelector{AMPLRU, AMPLFU, AMPRandom} {
+		a := NewAMP(sel, 200*sim.Microsecond)
+		watches = append(watches, &tableWatch{Policy: a,
+			has: func(pg *mem.Page) bool { return a.prof.Get(pg) != nil }, size: func() int { return a.prof.Len() }})
+	}
+	for _, w := range watches {
 		t.Run(w.Name(), func(t *testing.T) {
-			w.t, w.tracked = t, make(map[*mem.Page]bool)
-			w.m = newMachine(32, 96, w)
-			as := w.m.NewSpace()
-			v := as.Mmap(384, false, "churn")
-			rng := sim.NewRNG(11)
-			for i := 0; i < 40000; i++ {
-				// A hot eighth of the range takes half the accesses, so
-				// profiles and hint faults build up before pages die.
-				vpn := rng.Intn(384)
-				if i%2 == 0 {
-					vpn %= 48
-				}
-				w.m.Access(as, v.Start+pagetable.VPN(vpn), i%5 == 0)
+			pm := 96
+			if w.Policy == nd {
+				// Transactions need pages that stay long enough to be
+				// touched twice: PM holds the range, DRAM a twelfth of it.
+				pm = 512
 			}
-			if w.reused == 0 {
-				t.Fatalf("no descriptor of a page that died with an entry was reused (%d births, %d swap-outs)",
-					w.births, w.m.Mem.Counters.SwapOuts)
-			}
-			if n, live := w.size(), w.live(); n == 0 || n > live {
-				t.Fatalf("table holds %d entries for %d live pages", n, live)
-			}
-			if err := w.m.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("%d births, %d into a descriptor whose last page died with an entry", w.births, w.reused)
+			w.churn(t, func(p machine.Policy) *machine.Machine { return newMachine(32, pm, p) })
 		})
 	}
 }

@@ -11,8 +11,8 @@ import (
 // saturating access frequency (0..3) in the high nibble, and one "fresh"
 // bit marks a page admitted by the very access being served (a birth
 // fault): that access is the insertion itself, not a reuse, so the first
-// frequency bump is absorbed. One map holds it all so the access fast path
-// pays a single lookup.
+// frequency bump is absorbed. One side table holds it all so the access fast
+// path pays a single lookup.
 const (
 	s3None  uint8 = 0
 	s3Small uint8 = 1
@@ -38,7 +38,7 @@ const (
 // s3queues is the per-PM-node queue triple. The small and main queues hold
 // PM-resident pages; the ghost queue holds identities of pages that left
 // small without demonstrated reuse. All three are lazily invalidated: the
-// state map is authoritative, and a popped entry whose descriptor has since
+// state table is authoritative, and a popped entry whose descriptor has since
 // been reissued, or whose recorded membership no longer names that queue, is
 // stale and skipped.
 type s3queues struct {
@@ -63,10 +63,9 @@ type S3FIFO struct {
 
 	// queues is indexed by NodeID; nil for DRAM nodes.
 	queues []*s3queues
-	// state maps each tracked page to membership|freq. Indexed only, never
-	// iterated (determinism); entries die with the page or at ghost
-	// eviction.
-	state map[*mem.Page]uint8
+	// state holds each tracked page's membership|freq; entries die with
+	// the page, at promotion or at ghost eviction.
+	state *mem.Side[uint8]
 
 	// Selector stats for the bake-off report.
 	SmallToMain int64
@@ -77,7 +76,7 @@ type S3FIFO struct {
 // NewS3FIFO returns the S3-FIFO selector policy, its daemons waking every
 // interval.
 func NewS3FIFO(interval sim.Duration) *S3FIFO {
-	return &S3FIFO{interval: interval, state: make(map[*mem.Page]uint8)}
+	return &S3FIFO{interval: interval}
 }
 
 // Name implements machine.Policy.
@@ -87,6 +86,7 @@ func (s *S3FIFO) Name() string { return "s3fifo" }
 // PM vec, and starts the per-node daemons.
 func (s *S3FIFO) Attach(m *machine.Machine) {
 	s.recencyDemoter.Attach(m)
+	s.state = mem.NewSide[uint8](m.Mem)
 	s.queues = make([]*s3queues, len(m.Mem.Nodes))
 	for _, n := range m.Mem.Nodes {
 		if n.Tier != m.Mem.FastestTier() {
@@ -122,14 +122,9 @@ func (s *S3FIFO) PageTransition(pg *mem.Page, node mem.NodeID, from, to lru.Stat
 		// an arrival too (a demotion from DRAM); putbacks of pages already
 		// tracked here — failed promotions, parked candidates — are not.
 		// Any access after a demotion arrival is a genuine reuse.
-		if s.state[pg]&s3MemberMask == s3None {
+		if s.state.Value(pg)&s3MemberMask == s3None {
 			s.admit(q, pg, false)
 		}
-	case lru.CauseDelete:
-		// Unmap/swap-out: forget the page; stale queue entries resolve
-		// lazily. (The descriptor will be reissued; the queues hold
-		// pageRefs, so its next page is not mistaken for this one.)
-		delete(s.state, pg)
 	}
 }
 
@@ -144,7 +139,7 @@ func (s *S3FIFO) admit(q *s3queues, pg *mem.Page, fresh bool) {
 	if fresh {
 		v |= s3Fresh
 	}
-	s.state[pg] = v
+	*s.state.Put(pg) = v
 	q.small = append(q.small, refTo(pg))
 }
 
@@ -152,28 +147,23 @@ func (s *S3FIFO) admit(q *s3queues, pg *mem.Page, fresh bool) {
 // ghost identity is the S3-FIFO re-insertion signal and moves the page
 // directly to the main queue.
 func (s *S3FIFO) Access(pg *mem.Page, write bool) sim.Duration {
-	if v, ok := s.state[pg]; ok {
-		switch {
+	if p := s.state.Get(pg); p != nil {
+		switch v := *p; {
 		case v&s3MemberMask == s3Ghost:
 			// Ghost hit: the quick demotion was wrong, skip probation.
 			s.GhostHits++
-			s.state[pg] = s3Main | 1<<s3FreqShift
+			*p = s3Main | 1<<s3FreqShift
 			if q := s.queues[pg.Node]; q != nil {
 				q.main = append(q.main, refTo(pg))
 			}
 		case v&s3Fresh != 0:
 			// The admitting access itself: absorbed, not a reuse.
-			s.state[pg] = v &^ s3Fresh
+			*p = v &^ s3Fresh
 		case v>>s3FreqShift < s3FreqMax:
-			s.state[pg] = v + 1<<s3FreqShift
+			*p = v + 1<<s3FreqShift
 		}
 	}
 	return s.Base.Access(pg, write)
-}
-
-// PageFreed forgets a dying page.
-func (s *S3FIFO) PageFreed(pg *mem.Page) {
-	delete(s.state, pg)
 }
 
 // scan is one daemon wakeup. Every node runs vanilla CLOCK aging (the
@@ -209,16 +199,16 @@ func (s *S3FIFO) evictSmall(q *s3queues) int {
 		ref := q.small[0]
 		q.small = q.small[1:]
 		work++
-		v, ok := s.state[ref.pg]
-		if ref.stale() || !ok || v&s3MemberMask != s3Small {
+		p := s.state.Get(ref.pg)
+		if ref.stale() || p == nil || *p&s3MemberMask != s3Small {
 			continue // stale: the page died or was re-admitted elsewhere
 		}
-		if v>>s3FreqShift > 0 {
+		if v := *p; v>>s3FreqShift > 0 {
 			s.SmallToMain++
-			s.state[ref.pg] = s3Main | v&^s3MemberMask
+			*p = s3Main | v&^s3MemberMask
 			q.main = append(q.main, ref)
 		} else {
-			s.state[ref.pg] = s3Ghost
+			*p = s3Ghost
 			q.ghost = append(q.ghost, ref)
 			s.trimGhost(q)
 		}
@@ -232,8 +222,8 @@ func (s *S3FIFO) trimGhost(q *s3queues) {
 	for len(q.ghost) > q.ghostCap {
 		ref := q.ghost[0]
 		q.ghost = q.ghost[1:]
-		if !ref.stale() && s.state[ref.pg] == s3Ghost {
-			delete(s.state, ref.pg)
+		if !ref.stale() && s.state.Value(ref.pg) == s3Ghost {
+			s.state.Delete(ref.pg)
 		}
 	}
 }
@@ -253,19 +243,18 @@ func (s *S3FIFO) promoteFromMain(q *s3queues) int {
 		ref := q.main[0]
 		q.main = q.main[1:]
 		pg := ref.pg
-		v, ok := s.state[pg]
-		if ref.stale() || !ok || v&s3MemberMask != s3Main {
+		p := s.state.Get(pg)
+		if ref.stale() || p == nil || *p&s3MemberMask != s3Main {
 			continue // stale
 		}
-		freq := v >> s3FreqShift
+		freq := *p >> s3FreqShift
 		if freq < s3PromoteFreq || pg.Flags.Has(mem.FlagUnevictable) ||
 			!pg.OnList() || pg.Flags.Has(mem.FlagIsolated) {
 			// Not (or not yet) a candidate: rotate, decaying the recorded
 			// frequency when the queue is over capacity so stale heat
 			// cannot pin a page near the promotion bar forever.
 			if len(q.main) >= q.mainCap && freq > 0 {
-				v -= 1 << s3FreqShift
-				s.state[pg] = v
+				*p -= 1 << s3FreqShift
 			}
 			q.main = append(q.main, ref)
 			continue
@@ -274,7 +263,7 @@ func (s *S3FIFO) promoteFromMain(q *s3queues) int {
 		m.Vecs[pg.Node].Isolate(pg)
 		if promoteUp(m, pg, s.makeRoom) {
 			s.Promotions++
-			delete(s.state, pg)
+			s.state.Delete(pg)
 		} else {
 			// Destination full: put the page back and keep it queued.
 			m.Vecs[pg.Node].Putback(pg)

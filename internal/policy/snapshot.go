@@ -10,16 +10,15 @@ import (
 )
 
 // Checkpoint serialization for the baseline policies. Each Checkpoint
-// implements machine.Checkpointer. Maps indexed by page pointer are written
-// sorted by page sequence (they are never iterated during a run, so the
-// canonical order is behaviorally exact); queue slices are written in their
-// exact order, including stale entries for dead pages (under the Seq each
-// entry was stamped with, whoever owns the descriptor now) — lazy
-// invalidation means a stale entry still shapes future wakeups, so the
-// restore side materializes zombie descriptors for them via the registry.
-// Per-page state a policy keeps in its own tables (AMP's profiles,
-// AutoTiering's hint times) is coded with machine.PageMap; the scratch left
-// on the descriptor (Hist, FlagPoisoned) rides the page record.
+// implements machine.Checkpointer. Per-page side tables (AMP's profiles,
+// AutoTiering's hint times, S3-FIFO's state bytes, Nomad's transactions) are
+// written in page-sequence order by mem.Side.Checkpoint; the scratch left on
+// the descriptor (Hist, FlagPoisoned) rides the page record. Queue slices
+// are written in their exact order, including stale entries for dead pages
+// (under the Seq each entry was stamped with, whoever owns the descriptor
+// now) — lazy invalidation means a stale entry still shapes future wakeups,
+// so the restore side materializes zombie descriptors for them via the
+// registry.
 
 // Checkpoint codes nothing: static tiering holds no mutable policy state.
 func (s *Static) Checkpoint(*snapcodec.Codec, *machine.PageRegistry) error { return nil }
@@ -50,7 +49,7 @@ func (mm *MemoryMode) Checkpoint(c *snapcodec.Codec, _ *machine.PageRegistry) er
 func (a *AMP) Checkpoint(c *snapcodec.Codec, reg *machine.PageRegistry) error {
 	a.rng.Checkpoint(c)
 	snapcodec.I64(c, &a.Promotions)
-	return machine.PageMap(c, reg, a.prof, "amp profile", func(p *ampProfile) {
+	return a.prof.Checkpoint(c, reg.Live, "amp profile", func(p *ampProfile) {
 		snapcodec.U32(c, &p.freq)
 		snapcodec.I64(c, &p.lastUse)
 	})
@@ -83,7 +82,7 @@ func (at *AutoTiering) Checkpoint(c *snapcodec.Codec, reg *machine.PageRegistry)
 	for _, p := range []*int64{&at.Promotions, &at.Exchanges, &at.Demotions} {
 		snapcodec.I64(c, p)
 	}
-	return machine.PageMap(c, reg, at.lastHint, "at hint time", func(t *sim.Time) { snapcodec.I64(c, t) })
+	return at.lastHint.Checkpoint(c, reg.Live, "at hint time", func(t *sim.Time) { snapcodec.I64(c, t) })
 }
 
 // Checkpoint codes the sampling stream, every region's classification and
@@ -136,12 +135,7 @@ func (nb *Nimble) Checkpoint(c *snapcodec.Codec, reg *machine.PageRegistry) erro
 // Checkpoint codes the in-flight transactions, the shadowed list and the
 // counters.
 func (nd *Nomad) Checkpoint(c *snapcodec.Codec, reg *machine.PageRegistry) error {
-	err := machine.PageMap(c, reg, nd.inflight, "nomad transaction", func(tx **nomadTx) {
-		if c.Reading() {
-			*tx = new(nomadTx)
-		}
-		c.Bool(&(*tx).aborted)
-	})
+	err := nd.inflight.Checkpoint(c, reg.Live, "nomad transaction", c.Bool)
 	if err != nil {
 		return err
 	}
@@ -157,7 +151,7 @@ func (nd *Nomad) Checkpoint(c *snapcodec.Codec, reg *machine.PageRegistry) error
 // Checkpoint codes the per-page state bytes, every PM node's queue triple
 // and the counters.
 func (s *S3FIFO) Checkpoint(c *snapcodec.Codec, reg *machine.PageRegistry) error {
-	err := machine.PageMap(c, reg, s.state, "s3fifo state", func(v *uint8) { snapcodec.U8(c, v) })
+	err := s.state.Checkpoint(c, reg.Live, "s3fifo state", func(v *uint8) { snapcodec.U8(c, v) })
 	if err != nil {
 		return err
 	}

@@ -6,82 +6,102 @@ import (
 
 	"multiclock/internal/machine"
 	"multiclock/internal/mem"
-	"multiclock/internal/pagetable"
 	"multiclock/internal/sim"
 	"multiclock/internal/snapcodec"
 )
 
-// TestPerPageTablesRejectBadSeqs decodes AMP's and AutoTiering's per-page
-// tables against a registry of live pages: an entry may name only a live
+// TestPerPageTablesRejectBadSeqs decodes every per-page side table of this
+// package against a registry of live pages: an entry may name only a live
 // page, and only once. A Seq nobody was born under, a page that died before
 // the snapshot and a repeated page are each an error, never a panic and
-// never an entry.
+// never an entry. MULTI-CLOCK's retry table has the same check in package
+// core; a shadow location rides its page's record.
 func TestPerPageTablesRejectBadSeqs(t *testing.T) {
-	m := newMachine(64, 256, NewStatic())
-	as := m.NewSpace()
-	v := fillOver(m, as, 8)
-	dead := as.Lookup(v.Start).Seq
-	m.Unmap(as, v.Start)
-	reg := machine.NewPageRegistry()
-	as.Walk(v.Start, v.End, func(_ pagetable.VPN, pg *mem.Page) {
-		if err := reg.AddLive(pg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	live := as.Lookup(v.Start + 1).Seq
-
 	for _, tc := range []struct {
 		name  string
-		fresh func() machine.Checkpointer
-		value int // bytes of one entry's value
-		size  func(machine.Checkpointer) int
+		fresh func() machine.Policy
+		value int  // bytes of one entry's value
+		first bool // the table opens the policy's section (else it closes it)
+		size  func(machine.Policy) int
 	}{
-		{"amp-lfu", func() machine.Checkpointer { return NewAMP(AMPLFU, sim.Second) }, 4 + 8,
-			func(p machine.Checkpointer) int { return len(p.(*AMP).prof) }},
-		{"at-opm", func() machine.Checkpointer { return NewAutoTiering(OPM, sim.Second) }, 8,
-			func(p machine.Checkpointer) int { return len(p.(*AutoTiering).lastHint) }},
+		{"amp-lfu", func() machine.Policy { return NewAMP(AMPLFU, sim.Second) }, 4 + 8, false,
+			func(p machine.Policy) int { return p.(*AMP).prof.Len() }},
+		{"at-opm", func() machine.Policy { return NewAutoTiering(OPM, sim.Second) }, 8, false,
+			func(p machine.Policy) int { return p.(*AutoTiering).lastHint.Len() }},
+		{"s3fifo", func() machine.Policy { return NewS3FIFO(sim.Second) }, 1, true,
+			func(p machine.Policy) int { return p.(*S3FIFO).state.Len() }},
+		{"nomad", func() machine.Policy { return NewNomad(sim.Second) }, 1, true,
+			func(p machine.Policy) int { return p.(*Nomad).inflight.Len() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, c := range []struct {
-				seqs []uint64
+				seqs func(live, dead uint64) []uint64
 				want string // "" decodes
 			}{
-				{[]uint64{live, live + 1}, ""},
-				{[]uint64{live, 1 << 40}, "unknown or repeated"},
-				{[]uint64{dead}, "unknown or repeated"},
-				{[]uint64{live, live}, "unknown or repeated"},
+				{func(live, _ uint64) []uint64 { return []uint64{live, live + 1} }, ""},
+				{func(live, _ uint64) []uint64 { return []uint64{live, 1 << 40} }, "unknown or repeated"},
+				{func(_, dead uint64) []uint64 { return []uint64{dead} }, "unknown or repeated"},
+				{func(live, _ uint64) []uint64 { return []uint64{live, live} }, "unknown or repeated"},
 			} {
 				p := tc.fresh()
-				err := p.Checkpoint(snapcodec.NewReader(withTable(t, tc.fresh(), c.seqs, tc.value)), reg)
+				m := newMachine(64, 256, p)
+				reg, live, dead := livePages(t, m.Mem, 8)
+				seqs := c.seqs(live, dead)
+				err := p.(machine.Checkpointer).Checkpoint(snapcodec.NewReader(withTable(t, p.(machine.Checkpointer), seqs, tc.value, tc.first)), reg)
 				switch {
-				case c.want == "" && (err != nil || tc.size(p) != len(c.seqs)):
-					t.Errorf("seqs %v: err %v, %d entries; want %d entries", c.seqs, err, tc.size(p), len(c.seqs))
+				case c.want == "" && (err != nil || tc.size(p) != len(seqs)):
+					t.Errorf("seqs %v: err %v, %d entries; want %d entries", seqs, err, tc.size(p), len(seqs))
 				case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
-					t.Errorf("seqs %v: err %v, want %q", c.seqs, err, c.want)
+					t.Errorf("seqs %v: err %v, want %q", seqs, err, c.want)
 				}
 			}
 		})
 	}
 }
 
-// withTable returns p's checkpoint — p's per-page table empty, so it ends in
-// the table's zero count — with that count replaced by a table naming seqs,
-// each with a zero value of the given width.
-func withTable(t *testing.T, p machine.Checkpointer, seqs []uint64, value int) []byte {
+// livePages allocates n pages of s and frees the first: it returns a
+// registry of the n-1 that live, the Seq of the first of them and the dead
+// page's Seq.
+func livePages(t *testing.T, s *mem.System, n int) (reg *machine.PageRegistry, live, dead uint64) {
+	t.Helper()
+	reg = machine.NewPageRegistry()
+	for i := 0; i < n; i++ {
+		pg := s.Alloc(s.BirthOrder())
+		if i == 0 {
+			dead = pg.Seq
+			s.Free(pg)
+			continue
+		}
+		if i == 1 {
+			live = pg.Seq
+		}
+		if err := reg.AddLive(pg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return reg, live, dead
+}
+
+// withTable returns p's checkpoint — p's per-page table empty, so its count
+// is zero — with that count, the section's first or last eight bytes,
+// replaced by a table naming seqs, each with a zero value of the given width.
+func withTable(t *testing.T, p machine.Checkpointer, seqs []uint64, value int, first bool) []byte {
 	t.Helper()
 	w := snapcodec.NewWriter()
 	if err := p.Checkpoint(w, nil); err != nil {
 		t.Fatal(err)
 	}
 	b := w.Bytes()
-	out := append([]byte(nil), b[:len(b)-8]...)
-	tail := snapcodec.NewEncoder()
-	tail.I64(int64(len(seqs)))
+	table := snapcodec.NewEncoder()
+	table.I64(int64(len(seqs)))
 	for _, seq := range seqs {
-		tail.U64(seq)
+		table.U64(seq)
 		for i := 0; i < value; i++ {
-			tail.U8(0)
+			table.U8(0)
 		}
 	}
-	return append(out, tail.Bytes()...)
+	if first {
+		return append(table.Bytes(), b[8:]...)
+	}
+	return append(append([]byte(nil), b[:len(b)-8]...), table.Bytes()...)
 }

@@ -50,7 +50,6 @@ func TestNoHardcodedTierConstants(t *testing.T) {
 // range over a map: each collects the keys and sorts them before anything
 // order-dependent happens (the page cache's only removes what it visits).
 var sortedMapRanges = map[string]bool{
-	"machine.PageMap":                 true, // page-indexed policy maps, Seq order
 	"core.MultiClock.Checkpoint":      true, // lastDemote, node order
 	"policy.AutoTiering.Checkpoint":   true, // at-scan cursors, space order
 	"policy.Thermostat.sortedRegions": true, // regions, (space, base) order

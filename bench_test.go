@@ -321,6 +321,29 @@ func BenchmarkYCSBOp(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreGet is ycsb-a's read: a Get at the benchmark's scale (24 000
+// records, eight touches per item page) under scrambled-zipfian keys, so the
+// index probe at its ¾ load shows beside the simulated accesses. The keys are
+// drawn up front, leaving the chooser out.
+func BenchmarkStoreGet(b *testing.B) {
+	const records = 24_000
+	m := microMachine(policy.NewStatic())
+	store := newBenchStore(m, records)
+	client := ycsb.NewClient(m, store, ycsb.DefaultClientConfig(records))
+	client.Load()
+	keys := make([]uint64, 1<<16)
+	ch, rng := ycsb.NewScrambled(records), sim.NewRNG(3)
+	for i := range keys {
+		keys[i] = uint64(ch.Next(rng))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !store.Get(keys[i&(len(keys)-1)]) {
+			b.Fatal("miss on a loaded key")
+		}
+	}
+}
+
 // BenchmarkZipfian measures the key-chooser alone, over a key space too large
 // for the inverse table: every draw evaluates the formula.
 func BenchmarkZipfian(b *testing.B) {

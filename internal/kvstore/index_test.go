@@ -2,8 +2,11 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sort"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"multiclock/internal/pagetable"
 	"multiclock/internal/sim"
@@ -24,27 +27,28 @@ func collidingKeys(n int, bits uint) []uint64 {
 }
 
 // checkIndex compares the index with the model key by key and checks the
-// table's own invariants: the count, the load bound, and that every item is
-// reachable from its home slot without crossing an empty one.
+// table's own invariants: the count, the ¾ load bound, that an empty slot is
+// all zero, and that every item is reachable from its home slot without
+// crossing an empty one.
 func checkIndex(t *testing.T, x *index, model map[uint64]itemRef, probe []uint64) {
 	t.Helper()
 	if x.n != len(model) {
 		t.Fatalf("index holds %d items, model %d", x.n, len(model))
 	}
-	if 2*x.n > len(x.slots) || len(x.slots)&(len(x.slots)-1) != 0 {
+	if 4*x.n > 3*len(x.slots) || len(x.slots)&(len(x.slots)-1) != 0 {
 		t.Fatalf("%d items in %d slots", x.n, len(x.slots))
 	}
 	live := 0
 	for _, s := range x.slots {
-		if s.ref.npages == 0 {
+		if s.ref == 0 {
 			if s != (slot{}) {
 				t.Fatalf("empty slot keeps %+v", s)
 			}
 			continue
 		}
 		live++
-		if want, ok := model[s.key]; !ok || want != s.ref {
-			t.Fatalf("slot holds key %d → %+v, model %+v (present %v)", s.key, s.ref, want, ok)
+		if want, ok := model[s.key]; !ok || want != unpack(s.ref) {
+			t.Fatalf("slot holds key %d → %+v, model %+v (present %v)", s.key, unpack(s.ref), want, ok)
 		}
 	}
 	if live != x.n {
@@ -61,7 +65,8 @@ func checkIndex(t *testing.T, x *index, model map[uint64]itemRef, probe []uint64
 // TestIndexMatchesMap drives the index and a map through the same random
 // inserts, overwrites and deletes, over a key set that mixes one long
 // collision chain (with key 0 in it) with scattered keys, through several
-// doublings.
+// doublings. References span what the packed word holds: any mappable VPN,
+// one page up to the whole arena, every class.
 func TestIndexMatchesMap(t *testing.T) {
 	keys := collidingKeys(40, 12)
 	for k := uint64(1); k <= 600; k++ {
@@ -74,7 +79,7 @@ func TestIndexMatchesMap(t *testing.T) {
 		for step := 0; step < 20_000; step++ {
 			k := keys[rng.Intn(len(keys))]
 			if step < 4000 || rng.Intn(3) > 0 { // grow first, then churn
-				ref := itemRef{vpn: pagetable.VPN(rng.Uint64()), npages: int32(1 + rng.Intn(4)), class: int8(rng.Intn(8) - 1)}
+				ref := itemRef{vpn: pagetable.VPN(rng.Uint64()) & pagetable.MaxVPN, npages: int32(1 + rng.Intn(arenaPages)), class: int8(rng.Intn(len(classSizes)+1) - 1)}
 				x.put(hash(k), k, ref)
 				model[k] = ref
 			} else {
@@ -94,6 +99,110 @@ func TestIndexMatchesMap(t *testing.T) {
 			delete(model, k)
 		}
 		checkIndex(t, &x, model, keys)
+	}
+}
+
+// TestPackRoundTrip packs references at the bounds of every field: the
+// highest mappable VPN, a whole-arena item, and both end classes.
+func TestPackRoundTrip(t *testing.T) {
+	for _, ref := range []itemRef{
+		{vpn: 0, npages: 1, class: -1},
+		{vpn: pagetable.MaxVPN, npages: arenaPages, class: -1},
+		{vpn: pagetable.MaxVPN, npages: 1, class: int8(len(classSizes) - 1)},
+		{vpn: 1, npages: arenaPages, class: 0},
+		{vpn: pagetable.MaxVPN - 1, npages: arenaPages - 1, class: 6},
+	} {
+		w := pack(ref)
+		if w == 0 {
+			t.Fatalf("%+v packs to the empty word", ref)
+		}
+		if got := unpack(w); got != ref {
+			t.Fatalf("%+v packs to %#x, which unpacks to %+v", ref, w, got)
+		}
+	}
+}
+
+// TestPackRejectsOutOfRange: a reference with a field the word cannot hold
+// panics rather than truncating into another item's pages.
+func TestPackRejectsOutOfRange(t *testing.T) {
+	for _, ref := range []itemRef{
+		{vpn: pagetable.MaxVPN + 1, npages: 1, class: 0},
+		{vpn: 1 << 32, npages: 1, class: 0},
+		{vpn: 1, npages: 0, class: 0},
+		{vpn: 1, npages: -1, class: -1},
+		{vpn: 1, npages: arenaPages + 1, class: -1},
+		{vpn: 1, npages: 1, class: -2},
+		{vpn: 1, npages: 1, class: int8(len(classSizes))},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("pack(%+v) did not panic", ref)
+				}
+			}()
+			pack(ref)
+		}()
+	}
+}
+
+// FuzzIndexOps decodes put/get/del sequences from bytes and runs them against
+// a map over a collision chain that includes key 0, checking the whole table
+// after every operation. Each operation takes three bytes: the operation and
+// key, then two that vary the reference.
+func FuzzIndexOps(f *testing.F) {
+	keys := collidingKeys(24, 10)
+	keys = append(keys, 1, 2, 3, 1<<63, ^uint64(0))
+	f.Add([]byte{0, 0, 1, 3, 1, 2, 6, 2, 3})
+	f.Add(bytes.Repeat([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, 40))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		x := newIndex(0)
+		model := map[uint64]itemRef{}
+		for len(ops) >= 3 {
+			op, a, b := ops[0], ops[1], ops[2]
+			ops = ops[3:]
+			k := keys[int(op>>2)%len(keys)]
+			switch op & 3 {
+			case 0, 1:
+				ref := itemRef{
+					vpn:    pagetable.MaxVPN - pagetable.VPN(a)<<8 - pagetable.VPN(b),
+					npages: int32(b)<<12 | 1,
+					class:  int8(int(a)%(len(classSizes)+1) - 1),
+				}
+				x.put(hash(k), k, ref)
+				model[k] = ref
+			case 2:
+				got, ok := x.del(hash(k), k)
+				if want, in := model[k]; ok != in || got != want {
+					t.Fatalf("del(%d) = %+v, %v; model %+v, %v", k, got, ok, want, in)
+				}
+				delete(model, k)
+			case 3:
+				got, ok := x.get(hash(k), k)
+				if want, in := model[k]; ok != in || got != want {
+					t.Fatalf("get(%d) = %+v, %v; model %+v, %v", k, got, ok, want, in)
+				}
+			}
+			checkIndex(t, &x, model, keys)
+		}
+	})
+}
+
+// TestStoreIndexFootprint pins the index's size at the benchmark's ycsb-a
+// scale: 24 000 records fit in 32 768 slots of 16 bytes.
+func TestStoreIndexFootprint(t *testing.T) {
+	const records = 24_000
+	_, s := newStore(records)
+	for k := uint64(0); k < records; k++ {
+		s.Insert(k, 64)
+	}
+	if s.Items() != records {
+		t.Fatalf("store holds %d items, want %d", s.Items(), records)
+	}
+	if n := len(s.items.slots); n > 32_768 {
+		t.Fatalf("index has %d slots for %d items, want at most 32 768", n, records)
+	}
+	if sz := unsafe.Sizeof(slot{}); sz != 16 {
+		t.Fatalf("slot is %d bytes, want 16", sz)
 	}
 }
 
@@ -226,6 +335,16 @@ func FuzzStoreRestore(f *testing.F) {
 		bad[at] ^= 0xff
 		f.Add(bad)
 	}
+	// The last item's VPN moved past the carved arena, out of what a packed
+	// reference holds: decoding must refuse it before the index packs it.
+	const statsBytes, itemBytes = 9 * 8, 32
+	far := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(far[len(far)-statsBytes-itemBytes+8:], 1<<32)
+	_, fresh := newStore(1000)
+	if err := fresh.Checkpoint(snapcodec.NewReader(far)); err == nil || !strings.Contains(err.Error(), "invalid layout") {
+		f.Fatalf("an item at VPN 2^32 decoded with error %v", err)
+	}
+	f.Add(far)
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		_, fresh := newStore(1000)
 		if err := fresh.Checkpoint(snapcodec.NewReader(payload)); err != nil {
@@ -233,10 +352,10 @@ func FuzzStoreRestore(f *testing.F) {
 		}
 		model := map[uint64]itemRef{}
 		var keys []uint64
-		for _, it := range fresh.items.slots {
-			if it.ref.npages != 0 {
-				model[it.key] = it.ref
-				keys = append(keys, it.key)
+		for _, sl := range fresh.items.slots {
+			if sl.ref != 0 {
+				model[sl.key] = unpack(sl.ref)
+				keys = append(keys, sl.key)
 			}
 		}
 		checkIndex(t, &fresh.items, model, keys)

@@ -91,13 +91,14 @@ func (s *Store) carved(vpn pagetable.VPN, n int) bool {
 }
 
 // checkpointItems codes the item table sorted by key. Reading, it rebuilds
-// the table, rejecting repeated keys and items outside the carved arena.
+// the table, rejecting repeated keys and items outside the carved arena
+// before any of them reaches the index.
 func (s *Store) checkpointItems(c *snapcodec.Codec) error {
 	if !c.Reading() {
-		items := make([]slot, 0, s.items.n)
-		for _, it := range s.items.slots {
-			if it.ref.npages != 0 {
-				items = append(items, it)
+		items := make([]item, 0, s.items.n)
+		for _, sl := range s.items.slots {
+			if sl.ref != 0 {
+				items = append(items, item{sl.key, unpack(sl.ref)})
 			}
 		}
 		sort.Slice(items, func(i, j int) bool { return items[i].key < items[j].key })
@@ -118,7 +119,7 @@ func (s *Store) checkpointItems(c *snapcodec.Codec) error {
 	}
 	s.items = newIndex(n)
 	for i := 0; i < n; i++ {
-		var it slot
+		var it item
 		it.checkpoint(c)
 		if c.Err() != nil {
 			return c.Err()
@@ -137,8 +138,14 @@ func (s *Store) checkpointItems(c *snapcodec.Codec) error {
 	return c.Err()
 }
 
+// item is one entry of the checkpointed item table, unpacked.
+type item struct {
+	key uint64
+	ref itemRef
+}
+
 // checkpoint codes one item: its key, first page, page count and class.
-func (it *slot) checkpoint(c *snapcodec.Codec) {
+func (it *item) checkpoint(c *snapcodec.Codec) {
 	snapcodec.U64(c, &it.key)
 	snapcodec.U64(c, &it.ref.vpn)
 	snapcodec.I64(c, &it.ref.npages)

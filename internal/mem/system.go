@@ -68,17 +68,19 @@ type System struct {
 	// default allocation placement.
 	birthOrder []Tier
 
-	// descFree is the LIFO of descriptors Free has released; newPage
-	// reissues them before it touches the slab, so a machine at its resident
-	// set's high-water mark births pages without allocating (DESIGN.md
-	// §7.4). It is host state: which address a page lives at is invisible to
-	// the simulation, so no snapshot carries it. descSlab bump-allocates the
-	// refill in chunks (births beyond the high-water mark, huge-page splits,
-	// RestorePage) so those do not pay one heap allocation per descriptor.
+	// descFree is the LIFO of descriptors Free and Split have released;
+	// newPage reissues them before it touches the slab, so a machine at its
+	// resident set's high-water mark births pages without allocating
+	// (DESIGN.md §7.4). It is host state: which address a page lives at is
+	// invisible to the simulation, so no snapshot carries it. descSlab
+	// bump-allocates the refill in chunks (births beyond the high-water
+	// mark, huge-page splits, RestorePage) so those do not pay one heap
+	// allocation per descriptor.
 	//
 	// The contract recycling rests on: a *Page is valid from its birth to
-	// Free. Whatever may outlive the page holds (pointer, Seq) and treats the
-	// reference as live only while pg.Seq still equals the stamped Seq.
+	// Free (a compound page's, to Split). Whatever may outlive the page
+	// holds (pointer, Seq) and treats the reference as live only while
+	// pg.Seq still equals the stamped Seq.
 	// slabs holds every chunk in allocation order, so a descriptor's chunk
 	// (Page.slab) and its place in it are the slot a Side indexes.
 	descFree []*Page
@@ -403,7 +405,8 @@ func (s *System) migrate(pg *Page, dst NodeID, keepShadow bool) MigrationResult 
 // Split breaks an isolated compound page into base-page descriptors over
 // the same frames (split_huge_page): the block's frames stay allocated but
 // are now owned by 512 independent pages that can migrate, swap and age
-// individually. The input descriptor must not be reused afterwards.
+// individually. The compound descriptor is released like a freed one: it
+// must not be used afterwards, and a later birth reissues it under a new Seq.
 func (s *System) Split(pg *Page) []*Page {
 	if !pg.Flags.Has(FlagIsolated) {
 		panic("mem: splitting a page that is not isolated")
@@ -425,10 +428,12 @@ func (s *System) Split(pg *Page) []*Page {
 		out[i] = bp
 	}
 	s.Counters.HugeSplits++
-	// Neutralize the compound descriptor.
+	// Neutralize the compound descriptor and recycle it. It goes on the free
+	// list only now, so none of the base pages above can have taken it.
 	pg.Frame = NoFrame
 	pg.Node = NoNode
 	pg.Space = -1
+	s.descFree = append(s.descFree, pg)
 	return out
 }
 

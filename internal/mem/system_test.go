@@ -429,6 +429,42 @@ func TestAllocBlockOn(t *testing.T) {
 	}
 }
 
+// TestSplitRecyclesCompoundDescriptor: a split releases the compound
+// descriptor like Free does, so a later birth reissues it under a new Seq
+// instead of the slab stranding it.
+func TestSplitRecyclesCompoundDescriptor(t *testing.T) {
+	s := testSystem(2048, 1024)
+	huge := s.AllocBlockOn(0, MaxOrder, false)
+	seq := huge.Seq
+	huge.SetFlags(FlagIsolated)
+	bases := s.Split(huge)
+	if len(bases) != 512 {
+		t.Fatalf("split into %d pages, want 512", len(bases))
+	}
+	for _, bp := range bases {
+		if bp == huge {
+			t.Fatal("a base page took the compound descriptor it was split from")
+		}
+		s.Free(bp)
+	}
+	for i := 0; i < 2000; i++ {
+		pg := s.AllocOn(0, false)
+		if pg == nil {
+			t.Fatalf("birth %d failed", i)
+		}
+		if pg == huge {
+			if pg.Seq == seq || pg.IsHuge() || pg.Node != 0 {
+				t.Fatalf("reissued compound descriptor: seq %d (was %d), order %d, node %d", pg.Seq, seq, pg.Order, pg.Node)
+			}
+			return
+		}
+		if i%2 == 1 {
+			s.Free(pg)
+		}
+	}
+	t.Fatal("2 000 births never reissued the split compound descriptor")
+}
+
 func TestAllocBlockOnReserve(t *testing.T) {
 	s := testSystem(600, 64)
 	// 600 frames: one 512-block exists; non-emergency must respect the

@@ -15,15 +15,15 @@
 //	mcbench -exp fig5 -metrics out.json -slo 'p99(access_latency_dram_read_ns) < 400ns over 10ms'
 //	                                   # evaluate latency SLOs + burn-rate alerts
 //	mcbench -exp all -http :6060       # expvar/pprof for wall-clock profiling
-//	mcbench -soak multiclock -quick -snapshot run.mcsnap -snapshot-every 5000
-//	                                   # resumable soak over the paper sequence
 //	mcbench -list                      # show available experiment ids
 //
 // Every simulated machine is an independent single-threaded system, so
 // -parallel N schedules runs across goroutines without changing any
 // result: stdout is byte-identical at every parallelism level; progress
 // and per-run wall-clock timing go to stderr. Wall-clock performance of the
-// simulator itself is measured by benchmarks/ (see its README).
+// simulator itself is measured by benchmarks/ (see its README). Checkpointed
+// and invariant-swept runs of the paper's YCSB sequence are mcsim's
+// (mcsim -sequence -snapshot F -snapshot-every N).
 package main
 
 import (
@@ -52,8 +52,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quick := fs.Bool("quick", false, "compressed runs (~10× fewer ops and shorter daemon intervals)")
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	deadline := fs.Duration("deadline", 0, "abort with a non-zero exit if wall-clock runtime exceeds this (0 = no limit)")
-	soak := fs.String("soak", "", "run a resumable soak of this policy over the paper's workload sequence (composes with -snapshot/-restore/-audit/-invariants-every)")
-	soakOps := fs.Int64("soak-ops", 0, "with -soak: ops per workload (0 = the -quick/full scale default)")
 	var rf cliutil.RunFlags
 	rf.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -69,20 +67,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *deadline < 0 {
 		return usage("mcbench: -deadline must be non-negative, got %v", *deadline)
 	}
-	steppedBy := ""
-	if *soak != "" {
-		steppedBy = "-soak"
-	}
-	if err := rf.Validate("mcbench", steppedBy); err != nil {
+	if err := rf.Validate("mcbench"); err != nil {
 		return usage("%v", err)
 	}
-	if *soak == "" && (rf.Stepped() || *soakOps != 0) {
-		return usage("mcbench: -snapshot/-restore/-audit/-invariants-every/-soak-ops need -soak POLICY (experiments are not checkpointable)")
-	}
-	if *soak != "" && *exp != "" {
-		return usage("mcbench: -soak is its own mode; drop -exp")
-	}
-	if *soak == "" && (*list || *exp == "") {
+	if *list || *exp == "" {
 		fmt.Fprintln(stdout, "experiments:")
 		for _, n := range bench.Names() {
 			fmt.Fprintf(stdout, "  %s\n", n)
@@ -116,11 +104,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opt := bench.Options{
 		Quick: *quick, Seed: flags.Seed, Parallel: rf.Workers(), Chaos: flags.Chaos,
 		Tiers: flags.Tiers, Sinks: flags.Sinks,
-	}
-	if *soak != "" {
-		cfg := bench.SoakConfigFor(*soak, opt, *soakOps)
-		cfg.SetFlags(&rf)
-		return bench.RunStepped("mcbench", "soak/", cfg, &rf, stdout, stderr)
 	}
 	if rf.Metrics != "" {
 		opt.Metrics = metrics.NewPool(rf.Ring())

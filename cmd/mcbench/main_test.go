@@ -21,18 +21,15 @@ func with(base []string, extra ...string) []string {
 	return append(append([]string(nil), base...), extra...)
 }
 
-const (
-	msgNeedMetrics = "-series/-lifecycle/-slo/-trace-out ride the metrics export; set -metrics too\n"
-	msgCombined    = "-series/-lifecycle/-slo/-trace-out cannot be combined with -soak: one-shot samplers are not serializable\n"
-	msgNeedSoak    = "mcbench: -snapshot/-restore/-audit/-invariants-every/-soak-ops need -soak POLICY (experiments are not checkpointable)\n"
-)
+const msgNeedMetrics = "-series/-lifecycle/-slo/-trace-out ride the metrics export; set -metrics too\n"
 
 // TestUsageRefusals pins every flag combination mcbench refuses before
 // running anything: exit code 2, nothing on stdout, and the exact stderr
-// line. The shared-flag messages are the ones mcsim prints.
+// line. The shared-flag messages are the ones mcsim prints. mcbench runs
+// experiments only: the checkpoint flags are mcsim's and are not defined
+// here.
 func TestUsageRefusals(t *testing.T) {
 	exp := []string{"-exp", "fig5", "-quick"}
-	soak := []string{"-soak", "multiclock", "-quick"}
 	cases := []struct {
 		name string
 		args []string
@@ -48,26 +45,17 @@ func TestUsageRefusals(t *testing.T) {
 		{"bad tiers", with(exp, "-tiers", "dram:0,pm:64"), "-tiers: tier \"dram\" needs a positive frame count, got \"0\"\n"},
 		{"bad chaos", with(exp, "-chaos", "x,0.1"), "mcbench: fault: bad seed in \"x,0.1\": strconv.ParseUint: parsing \"x\": invalid syntax\n"},
 		{"negative deadline", with(exp, "-deadline", "-1s"), "mcbench: -deadline must be non-negative, got -1s\n"},
-		{"negative cadence", with(soak, "-snapshot-every", "-1"), "-snapshot-every must be non-negative\n"},
-		{"cadence without sink", with(soak, "-snapshot-every", "100"), "-snapshot-every needs -snapshot or -audit to do anything\n"},
-		{"snapshot without cadence", with(soak, "-snapshot", "s.mcsnap"), "-snapshot/-audit need -snapshot-every N to set the checkpoint cadence\n"},
-		{"snapshot without soak", with(exp, "-snapshot", "s.mcsnap", "-snapshot-every", "100"), msgNeedSoak},
-		{"restore without soak", []string{"-restore", "s.mcsnap"}, msgNeedSoak},
-		{"invariants without soak", with(exp, "-invariants-every", "100"), msgNeedSoak},
-		{"soak-ops without soak", with(exp, "-soak-ops", "100"), msgNeedSoak},
-		{"soak with exp", with(soak, "-exp", "fig5"), "mcbench: -soak is its own mode; drop -exp\n"},
-		// A requested sink is attached or refused, never dropped: a soak is
-		// a stepped run and refuses all four the same way.
-		{"soak with series", with(soak, "-metrics", "m.json", "-series", "10ms"), msgCombined},
-		{"soak with lifecycle", with(soak, "-metrics", "m.json", "-lifecycle", "1"), msgCombined},
-		{"soak with slo", with(soak, "-metrics", "m.json", "-slo", "p99(x_ns) < 1us over 1ms"), msgCombined},
-		{"soak with trace-out", with(soak, "-metrics", "m.json", "-trace-out", "t.json"), msgCombined},
-		{"checkpointed soak with series", with(soak, "-snapshot", "s.mcsnap", "-snapshot-every", "100", "-metrics", "m.json", "-series", "10ms"), msgCombined},
 	}
 	for _, c := range cases {
 		code, stdout, stderr := mcbench(c.args...)
 		if code != 2 || stdout != "" || stderr != c.want {
 			t.Errorf("%s: exit=%d stdout=%q stderr=%q\n  want exit=2, empty stdout, stderr=%q", c.name, code, stdout, stderr, c.want)
+		}
+	}
+	for _, name := range []string{"-snapshot", "-snapshot-every", "-restore", "-audit", "-invariants-every", "-soak", "-soak-ops"} {
+		code, stdout, stderr := mcbench(with(exp, name, "1")...)
+		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "flag provided but not defined: "+name+"\n") {
+			t.Errorf("%s: exit=%d stdout=%q stderr=%q, want an undefined-flag usage failure", name, code, stdout, stderr)
 		}
 	}
 }
@@ -146,42 +134,6 @@ func TestInstrumentedExperiment(t *testing.T) {
 	}
 	if st, err := os.Stat(tr); err != nil || st.Size() == 0 {
 		t.Errorf("trace file: %v", err)
-	}
-}
-
-// TestSoakResumeAndExport drives the soak mode end to end: a checkpointed
-// soak, the same soak resumed from its final checkpoint (same report), the
-// metrics export labeled soak/<policy>, and the tier spec reaching the
-// session.
-func TestSoakResumeAndExport(t *testing.T) {
-	dir := t.TempDir()
-	snap, m := filepath.Join(dir, "s.mcsnap"), filepath.Join(dir, "m.json")
-	soak := []string{"-soak", "nimble", "-quick", "-soak-ops", "1500", "-seed", "5", "-chaos", "7,0.01"}
-	code, first, stderr := mcbench(with(soak, "-snapshot", snap, "-snapshot-every", "4000", "-invariants-every", "3000",
-		"-metrics", m, "-trace-events", "8")...)
-	if code != 0 || !strings.HasPrefix(first, "soak: policy=nimble workloads=A,B,C,F,W,D records=16000 ops/workload=1500 seed=5\n") {
-		t.Fatalf("soak: exit %d\n%s%s", code, first, stderr)
-	}
-	if ex := readExport(t, m); len(ex.Runs) != 1 || ex.Runs[0].Label != "soak/nimble" || ex.Runs[0].Trace == nil {
-		t.Fatalf("unexpected export: %+v", ex.Runs)
-	}
-	// The snapshot's own recipe wins on restore: the policy named on the
-	// command line is ignored.
-	code, resumed, stderr := mcbench("-soak", "static", "-restore", snap)
-	if code != 0 || resumed != first {
-		t.Fatalf("resumed soak: exit %d\n%s\nfirst:\n%s\nresumed:\n%s", code, stderr, first, resumed)
-	}
-	code, tiered, stderr := mcbench("-soak", "multiclock", "-quick", "-soak-ops", "300", "-tiers", "dram:512,cxl:1024,pm:8192")
-	if code != 0 || !strings.Contains(tiered, " tiers=dram:512,cxl:1024,pm:8192\n") || !strings.Contains(tiered, "CXL") {
-		t.Fatalf("tiered soak: exit %d\n%s%s", code, tiered, stderr)
-	}
-	// Any policy checkpoints: one outside the original seven, resumed.
-	code, first, stderr = mcbench("-soak", "thermostat", "-quick", "-soak-ops", "400", "-snapshot", snap, "-snapshot-every", "1000")
-	if code != 0 {
-		t.Fatalf("thermostat soak: exit %d\n%s", code, stderr)
-	}
-	if code, resumed, stderr = mcbench("-soak", "thermostat", "-restore", snap); code != 0 || resumed != first {
-		t.Fatalf("resumed thermostat soak: exit %d\n%s\nfirst:\n%s\nresumed:\n%s", code, stderr, first, resumed)
 	}
 }
 

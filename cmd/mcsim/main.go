@@ -12,12 +12,16 @@
 //	mcsim -policy multiclock -workload A -metrics out.json -series 10ms -lifecycle 1
 //	mcsim -policy multiclock -workload A -metrics out.json -trace-out trace.json
 //	mcsim -policy multiclock -workload A -metrics out.json -slo 'p99(access_latency_dram_read_ns) < 400ns over 10ms'
+//	mcsim -policy nimble -sequence -snapshot run.mcsnap -snapshot-every 20000
+//	mcsim -restore run.mcsnap -snapshot run.mcsnap -snapshot-every 20000
 //
-// With a comma-separated policy list every policy gets its own machine;
-// -parallel N fans them out across goroutines. Each machine is an
-// independent single-threaded simulation, so output is printed in list
-// order and is byte-identical at every parallelism level; per-policy
-// wall-clock timing goes to stderr.
+// Every YCSB run is one bench.Session per policy; -invariants-every and the
+// checkpoint flags (-snapshot/-restore/-audit) only add hooks between its
+// ops, so they never change what is simulated. With a comma-separated policy
+// list every policy gets its own machine; -parallel N fans them out across
+// goroutines. Each machine is an independent single-threaded simulation, so
+// output is printed in list order and is byte-identical at every parallelism
+// level; per-policy wall-clock timing goes to stderr.
 package main
 
 import (
@@ -47,7 +51,6 @@ func main() {
 // the mcsim-only drivers that replace its YCSB workloads.
 type job struct {
 	bench.RunConfig
-	sequence   bool
 	gapbs      string
 	vertices   int
 	degree     int
@@ -64,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var j job
 	pol := fs.String("policy", "multiclock", "comma-separated list of "+strings.Join(bench.PolicyNames(), " | "))
 	workload := fs.String("workload", "A", "YCSB workload (A-F, W)")
-	fs.BoolVar(&j.sequence, "sequence", false, "run the paper's full YCSB sequence (Load,A,B,C,F,W,D)")
+	sequence := fs.Bool("sequence", false, "run the paper's full YCSB sequence (Load,A,B,C,F,W,D)")
 	fs.StringVar(&j.gapbs, "gapbs", "", "run a GAPBS kernel instead (BFS, SSSP, PR, CC, BC, TC)")
 	fs.Int64Var(&j.Records, "records", 20000, "YCSB record count")
 	fs.Int64Var(&j.Ops, "ops", 500000, "YCSB operations")
@@ -78,6 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	interval := fs.Duration("interval", 0, "scan interval (virtual; default 100ms)")
 	var rf cliutil.RunFlags
 	rf.Register(fs)
+	rf.SnapshotFlags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
@@ -88,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, format+"\n", a...)
 		return cliutil.ExitUsage
 	}
-	if err := rf.Validate("mcsim", ""); err != nil {
+	if err := rf.Validate("mcsim"); err != nil {
 		return usage("%v", err)
 	}
 
@@ -109,12 +113,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if j.record != "" && len(policies) > 1 {
 		return usage("mcsim: -record needs a single policy (the trace is one machine's access stream)")
 	}
+	// A snapshot file holds one machine and only the state MCSNAP carries;
+	// the trace and graph drivers have no stepped form.
+	if by := rf.CheckpointedBy(); by != "" {
+		if len(policies) > 1 {
+			return usage("mcsim: %s needs a single policy (a snapshot holds one machine)", by)
+		}
+		if j.record != "" {
+			return usage("mcsim: -record cannot be combined with %s: the trace recorder is not serializable", by)
+		}
+	}
+	if by := rf.SteppedBy(); by != "" && (j.gapbs != "" || j.replay != "") {
+		return usage("mcsim: %s supports YCSB workloads only (no -gapbs/-replay)", by)
+	}
 
 	// One run description for every mode: the same flags build the same
 	// machine whether it runs straight through or is stepped op by op.
 	j.Policy = policies[0]
 	j.Workloads = []string{*workload}
-	if j.sequence {
+	if *sequence {
 		j.Workloads = nil
 		for _, w := range ycsb.PaperSequence {
 			j.Workloads = append(j.Workloads, w.Name)
@@ -126,24 +143,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	j.SetFlags(&rf)
 
-	if rf.Stepped() {
-		// Checkpointable runs (and periodic invariant sweeps) are one machine
-		// stepped op by op; the trace and graph paths have no
-		// quiescent-boundary driver.
-		if len(policies) > 1 {
-			return usage("mcsim: %s needs a single policy (a stepped run is one machine)", rf.SteppedBy())
-		}
-		if j.gapbs != "" || j.record != "" || j.replay != "" {
-			return usage("mcsim: %s supports YCSB workloads only (no -gapbs/-record/-replay)", rf.SteppedBy())
-		}
-	}
 	stopDebug, err := rf.ServeDebug("mcsim", stderr)
 	if err != nil {
 		return usage("%v", err)
 	}
 	defer stopDebug()
-	if rf.Stepped() {
-		return bench.RunStepped("mcsim", "", j.RunConfig, &rf, stdout, stderr)
+	// A restored run follows the snapshot's own recipe, whatever -policy says.
+	var restored *bench.Session
+	if rf.Restore != "" {
+		if restored, err = bench.ResumeSession(&rf); err != nil {
+			fmt.Fprintf(stderr, "mcsim: %v\n", err)
+			return 1
+		}
+		policies = []string{restored.Cfg.Policy}
 	}
 
 	// Each policy's metrics snapshot lands in its own slot, so the export
@@ -162,8 +174,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		j.Policy = p
 		tasks = append(tasks, runner.Task[string]{Name: p, Fn: func() (string, error) {
 			var b strings.Builder
-			run, err := runOne(&b, j, label)
-			*slot = run
+			var rec *tracereplay.Recorder
+			if j.record != "" {
+				f, err := os.Create(j.record)
+				if err != nil {
+					return "", err
+				}
+				defer f.Close()
+				if rec, err = tracereplay.NewRecorder(f); err != nil {
+					return "", err
+				}
+			}
+			var err error
+			if j.gapbs != "" || j.replay != "" {
+				*slot, err = runOne(&b, j, rec, label)
+			} else {
+				*slot, err = runSession(&b, j, restored, &rf.SnapshotFlags, rec, label)
+			}
 			return b.String(), err
 		}})
 	}
@@ -195,32 +222,51 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runOne builds one machine from the run description, drives it, writes the
-// human-readable outcome to w, and returns the metrics snapshot when
-// collection was requested.
-func runOne(w io.Writer, j job, label string) (*metrics.RunExport, error) {
+// runSession drives the description's YCSB workloads through a bench.Session
+// (fresh, or the one restored from -restore) under the checkpoint flags,
+// writes its report to w, and returns the metrics snapshot when collection
+// was requested.
+func runSession(w io.Writer, j job, s *bench.Session, f *cliutil.SnapshotFlags, rec *tracereplay.Recorder, label string) (*metrics.RunExport, error) {
+	if s == nil {
+		var obs []machine.Observer
+		if rec != nil {
+			obs = append(obs, rec)
+		}
+		var err error
+		if s, err = bench.NewSession(j.RunConfig, obs...); err != nil {
+			return nil, err
+		}
+	}
+	report, err := s.Drive(f)
+	if err != nil {
+		return nil, err
+	}
+	if err := finishTrace(w, rec, j.record); err != nil {
+		return nil, err
+	}
+	io.WriteString(w, report)
+	if s.M.Faults != nil {
+		if err := s.M.CheckInvariants(); err != nil {
+			return nil, fmt.Errorf("invariant check after chaos run: %w", err)
+		}
+	}
+	return s.MetricsRun(label), nil
+}
+
+// runOne builds one machine from the run description, drives it with the
+// -gapbs kernel or the -replay trace, writes the human-readable outcome to
+// w, and returns the metrics snapshot when collection was requested.
+func runOne(w io.Writer, j job, rec *tracereplay.Recorder, label string) (*metrics.RunExport, error) {
 	m, err := j.Machine()
 	if err != nil {
 		return nil, err
 	}
 	collector, fill := j.Attach(m)
-
-	var recorder *tracereplay.Recorder
-	if j.record != "" {
-		f, err := os.Create(j.record)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		recorder, err = tracereplay.NewRecorder(f)
-		if err != nil {
-			return nil, err
-		}
-		m.Attach(recorder)
+	if rec != nil {
+		m.Attach(rec)
 	}
 
-	switch {
-	case j.replay != "":
+	if j.replay != "" {
 		f, err := os.Open(j.replay)
 		if err != nil {
 			return nil, err
@@ -235,21 +281,11 @@ func runOne(w io.Writer, j job, label string) (*metrics.RunExport, error) {
 			return nil, fmt.Errorf("replay: %w", err)
 		}
 		fmt.Fprintf(w, "replayed %d accesses in %v (virtual)\n", res.Records, res.Elapsed)
-	case j.gapbs != "":
-		if err := runGAPBS(w, m, j); err != nil {
-			return nil, err
-		}
-	default:
-		if err := runYCSB(w, m, j); err != nil {
-			return nil, err
-		}
+	} else if err := runGAPBS(w, m, j); err != nil {
+		return nil, err
 	}
-
-	if recorder != nil {
-		if err := recorder.Close(); err != nil {
-			return nil, fmt.Errorf("trace: %w", err)
-		}
-		fmt.Fprintf(w, "trace: %d accesses written to %s\n", recorder.Records(), j.record)
+	if err := finishTrace(w, rec, j.record); err != nil {
+		return nil, err
 	}
 
 	fmt.Fprintf(w, "\npolicy: %s\nvirtual time: %v\n", m.Policy.Name(), m.Elapsed())
@@ -268,38 +304,15 @@ func runOne(w io.Writer, j job, label string) (*metrics.RunExport, error) {
 	return &run, nil
 }
 
-// runYCSB loads the store and runs the description's workloads: a per-
-// workload table for the prescribed sequence (§V-B), the full latency
-// summary for a single workload.
-func runYCSB(w io.Writer, m *machine.Machine, j job) error {
-	var wls []ycsb.Workload
-	for _, name := range j.Workloads {
-		wl, err := ycsb.ByName(name)
-		if err != nil {
-			return err
-		}
-		wls = append(wls, wl)
-	}
-	_, client := j.NewYCSB(m)
-	fmt.Fprintf(w, "loading %d records...\n", j.Records)
-	client.Load()
-	if j.sequence {
-		fmt.Fprintf(w, "%-8s %14s %10s %10s %10s\n", "workload", "ops/s", "p50", "p95", "p99")
-		for _, wl := range wls {
-			res := client.Run(wl, j.Ops)
-			fmt.Fprintf(w, "%-8s %14.0f %10v %10v %10v\n", wl.Name, res.Throughput, res.P50, res.P95, res.P99)
-		}
+// finishTrace flushes the -record trace, if any, and reports it on w.
+func finishTrace(w io.Writer, rec *tracereplay.Recorder, path string) error {
+	if rec == nil {
 		return nil
 	}
-	fmt.Fprintf(w, "running YCSB workload %s for %d ops...\n", wls[0].Name, j.Ops)
-	res := client.Run(wls[0], j.Ops)
-	if res.Unsupported {
-		fmt.Fprintln(w, "workload is non-operational on this back-end (memcached has no SCAN)")
-		return nil
+	if err := rec.Close(); err != nil {
+		return fmt.Errorf("trace: %w", err)
 	}
-	fmt.Fprintf(w, "throughput: %.0f ops/s (virtual)\n", res.Throughput)
-	fmt.Fprintf(w, "latency: mean %v, p50 %v, p95 %v, p99 %v\n",
-		res.MeanLatency, res.P50, res.P95, res.P99)
+	fmt.Fprintf(w, "trace: %d accesses written to %s\n", rec.Records(), path)
 	return nil
 }
 

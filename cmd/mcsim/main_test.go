@@ -32,7 +32,7 @@ const (
 	msgCadence     = "-snapshot/-audit need -snapshot-every N to set the checkpoint cadence\n"
 )
 
-// msgCombined is the refusal of a sink in a run the named flags step.
+// msgCombined is the refusal of a sink in a run the named flags checkpoint.
 func msgCombined(by string) string {
 	return "-series/-lifecycle/-slo/-trace-out cannot be combined with " + by + ": one-shot samplers are not serializable\n"
 }
@@ -65,28 +65,29 @@ func TestUsageRefusals(t *testing.T) {
 		{"empty policy list", []string{"-policy", ", ,"}, "mcsim: -policy needs at least one policy name\n"},
 		{"record with two policies", []string{"-policy", "static,nimble", "-record", "x.mctr"},
 			"mcsim: -record needs a single policy (the trace is one machine's access stream)\n"},
-		// A stepped run is one machine on the YCSB driver; the refusal
-		// names the flag that made the run stepped.
+		// A snapshot holds one machine and only MCSNAP's state; the
+		// refusal names the flags that checkpoint the run.
 		{"checkpointing with two policies", with(snap, "-policy", "static,nimble"),
-			"mcsim: -snapshot needs a single policy (a stepped run is one machine)\n"},
-		{"invariant stepping with two policies", []string{"-invariants-every", "1000", "-policy", "static,nimble"},
-			"mcsim: -invariants-every needs a single policy (a stepped run is one machine)\n"},
-		{"checkpointing with gapbs", with(snap, "-gapbs", "PR"),
-			"mcsim: -snapshot supports YCSB workloads only (no -gapbs/-record/-replay)\n"},
-		{"invariant stepping with gapbs", []string{"-invariants-every", "1000", "-gapbs", "PR"},
-			"mcsim: -invariants-every supports YCSB workloads only (no -gapbs/-record/-replay)\n"},
+			"mcsim: -snapshot needs a single policy (a snapshot holds one machine)\n"},
+		{"restore with two policies", []string{"-restore", "s.mcsnap", "-policy", "static,nimble"},
+			"mcsim: -restore needs a single policy (a snapshot holds one machine)\n"},
 		{"checkpointing with record", with(snap, "-record", "x.mctr"),
-			"mcsim: -snapshot supports YCSB workloads only (no -gapbs/-record/-replay)\n"},
+			"mcsim: -record cannot be combined with -snapshot: the trace recorder is not serializable\n"},
+		{"audit with record", []string{"-audit", "a.jsonl", "-snapshot-every", "100", "-record", "x.mctr"},
+			"mcsim: -record cannot be combined with -audit: the trace recorder is not serializable\n"},
+		// The trace and graph drivers have no Session, so no stepped form.
+		{"checkpointing with gapbs", with(snap, "-gapbs", "PR"),
+			"mcsim: -snapshot supports YCSB workloads only (no -gapbs/-replay)\n"},
+		{"invariant stepping with gapbs", []string{"-invariants-every", "1000", "-gapbs", "PR"},
+			"mcsim: -invariants-every supports YCSB workloads only (no -gapbs/-replay)\n"},
 		{"restore with replay", []string{"-restore", "s.mcsnap", "-replay", "x.mctr"},
-			"mcsim: -restore supports YCSB workloads only (no -gapbs/-record/-replay)\n"},
+			"mcsim: -restore supports YCSB workloads only (no -gapbs/-replay)\n"},
 		// A requested sink is attached or refused, never dropped: every
-		// stepped mode refuses all four the same way.
+		// checkpointing flag refuses all four the same way.
 		{"checkpointing with series", with(snap, "-metrics", "m.json", "-series", "10ms"), msgCombined("-snapshot")},
 		{"restore with trace-out", []string{"-restore", "s.mcsnap", "-metrics", "m.json", "-trace-out", "t.json"}, msgCombined("-restore")},
-		{"invariant stepping with series", []string{"-invariants-every", "100", "-metrics", "m.json", "-series", "10ms"}, msgCombined("-invariants-every")},
-		{"invariant stepping with lifecycle", []string{"-invariants-every", "100", "-metrics", "m.json", "-lifecycle", "1"}, msgCombined("-invariants-every")},
-		{"invariant stepping with slo", []string{"-invariants-every", "100", "-metrics", "m.json", "-slo", "p99(x_ns) < 1us over 1ms"}, msgCombined("-invariants-every")},
-		{"invariant stepping with trace-out", []string{"-invariants-every", "100", "-metrics", "m.json", "-trace-out", "t.json"}, msgCombined("-invariants-every")},
+		{"audit with lifecycle", []string{"-audit", "a.jsonl", "-snapshot-every", "100", "-metrics", "m.json", "-lifecycle", "1"}, msgCombined("-audit")},
+		{"checkpointing with slo", with(snap, "-metrics", "m.json", "-slo", "p99(x_ns) < 1us over 1ms"), msgCombined("-snapshot")},
 	}
 	for _, c := range cases {
 		code, stdout, stderr := mcsim(c.args...)
@@ -96,6 +97,24 @@ func TestUsageRefusals(t *testing.T) {
 	}
 	if code, _, stderr := mcsim("-no-such-flag"); code != 2 || !strings.Contains(stderr, "flag provided but not defined") {
 		t.Errorf("unknown flag: exit=%d stderr=%q", code, stderr)
+	}
+
+	// The Session refuses a recipe it cannot run, the same way whether or
+	// not the run is stepped: exit 1 before any output.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-ops", "-5"}, "mcsim: multiclock: bench: a session needs positive records and ops, got 20000/-5\n"},
+		{[]string{"-records", "0"}, "mcsim: multiclock: bench: a session needs positive records and ops, got 0/500000\n"},
+	} {
+		for _, extra := range [][]string{nil, {"-invariants-every", "100"}} {
+			args := with(c.args, extra...)
+			code, stdout, stderr := mcsim(args...)
+			if code != 1 || stdout != "" || stderr != c.want {
+				t.Errorf("%v: exit=%d stdout=%q stderr=%q\n  want exit=1, empty stdout, stderr=%q", args, code, stdout, stderr, c.want)
+			}
+		}
 	}
 }
 
@@ -141,7 +160,9 @@ func TestSteppedRunSimulatesTheSameMachine(t *testing.T) {
 }
 
 // TestRestoreResumesTheReport: a run checkpointed to completion and a run
-// restored from that checkpoint print the same report.
+// restored from that checkpoint print the same report. A restore that must
+// export metrics from a snapshot without a telemetry registry fails before
+// its first step: nothing printed, the snapshot untouched.
 func TestRestoreResumesTheReport(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "s.mcsnap")
 	code, first, stderr := mcsim(with(small, "-snapshot", snap, "-snapshot-every", "6000")...)
@@ -154,6 +175,66 @@ func TestRestoreResumesTheReport(t *testing.T) {
 	}
 	if code, _, stderr := mcsim("-restore", filepath.Join(t.TempDir(), "missing.mcsnap")); code != 1 || !strings.HasPrefix(stderr, "mcsim: ") {
 		t.Fatalf("missing snapshot: exit %d stderr %q", code, stderr)
+	}
+
+	before, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := filepath.Join(t.TempDir(), "m.json")
+	code, stdout, stderr := mcsim("-restore", snap, "-snapshot", snap, "-snapshot-every", "6000", "-metrics", m)
+	if want := "mcsim: " + snap + ": snapshot carries no telemetry registry; cannot export metrics\n"; code != 1 || stdout != "" || stderr != want {
+		t.Errorf("restore without a registry: exit=%d stdout=%q stderr=%q, want exit=1, empty stdout, stderr=%q", code, stdout, stderr, want)
+	}
+	if after, err := os.ReadFile(snap); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("the refused restore rewrote the snapshot (err %v)", err)
+	}
+	if _, err := os.Stat(m); !os.IsNotExist(err) {
+		t.Errorf("the refused restore wrote a metrics file (stat: %v)", err)
+	}
+}
+
+// quickSequence is the paper's YCSB sequence at the experiments' -quick
+// scale.
+var quickSequence = []string{"-sequence", "-records", "16000", "-dram", "1024", "-pm", "8192", "-interval", "10ms"}
+
+// TestSoakResumeAndExport drives a checkpointed sequence end to end: nimble
+// under fault injection with invariant sweeps and a metrics export,
+// resumed from its final checkpoint to the same report and export; the
+// snapshot's own recipe winning over -policy; the tier spec reaching the
+// session; and a policy outside the original seven resumed.
+func TestSoakResumeAndExport(t *testing.T) {
+	dir := t.TempDir()
+	snap, m, m2 := filepath.Join(dir, "s.mcsnap"), filepath.Join(dir, "m.json"), filepath.Join(dir, "m2.json")
+	soak := with(quickSequence, "-policy", "nimble", "-ops", "1500", "-seed", "5", "-chaos", "7,0.01")
+	code, first, stderr := mcsim(with(soak, "-snapshot", snap, "-snapshot-every", "4000", "-invariants-every", "3000",
+		"-metrics", m, "-trace-events", "8")...)
+	if code != 0 || !strings.HasPrefix(first, "run: policy=nimble workloads=A,B,C,F,W,D records=16000 ops/workload=1500 seed=5\n") {
+		t.Fatalf("checkpointed sequence: exit %d\n%s%s", code, first, stderr)
+	}
+	if ex := readExport(t, m); len(ex.Runs) != 1 || ex.Runs[0].Label != "nimble" || ex.Runs[0].Trace == nil {
+		t.Fatalf("unexpected export: %+v", ex.Runs)
+	}
+	// The snapshot's own recipe wins on restore: the policy named on the
+	// command line is ignored.
+	code, resumed, stderr := mcsim("-policy", "static", "-restore", snap, "-metrics", m2)
+	if code != 0 || resumed != first {
+		t.Fatalf("resumed sequence: exit %d\n%s\nfirst:\n%s\nresumed:\n%s", code, stderr, first, resumed)
+	}
+	if a, b := readFile(t, m), readFile(t, m2); !bytes.Equal(a, b) {
+		t.Error("the resumed run's metrics export differs from the checkpointed run's")
+	}
+	code, tiered, stderr := mcsim(with(quickSequence, "-ops", "300", "-tiers", "dram:512,cxl:1024,pm:8192")...)
+	if code != 0 || !strings.Contains(tiered, " tiers=dram:512,cxl:1024,pm:8192\n") || !strings.Contains(tiered, "CXL") {
+		t.Fatalf("tiered sequence: exit %d\n%s%s", code, tiered, stderr)
+	}
+	// Any policy checkpoints: one outside the original seven, resumed.
+	code, first, stderr = mcsim(with(quickSequence, "-policy", "thermostat", "-ops", "400", "-snapshot", snap, "-snapshot-every", "1000")...)
+	if code != 0 {
+		t.Fatalf("thermostat sequence: exit %d\n%s", code, stderr)
+	}
+	if code, resumed, stderr = mcsim("-policy", "thermostat", "-restore", snap); code != 0 || resumed != first {
+		t.Fatalf("resumed thermostat sequence: exit %d\n%s\nfirst:\n%s\nresumed:\n%s", code, stderr, first, resumed)
 	}
 }
 
@@ -186,14 +267,19 @@ func TestDeterministicTwiceAcrossParallelism(t *testing.T) {
 	}
 }
 
-// readExport loads and schema-validates a metrics file.
-func readExport(t *testing.T, path string) *metrics.Export {
+func readFile(t *testing.T, path string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := metrics.ReadExport(data)
+	return data
+}
+
+// readExport loads and schema-validates a metrics file.
+func readExport(t *testing.T, path string) *metrics.Export {
+	t.Helper()
+	ex, err := metrics.ReadExport(readFile(t, path))
 	if err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
@@ -291,6 +377,33 @@ func TestLatencyHistogramsFollowTheTopology(t *testing.T) {
 	}
 }
 
+// TestInvariantSweepsTakeEverySink: invariant sweeps are hooks between
+// ops, so a multi-policy run with every sink writes the same report and
+// byte-identical -metrics and -trace-out files with and without them.
+func TestInvariantSweepsTakeEverySink(t *testing.T) {
+	dir := t.TempDir()
+	var want [3][]byte
+	for i, extra := range [][]string{nil, {"-invariants-every", "1000"}} {
+		m, tr := filepath.Join(dir, "m.json"), filepath.Join(dir, "t.json")
+		code, report, stderr := mcsim(with(small, append([]string{"-policy", "multiclock,nimble", "-chaos", "7,0.01",
+			"-metrics", m, "-trace-out", tr, "-series", "1ms", "-lifecycle", "4",
+			"-slo", "p99(access_latency_pm_read_ns) < 1us over 1ms"}, extra...)...)...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d\n%s", extra, code, stderr)
+		}
+		got := [3][]byte{[]byte(report), readFile(t, m), readFile(t, tr)}
+		if i == 0 {
+			want = got
+			continue
+		}
+		for k, name := range []string{"report", "-metrics", "-trace-out"} {
+			if !bytes.Equal(got[k], want[k]) {
+				t.Errorf("%v changed the %s bytes", extra, name)
+			}
+		}
+	}
+}
+
 // TestSteppedRunExportsMetrics: the stepped path writes the session's
 // registry through the same export writer, labeled by policy.
 func TestSteppedRunExportsMetrics(t *testing.T) {
@@ -314,7 +427,7 @@ func TestOtherDrivers(t *testing.T) {
 		{[]string{"-policy", "static", "-gapbs", "PR", "-vertices", "2000", "-degree", "4"}, "kernel time:"},
 		{with(small, "-ops", "2000", "-record", trace), "accesses written to " + trace},
 		{[]string{"-policy", "static", "-replay", trace, "-replay-fast"}, "replayed "},
-		{with(small, "-workload", "E"), "workload is non-operational"},
+		{with(small, "-workload", "E"), "\nE           unsupported\n"},
 	} {
 		code, stdout, stderr := mcsim(c.args...)
 		if code != 0 || !strings.Contains(stdout, c.want) || !strings.Contains(stdout, "virtual time:") {

@@ -18,12 +18,11 @@ import (
 // RunConfig is the one description of a simulated run, from flags to
 // machine: which policy on which memory hierarchy under which seed and fault
 // campaign, the YCSB recipe driven against it, and the instrumentation that
-// rides its metrics export. Every machine mcsim, mcbench (experiments and
-// soak) and the snapshot layer build comes from a RunConfig, so equal
-// configs are equal machines by construction. A RunConfig without Sinks is
-// also the serialisable recipe of a checkpointable Session: rebuilding from
-// an equal config and restoring the snapshot sections yields an identical
-// system.
+// rides its metrics export. Every machine mcsim, mcbench's experiments and
+// the snapshot layer build comes from a RunConfig, so equal configs are
+// equal machines by construction. A RunConfig without Sinks is also the
+// serialisable recipe of a checkpointable Session: rebuilding from an equal
+// config and restoring the snapshot sections yields an identical system.
 type RunConfig struct {
 	// Policy is a NewPolicy system name.
 	Policy string
@@ -52,7 +51,8 @@ type RunConfig struct {
 	Metrics     bool
 	TraceEvents int
 	// Sinks are the further observability layers of an instrumented run.
-	// Their state cannot be serialised, so a Session refuses them.
+	// Their state cannot be serialised, so a Session carrying them refuses
+	// Capture and Fingerprint.
 	Sinks
 }
 

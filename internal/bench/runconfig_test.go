@@ -6,19 +6,21 @@ import (
 	"testing"
 
 	"multiclock/internal/fault"
+	"multiclock/internal/machine"
+	"multiclock/internal/mem"
 	"multiclock/internal/metrics"
 	"multiclock/internal/sim"
 	"multiclock/internal/ycsb"
 )
 
 // TestStraightAndSteppedRunsAreTheSameMachine: one RunConfig driven straight
-// through (Machine + NewYCSB + Load + Run, what mcsim and the experiments
-// do) and stepped op by op in a Session (what -snapshot/-invariants-every and
-// mcbench -soak do) must simulate the same machine: same virtual time, same
-// op count, same memory counters, same telemetry. Before the run description
-// was unified the stepping path built a 1 µs-OpCost machine with a
-// seed^0x9c5b client while mcsim's straight path used the facade's 1.5 µs
-// and the default client seed, so the check-only flags changed the result.
+// through (Machine + NewYCSB + Load + Run, what the experiments do) and
+// stepped op by op in a Session (what every mcsim YCSB run does) must
+// simulate the same machine: same virtual time, same op count, same memory
+// counters, same telemetry. Before the run description was unified the
+// stepping path built a 1 µs-OpCost machine with a seed^0x9c5b client while
+// mcsim's straight path used the facade's 1.5 µs and the default client
+// seed, so the check-only flags changed the result.
 func TestStraightAndSteppedRunsAreTheSameMachine(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -74,40 +76,45 @@ func TestStraightAndSteppedRunsAreTheSameMachine(t *testing.T) {
 	}
 }
 
-// TestSessionRefusesUnserializableSinks: a requested sink is attached or
-// refused, never silently dropped — a checkpointable session cannot carry
-// the one-shot samplers.
+// nopObserver is an extra observer that keeps no state.
+type nopObserver struct{}
+
+func (nopObserver) OnAccess(*mem.Page, bool, sim.Time)                    {}
+func (nopObserver) OnMigrate(*mem.Page, mem.NodeID, mem.NodeID, sim.Time) {}
+func (nopObserver) OnFault(*mem.Page, bool, sim.Time)                     {}
+
+// TestSessionRefusesUnserializableSinks: a session runs with any sink or
+// extra observer attached, but their state is not in MCSNAP, so it refuses
+// to be captured or fingerprinted rather than write a snapshot that drops
+// them.
 func TestSessionRefusesUnserializableSinks(t *testing.T) {
-	for _, sinks := range []Sinks{{Series: sim.Millisecond}, {Lifecycle: 1}, {Trace: true}} {
+	for _, tc := range []struct {
+		sinks Sinks
+		obs   []machine.Observer
+	}{
+		{sinks: Sinks{Series: sim.Millisecond}}, {sinks: Sinks{Lifecycle: 1}}, {sinks: Sinks{Trace: true}},
+		{obs: []machine.Observer{nopObserver{}}},
+	} {
 		rc := testSoakConfig("multiclock", false)
-		rc.Metrics, rc.Sinks = true, sinks
-		if _, err := NewSession(rc); err == nil || !strings.Contains(err.Error(), "not serializable") {
-			t.Errorf("NewSession with %+v: err = %v, want a refusal", sinks, err)
+		rc.Metrics, rc.Sinks = true, tc.sinks
+		rc.Ops = 500
+		s, err := NewSession(rc, tc.obs...)
+		if err != nil {
+			t.Fatalf("NewSession with %+v: %v", tc, err)
+		}
+		if _, err := s.Run(SoakHooks{InvariantsEvery: 100}); err != nil {
+			t.Fatalf("%+v: Run: %v", tc, err)
+		}
+		if _, err := s.Capture(); err == nil || !strings.Contains(err.Error(), "not serializable") {
+			t.Errorf("Capture with %+v: err = %v, want a refusal", tc, err)
+		}
+		if _, err := s.Fingerprint(); err == nil || !strings.Contains(err.Error(), "not serializable") {
+			t.Errorf("Fingerprint with %+v: err = %v, want a refusal", tc, err)
 		}
 	}
 	rc := testSoakConfig("multiclock", false)
 	rc.Tiers = "hbm:64"
 	if _, err := NewSession(rc); err == nil || !strings.Contains(err.Error(), `unknown tier "hbm"`) {
 		t.Errorf("bad tier spec: err = %v", err)
-	}
-}
-
-// TestSoakConfigForFollowsTheScale: the soak recipe is the experiment scale's
-// run description over the paper sequence — sizing, interval, seed, fault
-// campaign and hierarchy come from the Options, nothing is restated.
-func TestSoakConfigForFollowsTheScale(t *testing.T) {
-	opt := Options{Quick: true, Seed: 9, Chaos: fault.UniformRate(3, 0.01), Tiers: "dram:512,pm:4096"}
-	sc := opt.scale()
-	rc := SoakConfigFor("nimble", opt, 0)
-	want := RunConfig{
-		Policy: "nimble", Workloads: []string{"A", "B", "C", "F", "W", "D"},
-		Records: sc.Records, Ops: sc.Ops, DRAMPages: sc.DRAMPages, PMPages: sc.PMPages,
-		Tiers: opt.Tiers, Interval: sc.Interval, Seed: 9, Chaos: opt.Chaos,
-	}
-	if !reflect.DeepEqual(rc, want) {
-		t.Errorf("SoakConfigFor = %+v\nwant %+v", rc, want)
-	}
-	if got := SoakConfigFor("nimble", opt, 777).Ops; got != 777 {
-		t.Errorf("op override: Ops = %d, want 777", got)
 	}
 }

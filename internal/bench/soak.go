@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -15,20 +14,22 @@ import (
 	"multiclock/internal/ycsb"
 )
 
-// The resumable soak harness. A Session is one checkpointable system — a
-// machine, its policy, a kvstore and a YCSB client driving a fixed workload
-// sequence — stepped one operation at a time so snapshots, audit fingerprints
-// and invariant sweeps land exactly on quiescent op boundaries. The session's
-// own progress (current workload, completed results) rides the snapshot's
-// config section, so a restored session reproduces the remaining run — and
-// the final report — byte for byte.
+// The one YCSB run driver. A Session is one system — a machine, its policy, a
+// kvstore and a YCSB client driving a fixed workload sequence — stepped one
+// operation at a time so snapshots, audit fingerprints and invariant sweeps
+// land exactly on quiescent op boundaries. With no hooks it performs exactly
+// the operations Client.Run would. The session's own progress (current
+// workload, completed results) rides the snapshot's config section, so a
+// restored session reproduces the remaining run — and the final report —
+// byte for byte.
 
 // soakConfigVersion guards the config-section layout inside the container.
 // Version 2 added the tier-hierarchy spec; version 3 dropped the two
 // PM-slowdown words, which the fault model now holds as constants.
 const soakConfigVersion = 3
 
-// Session is one live checkpointable system.
+// Session is one live system. It is checkpointable unless it carries sinks
+// or extra observers.
 type Session struct {
 	Cfg RunConfig
 
@@ -36,15 +37,19 @@ type Session struct {
 	Store     *kvstore.Store
 	Client    *ycsb.Client
 	collector *metrics.Collector
+	fill      func(*metrics.RunExport)
+	observed  bool
 
 	run     *ycsb.Run
 	widx    int
 	results []ycsb.RunResult
 }
 
-// NewSession builds and loads a fresh session.
-func NewSession(cfg RunConfig) (*Session, error) {
-	s, err := newPristine(cfg)
+// NewSession builds and loads a fresh session. The observers attach after
+// the metrics collector and its sinks and before the store is built, so a
+// trace recorder among them captures the load phase.
+func NewSession(cfg RunConfig, obs ...machine.Observer) (*Session, error) {
+	s, err := newPristine(cfg, obs...)
 	if err != nil {
 		return nil, err
 	}
@@ -54,9 +59,9 @@ func NewSession(cfg RunConfig) (*Session, error) {
 
 // newPristine runs the construction path shared by fresh sessions and restore
 // targets: everything up to (but excluding) the load phase.
-func newPristine(cfg RunConfig) (*Session, error) {
+func newPristine(cfg RunConfig, obs ...machine.Observer) (*Session, error) {
 	if len(cfg.Workloads) == 0 {
-		return nil, fmt.Errorf("bench: soak session needs at least one workload")
+		return nil, fmt.Errorf("bench: a session needs at least one workload")
 	}
 	for _, name := range cfg.Workloads {
 		if _, err := ycsb.ByName(name); err != nil {
@@ -64,19 +69,29 @@ func newPristine(cfg RunConfig) (*Session, error) {
 		}
 	}
 	if cfg.Records <= 0 || cfg.Ops <= 0 {
-		return nil, fmt.Errorf("bench: soak session needs positive records and ops, got %d/%d", cfg.Records, cfg.Ops)
-	}
-	if cfg.Sinks != (Sinks{}) {
-		return nil, fmt.Errorf("bench: a checkpointable session cannot carry series/lifecycle/SLO/trace sinks: their state is not serializable")
+		return nil, fmt.Errorf("bench: a session needs positive records and ops, got %d/%d", cfg.Records, cfg.Ops)
 	}
 	m, err := cfg.Machine()
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{Cfg: cfg, M: m}
-	s.collector, _ = cfg.Attach(m)
+	s := &Session{Cfg: cfg, M: m, observed: len(obs) > 0}
+	s.collector, s.fill = cfg.Attach(m)
+	for _, o := range obs {
+		m.Attach(o)
+	}
 	s.Store, s.Client = cfg.NewYCSB(m)
 	return s, nil
+}
+
+// checkpointable refuses a session whose state is not all in MCSNAP: the
+// sinks' and extra observers' state is not, and the sampler's and the SLO
+// engine's pending events are not quiescent.
+func (s *Session) checkpointable() error {
+	if s.Cfg.Metrics && s.Cfg.Sinks != (Sinks{}) || s.observed {
+		return fmt.Errorf("bench: a session with series/lifecycle/SLO/trace sinks or extra observers cannot be checkpointed: their state is not serializable")
+	}
+	return nil
 }
 
 // target bundles the session for the snapshot layer.
@@ -91,6 +106,9 @@ func (s *Session) target() *snapshot.Target {
 // Capture snapshots the session (configuration, progress and full system
 // state) into a container. The session must be at an op boundary.
 func (s *Session) Capture() (*snapshot.File, error) {
+	if err := s.checkpointable(); err != nil {
+		return nil, err
+	}
 	return snapshot.Capture(s.target(), s.encodeSessionState())
 }
 
@@ -105,6 +123,9 @@ func (s *Session) Snapshot(path string) error {
 
 // Fingerprint hashes every subsystem for the divergence auditor.
 func (s *Session) Fingerprint() (snapshot.AuditRecord, error) {
+	if err := s.checkpointable(); err != nil {
+		return snapshot.AuditRecord{}, err
+	}
 	return snapshot.AuditFingerprint(s.target())
 }
 
@@ -144,15 +165,6 @@ func RestoreSession(f *snapshot.File) (*Session, error) {
 	s.widx = widx
 	s.results = results
 	return s, nil
-}
-
-// RestoreSessionFile reads, verifies and restores a snapshot file.
-func RestoreSessionFile(path string) (*Session, error) {
-	f, err := snapshot.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return RestoreSession(f)
 }
 
 // SoakHooks configures the soak loop's periodic work. All cadences count
@@ -279,19 +291,19 @@ func (s *Session) boundary(h SoakHooks) error {
 // bytes, so a straight run and a restored run print identical reports.
 func (s *Session) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "soak: policy=%s workloads=%s records=%d ops/workload=%d seed=%d",
+	fmt.Fprintf(&b, "run: policy=%s workloads=%s records=%d ops/workload=%d seed=%d",
 		s.Cfg.Policy, strings.Join(s.Cfg.Workloads, ","), s.Cfg.Records, s.Cfg.Ops, s.Cfg.Seed)
 	if s.Cfg.Tiers != "" {
 		fmt.Fprintf(&b, " tiers=%s", s.Cfg.Tiers)
 	}
 	b.WriteByte('\n')
-	fmt.Fprintf(&b, "%-8s %14s %10s %10s %10s\n", "workload", "ops/s", "p50", "p95", "p99")
+	fmt.Fprintf(&b, "%-8s %14s %10s %10s %10s %10s\n", "workload", "ops/s", "mean", "p50", "p95", "p99")
 	for _, r := range s.results {
 		if r.Unsupported {
 			fmt.Fprintf(&b, "%-8s %14s\n", r.Workload, "unsupported")
 			continue
 		}
-		fmt.Fprintf(&b, "%-8s %14.0f %10v %10v %10v\n", r.Workload, r.Throughput, r.P50, r.P95, r.P99)
+		fmt.Fprintf(&b, "%-8s %14.0f %10v %10v %10v %10v\n", r.Workload, r.Throughput, r.MeanLatency, r.P50, r.P95, r.P99)
 	}
 	fmt.Fprintf(&b, "\npolicy: %s\nvirtual time: %v\n", s.M.Policy.Name(), s.M.Elapsed())
 	fmt.Fprintln(&b, &s.M.Mem.Counters)
@@ -301,29 +313,16 @@ func (s *Session) Report() string {
 	return b.String()
 }
 
-// MetricsRun exports the session's telemetry registry under label, or nil
-// when the session collects none.
+// MetricsRun exports the session's telemetry registry and its sinks'
+// sections under label, or nil when the session collects none. Call it once
+// the run has finished.
 func (s *Session) MetricsRun(label string) *metrics.RunExport {
 	if s.collector == nil {
 		return nil
 	}
 	run := s.collector.Run(label)
+	s.fill(&run)
 	return &run
-}
-
-// SoakConfigFor derives a soak recipe from the Options' experiment template:
-// the named policy over the paper's workload sequence, with an optional
-// per-workload op override for long runs.
-func SoakConfigFor(policy string, opt Options, ops int64) RunConfig {
-	rc := opt.scale().RunConfig
-	rc.Policy = policy
-	if ops > 0 {
-		rc.Ops = ops
-	}
-	for _, w := range ycsb.PaperSequence {
-		rc.Workloads = append(rc.Workloads, w.Name)
-	}
-	return rc
 }
 
 // reconcileAudit rewrites an audit trail so that resuming from this session
@@ -378,75 +377,46 @@ func (s *Session) reconcileAudit(path string, every int64) error {
 	return f.Close()
 }
 
-// RunSoakCLI is the checkpointable-run driver shared by the CLIs: build (or
-// restore) a session, run it under the snapshot/audit/invariant cadence, and
-// return the deterministic report plus the finished session (for metrics
-// export). On restore the audit trail is first reconciled to the restore
-// point, then opened in append mode, so a killed run's resumed trail
+// ResumeSession reads, verifies and restores the session a CLI run
+// checkpointed to rf.Restore; the snapshot's recipe is the one that runs. A
+// run that must export metrics is refused here, before its first step, when
+// the snapshot carries no telemetry registry. A run that keeps an audit
+// trail has the trail reconciled to the restore point, so the resumed trail
 // continues the same file and still compares clean against a straight run.
-func RunSoakCLI(cfg RunConfig, restorePath string, hooks SoakHooks, auditPath string) (string, *Session, error) {
-	var sess *Session
-	var err error
-	if restorePath != "" {
-		// The snapshot's config section is the construction recipe; cfg is
-		// ignored on restore.
-		sess, err = RestoreSessionFile(restorePath)
-	} else {
-		sess, err = NewSession(cfg)
-	}
+func ResumeSession(rf *cliutil.RunFlags) (*Session, error) {
+	f, err := snapshot.ReadFile(rf.Restore)
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
-	if restorePath != "" && auditPath != "" && hooks.SnapshotEvery > 0 {
-		if err := sess.reconcileAudit(auditPath, hooks.SnapshotEvery); err != nil {
-			return "", nil, err
-		}
-	}
-	if auditPath != "" {
-		af, err := os.OpenFile(auditPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return "", nil, err
-		}
-		defer af.Close()
-		hooks.Audit = snapshot.NewAuditWriter(af)
-	}
-	report, err := sess.Run(hooks)
+	s, err := RestoreSession(f)
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
-	if hooks.Audit != nil {
-		if err := hooks.Audit.Flush(); err != nil {
-			return "", nil, err
+	if rf.Metrics != "" && s.collector == nil {
+		return nil, fmt.Errorf("%s: snapshot carries no telemetry registry; cannot export metrics", rf.Restore)
+	}
+	if rf.Audit != "" && rf.SnapshotEvery > 0 {
+		if err := s.reconcileAudit(rf.Audit, rf.SnapshotEvery); err != nil {
+			return nil, err
 		}
 	}
-	return report, sess, nil
+	return s, nil
 }
 
-// RunStepped is the one stepped-run path of both CLIs (mcsim's checkpoint and
-// invariant-sweep mode, mcbench -soak): run cfg, whose flag fields SetFlags
-// filled — or the -restore snapshot's own recipe — under the checkpoint
-// flags, print the report to stdout and export the session's metrics under
-// labelPrefix+policy. It returns the process exit code.
-func RunStepped(prog, labelPrefix string, cfg RunConfig, f *cliutil.RunFlags, stdout, stderr io.Writer) int {
-	hooks := SoakHooks{SnapshotPath: f.Snapshot, SnapshotEvery: f.SnapshotEvery, InvariantsEvery: f.InvariantsEvery}
-	report, sess, err := RunSoakCLI(cfg, f.Restore, hooks, f.Audit)
-	if err != nil {
-		fmt.Fprintf(stderr, "%s: %v\n", prog, err)
-		return 1
+// Drive runs the session to completion under the checkpoint flags' cadence
+// (snapshots, audit fingerprints appended to f.Audit, invariant sweeps) and
+// returns the report.
+func (s *Session) Drive(f *cliutil.SnapshotFlags) (string, error) {
+	h := SoakHooks{SnapshotPath: f.Snapshot, SnapshotEvery: f.SnapshotEvery, InvariantsEvery: f.InvariantsEvery}
+	if f.Audit != "" {
+		af, err := os.OpenFile(f.Audit, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return "", err
+		}
+		defer af.Close()
+		h.Audit = snapshot.NewAuditWriter(af)
 	}
-	io.WriteString(stdout, report)
-	if f.Metrics == "" {
-		return 0
-	}
-	run := sess.MetricsRun(labelPrefix + sess.Cfg.Policy)
-	if run == nil {
-		fmt.Fprintf(stderr, "%s: snapshot carries no telemetry registry; cannot export metrics\n", prog)
-		return 1
-	}
-	if !f.WriteExports(prog, stderr, []metrics.RunExport{*run}) {
-		return 1
-	}
-	return 0
+	return s.Run(h)
 }
 
 // encodeSessionState renders the config section: the construction recipe plus

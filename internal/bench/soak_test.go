@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"multiclock/internal/cliutil"
 	"multiclock/internal/fault"
 	"multiclock/internal/machine"
 	"multiclock/internal/policy"
@@ -308,19 +309,36 @@ func TestSoakAuditTrailMatchesAcrossRuns(t *testing.T) {
 // TestSoakAuditReconcileAfterKill: a run killed at any instant around a
 // checkpoint boundary leaves a recoverable trail. Whether the dying process
 // appended the boundary's record before the snapshot landed, after, or the
-// restored snapshot is older than the trail, RunSoakCLI reconciles the audit
-// file on restore and the finished trail is byte-identical to a straight
-// run's (and the report matches).
+// restored snapshot is older than the trail, ResumeSession reconciles the
+// audit file on restore and the finished trail is byte-identical to a
+// straight run's (and the report matches).
 func TestSoakAuditReconcileAfterKill(t *testing.T) {
 	cfg := testSoakConfig("multiclock", true)
 	const every = 1_500 // boundaries at 1500, 3000, 4500, 6000
 	dir := t.TempDir()
+	// drive runs the session the way mcsim does under -audit.
+	drive := func(restore, audit string) string {
+		t.Helper()
+		f := &cliutil.RunFlags{SnapshotFlags: cliutil.SnapshotFlags{Restore: restore, Audit: audit, SnapshotEvery: every}}
+		var s *Session
+		var err error
+		if restore != "" {
+			s, err = ResumeSession(f)
+		} else {
+			s, err = NewSession(cfg)
+		}
+		if err != nil {
+			t.Fatalf("restore %q: %v", restore, err)
+		}
+		report, err := s.Drive(&f.SnapshotFlags)
+		if err != nil {
+			t.Fatalf("restore %q: Drive: %v", restore, err)
+		}
+		return report
+	}
 
 	ref := filepath.Join(dir, "straight.jsonl")
-	wantReport, _, err := RunSoakCLI(cfg, "", SoakHooks{SnapshotEvery: every}, ref)
-	if err != nil {
-		t.Fatalf("straight RunSoakCLI: %v", err)
-	}
+	wantReport := drive("", ref)
 	want, err := os.ReadFile(ref)
 	if err != nil {
 		t.Fatal(err)
@@ -348,11 +366,7 @@ func TestSoakAuditReconcileAfterKill(t *testing.T) {
 		if err := os.WriteFile(audit, bytes.Join(lines[:keep], nil), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		report, _, err := RunSoakCLI(cfg, snap, SoakHooks{SnapshotEvery: every}, audit)
-		if err != nil {
-			t.Fatalf("keep=%d: restore RunSoakCLI: %v", keep, err)
-		}
-		if report != wantReport {
+		if report := drive(snap, audit); report != wantReport {
 			t.Errorf("keep=%d: resumed report differs from straight run", keep)
 		}
 		got, err := os.ReadFile(audit)

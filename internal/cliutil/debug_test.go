@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -52,8 +53,8 @@ func TestStartDebugStopsCleanly(t *testing.T) {
 }
 
 // TestDebugEndpointOnBothBinaries proves -http is wired through both CLIs in
-// every mode, including the stepped ones (mcbench -soak, mcsim checkpoint /
-// invariant stepping) — the long runs the endpoint exists for: each binary
+// every mode, including mcsim's stepped ones (checkpointing, invariant
+// sweeps) — the long runs the endpoint exists for: each binary
 // runs a tiny job with the endpoint enabled, announces the bound address, and
 // exits cleanly (the listener did not hold the process open).
 func TestDebugEndpointOnBothBinaries(t *testing.T) {
@@ -74,7 +75,8 @@ func TestDebugEndpointOnBothBinaries(t *testing.T) {
 		{"mcbench", mcbench, []string{"-exp", "table1", "-quick", "-http", "127.0.0.1:0"}},
 		{"mcsim stepped", mcsim, []string{"-policy", "static", "-workload", "C",
 			"-records", "256", "-ops", "500", "-invariants-every", "100", "-http", "127.0.0.1:0"}},
-		{"mcbench soak", mcbench, []string{"-soak", "static", "-quick", "-soak-ops", "200",
+		{"mcsim checkpointed sequence", mcsim, []string{"-policy", "static", "-sequence",
+			"-records", "256", "-ops", "200", "-snapshot", filepath.Join(dir, "s.mcsnap"), "-snapshot-every", "300",
 			"-http", "127.0.0.1:0"}},
 	}
 	for _, c := range cases {

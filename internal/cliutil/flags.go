@@ -35,9 +35,10 @@ const DefaultTraceRing = 65536
 var errExportFlags = errors.New("-series/-lifecycle/-slo/-trace-out ride the metrics export; set -metrics too")
 
 // RunFlags is the flag set mcsim and mcbench share: what seeds and perturbs
-// the simulated machines, which instrumentation rides the metrics export,
-// and the checkpoint/restore cadence. Register it once, Validate it once;
-// the parsed forms (Chaos, SLOSpec) are filled by Validate.
+// the simulated machines and which instrumentation rides the metrics export.
+// It also carries mcsim's checkpoint flags, which only mcsim registers and
+// which stay zero in mcbench. Register it once, Validate it once; the parsed
+// forms (Chaos, SLOSpec) are filled by Validate.
 type RunFlags struct {
 	Seed        uint64
 	Parallel    int
@@ -57,7 +58,8 @@ type RunFlags struct {
 	SLOSpec *slo.Spec
 }
 
-// Register installs the shared flags on fs under the canonical names.
+// Register installs the shared flags on fs under the canonical names. The
+// checkpoint flags are registered separately (SnapshotFlags.Register).
 func (f *RunFlags) Register(fs *flag.FlagSet) {
 	fs.Uint64Var(&f.Seed, "seed", 1, "simulation seed")
 	fs.IntVar(&f.Parallel, "parallel", 1, "max simulated machines in flight (0 = GOMAXPROCS, 1 = sequential)")
@@ -70,7 +72,6 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.HTTP, "http", "", "serve expvar/pprof on this address (e.g. localhost:6060) for wall-clock profiling of long runs")
 	fs.StringVar(&f.SLO, "slo", "", "evaluate latency objectives on the virtual clock, e.g. 'p99(access_latency_dram_read_ns) < 400ns over 10ms, 99.9%'; results ride the -metrics export (see `mcmetrics slo`)")
 	fs.StringVar(&f.TraceOut, "trace-out", "", "write a Perfetto/Chrome trace of the run's virtual-time timeline to this file (open in ui.perfetto.dev; requires -metrics)")
-	f.SnapshotFlags.Register(fs)
 }
 
 // SnapshotFlags holds the checkpoint/restore flags: where to write
@@ -99,36 +100,44 @@ func (f *SnapshotFlags) Active() bool {
 	return f.Snapshot != "" || f.SnapshotEvery > 0 || f.Restore != "" || f.Audit != ""
 }
 
-// Stepped reports whether the flags put the run in op-by-op stepping mode:
-// checkpointing, or periodic invariant sweeps.
-func (f *SnapshotFlags) Stepped() bool { return f.Active() || f.InvariantsEvery > 0 }
-
-// SteppedBy names the flags that put the run in stepping mode, joined with
-// "/", for the messages that refuse what a stepped run cannot do. Once
-// Validate has passed it is non-empty exactly when Stepped is true.
-func (f *SnapshotFlags) SteppedBy() string {
-	set := [...]bool{f.Snapshot != "", f.Restore != "", f.Audit != "", f.InvariantsEvery > 0}
+// CheckpointedBy names the set flags that write or read a snapshot file
+// (-snapshot, -restore, -audit), joined with "/", for the messages that
+// refuse what a checkpoint cannot hold. Once Validate has passed it is
+// non-empty exactly when Active is true.
+func (f *SnapshotFlags) CheckpointedBy() string {
 	var by []string
-	for i, name := range [...]string{"-snapshot", "-restore", "-audit", "-invariants-every"} {
-		if set[i] {
-			by = append(by, name)
-		}
+	if f.Snapshot != "" {
+		by = append(by, "-snapshot")
+	}
+	if f.Restore != "" {
+		by = append(by, "-restore")
+	}
+	if f.Audit != "" {
+		by = append(by, "-audit")
 	}
 	return strings.Join(by, "/")
 }
 
+// SteppedBy is CheckpointedBy plus -invariants-every: the flags that step a
+// run, for the messages that refuse drivers with no stepped form.
+func (f *SnapshotFlags) SteppedBy() string {
+	by := f.CheckpointedBy()
+	if f.InvariantsEvery > 0 {
+		by = strings.TrimPrefix(by+"/-invariants-every", "/")
+	}
+	return by
+}
+
 // Validate checks the shared flags, in one order for every binary: the
 // -chaos and -tiers specs, instrumentation without -metrics, the -slo spec,
-// the checkpoint cadence rules, and instrumentation in a stepped run.
-// steppedBy names the flag of a run the binary steps for its own reasons
-// (mcbench's "-soak"), or is empty; the checkpoint and invariant flags step
-// a run too (SteppedBy). A stepped run is checkpointable, and
-// one-shot -series/-lifecycle samplers, the -slo engine's scheduled window
-// ticks and the -trace-out window log hold state that cannot be serialized,
-// so the combination is refused rather than silently dropped. The error
+// the checkpoint cadence rules, and instrumentation in a checkpointed run.
+// The -series/-lifecycle samplers, the -slo engine's scheduled window ticks
+// and the -trace-out window log hold state a snapshot does not carry, so
+// combining them with -snapshot/-restore/-audit is refused rather than
+// silently dropped; a run that only sweeps invariants takes them. The error
 // text is the complete stderr line; prog prefixes only the messages that
 // always carried it.
-func (f *RunFlags) Validate(prog, steppedBy string) error {
+func (f *RunFlags) Validate(prog string) error {
 	var err error
 	if f.Chaos, err = fault.ParseSpec(f.chaos); err != nil {
 		return fmt.Errorf("%s: %v", prog, err)
@@ -159,11 +168,8 @@ func (f *RunFlags) Validate(prog, steppedBy string) error {
 	if (f.Snapshot != "" || f.Audit != "") && f.SnapshotEvery <= 0 {
 		return errors.New("-snapshot/-audit need -snapshot-every N to set the checkpoint cadence")
 	}
-	if steppedBy == "" {
-		steppedBy = f.SteppedBy()
-	}
-	if sinks && steppedBy != "" {
-		return fmt.Errorf("-series/-lifecycle/-slo/-trace-out cannot be combined with %s: one-shot samplers are not serializable", steppedBy)
+	if by := f.CheckpointedBy(); sinks && by != "" {
+		return fmt.Errorf("-series/-lifecycle/-slo/-trace-out cannot be combined with %s: one-shot samplers are not serializable", by)
 	}
 	return nil
 }

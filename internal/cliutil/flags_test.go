@@ -9,14 +9,15 @@ import (
 	"testing"
 )
 
-// parseFlags registers the shared set on a fresh FlagSet and parses args,
-// the way both binaries do.
+// parseFlags registers the shared set and the checkpoint flags on a fresh
+// FlagSet and parses args, the way mcsim does.
 func parseFlags(t *testing.T, args ...string) *RunFlags {
 	t.Helper()
 	var f RunFlags
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	f.Register(fs)
+	f.SnapshotFlags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("parse %v: %v", args, err)
 	}
@@ -28,7 +29,7 @@ const (
 	goodSLO        = "p99(x_ns) < 1us over 1ms"
 )
 
-// msgCombined is the refusal of a sink in a run the named flags step.
+// msgCombined is the refusal of a sink in a run the named flags checkpoint.
 func msgCombined(by string) string {
 	return "-series/-lifecycle/-slo/-trace-out cannot be combined with " + by + ": one-shot samplers are not serializable"
 }
@@ -64,7 +65,7 @@ func TestValidateExportFlags(t *testing.T) {
 	}
 	for _, c := range cases {
 		f := parseFlags(t, c.args...)
-		checkErr(t, c.name, f.Validate("prog", ""), c.want)
+		checkErr(t, c.name, f.Validate("prog"), c.want)
 		if c.want == "" && f.SLO != "" && f.SLOSpec == nil {
 			t.Errorf("%s: Validate left the -slo spec unparsed", c.name)
 		}
@@ -83,48 +84,65 @@ func checkErr(t *testing.T, name string, err error, want string) {
 }
 
 // TestSnapshotFlagsValidate: the checkpoint cadence rules, and the refusal of
-// every unserializable sink in any stepped run — checkpointing, invariant
-// sweeps alone, or a mode the binary steps itself (mcbench -soak). A
-// requested sink is refused, never silently dropped.
+// every unserializable sink in a checkpointed run (-snapshot, -restore,
+// -audit). A requested sink is refused, never silently dropped; a run that
+// only sweeps invariants takes every sink.
 func TestSnapshotFlagsValidate(t *testing.T) {
 	snap := []string{"-snapshot", "s.mcsnap", "-snapshot-every", "5000"}
 	with := func(base []string, extra ...string) []string {
 		return append(append([]string{"-metrics", "m.json"}, base...), extra...)
 	}
 	cases := []struct {
-		name      string
-		args      []string
-		steppedBy string
-		want      string
+		name string
+		args []string
+		want string
 	}{
-		{"snapshot with cadence", snap, "", ""},
-		{"audit with cadence", []string{"-audit", "a.jsonl", "-snapshot-every", "5000"}, "", ""},
-		{"restore alone", []string{"-restore", "s.mcsnap"}, "", ""},
-		{"invariants alone", []string{"-invariants-every", "1000"}, "", ""},
-		{"metrics ring in a stepped run", with(snap, "-trace-events", "64"), "-soak", ""},
-		{"negative cadence", []string{"-snapshot-every", "-1"}, "", "-snapshot-every must be non-negative"},
-		{"negative invariants", []string{"-invariants-every", "-1"}, "", "-invariants-every must be non-negative"},
-		{"cadence without sink", []string{"-snapshot-every", "5000"}, "", "-snapshot-every needs -snapshot or -audit to do anything"},
-		{"snapshot without cadence", []string{"-snapshot", "s.mcsnap"}, "", "-snapshot/-audit need -snapshot-every N to set the checkpoint cadence"},
-		{"audit without cadence", []string{"-audit", "a.jsonl"}, "", "-snapshot/-audit need -snapshot-every N to set the checkpoint cadence"},
-		// The refusal names the flags that made the run stepped.
-		{"snapshot with series", with(snap, "-series", "10ms"), "", msgCombined("-snapshot")},
-		{"restore with lifecycle", with([]string{"-restore", "s.mcsnap"}, "-lifecycle", "1"), "", msgCombined("-restore")},
-		{"restore with slo", with([]string{"-restore", "s.mcsnap"}, "-slo", goodSLO), "", msgCombined("-restore")},
-		{"snapshot with trace-out", with(snap, "-trace-out", "t.json"), "", msgCombined("-snapshot")},
-		{"invariants with series", with([]string{"-invariants-every", "1000"}, "-series", "10ms"), "", msgCombined("-invariants-every")},
-		{"invariants with lifecycle", with([]string{"-invariants-every", "1000"}, "-lifecycle", "1"), "", msgCombined("-invariants-every")},
-		{"invariants with slo", with([]string{"-invariants-every", "1000"}, "-slo", goodSLO), "", msgCombined("-invariants-every")},
+		{"snapshot with cadence", snap, ""},
+		{"audit with cadence", []string{"-audit", "a.jsonl", "-snapshot-every", "5000"}, ""},
+		{"restore alone", []string{"-restore", "s.mcsnap"}, ""},
+		{"invariants alone", []string{"-invariants-every", "1000"}, ""},
+		{"metrics ring in a checkpointed run", with(snap, "-trace-events", "64"), ""},
+		{"negative cadence", []string{"-snapshot-every", "-1"}, "-snapshot-every must be non-negative"},
+		{"negative invariants", []string{"-invariants-every", "-1"}, "-invariants-every must be non-negative"},
+		{"cadence without sink", []string{"-snapshot-every", "5000"}, "-snapshot-every needs -snapshot or -audit to do anything"},
+		{"snapshot without cadence", []string{"-snapshot", "s.mcsnap"}, "-snapshot/-audit need -snapshot-every N to set the checkpoint cadence"},
+		{"audit without cadence", []string{"-audit", "a.jsonl"}, "-snapshot/-audit need -snapshot-every N to set the checkpoint cadence"},
+		// The refusal names the flags that make the run checkpointed.
+		{"snapshot with series", with(snap, "-series", "10ms"), msgCombined("-snapshot")},
+		{"restore with lifecycle", with([]string{"-restore", "s.mcsnap"}, "-lifecycle", "1"), msgCombined("-restore")},
+		{"restore with slo", with([]string{"-restore", "s.mcsnap"}, "-slo", goodSLO), msgCombined("-restore")},
+		{"snapshot with trace-out", with(snap, "-trace-out", "t.json"), msgCombined("-snapshot")},
 		{"audit and invariants with series", with([]string{"-audit", "a.jsonl", "-snapshot-every", "5000", "-invariants-every", "1000"}, "-series", "10ms"),
-			"", msgCombined("-audit/-invariants-every")},
-		{"stepped mode with series", with(nil, "-series", "10ms"), "-soak", msgCombined("-soak")},
-		{"stepped mode with lifecycle", with(nil, "-lifecycle", "1"), "-soak", msgCombined("-soak")},
-		{"stepped mode with trace-out", with(nil, "-trace-out", "t.json"), "-soak", msgCombined("-soak")},
-		{"checkpointed stepped mode with series", with(snap, "-series", "10ms"), "-soak", msgCombined("-soak")},
-		{"sinks in a straight run", with(nil, "-series", "10ms", "-lifecycle", "1"), "", ""},
+			msgCombined("-audit")},
+		{"snapshot and restore with series", with(snap, "-restore", "s.mcsnap", "-series", "10ms"), msgCombined("-snapshot/-restore")},
+		// Invariant sweeps hold no state a snapshot would need.
+		{"invariants with series", with([]string{"-invariants-every", "1000"}, "-series", "10ms"), ""},
+		{"invariants with lifecycle", with([]string{"-invariants-every", "1000"}, "-lifecycle", "1"), ""},
+		{"invariants with slo", with([]string{"-invariants-every", "1000"}, "-slo", goodSLO), ""},
+		{"invariants with trace-out", with([]string{"-invariants-every", "1000"}, "-trace-out", "t.json"), ""},
+		{"sinks in a straight run", with(nil, "-series", "10ms", "-lifecycle", "1"), ""},
 	}
 	for _, c := range cases {
-		checkErr(t, c.name, parseFlags(t, c.args...).Validate("prog", c.steppedBy), c.want)
+		checkErr(t, c.name, parseFlags(t, c.args...).Validate("prog"), c.want)
+	}
+}
+
+// TestSteppedBy: the checkpoint flags name a checkpointed run; the invariant
+// sweep steps a run without checkpointing it.
+func TestSteppedBy(t *testing.T) {
+	cases := []struct {
+		f                  SnapshotFlags
+		checkpointed, step string
+	}{
+		{SnapshotFlags{}, "", ""},
+		{SnapshotFlags{InvariantsEvery: 10}, "", "-invariants-every"},
+		{SnapshotFlags{Snapshot: "s", SnapshotEvery: 5}, "-snapshot", "-snapshot"},
+		{SnapshotFlags{Restore: "s", Audit: "a", SnapshotEvery: 5, InvariantsEvery: 10}, "-restore/-audit", "-restore/-audit/-invariants-every"},
+	}
+	for _, c := range cases {
+		if got, step := c.f.CheckpointedBy(), c.f.SteppedBy(); got != c.checkpointed || step != c.step {
+			t.Errorf("%+v: CheckpointedBy()=%q SteppedBy()=%q, want %q %q", c.f, got, step, c.checkpointed, c.step)
+		}
 	}
 }
 

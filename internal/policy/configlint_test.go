@@ -53,10 +53,10 @@ var settableConfigFields = map[string]string{
 	"graph.GenConfig.Kronecker": "true at every caller, but benchmarks/ sets it: a constant once the benchmark changes",
 	"graph.GenConfig.Seed":      "-seed; benchmarks/ sets it",
 
-	"bench.RunConfig.Policy":      "mcsim -policy, mcbench -soak and each experiment cell's system; benchmarks/ sets it",
+	"bench.RunConfig.Policy":      "mcsim -policy and each experiment cell's system; benchmarks/ sets it",
 	"bench.RunConfig.Workloads":   "mcsim -workload/-sequence, the soak's paper sequence; benchmarks/ sets it",
 	"bench.RunConfig.Records":     "mcsim -records, the scale's sizing and fig7's 4x footprint; benchmarks/ sets it",
-	"bench.RunConfig.Ops":         "mcsim -ops, mcbench -soak-ops and the scale's op count; benchmarks/ sets it",
+	"bench.RunConfig.Ops":         "mcsim -ops and the scale's op count; benchmarks/ sets it",
 	"bench.RunConfig.DRAMPages":   "mcsim -dram, the scale's sizing, ablation-ratio and the graph machines; benchmarks/ sets it",
 	"bench.RunConfig.PMPages":     "mcsim -pm, the scale's sizing, ablation-ratio and the graph machines; benchmarks/ sets it",
 	"bench.RunConfig.Tiers":       "-tiers",

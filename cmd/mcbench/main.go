@@ -100,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer stopDebug()
 
 	var flags bench.RunConfig
-	flags.SetFlags(&rf)
+	rf.ApplyTo(&flags)
 	opt := bench.Options{
 		Quick: *quick, Seed: flags.Seed, Parallel: rf.Workers(), Chaos: flags.Chaos,
 		Tiers: flags.Tiers, Sinks: flags.Sinks,

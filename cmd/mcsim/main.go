@@ -141,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *interval > 0 {
 		j.Interval = sim.Duration(interval.Nanoseconds())
 	}
-	j.SetFlags(&rf)
+	rf.ApplyTo(&j.RunConfig)
 
 	stopDebug, err := rf.ServeDebug("mcsim", stderr)
 	if err != nil {
@@ -151,7 +151,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// A restored run follows the snapshot's own recipe, whatever -policy says.
 	var restored *bench.Session
 	if rf.Restore != "" {
-		if restored, err = bench.ResumeSession(&rf); err != nil {
+		if restored, err = bench.ResumeSession(rf.Restore, rf.Metrics != "", rf.Audit, rf.SnapshotEvery); err != nil {
 			fmt.Fprintf(stderr, "mcsim: %v\n", err)
 			return 1
 		}
@@ -237,7 +237,8 @@ func runSession(w io.Writer, j job, s *bench.Session, f *cliutil.SnapshotFlags, 
 			return nil, err
 		}
 	}
-	report, err := s.Drive(f)
+	h := bench.SoakHooks{SnapshotPath: f.Snapshot, SnapshotEvery: f.SnapshotEvery, InvariantsEvery: f.InvariantsEvery}
+	report, err := s.Drive(h, f.Audit)
 	if err != nil {
 		return nil, err
 	}

@@ -61,7 +61,7 @@ type Options struct {
 	// Metrics.
 	Sinks
 	// Tiers, when non-empty, replaces the default two-tier machine with the
-	// hierarchy this -tiers spec describes (cliutil.ParseTierSpec syntax,
+	// hierarchy this -tiers spec describes (mem.ParseTopology syntax,
 	// e.g. "dram:1024,cxl:2048,pm:8192") on every machine the experiments
 	// build. Callers validate the spec up front; building a machine panics
 	// on a bad one.

@@ -3,11 +3,11 @@ package bench
 import (
 	"fmt"
 
-	"multiclock/internal/cliutil"
 	"multiclock/internal/fault"
 	"multiclock/internal/kvstore"
 	"multiclock/internal/lifecycle"
 	"multiclock/internal/machine"
+	"multiclock/internal/mem"
 	"multiclock/internal/metrics"
 	"multiclock/internal/sim"
 	"multiclock/internal/slo"
@@ -36,7 +36,7 @@ type RunConfig struct {
 	DRAMPages int
 	PMPages   int
 	// Tiers, when non-empty, replaces the two-node machine with this
-	// -tiers hierarchy spec (cliutil.ParseTierSpec syntax). The spec
+	// -tiers hierarchy spec (mem.ParseTopology syntax). The spec
 	// travels in the snapshot config section, so a restored session
 	// rebuilds the same hierarchy.
 	Tiers string
@@ -146,7 +146,7 @@ func (rc RunConfig) MachineWith(p machine.Policy) (*machine.Machine, error) {
 	cfg.Mem.DRAMNodes, cfg.Mem.PMNodes = []int{rc.DRAMPages}, []int{rc.PMPages}
 	cfg.Seed, cfg.OpCost, cfg.Faults = rc.Seed, 1*sim.Microsecond, rc.Chaos
 	if rc.Tiers != "" {
-		top, err := cliutil.ParseTierSpec(rc.Tiers)
+		top, err := mem.ParseTopology(rc.Tiers)
 		if err != nil {
 			return nil, fmt.Errorf("bench: tier spec: %w", err)
 		}
@@ -180,17 +180,4 @@ func newYCSB(m *machine.Machine, records int64, seed uint64, huge bool) (*kvstor
 // derived from the run seed, decorrelated from the machine's own stream.
 func (rc RunConfig) NewYCSB(m *machine.Machine) (*kvstore.Store, *ycsb.Client) {
 	return newYCSB(m, rc.Records, rc.Seed^0x9c5b, false)
-}
-
-// SetFlags sets the recipe fields the shared CLI flags select (validated
-// flags: the -chaos and -slo specs are already parsed): seed, fault
-// campaign, hierarchy and instrumentation. It is the one place a flag value
-// enters a run description.
-func (rc *RunConfig) SetFlags(f *cliutil.RunFlags) {
-	rc.Seed, rc.Chaos, rc.Tiers = f.Seed, f.Chaos, f.Tiers
-	rc.Metrics, rc.TraceEvents = f.Metrics != "", f.Ring()
-	rc.Sinks = Sinks{
-		Series: sim.Duration(f.Series.Nanoseconds()), Lifecycle: f.Lifecycle,
-		SLO: f.SLOSpec, Trace: f.TraceOut != "",
-	}
 }

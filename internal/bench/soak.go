@@ -5,7 +5,6 @@ import (
 	"os"
 	"strings"
 
-	"multiclock/internal/cliutil"
 	"multiclock/internal/kvstore"
 	"multiclock/internal/machine"
 	"multiclock/internal/metrics"
@@ -377,14 +376,15 @@ func (s *Session) reconcileAudit(path string, every int64) error {
 	return f.Close()
 }
 
-// ResumeSession reads, verifies and restores the session a CLI run
-// checkpointed to rf.Restore; the snapshot's recipe is the one that runs. A
+// ResumeSession reads, verifies and restores the session checkpointed to
+// the snapshot file at path; the snapshot's recipe is the one that runs. A
 // run that must export metrics is refused here, before its first step, when
 // the snapshot carries no telemetry registry. A run that keeps an audit
-// trail has the trail reconciled to the restore point, so the resumed trail
-// continues the same file and still compares clean against a straight run.
-func ResumeSession(rf *cliutil.RunFlags) (*Session, error) {
-	f, err := snapshot.ReadFile(rf.Restore)
+// trail (the file audit, appended every snapshotEvery ops) has the trail
+// reconciled to the restore point, so the resumed trail continues the same
+// file and still compares clean against a straight run.
+func ResumeSession(path string, exportMetrics bool, audit string, snapshotEvery int64) (*Session, error) {
+	f, err := snapshot.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -392,24 +392,23 @@ func ResumeSession(rf *cliutil.RunFlags) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rf.Metrics != "" && s.collector == nil {
-		return nil, fmt.Errorf("%s: snapshot carries no telemetry registry; cannot export metrics", rf.Restore)
+	if exportMetrics && s.collector == nil {
+		return nil, fmt.Errorf("%s: snapshot carries no telemetry registry; cannot export metrics", path)
 	}
-	if rf.Audit != "" && rf.SnapshotEvery > 0 {
-		if err := s.reconcileAudit(rf.Audit, rf.SnapshotEvery); err != nil {
+	if audit != "" && snapshotEvery > 0 {
+		if err := s.reconcileAudit(audit, snapshotEvery); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
 }
 
-// Drive runs the session to completion under the checkpoint flags' cadence
-// (snapshots, audit fingerprints appended to f.Audit, invariant sweeps) and
-// returns the report.
-func (s *Session) Drive(f *cliutil.SnapshotFlags) (string, error) {
-	h := SoakHooks{SnapshotPath: f.Snapshot, SnapshotEvery: f.SnapshotEvery, InvariantsEvery: f.InvariantsEvery}
-	if f.Audit != "" {
-		af, err := os.OpenFile(f.Audit, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// Drive runs the session to completion under h and returns the report. A
+// non-empty audit names the file the fingerprints are appended to; Drive
+// opens it and sets h.Audit.
+func (s *Session) Drive(h SoakHooks, audit string) (string, error) {
+	if audit != "" {
+		af, err := os.OpenFile(audit, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return "", err
 		}

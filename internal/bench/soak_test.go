@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"multiclock/internal/cliutil"
 	"multiclock/internal/fault"
 	"multiclock/internal/machine"
 	"multiclock/internal/policy"
@@ -319,18 +318,17 @@ func TestSoakAuditReconcileAfterKill(t *testing.T) {
 	// drive runs the session the way mcsim does under -audit.
 	drive := func(restore, audit string) string {
 		t.Helper()
-		f := &cliutil.RunFlags{SnapshotFlags: cliutil.SnapshotFlags{Restore: restore, Audit: audit, SnapshotEvery: every}}
 		var s *Session
 		var err error
 		if restore != "" {
-			s, err = ResumeSession(f)
+			s, err = ResumeSession(restore, false, audit, every)
 		} else {
 			s, err = NewSession(cfg)
 		}
 		if err != nil {
 			t.Fatalf("restore %q: %v", restore, err)
 		}
-		report, err := s.Drive(&f.SnapshotFlags)
+		report, err := s.Drive(SoakHooks{SnapshotEvery: every}, audit)
 		if err != nil {
 			t.Fatalf("restore %q: Drive: %v", restore, err)
 		}

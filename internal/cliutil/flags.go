@@ -1,7 +1,9 @@
 // Package cliutil holds the flag set, validation rules and export writing
 // shared by the command-line front-ends (mcsim, mcbench), so the same flag
 // means the same thing — and the same bad combination fails with the same
-// exit code and the same message — no matter which binary saw it.
+// exit code and the same message — no matter which binary saw it. It sits
+// above internal/bench, which never imports it, so the network stack of the
+// -http debug endpoint links only into the binaries.
 package cliutil
 
 import (
@@ -13,8 +15,11 @@ import (
 	"strings"
 	"time"
 
+	"multiclock/internal/bench"
 	"multiclock/internal/fault"
+	"multiclock/internal/mem"
 	"multiclock/internal/metrics"
+	"multiclock/internal/sim"
 	"multiclock/internal/slo"
 	"multiclock/internal/traceexport"
 )
@@ -94,16 +99,10 @@ func (f *SnapshotFlags) Register(fs *flag.FlagSet) {
 	fs.Int64Var(&f.InvariantsEvery, "invariants-every", 0, "run the machine invariant checker every N ops (0 = off)")
 }
 
-// Active reports whether any checkpoint/restore behavior was requested
-// (-invariants-every alone does not make a run checkpointable).
-func (f *SnapshotFlags) Active() bool {
-	return f.Snapshot != "" || f.SnapshotEvery > 0 || f.Restore != "" || f.Audit != ""
-}
-
 // CheckpointedBy names the set flags that write or read a snapshot file
 // (-snapshot, -restore, -audit), joined with "/", for the messages that
-// refuse what a checkpoint cannot hold. Once Validate has passed it is
-// non-empty exactly when Active is true.
+// refuse what a checkpoint cannot hold. It is empty for a run that only
+// sweeps invariants: that run has nothing to serialise.
 func (f *SnapshotFlags) CheckpointedBy() string {
 	var by []string
 	if f.Snapshot != "" {
@@ -143,8 +142,8 @@ func (f *RunFlags) Validate(prog string) error {
 		return fmt.Errorf("%s: %v", prog, err)
 	}
 	if f.Tiers != "" {
-		if _, err := ParseTierSpec(f.Tiers); err != nil {
-			return err
+		if _, err := mem.ParseTopology(f.Tiers); err != nil {
+			return fmt.Errorf("-tiers: %v", err)
 		}
 	}
 	sinks := f.Series > 0 || f.Lifecycle > 0 || f.SLO != "" || f.TraceOut != ""
@@ -172,6 +171,19 @@ func (f *RunFlags) Validate(prog string) error {
 		return fmt.Errorf("-series/-lifecycle/-slo/-trace-out cannot be combined with %s: one-shot samplers are not serializable", by)
 	}
 	return nil
+}
+
+// ApplyTo sets the recipe fields the shared flags select (Validate has
+// parsed the -chaos and -slo specs): seed, fault campaign, hierarchy and
+// instrumentation. It is the one place a flag value enters a run
+// description.
+func (f *RunFlags) ApplyTo(rc *bench.RunConfig) {
+	rc.Seed, rc.Chaos, rc.Tiers = f.Seed, f.Chaos, f.Tiers
+	rc.Metrics, rc.TraceEvents = f.Metrics != "", f.Ring()
+	rc.Sinks = bench.Sinks{
+		Series: sim.Duration(f.Series.Nanoseconds()), Lifecycle: f.Lifecycle,
+		SLO: f.SLOSpec, Trace: f.TraceOut != "",
+	}
 }
 
 // Workers resolves -parallel for the runner: non-positive means GOMAXPROCS.

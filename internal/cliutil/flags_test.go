@@ -166,26 +166,6 @@ func TestRunFlagsDerived(t *testing.T) {
 	}
 }
 
-func TestSnapshotFlagsActive(t *testing.T) {
-	cases := []struct {
-		name string
-		f    SnapshotFlags
-		want bool
-	}{
-		{"zero", SnapshotFlags{}, false},
-		{"invariants only", SnapshotFlags{InvariantsEvery: 100}, false},
-		{"snapshot", SnapshotFlags{Snapshot: "s"}, true},
-		{"cadence", SnapshotFlags{SnapshotEvery: 1}, true},
-		{"restore", SnapshotFlags{Restore: "s"}, true},
-		{"audit", SnapshotFlags{Audit: "a"}, true},
-	}
-	for _, c := range cases {
-		if got := c.f.Active(); got != c.want {
-			t.Errorf("%s: Active() = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
 // buildCLI compiles one command into dir; the test working directory is
 // inside the module, so import paths resolve.
 func buildCLI(t *testing.T, dir, pkg, name string) string {

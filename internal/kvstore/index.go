@@ -80,13 +80,10 @@ func (x *index) find(h, key uint64) uint64 {
 	return i
 }
 
-// get returns key's item.
-func (x *index) get(h, key uint64) (itemRef, bool) {
-	w := x.slots[x.find(h, key)].ref
-	if w == 0 {
-		return itemRef{}, false
-	}
-	return unpack(w), true
+// get returns key's item as a packed word (see unpack), or 0 when key is
+// absent. The caller unpacks only a hit, which keeps get inlinable.
+func (x *index) get(h, key uint64) uint64 {
+	return x.slots[x.find(h, key)].ref
 }
 
 // put stores ref under key, replacing any item already there.

@@ -55,9 +55,9 @@ func checkIndex(t *testing.T, x *index, model map[uint64]itemRef, probe []uint64
 		t.Fatalf("%d live slots, count %d", live, x.n)
 	}
 	for _, k := range probe {
-		got, ok := x.get(hash(k), k)
-		if want, in := model[k]; ok != in || got != want {
-			t.Fatalf("get(%d) = %+v, %v; model %+v, %v", k, got, ok, want, in)
+		w := x.get(hash(k), k)
+		if want, in := model[k]; (w != 0) != in || in && unpack(w) != want {
+			t.Fatalf("get(%d) = %#x; model %+v, %v", k, w, want, in)
 		}
 	}
 }
@@ -177,9 +177,9 @@ func FuzzIndexOps(f *testing.F) {
 				}
 				delete(model, k)
 			case 3:
-				got, ok := x.get(hash(k), k)
-				if want, in := model[k]; ok != in || got != want {
-					t.Fatalf("get(%d) = %+v, %v; model %+v, %v", k, got, ok, want, in)
+				w := x.get(hash(k), k)
+				if want, in := model[k]; (w != 0) != in || in && unpack(w) != want {
+					t.Fatalf("get(%d) = %#x; model %+v, %v", k, w, want, in)
 				}
 			}
 			checkIndex(t, &x, model, keys)

@@ -223,12 +223,12 @@ func (s *Store) Get(key uint64) bool {
 	s.Stats.Gets++
 	h := hash(key)
 	s.m.Access(s.as, s.bucketVPN(h), false)
-	ref, ok := s.items.get(h, key)
-	if !ok {
+	w := s.items.get(h, key)
+	if w == 0 {
 		return false
 	}
 	s.Stats.GetHits++
-	s.touchItem(ref, false)
+	s.touchItem(unpack(w), false)
 	return true
 }
 
@@ -238,12 +238,12 @@ func (s *Store) Set(key uint64, size int) {
 	s.Stats.Sets++
 	h := hash(key)
 	s.m.Access(s.as, s.bucketVPN(h), false)
-	ref, ok := s.items.get(h, key)
-	if ok && fitsInPlace(ref, size) {
-		s.touchItem(ref, true)
-		return
-	}
-	if ok {
+	if w := s.items.get(h, key); w != 0 {
+		ref := unpack(w)
+		if fitsInPlace(ref, size) {
+			s.touchItem(ref, true)
+			return
+		}
 		s.freeItem(ref)
 	}
 	s.insertLocked(h, key, size)
@@ -254,8 +254,8 @@ func (s *Store) Insert(key uint64, size int) {
 	s.Stats.Inserts++
 	h := hash(key)
 	s.m.Access(s.as, s.bucketVPN(h), true) // chain update
-	if old, ok := s.items.get(h, key); ok {
-		s.freeItem(old)
+	if w := s.items.get(h, key); w != 0 {
+		s.freeItem(unpack(w))
 	}
 	s.insertLocked(h, key, size)
 }
@@ -293,10 +293,11 @@ func (s *Store) ReadModifyWrite(key uint64) bool {
 	s.Stats.RMWs++
 	h := hash(key)
 	s.m.Access(s.as, s.bucketVPN(h), false)
-	ref, ok := s.items.get(h, key)
-	if !ok {
+	w := s.items.get(h, key)
+	if w == 0 {
 		return false
 	}
+	ref := unpack(w)
 	s.touchItem(ref, false)
 	s.touchItem(ref, true)
 	return true

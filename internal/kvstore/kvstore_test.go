@@ -21,8 +21,10 @@ func newStore(items int) (*machine.Machine, *Store) {
 
 // itemOf returns key's item reference, zero when absent.
 func itemOf(s *Store, key uint64) itemRef {
-	ref, _ := s.items.get(hash(key), key)
-	return ref
+	if w := s.items.get(hash(key), key); w != 0 {
+		return unpack(w)
+	}
+	return itemRef{}
 }
 
 func TestGetMissThenHit(t *testing.T) {

@@ -126,7 +126,7 @@ func (s *Store) checkpointItems(c *snapcodec.Codec) error {
 		}
 		k, ref := it.key, it.ref
 		h := hash(k)
-		if _, dup := s.items.get(h, k); dup {
+		if s.items.get(h, k) != 0 {
 			return fmt.Errorf("kvstore: snapshot repeats item key %d", k)
 		}
 		if ref.npages <= 0 || ref.class < -1 || int(ref.class) >= len(classSizes) ||

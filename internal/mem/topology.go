@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"multiclock/internal/sim"
@@ -125,6 +126,7 @@ func (top Topology) Validate() error {
 
 // Spec renders the topology in the -tiers syntax ("dram:1024,pm:4096",
 // durable tiers as "ssd:*"); multi-node tiers repeat the name per node.
+// ParseTopology reads it back.
 func (top Topology) Spec() string {
 	var b strings.Builder
 	for _, ts := range top.Tiers {
@@ -143,6 +145,52 @@ func (top Topology) Spec() string {
 		}
 	}
 	return b.String()
+}
+
+// ParseTopology parses the -tiers syntax, the exact inverse of Spec:
+// comma-separated name:frames entries, fastest tier first, e.g.
+// "dram:1024,cxl:2048,pm:8192,ssd:*". Repeating a name in consecutive
+// entries adds another NUMA node to that tier ("dram:512,dram:512" is a
+// two-node DRAM tier); "*" in place of a frame count is only valid for the
+// durable tier, which has no frames. Tier names come from BuiltinTiers.
+// An accepted topology has passed Validate.
+func ParseTopology(spec string) (Topology, error) {
+	var top Topology
+	if strings.TrimSpace(spec) == "" {
+		return top, fmt.Errorf("empty spec; want name:frames pairs like %q", "dram:1024,pm:4096")
+	}
+	for _, entry := range strings.Split(spec, ",") {
+		entry = strings.TrimSpace(entry)
+		name, frames, ok := strings.Cut(entry, ":")
+		if !ok || name == "" || frames == "" {
+			return top, fmt.Errorf("entry %q must be name:frames (or name:* for the durable tier)", entry)
+		}
+		ts, known := BuiltinTierSpec(name)
+		if !known {
+			return top, fmt.Errorf("unknown tier %q (have %s)", name, strings.Join(BuiltinTiers, ", "))
+		}
+		if frames == "*" {
+			if !ts.Durable {
+				return top, fmt.Errorf("tier %q needs a frame count; \"*\" is only for the durable tier", name)
+			}
+		} else {
+			if ts.Durable {
+				return top, fmt.Errorf("durable tier %q has no frames; write %s:*", name, name)
+			}
+			n, err := strconv.Atoi(frames)
+			if err != nil || n <= 0 {
+				return top, fmt.Errorf("tier %q needs a positive frame count, got %q", name, frames)
+			}
+			ts.Nodes = []int{n}
+		}
+		// A repeat of the previous entry's name grows that tier by one node.
+		if last := len(top.Tiers) - 1; last >= 0 && top.Tiers[last].Name == name {
+			top.Tiers[last].Nodes = append(top.Tiers[last].Nodes, ts.Nodes...)
+			continue
+		}
+		top.Tiers = append(top.Tiers, ts)
+	}
+	return top, top.Validate()
 }
 
 // Latency builds a latency model for the hierarchy: per-tier read/write

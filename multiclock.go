@@ -127,7 +127,7 @@ type Config struct {
 	// tier backed by several NUMA nodes lists each node's frame count —
 	// "dram:64,dram:64,pm:256,pm:256" is the paper's two-socket testbed
 	// shape (§V-A). Build one from mem.BuiltinTierSpec or parse the CLI
-	// -tiers syntax with cliutil.ParseTierSpec.
+	// -tiers syntax with mem.ParseTopology, the inverse of its Spec method.
 	Tiers *TierTopology
 
 	// Policy selects the tiering system; default PolicyMultiClock.

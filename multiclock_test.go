@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"multiclock/internal/cliutil"
 	"multiclock/internal/core"
+	"multiclock/internal/mem"
 )
 
 func TestNewSystemDefaults(t *testing.T) {
@@ -201,7 +201,7 @@ func TestFileCacheViaFacade(t *testing.T) {
 }
 
 func TestNUMATopologyViaFacade(t *testing.T) {
-	top, err := cliutil.ParseTierSpec("dram:64,dram:64,pm:256,pm:256")
+	top, err := mem.ParseTopology("dram:64,dram:64,pm:256,pm:256")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,8 +105,17 @@ type Graph struct {
 
 	offsets *simdata.Array[int64] // N+1
 	targets *simdata.Array[int32] // M
-	weights *simdata.Array[int32] // M, SSSP edge weights
+	// weights lays out the SSSP edge weights as M int32 slots, as GAPBS
+	// stores them; weight holds their values, a byte each on the host.
+	weights simdata.Span
+	weight  []uint8
 }
+
+// maxWeight is the largest edge weight: Build draws them from 1..maxWeight.
+const maxWeight = 255
+
+// A weight is held in one byte; this fails to compile if maxWeight outgrows it.
+const _ uint8 = maxWeight
 
 // Build constructs a CSR graph from edges, symmetrizing (every edge in
 // both directions, as GAPBS does for its synthetic graphs), sorting and
@@ -168,14 +177,16 @@ func Build(m *machine.Machine, edges []Edge, n int, seed uint64) *Graph {
 	g := &Graph{N: n, M: total, m: m, as: as}
 	g.offsets = simdata.NewArray[int64](m, as, "csr-offsets", n+1)
 	g.targets = simdata.NewArray[int32](m, as, "csr-targets", max(total, 1))
-	g.weights = simdata.NewArray[int32](m, as, "csr-weights", max(total, 1))
+	g.weights = simdata.NewSpan[int32](m, as, "csr-weights", max(total, 1))
+	g.weight = make([]uint8, g.weights.Len())
 
 	rng := sim.NewRNG(seed ^ 0x5eed)
 	for u := 0; u < n; u++ {
 		g.offsets.Set(u, int64(off[u]))
 		for pos := off[u]; pos < off[u+1]; pos++ {
 			g.targets.Set(pos, adj[pos])
-			g.weights.Set(pos, int32(rng.Intn(255))+1)
+			g.weights.Touch(pos, true)
+			g.weight[pos] = uint8(rng.Intn(maxWeight) + 1)
 		}
 	}
 	g.offsets.Set(n, int64(total))
@@ -209,7 +220,10 @@ func (g *Graph) Neighbors(u int32, fn func(v int32, edge int)) {
 }
 
 // Weight returns the weight of edge index e (simulated read).
-func (g *Graph) Weight(e int) int32 { return g.weights.Get(e) }
+func (g *Graph) Weight(e int) int32 {
+	g.weights.Touch(e, false)
+	return int32(g.weight[e])
+}
 
 // vertexArray allocates an n-vertex scratch array in the graph's space.
 func vertexArray[T any](g *Graph, name string) *simdata.Array[T] {

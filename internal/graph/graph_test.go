@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"multiclock/internal/machine"
@@ -416,4 +417,30 @@ func TestBCStarGraph(t *testing.T) {
 	if math.Abs(bc[0]-12) > 1e-9 {
 		t.Fatalf("bc[0] = %v, want 12", bc[0])
 	}
+}
+
+// The heap a built graph retains, per CSR entry, at gapbs-pr's shape. The
+// arrays alone are 8 B of offsets per vertex, 4 B of targets and 1 B of
+// weight per entry, ≈ 5.5 B per entry; the machine's page descriptors and
+// page tables for the touched pages add ≈ 0.2 B. It reads 5.7 B, and 8.7 B
+// with the weights held as int32 on the host, so the 6.5 B bound sits
+// 0.8 B above the one and 2.2 B below the other.
+func TestBuildHostFootprint(t *testing.T) {
+	cfg := GenConfig{Vertices: 96_000, Degree: 8, Kronecker: true, Seed: 5}
+	edges := GenerateEdges(cfg)
+	m := newM()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	g := Build(m, edges, cfg.Vertices, cfg.Seed)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perEntry := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(g.M)
+	t.Logf("%d CSR entries, %.2f B retained per entry", g.M, perEntry)
+	if perEntry > 6.5 {
+		t.Fatalf("the graph retains %.2f B per CSR entry, want at most 6.5", perEntry)
+	}
+	runtime.KeepAlive(g)
+	runtime.KeepAlive(edges)
+	runtime.KeepAlive(m)
 }

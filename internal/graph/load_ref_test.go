@@ -62,7 +62,16 @@ func refGenerateEdges(cfg GenConfig) []Edge {
 	return edges
 }
 
-func refBuild(m *machine.Machine, edges []Edge, n int, seed uint64) *Graph {
+// refGraph is the CSR refBuild writes: Graph's arrays as they were, the
+// weights an int32 array on the host as well as in simulated memory.
+type refGraph struct {
+	N, M    int
+	offsets *simdata.Array[int64]
+	targets *simdata.Array[int32]
+	weights *simdata.Array[int32]
+}
+
+func refBuild(m *machine.Machine, edges []Edge, n int, seed uint64) *refGraph {
 	// Symmetrize and dedupe in host memory (the builder's scratch), then
 	// stream into simulated arrays (the load phase the machine observes).
 	adj := make([][]int32, n)
@@ -87,7 +96,7 @@ func refBuild(m *machine.Machine, edges []Edge, n int, seed uint64) *Graph {
 	}
 
 	as := m.NewSpace()
-	g := &Graph{N: n, M: total, m: m, as: as}
+	g := &refGraph{N: n, M: total}
 	g.offsets = simdata.NewArray[int64](m, as, "csr-offsets", n+1)
 	g.targets = simdata.NewArray[int32](m, as, "csr-targets", max(total, 1))
 	g.weights = simdata.NewArray[int32](m, as, "csr-weights", max(total, 1))
@@ -188,27 +197,61 @@ func TestLoadPhaseMatchesReference(t *testing.T) {
 		gen(GenConfig{Vertices: 96_000, Degree: 8, Kronecker: true, Seed: 41}) // gapbs-pr's shape
 		for i, in := range inputs {
 			seed := uint64(i) // the weight stream's seed
-			gm, wm := newM(), newM()
-			got := Build(gm, in.edges, in.n, seed)
-			want := refBuild(wm, in.edges, in.n, seed)
-			if err := sameGraph(got, want); err != nil {
+			if err := buildMatchesReference(in.edges, in.n, seed); err != nil {
 				t.Fatalf("%s, seed %d: %v", in.name, seed, err)
-			}
-			if gm.Clock.Now() != wm.Clock.Now() || !reflect.DeepEqual(gm.Mem.Counters, wm.Mem.Counters) {
-				t.Fatalf("%s, seed %d: machine differs: clock %v vs %v, counters %+v vs %+v",
-					in.name, seed, gm.Clock.Now(), wm.Clock.Now(), gm.Mem.Counters, wm.Mem.Counters)
 			}
 		}
 	})
 }
 
+// FuzzBuildMatchesReference holds Build to refBuild on edge lists decoded
+// from the input: the first byte picks up to 64 vertices, each further pair
+// of bytes is an edge (self-loops, duplicates and isolated vertices occur
+// as the bytes fall).
+func FuzzBuildMatchesReference(f *testing.F) {
+	f.Add([]byte{}, uint64(0))
+	f.Add([]byte{3, 0, 1, 0, 1, 1, 0, 2, 1, 1, 2}, uint64(1))
+	f.Add([]byte{3, 2, 2, 0, 2, 2, 2, 1, 0}, uint64(2))
+	f.Add([]byte{12, 5, 9, 9, 1, 1, 5}, uint64(3))
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
+		if len(data) == 0 {
+			return
+		}
+		n := int(data[0]%64) + 1
+		var edges []Edge
+		for i := 1; i+1 < len(data); i += 2 {
+			edges = append(edges, Edge{int32(int(data[i]) % n), int32(int(data[i+1]) % n)})
+		}
+		if err := buildMatchesReference(edges, n, seed); err != nil {
+			t.Fatalf("n=%d edges=%v seed=%d: %v", n, edges, seed, err)
+		}
+	})
+}
+
+// buildMatchesReference builds edges with Build and with refBuild, each on
+// a fresh machine, and reports the first difference: a CSR value, or the
+// clock and counters that the simulated writes moved.
+func buildMatchesReference(edges []Edge, n int, seed uint64) error {
+	gm, wm := newM(), newM()
+	got := Build(gm, edges, n, seed)
+	want := refBuild(wm, edges, n, seed)
+	if err := sameGraph(got, want); err != nil {
+		return err
+	}
+	if gm.Clock.Now() != wm.Clock.Now() || !reflect.DeepEqual(gm.Mem.Counters, wm.Mem.Counters) {
+		return fmt.Errorf("machine differs: clock %v vs %v, counters %+v vs %+v",
+			gm.Clock.Now(), wm.Clock.Now(), gm.Mem.Counters, wm.Mem.Counters)
+	}
+	return nil
+}
+
 // sameGraph compares shape and every CSR value without simulated reads.
-func sameGraph(got, want *Graph) error {
+func sameGraph(got *Graph, want *refGraph) error {
 	if got.N != want.N || got.M != want.M {
 		return fmt.Errorf("n=%d m=%d, reference n=%d m=%d", got.N, got.M, want.N, want.M)
 	}
 	if got.offsets.Len() != want.offsets.Len() || got.targets.Len() != want.targets.Len() ||
-		got.weights.Len() != want.weights.Len() {
+		got.weights.Len() != want.weights.Len() || len(got.weight) != want.weights.Len() {
 		return fmt.Errorf("array lengths differ")
 	}
 	for i := 0; i < want.offsets.Len(); i++ {
@@ -220,7 +263,7 @@ func sameGraph(got, want *Graph) error {
 		if g, w := got.targets.Peek(i), want.targets.Peek(i); g != w {
 			return fmt.Errorf("targets[%d] = %d, reference %d", i, g, w)
 		}
-		if g, w := got.weights.Peek(i), want.weights.Peek(i); g != w {
+		if g, w := int32(got.weight[i]), want.weights.Peek(i); g != w {
 			return fmt.Errorf("weights[%d] = %d, reference %d", i, g, w)
 		}
 	}

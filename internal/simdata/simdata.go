@@ -15,31 +15,27 @@ import (
 	"multiclock/internal/pagetable"
 )
 
-// Array is a fixed-length vector of T in simulated memory.
-type Array[T any] struct {
+// Span is the address half of a simulated array: where its n elements live
+// in an address space and which page each falls on. It charges accesses
+// and holds no values, so a caller may keep them narrower on the host than
+// the simulated layout (graph weights are int32 slots held as bytes).
+type Span struct {
 	m    *machine.Machine
 	as   *pagetable.AddressSpace
 	base pagetable.VPN
 	// shift is log2 of the elements a page holds: element i lives on page
-	// i>>shift of the array.
+	// i>>shift of the span.
 	shift uint
-	data  []T
+	n     int
 }
 
-// NewArray allocates an n-element array in the address space, reserving the
-// exact number of pages (demand faulted). T's size must be a power of two
-// no larger than a page, so that elements never straddle a page.
-func NewArray[T any](m *machine.Machine, as *pagetable.AddressSpace, name string, n int) *Array[T] {
-	return newArray[T](m, as, name, n, false)
+// NewSpan reserves the pages of an n-element array of T in the address
+// space (demand faulted), laid out as NewArray lays out an Array[T].
+func NewSpan[T any](m *machine.Machine, as *pagetable.AddressSpace, name string, n int) Span {
+	return newSpan[T](m, as, name, n, false)
 }
 
-// NewArrayHuge is NewArray with transparent-huge-page backing (the
-// madvise(MADV_HUGEPAGE) a tuned graph framework would issue for its CSR).
-func NewArrayHuge[T any](m *machine.Machine, as *pagetable.AddressSpace, name string, n int) *Array[T] {
-	return newArray[T](m, as, name, n, true)
-}
-
-func newArray[T any](m *machine.Machine, as *pagetable.AddressSpace, name string, n int, huge bool) *Array[T] {
+func newSpan[T any](m *machine.Machine, as *pagetable.AddressSpace, name string, n int, huge bool) Span {
 	if n <= 0 {
 		panic("simdata: empty array")
 	}
@@ -48,52 +44,60 @@ func newArray[T any](m *machine.Machine, as *pagetable.AddressSpace, name string
 	if size == 0 || size > mem.PageSize || size&(size-1) != 0 {
 		panic(fmt.Sprintf("simdata: element type %T is %d bytes; the size must be a power of two no larger than a page (%d)", zero, size, mem.PageSize))
 	}
-	a := &Array[T]{
-		m:     m,
-		as:    as,
-		shift: uint(bits.TrailingZeros(uint(mem.PageSize / size))),
-		data:  make([]T, n),
-	}
-	npages := a.Pages()
+	s := Span{m: m, as: as, shift: uint(bits.TrailingZeros(uint(mem.PageSize / size))), n: n}
 	var vma *pagetable.VMA
 	if huge {
-		vma = as.MmapHuge(npages, name)
+		vma = as.MmapHuge(s.Pages(), name)
 	} else {
-		vma = as.Mmap(npages, false, name)
+		vma = as.Mmap(s.Pages(), false, name)
 	}
-	a.base = vma.Start
-	return a
+	s.base = vma.Start
+	return s
 }
 
 // Len returns the element count.
-func (a *Array[T]) Len() int { return len(a.data) }
+func (s *Span) Len() int { return s.n }
 
 // Pages returns the page footprint.
-func (a *Array[T]) Pages() int { return (len(a.data) + 1<<a.shift - 1) >> a.shift }
+func (s *Span) Pages() int { return (s.n + 1<<s.shift - 1) >> s.shift }
+
+// Touch charges the simulated access to element i.
+func (s *Span) Touch(i int, write bool) {
+	s.m.Access(s.as, s.base+pagetable.VPN(i>>s.shift), write)
+}
+
+// Array is a fixed-length vector of T in simulated memory: a Span and the
+// values it lays out.
+type Array[T any] struct {
+	Span
+	data []T
+}
+
+// NewArray allocates an n-element array in the address space, reserving the
+// exact number of pages (demand faulted). T's size must be a power of two
+// no larger than a page, so that elements never straddle a page.
+func NewArray[T any](m *machine.Machine, as *pagetable.AddressSpace, name string, n int) *Array[T] {
+	return &Array[T]{Span: newSpan[T](m, as, name, n, false), data: make([]T, n)}
+}
+
+// NewArrayHuge is NewArray with transparent-huge-page backing (the
+// madvise(MADV_HUGEPAGE) a tuned graph framework would issue for its CSR).
+func NewArrayHuge[T any](m *machine.Machine, as *pagetable.AddressSpace, name string, n int) *Array[T] {
+	return &Array[T]{Span: newSpan[T](m, as, name, n, true), data: make([]T, n)}
+}
 
 // Get reads element i, charging the simulated access.
 func (a *Array[T]) Get(i int) T {
-	a.m.Access(a.as, a.base+pagetable.VPN(i>>a.shift), false)
+	a.Touch(i, false)
 	return a.data[i]
 }
 
 // Set writes element i, charging the simulated access.
 func (a *Array[T]) Set(i int, v T) {
-	a.m.Access(a.as, a.base+pagetable.VPN(i>>a.shift), true)
+	a.Touch(i, true)
 	a.data[i] = v
 }
 
 // Peek reads element i without a simulated access; for bookkeeping that a
 // real program would keep in registers/cache (e.g. loop bounds just read).
 func (a *Array[T]) Peek(i int) T { return a.data[i] }
-
-// Poke writes element i without a simulated access (initialization outside
-// the measured region).
-func (a *Array[T]) Poke(i int, v T) { a.data[i] = v }
-
-// Fill sets every element with simulated writes (sequential touch).
-func (a *Array[T]) Fill(v T) {
-	for i := range a.data {
-		a.Set(i, v)
-	}
-}

@@ -70,30 +70,18 @@ func TestArrayChargesAccesses(t *testing.T) {
 	}
 }
 
-func TestPeekPokeAreFree(t *testing.T) {
+func TestPeekIsFree(t *testing.T) {
 	m := newM()
 	as := m.NewSpace()
 	a := NewArray[int32](m, as, "a", 10)
+	a.Set(3, 9)
 	before := m.Mem.Counters.TotalAccesses()
 	now := m.Clock.Now()
-	a.Poke(3, 9)
 	if a.Peek(3) != 9 {
-		t.Fatal("peek/poke")
+		t.Fatal("peek")
 	}
 	if m.Mem.Counters.TotalAccesses() != before || m.Clock.Now() != now {
-		t.Fatal("peek/poke charged the simulation")
-	}
-}
-
-func TestFill(t *testing.T) {
-	m := newM()
-	as := m.NewSpace()
-	a := NewArray[int32](m, as, "a", 100)
-	a.Fill(3)
-	for i := 0; i < 100; i++ {
-		if a.Peek(i) != 3 {
-			t.Fatal("fill")
-		}
+		t.Fatal("peek charged the simulation")
 	}
 }
 
@@ -154,10 +142,12 @@ func TestArrayRejectsNonPowerOfTwoElements(t *testing.T) {
 	NewArray[[3]byte](m, as, "x", 10)
 }
 
-// Every power-of-two size up to a page packs PageSize/size elements a page.
+// Every power-of-two size up to a page packs PageSize/size elements a page,
+// in a Span as in an Array.
 func TestArrayPagesPerElementSize(t *testing.T) {
 	m := newM()
 	as := m.NewSpace()
+	span := NewSpan[int16](m, as, "s", 4097)
 	for _, c := range []struct {
 		pages int
 		a     interface{ Pages() int }
@@ -167,6 +157,7 @@ func TestArrayPagesPerElementSize(t *testing.T) {
 		{2, NewArray[int16](m, as, "h", 4096)},
 		{3, NewArray[[16]byte](m, as, "x", 513)},
 		{5, NewArray[[4096]byte](m, as, "p", 5)},
+		{3, &span},
 	} {
 		if got := c.a.Pages(); got != c.pages {
 			t.Errorf("%T: %d pages, want %d", c.a, got, c.pages)

@@ -112,23 +112,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *exp == "all" {
 		names = append(bench.Names(), "table2")
 	}
-	tasks := make([]runner.Task[string], 0, len(names))
-	for _, name := range names {
-		name := name
-		tasks = append(tasks, runner.Task[string]{Name: name, Fn: func() (string, error) {
-			if name == "table2" {
-				return table2()
-			}
-			return bench.Run(name, opt)
-		}})
-	}
 
-	// Experiments are scheduled across the same worker budget as their
-	// inner cells; output streams to stdout in presentation order as each
-	// head-of-line experiment completes. A failing experiment does not
-	// abort the batch: the error prints inline and the rest keep going.
+	// Output streams in presentation order; a failing experiment prints its
+	// error inline and the rest keep going.
 	failed := 0
-	runner.Stream(opt.Parallel, stderr, tasks, func(_ int, r runner.TaskResult[string]) {
+	bench.Stream(names, opt, stderr, func(_ int, r runner.TaskResult[string]) {
 		expExperimentsDone.Add(1)
 		if r.Err != nil {
 			failed++
@@ -142,21 +130,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if failed > 0 {
-		fmt.Fprintf(stderr, "mcbench: %d of %d experiments failed\n", failed, len(tasks))
+		fmt.Fprintf(stderr, "mcbench: %d of %d experiments failed\n", failed, len(names))
 		return 1
 	}
 	return 0
-}
-
-// table2 locates the module root and renders the package inventory.
-func table2() (string, error) {
-	wd, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	root, err := bench.FindModuleRoot(wd)
-	if err != nil {
-		return "", err
-	}
-	return bench.Table2(root)
 }

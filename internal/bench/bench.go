@@ -18,14 +18,17 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 
 	"multiclock/internal/core"
 	"multiclock/internal/fault"
 	"multiclock/internal/machine"
+	"multiclock/internal/mem"
 	"multiclock/internal/metrics"
 	"multiclock/internal/policy"
+	"multiclock/internal/runner"
 	"multiclock/internal/sim"
 )
 
@@ -40,12 +43,12 @@ type Options struct {
 	// runs; Full reproduces the paper-scale interval of 1 s.
 	Quick bool
 	Seed  uint64
-	// Parallel is the maximum number of simulated machines in flight at
-	// once within an experiment. 0 and 1 both mean sequential; negative
-	// means GOMAXPROCS. Each sub-run (system×workload cell) is an
-	// independent single-threaded machine, so output is byte-identical
-	// at every setting: cells are scheduled across goroutines but their
-	// results reassemble in presentation order.
+	// Parallel is the maximum number of experiments, and of simulated
+	// machines within each, in flight at once. 0 and 1 both mean
+	// sequential; negative means GOMAXPROCS. Each cell (one system's run
+	// of one experiment) is an independent single-threaded machine, so
+	// output is byte-identical at every setting: cells are scheduled
+	// across goroutines but their results reassemble in presentation order.
 	Parallel int
 	// Chaos configures deterministic fault injection on every machine the
 	// experiment builds. The zero value disables injection entirely and
@@ -66,6 +69,10 @@ type Options struct {
 	// build. Callers validate the spec up front; building a machine panics
 	// on a bad one.
 	Tiers string
+
+	// cache holds the cells of one Stream call. Stream makes a fresh one
+	// unless the caller (a test sharing cells across tests) brings its own.
+	cache *cellCache
 }
 
 // workers resolves Parallel for runner.Map.
@@ -152,15 +159,7 @@ type scale struct {
 	RunConfig
 	// Window is the telemetry window (the paper's 20 s = 20 intervals).
 	Window sim.Duration
-	// Graph scale for the GAPBS experiments (their memory is sized
-	// separately so the CSR exceeds DRAM like the paper's graphs do).
-	GraphVertices  int
-	GraphDegree    int
-	GraphDRAMPages int
-	GraphPMPages   int
-	PRIters        int
-	BFSTrials      int
-	BCSources      int
+	Graph  graphScale
 	// Pool and Prefix thread the Options telemetry pool through to each
 	// cell; collectors are claimed under Prefix+cell labels. Both must be
 	// set for a cell to instrument itself.
@@ -168,18 +167,16 @@ type scale struct {
 	Prefix string
 }
 
-// machine builds one cell's machine: the template under the named system.
-// Experiments name their systems and validate their tier spec up front, so
-// a failure here is a bug.
-func (sc scale) machine(system string) *machine.Machine {
-	p, err := NewPolicy(system, sc.Interval)
-	if err != nil {
-		panic(err)
-	}
-	return sc.machineWith(p)
+// graphScale sizes the GAPBS experiments. Their memory is sized separately
+// so the CSR exceeds DRAM like the paper's graphs do.
+type graphScale struct {
+	Vertices, Degree              int
+	DRAMPages, PMPages            int
+	PRIters, BFSTrials, BCSources int
 }
 
-// machineWith builds one cell's machine around a custom-configured policy.
+// machineWith builds a machine of the template around p. Experiments
+// validate their tier spec up front, so a failure here is a bug.
 func (sc scale) machineWith(p machine.Policy) *machine.Machine {
 	m, err := sc.MachineWith(p)
 	if err != nil {
@@ -188,16 +185,14 @@ func (sc scale) machineWith(p machine.Policy) *machine.Machine {
 	return m
 }
 
-// instrument claims a collector labeled sc.Prefix+label from the pool and
-// attaches it and the template's sinks to m. The sinks export at
-// pool-snapshot time, after the cell's machine has quiesced. No-op (and no
-// allocation) when the experiment carries no pool or no prefix.
-func (sc scale) instrument(m *machine.Machine, label string) {
-	if sc.Pool == nil || sc.Prefix == "" {
+// instrument claims a collector labeled label from pool and attaches it and
+// the sinks to m. The sinks export at pool-snapshot time, after the
+// machine has quiesced. No-op (and no allocation) without a pool.
+func instrument(pool *metrics.Pool, sinks Sinks, m *machine.Machine, label string) {
+	if pool == nil {
 		return
 	}
-	full := sc.Prefix + label
-	sc.Pool.Decorate(full, sc.Sinks.Attach(m, sc.Pool.Collector(full)))
+	pool.Decorate(label, sinks.Attach(m, pool.Collector(label)))
 }
 
 // scale builds the template once: full-scale sizing, shrunk ~10× in op
@@ -211,15 +206,15 @@ func (o Options) scale() scale {
 			DRAMPages: 1024, PMPages: 24_576, Tiers: o.Tiers,
 			Interval: 10 * sim.Millisecond, Seed: o.Seed, Chaos: o.Chaos, Sinks: o.Sinks,
 		},
-		Window:        200 * sim.Millisecond,
-		GraphVertices: 96_000, GraphDegree: 8, GraphDRAMPages: 1024, GraphPMPages: 16_384,
-		PRIters: 5, BFSTrials: 3, BCSources: 8,
+		Window: 200 * sim.Millisecond,
+		Graph: graphScale{Vertices: 96_000, Degree: 8, DRAMPages: 1024, PMPages: 16_384,
+			PRIters: 5, BFSTrials: 3, BCSources: 8},
 		Pool: o.Metrics,
 	}
 	if o.Quick {
 		sc.Records, sc.Ops, sc.PMPages = 16_000, 120_000, 8192
-		sc.GraphVertices, sc.GraphDegree, sc.GraphDRAMPages, sc.GraphPMPages = 48_000, 6, 512, 8192
-		sc.PRIters, sc.BFSTrials, sc.BCSources = 3, 2, 6
+		sc.Graph = graphScale{Vertices: 48_000, Degree: 6, DRAMPages: 512, PMPages: 8192,
+			PRIters: 3, BFSTrials: 2, BCSources: 6}
 	}
 	return sc
 }
@@ -231,45 +226,71 @@ func stopDaemons(p machine.Policy) {
 	}
 }
 
-// Experiments maps experiment ids to their runners, for the CLI.
-var Experiments = map[string]func(Options) string{
-	"fig1":                 Fig1,
-	"fig2":                 Fig2,
+// experiments maps experiment ids to their runners. A runner that shares
+// runs with others builds them as cells (Options.run); figs. 1 and 2, table1
+// and ablation-write repeat no run and drive their own machines.
+var experiments = map[string]func(Options) string{
+	"fig1":                 fig1,
+	"fig2":                 fig2,
 	"table1":               func(Options) string { return Table1() },
-	"fig5":                 Fig5,
-	"fig6":                 Fig6,
-	"fig7":                 Fig7,
-	"fig8":                 Fig8,
-	"fig9":                 Fig9,
-	"fig10":                Fig10,
-	"ablation-promote":     AblationPromoteList,
-	"ablation-batch":       AblationScanBatch,
-	"ablation-ratio":       AblationDRAMRatio,
-	"ablation-write":       AblationWriteAware,
-	"ablation-amp":         AblationAMP,
-	"ablation-granularity": AblationGranularity,
-	"ablation-thp":         AblationTHP,
-	"ablation-multiproc":   AblationMultiProc,
-	"bakeoff":              Bakeoff,
+	"fig5":                 fig5,
+	"fig6":                 fig6,
+	"fig7":                 fig7,
+	"fig8":                 fig8,
+	"fig9":                 fig9,
+	"fig10":                fig10,
+	"ablation-promote":     ablationPromoteList,
+	"ablation-batch":       ablationScanBatch,
+	"ablation-ratio":       ablationDRAMRatio,
+	"ablation-write":       ablationWriteAware,
+	"ablation-amp":         ablationAMP,
+	"ablation-granularity": ablationGranularity,
+	"ablation-thp":         ablationTHP,
+	"ablation-multiproc":   ablationMultiProc,
+	"bakeoff":              bakeoff,
 }
 
 // Names returns the experiment ids in sorted order.
 func Names() []string {
-	out := make([]string, 0, len(Experiments))
-	for k := range Experiments {
+	out := make([]string, 0, len(experiments))
+	for k := range experiments {
 		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Run executes one experiment by id.
-func Run(name string, opt Options) (string, error) {
-	fn, ok := Experiments[name]
-	if !ok {
-		return "", fmt.Errorf("bench: unknown experiment %q (have %s)", name, strings.Join(Names(), ", "))
+// Stream runs the named experiments through one cell cache, so a run that
+// several of them read is computed once. The experiments share opt's
+// worker budget with their cells. emit is called on the caller's goroutine
+// in name order as each experiment finishes; progress gets one line per
+// experiment as it finishes (nil silences it). A failing experiment, an
+// unknown name included, reports its error and the rest still run.
+// "table2" renders the inventory of the module above the working directory.
+func Stream(names []string, opt Options, progress io.Writer, emit func(i int, r runner.TaskResult[string])) {
+	if opt.cache == nil {
+		opt.cache = new(cellCache)
 	}
-	return fn(opt), nil
+	tasks := make([]runner.Task[string], len(names))
+	for i, name := range names {
+		tasks[i] = runner.Task[string]{Name: name, Fn: func() (string, error) {
+			if name == "table2" {
+				return table2()
+			}
+			fn, ok := experiments[name]
+			if !ok {
+				return "", fmt.Errorf("bench: unknown experiment %q (have %s)", name, strings.Join(Names(), ", "))
+			}
+			return fn(opt), nil
+		}}
+	}
+	runner.Stream(opt.workers(), progress, tasks, emit)
+}
+
+// Run executes one experiment by id: Stream with a single name.
+func Run(name string, opt Options) (out string, err error) {
+	Stream([]string{name}, opt, nil, func(_ int, r runner.TaskResult[string]) { out, err = r.Value, r.Err })
+	return out, err
 }
 
 // Table1 prints the qualitative technique-comparison matrix (paper
@@ -294,9 +315,8 @@ multiclock  reference bit       recency+frequency   recency    yes   none       
 	return b.String()
 }
 
-// tierCounters summarizes where accesses landed (used in several reports).
-func tierSummary(m *machine.Machine) string {
-	c := &m.Mem.Counters
+// tierSummary summarizes where accesses landed (used in several reports).
+func tierSummary(c *mem.Counters) string {
 	return fmt.Sprintf("DRAM-hit=%.1f%% promos=%d demos=%d hintfaults=%d swaps=%d",
 		100*c.DRAMHitRatio(), c.Promotions, c.Demotions, c.HintFaults, c.SwapOuts)
 }

@@ -6,7 +6,6 @@ import (
 
 	"multiclock/internal/graph"
 	"multiclock/internal/machine"
-	"multiclock/internal/runner"
 	"multiclock/internal/sim"
 	"multiclock/internal/stats"
 )
@@ -17,9 +16,9 @@ var gapbsKernels = []string{"BFS", "SSSP", "PR", "CC", "BC", "TC"}
 // runKernel executes one GAPBS kernel for the given number of trials and
 // returns the mean virtual execution time per trial, which is what GAPBS
 // reports (§V-B: "the average execution time taken per trial").
-func runKernel(m *machine.Machine, g *graph.Graph, kernel string, sc scale) sim.Duration {
-	rng := sim.NewRNG(sc.Seed ^ 0xbadc)
-	trials := sc.BFSTrials
+func runKernel(m *machine.Machine, g *graph.Graph, kernel string, seed uint64, gs graphScale) sim.Duration {
+	rng := sim.NewRNG(seed ^ 0xbadc)
+	trials := gs.BFSTrials
 	var total sim.Duration
 	run := func(body func()) {
 		m.AbsorbTax() // bill load-phase daemon work to the load, not the trial
@@ -40,13 +39,13 @@ func runKernel(m *machine.Machine, g *graph.Graph, kernel string, sc scale) sim.
 		}
 	case "PR":
 		trials = 1
-		run(func() { g.PageRank(sc.PRIters) })
+		run(func() { g.PageRank(gs.PRIters) })
 	case "CC":
 		trials = 1
 		run(func() { g.CC() })
 	case "BC":
 		trials = 1
-		sources := make([]int32, sc.BCSources)
+		sources := make([]int32, gs.BCSources)
 		for i := range sources {
 			sources[i] = int32(rng.Intn(g.N))
 		}
@@ -60,66 +59,44 @@ func runKernel(m *machine.Machine, g *graph.Graph, kernel string, sc scale) sim.
 	return total / sim.Duration(trials)
 }
 
-// gapbsKernelTime builds a fresh system, loads the graph, runs one kernel,
-// and returns its mean trial time in virtual seconds.
-func gapbsKernelTime(sc scale, system, kernel string) float64 {
-	gsc := sc
-	gsc.DRAMPages = sc.GraphDRAMPages
-	gsc.PMPages = sc.GraphPMPages
-	m := gsc.machine(system)
-	g := graph.Generate(m, graph.GenConfig{
-		Vertices:  sc.GraphVertices,
-		Degree:    sc.GraphDegree,
-		Kronecker: true,
-		Seed:      sc.Seed,
-	})
-	t := runKernel(m, g, kernel, sc)
-	stopDaemons(m.Policy)
-	return t.Seconds()
+// kernelCell is the cell that runs kernel under system on the template's
+// graph.
+func kernelCell(sc scale, system, kernel string) cell {
+	c := sc.cell(kindKernel, system)
+	c.kernel = kernel
+	return c
 }
 
-// Fig6 regenerates the GAPBS comparison: execution time of all six kernels
+// fig6 regenerates the GAPBS comparison: execution time of all six kernels
 // under every tiered system, normalized to static tiering (lower is
 // better).
-func Fig6(opt Options) string {
-	sc := opt.scale()
-	// 30 independent cells: every system×kernel pair builds and loads its
-	// own graph machine.
-	type fig6Cell struct {
-		system, kernel string
-	}
-	var cellDefs []fig6Cell
+func fig6(o Options) string {
+	sc := o.scale()
+	// One cell per system×kernel pair; each loads its own graph machine.
+	var cells []cell
 	for _, system := range SystemNames {
 		for _, k := range gapbsKernels {
-			cellDefs = append(cellDefs, fig6Cell{system, k})
+			cells = append(cells, kernelCell(sc, system, k))
 		}
 	}
-	times := runner.Map(opt.workers(), cellDefs, func(_ int, c fig6Cell) float64 {
-		return gapbsKernelTime(sc, c.system, c.kernel)
-	})
-	results := map[string]map[string]float64{}
-	for i, c := range cellDefs {
-		if results[c.system] == nil {
-			results[c.system] = map[string]float64{}
-		}
-		results[c.system][c.kernel] = times[i]
-	}
+	res := o.run(cells)
+	// seconds returns the trial time of system (by index) on kernel k.
+	seconds := func(system, k int) float64 { return res[system*len(gapbsKernels)+k].seconds }
 	tb := stats.NewTable(
 		"Fig. 6 — GAPBS execution time normalized to static tiering (lower is better)",
 		append([]string{"kernel"}, SystemNames...)...)
-	for _, k := range gapbsKernels {
-		base := results["static"][k]
-		row := []string{k}
-		for _, system := range SystemNames {
-			row = append(row, fmt.Sprintf("%.3f", safeDiv(results[system][k], base)))
+	for k, kernel := range gapbsKernels {
+		row := []string{kernel}
+		for s := range SystemNames {
+			row = append(row, fmt.Sprintf("%.3f", safeDiv(seconds(s, k), seconds(0, k))))
 		}
 		tb.AddRow(row...)
 	}
 	var b strings.Builder
 	b.WriteString(tb.String())
 	b.WriteString("\nabsolute static trial time (s): ")
-	for _, k := range gapbsKernels {
-		fmt.Fprintf(&b, "%s=%.3f ", k, results["static"][k])
+	for k, kernel := range gapbsKernels {
+		fmt.Fprintf(&b, "%s=%.3f ", kernel, seconds(0, k))
 	}
 	b.WriteString("\nexpected shape: gains smaller than YCSB — the graph's hot data is " +
 		"allocated first and already DRAM-resident (§V-C.1)\n")

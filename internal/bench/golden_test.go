@@ -59,7 +59,7 @@ func goldenYCSB(sc scale, system string, huge bool, workloads []ycsb.Workload) s
 		panic(err)
 	}
 	m := sc.machineWith(p)
-	sc.instrument(m, label)
+	instrument(sc.Pool, sc.Sinks, m, sc.Prefix+label)
 	storeCfg := kvstore.DefaultConfig(int(sc.Records))
 	storeCfg.ItemTouches = 8
 	storeCfg.HugeArena = huge
@@ -90,7 +90,7 @@ func goldenGAPBS(sc scale, system string) string {
 	gsc.DRAMPages = 256
 	gsc.PMPages = 2048
 	m := gsc.machineWith(p)
-	sc.instrument(m, system+"-pr")
+	instrument(sc.Pool, sc.Sinks, m, sc.Prefix+system+"-pr")
 	g := graph.Generate(m, graph.GenConfig{Vertices: 4000, Degree: 4, Kronecker: true, Seed: 1})
 	m.AbsorbTax()
 	start := m.Clock.Now()
@@ -114,7 +114,7 @@ func goldenPattern(sc scale, system string) string {
 	gsc.DRAMPages = 256
 	gsc.PMPages = 2048
 	m := gsc.machineWith(p)
-	sc.instrument(m, system+"-pattern")
+	instrument(sc.Pool, sc.Sinks, m, sc.Prefix+system+"-pattern")
 	as := m.NewSpace()
 	runPattern(m, as, patterns[0], 100*sim.Millisecond, 7)
 	var b strings.Builder
@@ -364,28 +364,42 @@ func TestGoldenAccessEngine(t *testing.T) {
 // TestGoldenExperiments pins the stdout of every registered experiment at
 // quick scale and seed 1, one "== name ==" block each, so a refactor of the
 // run layer can be proven not to move a printed figure. (table2 counts
-// source lines and is not registered.) Regenerate only for intentional
-// behaviour changes:
+// source lines and is not registered.) The experiments run through one cell
+// cache, which then becomes the one the shape tests read; the test pins how
+// many cells they ask for and how many are distinct. Regenerate only for
+// intentional behaviour changes:
 //
 //	go test ./internal/bench -run TestGoldenExperiments -update-golden
 func TestGoldenExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	t.Parallel()
-	names := Names()
-	outs := runner.Map(-1, names, func(_ int, name string) string {
-		out, err := Run(name, Options{Quick: true, Seed: 1})
-		if err != nil {
-			panic(err)
-		}
-		return out
-	})
+	cc := new(cellCache)
+	o := quickAt(1)
+	o.cache = cc
 	var b strings.Builder
-	for i, name := range names {
-		fmt.Fprintf(&b, "== %s ==\n%s\n", name, outs[i])
-	}
+	Stream(Names(), o, nil, func(_ int, r runner.TaskResult[string]) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Name, r.Err)
+		}
+		fmt.Fprintf(&b, "== %s ==\n%s\n", r.Name, r.Value)
+	})
 	checkGolden(t, "golden_experiments.txt", []byte(b.String()))
+	testCells = cc
+
+	// 96 machine runs are asked for, 80 of them distinct. The 16 repeats:
+	// static, multiclock and nimble's YCSB sequence (fig5, bakeoff); the
+	// tracked multiclock and nimble sequence (fig8, fig9); cold workload A
+	// under static four more times and default multiclock five more
+	// (ablation-promote, -batch's 1024, -amp, -granularity, -thp's base
+	// cell, -ratio's 1:8); static and multiclock PageRank (fig6, fig7).
+	// Every kernel cell asks for its edge list; one recipe serves them all.
+	if n, d := cc.cells.requests, len(cc.cells.entries); n != 96 || d != 80 {
+		t.Errorf("cells: %d requested, %d computed; want 96 and 80", n, d)
+	}
+	if n, d := cc.edges.requests, len(cc.edges.entries); n != 31 || d != 1 {
+		t.Errorf("edge lists: %d requested, %d computed; want 31 and 1", n, d)
+	}
 }
 
 var _ = machine.DefaultConfig

@@ -67,6 +67,19 @@ func Table2(root string) (string, error) {
 	return b.String(), nil
 }
 
+// table2 renders Table2 for the module above the working directory.
+func table2() (string, error) {
+	wd, err := os.Getwd()
+	if err != nil {
+		return "", err
+	}
+	root, err := FindModuleRoot(wd)
+	if err != nil {
+		return "", err
+	}
+	return Table2(root)
+}
+
 // FindModuleRoot walks up from dir to the directory containing go.mod.
 func FindModuleRoot(dir string) (string, error) {
 	abs, err := filepath.Abs(dir)

@@ -7,6 +7,7 @@ import (
 	"multiclock/internal/machine"
 	"multiclock/internal/mem"
 	"multiclock/internal/pagetable"
+	"multiclock/internal/policy"
 	"multiclock/internal/runner"
 	"multiclock/internal/sim"
 	"multiclock/internal/stats"
@@ -294,16 +295,16 @@ func (w *windowFreq) result() windowFreqResult {
 	return r
 }
 
-// Fig1 regenerates the motivation heatmaps: access frequency of 50 sampled
+// fig1 regenerates the motivation heatmaps: access frequency of 50 sampled
 // pages over time for the four workload patterns (RUBiS, SPECpower, xalan,
 // lusearch analogues — see the substitution note on pattern). Each pattern
 // runs on its own machine, so the four render in parallel.
-func Fig1(opt Options) string {
+func fig1(opt Options) string {
 	sc := opt.scale()
 	duration := 20 * sc.Interval
 	sections := runner.Map(opt.workers(), patterns, func(_ int, preset pattern) string {
 		p := scalePattern(preset, duration)
-		m := sc.machine("static")
+		m := sc.machineWith(policy.NewStatic())
 		as := m.NewSpace()
 
 		// Pre-plan the sample rows: the pattern VMA is the first mapping
@@ -331,15 +332,15 @@ func Fig1(opt Options) string {
 	return b.String()
 }
 
-// Fig2 regenerates the observation/performance window frequency analysis:
+// fig2 regenerates the observation/performance window frequency analysis:
 // pages accessed multiple times in an observation window are accessed far
 // more in the following performance window than single-access pages.
-func Fig2(opt Options) string {
+func fig2(opt Options) string {
 	sc := opt.scale()
 	duration := 24 * sc.Interval
 	rows := runner.Map(opt.workers(), patterns, func(_ int, preset pattern) []string {
 		p := scalePattern(preset, duration)
-		m := sc.machine("static")
+		m := sc.machineWith(policy.NewStatic())
 		as := m.NewSpace()
 		wf := newWindowFreq(2*sc.Interval, 2*sc.Interval)
 		m.Attach(wf)

@@ -3,13 +3,13 @@ package bench
 import (
 	"fmt"
 
+	"multiclock/internal/machine"
 	"multiclock/internal/pagetable"
-	"multiclock/internal/runner"
 	"multiclock/internal/sim"
 	"multiclock/internal/stats"
 )
 
-// AblationMultiProc reproduces §II-D's motivating scenario for dynamic
+// ablationMultiProc reproduces §II-D's motivating scenario for dynamic
 // tiering: two processes race for DRAM. The early process allocates first
 // and wins the fast tier; the late process's equally hot working set lands
 // in PM. Under static tiering the loser is stuck for its lifetime
@@ -17,14 +17,9 @@ import (
 // dynamic policy should converge both processes toward similar
 // performance. Reported: per-process throughput and the fairness ratio
 // (late/early), per policy.
-func AblationMultiProc(opt Options) string {
-	sc := opt.scale()
+func ablationMultiProc(o Options) string {
 	systems := []string{"static", "nimble", "multiclock"}
-	type raceRes struct{ early, late float64 }
-	cells := runner.Map(opt.workers(), systems, func(_ int, system string) raceRes {
-		early, late := multiProcRun(sc, system)
-		return raceRes{early, late}
-	})
+	cells := o.run(o.scale().cells(kindRace, systems...))
 	tb := stats.NewTable(
 		"Ablation — two-process DRAM allocation race (§II-D motivation)",
 		"policy", "early proc (ops/s)", "late proc (ops/s)", "late/early")
@@ -39,12 +34,11 @@ func AblationMultiProc(opt Options) string {
 		"promotes its hot set and restores fairness\n"
 }
 
-// multiProcRun: process A allocates and heats its working set first;
-// process B arrives after DRAM is taken. Both then run identical skewed
-// loops; their throughputs are measured over the same virtual span by
-// interleaving operations.
-func multiProcRun(sc scale, system string) (early, late float64) {
-	m := sc.machine(system)
+// runRace: process A allocates and heats its working set first; process B
+// arrives after DRAM is taken. Both then run identical skewed loops of
+// opCount/4 operations each; their throughputs are measured over the same
+// virtual span by interleaving operations.
+func runRace(m *machine.Machine, opCount int64, seed uint64) (early, late float64) {
 
 	const wset = 960 // pages per process; the early process alone ≈ DRAM
 	procA := m.NewSpace()
@@ -61,7 +55,7 @@ func multiProcRun(sc scale, system string) (early, late float64) {
 		m.Access(procB, vb.Start+pagetable.VPN(i), false)
 	}
 
-	rng := sim.NewRNG(sc.Seed ^ 0x2e)
+	rng := sim.NewRNG(seed ^ 0x2e)
 	// The hot quarter is striped across the whole working set so its
 	// placement follows the allocation race, not page order.
 	hot := func(r *sim.RNG) int {
@@ -73,7 +67,7 @@ func multiProcRun(sc scale, system string) (early, late float64) {
 
 	// Interleave both processes' identical workloads; measure after a
 	// warmup half.
-	ops := int(sc.Ops / 4)
+	ops := int(opCount / 4)
 	run := func(measure bool) (ta, tb sim.Duration) {
 		for i := 0; i < ops; i++ {
 			start := m.Clock.Now()
@@ -91,7 +85,6 @@ func multiProcRun(sc scale, system string) (early, late float64) {
 	}
 	run(false) // warmup
 	ta, tbd := run(true)
-	stopDaemons(m.Policy)
 	if ta > 0 {
 		early = float64(ops) / ta.Seconds()
 	}

@@ -17,7 +17,7 @@ import (
 func runFig10Observed(t *testing.T, parallel int) (string, []byte) {
 	t.Helper()
 	pool := metrics.NewPool(0)
-	out := Fig10(Options{
+	out := mustRun(t, "fig10", Options{
 		Quick: true, Seed: 1, Parallel: parallel,
 		Metrics: pool,
 		Sinks:   Sinks{Series: 10 * sim.Millisecond, Lifecycle: 64},
@@ -72,7 +72,7 @@ func TestObservabilityDoesNotMoveTheReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
-	plain := Fig10(Options{Quick: true, Seed: 1, Parallel: 4})
+	plain := mustRun(t, "fig10", Options{Quick: true, Seed: 1, Parallel: 4})
 	observed, _ := runFig10Observed(t, 4)
 	if plain != observed {
 		t.Fatal("enabling observability changed the fig10 report")
@@ -91,7 +91,7 @@ func runFig10ChaosTraced(t *testing.T, parallel int) ([]byte, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Fig10(Options{
+	mustRun(t, "fig10", Options{
 		Quick: true, Seed: 1, Parallel: parallel,
 		Chaos:   fault.UniformRate(42, 0.05),
 		Metrics: pool,
@@ -168,10 +168,9 @@ func TestChaosTimelineGolden(t *testing.T) {
 }
 
 // TestInstrumentRequiresPool: Series/Lifecycle without a pool are inert —
-// scale.instrument must not panic or allocate samplers for uninstrumented
-// cells.
+// an uninstrumented run must not panic or allocate samplers.
 func TestInstrumentRequiresPool(t *testing.T) {
-	out := Fig2(Options{Quick: true, Seed: 1, Sinks: Sinks{Series: 10 * sim.Millisecond, Lifecycle: 1}})
+	out := fig2(Options{Quick: true, Seed: 1, Sinks: Sinks{Series: 10 * sim.Millisecond, Lifecycle: 1}})
 	if !strings.Contains(out, "fig2") && len(out) == 0 {
 		t.Fatal("fig2 with orphan observability flags produced nothing")
 	}

@@ -16,19 +16,13 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 	// Fig5 fans out per system (the Fig. 5/6 cell pattern the runner was
 	// built for); Fig10 fans out a 13-cell interval sweep; Bakeoff fans out
 	// the competitor-policy set (nomad, s3fifo, the gated daemons).
-	for _, exp := range []struct {
-		name string
-		fn   func(Options) string
-	}{
-		{"fig5", Fig5},
-		{"fig10", Fig10},
-		{"bakeoff", Bakeoff},
-	} {
-		exp := exp
-		t.Run(exp.name, func(t *testing.T) {
+	// Each Run computes its cells in a fresh cache, so the two sides are
+	// two real computations.
+	for _, name := range []string{"fig5", "fig10", "bakeoff"} {
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			seq := exp.fn(Options{Quick: true, Seed: 1, Parallel: 1})
-			par := exp.fn(Options{Quick: true, Seed: 1, Parallel: 4})
+			seq := mustRun(t, name, Options{Quick: true, Seed: 1, Parallel: 1})
+			par := mustRun(t, name, Options{Quick: true, Seed: 1, Parallel: 4})
 			if seq != par {
 				t.Errorf("parallel output differs from sequential:\n--- parallel=1 ---\n%s\n--- parallel=4 ---\n%s", seq, par)
 			}
@@ -39,8 +33,8 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 func TestParallelOutputByteIdenticalCheap(t *testing.T) {
 	// Short-mode guard: Fig2 is fast enough to always verify the
 	// contract, including under -race in CI.
-	seq := Fig2(Options{Quick: true, Seed: 1, Parallel: 1})
-	par := Fig2(Options{Quick: true, Seed: 1, Parallel: 4})
+	seq := fig2(Options{Quick: true, Seed: 1, Parallel: 1})
+	par := fig2(Options{Quick: true, Seed: 1, Parallel: 4})
 	if seq != par {
 		t.Fatalf("parallel output differs from sequential:\n--- parallel=1 ---\n%s\n--- parallel=4 ---\n%s", seq, par)
 	}

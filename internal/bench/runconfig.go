@@ -139,12 +139,12 @@ func (rc RunConfig) Machine() (*machine.Machine, error) {
 }
 
 // MachineWith builds the run's machine around an already constructed policy
-// (a custom-configured MULTI-CLOCK, say) with the evaluation's 1 µs per-op
-// CPU cost.
+// (a custom-configured MULTI-CLOCK, say) with the evaluation's per-op CPU
+// cost.
 func (rc RunConfig) MachineWith(p machine.Policy) (*machine.Machine, error) {
 	cfg := machine.DefaultConfig()
 	cfg.Mem.DRAMNodes, cfg.Mem.PMNodes = []int{rc.DRAMPages}, []int{rc.PMPages}
-	cfg.Seed, cfg.OpCost, cfg.Faults = rc.Seed, 1*sim.Microsecond, rc.Chaos
+	cfg.Seed, cfg.OpCost, cfg.Faults = rc.Seed, machine.EvaluationOpCost, rc.Chaos
 	if rc.Tiers != "" {
 		top, err := mem.ParseTopology(rc.Tiers)
 		if err != nil {

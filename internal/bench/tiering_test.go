@@ -36,7 +36,7 @@ func runTiered(t *testing.T, policy, tiers string) (string, []byte) {
 		t.Fatalf("NewPolicy(%s): %v", policy, err)
 	}
 	m := sc.machineWith(p)
-	sc.instrument(m, policy)
+	instrument(sc.Pool, sc.Sinks, m, sc.Prefix+policy)
 	storeCfg := kvstore.DefaultConfig(int(sc.Records))
 	storeCfg.ItemTouches = 8
 	store := kvstore.New(m, storeCfg)

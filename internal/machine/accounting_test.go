@@ -104,7 +104,7 @@ func TestCacheFilteredAccessesBypassMetrics(t *testing.T) {
 	if m.Mem.Counters.CacheFiltered != 1 {
 		t.Fatalf("CacheFiltered = %d, want 1", m.Mem.Counters.CacheFiltered)
 	}
-	if got := sim.Duration(m.Clock.Now() - before); got != cacheHit {
-		t.Fatalf("filtered access advanced clock by %v, want cacheHit %v", got, cacheHit)
+	if got := sim.Duration(m.Clock.Now() - before); got != m.Mem.Lat.CacheHit {
+		t.Fatalf("filtered access advanced clock by %v, want Lat.CacheHit %v", got, m.Mem.Lat.CacheHit)
 	}
 }

@@ -4,7 +4,7 @@ import "multiclock/internal/mem"
 
 // pageCache is a small fully-associative LRU of recently-touched 4 KiB
 // frames, modelling the CPU cache hierarchy's reach at page granularity.
-// It filters the latency charged for accesses — hits cost cacheHit —
+// It filters the latency charged for accesses — hits cost Lat.CacheHit —
 // without hiding them from the paging hardware (the PTE accessed bit is
 // still set, as the TLB fill does on real machines). Compound (huge) pages
 // are cached per covered base frame, not per descriptor: a 2 MiB page does

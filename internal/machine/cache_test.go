@@ -26,8 +26,8 @@ func TestCacheHitCostsCacheLatency(t *testing.T) {
 	m.Access(as, v.Start, false) // fault + miss
 	before := m.Clock.Now()
 	m.Access(as, v.Start, false) // hit
-	if got := sim.Duration(m.Clock.Now() - before); got != cacheHit {
-		t.Fatalf("cache hit cost %v, want %v", got, cacheHit)
+	if got := sim.Duration(m.Clock.Now() - before); got != m.Mem.Lat.CacheHit {
+		t.Fatalf("cache hit cost %v, want %v", got, m.Mem.Lat.CacheHit)
 	}
 	if m.Mem.Counters.CacheFiltered != 1 {
 		t.Fatal("filtered counter")

@@ -23,9 +23,13 @@ const (
 	// over-frequent kpromoted scheduling costs application performance
 	// (§III-B, §V-E); this factor is how that cost manifests.
 	daemonInterference = 0.4
-	// cacheHit is the cost of a cache-filtered access (see
-	// Config.CPUCachePages).
-	cacheHit = 20 * sim.Nanosecond
+	// DefaultOpCost is DefaultConfig's CPU time per operation (OpCost): the
+	// facade's NewSystem (unless its Config sets one) and the machine tests.
+	DefaultOpCost = 1500 * sim.Nanosecond
+	// EvaluationOpCost is the evaluation's: every machine built from a
+	// bench.RunConfig (mcsim's runs, mcbench's experiments, the sessions
+	// and snapshots), and benchmarks/'s YCSB machines, run at it.
+	EvaluationOpCost = 1 * sim.Microsecond
 )
 
 // Config describes a machine.
@@ -45,7 +49,7 @@ type Config struct {
 	Faults fault.Config
 
 	// CPUCachePages models the CPU cache hierarchy as an LRU set of
-	// recently-touched pages: accesses to them cost cacheHit instead of
+	// recently-touched pages: accesses to them cost Lat.CacheHit instead of
 	// memory latency. Without it, small always-hot structures (a graph
 	// kernel's per-vertex arrays, a store's bucket headers) would be
 	// charged DRAM/PM latency on every access that real hardware serves
@@ -59,7 +63,7 @@ func DefaultConfig() Config {
 	return Config{
 		Mem:           mem.DefaultConfig(),
 		Seed:          1,
-		OpCost:        1500 * sim.Nanosecond,
+		OpCost:        DefaultOpCost,
 		CPUCachePages: 64, // ≈256 KiB of page-granular reach
 	}
 }
@@ -218,7 +222,7 @@ func (m *Machine) Access(as *pagetable.AddressSpace, vpn pagetable.VPN, write bo
 // thrash-retry fault loop charges Lat.MinorFault exactly once and fault()
 // increments Counters.MinorFaults exactly once, so fault latency and fault
 // counters always move in lockstep. Cache-filtered accesses charge the
-// cacheHit cost and count CacheFiltered but are deliberately not reported
+// Lat.CacheHit cost and count CacheFiltered but are deliberately not reported
 // to Metrics.AccessLatency — that sink carries device-level memory-system
 // cost, and a CPU-cache hit never reaches the memory system.
 func (m *Machine) AccessN(as *pagetable.AddressSpace, vpn pagetable.VPN, write bool, lines int) *mem.Page {
@@ -273,7 +277,7 @@ func (m *Machine) AccessN(as *pagetable.AddressSpace, vpn pagetable.VPN, write b
 	if hit {
 		// Served by the CPU cache hierarchy: no memory-system traffic.
 		m.Mem.Counters.CacheFiltered += int64(lines)
-		lat += sim.Duration(lines) * cacheHit
+		lat += sim.Duration(lines) * m.Mem.Lat.CacheHit
 	} else {
 		tier := m.Mem.Tier(pg)
 		if write {

@@ -58,6 +58,13 @@ type LatencyModel struct {
 	// Writeback is the cost of writing one dirty page-cache page back to
 	// storage, paid by the flusher daemon.
 	Writeback sim.Duration
+
+	// DiskRead is the cost of filling a page-cache miss from storage.
+	DiskRead sim.Duration
+
+	// CacheHit is the cost of an access the modelled CPU cache serves
+	// (machine.Config.CPUCachePages), per cache line.
+	CacheHit sim.Duration
 }
 
 // scalarLatency returns the tier-independent calibrated costs; a System's
@@ -81,6 +88,8 @@ func scalarLatency() LatencyModel {
 	m.DaemonWakeup = 20 * sim.Microsecond
 	m.PTEPoison = 300 * sim.Nanosecond
 	m.Writeback = 10 * sim.Microsecond
+	m.DiskRead = 50 * sim.Microsecond
+	m.CacheHit = 20 * sim.Nanosecond
 	return m
 }
 

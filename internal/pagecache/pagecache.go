@@ -42,9 +42,6 @@ type Cache struct {
 	// cleans them in (a map's would differ from run to run).
 	files []*File
 
-	// DiskRead is the cost of filling a page-cache miss from storage.
-	DiskRead sim.Duration
-
 	flusher *sim.Daemon
 	// FlushedPages counts pages cleaned by the background flusher.
 	FlushedPages int64
@@ -52,11 +49,7 @@ type Cache struct {
 
 // New creates a page cache on the machine.
 func New(m *machine.Machine) *Cache {
-	return &Cache{
-		m:        m,
-		as:       m.NewSpace(),
-		DiskRead: 50 * sim.Microsecond,
-	}
+	return &Cache{m: m, as: m.NewSpace()}
 }
 
 // StartFlusher installs a background writeback daemon (the kernel's
@@ -108,7 +101,7 @@ func (c *Cache) Open(name string, pages int) *File {
 		m:               c.m,
 		as:              c.as,
 		vma:             c.as.Mmap(pages, true, "file:"+name),
-		readDiskLatency: c.DiskRead,
+		readDiskLatency: c.m.Mem.Lat.DiskRead,
 	}
 	c.files = append(c.files, f)
 	return f

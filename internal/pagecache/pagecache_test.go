@@ -65,13 +65,13 @@ func TestReadFillsCache(t *testing.T) {
 		t.Fatal("miss not counted")
 	}
 	// Miss costs a disk fill.
-	if sim.Duration(m.Clock.Now()-before) < c.DiskRead {
+	if sim.Duration(m.Clock.Now()-before) < m.Mem.Lat.DiskRead {
 		t.Fatal("disk fill not charged")
 	}
 	// Second read is a hit: cheap.
 	before = m.Clock.Now()
 	f.Read(0)
-	if sim.Duration(m.Clock.Now()-before) >= c.DiskRead {
+	if sim.Duration(m.Clock.Now()-before) >= m.Mem.Lat.DiskRead {
 		t.Fatal("cache hit paid disk latency")
 	}
 	if f.CacheMisses != 1 {

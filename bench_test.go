@@ -8,7 +8,7 @@ package multiclock
 //
 // Figure benchmarks execute in quick mode (compressed ops and intervals;
 // see internal/bench's time-scaling note) so the whole suite completes in
-// minutes; use cmd/mcbench for full-scale runs.
+// minutes; use mcsim -exp for full-scale runs.
 
 import (
 	"strings"

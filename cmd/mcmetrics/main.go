@@ -1,5 +1,5 @@
 // mcmetrics inspects the deterministic metrics exports that mcsim -metrics
-// and mcbench -metrics write: it validates a file against the schema and
+// writes, for one workload or for -exp: it validates a file against the schema and
 // renders a human-readable summary (histogram quantiles, counters, trace
 // tail), a flat CSV for plotting, or — for exports carrying the optional
 // observability sections — per-page lifecycle timelines, ping-pong rankings
@@ -315,7 +315,7 @@ func cmdSeries(args []string, stdout, stderr io.Writer) int {
 }
 
 // cmdSLO renders the human burn-rate report for every selected run that
-// carries an slo section (mcsim/mcbench -slo ... -metrics out.json).
+// carries an slo section (mcsim -slo ... -metrics out.json).
 func cmdSLO(args []string, stdout, stderr io.Writer) int {
 	c := newSubcmd("slo", stderr)
 	if !c.parse(args, 1, "usage: mcmetrics slo [-run label] <export.json>") {
@@ -332,7 +332,7 @@ func cmdSLO(args []string, stdout, stderr io.Writer) int {
 }
 
 // cmdPerfetto rebuilds the Perfetto/Chrome trace-event timeline from an
-// export after the fact — the same bytes mcsim/mcbench -trace-out would have
+// export after the fact — the same bytes mcsim -trace-out would have
 // written for the selected runs. Open the result in ui.perfetto.dev.
 func cmdPerfetto(args []string, stdout, stderr io.Writer) int {
 	c := newSubcmd("perfetto", stderr)
@@ -360,7 +360,7 @@ func cmdPerfetto(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// cmdDiverge scans two audit trails (the JSONL files mcsim/mcbench write
+// cmdDiverge scans two audit trails (the JSONL files mcsim writes
 // under -audit) to the first checkpoint where any subsystem hash differs —
 // turning "two runs that should match don't" into the op, virtual time and
 // subsystems of the first divergence. Exit 0 means identical trails.

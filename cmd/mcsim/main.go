@@ -1,6 +1,5 @@
-// mcsim runs one workload under one or more tiering policies on the
-// simulated hybrid-memory machine and prints the outcome — a quick way to
-// poke at a configuration without the full benchmark harness.
+// mcsim runs the simulated hybrid-memory machine: one workload under one or
+// more tiering policies, or (-exp) the paper's tables and figures.
 //
 // Usage:
 //
@@ -14,14 +13,17 @@
 //	mcsim -policy multiclock -workload A -metrics out.json -slo 'p99(access_latency_dram_read_ns) < 400ns over 10ms'
 //	mcsim -policy nimble -sequence -snapshot run.mcsnap -snapshot-every 20000
 //	mcsim -restore run.mcsnap -snapshot run.mcsnap -snapshot-every 20000
+//	mcsim -exp all -quick -parallel 0 -deadline 30m
+//	mcsim -exp fig9 -quick -metrics out.json -series 10ms -lifecycle 1
+//	mcsim -exp list
 //
 // Every YCSB run is one bench.Session per policy; -invariants-every and the
 // checkpoint flags (-snapshot/-restore/-audit) only add hooks between its
-// ops, so they never change what is simulated. With a comma-separated policy
-// list every policy gets its own machine; -parallel N fans them out across
-// goroutines. Each machine is an independent single-threaded simulation, so
-// output is printed in list order and is byte-identical at every parallelism
-// level; per-policy wall-clock timing goes to stderr.
+// ops, so they never change what is simulated. Every policy of a list and
+// every run of an experiment gets its own machine; -parallel N fans them out
+// across goroutines. Each machine is an independent single-threaded
+// simulation, so output is printed in list order and is byte-identical at
+// every parallelism level; wall-clock timing goes to stderr.
 package main
 
 import (
@@ -29,11 +31,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
+	"time"
 
 	"multiclock"
 	"multiclock/internal/bench"
-	"multiclock/internal/cliutil"
 	"multiclock/internal/graph"
 	"multiclock/internal/machine"
 	"multiclock/internal/metrics"
@@ -59,6 +62,16 @@ type job struct {
 	replayFast bool
 }
 
+// kernels are the -gapbs kernels runGAPBS drives.
+var kernels = []string{"BFS", "SSSP", "PR", "CC", "BC", "TC"}
+
+// expReads is every flag an -exp run reads. The experiments build their own
+// machines, so any other flag set beside -exp is refused, never ignored.
+var expReads = map[string]bool{
+	"exp": true, "quick": true, "deadline": true, "seed": true, "parallel": true, "chaos": true, "tiers": true,
+	"metrics": true, "trace-events": true, "series": true, "lifecycle": true, "http": true, "slo": true, "trace-out": true,
+}
+
 // run is the testable entry point: argv (without the program name) in,
 // exit code out.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -68,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pol := fs.String("policy", "multiclock", "comma-separated list of "+strings.Join(bench.PolicyNames(), " | "))
 	workload := fs.String("workload", "A", "YCSB workload (A-F, W)")
 	sequence := fs.Bool("sequence", false, "run the paper's full YCSB sequence (Load,A,B,C,F,W,D)")
-	fs.StringVar(&j.gapbs, "gapbs", "", "run a GAPBS kernel instead (BFS, SSSP, PR, CC, BC, TC)")
+	fs.StringVar(&j.gapbs, "gapbs", "", "run a GAPBS kernel instead ("+strings.Join(kernels, ", ")+")")
 	fs.Int64Var(&j.Records, "records", 20000, "YCSB record count")
 	fs.Int64Var(&j.Ops, "ops", 500000, "YCSB operations")
 	fs.IntVar(&j.vertices, "vertices", 40000, "graph vertices")
@@ -79,20 +92,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&j.DRAMPages, "dram", 1024, "DRAM pages")
 	fs.IntVar(&j.PMPages, "pm", 8192, "PM pages")
 	interval := fs.Duration("interval", 0, "scan interval (virtual; default 100ms)")
-	var rf cliutil.RunFlags
+	exp := fs.String("exp", "", "run the paper's experiment with this id (fig1, fig2, table1, table2, fig5..fig10, ablation-*, or 'all'; 'list' lists them) instead of one workload")
+	quick := fs.Bool("quick", false, "compressed experiments (~10× fewer ops and shorter daemon intervals)")
+	deadline := fs.Duration("deadline", 0, "abort with a non-zero exit if wall-clock runtime exceeds this (0 = no limit)")
+	var rf RunFlags
 	rf.Register(fs)
-	rf.SnapshotFlags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
 		}
-		return cliutil.ExitUsage
+		return ExitUsage
 	}
 	usage := func(format string, a ...any) int {
 		fmt.Fprintf(stderr, format+"\n", a...)
-		return cliutil.ExitUsage
+		return ExitUsage
 	}
-	if err := rf.Validate("mcsim"); err != nil {
+	var refused string
+	fs.Visit(func(f *flag.Flag) {
+		if refused == "" && *exp != "" && !expReads[f.Name] {
+			refused = "-" + f.Name + " does not apply to -exp (the experiments build their own machines)"
+		} else if refused == "" && *exp == "" && f.Name == "quick" {
+			refused = "-quick needs -exp"
+		}
+	})
+	if refused != "" {
+		return usage("mcsim: %s", refused)
+	}
+	if *deadline < 0 {
+		return usage("mcsim: -deadline must be non-negative, got %v", *deadline)
+	}
+	if err := rf.Validate(); err != nil {
 		return usage("%v", err)
 	}
 
@@ -126,6 +155,34 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if by := rf.SteppedBy(); by != "" && (j.gapbs != "" || j.replay != "") {
 		return usage("mcsim: %s supports YCSB workloads only (no -gapbs/-replay)", by)
 	}
+	if j.gapbs != "" && !slices.Contains(kernels, j.gapbs) {
+		return usage("mcsim: unknown kernel %q (have %s)", j.gapbs, strings.Join(kernels, ", "))
+	}
+	if *exp == "list" {
+		fmt.Fprintln(stdout, "experiments:")
+		for _, n := range append(bench.Names(), "table2 (module inventory / LoC)", "all") {
+			fmt.Fprintf(stdout, "  %s\n", n)
+		}
+		return 0
+	}
+
+	if *deadline > 0 {
+		// A runaway run must not hang CI forever: once the budget is spent,
+		// kill the whole process, loudly and with a distinctive exit code.
+		d := *deadline
+		defer time.AfterFunc(d, func() {
+			fmt.Fprintf(stderr, "mcsim: wall-clock deadline %v exceeded; aborting\n", d)
+			os.Exit(3)
+		}).Stop()
+	}
+	stopDebug, err := rf.ServeDebug(stderr)
+	if err != nil {
+		return usage("%v", err)
+	}
+	defer stopDebug()
+	if *exp != "" {
+		return runExperiments(*exp, *quick, &rf, stdout, stderr)
+	}
 
 	// One run description for every mode: the same flags build the same
 	// machine whether it runs straight through or is stepped op by op.
@@ -143,11 +200,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	rf.ApplyTo(&j.RunConfig)
 
-	stopDebug, err := rf.ServeDebug("mcsim", stderr)
-	if err != nil {
-		return usage("%v", err)
-	}
-	defer stopDebug()
 	// A restored run follows the snapshot's own recipe, whatever -policy says.
 	var restored *bench.Session
 	if rf.Restore != "" {
@@ -216,7 +268,42 @@ func run(args []string, stdout, stderr io.Writer) int {
 			runs = append(runs, *r)
 		}
 	}
-	if !rf.WriteExports("mcsim", stderr, runs) || failed > 0 {
+	if !rf.WriteExports(stderr, runs) || failed > 0 {
+		return 1
+	}
+	return 0
+}
+
+// runExperiments streams the paper's experiments (one id, or "all") to
+// stdout in presentation order; a failing experiment prints its error
+// inline and the rest keep going.
+func runExperiments(exp string, quick bool, rf *RunFlags, stdout, stderr io.Writer) int {
+	var rc bench.RunConfig
+	rf.ApplyTo(&rc)
+	opt := bench.Options{Quick: quick, Seed: rc.Seed, Parallel: rf.Workers(), Chaos: rc.Chaos, Tiers: rc.Tiers, Sinks: rc.Sinks}
+	if rf.Metrics != "" {
+		opt.Metrics = metrics.NewPool(rf.Ring())
+	}
+	names := []string{exp}
+	if exp == "all" {
+		names = append(bench.Names(), "table2")
+	}
+	failed := 0
+	bench.Stream(names, opt, stderr, func(_ int, r runner.TaskResult[string]) {
+		expExperimentsDone.Add(1)
+		if r.Err != nil {
+			failed++
+			expExperimentsFailed.Add(1)
+			fmt.Fprintf(stdout, "==== %s ====\nerror: %v\n\n", r.Name, r.Err)
+			return
+		}
+		fmt.Fprintf(stdout, "==== %s ====\n%s\n", r.Name, r.Value)
+	})
+	if opt.Metrics != nil && !rf.WriteExports(stderr, opt.Metrics.Runs()) {
+		return 1
+	}
+	if failed > 0 {
+		fmt.Fprintf(stderr, "mcsim: %d of %d experiments failed\n", failed, len(names))
 		return 1
 	}
 	return 0
@@ -226,7 +313,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // (fresh, or the one restored from -restore) under the checkpoint flags,
 // writes its report to w, and returns the metrics snapshot when collection
 // was requested.
-func runSession(w io.Writer, j job, s *bench.Session, f *cliutil.SnapshotFlags, rec *tracereplay.Recorder, label string) (*metrics.RunExport, error) {
+func runSession(w io.Writer, j job, s *bench.Session, f *SnapshotFlags, rec *tracereplay.Recorder, label string) (*metrics.RunExport, error) {
 	if s == nil {
 		var obs []machine.Observer
 		if rec != nil {
@@ -282,8 +369,8 @@ func runOne(w io.Writer, j job, rec *tracereplay.Recorder, label string) (*metri
 			return nil, fmt.Errorf("replay: %w", err)
 		}
 		fmt.Fprintf(w, "replayed %d accesses in %v (virtual)\n", res.Records, res.Elapsed)
-	} else if err := runGAPBS(w, m, j); err != nil {
-		return nil, err
+	} else {
+		runGAPBS(w, m, j)
 	}
 	if err := finishTrace(w, rec, j.record); err != nil {
 		return nil, err
@@ -317,7 +404,8 @@ func finishTrace(w io.Writer, rec *tracereplay.Recorder, path string) error {
 	return nil
 }
 
-func runGAPBS(w io.Writer, m *machine.Machine, j job) error {
+// runGAPBS generates the graph on m and runs the -gapbs kernel over it.
+func runGAPBS(w io.Writer, m *machine.Machine, j job) {
 	g := graph.Generate(m, graph.GenConfig{
 		Vertices:  j.vertices,
 		Degree:    j.degree,
@@ -339,9 +427,6 @@ func runGAPBS(w io.Writer, m *machine.Machine, j job) error {
 		g.BC([]int32{0, 1, 2, 3})
 	case "TC":
 		fmt.Fprintf(w, "triangles: %d\n", g.TC())
-	default:
-		return fmt.Errorf("unknown kernel %q", j.gapbs)
 	}
 	fmt.Fprintf(w, "kernel time: %v (virtual)\n", m.Elapsed()-start)
-	return nil
 }

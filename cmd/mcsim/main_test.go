@@ -88,6 +88,9 @@ func TestUsageRefusals(t *testing.T) {
 		{"restore with trace-out", []string{"-restore", "s.mcsnap", "-metrics", "m.json", "-trace-out", "t.json"}, msgCombined("-restore")},
 		{"audit with lifecycle", []string{"-audit", "a.jsonl", "-snapshot-every", "100", "-metrics", "m.json", "-lifecycle", "1"}, msgCombined("-audit")},
 		{"checkpointing with slo", with(snap, "-metrics", "m.json", "-slo", "p99(x_ns) < 1us over 1ms"), msgCombined("-snapshot")},
+		{"unknown kernel", []string{"-gapbs", "FOO"}, "mcsim: unknown kernel \"FOO\" (have BFS, SSSP, PR, CC, BC, TC)\n"},
+		{"negative deadline", []string{"-deadline", "-1s"}, "mcsim: -deadline must be non-negative, got -1s\n"},
+		{"quick without exp", []string{"-quick"}, "mcsim: -quick needs -exp\n"},
 	}
 	for _, c := range cases {
 		code, stdout, stderr := mcsim(c.args...)
@@ -115,6 +118,67 @@ func TestUsageRefusals(t *testing.T) {
 				t.Errorf("%v: exit=%d stdout=%q stderr=%q\n  want exit=1, empty stdout, stderr=%q", args, code, stdout, stderr, c.want)
 			}
 		}
+	}
+}
+
+// TestExperimentUsageRefusals pins what -exp refuses before running
+// anything: the run flags it reads fail under the same rules as a single
+// run, and every flag that describes one machine or steps it is refused by
+// name. Exit code 2, nothing on stdout, and the exact stderr line.
+func TestExperimentUsageRefusals(t *testing.T) {
+	exp := []string{"-exp", "fig5", "-quick"}
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"series without metrics", with(exp, "-series", "10ms"), msgNeedMetrics},
+		{"lifecycle without metrics", with(exp, "-lifecycle", "1"), msgNeedMetrics},
+		{"slo without metrics", with(exp, "-slo", "p99(x_ns) < 1us over 1ms"), msgNeedMetrics},
+		{"trace-out without metrics", with(exp, "-trace-out", "t.json"), msgNeedMetrics},
+		{"bad slo", with(exp, "-metrics", "m.json", "-slo", "p99(x < 1us"),
+			"slo: cannot parse objective \"p99(x < 1us\" (want \"pNN(metric) < 400ns over 10ms[, 99.9%]\")\n"},
+		{"bad tiers", with(exp, "-tiers", "dram:0,pm:64"), "-tiers: tier \"dram\" needs a positive frame count, got \"0\"\n"},
+		{"bad chaos", with(exp, "-chaos", "x,0.1"), "mcsim: fault: bad seed in \"x,0.1\": strconv.ParseUint: parsing \"x\": invalid syntax\n"},
+		{"negative deadline", with(exp, "-deadline", "-1s"), "mcsim: -deadline must be non-negative, got -1s\n"},
+	}
+	for _, c := range cases {
+		code, stdout, stderr := mcsim(c.args...)
+		if code != 2 || stdout != "" || stderr != c.want {
+			t.Errorf("%s: exit=%d stdout=%q stderr=%q\n  want exit=2, empty stdout, stderr=%q", c.name, code, stdout, stderr, c.want)
+		}
+	}
+
+	// Every flag that describes one machine or steps it is refused by name.
+	// Every flag mcsim defines is either read by -exp or on one of these
+	// lists.
+	oneMachine := []string{"-policy=static", "-workload=B", "-sequence", "-gapbs=PR", "-records=1", "-ops=1",
+		"-vertices=1", "-degree=1", "-dram=1", "-pm=1", "-interval=1ms", "-record=x", "-replay=x", "-replay-fast"}
+	checkpoint := []string{"-snapshot=s", "-snapshot-every=1", "-restore=s", "-audit=a", "-invariants-every=1"}
+	sorted := map[string]bool{}
+	for name := range expReads {
+		sorted[name] = true
+	}
+	for _, arg := range append(oneMachine, checkpoint...) {
+		name, _, _ := strings.Cut(arg[1:], "=")
+		sorted[name] = true
+		want := "mcsim: -" + name + " does not apply to -exp (the experiments build their own machines)\n"
+		if code, stdout, stderr := mcsim(with(exp, arg)...); code != 2 || stdout != "" || stderr != want {
+			t.Errorf("%s under -exp: exit=%d stdout=%q stderr=%q\n  want exit=2, empty stdout, stderr=%q", arg, code, stdout, stderr, want)
+		}
+	}
+	_, _, help := mcsim("-h")
+	defined := 0
+	for _, ln := range strings.Split(help, "\n") {
+		if name, ok := strings.CutPrefix(ln, "  -"); ok {
+			defined++
+			if name = strings.Fields(name)[0]; !sorted[name] {
+				t.Errorf("-%s is neither read by -exp nor refused by it", name)
+			}
+		}
+	}
+	if defined != len(sorted) {
+		t.Errorf("mcsim defines %d flags, the lists sort %d", defined, len(sorted))
 	}
 }
 
@@ -437,5 +501,85 @@ func TestOtherDrivers(t *testing.T) {
 	code, _, stderr := mcsim(with(small, "-workload", "Z")...)
 	if code != 1 || stderr != "mcsim: multiclock: ycsb: unknown workload \"Z\"\n" {
 		t.Errorf("unknown workload: exit %d stderr %q", code, stderr)
+	}
+}
+
+// TestListing: -exp list prints the experiment ids and succeeds.
+func TestListing(t *testing.T) {
+	code, listed, _ := mcsim("-exp", "list")
+	if code != 0 || !strings.HasPrefix(listed, "experiments:\n") || !strings.Contains(listed, "  fig5\n") ||
+		!strings.HasSuffix(listed, "  table2 (module inventory / LoC)\n  all\n") {
+		t.Fatalf("-exp list: exit %d\n%s", code, listed)
+	}
+}
+
+// TestExperimentRun: experiments stream in order under section headers, under
+// fault injection too; an unknown id fails inline without aborting the
+// batch's exit reporting.
+func TestExperimentRun(t *testing.T) {
+	for _, c := range []struct {
+		args   []string
+		code   int
+		stdout string // prefix
+		stderr string // suffix
+	}{
+		{[]string{"-exp", "table1"}, 0, "==== table1 ====\nTable I", ""},
+		{[]string{"-exp", "fig5", "-quick", "-parallel", "4", "-chaos", "7,0.01", "-deadline", "10m"}, 0, "==== fig5 ====\nFig. 5", ""},
+		{[]string{"-exp", "bogus"}, 1, "==== bogus ====\nerror: bench: unknown experiment \"bogus\"", "mcsim: 1 of 1 experiments failed\n"},
+	} {
+		code, stdout, stderr := mcsim(c.args...)
+		if code != c.code || !strings.HasPrefix(stdout, c.stdout) || !strings.HasSuffix(stderr, c.stderr) {
+			t.Errorf("%v: exit %d (want %d)\n%s%s", c.args, code, c.code, stdout, stderr)
+		}
+	}
+}
+
+// TestInstrumentedExperiment: an instrumented experiment writes one pooled
+// run per machine with every requested section, plus the Perfetto timeline,
+// and the report is the uninstrumented one.
+func TestInstrumentedExperiment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the quick fig9 experiment twice")
+	}
+	dir := t.TempDir()
+	m, tr := filepath.Join(dir, "m.json"), filepath.Join(dir, "t.json")
+	_, plain, _ := mcsim("-exp", "fig9", "-quick", "-parallel", "2")
+	code, report, stderr := mcsim("-exp", "fig9", "-quick", "-parallel", "2", "-metrics", m, "-trace-out", tr,
+		"-series", "10ms", "-lifecycle", "64", "-slo", "p99(access_latency_pm_read_ns) < 1ns over 1ms")
+	if code != 0 || report != plain {
+		t.Fatalf("exit %d, report moved=%v\n%s", code, report != plain, stderr)
+	}
+	if !strings.Contains(stderr, "metrics: 2 run(s) written to "+m) || !strings.Contains(stderr, "trace: perfetto timeline written to "+tr) {
+		t.Errorf("missing export announcements:\n%s", stderr)
+	}
+	ex := readExport(t, m)
+	for i, want := range []string{"fig9/multiclock", "fig9/nimble"} {
+		r := ex.Runs[i]
+		if r.Label != want || r.Series == nil || r.Lifecycle == nil || r.SLO == nil || r.Topology == nil || r.Trace == nil {
+			t.Errorf("run %d: label %q or a requested section is missing", i, r.Label)
+		}
+	}
+	if st, err := os.Stat(tr); err != nil || st.Size() == 0 {
+		t.Errorf("trace file: %v", err)
+	}
+}
+
+// TestBakeoffIsDeterministicAcrossParallelism: the competitor bake-off
+// prints the same bytes at -parallel 1, again, and at -parallel 4.
+func TestBakeoffIsDeterministicAcrossParallelism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the quick bake-off three times")
+	}
+	var want string
+	for i, parallel := range []string{"1", "1", "4"} {
+		code, stdout, stderr := mcsim("-exp", "bakeoff", "-quick", "-deadline", "10m", "-parallel", parallel)
+		if code != 0 {
+			t.Fatalf("-parallel %s: exit %d\n%s", parallel, code, stderr)
+		}
+		if i == 0 {
+			want = stdout
+		} else if stdout != want {
+			t.Errorf("run %d at -parallel %s differs from the first at -parallel 1", i, parallel)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package bench is the evaluation harness: one runner per table and figure
 // of the paper (§II and §V), each regenerating the corresponding rows or
-// series on the simulated machine. cmd/mcbench and the repository's
+// series on the simulated machine. mcsim -exp and the repository's
 // testing.B benchmarks both drive this package.
 //
 // Time scaling: the paper's runs last minutes of wall-clock per workload

@@ -26,6 +26,20 @@ func quickAt(seed uint64) Options {
 	return Options{Quick: true, Seed: seed, Parallel: -1, cache: testCells}
 }
 
+// shapeSeeds are the seeds the shape tests check each ordering at; the
+// seed-1 cells are the golden run's.
+var shapeSeeds = []uint64{1, 2, 3}
+
+// seededCells returns build's cells at every shape seed, in seed order, and
+// computes them in one batch.
+func seededCells(build func(sc scale) []cell) []cellResult {
+	var cells []cell
+	for _, seed := range shapeSeeds {
+		cells = append(cells, build(quickAt(seed).scale())...)
+	}
+	return quickAt(1).run(cells)
+}
+
 // mustRun runs one experiment through Run and fails the test on an error.
 func mustRun(t *testing.T, name string, o Options) string {
 	t.Helper()
@@ -89,13 +103,8 @@ func TestFig5Shape(t *testing.T) {
 		t.Skip("multi-second experiment")
 	}
 	t.Parallel()
-	seeds := []uint64{1, 2, 3}
-	var cells []cell
-	for _, seed := range seeds {
-		cells = append(cells, quickAt(seed).scale().cells(kindSequence, SystemNames...)...)
-	}
-	res := quickAt(1).run(cells)
-	for s, seed := range seeds {
+	res := seededCells(func(sc scale) []cell { return sc.cells(kindSequence, SystemNames...) })
+	for s, seed := range shapeSeeds {
 		tp := map[string]map[string]float64{}
 		for i, system := range SystemNames {
 			tp[system] = res[s*len(SystemNames)+i].tp
@@ -150,56 +159,67 @@ func TestFig5Shape(t *testing.T) {
 
 // --- Figs. 8/9 shape: promotion count and quality ---
 
+// TestPromotionTelemetryShape asserts Figs. 8 and 9's orderings at every
+// shape seed.
 func TestPromotionTelemetryShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
 	t.Parallel()
-	o := quickAt(1)
-	res := o.run(promotionCells(o.scale()))
-	mc, nb := res[0].promotions, res[1].promotions
-	// Nimble promotes more pages (Fig. 8)...
-	if nb.TotalPromotions() <= mc.TotalPromotions() {
-		t.Errorf("nimble promotions %d ≤ multiclock %d", nb.TotalPromotions(), mc.TotalPromotions())
-	}
-	// ...but a smaller fraction of them are re-accessed (Fig. 9; paper
-	// reports ≈15 points of difference).
-	mcRe := mc.MeanReaccessPercent()
-	nbRe := nb.MeanReaccessPercent()
-	if mcRe <= nbRe {
-		t.Errorf("multiclock re-access %.1f%% ≤ nimble %.1f%%", mcRe, nbRe)
-	}
-	if mcRe-nbRe < 5 {
-		t.Errorf("re-access gap %.1f points, want a clear margin", mcRe-nbRe)
+	res := seededCells(promotionCells)
+	for s, seed := range shapeSeeds {
+		mc, nb := res[2*s].promotions, res[2*s+1].promotions
+		// Nimble promotes more pages (Fig. 8)...
+		if nb.TotalPromotions() <= mc.TotalPromotions() {
+			t.Errorf("seed %d: nimble promotions %d ≤ multiclock %d", seed, nb.TotalPromotions(), mc.TotalPromotions())
+		}
+		// ...but a smaller fraction of them are re-accessed (Fig. 9; paper
+		// reports ≈15 points of difference).
+		mcRe := mc.MeanReaccessPercent()
+		nbRe := nb.MeanReaccessPercent()
+		t.Logf("seed %d: promotions %d/%d, re-access %.1f%%/%.1f%% (multiclock/nimble)",
+			seed, mc.TotalPromotions(), nb.TotalPromotions(), mcRe, nbRe)
+		if mcRe <= nbRe {
+			t.Errorf("seed %d: multiclock re-access %.1f%% ≤ nimble %.1f%%", seed, mcRe, nbRe)
+		}
+		if mcRe-nbRe < 5 {
+			t.Errorf("seed %d: re-access gap %.1f points, want a clear margin", seed, mcRe-nbRe)
+		}
 	}
 }
 
 // --- Fig. 10 shape: interval sensitivity ---
 
+// TestFig10Shape asserts Fig. 10's orderings at every shape seed.
 func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
 	t.Parallel()
-	o := quickAt(1)
-	sc := o.scale()
-	res := o.run([]cell{
-		steadyCell(sc, "static", sc.Interval),
-		steadyCell(sc, "multiclock", sc.Interval),
-		steadyCell(sc, "multiclock", sc.Interval/10),
-		steadyCell(sc, "multiclock", 60*sc.Interval),
+	res := seededCells(func(sc scale) []cell {
+		return []cell{
+			steadyCell(sc, "static", sc.Interval),
+			steadyCell(sc, "multiclock", sc.Interval),
+			steadyCell(sc, "multiclock", sc.Interval/10),
+			steadyCell(sc, "multiclock", 60*sc.Interval),
+		}
 	})
-	base, atOperating, tooFast, tooSlow := res[0].steady, res[1].steady, res[2].steady, res[3].steady
-	if atOperating <= base {
-		t.Errorf("operating point %.0f ≤ static %.0f", atOperating, base)
-	}
-	// Scanning 10× too often pays overhead (§V-E context switches).
-	if tooFast >= atOperating {
-		t.Errorf("10× faster scanning %.0f ≥ operating %.0f", tooFast, atOperating)
-	}
-	// Scanning 60× too rarely lags the workload.
-	if tooSlow >= atOperating {
-		t.Errorf("60× slower scanning %.0f ≥ operating %.0f", tooSlow, atOperating)
+	for s, seed := range shapeSeeds {
+		r := res[4*s:]
+		base, atOperating, tooFast, tooSlow := r[0].steady, r[1].steady, r[2].steady, r[3].steady
+		t.Logf("seed %d: operating %.3f, 10× faster %.3f, 60× slower %.3f (× static)",
+			seed, atOperating/base, tooFast/base, tooSlow/base)
+		if atOperating <= base {
+			t.Errorf("seed %d: operating point %.0f ≤ static %.0f", seed, atOperating, base)
+		}
+		// Scanning 10× too often pays overhead (§V-E context switches).
+		if tooFast >= atOperating {
+			t.Errorf("seed %d: 10× faster scanning %.0f ≥ operating %.0f", seed, tooFast, atOperating)
+		}
+		// Scanning 60× too rarely lags the workload.
+		if tooSlow >= atOperating {
+			t.Errorf("seed %d: 60× slower scanning %.0f ≥ operating %.0f", seed, tooSlow, atOperating)
+		}
 	}
 }
 
@@ -245,24 +265,28 @@ func TestFig1RendersFourHeatmaps(t *testing.T) {
 
 // --- Fig. 7 shape ---
 
+// TestFig7Shape asserts Fig. 7's orderings at every shape seed.
 func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
 	t.Parallel()
-	o := quickAt(1)
-	sc := o.scale()
-	sc.Records = int64(16 * sc.DRAMPages)
-	res := o.run(sc.cells(kindSequence, "static", "multiclock", "memory-mode"))
-	static, mc, mm := res[0].tp, res[1].tp, res[2].tp
-	for _, w := range []string{"A", "D"} {
-		// Both beat static at 4× footprint; multiclock is competitive
-		// with memory-mode (paper: within 2%, up to 9% better).
-		if mc[w] <= static[w] || mm[w] <= static[w] {
-			t.Errorf("workload %s: mc %.0f / mm %.0f vs static %.0f", w, mc[w], mm[w], static[w])
-		}
-		if mc[w] < 0.95*mm[w] {
-			t.Errorf("workload %s: multiclock %.0f far below memory-mode %.0f", w, mc[w], mm[w])
+	res := seededCells(func(sc scale) []cell {
+		sc.Records = int64(16 * sc.DRAMPages)
+		return sc.cells(kindSequence, "static", "multiclock", "memory-mode")
+	})
+	for s, seed := range shapeSeeds {
+		static, mc, mm := res[3*s].tp, res[3*s+1].tp, res[3*s+2].tp
+		for _, w := range []string{"A", "D"} {
+			t.Logf("seed %d, workload %s: multiclock/memory-mode %.3f", seed, w, mc[w]/mm[w])
+			// Both beat static at 4× footprint; multiclock is competitive
+			// with memory-mode (paper: within 2%, up to 9% better).
+			if mc[w] <= static[w] || mm[w] <= static[w] {
+				t.Errorf("seed %d, workload %s: mc %.0f / mm %.0f vs static %.0f", seed, w, mc[w], mm[w], static[w])
+			}
+			if mc[w] < 0.95*mm[w] {
+				t.Errorf("seed %d, workload %s: multiclock %.0f far below memory-mode %.0f", seed, w, mc[w], mm[w])
+			}
 		}
 	}
 }
@@ -349,26 +373,31 @@ func TestAblationBatchMatchesPromoteList(t *testing.T) {
 
 // --- multi-process allocation race (§II-D motivation) ---
 
+// TestMultiProcFairnessShape asserts the allocation race's orderings at
+// every shape seed.
 func TestMultiProcFairnessShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
 	t.Parallel()
-	o := quickAt(1)
-	res := o.run(o.scale().cells(kindRace, "static", "multiclock"))
-	stEarly, stLate := res[0].early, res[0].late
-	mcEarly, mcLate := res[1].early, res[1].late
-	stFair := stLate / stEarly
-	mcFair := mcLate / mcEarly
-	if stFair > 0.92 {
-		t.Errorf("static race not unfair enough: late/early = %.3f", stFair)
-	}
-	if mcFair < stFair+0.05 {
-		t.Errorf("multiclock did not restore fairness: %.3f vs static %.3f", mcFair, stFair)
-	}
-	// The late process itself must be better off under multiclock.
-	if mcLate <= stLate {
-		t.Errorf("late process: multiclock %.0f ≤ static %.0f", mcLate, stLate)
+	res := seededCells(func(sc scale) []cell { return sc.cells(kindRace, "static", "multiclock") })
+	for s, seed := range shapeSeeds {
+		stEarly, stLate := res[2*s].early, res[2*s].late
+		mcEarly, mcLate := res[2*s+1].early, res[2*s+1].late
+		stFair := stLate / stEarly
+		mcFair := mcLate / mcEarly
+		t.Logf("seed %d: late/early static %.3f, multiclock %.3f; late process %.0f/%.0f ops/s (multiclock/static)",
+			seed, stFair, mcFair, mcLate, stLate)
+		if stFair > 0.92 {
+			t.Errorf("seed %d: static race not unfair enough: late/early = %.3f", seed, stFair)
+		}
+		if mcFair < stFair+0.05 {
+			t.Errorf("seed %d: multiclock did not restore fairness: %.3f vs static %.3f", seed, mcFair, stFair)
+		}
+		// The late process itself must be better off under multiclock.
+		if mcLate <= stLate {
+			t.Errorf("seed %d: late process: multiclock %.0f ≤ static %.0f", seed, mcLate, stLate)
+		}
 	}
 }
 

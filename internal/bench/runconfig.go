@@ -18,7 +18,7 @@ import (
 // RunConfig is the one description of a simulated run, from flags to
 // machine: which policy on which memory hierarchy under which seed and fault
 // campaign, the YCSB recipe driven against it, and the instrumentation that
-// rides its metrics export. Every machine mcsim, mcbench's experiments and
+// rides its metrics export. Every machine mcsim's runs, its experiments and
 // the snapshot layer build comes from a RunConfig, so equal configs are
 // equal machines by construction. A RunConfig without Sinks is also the
 // serialisable recipe of a checkpointable Session: rebuilding from an equal

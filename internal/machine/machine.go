@@ -27,7 +27,7 @@ const (
 	// facade's NewSystem (unless its Config sets one) and the machine tests.
 	DefaultOpCost = 1500 * sim.Nanosecond
 	// EvaluationOpCost is the evaluation's: every machine built from a
-	// bench.RunConfig (mcsim's runs, mcbench's experiments, the sessions
+	// bench.RunConfig (mcsim's runs and experiments, the sessions
 	// and snapshots), and benchmarks/'s YCSB machines, run at it.
 	EvaluationOpCost = 1 * sim.Microsecond
 )

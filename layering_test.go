@@ -7,24 +7,24 @@ import (
 	"testing"
 )
 
-// linksNetwork reports whether a package belongs to the CLI layer or the
-// network stack it brings: the -http debug endpoint's net/http, expvar and
-// pprof, the TLS and resolver code below them, and cgo.
+// linksNetwork reports whether a package belongs to the network stack the
+// -http debug endpoint brings: net/http, expvar and pprof, the TLS and
+// resolver code below them, and cgo.
 func linksNetwork(pkg string) bool {
 	switch pkg {
-	case "multiclock/internal/cliutil", "net", "crypto/tls", "expvar", "os/user", "runtime/cgo":
+	case "net", "crypto/tls", "expvar", "os/user", "runtime/cgo":
 		return true
 	}
 	return strings.HasPrefix(pkg, "net/")
 }
 
-// TestLibraryLinksNoNetworkStack pins the layering cmd/* → cliutil → bench →
-// engine. The facade, internal/bench (which the benchmark binary links) and
-// every example must not reach the CLI layer or the network stack: those
-// pages are mapped into every run of every program built on the library, and
-// were the larger part of a short run's peak RSS. Only the two binaries that
-// serve -http link net/http, and the walk must find it from cmd/mcsim, so an
-// empty import graph cannot pass.
+// TestLibraryLinksNoNetworkStack pins the layering cmd/* → bench → engine.
+// The facade, internal/bench (which the benchmark binary links) and every
+// example must not reach the network stack: those pages are mapped into every
+// run of every program built on the library, and were the larger part of a
+// short run's peak RSS. Only cmd/mcsim, which serves -http, links net/http
+// (its flag handling is package main, which nothing can import), and the walk
+// must find it from there, so an empty import graph cannot pass.
 func TestLibraryLinksNoNetworkStack(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go command not found")

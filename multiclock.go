@@ -331,8 +331,8 @@ func (s *System) NewPromotionTracker(window Duration) *PromotionTracker {
 // an instrumented run's simulation timeline is bit-for-bit identical to an
 // uninstrumented one. Export with ExportMetricsJSON or the collector's Run
 // snapshot. The sections layered on the collector (time series, lifecycle
-// spans, SLOs, the Perfetto timeline) are selected by the mcsim and mcbench
-// flags -series, -lifecycle, -slo and -trace-out.
+// spans, SLOs, the Perfetto timeline) are selected by mcsim's flags
+// -series, -lifecycle, -slo and -trace-out.
 func (s *System) EnableMetrics(traceEvents int) *Metrics {
 	c, _ := bench.RunConfig{Metrics: true, TraceEvents: traceEvents}.Attach(s.m)
 	return c

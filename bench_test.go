@@ -101,14 +101,10 @@ func microMachine(p machine.Policy) *machine.Machine {
 	return machine.New(cfg, p)
 }
 
-type noPolicy struct{ machine.Base }
-
-func (noPolicy) Name() string { return "null" }
-
 // BenchmarkAccessHotPath measures the cost of one simulated memory access
 // to a resident page (the simulator's innermost loop).
 func BenchmarkAccessHotPath(b *testing.B) {
-	m := microMachine(&noPolicy{})
+	m := microMachine(policy.NewStatic())
 	as := m.NewSpace()
 	v := as.Mmap(1024, false, "x")
 	for i := 0; i < 1024; i++ {
@@ -132,7 +128,7 @@ func BenchmarkAccessCached(b *testing.B) {
 		mask int // the page index is i&mask
 	}{{"depth1", 1}, {"depth0", 0}} {
 		b.Run(c.name, func(b *testing.B) {
-			m := microMachine(&noPolicy{})
+			m := microMachine(policy.NewStatic())
 			as := m.NewSpace()
 			v := as.Mmap(2, false, "x")
 			m.AccessRange(as, v.Start, 2, false, 1)
@@ -152,7 +148,7 @@ func BenchmarkAccessCached(b *testing.B) {
 // BenchmarkPageFault measures demand-paging cost (allocation, PTE install,
 // LRU insert).
 func BenchmarkPageFault(b *testing.B) {
-	m := microMachine(&noPolicy{})
+	m := microMachine(policy.NewStatic())
 	as := m.NewSpace()
 	v := as.Mmap(1<<20, false, "huge")
 	b.ResetTimer()
@@ -174,7 +170,7 @@ func BenchmarkFaultEvict(b *testing.B) {
 	cfg.Mem.DRAMNodes = []int{1024}
 	cfg.Mem.PMNodes = []int{8192}
 	cfg.OpCost = 0
-	m := machine.New(cfg, &noPolicy{})
+	m := machine.New(cfg, policy.NewStatic())
 	as := m.NewSpace()
 	// The first pages born settle in DRAM for good (direct reclaim takes
 	// from the slowest tier); the stream runs over the rest.
@@ -292,7 +288,7 @@ func BenchmarkScanCycleIdle(b *testing.B) {
 
 // BenchmarkMigration measures a promote+demote round trip.
 func BenchmarkMigration(b *testing.B) {
-	m := microMachine(&noPolicy{})
+	m := microMachine(policy.NewStatic())
 	as := m.NewSpace()
 	v := as.Mmap(1, false, "x")
 	pg := m.Access(as, v.Start, false)

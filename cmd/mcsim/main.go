@@ -121,6 +121,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *deadline < 0 {
 		return usage("mcsim: -deadline must be non-negative, got %v", *deadline)
 	}
+	if *interval < 0 {
+		return usage("mcsim: -interval must be non-negative, got %v", *interval)
+	}
 	if err := rf.Validate(); err != nil {
 		return usage("%v", err)
 	}
@@ -157,6 +160,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if j.gapbs != "" && !slices.Contains(kernels, j.gapbs) {
 		return usage("mcsim: unknown kernel %q (have %s)", j.gapbs, strings.Join(kernels, ", "))
+	}
+	// graph.GenerateEdges' rule, checked before a machine is built.
+	if j.gapbs != "" && (j.vertices < 2 || j.degree <= 0) {
+		return usage("mcsim: -gapbs needs at least 2 vertices and a positive degree, got -vertices %d -degree %d", j.vertices, j.degree)
 	}
 	if *exp == "list" {
 		fmt.Fprintln(stdout, "experiments:")

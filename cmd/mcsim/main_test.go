@@ -89,7 +89,12 @@ func TestUsageRefusals(t *testing.T) {
 		{"audit with lifecycle", []string{"-audit", "a.jsonl", "-snapshot-every", "100", "-metrics", "m.json", "-lifecycle", "1"}, msgCombined("-audit")},
 		{"checkpointing with slo", with(snap, "-metrics", "m.json", "-slo", "p99(x_ns) < 1us over 1ms"), msgCombined("-snapshot")},
 		{"unknown kernel", []string{"-gapbs", "FOO"}, "mcsim: unknown kernel \"FOO\" (have BFS, SSSP, PR, CC, BC, TC)\n"},
+		{"one vertex", []string{"-gapbs", "PR", "-vertices", "1"}, "mcsim: -gapbs needs at least 2 vertices and a positive degree, got -vertices 1 -degree 8\n"},
+		{"no vertices", []string{"-gapbs", "PR", "-vertices", "0"}, "mcsim: -gapbs needs at least 2 vertices and a positive degree, got -vertices 0 -degree 8\n"},
+		{"negative vertices", []string{"-gapbs", "BFS", "-vertices", "-3"}, "mcsim: -gapbs needs at least 2 vertices and a positive degree, got -vertices -3 -degree 8\n"},
+		{"zero degree", []string{"-gapbs", "PR", "-degree", "0"}, "mcsim: -gapbs needs at least 2 vertices and a positive degree, got -vertices 40000 -degree 0\n"},
 		{"negative deadline", []string{"-deadline", "-1s"}, "mcsim: -deadline must be non-negative, got -1s\n"},
+		{"negative interval", []string{"-interval", "-5ms"}, "mcsim: -interval must be non-negative, got -5ms\n"},
 		{"quick without exp", []string{"-quick"}, "mcsim: -quick needs -exp\n"},
 	}
 	for _, c := range cases {

@@ -90,38 +90,30 @@ var SystemNames = []string{"static", "multiclock", "nimble", "at-cpm", "at-opm"}
 // MemModeNames lists the Fig. 7 comparison set.
 var MemModeNames = []string{"static", "multiclock", "memory-mode"}
 
-// checkpointable is what every entry of the policy table builds: a policy
-// that is also a machine.Checkpointer, so "every policy can be
-// checkpointed" is checked by the compiler, not refused at run time.
-type checkpointable interface {
-	machine.Policy
-	machine.Checkpointer
-}
-
 // policyTable is the one ordered list of systems: NewPolicy, PolicyNames,
 // the facade's ParsePolicy, mcsim's -policy help and the test matrices all
 // derive from it. Each constructor takes the daemon interval.
 var policyTable = []struct {
 	name  string
-	build func(interval sim.Duration) checkpointable
+	build func(interval sim.Duration) machine.Policy
 }{
-	{"static", func(sim.Duration) checkpointable { return policy.NewStatic() }},
-	{"multiclock", func(d sim.Duration) checkpointable { return newMultiClock(d, nil) }},
-	{"nimble", func(d sim.Duration) checkpointable { return policy.NewNimble(d, nil) }},
-	{"at-cpm", func(d sim.Duration) checkpointable { return policy.NewAutoTiering(policy.CPM, d) }},
-	{"at-opm", func(d sim.Duration) checkpointable { return policy.NewAutoTiering(policy.OPM, d) }},
-	{"memory-mode", func(sim.Duration) checkpointable { return policy.NewMemoryMode() }},
-	{"thermostat", func(d sim.Duration) checkpointable { return policy.NewThermostat(d) }},
-	{"amp-lfu", func(d sim.Duration) checkpointable { return policy.NewAMP(policy.AMPLFU, d) }},
-	{"amp-lru", func(d sim.Duration) checkpointable { return policy.NewAMP(policy.AMPLRU, d) }},
-	{"amp-random", func(d sim.Duration) checkpointable { return policy.NewAMP(policy.AMPRandom, d) }},
-	{"nomad", func(d sim.Duration) checkpointable { return policy.NewNomad(d) }},
-	{"s3fifo", func(d sim.Duration) checkpointable { return policy.NewS3FIFO(d) }},
-	{"multiclock-gated", func(d sim.Duration) checkpointable { return newMultiClock(d, policy.NewBandwidthGate()) }},
-	{"nimble-gated", func(d sim.Duration) checkpointable { return policy.NewNimble(d, policy.NewBandwidthGate()) }},
+	{"static", func(sim.Duration) machine.Policy { return policy.NewStatic() }},
+	{"multiclock", func(d sim.Duration) machine.Policy { return newMultiClock(d, nil) }},
+	{"nimble", func(d sim.Duration) machine.Policy { return policy.NewNimble(d, nil) }},
+	{"at-cpm", func(d sim.Duration) machine.Policy { return policy.NewAutoTiering(policy.CPM, d) }},
+	{"at-opm", func(d sim.Duration) machine.Policy { return policy.NewAutoTiering(policy.OPM, d) }},
+	{"memory-mode", func(sim.Duration) machine.Policy { return policy.NewMemoryMode() }},
+	{"thermostat", func(d sim.Duration) machine.Policy { return policy.NewThermostat(d) }},
+	{"amp-lfu", func(d sim.Duration) machine.Policy { return policy.NewAMP(policy.AMPLFU, d) }},
+	{"amp-lru", func(d sim.Duration) machine.Policy { return policy.NewAMP(policy.AMPLRU, d) }},
+	{"amp-random", func(d sim.Duration) machine.Policy { return policy.NewAMP(policy.AMPRandom, d) }},
+	{"nomad", func(d sim.Duration) machine.Policy { return policy.NewNomad(d) }},
+	{"s3fifo", func(d sim.Duration) machine.Policy { return policy.NewS3FIFO(d) }},
+	{"multiclock-gated", func(d sim.Duration) machine.Policy { return newMultiClock(d, machine.NewBandwidthGate()) }},
+	{"nimble-gated", func(d sim.Duration) machine.Policy { return policy.NewNimble(d, machine.NewBandwidthGate()) }},
 }
 
-func newMultiClock(d sim.Duration, gate machine.PromotionGate) *core.MultiClock {
+func newMultiClock(d sim.Duration, gate *machine.BandwidthGate) *core.MultiClock {
 	cfg := core.DefaultConfig()
 	cfg.ScanInterval, cfg.Gate = d, gate
 	return core.New(cfg)
@@ -217,13 +209,6 @@ func (o Options) scale() scale {
 			PRIters: 3, BFSTrials: 2, BCSources: 6}
 	}
 	return sc
-}
-
-// stopDaemons halts a policy's daemons so abandoned machines cost nothing.
-func stopDaemons(p machine.Policy) {
-	if st, ok := p.(machine.Stopper); ok {
-		st.Stop()
-	}
 }
 
 // experiments maps experiment ids to their runners. A runner that shares

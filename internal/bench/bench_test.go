@@ -7,6 +7,7 @@ package bench
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -67,6 +68,47 @@ func TestNewPolicyNames(t *testing.T) {
 	}
 	if _, err := NewPolicy("bogus", 0); err == nil {
 		t.Fatal("unknown policy accepted")
+	}
+}
+
+// TestIdleGateIsNoOp is the bake-off's no-op control for the bandwidth gate:
+// on a YCSB run whose migrations stay inside the gate's budget the gate
+// rejects nothing, and a gate that rejects nothing must leave the run exactly
+// as the ungated policy runs it — every counter, the virtual clock and the
+// YCSB results. TestGatedNimbleRejectsUnderPressure (internal/policy) holds
+// the other half: a gate over its budget changes the run.
+func TestIdleGateIsNoOp(t *testing.T) {
+	run := func(policy string) *Session {
+		// A DRAM tier of an eighth of PM under a 2 000-record store
+		// promotes steadily, spending under 1 ms of copy time.
+		s, err := NewSession(RunConfig{Policy: policy, Workloads: []string{"A"}, Records: 2_000, Ops: 20_000,
+			DRAMPages: 128, PMPages: 1_024, Interval: 10 * sim.Millisecond, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for _, base := range []string{"multiclock", "nimble"} {
+		plain, gated := run(base), run(base+"-gated")
+		pc, gc := plain.M.Mem.Counters, gated.M.Mem.Counters
+		if gc.AdmissionRejects != 0 {
+			t.Fatalf("%s-gated rejected %d promotions: the control needs a gate that rejects nothing", base, gc.AdmissionRejects)
+		}
+		if gc.Promotions == 0 {
+			t.Fatalf("%s-gated promoted nothing, so the gate was never consulted", base)
+		}
+		if !reflect.DeepEqual(pc, gc) {
+			t.Errorf("%s: counters differ under an idle gate:\n plain %+v\n gated %+v", base, pc, gc)
+		}
+		if plain.M.Elapsed() != gated.M.Elapsed() {
+			t.Errorf("%s: virtual time %v plain, %v gated", base, plain.M.Elapsed(), gated.M.Elapsed())
+		}
+		if !reflect.DeepEqual(plain.results, gated.results) {
+			t.Errorf("%s: YCSB results differ under an idle gate:\n plain %+v\n gated %+v", base, plain.results, gated.results)
+		}
 	}
 }
 

@@ -124,7 +124,7 @@ func (c cell) run(edges func(graph.GenConfig) []graph.Edge) (r cellResult) {
 	case kindRace:
 		r.early, r.late = runRace(m, c.ops, c.seed)
 	}
-	stopDaemons(m.Policy)
+	m.Policy.Stop()
 	r.counters = m.Mem.Counters
 	return r
 }

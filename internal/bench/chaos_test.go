@@ -65,7 +65,7 @@ func chaosRun(t *testing.T, system string, seed uint64, ops int, fcfg fault.Conf
 			}
 		}
 	}
-	stopDaemons(p)
+	p.Stop()
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatalf("%s seed=%d final: %v", system, seed, err)
 	}
@@ -134,7 +134,7 @@ func TestChaosZeroRateIsNoOp(t *testing.T) {
 	if m.Faults != nil {
 		t.Fatal("zero-rate config built an injector")
 	}
-	stopDaemons(p)
+	p.Stop()
 
 	ops := chaosOps(t) / 2
 	for _, system := range append([]string{"multiclock"}, bakeoffExtras...) {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"multiclock/internal/fault"
-	"multiclock/internal/machine"
 	"multiclock/internal/mem"
 	"multiclock/internal/pagecache"
 	"multiclock/internal/pagetable"
@@ -114,7 +113,7 @@ func faultPathFingerprint(t *testing.T, policy, tiers string, chaos fault.Config
 		m.EndOp()
 	}
 	pc.StopFlusher()
-	stopDaemons(p)
+	p.Stop()
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatalf("%s: %v", policy, err)
 	}
@@ -124,7 +123,7 @@ func faultPathFingerprint(t *testing.T, policy, tiers string, chaos fault.Config
 		m.Mem.Checkpoint(c),
 		m.CheckpointLRU(c, nil),
 		m.CheckpointMachine(c, nil),
-		p.(machine.Checkpointer).Checkpoint(c, nil),
+		p.Checkpoint(c, nil),
 	} {
 		if err != nil {
 			t.Fatalf("%s: %v", policy, err)

@@ -76,7 +76,7 @@ func goldenYCSB(sc scale, system string, huge bool, workloads []ycsb.Workload) s
 			w.Name, res.Throughput, res.Ops, res.P50, res.P95, res.P99, res.MeanLatency)
 	}
 	fmt.Fprintf(&b, "%s\nelapsed=%v ops=%d\n", m.Mem.Counters.String(), m.Elapsed(), m.Ops)
-	stopDaemons(p)
+	p.Stop()
 	return b.String()
 }
 
@@ -99,7 +99,7 @@ func goldenGAPBS(sc scale, system string) string {
 	fmt.Fprintf(&b, "== %s-pr ==\n", system)
 	fmt.Fprintf(&b, "PR: time=%v\n%s\nelapsed=%v\n",
 		sim.Duration(m.Clock.Now()-start), m.Mem.Counters.String(), m.Elapsed())
-	stopDaemons(p)
+	p.Stop()
 	return b.String()
 }
 
@@ -120,7 +120,7 @@ func goldenPattern(sc scale, system string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s-pattern ==\n%s\nelapsed=%v ops=%d\n",
 		system, m.Mem.Counters.String(), m.Elapsed(), m.Ops)
-	stopDaemons(p)
+	p.Stop()
 	return b.String()
 }
 

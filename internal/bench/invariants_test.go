@@ -52,7 +52,7 @@ func TestAttachDetachAroundRunningWorkloads(t *testing.T) {
 			t.Error(err)
 			return cell{}
 		}
-		defer stopDaemons(p)
+		defer p.Stop()
 		seeded := sc
 		seeded.Seed = seed
 		m := seeded.machineWith(p)
@@ -115,7 +115,7 @@ func TestLRUAccountingAfterChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stopDaemons(p)
+	defer p.Stop()
 	m := sc.machineWith(p)
 
 	storeCfg := kvstore.DefaultConfig(int(sc.Records))

@@ -66,7 +66,7 @@ func chaosLifecycleRun(t *testing.T, policy, tiers string) *metrics.LifecycleExp
 		}
 		m.EndOp()
 	}
-	stopDaemons(m.Policy)
+	m.Policy.Stop()
 	return tracer.Export()
 }
 

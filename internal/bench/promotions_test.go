@@ -131,7 +131,7 @@ func TestPromotionTrackerMatchesReference(t *testing.T) {
 			for _, w := range ycsb.PaperSequence {
 				client.Run(w, 8000)
 			}
-			stopDaemons(m.Policy)
+			m.Policy.Stop()
 
 			if len(want.Promotions()) < 4 || want.Demotions() == 0 {
 				t.Fatalf("scenario too quiet to compare: %d windows, %d demotions",

@@ -21,8 +21,9 @@ import (
 // rides its metrics export. Every machine mcsim's runs, its experiments and
 // the snapshot layer build comes from a RunConfig, so equal configs are
 // equal machines by construction. A RunConfig without Sinks is also the
-// serialisable recipe of a checkpointable Session: rebuilding from an equal
-// config and restoring the snapshot sections yields an identical system.
+// serialisable recipe of a Session that can be checkpointed: rebuilding
+// from an equal config and restoring the snapshot sections yields an
+// identical system.
 type RunConfig struct {
 	// Policy is a NewPolicy system name.
 	Policy string

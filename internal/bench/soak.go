@@ -13,22 +13,24 @@ import (
 	"multiclock/internal/ycsb"
 )
 
-// The one YCSB run driver. A Session is one system — a machine, its policy, a
-// kvstore and a YCSB client driving a fixed workload sequence — stepped one
-// operation at a time so snapshots, audit fingerprints and invariant sweeps
-// land exactly on quiescent op boundaries. With no hooks it performs exactly
-// the operations Client.Run would. The session's own progress (current
-// workload, completed results) rides the snapshot's config section, so a
-// restored session reproduces the remaining run — and the final report —
-// byte for byte.
+// The stepped YCSB run driver: every mcsim YCSB run and every checkpointed
+// run is a Session, while the experiment cells call ycsb.Client.Run
+// themselves (runSequence, runWorkloadA). A Session is one system — a
+// machine, its policy, a kvstore and a YCSB client driving a fixed workload
+// sequence — stepped one operation at a time so snapshots, audit
+// fingerprints and invariant sweeps land exactly on quiescent op boundaries.
+// With no hooks it performs exactly the operations Client.Run would. The
+// session's own progress (current workload, completed results) rides the
+// snapshot's config section, so a restored session reproduces the remaining
+// run — and the final report — byte for byte.
 
 // soakConfigVersion guards the config-section layout inside the container.
 // Version 2 added the tier-hierarchy spec; version 3 dropped the two
 // PM-slowdown words, which the fault model now holds as constants.
 const soakConfigVersion = 3
 
-// Session is one live system. It is checkpointable unless it carries sinks
-// or extra observers.
+// Session is one live system. It can be checkpointed unless it carries
+// sinks or extra observers.
 type Session struct {
 	Cfg RunConfig
 
@@ -83,10 +85,10 @@ func newPristine(cfg RunConfig, obs ...machine.Observer) (*Session, error) {
 	return s, nil
 }
 
-// checkpointable refuses a session whose state is not all in MCSNAP: the
+// serializable refuses a session whose state is not all in MCSNAP: the
 // sinks' and extra observers' state is not, and the sampler's and the SLO
 // engine's pending events are not quiescent.
-func (s *Session) checkpointable() error {
+func (s *Session) serializable() error {
 	if s.Cfg.Metrics && s.Cfg.Sinks != (Sinks{}) || s.observed {
 		return fmt.Errorf("bench: a session with series/lifecycle/SLO/trace sinks or extra observers cannot be checkpointed: their state is not serializable")
 	}
@@ -105,7 +107,7 @@ func (s *Session) target() *snapshot.Target {
 // Capture snapshots the session (configuration, progress and full system
 // state) into a container. The session must be at an op boundary.
 func (s *Session) Capture() (*snapshot.File, error) {
-	if err := s.checkpointable(); err != nil {
+	if err := s.serializable(); err != nil {
 		return nil, err
 	}
 	return snapshot.Capture(s.target(), s.encodeSessionState())
@@ -122,7 +124,7 @@ func (s *Session) Snapshot(path string) error {
 
 // Fingerprint hashes every subsystem for the divergence auditor.
 func (s *Session) Fingerprint() (snapshot.AuditRecord, error) {
-	if err := s.checkpointable(); err != nil {
+	if err := s.serializable(); err != nil {
 		return snapshot.AuditRecord{}, err
 	}
 	return snapshot.AuditFingerprint(s.target())
@@ -206,7 +208,7 @@ func (s *Session) Run(h SoakHooks) (string, error) {
 			s.finishRun()
 		}
 	}
-	stopDaemons(s.M.Policy)
+	s.M.Policy.Stop()
 	if h.SnapshotEvery > 0 && h.SnapshotPath != "" {
 		if err := s.Snapshot(h.SnapshotPath); err != nil {
 			return "", err

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"multiclock/internal/fault"
-	"multiclock/internal/machine"
 	"multiclock/internal/policy"
 	"multiclock/internal/sim"
 	"multiclock/internal/snapshot"
@@ -377,59 +376,34 @@ func TestSoakAuditReconcileAfterKill(t *testing.T) {
 	}
 }
 
-// codecless is a policy defined outside the policy table, without a
-// Checkpoint method.
-type codecless struct{ machine.Base }
-
-func (*codecless) Name() string { return "codecless" }
-
-// TestSnapshotRefusesPolicyWithoutCodec: Capture and Restore on such a
-// policy return an error naming it; neither panics nor drops state silently.
-func TestSnapshotRefusesPolicyWithoutCodec(t *testing.T) {
-	cfg := testSoakConfig("static", false)
-	m, err := cfg.MachineWith(&codecless{})
-	if err != nil {
-		t.Fatalf("MachineWith: %v", err)
-	}
-	store, client := cfg.NewYCSB(m)
-	tgt := &snapshot.Target{M: m, Store: store, Client: client}
-	if _, err := snapshot.Capture(tgt, nil); err == nil || !strings.Contains(err.Error(), `"codecless"`) {
-		t.Errorf("Capture = %v, want an error naming the policy", err)
-	}
-	s, err := NewSession(cfg)
-	if err != nil {
-		t.Fatalf("NewSession: %v", err)
-	}
-	f, err := s.Capture()
-	if err != nil {
-		t.Fatalf("Capture of the static session: %v", err)
-	}
-	if err := snapshot.Restore(tgt, f); err == nil || !strings.Contains(err.Error(), `"codecless"`) {
-		t.Errorf("Restore = %v, want an error naming the policy", err)
-	}
-}
-
 // TestSoakRestoreConfigMismatch: restoring a snapshot onto a target built
 // with a different configuration is a typed mismatch, not a partial restore.
+// Nimble's daemons differ from MULTI-CLOCK's, so the clock section refuses
+// first; the gated variant runs the same daemons, so only the policy
+// section's name check can refuse it.
 func TestSoakRestoreConfigMismatch(t *testing.T) {
-	s, err := NewSession(testSoakConfig("multiclock", false))
-	if err != nil {
-		t.Fatalf("NewSession: %v", err)
-	}
-	s.RunUntil(1_000)
-	f, err := s.Capture()
-	if err != nil {
-		t.Fatalf("Capture: %v", err)
-	}
+	for _, c := range []struct{ from, onto, reason string }{
+		{"multiclock", "nimble", `snapshot daemon "kpromoted", target daemon "nimble-scan"`},
+		{"multiclock", "multiclock-gated", `snapshot policy "multiclock", target "multiclock+bandwidth-gate(5%/1.000s)"`},
+	} {
+		s, err := NewSession(testSoakConfig(c.from, false))
+		if err != nil {
+			t.Fatalf("NewSession: %v", err)
+		}
+		s.RunUntil(1_000)
+		f, err := s.Capture()
+		if err != nil {
+			t.Fatalf("Capture: %v", err)
+		}
 
-	other, err := newPristine(testSoakConfig("nimble", false))
-	if err != nil {
-		t.Fatalf("newPristine: %v", err)
-	}
-	tgt := other.target()
-	var cm *snapshot.ConfigMismatchError
-	if err := snapshot.Restore(tgt, f); !errors.As(err, &cm) {
-		t.Fatalf("Restore onto nimble target = %v, want ConfigMismatchError", err)
+		other, err := newPristine(testSoakConfig(c.onto, false))
+		if err != nil {
+			t.Fatalf("newPristine: %v", err)
+		}
+		var cm *snapshot.ConfigMismatchError
+		if err := snapshot.Restore(other.target(), f); !errors.As(err, &cm) || cm.Reason != c.reason {
+			t.Errorf("Restore of %s onto %s = %v, want ConfigMismatchError %q", c.from, c.onto, err, c.reason)
+		}
 	}
 }
 

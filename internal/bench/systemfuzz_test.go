@@ -71,7 +71,7 @@ func fuzzOne(t *testing.T, system string, seed uint64, ops int) {
 		}
 		m.EndOp()
 	}
-	stopDaemons(p)
+	p.Stop()
 	checkInvariants(t, m)
 }
 
@@ -110,7 +110,7 @@ func TestDeterminismAcrossPolicies(t *testing.T) {
 			m.Access(as, v.Start+pagetable.VPN(rng.Intn(1500)), rng.Intn(2) == 0)
 			m.EndOp()
 		}
-		stopDaemons(p)
+		p.Stop()
 		return m.Elapsed(), m.Mem.Counters
 	}
 	f := func(seed uint64, sysIdx uint8) bool {

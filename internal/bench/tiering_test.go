@@ -48,7 +48,7 @@ func runTiered(t *testing.T, policy, tiers string) (string, []byte) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "tp=%.3f p50=%v p99=%v\n%s\nelapsed=%v ops=%d\n",
 		res.Throughput, res.P50, res.P99, m.Mem.Counters.String(), m.Elapsed(), m.Ops)
-	stopDaemons(p)
+	p.Stop()
 	export, err := pool.ExportJSON()
 	if err != nil {
 		t.Fatalf("ExportJSON: %v", err)

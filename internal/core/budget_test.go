@@ -165,51 +165,6 @@ func TestWriteBiasOrderingUnit(t *testing.T) {
 	_ = clean
 }
 
-// TestAdaptiveIntervalReacts: under heavy promotion flow the interval
-// shrinks toward the floor; once the tier quiesces it backs off toward the
-// ceiling (§VII future work).
-func TestAdaptiveIntervalReacts(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ScanInterval = 10 * sim.Millisecond
-	cfg.Adaptive = true
-	m, mc := testMachine(256, 1024, cfg)
-	ceiling := cfg.ScanInterval * 8
-	as := m.NewSpace()
-	region := as.Mmap(500, false, "data")
-	for i := 0; i < 500; i++ {
-		m.Access(as, region.Start+pagetable.VPN(i), false)
-	}
-	hot := pmResidents(m, as, region, 64)
-	if len(hot) < 32 {
-		t.Fatalf("setup: %d PM residents", len(hot))
-	}
-	// The idle setup backs the daemon off toward its ceiling; heat the PM
-	// set long enough for the slow cadence to notice the shift. The
-	// promotion burst pulls the interval down transiently (MinIntervalSeen),
-	// and once the burst is absorbed the daemon backs off again — both
-	// halves of the §VII idea.
-	for round := 0; round < 80; round++ {
-		for _, vpn := range hot {
-			m.Access(as, vpn, false)
-		}
-		m.Compute(11 * sim.Millisecond)
-	}
-	// The burst is one-shot, so one or two halvings happen from the
-	// backed-off ceiling; what matters is that the daemon reacted at all.
-	if mc.MinIntervalSeen == 0 || mc.MinIntervalSeen >= ceiling {
-		t.Fatalf("interval never shrank under promotion flow: min %v", mc.MinIntervalSeen)
-	}
-	// Quiesced (the burst is one-shot): the interval has backed off.
-	pmDaemon := mc.Daemons()[1] // node 1 = PM
-	m.Compute(500 * sim.Millisecond)
-	if pmDaemon.Interval <= cfg.ScanInterval {
-		t.Fatalf("interval did not back off when idle: %v", pmDaemon.Interval)
-	}
-	if pmDaemon.Interval > ceiling {
-		t.Fatalf("interval exceeded ceiling: %v", pmDaemon.Interval)
-	}
-}
-
 // TestHugeDemotionSplitsOnFragmentation: a cold compound page whose
 // migration to PM fails on fragmentation is split (split_huge_page) so its
 // base pages can reclaim individually — the kernel's split-on-reclaim

@@ -26,13 +26,6 @@ type Config struct {
 	// every selected page, which is the paper's behaviour ("promotes all
 	// the pages it selected", §III-B); positive values throttle.
 	PromoteMax int
-	// Adaptive enables the §VII future-work extension: each kpromoted
-	// thread retunes its own interval from what its wakeups find — heavy
-	// promotion flow halves the interval (the workload is shifting and
-	// wants faster reaction), an idle wakeup doubles it (nothing to do,
-	// stop paying scan overhead) — clamped to [ScanInterval/8,
-	// ScanInterval*8].
-	Adaptive bool
 	// WriteBias, when positive, implements the §VII discussion extension:
 	// a dirty page on the promote list is preferred for promotion by
 	// ordering (writes to PM are the most expensive accesses). Zero keeps
@@ -44,7 +37,7 @@ type Config struct {
 	// bandwidth control). A rejected candidate drops to the active list of
 	// its tier exactly like an exhausted retry; it may requalify through
 	// the ordinary two-touch path once the gate readmits.
-	Gate machine.PromotionGate
+	Gate *machine.BandwidthGate
 }
 
 // DefaultConfig returns the paper's operating point: 1 s interval, 1024
@@ -129,9 +122,6 @@ type MultiClock struct {
 	PromoteDrops        int64
 	DemoteRequeues      int64
 	DemoteSwapFallbacks int64
-	// MinIntervalSeen records the shortest interval the adaptive
-	// extension reached (zero when never adapted downward).
-	MinIntervalSeen sim.Duration
 
 	// Reusable candidate buffers so every daemon wakeup is allocation
 	// free. promoteBuf and demoteBuf must stay distinct: demoteFrom nests
@@ -179,43 +169,13 @@ func (mc *MultiClock) Attach(m *machine.Machine) {
 	if mc.cfg.Gate != nil {
 		mc.cfg.Gate.Attach(m)
 	}
-	mc.StartNodeDaemons("kpromoted", mc.cfg.ScanInterval, func(node mem.NodeID, d *sim.Daemon) {
-		promoted := mc.kpromoted(node)
-		if mc.cfg.Adaptive {
-			mc.adapt(d, promoted)
-		}
-	})
-}
-
-// adapt retunes one kpromoted thread's interval from its last wakeup's
-// promotion flow (§VII future work).
-func (mc *MultiClock) adapt(d *sim.Daemon, promoted int) {
-	switch {
-	case promoted > mc.cfg.ScanBatch/64:
-		// The workload is moving pages across tiers: react faster.
-		next := d.Interval / 2
-		if lo := mc.cfg.ScanInterval / 8; next < lo {
-			next = lo
-		}
-		d.Interval = next
-		if mc.MinIntervalSeen == 0 || next < mc.MinIntervalSeen {
-			mc.MinIntervalSeen = next
-		}
-	case promoted == 0:
-		// Quiet tier: back off, saving scan overhead.
-		next := d.Interval * 2
-		if hi := mc.cfg.ScanInterval * 8; next > hi {
-			next = hi
-		}
-		d.Interval = next
-	}
+	mc.StartNodeDaemons("kpromoted", mc.cfg.ScanInterval, func(node mem.NodeID, _ *sim.Daemon) { mc.kpromoted(node) })
 }
 
 // kpromoted is one wakeup of the per-node daemon: scan the lists to update
 // page states from the hardware reference bits, then migrate everything on
-// the promote list to the next-higher tier (§III-B). It returns the number
-// of pages promoted (consumed by the adaptive-interval extension).
-func (mc *MultiClock) kpromoted(node mem.NodeID) int {
+// the promote list to the next-higher tier (§III-B).
+func (mc *MultiClock) kpromoted(node mem.NodeID) {
 	m := mc.M
 	vec := m.Vecs[node]
 	stats := vec.ScanCycle(mc.cfg.ScanBatch)
@@ -237,7 +197,7 @@ func (mc *MultiClock) kpromoted(node mem.NodeID) int {
 		if m.Mem.Nodes[node].UnderLow() {
 			mc.demoteFrom(node, 0)
 		}
-		return 0
+		return
 	}
 
 	if mc.cfg.WriteBias {
@@ -295,7 +255,6 @@ func (mc *MultiClock) kpromoted(node mem.NodeID) int {
 			mc.retryPromote(pg)
 		}
 	}
-	return promoted
 }
 
 // retryPromote decides where a failed promotion lands. While the page has

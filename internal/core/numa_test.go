@@ -11,6 +11,7 @@ import (
 	"multiclock/internal/machine"
 	"multiclock/internal/mem"
 	"multiclock/internal/pagetable"
+	"multiclock/internal/policy"
 	"multiclock/internal/sim"
 )
 
@@ -130,7 +131,7 @@ func TestNUMAEndToEndThroughput(t *testing.T) {
 		mc := New(cfg)
 		pol = mc
 		if static {
-			pol = &staticForTest{}
+			pol = policy.NewStatic()
 		}
 		mcfg := machine.DefaultConfig()
 		mcfg.Mem.DRAMNodes = []int{256, 256}
@@ -176,9 +177,3 @@ func TestNUMAEndToEndThroughput(t *testing.T) {
 		t.Fatalf("NUMA multiclock %.0f ≤ static %.0f", mcTP, stTP)
 	}
 }
-
-// staticForTest avoids importing internal/policy (cycle-free minimal
-// static baseline for the NUMA comparison).
-type staticForTest struct{ machine.Base }
-
-func (*staticForTest) Name() string { return "static" }

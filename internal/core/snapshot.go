@@ -11,11 +11,11 @@ import (
 
 // Checkpoint serialization. The configuration (including Attach's
 // deterministic retry defaults) is reproduced by the restore target's
-// construction; the daemons' wakeup deadlines and adapted intervals are the
-// clock section's business. What travels here is the per-page retry
-// bookkeeping (in page-sequence order, see mem.Side.Checkpoint),
-// the per-node pressure-episode rate limiter, the policy counters, and the
-// nested admission gate when one is configured.
+// construction; the daemons' wakeup deadlines are the clock section's
+// business. What travels here is the per-page retry bookkeeping (in
+// page-sequence order, see mem.Side.Checkpoint), the per-node
+// pressure-episode rate limiter, the policy counters, and the nested
+// admission gate when one is configured.
 
 // Checkpoint implements machine.Checkpointer; reading, the policy must
 // already be attached to its machine.
@@ -62,7 +62,6 @@ func (mc *MultiClock) Checkpoint(c *snapcodec.Codec, reg *machine.PageRegistry) 
 	} {
 		snapcodec.I64(c, p)
 	}
-	snapcodec.I64(c, &mc.MinIntervalSeen)
 
-	return machine.CheckpointGate(c, reg, mc.cfg.Gate)
+	return machine.CheckpointGate(c, mc.cfg.Gate)
 }

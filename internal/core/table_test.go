@@ -15,14 +15,16 @@ import (
 // retryWatch wraps a MULTI-CLOCK policy and checks, at every death of a page
 // with a retry entry, that a restore's zombie for it reads as having none,
 // and at every birth, that the newborn inherits no entry and that the table
-// holds no more entries than live pages.
+// holds no more entries than live pages. It sees births as an attached
+// observer (a minor fault's OnFault).
 type retryWatch struct {
 	*MultiClock
 	t       *testing.T
 	as      *pagetable.AddressSpace
 	tracked map[*mem.Page]bool // descriptors whose last tenant died with an entry
-	reused  int                // births into such a descriptor
-	peak    int                // most entries seen at a birth
+	births  int64
+	reused  int // births into such a descriptor
+	peak    int // most entries seen at a birth
 }
 
 func (w *retryWatch) PageFreed(pg *mem.Page) {
@@ -35,7 +37,14 @@ func (w *retryWatch) PageFreed(pg *mem.Page) {
 	w.MultiClock.PageFreed(pg)
 }
 
-func (w *retryWatch) PageBirth(pg *mem.Page) {
+func (*retryWatch) OnAccess(*mem.Page, bool, sim.Time)                    {}
+func (*retryWatch) OnMigrate(*mem.Page, mem.NodeID, mem.NodeID, sim.Time) {}
+
+func (w *retryWatch) OnFault(pg *mem.Page, hint bool, _ sim.Time) {
+	if hint {
+		return
+	}
+	w.births++
 	if w.tracked[pg] {
 		w.reused++
 		delete(w.tracked, pg)
@@ -48,7 +57,6 @@ func (w *retryWatch) PageBirth(pg *mem.Page) {
 	} else {
 		w.peak = max(w.peak, n)
 	}
-	w.MultiClock.PageBirth(pg)
 }
 
 // TestPerPageTablesForgetDeadPages churns an oversubscribed machine under a
@@ -68,6 +76,7 @@ func TestPerPageTablesForgetDeadPages(t *testing.T) {
 	mcfg.CPUCachePages = 0
 	mcfg.Faults = fcfg
 	m := machine.New(mcfg, w)
+	m.Attach(w)
 	w.as = m.NewSpace()
 	v := w.as.Mmap(384, false, "churn")
 	rng := sim.NewRNG(11)
@@ -81,6 +90,9 @@ func TestPerPageTablesForgetDeadPages(t *testing.T) {
 			continue
 		}
 		m.Access(w.as, vpn, i%5 == 0)
+	}
+	if w.births != m.Mem.Counters.MinorFaults {
+		t.Fatalf("observer saw %d births, machine counted %d minor faults", w.births, m.Mem.Counters.MinorFaults)
 	}
 	if w.reused == 0 || w.peak == 0 {
 		t.Fatalf("no descriptor of a page that died with a retry entry was reused (at most %d entries, %d requeues)",

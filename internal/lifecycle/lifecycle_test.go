@@ -7,21 +7,18 @@ import (
 	"multiclock/internal/mem"
 	"multiclock/internal/metrics"
 	"multiclock/internal/pagetable"
+	"multiclock/internal/policy"
 )
 
-// nullPolicy is static placement with base latency: the Fig. 4 ladder is
-// driven by hand so each rung is attributable to one call.
-type nullPolicy struct{ machine.Base }
-
-func (*nullPolicy) Name() string { return "null" }
-
+// testMachine runs static placement, whose policy moves nothing: the Fig. 4
+// ladder is driven by hand so each rung is attributable to one call.
 func testMachine(dram, pm int) *machine.Machine {
 	cfg := machine.DefaultConfig()
 	cfg.Mem.DRAMNodes = []int{dram}
 	cfg.Mem.PMNodes = []int{pm}
 	cfg.OpCost = 0
 	cfg.CPUCachePages = 0
-	return machine.New(cfg, &nullPolicy{})
+	return machine.New(cfg, policy.NewStatic())
 }
 
 // step is one expected (state, reason) rung of a timeline.

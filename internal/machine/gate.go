@@ -1,11 +1,11 @@
-package policy
+package machine
 
 import (
 	"fmt"
 
-	"multiclock/internal/machine"
 	"multiclock/internal/mem"
 	"multiclock/internal/sim"
+	"multiclock/internal/snapcodec"
 )
 
 const (
@@ -32,9 +32,10 @@ const (
 // may requalify once bandwidth pressure subsides.
 //
 // The gate reads only the machine's MigrationBusy counter and virtual
-// clock, so it is deterministic and adds no state to any page.
+// clock, so it is deterministic and adds no state to any page. MULTI-CLOCK
+// (core.Config.Gate) and Nimble hold it; it lives here, below both.
 type BandwidthGate struct {
-	m *machine.Machine
+	m *Machine
 
 	// The current window: where it started and how much migration busy
 	// time the machine had accumulated at that point.
@@ -50,15 +51,18 @@ type BandwidthGate struct {
 // NewBandwidthGate returns an admission gate.
 func NewBandwidthGate() *BandwidthGate { return &BandwidthGate{} }
 
-// Name implements machine.PromotionGate.
+// Name identifies the gate in reports.
 func (g *BandwidthGate) Name() string {
 	return fmt.Sprintf("bandwidth-gate(%.0f%%/%v)", gateBudget*100, gateWindow)
 }
 
-// Attach implements machine.PromotionGate.
-func (g *BandwidthGate) Attach(m *machine.Machine) { g.m = m }
+// Attach wires the gate to the machine whose promotions it arbitrates.
+// Called once, before any Admit.
+func (g *BandwidthGate) Attach(m *Machine) { g.m = m }
 
-// Admit implements machine.PromotionGate.
+// Admit reports whether promoting pg is worth its bandwidth right now. A
+// rejected candidate is returned to its LRU by the caller; the gate records
+// the rejection in Counters.AdmissionRejects.
 func (g *BandwidthGate) Admit(pg *mem.Page, now sim.Time) bool {
 	if now-g.windowStart >= sim.Time(gateWindow) {
 		g.windowStart = now
@@ -83,4 +87,23 @@ func (g *BandwidthGate) Admit(pg *mem.Page, now sim.Time) bool {
 	}
 }
 
-var _ machine.PromotionGate = (*BandwidthGate)(nil)
+// CheckpointGate codes a gated policy's admission gate, presence-tagged,
+// inside that policy's section: the gate's window and its tallies.
+func CheckpointGate(c *snapcodec.Codec, g *BandwidthGate) error {
+	hasGate := g != nil
+	c.Bool(&hasGate)
+	if c.Err() != nil {
+		return c.Err()
+	}
+	if hasGate != (g != nil) {
+		return fmt.Errorf("machine: snapshot gate presence %v does not match policy", hasGate)
+	}
+	if !hasGate {
+		return nil
+	}
+	snapcodec.I64(c, &g.windowStart)
+	snapcodec.I64(c, &g.busyAtStart)
+	snapcodec.I64(c, &g.Admits)
+	snapcodec.I64(c, &g.Rejects)
+	return c.Err()
+}

@@ -379,7 +379,6 @@ func (m *Machine) fault(as *pagetable.AddressSpace, vpn pagetable.VPN) {
 	// from the reclaim triggered below.
 	pg.Accessed = true
 	m.Vecs[pg.Node].Add(pg)
-	m.Policy.PageBirth(pg)
 	if m.observer != nil {
 		m.observer.OnFault(pg, false, m.Clock.Now())
 	}
@@ -418,7 +417,6 @@ func (m *Machine) faultHuge(as *pagetable.AddressSpace, vpn pagetable.VPN, vma *
 	as.InstallRange(base, pg, pagetable.HugePages)
 	pg.Accessed = true
 	m.Vecs[pg.Node].Add(pg)
-	m.Policy.PageBirth(pg)
 	if m.observer != nil {
 		m.observer.OnFault(pg, false, m.Clock.Now())
 	}

@@ -6,13 +6,15 @@ import (
 	"multiclock/internal/mem"
 	"multiclock/internal/pagetable"
 	"multiclock/internal/sim"
+	"multiclock/internal/snapcodec"
 )
 
 // nullPolicy is the minimal policy for machine-level tests: static
 // placement with base latency.
 type nullPolicy struct{ Base }
 
-func (nullPolicy) Name() string { return "null" }
+func (nullPolicy) Name() string                                     { return "null" }
+func (nullPolicy) Checkpoint(*snapcodec.Codec, *PageRegistry) error { return nil }
 
 func testMachine(dram, pm int) *Machine {
 	cfg := DefaultConfig()

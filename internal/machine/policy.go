@@ -9,8 +9,12 @@ import (
 // Policy is a tiering policy: it decides where pages are born, what an
 // access costs, and how pages move between tiers over time (via daemons it
 // installs in Attach). Implementations: MULTI-CLOCK (internal/core) and the
-// baselines (internal/policy).
+// baselines (internal/policy). Every policy checkpoints and stops: the
+// contract is the type, so no caller recovers either method at run time.
 type Policy interface {
+	Checkpointer
+	Stopper
+
 	// Name identifies the policy in reports.
 	Name() string
 
@@ -20,9 +24,6 @@ type Policy interface {
 
 	// AllocOrder is the tier fallback order for page birth.
 	AllocOrder() []mem.Tier
-
-	// PageBirth runs after a fresh page is mapped and on the LRU.
-	PageBirth(pg *mem.Page)
 
 	// PageFreed runs before a page's frame is released.
 	PageFreed(pg *mem.Page)
@@ -47,28 +48,9 @@ type Policy interface {
 	DirectReclaim(n int) int
 }
 
-// PromotionGate is a pluggable admission controller for promotions
-// (TierBPF-style): scanning daemons consult it with each candidate before
-// spending migration bandwidth. Implementations must be deterministic in
-// virtual time — Admit may read the machine's counters and clock but must
-// not mutate pages or lists. A rejected candidate is returned to its LRU by
-// the caller; the gate records the rejection in Counters.AdmissionRejects.
-type PromotionGate interface {
-	// Name identifies the gate in reports.
-	Name() string
-
-	// Attach wires the gate to the machine whose promotions it arbitrates.
-	// Called once, before any Admit.
-	Attach(m *Machine)
-
-	// Admit reports whether promoting pg is worth its bandwidth right now.
-	Admit(pg *mem.Page, now sim.Time) bool
-}
-
 // Stopper is what tearing a system down needs of its policy: Stop halts the
 // policy's daemons so abandoned machines cost nothing. Every policy
-// embedding Base has it; callers type-assert once against this interface
-// instead of enumerating concrete policy types.
+// embedding Base has it.
 type Stopper interface {
 	Stop()
 }
@@ -137,9 +119,6 @@ func (b *Base) QueueDepth(n int) {
 // AllocOrder births pages in the fastest tier while it lasts, then each
 // slower tier in turn (§II-A).
 func (b *Base) AllocOrder() []mem.Tier { return b.M.Mem.BirthOrder() }
-
-// PageBirth is a no-op.
-func (b *Base) PageBirth(pg *mem.Page) {}
 
 // PageFreed is a no-op.
 func (b *Base) PageFreed(pg *mem.Page) {}

@@ -10,6 +10,7 @@ import (
 	"multiclock/internal/fault"
 	"multiclock/internal/mem"
 	"multiclock/internal/sim"
+	"multiclock/internal/snapcodec"
 )
 
 // kitPolicy starts one counting daemon per node from Attach, like every
@@ -20,7 +21,8 @@ type kitPolicy struct {
 	runs     map[mem.NodeID]int
 }
 
-func (*kitPolicy) Name() string { return "kit" }
+func (*kitPolicy) Name() string                                     { return "kit" }
+func (*kitPolicy) Checkpoint(*snapcodec.Codec, *PageRegistry) error { return nil }
 
 func (p *kitPolicy) Attach(m *Machine) {
 	p.Base.Attach(m)

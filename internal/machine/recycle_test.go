@@ -10,21 +10,33 @@ import (
 	"multiclock/internal/mem"
 	"multiclock/internal/pagetable"
 	"multiclock/internal/sim"
+	"multiclock/internal/snapcodec"
 )
 
 // evictingPolicy reacts to its first armed pressure call the way a policy
 // under heavy oversubscription can: it swaps out the page whose birth raised
-// the pressure, then splits a cold huge page in the same episode.
+// the pressure, then splits a cold huge page in the same episode. It sees
+// births as an attached observer: a minor fault's OnFault runs before the
+// pressure the birth raises.
 type evictingPolicy struct {
 	Base
 	armed            bool
+	births           int64
 	newborn, evicted *mem.Page
 	huge             *mem.Page
 }
 
-func (*evictingPolicy) Name() string { return "evicting" }
+func (*evictingPolicy) Name() string                                     { return "evicting" }
+func (*evictingPolicy) Checkpoint(*snapcodec.Codec, *PageRegistry) error { return nil }
 
-func (p *evictingPolicy) PageBirth(pg *mem.Page) { p.newborn = pg }
+func (*evictingPolicy) OnAccess(*mem.Page, bool, sim.Time)                    {}
+func (*evictingPolicy) OnMigrate(*mem.Page, mem.NodeID, mem.NodeID, sim.Time) {}
+func (p *evictingPolicy) OnFault(pg *mem.Page, hint bool, _ sim.Time) {
+	if !hint {
+		p.births++
+		p.newborn = pg
+	}
+}
 
 func (p *evictingPolicy) Pressure(node mem.NodeID) {
 	if !p.armed {
@@ -49,6 +61,7 @@ func TestAccessSurvivesRecycledNewborn(t *testing.T) {
 	cfg.Mem.PMNodes = []int{64}
 	cfg.OpCost = 0
 	m := New(cfg, p)
+	m.Attach(p)
 	as := m.NewSpace()
 	thp := as.MmapHuge(pagetable.HugePages, "thp")
 	anon := as.Mmap(200, false, "anon")
@@ -87,6 +100,9 @@ func TestAccessSurvivesRecycledNewborn(t *testing.T) {
 	// charged (the accounting contract of AccessN's retry loop).
 	if got := m.Mem.Counters.MinorFaults - faults; got != 2 {
 		t.Fatalf("access took %d faults, want 2", got)
+	}
+	if p.births != m.Mem.Counters.MinorFaults {
+		t.Fatalf("observer saw %d births, machine counted %d minor faults", p.births, m.Mem.Counters.MinorFaults)
 	}
 	if m.Mem.Counters.SwapOuts != 1 || m.Mem.Counters.SwapIns != 1 || m.Mem.Counters.HugeSplits != 1 {
 		t.Fatalf("episode counted %d swap-outs, %d swap-ins, %d splits", m.Mem.Counters.SwapOuts, m.Mem.Counters.SwapIns, m.Mem.Counters.HugeSplits)

@@ -8,13 +8,11 @@ import (
 	"multiclock/internal/snapcodec"
 )
 
-// Checkpointer is implemented by policies (and nested components such as
-// admission gates) that support deterministic checkpoint/restore.
+// Checkpointer is the checkpoint/restore half of the Policy contract.
 // Checkpoint codes the component's full mutable state at a quiescent point.
 // Reading, the component is freshly constructed with identical
 // configuration and resolves page references through the registry; writing,
-// pages is nil. Every policy the run layer can name implements it (bench's
-// policy table requires it at compile time).
+// pages is nil.
 type Checkpointer interface {
 	Checkpoint(c *snapcodec.Codec, pages *PageRegistry) error
 }
@@ -328,25 +326,4 @@ func (pc *pageCache) checkpoint(c *snapcodec.Codec, reg *PageRegistry) error {
 		}
 	}
 	return c.Err()
-}
-
-// CheckpointGate codes a nested admission gate (presence-tagged), requiring
-// it to support checkpointing when present. Shared by the gated policies.
-func CheckpointGate(c *snapcodec.Codec, reg *PageRegistry, gate PromotionGate) error {
-	hasGate := gate != nil
-	c.Bool(&hasGate)
-	if c.Err() != nil {
-		return c.Err()
-	}
-	if hasGate != (gate != nil) {
-		return fmt.Errorf("machine: snapshot gate presence %v does not match policy", hasGate)
-	}
-	if !hasGate {
-		return nil
-	}
-	gs, ok := gate.(Checkpointer)
-	if !ok {
-		return fmt.Errorf("machine: admission gate %s does not support checkpointing", gate.Name())
-	}
-	return gs.Checkpoint(c, reg)
 }

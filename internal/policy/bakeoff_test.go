@@ -159,7 +159,7 @@ func TestNomadStop(t *testing.T) {
 // --- BandwidthGate ---
 
 func TestBandwidthGateBudget(t *testing.T) {
-	g := NewBandwidthGate()
+	g := machine.NewBandwidthGate()
 	m := newMachine(64, 64, NewStatic())
 	g.Attach(m)
 	clean := &mem.Page{}
@@ -194,7 +194,7 @@ func TestBandwidthGateBudget(t *testing.T) {
 
 func TestBandwidthGateDefaults(t *testing.T) {
 	// The bake-off tables label the gated variants with this rendering.
-	if got := NewBandwidthGate().Name(); got != "bandwidth-gate(5%/1.000s)" {
+	if got := machine.NewBandwidthGate().Name(); got != "bandwidth-gate(5%/1.000s)" {
 		t.Fatalf("name %q", got)
 	}
 }
@@ -203,12 +203,12 @@ func TestGatedNimbleRejectsUnderPressure(t *testing.T) {
 	// A copy engine that has already spent a whole window migrating (past
 	// the hard limit) starves every promotion until the window turns over;
 	// Nimble wakes ten times a window, so its candidates meet a spent gate.
-	nb := NewNimble(100*sim.Millisecond, NewBandwidthGate())
+	nb := NewNimble(100*sim.Millisecond, machine.NewBandwidthGate())
 	m := newMachine(128, 1024, nb)
 	as := m.NewSpace()
 	v := fillOver(m, as, 400)
 	hot := pmVPNs(m, as, v, 32)
-	m.Mem.Counters.MigrationBusy += gateWindow
+	m.Mem.Counters.MigrationBusy += sim.Second // one whole window
 	for round := 0; round < 6; round++ {
 		for _, vpn := range hot {
 			m.Access(as, vpn, false)

@@ -22,7 +22,6 @@ var settableConfigFields = map[string]string{
 	"core.Config.ScanInterval": "-interval and the fig10 sweep vary it",
 	"core.Config.ScanBatch":    "ablation-batch varies it",
 	"core.Config.PromoteMax":   "ablation-write caps it at 16; every other run promotes all",
-	"core.Config.Adaptive":     "the §VII extension; off everywhere but its test",
 	"core.Config.WriteBias":    "ablation-write compares both values",
 	"core.Config.Gate":         "the -gated variants set it",
 

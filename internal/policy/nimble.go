@@ -16,7 +16,7 @@ import (
 type Nimble struct {
 	recencyDemoter
 	interval sim.Duration
-	gate     machine.PromotionGate
+	gate     *machine.BandwidthGate
 
 	// Promotions counts pages moved up; exposed for Fig. 8 telemetry.
 	Promotions int64
@@ -29,7 +29,7 @@ type Nimble struct {
 // (the paper runs it at kpromoted's 1 s, §V-C). gate, when non-nil, is a
 // promotion admission controller consulted once per candidate before any
 // migration work is spent; a rejected candidate returns to its active list.
-func NewNimble(interval sim.Duration, gate machine.PromotionGate) *Nimble {
+func NewNimble(interval sim.Duration, gate *machine.BandwidthGate) *Nimble {
 	return &Nimble{interval: interval, gate: gate}
 }
 

@@ -102,7 +102,7 @@ func TestStaticBornInDRAMFirst(t *testing.T) {
 
 func TestNimbleDefaults(t *testing.T) {
 	checkDaemons(t, NewNimble(250*sim.Millisecond, nil), "nimble", 250*sim.Millisecond)
-	checkDaemons(t, NewNimble(sim.Second, NewBandwidthGate()), "nimble+bandwidth-gate(5%/1.000s)", sim.Second)
+	checkDaemons(t, NewNimble(sim.Second, machine.NewBandwidthGate()), "nimble+bandwidth-gate(5%/1.000s)", sim.Second)
 }
 
 func TestNimblePromotesOnSingleRecency(t *testing.T) {
@@ -175,7 +175,7 @@ func TestStockLadderParksNothingOnPromoteLists(t *testing.T) {
 	const interval = 10 * sim.Millisecond
 	for _, p := range []machine.Policy{
 		NewNimble(interval, nil),
-		NewNimble(interval, NewBandwidthGate()),
+		NewNimble(interval, machine.NewBandwidthGate()),
 		NewS3FIFO(interval),
 	} {
 		m := newMachine(128, 1024, p)

@@ -210,7 +210,8 @@ func TestNomadStaleShadowedEntrySkipsRebornDescriptor(t *testing.T) {
 
 // tableWatch wraps a policy whose per-page state lives in a side table, and
 // checks at every birth that the newborn inherits nothing: no entry under its
-// descriptor, and no more entries than live pages.
+// descriptor, and no more entries than live pages. It sees births as an
+// attached observer (a minor fault's OnFault).
 type tableWatch struct {
 	machine.Policy
 	t    *testing.T
@@ -223,7 +224,7 @@ type tableWatch struct {
 
 	tracked map[*mem.Page]bool // descriptors whose last tenant died with an entry
 	reused  int                // births into such a descriptor
-	births  int
+	births  int64
 	peak    int // most entries seen at a birth
 }
 
@@ -247,7 +248,13 @@ func (w *tableWatch) PageFreed(pg *mem.Page) {
 	w.Policy.PageFreed(pg)
 }
 
-func (w *tableWatch) PageBirth(pg *mem.Page) {
+func (*tableWatch) OnAccess(*mem.Page, bool, sim.Time)                    {}
+func (*tableWatch) OnMigrate(*mem.Page, mem.NodeID, mem.NodeID, sim.Time) {}
+
+func (w *tableWatch) OnFault(pg *mem.Page, hint bool, _ sim.Time) {
+	if hint {
+		return
+	}
 	w.births++
 	if w.tracked[pg] {
 		w.reused++
@@ -261,7 +268,6 @@ func (w *tableWatch) PageBirth(pg *mem.Page) {
 		w.t.Fatalf("birth %d: %s's table holds %d entries for %d live pages", w.births, w.Name(), n, live)
 	}
 	w.peak = max(w.peak, n)
-	w.Policy.PageBirth(pg)
 }
 
 // churn runs the watched machine oversubscribed: faults, swap-outs, unmaps
@@ -274,6 +280,7 @@ func (w *tableWatch) churn(t *testing.T, newMachine func(machine.Policy) *machin
 		w.inherited = w.has
 	}
 	w.m = newMachine(w)
+	w.m.Attach(w)
 	as := w.m.NewSpace()
 	v := as.Mmap(384, false, "churn")
 	rng := sim.NewRNG(11)
@@ -289,6 +296,9 @@ func (w *tableWatch) churn(t *testing.T, newMachine func(machine.Policy) *machin
 			continue
 		}
 		w.m.Access(as, vpn, i%5 == 0)
+	}
+	if w.births != w.m.Mem.Counters.MinorFaults {
+		t.Fatalf("observer saw %d births, machine counted %d minor faults", w.births, w.m.Mem.Counters.MinorFaults)
 	}
 	if w.reused == 0 {
 		t.Fatalf("no descriptor of a page that died with an entry was reused (%d births, %d swap-outs)",
@@ -317,7 +327,7 @@ func TestPerPageTablesForgetDeadPages(t *testing.T) {
 	watches := []*tableWatch{
 		{Policy: at, has: func(pg *mem.Page) bool { return at.lastHint.Get(pg) != nil }, size: func() int { return at.lastHint.Len() }},
 		{Policy: s3, has: func(pg *mem.Page) bool { return s3.state.Get(pg) != nil }, size: func() int { return s3.state.Len() },
-			// A PM birth is admitted to the small queue before PageBirth.
+			// A PM birth is admitted to the small queue before its OnFault.
 			inherited: func(pg *mem.Page) bool {
 				v := s3.state.Get(pg)
 				return v != nil && *v != s3Small|s3Fresh

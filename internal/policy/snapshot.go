@@ -116,20 +116,10 @@ func (th *Thermostat) Checkpoint(c *snapcodec.Codec, _ *machine.PageRegistry) er
 	return c.Err()
 }
 
-// Checkpoint codes the gate's window (nested inside a gated policy's
-// section).
-func (g *BandwidthGate) Checkpoint(c *snapcodec.Codec, _ *machine.PageRegistry) error {
-	snapcodec.I64(c, &g.windowStart)
-	snapcodec.I64(c, &g.busyAtStart)
-	snapcodec.I64(c, &g.Admits)
-	snapcodec.I64(c, &g.Rejects)
-	return c.Err()
-}
-
 // Checkpoint codes the counter and the admission gate.
-func (nb *Nimble) Checkpoint(c *snapcodec.Codec, reg *machine.PageRegistry) error {
+func (nb *Nimble) Checkpoint(c *snapcodec.Codec, _ *machine.PageRegistry) error {
 	snapcodec.I64(c, &nb.Promotions)
-	return machine.CheckpointGate(c, reg, nb.gate)
+	return machine.CheckpointGate(c, nb.gate)
 }
 
 // Checkpoint codes the in-flight transactions, the shadowed list and the
@@ -214,7 +204,3 @@ func checkpointPageRefs(c *snapcodec.Codec, reg *machine.PageRegistry, refs *[]p
 	}
 	return c.Err()
 }
-
-// The policies' own conformance is checked where they are listed
-// (bench.policyTable); the gate is nested, so it is pinned here.
-var _ machine.Checkpointer = (*BandwidthGate)(nil)

@@ -47,7 +47,7 @@ func TestPerPageTablesRejectBadSeqs(t *testing.T) {
 				m := newMachine(64, 256, p)
 				reg, live, dead := livePages(t, m.Mem, 8)
 				seqs := c.seqs(live, dead)
-				err := p.(machine.Checkpointer).Checkpoint(snapcodec.NewReader(withTable(t, p.(machine.Checkpointer), seqs, tc.value, tc.first)), reg)
+				err := p.Checkpoint(snapcodec.NewReader(withTable(t, p, seqs, tc.value, tc.first)), reg)
 				switch {
 				case c.want == "" && (err != nil || tc.size(p) != len(seqs)):
 					t.Errorf("seqs %v: err %v, %d entries; want %d entries", seqs, err, tc.size(p), len(seqs))

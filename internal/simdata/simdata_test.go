@@ -6,12 +6,9 @@ import (
 
 	"multiclock/internal/machine"
 	"multiclock/internal/mem"
+	"multiclock/internal/policy"
 	"multiclock/internal/sim"
 )
-
-type nullPolicy struct{ machine.Base }
-
-func (nullPolicy) Name() string { return "null" }
 
 func newM() *machine.Machine {
 	cfg := machine.DefaultConfig()
@@ -19,7 +16,7 @@ func newM() *machine.Machine {
 	cfg.Mem.PMNodes = []int{2048}
 	cfg.OpCost = 0
 	cfg.CPUCachePages = 0
-	return machine.New(cfg, &nullPolicy{})
+	return machine.New(cfg, policy.NewStatic())
 }
 
 func TestArrayGetSet(t *testing.T) {
@@ -111,7 +108,7 @@ func TestHugeArray(t *testing.T) {
 	cfg.Mem.PMNodes = []int{2048}
 	cfg.OpCost = 0
 	cfg.CPUCachePages = 0
-	m := machine.New(cfg, &nullPolicy{})
+	m := machine.New(cfg, policy.NewStatic())
 	as := m.NewSpace()
 	a := NewArrayHuge[int64](m, as, "huge", 1000)
 	a.Set(0, 42)

@@ -39,8 +39,10 @@ const Magic = "MCSNAP"
 // record with the one-line descriptor: AMP's profiles and AutoTiering's hint
 // times moved into those policies' sections, PromotedAt is gone, a shadow
 // location is written only for a page with FlagShadow, and the mem section
-// no longer counts shadow frames.
-const Version = 4
+// no longer counts shadow frames. Version 5 drops one always-zero word from
+// the multiclock policy sections: the shortest interval of the adaptive
+// scan-interval extension, which no run enabled and which is gone.
+const Version = 5
 
 // Section names in container order.
 const (

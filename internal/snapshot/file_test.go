@@ -85,10 +85,11 @@ func TestFileBitFlips(t *testing.T) {
 }
 
 func TestFileVersionSkew(t *testing.T) {
-	// A future version, and version 3, whose page records are laid out for
-	// the two-line descriptor: both must be refused before any section is
-	// read.
-	for _, v := range []uint32{Version + 7, 3} {
+	// A future version; version 3, whose page records are laid out for the
+	// two-line descriptor; and version 4, whose multiclock policy sections
+	// carry the adaptive interval's word: each must be refused before any
+	// section is read.
+	for _, v := range []uint32{Version + 7, 3, 4} {
 		f := sample()
 		f.Version = v
 		data := f.Encode()

@@ -192,14 +192,7 @@ func checkpointPolicy(t *Target, c *snapcodec.Codec, reg *machine.PageRegistry) 
 	if name != t.M.Policy.Name() {
 		return &ConfigMismatchError{Reason: fmt.Sprintf("snapshot policy %q, target %q", name, t.M.Policy.Name())}
 	}
-	// Every policy bench.NewPolicy builds is a Checkpointer — its table's
-	// element type requires it — so only a policy defined outside that
-	// table can fail here.
-	p, ok := t.M.Policy.(machine.Checkpointer)
-	if !ok {
-		return fmt.Errorf("snapshot: policy %q has no Checkpoint", name)
-	}
-	return p.Checkpoint(c, reg)
+	return t.M.Policy.Checkpoint(c, reg)
 }
 
 // checkpointWorkload codes the client and, presence-tagged, the run in

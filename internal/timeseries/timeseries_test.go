@@ -7,12 +7,9 @@ import (
 	"multiclock/internal/mem"
 	"multiclock/internal/metrics"
 	"multiclock/internal/pagetable"
+	"multiclock/internal/policy"
 	"multiclock/internal/sim"
 )
-
-type nullPolicy struct{ machine.Base }
-
-func (*nullPolicy) Name() string { return "null" }
 
 func testMachine(dram, pm int) *machine.Machine {
 	cfg := machine.DefaultConfig()
@@ -20,7 +17,7 @@ func testMachine(dram, pm int) *machine.Machine {
 	cfg.Mem.PMNodes = []int{pm}
 	cfg.OpCost = 0
 	cfg.CPUCachePages = 0
-	return machine.New(cfg, &nullPolicy{})
+	return machine.New(cfg, policy.NewStatic())
 }
 
 // TestWindowsTileTheRun: windows must be contiguous, indexed, and exactly

@@ -25,7 +25,6 @@ import (
 	"strings"
 
 	"multiclock/internal/bench"
-	"multiclock/internal/core"
 	"multiclock/internal/fault"
 	"multiclock/internal/graph"
 	"multiclock/internal/kvstore"
@@ -143,10 +142,6 @@ type Config struct {
 	// OpCost is CPU time charged per workload operation.
 	OpCost Duration
 
-	// MultiClock allows overriding the full policy configuration when
-	// Policy == PolicyMultiClock; nil uses the paper defaults.
-	MultiClock *core.Config
-
 	// Chaos configures deterministic fault injection (pinned-page and
 	// target-denied migration failures, allocation storms, PM slowdown
 	// windows, daemon overruns). The zero value injects nothing and leaves
@@ -176,22 +171,12 @@ func NewSystem(cfg Config) *System {
 	if cfg.Policy == "" {
 		cfg.Policy = PolicyMultiClock
 	}
-	// Interval defaulting lives in bench.NewPolicy (and core.New for the
-	// custom-config path): a non-positive ScanInterval becomes the paper's
-	// 1 s everywhere, with no facade-local copy of the rule.
-	var pol machine.Policy
-	if cfg.Policy == PolicyMultiClock && cfg.MultiClock != nil {
-		c := *cfg.MultiClock
-		if c.ScanInterval <= 0 {
-			c.ScanInterval = cfg.ScanInterval
-		}
-		pol = core.New(c)
-	} else {
-		p, err := bench.NewPolicy(string(cfg.Policy), cfg.ScanInterval)
-		if err != nil {
-			panic(fmt.Sprintf("multiclock: %v", err))
-		}
-		pol = p
+	// Interval defaulting lives in bench.NewPolicy: a non-positive
+	// ScanInterval becomes the paper's 1 s, with no facade-local copy of
+	// the rule.
+	pol, err := bench.NewPolicy(string(cfg.Policy), cfg.ScanInterval)
+	if err != nil {
+		panic(fmt.Sprintf("multiclock: %v", err))
 	}
 
 	// The facade's own defaults: zero sizing, seed and per-op cost fall
@@ -234,13 +219,8 @@ func (s *System) DRAMHitRatio() float64 { return s.m.Mem.Counters.DRAMHitRatio()
 func (s *System) CheckInvariants() error { return s.m.CheckInvariants() }
 
 // Stop halts the policy's daemons (for long-lived processes building many
-// systems). Any policy with background work implements machine.Stopper;
-// policies without daemons have nothing to stop.
-func (s *System) Stop() {
-	if st, ok := s.pol.(machine.Stopper); ok {
-		st.Stop()
-	}
-}
+// systems).
+func (s *System) Stop() { s.pol.Stop() }
 
 // KVStore is the memcached-like back-end (re-export).
 type KVStore = kvstore.Store

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"multiclock/internal/core"
 	"multiclock/internal/mem"
 )
 
@@ -147,28 +146,6 @@ func TestRunExperimentTable1(t *testing.T) {
 	out, err := RunExperiment("table1", true)
 	if err != nil || !strings.Contains(out, "multiclock") {
 		t.Fatalf("table1: %v\n%s", err, out)
-	}
-}
-
-func TestCustomMultiClockConfig(t *testing.T) {
-	mcCfg := &core.Config{
-		ScanInterval: 5 * Millisecond,
-		ScanBatch:    256,
-		WriteBias:    true,
-	}
-	sys := NewSystem(Config{Policy: PolicyMultiClock, MultiClock: mcCfg, DRAMPages: 128, PMPages: 512})
-	defer sys.Stop()
-	if sys.PolicyName() != "multiclock" {
-		t.Fatal("custom config lost the policy")
-	}
-	// The daemons must run at the custom cadence.
-	before := sys.Counters().PagesScanned
-	store := sys.NewKVStore(500)
-	client := sys.NewYCSB(store, 500)
-	client.Load()
-	sys.Machine().Compute(26 * Millisecond) // ≥5 wakeups at 5ms
-	if sys.Counters().PagesScanned == before {
-		t.Fatal("custom-config daemons never scanned")
 	}
 }
 

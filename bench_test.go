@@ -317,6 +317,29 @@ func BenchmarkYCSBOp(b *testing.B) {
 	}
 }
 
+// BenchmarkYCSBRun is BenchmarkYCSBOp in ycsb-a's shape: workload A over
+// 24 000 records in runs of 512 Ki ops, long enough that StartRun builds the
+// zipfian's table, as ycsb-a's runs do. Each run is 128 chunks of the
+// client's draws, so the drawing of one chunk overlaps the store's work on
+// the one before; BenchmarkYCSBOp's 1 024-op runs are one chunk each and
+// overlap nothing.
+func BenchmarkYCSBRun(b *testing.B) {
+	const records, runOps = 24_000, 1 << 19
+	m := microMachine(policy.NewStatic())
+	store := newBenchStore(m, records)
+	client := ycsb.NewClient(m, store, ycsb.DefaultClientConfig(records))
+	client.Load()
+	client.Run(ycsb.WorkloadA, runOps)
+	b.ResetTimer()
+	var r *ycsb.Run
+	for i := 0; i < b.N; i++ {
+		if i%runOps == 0 {
+			r = client.StartRun(ycsb.WorkloadA, runOps)
+		}
+		r.Step()
+	}
+}
+
 // BenchmarkStoreGet is ycsb-a's read: a Get at the benchmark's scale (24 000
 // records, eight touches per item page) under scrambled-zipfian keys, so the
 // index probe at its ¾ load shows beside the simulated accesses. The keys are

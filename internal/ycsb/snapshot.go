@@ -36,8 +36,15 @@ func (e *ChooserError) Error() string {
 }
 
 // Checkpoint codes the client's mutable state; reading, the client is
-// freshly constructed with the same configuration.
+// freshly constructed with the same configuration. Writing, a run in flight
+// is settled first, so the RNG written is the one at its op boundary;
+// reading, the client forgets its run.
 func (c *Client) Checkpoint(sc *snapcodec.Codec) error {
+	if sc.Reading() {
+		c.run = nil
+	} else if c.run != nil {
+		c.run.settle()
+	}
 	c.rng.Checkpoint(sc)
 	snapcodec.I64(sc, &c.records)
 	sc.Bool(&c.loaded)
@@ -47,6 +54,7 @@ func (c *Client) Checkpoint(sc *snapcodec.Codec) error {
 // Checkpoint codes an in-flight run at an operation boundary. Reading, r is
 // a zero run bound to its client; RestoreRun makes one.
 func (r *Run) Checkpoint(c *snapcodec.Codec) error {
+	r.settle()
 	name := r.w.Name
 	c.String(&name)
 	if c.Err() != nil {
@@ -84,6 +92,7 @@ func (c *Client) RestoreRun(sc *snapcodec.Codec) (*Run, error) {
 	if err := r.Checkpoint(sc); err != nil {
 		return nil, err
 	}
+	c.run = r
 	return r, nil
 }
 

@@ -26,17 +26,14 @@ func chooserLen(tag uint8) int {
 }
 
 // runSnapshot returns the checkpoint of a run of w on a freshly loaded client,
-// taken after steps operations with its chooser replaced by ch if non-nil.
-func runSnapshot(tb testing.TB, w Workload, steps int, ch Chooser) []byte {
+// taken after steps operations.
+func runSnapshot(tb testing.TB, w Workload, steps int) []byte {
 	tb.Helper()
 	_, c := newClient(restoreRecords)
 	c.Load()
 	r := c.StartRun(w, 1000)
 	for i := 0; i < steps; i++ {
 		r.Step()
-	}
-	if ch != nil {
-		r.chooser = ch
 	}
 	out := snapcodec.NewWriter()
 	if err := r.Checkpoint(out); err != nil {
@@ -81,7 +78,7 @@ func drawInRange(t *testing.T, c *Client, r *Run) {
 // reaches sent Grow and the formula outside their ranges. Each must be a
 // *ChooserError; the unmutated snapshots must still restore.
 func TestRestoreRunRejectsImpossibleChoosers(t *testing.T) {
-	snap := runSnapshot(t, WorkloadA, 10, nil)
+	snap := runSnapshot(t, WorkloadA, 10)
 	zipf := func(mutate func(z *Zipfian)) *Zipfian {
 		z := NewZipfian(restoreRecords)
 		mutate(z)
@@ -135,7 +132,7 @@ func TestRestoreRunRejectsImpossibleChoosers(t *testing.T) {
 	for _, w := range []Workload{WorkloadA, WorkloadD, WorkloadE} {
 		_, c := newClient(restoreRecords)
 		c.Load()
-		if _, err := c.RestoreRun(snapcodec.NewReader(runSnapshot(t, w, 0, nil))); err != nil {
+		if _, err := c.RestoreRun(snapcodec.NewReader(runSnapshot(t, w, 0))); err != nil {
 			t.Fatalf("workload %s: %v", w.Name, err)
 		}
 	}
@@ -160,10 +157,10 @@ func FuzzRestoreRun(f *testing.F) {
 		tag  uint8
 		snap []byte
 	}{
-		{chooserScrambled, runSnapshot(f, WorkloadA, 10, nil)},
-		{chooserLatest, runSnapshot(f, WorkloadD, 0, nil)},
-		{chooserUniform, runSnapshot(f, WorkloadE, 0, nil)},
-		{chooserZipfian, runSnapshot(f, WorkloadC, 10, NewZipfian(restoreRecords))},
+		{chooserScrambled, runSnapshot(f, WorkloadA, 10)},
+		{chooserLatest, runSnapshot(f, WorkloadD, 0)},
+		{chooserUniform, runSnapshot(f, WorkloadE, 0)},
+		{chooserZipfian, withChooser(runSnapshot(f, WorkloadC, 10), chooserZipfian, 0, NewZipfian(restoreRecords))},
 	} {
 		snap := seed.snap
 		f.Add(snap)

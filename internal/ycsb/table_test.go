@@ -364,8 +364,7 @@ func TestClientReusesTable(t *testing.T) {
 			built = c.tables.table
 		}
 		r.Step()
-		z := r.chooser.(*Scrambled).z
-		if built == nil || z.table != built {
+		if built == nil || r.d.z.table != built {
 			t.Fatalf("workload %s: first draw not from the table workload A's start built", w.Name)
 		}
 		for r.Step() {
@@ -420,7 +419,7 @@ func TestClientReusesTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.chooser.(*Scrambled).z.table == nil || r2.chooser.(*Scrambled).z.table != nil {
+	if r1.d.z.table == nil || r2.chooser.(*Scrambled).z.table != nil {
 		t.Fatal("want the checkpointed run on a table and the restored one on the formula")
 	}
 	for i := int64(0); i < 2*tableBuildEvals(records); i++ {

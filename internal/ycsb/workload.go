@@ -89,6 +89,9 @@ type Client struct {
 
 	records int64
 	loaded  bool
+	// run is the latest run started or restored; its drawer may be ahead
+	// of rng (Run.settle).
+	run *Run
 
 	// zetan is zeta(zetaItems, ZipfianConstant), kept from the last run's
 	// chooser: a pure function of the record count that costs one pow per
@@ -151,9 +154,14 @@ func (c *Client) Run(w Workload, ops int64) RunResult {
 // Client.Run drives it to completion in a tight loop; resumable harnesses
 // (the soak driver, the checkpoint layer) step it explicitly so every op
 // boundary is a quiescent point where a snapshot can be taken.
+// Step consumes ops a drawer draws ahead of it (ahead.go); while the run
+// draws, the client's RNG and the run's chooser stand where settle last
+// re-derived them.
 type Run struct {
-	c       *Client
-	w       Workload
+	c *Client
+	w Workload
+	// chooser is the run's chooser at its start, or at the op boundary
+	// settle last brought it to.
 	chooser Chooser
 
 	ops, done   int64
@@ -161,6 +169,13 @@ type Run struct {
 	start       sim.Time
 	unsupported bool
 	lat         stats.Histogram
+
+	// The draws ahead of Step (ahead.go).
+	d         *drawer
+	cur, next *chunk // the chunk Step consumes and the one filled after it
+	batch     []op   // cur.ops
+	pos       int    // ops of batch consumed
+	pending   bool   // next is being filled
 }
 
 // StartRun begins a workload execution of ops operations. Load must have run
@@ -168,6 +183,9 @@ type Run struct {
 func (c *Client) StartRun(w Workload, ops int64) *Run {
 	if !c.loaded {
 		panic("ycsb: Run before Load")
+	}
+	if c.run != nil {
+		c.run.settle()
 	}
 	chooser := c.chooserFor(w)
 	// A scrambled run without inserts draws one key an op from one key
@@ -177,10 +195,11 @@ func (c *Client) StartRun(w Workload, ops int64) *Run {
 		c.records <= tableMaxItems && ops >= tableBuildEvals(c.records) {
 		c.tables.prepay(s.z, scramble)
 	}
-	return &Run{
+	c.run = &Run{
 		c: c, w: w, chooser: chooser,
 		ops: ops, startOps: c.m.Ops, start: c.m.Clock.Now(),
 	}
+	return c.run
 }
 
 // Workload returns the run's operation mix.
@@ -199,30 +218,36 @@ func (r *Run) Step() bool {
 	if r.done >= r.ops || r.unsupported {
 		return false
 	}
-	c, w := r.c, r.w
+	if r.pos == len(r.batch) {
+		r.advance()
+	}
+	o := r.batch[r.pos]
+	r.pos++
+	c := r.c
 	opStart := c.m.Clock.Now()
-	p := c.rng.Float64()
-	switch {
-	case p < w.ReadProp:
-		c.store.Get(uint64(r.chooser.Next(c.rng)))
-	case p < w.ReadProp+w.UpdateProp:
-		c.store.Set(uint64(r.chooser.Next(c.rng)), recordSize)
-	case p < w.ReadProp+w.UpdateProp+w.InsertProp:
-		key := uint64(c.records)
+	switch o.kind() {
+	case opRead:
+		c.store.Get(o.key())
+	case opUpdate:
+		c.store.Set(o.key(), recordSize)
+	case opInsert:
 		c.records++
-		r.chooser.Grow(c.records)
-		c.store.Insert(key, recordSize)
-	case p < w.ReadProp+w.UpdateProp+w.InsertProp+w.RMWProp:
-		c.store.ReadModifyWrite(uint64(r.chooser.Next(c.rng)))
+		c.store.Insert(o.key(), recordSize)
+	case opRMW:
+		c.store.ReadModifyWrite(o.key())
 	default:
-		if err := c.store.Scan(uint64(r.chooser.Next(c.rng)), 100); err != nil {
+		if err := c.store.Scan(o.key(), 100); err != nil {
 			r.unsupported = true
 		}
 	}
 	c.m.EndOp()
 	r.lat.Add(float64(c.m.Clock.Now() - opStart))
 	r.done++
-	return r.done < r.ops && !r.unsupported
+	if r.done < r.ops && !r.unsupported {
+		return true
+	}
+	r.stop()
+	return false
 }
 
 // Finish computes the run's result.
